@@ -10,7 +10,7 @@ from repro.analysis.project import ModuleInfo, Project
 
 #: Methods allowed to (re)bind the replica containers themselves: before
 #: the pool starts there is nothing to race with.
-SETUP_METHODS = frozenset({"__init__", "_init_replicas"})
+SETUP_METHODS = frozenset({"__init__"})
 
 #: Replica/shard state: element writes require an enclosing lock.
 REPLICA_ATTRS = frozenset({"_replicas", "_replica_locks"})
@@ -96,32 +96,32 @@ class _LockWalker(ast.NodeVisitor):
 class LockDisciplineRule(Rule):
     """Replica/shard state is touched only under its per-replica lock.
 
-    Why: ``RoadService`` keeps one ``FrozenRoad`` replica per pool
-    thread, each guarded by a ``threading.Lock`` in ``_replica_locks``.
-    Query execution holds the lock on a *worker* thread; maintenance
-    broadcasts and hot-rebuilds swap replicas from the *event-loop*
-    thread.  A replica write outside its lock lets a rebuild swap an
-    engine out from under an executing batch — with the planned
-    shared-memory shards, that upgrades from "stale read" to "corrupted
-    snapshot".  Conversely the admission buckets (``_pending``,
+    Why: ``repro.serving.replicas.ThreadReplicaSet`` keeps one
+    ``FrozenRoad`` replica per pool thread, each guarded by a
+    ``threading.Lock`` in ``_replica_locks``.  Query execution holds the
+    lock on a *worker* thread (``_run_locked``); ``apply`` and
+    ``replace_snapshot`` patch and swap replicas from the maintenance
+    caller's thread.  A replica write outside its lock lets a rebuild
+    swap an engine out from under an executing batch — a "stale read"
+    at best, a corrupted snapshot at worst.  Conversely
+    ``RoadService``'s admission buckets (``_pending``,
     ``_pending_count``, ``_flush_handle``) are event-loop-confined and
-    deliberately lock-free; writing them while holding a replica lock
-    means worker-thread code is reaching into loop-owned state.
+    deliberately lock-free; a class that writes them while holding a
+    replica lock has worker-thread code reaching into loop-owned state.
 
     How it checks: in every class that defines ``_replica_locks``,
 
     * element writes (``self._replicas[i] = ...``) must be lexically
       inside a ``with`` whose context mentions a lock;
     * rebinding ``self._replicas`` / ``self._replica_locks`` wholesale
-      is allowed only in ``__init__`` / ``_init_replicas`` (before the
-      pool exists);
+      is allowed only in ``__init__`` (before the pool exists);
     * admission-bucket writes must *not* appear under a replica lock.
 
     How to fix a finding: wrap the write in ``with
     self._replica_locks[index]:`` (or the lock variable for that
-    replica); move container rebinds into ``_init_replicas``; move
-    admission mutations back onto the event loop via
-    ``loop.call_soon_threadsafe``.
+    replica); build the containers once in ``__init__`` and swap
+    elements afterwards; move admission mutations back onto the event
+    loop via ``loop.call_soon_threadsafe``.
     """
 
     id = "RA002"
@@ -173,7 +173,7 @@ class LockDisciplineRule(Rule):
                                 path,
                                 line,
                                 f"'self.{attr}' rebound outside "
-                                f"__init__/_init_replicas (in {method.name}); "
+                                f"__init__ (in {method.name}); "
                                 f"swap elements under their lock instead",
                             )
                         )

@@ -1,6 +1,6 @@
 """repro.serving — the unified serving API.
 
-Two layers:
+Four layers:
 
 * :mod:`repro.serving.dispatch` — the query-dispatch protocol: the
   :class:`QueryExecutor` ABC all engines implement, the
@@ -14,13 +14,19 @@ Two layers:
   (``python -m repro.serving.http`` hosts it).
 * :mod:`repro.serving.service` — the :class:`RoadService` facade: typed
   :class:`ServiceConfig` (the ``REPRO_*`` env vars become overrides),
-  sync ``run``/``run_many``, an asyncio front-end (``await
-  service.submit(query)``) with per-predicate admission batching, and
-  sharded read-only :class:`~repro.core.frozen.FrozenRoad` replicas with
-  patch-broadcast reconciliation — as interpreter threads
-  (``replica_mode="thread"``) or as worker processes attached to one
-  shared-memory snapshot (``replica_mode="process"``, backed by
-  :class:`~repro.serving.process_pool.ProcessReplicaPool`).
+  sync ``run``/``run_many``, and an asyncio front-end (``await
+  service.submit(query)``) whose per-predicate admission buckets all
+  flush through one pipeline: coalesce → cache-split → execute →
+  populate → deliver.
+* :mod:`repro.serving.replicas` / :mod:`repro.serving.process_pool` —
+  what the execute stage hands a batch to, behind one ``submit`` /
+  ``apply`` / ``replace_snapshot`` / ``stats`` / ``close`` surface: the
+  primary executor inline, read-only
+  :class:`~repro.core.frozen.FrozenRoad` replicas on interpreter threads
+  (``replica_mode="thread"``), or worker processes attached to one
+  shared-memory snapshot (``replica_mode="process"``,
+  :class:`~repro.serving.process_pool.ProcessReplicaPool`) — all kept
+  current by patch-broadcast.
 
 The service layer is imported lazily (PEP 562): the core engine modules
 import the dispatch protocol from here, while the service imports those

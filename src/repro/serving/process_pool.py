@@ -55,7 +55,7 @@ from typing import (
 
 from repro.core.frozen import FrozenRoad
 from repro.core.shm_arrays import ShmVector
-from repro.queries.types import ResultRow
+from repro.serving.replicas import execute_batch
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from multiprocessing.connection import Connection
@@ -221,8 +221,17 @@ class ProcessReplicaPool:
         return self._frozen
 
     @property
+    def replicas(self) -> Tuple[FrozenRoad, ...]:
+        """The distinct snapshots held: the one every worker attaches."""
+        return (self._frozen,)
+
+    @property
     def workers(self) -> int:
         return len(self._processes)
+
+    @property
+    def closed(self) -> bool:
+        return self._closed
 
     def stats(self) -> Dict[str, object]:
         """Pool counters plus per-worker liveness."""
@@ -264,11 +273,9 @@ class ProcessReplicaPool:
         per-predicate batch caches apply there, exactly as on a thread
         replica).  The future completes on the pool's listener thread.
 
-        With ``footprints=True`` the worker instead executes each query
-        individually with its own :class:`~repro.core.search.SearchStats`
-        and the future resolves to ``(answers, [(visited_nodes,
-        visited_rnets), ...])`` — the per-query visit sets the service's
-        result cache records as invalidation footprints.
+        ``footprints`` selects the per-query shape of
+        :func:`~repro.serving.replicas.execute_batch`, which is what the
+        worker runs and the future resolves to.
         """
         future: "Future[Any]" = Future()
         with self._state_lock:
@@ -567,6 +574,10 @@ class ProcessReplicaPool:
                     ProcessPoolError("process pool closed with the batch "
                                      "in flight")
                 )
+        # A closed pool stays referenced (it still answers stats()), and
+        # a queue's locks are named semaphores that persist until the
+        # queue is collected: drop the queues with the workers.
+        self._tasks, self._syncs = [], []
         for reader in self._result_readers:
             reader.close()
         for writer in self._result_writers:
@@ -630,15 +641,11 @@ def _worker_main(
             item = tasks.get()
             if item[0] == "stop":
                 return
-            _tag, ticket, queries, directory = item[:4]
-            # Tolerant unpack: a 4-tuple (pre-footprint primary) means
-            # the plain execute_many path.
-            footprints = bool(item[4]) if len(item) > 4 else False
+            _tag, ticket, queries, directory, footprints = item
             state.retries = 0
             try:
                 answers = _serve_batch(
-                    state, ctrl, syncs, queries, directory,
-                    footprints=footprints,
+                    state, ctrl, syncs, queries, directory, footprints
                 )
             except Exception as exc:  # noqa: BLE001 — fan the error out
                 results.send(
@@ -664,8 +671,7 @@ def _serve_batch(
     syncs: "SimpleQueue[Any]",
     queries: List[object],
     directory: str,
-    *,
-    footprints: bool = False,
+    footprints: bool,
 ) -> Any:
     """One batch under the seqlock: sync, execute, validate, retry.
 
@@ -673,28 +679,15 @@ def _serve_batch(
     across the whole execution and every published sync payload had
     been applied first.  A batch that overlapped a patch window retries
     — by then the catch-up loop has applied the new state, so the retry
-    serves post-patch answers (never torn ones).  ``footprints`` runs
-    each query with its own stats (see :meth:`ProcessReplicaPool.submit`);
-    a retry rebuilds the stats, so a footprint never mixes pre- and
-    post-patch visit sets.
+    serves post-patch answers (never torn ones).  A retry re-executes
+    the whole batch, so a footprint never mixes pre- and post-patch
+    visit sets.
     """
-    from repro.core.search import SearchStats
-
     while True:
         _catch_up(state, ctrl, syncs)
         generation = int(ctrl[0])
-        stats_list: Optional[List[SearchStats]] = None
         try:
-            if footprints:
-                stats_list = [SearchStats() for _ in queries]
-                answers = [
-                    state.frozen.execute(query, directory=directory, stats=s)
-                    for query, s in zip(queries, stats_list)
-                ]
-            else:
-                answers = state.frozen.execute_many(
-                    queries, directory=directory
-                )
+            answers = execute_batch(state.frozen, queries, directory, footprints)
         except Exception:
             # A patch window overlapping the read can surface as an
             # exception (offsets mid-splice); only a quiescent failure
@@ -713,11 +706,6 @@ def _serve_batch(
             and int(ctrl[0]) == generation
             and state.applied_seq >= int(ctrl[1])
         ):
-            if stats_list is not None:
-                return answers, [
-                    (set(s.visited_nodes), set(s.visited_rnets))
-                    for s in stats_list
-                ]
             return answers
         state.retries += 1
 

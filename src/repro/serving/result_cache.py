@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Iterable, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.maintenance import MaintenanceReport
 from repro.queries.types import (
@@ -195,6 +195,27 @@ class ResultCache:
             self._bump("hits")
             return entry.answer
 
+    def split(
+        self, directory: str, queries: Sequence[object]
+    ) -> Tuple[Dict[int, list], Sequence[int], List[Optional[CacheKey]]]:
+        """One batch's cache-split: (hits, miss positions, miss keys).
+
+        ``hits`` maps a query's position to its cached answer (copy it
+        before handing it out, as with :meth:`lookup`).
+        """
+        hits: Dict[int, list] = {}
+        miss_idx: List[int] = []
+        keys: List[Optional[CacheKey]] = []
+        for index, query in enumerate(queries):
+            key = canonical_key(directory, query)
+            answer = self.lookup(key)
+            if answer is MISS:
+                miss_idx.append(index)
+                keys.append(key)
+            else:
+                hits[index] = answer  # type: ignore[assignment]
+        return hits, miss_idx, keys
+
     def generation(self, directory: str) -> Generation:
         """The populate guard to capture *before* executing a miss.
 
@@ -253,6 +274,23 @@ class ResultCache:
                 self._unlink(oldest)
                 self._bump("evictions")
             return True
+
+    def populate(
+        self,
+        executed: Iterable[Tuple[Optional[CacheKey], object, list, Tuple[set, set]]],
+        generation: Generation,
+    ) -> None:
+        """Store each executed ``(key, query, answer, (nodes, rnets))`` miss
+        under its visit set united with the query's own nodes."""
+        for key, query, answer, (nodes, rnets) in executed:
+            if not nodes:
+                # The executor reported no visit set (a baseline
+                # without footprint support): caching it would make
+                # the entry invisible to report invalidation.
+                continue
+            footprint = set(nodes)
+            footprint.update(query_nodes(query))
+            self.store(key, list(answer), footprint, rnets, generation)
 
     # ------------------------------------------------------------------
     # Invalidation path

@@ -12,12 +12,21 @@ front door in front of them:
 * :class:`RoadService` — sync ``run``/``run_many`` over the configured
   executor, and an **asyncio front-end**: ``await service.submit(query)``
   parks the query in a per-(directory, predicate) admission bucket; a
-  flush (on ``max_batch`` occupancy or after ``max_delay_ms``) coalesces
-  duplicate in-flight queries and executes each bucket through one
-  ``execute_many`` call, so concurrent callers share predicate caches —
-  and, when ``replicas > 0``, a pool of read-only
-  :class:`~repro.core.frozen.FrozenRoad` replicas served from worker
-  threads.  Maintenance goes through the service too: every update's
+  flush (on ``max_batch`` occupancy or after ``max_delay_ms``) sends
+  each bucket through one dispatch pipeline, whatever the configuration:
+
+  1. **coalesce** — identical in-flight queries fold into one;
+  2. **cache-split** — the result cache answers what it can (hits are
+     delivered at once); with the cache off everything is a miss;
+  3. **execute** — the misses go, as one batch sharing its predicate
+     caches, to the *replica set* picked at construction (the primary
+     executor inline, thread replicas or process replicas behind one
+     ``submit(...) -> Future`` surface: :mod:`repro.serving.replicas`);
+  4. **populate** — executed answers enter the cache under their
+     visit-set footprints, unless a patch landed mid-flight;
+  5. **deliver** — every caller's future completes with its own copy.
+
+  Maintenance goes through the service too: every update's
   :class:`~repro.core.maintenance.MaintenanceReport` is patch-broadcast
   to all replicas, so the shards never drift from the primary.
 
@@ -39,9 +48,8 @@ from __future__ import annotations
 
 import asyncio
 import os
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -53,6 +61,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from repro.baselines.road_adapter import ROAD_MAINTENANCE_MODES, ROAD_MODES
@@ -65,12 +74,8 @@ from repro.serving.dispatch import (
 )
 from repro.serving.metrics import BATCH_SIZE_BUCKETS, Counter, MetricsRegistry
 from repro.serving.process_pool import ProcessReplicaPool
-from repro.serving.result_cache import (
-    MISS,
-    ResultCache,
-    canonical_key,
-    query_nodes,
-)
+from repro.serving.replicas import InlineReplicas, ThreadReplicaSet
+from repro.serving.result_cache import ResultCache
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.core.framework import ROAD
@@ -83,6 +88,10 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 #: One admitted (query, completion future) pair; the future completes
 #: with that query's result list.
 _Entry = Tuple[object, "asyncio.Future[List[ResultRow]]"]
+
+#: What the execute stage hands batches to (:mod:`repro.serving.replicas`
+#: documents the shared surface).
+ReplicaSet = Union[InlineReplicas, ThreadReplicaSet, ProcessReplicaPool]
 
 #: Engine families :meth:`RoadService.build` can construct.
 ENGINE_NAMES = ("ROAD", "NetExp", "Euclidean", "DistIdx")
@@ -324,25 +333,7 @@ class RoadService:
         self._pending_count = 0
         self._flush_handle: Optional[asyncio.TimerHandle] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        # -- sharded replicas -------------------------------------------
-        self._replicas: List[QueryExecutor] = []
-        self._replica_locks: List[threading.Lock] = []
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._process_pool: Optional[ProcessReplicaPool] = None
-        self._round_robin = 0
         self._counters = {name: 0 for name in _SERVICE_COUNTER_HELP}
-        # Thread-mode replica-pool counters, mirroring the field names of
-        # ProcessReplicaPool.stats() so replica_pool_stats() is uniform
-        # across modes.  Touched only on the loop thread (dispatch) and
-        # the maintenance caller — informational, not synchronised.
-        self._pool_counters = {
-            "batches": 0,
-            "queries": 0,
-            "syncs": 0,
-            "reloads": 0,
-            "retries": 0,
-            "worker_deaths": 0,
-        }
         self._result_cache: Optional[ResultCache] = None
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._register_metrics()
@@ -351,8 +342,7 @@ class RoadService:
                 self.config.cache_budget,
                 counters=dict(self._cache_counters),
             )
-        if self.config.replicas:
-            self._init_replicas()
+        self._shards: ReplicaSet = self._init_replicas()
 
     # ------------------------------------------------------------------
     # Construction
@@ -422,19 +412,13 @@ class RoadService:
         that single primary-owned snapshot (probe it to probe what every
         worker serves).
         """
-        if self._process_pool is not None:
-            return (self._process_pool.frozen,)
-        return tuple(self._replicas)
+        return self._shards.replicas
 
     def stats(self) -> Dict[str, object]:
         """Serving counters plus the executor's own stats when it has any."""
         summary: Dict[str, object] = {
             "service": dict(self._counters),
-            "replicas": (
-                self._process_pool.workers
-                if self._process_pool is not None
-                else len(self._replicas)
-            ),
+            "replicas": self._shards.workers,
             "replica_mode": self.config.replica_mode,
             "config": self.config,
             "replica_pool": self.replica_pool_stats(),
@@ -450,22 +434,13 @@ class RoadService:
     def replica_pool_stats(self) -> Dict[str, object]:
         """Replica-pool counters under mode-independent key names.
 
-        Process mode reports :meth:`ProcessReplicaPool.stats` verbatim;
-        thread mode reports the same keys from the service's own
-        dispatch/broadcast counters (``retries``/``worker_deaths`` stay 0
-        — threads neither re-attach nor die silently).  ``/metrics`` and
-        ``stats()`` consumers never branch on ``replica_mode``.
+        Every replica set reports the :meth:`ProcessReplicaPool.stats`
+        keys (the process pool adds its seqlock words), and keeps
+        reporting after ``close()`` — ``closed`` is how ``/healthz``
+        learns the service is down.  ``/metrics`` and ``stats()``
+        consumers never branch on ``replica_mode``.
         """
-        if self._process_pool is not None:
-            return self._process_pool.stats()
-        stats: Dict[str, object] = dict(self._pool_counters)
-        stats["workers"] = len(self._replicas)
-        stats["alive"] = len(self._replicas) if self._pool is not None else 0
-        stats["closed"] = bool(self._replicas) and self._pool is None
-        # Thread replicas never serve a torn patch: a failed apply raises
-        # straight to the maintenance caller under the shard lock.
-        stats["degraded"] = False
-        return stats
+        return self._shards.stats()
 
     # ------------------------------------------------------------------
     # Metrics surface
@@ -569,14 +544,10 @@ class RoadService:
         """The frozen snapshot the memory gauges sample, if one serves."""
         from repro.core.frozen import FrozenRoad
 
-        if self._process_pool is not None:
-            return self._process_pool.frozen
-        if self._replicas:
-            first = self._replicas[0]
-            return first if isinstance(first, FrozenRoad) else None
-        if isinstance(self._executor, FrozenRoad):
-            return self._executor
-        frozen = getattr(self._executor, "frozen", None)
+        serving = self._serving_executor()
+        if isinstance(serving, FrozenRoad):
+            return serving
+        frozen = getattr(serving, "frozen", None)
         return frozen if isinstance(frozen, FrozenRoad) else None
 
     def _directory_bytes_gauge(self) -> Dict[str, float]:
@@ -686,6 +657,8 @@ class RoadService:
         whichever comes first.  With ``coalesce`` on, an identical
         in-flight query is executed once and fanned out.
         """
+        if self._shards.closed:
+            raise ServiceError("service closed")
         serving = self._serving_executor()
         # Fail fast — a bad query or directory must reject *this* call,
         # not poison the whole flush it would have joined.
@@ -719,14 +692,18 @@ class RoadService:
             # drops errors under load reports a fantasy tail.
             self._latency.observe((time.perf_counter() - start) * 1000.0)
 
-    def _adopt_loop(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Reset admission state bound to a previous (dead) event loop."""
+    def _take_pending(self) -> Dict[Tuple[str, object], List[_Entry]]:
+        """Cancel the flush timer and take every admission bucket."""
         if self._flush_handle is not None:
             self._flush_handle.cancel()
             self._flush_handle = None
-        stale, self._pending = self._pending, {}
+        pending, self._pending = self._pending, {}
         self._pending_count = 0
-        for entries in stale.values():
+        return pending
+
+    def _adopt_loop(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Reset admission state bound to a previous (dead) event loop."""
+        for entries in self._take_pending().values():
             self._reject(
                 entries,
                 ServiceError("event loop changed with queries in flight"),
@@ -734,269 +711,107 @@ class RoadService:
         self._loop = loop
 
     def _flush(self) -> None:
-        """Drain every admission bucket into ``execute_many`` calls."""
-        if self._flush_handle is not None:
-            self._flush_handle.cancel()
-            self._flush_handle = None
-        pending, self._pending = self._pending, {}
-        self._pending_count = 0
+        """Drain every admission bucket through the dispatch pipeline."""
+        pending = self._take_pending()
         if not pending:
             return
         self._count("flushes")
         for (directory, _predicate), entries in pending.items():
-            self._dispatch_batch(directory, entries)
-
-    def _dispatch_batch(self, directory: str, entries: List[_Entry]) -> None:
-        """Execute one bucket — coalesced, on a replica when sharded."""
-        slot: Optional[Dict[object, int]]
-        if self.config.coalesce:
-            slot = {}
-            unique: List[object] = []
-            for query, _future in entries:
-                if query not in slot:
-                    slot[query] = len(unique)
-                    unique.append(query)
-            self._count("coalesced", len(entries) - len(unique))
-        else:
-            slot = None
-            unique = [query for query, _future in entries]
-        if self._result_cache is not None:
-            self._dispatch_cached(directory, entries, slot, unique)
-            return
-        self._count("batches")
-        self._count("executed", len(unique))
-        self._batch_sizes.observe(float(len(unique)))
-        if self._process_pool is not None:
-            # The pool round-robins workers itself; its listener thread
-            # completes the concurrent future, which wrap_future relays
-            # back onto this loop.
-            loop = asyncio.get_running_loop()
-            task = asyncio.wrap_future(
-                self._process_pool.submit(unique, directory), loop=loop
-            )
-            task.add_done_callback(
-                lambda done: self._resolve(entries, slot, done)
-            )
-            return
-        if self._pool is None:
-            try:
-                results = self._executor.execute_many(unique, directory=directory)
-            except Exception as exc:  # noqa: BLE001 — fan the error out
-                self._reject(entries, exc)
-                return
-            self._deliver(entries, slot, results)
-            return
-        index = self._round_robin % len(self._replicas)
-        self._round_robin += 1
-        self._pool_counters["batches"] += 1
-        self._pool_counters["queries"] += len(unique)
-        loop = asyncio.get_running_loop()
-        task = loop.run_in_executor(
-            self._pool, self._run_on_replica, index, unique, directory
-        )
-        task.add_done_callback(
-            lambda done: self._resolve(entries, slot, done)
-        )
-
-    def _run_on_replica(
-        self, index: int, queries: List[object], directory: str
-    ) -> List[List[ResultRow]]:
-        """Worker-thread body: one batch on one locked replica."""
-        with self._replica_locks[index]:
-            return self._replicas[index].execute_many(queries, directory=directory)
+            self._dispatch(directory, entries)
 
     # ------------------------------------------------------------------
-    # Result-cache admission path
+    # The dispatch pipeline
     # ------------------------------------------------------------------
-    def _dispatch_cached(
-        self,
-        directory: str,
-        entries: List[_Entry],
-        slot: Optional[Dict[object, int]],
-        unique: List[object],
-    ) -> None:
-        """Split one bucket into cache hits and misses.
+    def _dispatch(self, directory: str, entries: List[_Entry]) -> None:
+        """One bucket: coalesce → cache-split → execute → populate → deliver.
 
-        Hits complete their futures immediately (each caller gets its
-        own list copy — cached lists are never handed out aliased);
-        misses ride the usual execution paths, but per-query with their
-        own :class:`~repro.core.search.SearchStats` so each answer's
-        visit-set footprint can be recorded for report-driven
-        invalidation.  The populate is guarded by the generation
-        captured *before* execution: an invalidation landing mid-flight
-        refuses the store rather than caching a pre-patch answer.
+        No stage forks on configuration: a disabled cache makes the
+        split yield "all misses", an unsharded service makes the
+        hand-off complete inside the call.
         """
+        slot, unique = self._coalesce(entries)
         cache = self._result_cache
-        assert cache is not None
-        keys = [canonical_key(directory, query) for query in unique]
-        hits: Dict[int, List[ResultRow]] = {}
-        miss_idx: List[int] = []
-        for index, key in enumerate(keys):
-            answer = cache.lookup(key)
-            if answer is MISS:
-                miss_idx.append(index)
-            else:
-                hits[index] = answer  # type: ignore[assignment]
+        if cache is not None:
+            hits, miss_idx, keys = cache.split(directory, unique)
+            # Captured *before* execution: an invalidation landing
+            # mid-flight bumps it, and the populate then refuses the
+            # store rather than caching a pre-patch answer.
+            generation = cache.generation(directory)
+        else:  # cache off: the split yields "all misses"
+            hits, miss_idx, keys, generation = {}, range(len(unique)), [], (0, 0)
         if hits:
-            self._deliver_indexed(entries, slot, hits)
+            self._deliver(entries, slot, hits)  # before the misses execute
         if not miss_idx:
             return
-        generation = cache.generation(directory)
         misses = [unique[index] for index in miss_idx]
         self._count("batches")
         self._count("executed", len(misses))
         self._batch_sizes.observe(float(len(misses)))
 
-        def populate_and_deliver(
-            results: List[List[ResultRow]],
-            footprints: List[Tuple[set, set]],
-        ) -> None:
-            delivered: Dict[int, List[ResultRow]] = {}
-            for position, index in enumerate(miss_idx):
-                query = unique[index]
-                answer = results[position]
-                delivered[index] = answer
-                nodes, rnets = footprints[position]
-                if not nodes:
-                    # The executor reported no visit set (a baseline
-                    # without footprint support): caching it would make
-                    # the entry invisible to report invalidation.
-                    continue
-                footprint = set(nodes)
-                footprint.update(query_nodes(query))
-                cache.store(
-                    keys[index], list(answer), footprint, rnets, generation
-                )
-            self._deliver_indexed(entries, slot, delivered)
-
-        if self._process_pool is not None:
-            loop = asyncio.get_running_loop()
-            task = asyncio.wrap_future(
-                self._process_pool.submit(misses, directory, footprints=True),
-                loop=loop,
-            )
-            task.add_done_callback(
-                lambda done: self._resolve_footprints(
-                    entries, done, populate_and_deliver
-                )
-            )
-            return
-        if self._pool is None:
+        def complete(done: "Union[Future[Any], asyncio.Future[Any]]") -> None:
             try:
-                results, footprints = self._execute_with_footprints(
-                    self._executor, misses, directory
-                )
+                results = done.result()
             except Exception as exc:  # noqa: BLE001 — fan the error out
+                # Hit futures are already complete; _reject skips them.
                 self._reject(entries, exc)
                 return
-            populate_and_deliver(results, footprints)
-            return
-        index = self._round_robin % len(self._replicas)
-        self._round_robin += 1
-        self._pool_counters["batches"] += 1
-        self._pool_counters["queries"] += len(misses)
-        loop = asyncio.get_running_loop()
-        task = loop.run_in_executor(
-            self._pool,
-            self._run_on_replica_footprints,
-            index,
-            misses,
-            directory,
-        )
-        task.add_done_callback(
-            lambda done: self._resolve_footprints(
-                entries, done, populate_and_deliver
-            )
-        )
+            if cache is not None:
+                results, footprints = results
+                cache.populate(zip(keys, misses, results, footprints), generation)
+            self._deliver(entries, slot, dict(zip(miss_idx, results)))
 
-    def _resolve_footprints(
-        self,
-        entries: List[_Entry],
-        done: "asyncio.Future",
-        deliver: Callable[[List[List[ResultRow]], List[Tuple[set, set]]], None],
-    ) -> None:
-        """Loop-thread callback for a footprint-carrying miss batch."""
-        exc = done.exception()
-        if exc is not None:
-            # Hit futures are already complete; _reject skips done ones.
+        try:
+            handed = self._shards.submit(
+                misses, directory, footprints=cache is not None
+            )
+        except Exception as exc:  # noqa: BLE001 — fan the error out
+            # The replica set refused the batch (closed, degraded, every
+            # worker dead) or, unsharded, executing it failed: reject
+            # exactly this bucket, so the rest of the flush dispatches.
             self._reject(entries, exc)
             return
-        results, footprints = done.result()
-        deliver(results, footprints)
-
-    @staticmethod
-    def _deliver_indexed(
-        entries: List[_Entry],
-        slot: Optional[Dict[object, int]],
-        answers: Dict[int, List[ResultRow]],
-    ) -> None:
-        """Complete the futures whose unique-index has an answer.
-
-        Always copies: the answer lists are (or are about to become)
-        cache-resident, and a caller sorting/truncating its result must
-        corrupt neither the cache nor its coalesced twins.
-        """
-        for position, (query, future) in enumerate(entries):
-            index = slot[query] if slot is not None else position
-            answer = answers.get(index)
-            if answer is not None and not future.done():
-                future.set_result(list(answer))
-
-    def _execute_with_footprints(
-        self, executor: QueryExecutor, queries: List[object], directory: str
-    ) -> Tuple[List[List[ResultRow]], List[Tuple[set, set]]]:
-        """Execute per-query with individual stats; (answers, footprints)."""
-        from repro.core.search import SearchStats
-
-        results: List[List[ResultRow]] = []
-        footprints: List[Tuple[set, set]] = []
-        for query in queries:
-            stats = SearchStats()
-            results.append(
-                executor.execute(query, directory=directory, stats=stats)
-            )
-            footprints.append((stats.visited_nodes, stats.visited_rnets))
-        return results, footprints
-
-    def _run_on_replica_footprints(
-        self, index: int, queries: List[object], directory: str
-    ) -> Tuple[List[List[ResultRow]], List[Tuple[set, set]]]:
-        """Worker-thread body: one miss batch, per-query stats, locked."""
-        with self._replica_locks[index]:
-            return self._execute_with_footprints(
-                self._replicas[index], queries, directory
-            )
-
-    def _resolve(
-        self,
-        entries: List[_Entry],
-        slot: Optional[Dict[object, int]],
-        done: "asyncio.Future[List[List[ResultRow]]]",
-    ) -> None:
-        """Loop-thread callback completing a replica batch's futures."""
-        exc = done.exception()
-        if exc is not None:
-            self._reject(entries, exc)
+        if handed.done():
+            # Unsharded: the batch ran inside submit(), so delivery stays
+            # inside the flush with no extra event-loop hop.
+            complete(handed)
         else:
-            self._deliver(entries, slot, done.result())
+            # A worker thread or the pool's listener thread completes the
+            # future; wrap_future relays it back onto this loop.
+            relay = asyncio.wrap_future(handed, loop=self._loop)
+            relay.add_done_callback(complete)
+
+    def _coalesce(
+        self, entries: List[_Entry]
+    ) -> Tuple[Optional[Dict[object, int]], List[object]]:
+        """Fold identical in-flight queries: (query → unique index, unique)."""
+        if not self.config.coalesce:
+            return None, [query for query, _future in entries]
+        slot: Dict[object, int] = {}
+        unique: List[object] = []
+        for query, _future in entries:
+            if query not in slot:
+                slot[query] = len(unique)
+                unique.append(query)
+        self._count("coalesced", len(entries) - len(unique))
+        return slot, unique
 
     @staticmethod
     def _deliver(
         entries: List[_Entry],
         slot: Optional[Dict[object, int]],
-        results: List[List[ResultRow]],
+        answers: Mapping[int, List[ResultRow]],
     ) -> None:
+        """Complete the futures whose unique-index has an answer.
+
+        Always copies: an answer list may be shared by coalesced twins
+        and may be (or be about to become) cache-resident, and a caller
+        sorting/truncating its result must corrupt neither — the sync
+        path hands every caller its own list too.
+        """
         for position, (query, future) in enumerate(entries):
-            if future.done():
-                continue
-            if slot is None:
-                future.set_result(results[position])
-            else:
-                # Coalesced duplicates must not alias one result list —
-                # the sync path hands every caller its own list, and a
-                # caller sorting/truncating its answer must not corrupt
-                # its in-flight twins'.
-                future.set_result(list(results[slot[query]]))
+            answer = answers.get(position if slot is None else slot[query])
+            if answer is not None and not future.done():
+                future.set_result(list(answer))
 
     @staticmethod
     def _reject(entries: List[_Entry], exc: BaseException) -> None:
@@ -1015,17 +830,10 @@ class RoadService:
     # ------------------------------------------------------------------
     def _serving_executor(self) -> QueryExecutor:
         """The executor async submits are validated against (and, when
-        unsharded, executed on): the shared process snapshot, the first
-        thread replica, or the primary."""
-        if self._process_pool is not None:
-            return self._process_pool.frozen
-        if self._replicas:
-            return self._replicas[0]
-        return self._executor
-
-    def _sharded(self) -> bool:
-        """True when replica shards (thread or process) are serving."""
-        return bool(self._replicas) or self._process_pool is not None
+        unsharded, executed on): the replica set's snapshot, or the
+        primary."""
+        frozen = self._shards.frozen
+        return self._executor if frozen is None else frozen
 
     def _road(self) -> Optional["ROAD"]:
         """The charged ROAD behind the executor, if there is one."""
@@ -1036,46 +844,45 @@ class RoadService:
 
         return self._executor if isinstance(self._executor, ROAD) else None
 
-    def _init_replicas(self) -> None:
-        road = self._road()
-        if road is None:
+    def _init_replicas(self) -> ReplicaSet:
+        """Pick the replica set — the one place ``replica_mode`` decides."""
+        if not self.config.replicas:
+            return InlineReplicas(self._executor)
+        if self._road() is None:
             raise ServiceError(
                 "replicas need a ROAD-backed executor "
                 f"(got {type(self._executor).__name__}); freezing shards "
                 "requires the charged structures"
             )
-        directories = self._shard_directories()
-        default = self._shard_default(directories)
         if self.config.replica_mode == "process":
             # One shared-memory snapshot, N attached worker processes:
             # the shards are real CPUs, not interpreter time slices, and
             # the arrays exist once whatever the worker count.  The
             # shard backend is necessarily "shm" (the config's backend
             # still governs the primary executor's own snapshot).
-            snapshot = road.freeze(
-                directories=directories, default=default, backend="shm"
-            )
-            self._process_pool = ProcessReplicaPool(
-                snapshot, workers=self.config.replicas
-            )
-            return
-        # Each shard is one multi-directory snapshot: the configured
-        # directory set (None = every attached provider) shares the entry
-        # arrays, and the service's serving directory becomes the shard's
-        # default so directory=None submits route identically on the
-        # primary and on every replica.
-        self._replicas = [
-            road.freeze(
-                directories=directories,
-                default=default,
-                backend=self.config.backend,
-            )
-            for _ in range(self.config.replicas)
-        ]
-        self._replica_locks = [threading.Lock() for _ in self._replicas]
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.config.replicas, thread_name_prefix="road-svc"
+            (snapshot,) = self._freeze_shards(1, "shm")
+            return ProcessReplicaPool(snapshot, workers=self.config.replicas)
+        return ThreadReplicaSet(
+            self._freeze_shards(self.config.replicas, self.config.backend)
         )
+
+    def _freeze_shards(self, count: int, backend: Optional[str]) -> List["FrozenRoad"]:
+        """Freeze ``count`` fresh shard snapshots off the charged road.
+
+        Each shard is one multi-directory snapshot: the configured
+        directory set (None = every attached provider) shares the entry
+        arrays, and the service's serving directory becomes the shard's
+        default so directory=None submits route identically on the
+        primary and on every replica.
+        """
+        road = self._road()
+        assert road is not None
+        directories = self._shard_directories()
+        default = self._shard_default(road, directories)
+        return [
+            road.freeze(directories=directories, default=default, backend=backend)
+            for _ in range(count)
+        ]
 
     def _shard_directories(self) -> Optional[Tuple[str, ...]]:
         """The directory set replica shards compile.
@@ -1104,7 +911,9 @@ class RoadService:
                     )
         return directories
 
-    def _shard_default(self, directories: Optional[Tuple[str, ...]]) -> str:
+    def _shard_default(
+        self, road: "ROAD", directories: Optional[Tuple[str, ...]]
+    ) -> str:
         """The default directory replica shards freeze with.
 
         ``directories`` is the caller's already-resolved
@@ -1117,15 +926,9 @@ class RoadService:
         configured.
         """
         default = self._serving_directory()
-        if directories is not None:
-            compiled = directories
-        else:
-            road = self._road()
-            compiled = tuple(
-                road.directory_names
-                if road is not None
-                else self._executor.directory_names
-            )
+        compiled = (
+            directories if directories is not None else tuple(road.directory_names)
+        )
         if default not in compiled:
             raise ServiceError(
                 f"the serving directory resolves to {default!r}, which the "
@@ -1139,38 +942,21 @@ class RoadService:
         """Re-freeze every shard after directory membership changed.
 
         Patch-broadcast keeps shard *contents* current, but cannot add or
-        remove a compiled directory — only a fresh freeze can.  Each new
-        snapshot is built outside the shard's lock (a freeze costs
-        seconds on a big network) and swapped in under it, so in-flight
-        batches finish on the old snapshot and new batches only wait for
-        the swap.
+        remove a compiled directory — only a fresh freeze can.  One new
+        snapshot is frozen per snapshot the replica set holds, outside
+        any shard lock; the set swaps them in (thread replicas under
+        their locks, the process pool by publishing a new attach
+        manifest its workers re-attach between batches).
         """
         if self._result_cache is not None:
             # Directory membership changed: every key's snapshot identity
             # is suspect, so the whole cache goes.
             self._result_cache.clear_all()
-        if not self._sharded():
-            return
-        road = self._road()
-        directories = self._shard_directories()
-        default = self._shard_default(directories)
-        if self._process_pool is not None:
-            # One fresh shared snapshot; the pool publishes the new
-            # attach manifest and workers re-attach between batches.
-            replacement = road.freeze(
-                directories=directories, default=default, backend="shm"
-            )
-            self._process_pool.replace_snapshot(replacement)
-            return
-        for index, lock in enumerate(self._replica_locks):
-            replacement = road.freeze(
-                directories=directories,
-                default=default,
-                backend=self.config.backend,
-            )
-            with lock:
-                self._replicas[index] = replacement
-        self._pool_counters["reloads"] += 1
+        stale = self._shards.replicas
+        if stale:
+            # Same backend as the snapshots being replaced.
+            fresh = self._freeze_shards(len(stale), stale[0].backend)
+            self._shards.replace_snapshot(*fresh)
 
     def attach_objects(
         self, objects: "ObjectSet", *, name: str, **kwargs: Any
@@ -1186,16 +972,12 @@ class RoadService:
         pinned ∩ attached and grows when a pinned name gets attached.
         """
         attach = self._directory_manager("attach_objects")
-        if not self._sharded():
-            directory = attach(objects, name=name, **kwargs)
-            if self._result_cache is not None:
-                self._result_cache.invalidate_directory(directory)
-            return directory
-        before = self._shard_directories()
+        sharded = bool(self._shards.workers)
+        before = self._shard_directories() if sharded else None
         directory = attach(objects, name=name, **kwargs)
         if self._result_cache is not None:
             self._result_cache.invalidate_directory(directory)
-        if before is None or self._shard_directories() != before:
+        if sharded and (before is None or self._shard_directories() != before):
             self._rebuild_replicas()
         return directory
 
@@ -1262,21 +1044,14 @@ class RoadService:
         this keeps the read-only shards in lockstep.  Thread replicas
         are each locked against their in-flight batches while patched;
         the process pool patches its one shared snapshot inside the
-        seqlock window every worker honours.
+        seqlock window every worker honours; unsharded there is nothing
+        to patch.
         """
         # Cache entries dirtied by this report die before any shard could
         # serve their keys post-patch; racing populates are refused by
         # the generation bump this performs.
         self._invalidate_cache(report)
-        road = self._road()
-        if self._process_pool is not None:
-            self._process_pool.apply(report, road)
-            return
-        for replica, lock in zip(self._replicas, self._replica_locks):
-            with lock:
-                replica.apply(report, road)
-        if self._replicas:
-            self._pool_counters["syncs"] += 1
+        self._shards.apply(report, self._road())
 
     def _invalidate_cache(self, report: MaintenanceReport) -> None:
         """Report-driven cache eviction (no-op when the cache is off).
@@ -1310,10 +1085,7 @@ class RoadService:
                 "Maintenance patches processed, by report kind.",
                 labels={"kind": report.kind},
             ).inc()
-            if self._sharded():
-                self.apply_report(report)  # invalidates the cache first
-            else:
-                self._invalidate_cache(report)
+            self.apply_report(report)
         return result
 
     def insert_object(self, obj: Any, **kwargs: Any) -> Any:
@@ -1349,21 +1121,11 @@ class RoadService:
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Flush nothing, reject pending work, stop the worker pool."""
-        if self._flush_handle is not None:
-            self._flush_handle.cancel()
-            self._flush_handle = None
-        pending, self._pending = self._pending, {}
-        self._pending_count = 0
-        for entries in pending.values():
+        for entries in self._take_pending().values():
             self._reject(entries, ServiceError("service closed"))
         if self._result_cache is not None:
             self._result_cache.clear_all()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        if self._process_pool is not None:
-            self._process_pool.close()
-            self._process_pool = None
+        self._shards.close()
 
     async def __aenter__(self) -> "RoadService":
         return self
@@ -1376,5 +1138,5 @@ class RoadService:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"RoadService(executor={type(self._executor).__name__}, "
-            f"replicas={len(self._replicas)}, config={self.config})"
+            f"replicas={self._shards.workers}, config={self.config})"
         )

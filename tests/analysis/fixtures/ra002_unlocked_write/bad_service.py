@@ -20,7 +20,7 @@ class BadService:
         self._replicas[index] = snapshot
 
     def grow_pool(self, snapshot):
-        # BAD: container rebind outside __init__/_init_replicas.
+        # BAD: container rebind outside __init__.
         self._replicas = [*self._replicas, snapshot]
 
     def drain(self, index):

@@ -344,6 +344,37 @@ class TestHealthz:
         got_status, body = call(app, "GET", "/healthz")
         assert (got_status, body["status"]) == (status, verdict)
 
+    @pytest.mark.parametrize(
+        "shards",
+        [
+            {},
+            {"replicas": 2},
+            pytest.param(
+                {"replicas": 1, "replica_mode": "process"},
+                marks=pytest.mark.skipif(
+                    not shared_memory_available(),
+                    reason="host has no POSIX shared memory (/dev/shm)",
+                ),
+            ),
+        ],
+        ids=["inline", "thread", "process"],
+    )
+    def test_closed_service_is_unhealthy(self, shards):
+        """Regression: a closed process-mode service answered 200 ok."""
+        network = grid_network(4, 4, seed=1)
+        objects = place_uniform(network, 4, seed=2)
+        service = RoadService.build(
+            network, objects,
+            config=ServiceConfig(mode="frozen", levels=2, **shards),
+        )
+        app = RoadServiceApp(service)
+        assert call(app, "GET", "/healthz")[0] == 200
+        service.close()
+        status, body = call(app, "GET", "/healthz")
+        assert (status, body["status"]) == (503, "unhealthy")
+        assert body["closed"] is True
+        assert body["workers"] == shards.get("replicas", 0)
+
     @pytest.mark.skipif(
         not shared_memory_available(),
         reason="host has no POSIX shared memory (/dev/shm)",
@@ -363,12 +394,13 @@ class TestHealthz:
         app = RoadServiceApp(service)
         try:
             assert call(app, "GET", "/healthz")[0] == 200
-            pool = service._process_pool
+            # Process mode: the one shared snapshot every worker attaches.
+            (shared,) = service.replicas
 
             def explode(report, source=None):
                 raise RuntimeError("simulated mid-patch failure")
 
-            monkeypatch.setattr(pool.frozen, "apply", explode)
+            monkeypatch.setattr(shared, "apply", explode)
             status, _ = call(
                 app, "POST", "/maintenance",
                 {"op": "update_edge_distance", "u": 0, "v": 1,

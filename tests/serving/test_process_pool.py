@@ -316,7 +316,7 @@ def test_close_unblocks_workers_parked_in_an_open_patch_window(monkeypatch):
         pool.apply(object(), None)
     # Hand a worker a batch directly (submit() refuses while degraded):
     # it parks in the catch-up loop because the window never closes.
-    pool._tasks[0].put(("batch", 10_000, list(workload), None))
+    pool._tasks[0].put(("batch", 10_000, list(workload), None, False))
     time.sleep(0.3)
     pool.close()
     assert all(process.exitcode == 0 for process in pool._processes)

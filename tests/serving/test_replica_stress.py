@@ -1,9 +1,9 @@
 """Threaded stress regression: patch-broadcast vs in-flight replica batches.
 
 The serving design under test: query batches execute on pool *worker*
-threads holding their replica's lock (``_run_on_replica``), while
-maintenance broadcasts run on the event-loop thread and take every
-replica lock in turn (``apply_report``).  This suite hammers both sides
+threads holding their replica's lock (``ThreadReplicaSet._run_locked``),
+while maintenance broadcasts run on the event-loop thread and take every
+replica lock in turn (``apply_report`` -> ``ThreadReplicaSet.apply``).  This suite hammers both sides
 at once and asserts the lock discipline actually delivers what RA002
 polices statically — no torn reads, no ``BufferError`` from a patch
 splicing a buffer a query batch is reading, and byte-identical replicas

@@ -9,11 +9,13 @@ and a fresh freeze.
 """
 
 import asyncio
+import glob
 import random
 
 import pytest
 
 from repro.core.framework import ROAD
+from repro.core.frozen_backends import shared_memory_available
 from repro.eval.metrics import snapshot_divergences
 from repro.graph.generators import grid_network
 from repro.objects.model import SpatialObject
@@ -21,6 +23,7 @@ from repro.objects.placement import place_uniform
 from repro.queries.types import KNNQuery, Predicate, RangeQuery
 from repro.queries.workload import mixed_workload
 from repro.serving import (
+    ProcessPoolError,
     RoadService,
     ServiceConfig,
     ServiceError,
@@ -56,6 +59,24 @@ def gather_submits(service, queries, **kwargs):
         )
 
     return asyncio.run(go())
+
+
+#: Every execution arm the dispatch pipeline hands batches to.
+ARMS = {
+    "inline": {},
+    "thread": {"replicas": 2},
+    "process": {"replicas": 1, "replica_mode": "process"},
+}
+
+
+def build_arm(network, objects, arm, **overrides):
+    """A frozen-mode service on one execution arm of the lattice."""
+    if arm == "process" and not shared_memory_available():
+        pytest.skip("host has no POSIX shared memory (/dev/shm)")
+    settings = {"mode": "frozen", "levels": 3, **ARMS[arm], **overrides}
+    return RoadService.build(
+        network.copy(), objects, config=ServiceConfig(**settings)
+    )
 
 
 class TestServiceConfig:
@@ -232,6 +253,63 @@ class TestByteIdentity:
         service.close()
 
 
+@pytest.mark.parametrize("cached", [False, True], ids=["cache-off", "cache-on"])
+@pytest.mark.parametrize("arm", list(ARMS))
+def test_dispatch_lattice(network, objects, workload, arm, cached):
+    """{inline, thread×2, process×1} × {cache off, on}: one pipeline,
+    so every cell gives the same answers and obeys the same counter
+    identities."""
+    service = build_arm(
+        network, objects, arm, max_batch=8, result_cache=cached
+    )
+    try:
+        # Adjacent twins share a flush (8 = four pairs), so they coalesce.
+        twinned = [query for query in workload for _ in range(2)]
+        answers = gather_submits(service, twinned)
+        assert answers == service.run_many(twinned)
+        # Coalesced twins and cached answers are copies, never aliases.
+        assert len({id(answer) for answer in answers}) == len(answers)
+        first = dict(service.stats()["service"])
+        assert first["coalesced"] >= len(workload)
+        # A second pass: with the cache on nothing executes again.
+        again = gather_submits(service, workload)
+        assert again == service.run_many(workload)
+        assert len({id(answer) for answer in again}) == len(again)
+        stats = service.stats()
+        counters = stats["service"]
+        hits = stats["result_cache"]["hits"] if cached else 0
+        assert counters["submitted"] == len(twinned) + len(workload)
+        assert (
+            counters["executed"] + counters["coalesced"] + hits
+            == counters["submitted"]
+        )
+        assert 1 <= counters["batches"] <= counters["executed"]
+        if cached:
+            assert counters["executed"] == first["executed"]
+            assert stats["result_cache"]["misses"] == counters["executed"]
+        else:
+            assert counters["executed"] > first["executed"]
+        pool = stats["replica_pool"]
+        if arm != "inline":
+            assert pool["batches"] == counters["batches"]
+            assert pool["queries"] == counters["executed"]
+    finally:
+        service.close()
+
+
+def test_replica_pool_stats_keys_are_mode_independent(network, objects):
+    """The documented parity: whatever reads thread-mode pool stats
+    reads process-mode ones too (the process pool only adds keys)."""
+    keys = {}
+    for arm in ARMS:
+        service = build_arm(network, objects, arm)
+        try:
+            keys[arm] = set(service.replica_pool_stats())
+        finally:
+            service.close()
+    assert keys["inline"] == keys["thread"] <= keys["process"]
+
+
 class TestShardedMaintenance:
     def test_patch_broadcast_keeps_replicas_identical(
         self, network, objects, workload
@@ -406,6 +484,80 @@ class TestAdmissionControl:
         # Two distinct predicates -> two buckets -> two batches.
         assert service.stats()["service"]["batches"] == 2
         service.close()
+
+
+@pytest.mark.skipif(
+    not shared_memory_available(),
+    reason="host has no POSIX shared memory (/dev/shm)",
+)
+def test_refused_handoff_rejects_its_bucket_instead_of_hanging(
+    network, objects, monkeypatch
+):
+    """Regression: a batch the process pool refuses synchronously (here:
+    degraded after a torn patch) used to escape the timer-driven flush —
+    every caller in the bucket hung and later buckets were dropped."""
+    service = build_arm(
+        network, objects, "process", max_batch=64, max_delay_ms=1.0
+    )
+    try:
+        (shared,) = service.replicas
+
+        def explode(report, source=None):
+            raise RuntimeError("simulated mid-patch failure")
+
+        monkeypatch.setattr(shared, "apply", explode)
+        u, v, distance = next(service.executor.network.edges())
+        with pytest.raises(RuntimeError, match="mid-patch"):
+            service.update_edge_distance(u, v, distance * 2.0)
+        # Two predicates -> two buckets in the one timer flush.
+        queries = [
+            KNNQuery(0, 2, Predicate.of(type="cafe")),
+            KNNQuery(9, 2, Predicate.of(type="cafe")),
+            KNNQuery(0, 2, Predicate.of(type="fuel")),
+        ]
+
+        async def go():
+            return await asyncio.wait_for(
+                asyncio.gather(
+                    *(service.submit(q) for q in queries),
+                    return_exceptions=True,
+                ),
+                timeout=5.0,
+            )
+
+        outcomes = asyncio.run(go())
+        assert len(outcomes) == len(queries)
+        for outcome in outcomes:
+            assert isinstance(outcome, ProcessPoolError)
+            assert "degraded" in str(outcome)
+    finally:
+        service.close()
+
+
+@pytest.mark.parametrize("arm", list(ARMS))
+def test_a_closed_service_says_so(network, objects, arm):
+    """Regression: after close() sharded submits silently ran on the
+    primary, and a process-mode service reported an open, empty pool."""
+    shm_before = set(glob.glob("/dev/shm/*"))
+    service = build_arm(network, objects, arm)
+    workers = ARMS[arm].get("replicas", 0)
+    assert f"replicas={workers}," in repr(service)
+    service.close()
+    service.close()  # idempotent
+    # The closed replica set is kept (it still reports), but holds no
+    # shared segment or named semaphore any more.
+    assert set(glob.glob("/dev/shm/*")) <= shm_before
+
+    async def go():
+        with pytest.raises(ServiceError, match="service closed"):
+            await service.submit(KNNQuery(0, 2))
+
+    asyncio.run(go())
+    pool = service.replica_pool_stats()
+    assert pool["closed"] is True
+    assert (pool["workers"], pool["alive"]) == (workers, 0)
+    assert f"replicas={workers}," in repr(service)
+    assert service.stats()["service"]["submitted"] == 0
 
 
 class TestEvalHarnessIsolation:
