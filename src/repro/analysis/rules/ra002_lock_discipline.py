@@ -18,7 +18,9 @@ REPLICA_ATTRS = frozenset({"_replicas", "_replica_locks"})
 #: Admission-batching state is *event-loop-thread-confined* by design
 #: (see RoadService.submit) — it is never written under a replica lock,
 #: because code holding a replica lock runs on a pool worker thread.
-ADMISSION_ATTRS = frozenset({"_pending", "_pending_count", "_flush_handle"})
+ADMISSION_ATTRS = frozenset(
+    {"_pending", "_pending_count", "_in_flight", "_flush_handle"}
+)
 
 
 def _self_attr(node: ast.expr) -> Optional[str]:

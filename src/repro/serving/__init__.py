@@ -15,9 +15,11 @@ Four layers:
 * :mod:`repro.serving.service` — the :class:`RoadService` facade: typed
   :class:`ServiceConfig` (the ``REPRO_*`` env vars become overrides),
   sync ``run``/``run_many``, and an asyncio front-end (``await
-  service.submit(query)``) whose per-predicate admission buckets all
-  flush through one pipeline: coalesce → cache-split → execute →
-  populate → deliver.
+  service.submit(query)``) whose per-predicate admission buckets flush
+  within the event-loop tick while a replica is free — and are held, for
+  at most ``max_delay_ms``, only while every replica is busy — all
+  through one pipeline: coalesce → cache-split → execute → populate →
+  deliver.
 * :mod:`repro.serving.replicas` / :mod:`repro.serving.process_pool` —
   what the execute stage hands a batch to, behind one ``submit`` /
   ``apply`` / ``replace_snapshot`` / ``stats`` / ``close`` surface: the

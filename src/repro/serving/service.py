@@ -11,9 +11,13 @@ front door in front of them:
   :meth:`ServiceConfig.from_env`, not the primary API.
 * :class:`RoadService` — sync ``run``/``run_many`` over the configured
   executor, and an **asyncio front-end**: ``await service.submit(query)``
-  parks the query in a per-(directory, predicate) admission bucket; a
-  flush (on ``max_batch`` occupancy or after ``max_delay_ms``) sends
-  each bucket through one dispatch pipeline, whatever the configuration:
+  parks the query in a per-(directory, predicate) admission bucket.
+  Admission is **work-conserving**: while a replica is free the buckets
+  flush at the end of the current event-loop tick (one ``gather`` is one
+  batch); only while every replica is busy are they held, until a batch
+  completes, ``max_batch`` queries are pending or ``max_delay_ms`` has
+  passed.  A flush sends each bucket through one dispatch pipeline,
+  whatever the configuration:
 
   1. **coalesce** — identical in-flight queries fold into one;
   2. **cache-split** — the result cache answers what it can (hits are
@@ -88,6 +92,15 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 #: One admitted (query, completion future) pair; the future completes
 #: with that query's result list.
 _Entry = Tuple[object, "asyncio.Future[List[ResultRow]]"]
+
+#: One admission bucket: when it was opened (``perf_counter``) and its
+#: entries, keyed in ``RoadService._pending`` by (directory, predicate).
+_Buckets = Dict[Tuple[str, object], Tuple[float, List[_Entry]]]
+
+#: Why a flush ran (``road_flushes_total{reason=...}``): the buckets
+#: reached ``max_batch``; a replica was free; a batch completed and
+#: released what was held behind it; or the hold hit ``max_delay_ms``.
+FLUSH_REASONS = ("full", "idle", "released", "deadline")
 
 #: What the execute stage hands batches to (:mod:`repro.serving.replicas`
 #: documents the shared surface).
@@ -165,8 +178,10 @@ class ServiceConfig:
     ``backend`` configure the ROAD serving path exactly like the
     eponymous :class:`~repro.baselines.road_adapter.ROADEngine` knobs.
     The remaining fields drive the async front-end: ``max_batch`` caps
-    how many queries one admission flush may hold, ``max_delay_ms`` how
-    long an under-full bucket waits for company, ``coalesce`` whether
+    how many queries one admission flush may hold, ``max_delay_ms`` is
+    the upper bound on how long an under-full bucket is held while
+    every replica is busy (with a replica free it is flushed within the
+    event-loop tick and never meets the timer), ``coalesce`` whether
     identical in-flight queries share one execution, and ``replicas``
     how many read-only frozen shards serve from the worker pool
     (0 = serve on the primary executor), and ``replica_mode`` what a
@@ -261,7 +276,9 @@ class ServiceConfig:
 
         Explicit keyword arguments beat the environment; the environment
         beats the defaults.  This is the one place the serving stack
-        reads those variables — everything else takes a config object.
+        reads those variables — everything else takes a config object
+        (``max_delay_ms``, keyword only, bounds a hold while every
+        replica is busy).
         """
         from repro.core.frozen_backends import BACKEND_ENV
 
@@ -329,9 +346,11 @@ class RoadService:
         self.config = config if config is not None else ServiceConfig()
         self._executor = executor
         # -- async admission state (touched only from the loop thread) --
-        self._pending: Dict[Tuple[str, object], List[_Entry]] = {}
+        self._pending: _Buckets = {}
         self._pending_count = 0
-        self._flush_handle: Optional[asyncio.TimerHandle] = None
+        #: Batches handed to a replica and not yet completed.
+        self._in_flight = 0
+        self._flush_handle: Optional[asyncio.Handle] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._counters = {name: 0 for name in _SERVICE_COUNTER_HELP}
         self._result_cache: Optional[ResultCache] = None
@@ -418,6 +437,7 @@ class RoadService:
         """Serving counters plus the executor's own stats when it has any."""
         summary: Dict[str, object] = {
             "service": dict(self._counters),
+            "in_flight": self._in_flight,
             "replicas": self._shards.workers,
             "replica_mode": self.config.replica_mode,
             "config": self.config,
@@ -464,6 +484,19 @@ class RoadService:
             "road_query_latency_ms",
             "Per-query submit() latency (admission to delivery) in ms.",
         )
+        self._admit_wait = registry.histogram(
+            "road_stage_ms",
+            "Time spent per request-path stage in ms.",
+            labels={"stage": "admit_wait"},
+        )
+        self._flush_reasons = {
+            reason: registry.counter(
+                "road_flushes_total",
+                "Admission flushes by what triggered them.",
+                labels={"reason": reason},
+            )
+            for reason in FLUSH_REASONS
+        }
         registry.gauge(
             "road_replica_pool",
             "Replica-pool state (ProcessReplicaPool.stats() keys, both "
@@ -652,11 +685,15 @@ class RoadService:
         """Admit one query; await its results.
 
         The query joins the in-flight bucket for its (directory,
-        predicate); the bucket is flushed into one ``execute_many`` when
-        ``max_batch`` queries are pending or ``max_delay_ms`` elapses,
-        whichever comes first.  With ``coalesce`` on, an identical
-        in-flight query is executed once and fanned out.
+        predicate).  With a replica free the bucket is flushed into one
+        ``execute_many`` at the end of this event-loop tick, so every
+        submitter of one ``gather`` shares it; with every replica busy
+        it is held until a batch completes, ``max_batch`` queries are
+        pending or ``max_delay_ms`` elapses, whichever comes first.
+        With ``coalesce`` on, an identical in-flight query is executed
+        once and fanned out.
         """
+        start = time.perf_counter()
         if self._shards.closed:
             raise ServiceError("service closed")
         serving = self._serving_executor()
@@ -674,17 +711,27 @@ class RoadService:
             self._adopt_loop(loop)
         future: "asyncio.Future[List[ResultRow]]" = loop.create_future()
         key = (directory, getattr(query, "predicate", None))
-        self._pending.setdefault(key, []).append((query, future))
+        bucket = self._pending.get(key)
+        if bucket is None:
+            bucket = self._pending[key] = (start, [])
+        bucket[1].append((query, future))
         self._pending_count += 1
         self._count("submitted")
         self._count_kind(type(query).__name__)
         if self._pending_count >= self.config.max_batch:
-            self._flush()
-        elif self._flush_handle is None:
-            self._flush_handle = loop.call_later(
-                self.config.max_delay_ms / 1000.0, self._flush
-            )
-        start = time.perf_counter()
+            self._flush("full")
+        elif self._flush_handle is None:  # else armed by an earlier submit
+            if self._in_flight < max(1, self._shards.workers):
+                # A replica is free (inline execution always is: it runs
+                # inside the flush), so waiting buys nothing: flush once
+                # this tick's other submitters have joined.
+                self._flush_handle = loop.call_soon(self._flush, "idle")
+            else:
+                # Every replica is busy: batch until one completes
+                # (_dispatch's release), for at most max_delay_ms.
+                self._flush_handle = loop.call_later(
+                    self.config.max_delay_ms / 1000.0, self._flush, "deadline"
+                )
         try:
             return await future
         finally:
@@ -692,8 +739,8 @@ class RoadService:
             # drops errors under load reports a fantasy tail.
             self._latency.observe((time.perf_counter() - start) * 1000.0)
 
-    def _take_pending(self) -> Dict[Tuple[str, object], List[_Entry]]:
-        """Cancel the flush timer and take every admission bucket."""
+    def _take_pending(self) -> _Buckets:
+        """Cancel the armed flush and take every admission bucket."""
         if self._flush_handle is not None:
             self._flush_handle.cancel()
             self._flush_handle = None
@@ -703,20 +750,25 @@ class RoadService:
 
     def _adopt_loop(self, loop: asyncio.AbstractEventLoop) -> None:
         """Reset admission state bound to a previous (dead) event loop."""
-        for entries in self._take_pending().values():
+        for _since, entries in self._take_pending().values():
             self._reject(
                 entries,
                 ServiceError("event loop changed with queries in flight"),
             )
+        # The previous loop's batches no longer count (see release).
+        self._in_flight = 0
         self._loop = loop
 
-    def _flush(self) -> None:
+    def _flush(self, reason: str) -> None:
         """Drain every admission bucket through the dispatch pipeline."""
         pending = self._take_pending()
         if not pending:
             return
         self._count("flushes")
-        for (directory, _predicate), entries in pending.items():
+        self._flush_reasons[reason].inc()
+        now = time.perf_counter()
+        for (directory, _predicate), (since, entries) in pending.items():
+            self._admit_wait.observe((now - since) * 1000.0)
             self._dispatch(directory, entries)
 
     # ------------------------------------------------------------------
@@ -760,6 +812,18 @@ class RoadService:
                 cache.populate(zip(keys, misses, results, footprints), generation)
             self._deliver(entries, slot, dict(zip(miss_idx, results)))
 
+        loop = self._loop
+
+        def release(done: "asyncio.Future[Any]") -> None:
+            # A replica came free: deliver its answers, then send on
+            # what was held behind it while every replica was busy.
+            if self._loop is not loop:  # a stale loop run again:
+                complete(done)  # _adopt_loop already reset the count
+                return
+            self._in_flight -= 1
+            complete(done)
+            self._flush("released")
+
         try:
             handed = self._shards.submit(
                 misses, directory, footprints=cache is not None
@@ -777,8 +841,9 @@ class RoadService:
         else:
             # A worker thread or the pool's listener thread completes the
             # future; wrap_future relays it back onto this loop.
-            relay = asyncio.wrap_future(handed, loop=self._loop)
-            relay.add_done_callback(complete)
+            self._in_flight += 1
+            relay = asyncio.wrap_future(handed, loop=loop)
+            relay.add_done_callback(release)
 
     def _coalesce(
         self, entries: List[_Entry]
@@ -1121,7 +1186,7 @@ class RoadService:
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Flush nothing, reject pending work, stop the worker pool."""
-        for entries in self._take_pending().values():
+        for _since, entries in self._take_pending().values():
             self._reject(entries, ServiceError("service closed"))
         if self._result_cache is not None:
             self._result_cache.clear_all()

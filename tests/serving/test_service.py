@@ -11,6 +11,8 @@ and a fresh freeze.
 import asyncio
 import glob
 import random
+import time
+from concurrent.futures import Future
 
 import pytest
 
@@ -24,12 +26,14 @@ from repro.queries.types import KNNQuery, Predicate, RangeQuery
 from repro.queries.workload import mixed_workload
 from repro.serving import (
     ProcessPoolError,
+    QueryExecutor,
     RoadService,
     ServiceConfig,
     ServiceError,
     UnknownDirectoryError,
     UnsupportedQueryError,
 )
+from repro.serving.service import FLUSH_REASONS
 
 
 @pytest.fixture
@@ -77,6 +81,80 @@ def build_arm(network, objects, arm, **overrides):
     return RoadService.build(
         network.copy(), objects, config=ServiceConfig(**settings)
     )
+
+
+def flush_reasons(service):
+    """``road_flushes_total`` by reason (the children are get-or-create)."""
+    return {
+        reason: int(
+            service.metrics.counter(
+                "road_flushes_total", labels={"reason": reason}
+            ).value
+        )
+        for reason in FLUSH_REASONS
+    }
+
+
+class EchoExecutor(QueryExecutor):
+    """Answers every query with ``[query]``, ``delay_s`` after being asked."""
+
+    def __init__(self, delay_s=0.0):
+        self.delay_s = delay_s
+
+    def supports(self, query):
+        return True
+
+    def execute_many(self, queries, *, directory=None, stats=None):
+        time.sleep(self.delay_s)
+        return [[query] for query in queries]
+
+
+class HeldReplicas:
+    """A replica set whose batches complete when the test says so."""
+
+    frozen = None
+    replicas = ()
+    closed = False
+
+    def __init__(self, workers, refuse=None):
+        self.workers = workers
+        self.refuse = refuse
+        self.batches = []  # (queries, Future), in hand-off order
+
+    def submit(self, queries, directory, *, footprints=False):
+        if self.refuse is not None:
+            raise self.refuse
+        future = Future()
+        self.batches.append((list(queries), future))
+        return future
+
+    def finish(self, index):
+        queries, future = self.batches[index]
+        future.set_result([[query] for query in queries])
+
+    def sizes(self):
+        return [len(queries) for queries, _future in self.batches]
+
+    def stats(self):
+        return {}
+
+    def close(self):
+        self.closed = True
+
+
+def held_service(workers, *, refuse=None, **config):
+    """A service over :class:`HeldReplicas`: admission under the test's
+    control, no timer in reach unless the test shortens it."""
+    settings = {"max_batch": 64, "max_delay_ms": 10_000.0, **config}
+    service = RoadService(EchoExecutor(), config=ServiceConfig(**settings))
+    service._shards = shards = HeldReplicas(workers, refuse)
+    return service, shards
+
+
+async def settle():
+    """Let every callback already scheduled (and those they schedule) run."""
+    for _ in range(8):
+        await asyncio.sleep(0)
 
 
 class TestServiceConfig:
@@ -275,10 +353,19 @@ def test_dispatch_lattice(network, objects, workload, arm, cached):
         again = gather_submits(service, workload)
         assert again == service.run_many(workload)
         assert len({id(answer) for answer in again}) == len(again)
+
+        # A third: one query per event-loop tick, so nothing to batch
+        # with — every submit is its own idle flush.
+        async def one_per_tick():
+            return [await service.submit(query) for query in workload[:10]]
+
+        assert asyncio.run(one_per_tick()) == service.run_many(workload[:10])
         stats = service.stats()
         counters = stats["service"]
         hits = stats["result_cache"]["hits"] if cached else 0
-        assert counters["submitted"] == len(twinned) + len(workload)
+        assert counters["submitted"] == len(twinned) + len(workload) + 10
+        assert counters["flushes"] == sum(flush_reasons(service).values())
+        assert stats["in_flight"] == 0
         assert (
             counters["executed"] + counters["coalesced"] + hits
             == counters["submitted"]
@@ -484,6 +571,214 @@ class TestAdmissionControl:
         # Two distinct predicates -> two buckets -> two batches.
         assert service.stats()["service"]["batches"] == 2
         service.close()
+
+
+class TestWorkConservingAdmission:
+    """The admission contract: flush within the tick while a replica is
+    free, hold only while every replica is busy, and then until a batch
+    completes, ``max_batch`` fills or ``max_delay_ms`` passes."""
+
+    QUERIES = [KNNQuery(node, 1) for node in range(6)]
+
+    def test_submit_latency_covers_the_batch_that_the_query_filled(self):
+        """Regression: the clock started after the occupancy flush, so on
+        inline execution the query filling the bucket recorded ~0 ms."""
+        service = RoadService(
+            EchoExecutor(delay_s=0.005), config=ServiceConfig(max_batch=4)
+        )
+        gather_submits(service, self.QUERIES[:4])
+        latency = service.metrics.histogram("road_query_latency_ms")
+        # Even the fastest of the four sits in a bucket above 5 ms.
+        assert latency.count == 4 and latency.percentile(0.25) > 5.0
+        assert flush_reasons(service)["full"] == 1
+        service.close()
+
+    def test_idle_gather_is_one_batch_without_the_timer(self):
+        service, shards = held_service(workers=2)
+
+        async def go():
+            tasks = [
+                asyncio.ensure_future(service.submit(query))
+                for query in self.QUERIES[:3]
+            ]
+            await settle()
+            assert shards.sizes() == [3]
+            assert service.stats()["in_flight"] == 1
+            shards.finish(0)
+            return await asyncio.wait_for(asyncio.gather(*tasks), timeout=5.0)
+
+        assert asyncio.run(go()) == [[query] for query in self.QUERIES[:3]]
+        assert flush_reasons(service) == {
+            "full": 0, "idle": 1, "released": 0, "deadline": 0,
+        }
+        stats = service.stats()
+        assert stats["in_flight"] == 0
+        assert stats["service"]["flushes"] == 1
+        waits = stats["metrics"]["road_stage_ms"]['{stage="admit_wait"}']
+        assert waits["count"] == 1 and waits["sum"] < 1_000.0
+
+    def test_busy_replica_holds_then_a_completion_releases_one_batch(
+        self, monkeypatch
+    ):
+        service, shards = held_service(workers=1)
+        events = []
+        handoff, deliver = shards.submit, service._deliver
+        monkeypatch.setattr(
+            shards, "submit",
+            lambda *a, **kw: events.append("handoff") or handoff(*a, **kw),
+        )
+        monkeypatch.setattr(
+            service, "_deliver",
+            lambda *a: events.append("deliver") or deliver(*a),
+        )
+
+        async def go():
+            first = asyncio.ensure_future(service.submit(self.QUERIES[0]))
+            await settle()
+            held = []
+            for query in self.QUERIES[1:4]:  # one per tick, replica busy
+                held.append(asyncio.ensure_future(service.submit(query)))
+                await settle()
+            assert shards.sizes() == [1]
+            assert service.stats()["in_flight"] == 1
+            shards.finish(0)
+            await settle()
+            # Released as ONE batch, after the first batch's delivery.
+            assert shards.sizes() == [1, 3]
+            assert events == ["handoff", "deliver", "handoff"]
+            assert first.done() and not any(task.done() for task in held)
+            shards.finish(1)
+            return await asyncio.wait_for(asyncio.gather(*held), timeout=5.0)
+
+        assert asyncio.run(go()) == [[query] for query in self.QUERIES[1:4]]
+        assert flush_reasons(service) == {
+            "full": 0, "idle": 1, "released": 1, "deadline": 0,
+        }
+        assert service.stats()["in_flight"] == 0
+
+    def test_deadline_bounds_the_hold_while_busy(self):
+        service, shards = held_service(workers=1, max_delay_ms=5.0)
+
+        async def go():
+            first = asyncio.ensure_future(service.submit(self.QUERIES[0]))
+            await settle()
+            second = asyncio.ensure_future(service.submit(self.QUERIES[1]))
+            await settle()
+            assert shards.sizes() == [1]  # held: the one replica is busy
+            for _ in range(200):  # ... but only for max_delay_ms
+                if len(shards.batches) == 2:
+                    break
+                await asyncio.sleep(0.005)
+            assert shards.sizes() == [1, 1]
+            assert service.stats()["in_flight"] == 2
+            shards.finish(0)
+            shards.finish(1)
+            return await asyncio.wait_for(
+                asyncio.gather(first, second), timeout=5.0
+            )
+
+        assert asyncio.run(go()) == [[query] for query in self.QUERIES[:2]]
+        assert flush_reasons(service) == {
+            "full": 0, "idle": 1, "released": 0, "deadline": 1,
+        }
+
+    def test_full_bucket_flushes_inside_submit_even_while_busy(self):
+        service, shards = held_service(workers=1, max_batch=2)
+
+        async def go():
+            first = asyncio.ensure_future(service.submit(self.QUERIES[0]))
+            await settle()
+            pair = [
+                asyncio.ensure_future(service.submit(query))
+                for query in self.QUERIES[1:3]
+            ]
+            await settle()
+            assert shards.sizes() == [1, 2]
+            shards.finish(0)
+            shards.finish(1)
+            await asyncio.wait_for(asyncio.gather(first, *pair), timeout=5.0)
+
+        asyncio.run(go())
+        assert flush_reasons(service) == {
+            "full": 1, "idle": 1, "released": 0, "deadline": 0,
+        }
+
+    def test_close_with_a_tick_flush_armed_rejects_cleanly(self):
+        service, shards = held_service(workers=1)
+        unhandled = []
+
+        async def go():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context)
+            )
+            task = asyncio.ensure_future(service.submit(self.QUERIES[0]))
+            await asyncio.sleep(0)  # enqueued; the idle flush has not run
+            assert service._flush_handle is not None
+            service.close()
+            with pytest.raises(ServiceError, match="service closed"):
+                await task
+            await settle()
+
+        asyncio.run(go())
+        assert (shards.batches, unhandled) == ([], [])
+        assert service.stats()["service"]["flushes"] == 0
+
+    def test_adopting_a_loop_cancels_the_armed_flush_and_the_busy_count(self):
+        service, shards = held_service(workers=2)
+        stale = asyncio.new_event_loop()
+        try:
+            # The stale loop stops with one batch in flight and an idle
+            # flush armed (call_soon) that never got its tick.
+            busy = stale.create_task(service.submit(self.QUERIES[0]))
+            stale.run_until_complete(settle())
+            armed = stale.create_task(service.submit(self.QUERIES[1]))
+            stale.call_soon(stale.stop)
+            stale.run_forever()
+            assert shards.sizes() == [1]
+            assert service._flush_handle is not None
+            assert service.stats()["in_flight"] == 1
+
+            async def fresh_loop():
+                task = asyncio.ensure_future(service.submit(self.QUERIES[2]))
+                await settle()
+                assert shards.sizes() == [1, 1]
+                # The dead loop's batch no longer counts as a busy replica.
+                assert service.stats()["in_flight"] == 1
+                shards.finish(1)
+                return await asyncio.wait_for(task, timeout=5.0)
+
+            assert asyncio.run(fresh_loop()) == [self.QUERIES[2]]
+            # The stale caller was rejected and its flush cancelled: given
+            # its tick after all, the stale loop dispatches nothing.
+            with pytest.raises(ServiceError, match="event loop changed"):
+                stale.run_until_complete(armed)
+            assert shards.sizes() == [1, 1]
+            # Its batch finishing late still answers its own caller, but
+            # is no longer the service's to count or to flush behind.
+            shards.finish(0)
+            assert stale.run_until_complete(busy) == [self.QUERIES[0]]
+            assert service.stats()["in_flight"] == 0
+            assert flush_reasons(service)["released"] == 0
+        finally:
+            stale.close()
+
+    def test_refused_handoff_leaves_nothing_in_flight(self):
+        service, shards = held_service(
+            workers=1, refuse=RuntimeError("pool is gone")
+        )
+
+        async def go():
+            outcomes = []
+            for query in self.QUERIES[:2]:  # separate ticks, never "busy"
+                outcomes += await asyncio.gather(
+                    service.submit(query), return_exceptions=True
+                )
+            return outcomes
+
+        outcomes = asyncio.run(go())
+        assert [str(outcome) for outcome in outcomes] == ["pool is gone"] * 2
+        assert service.stats()["in_flight"] == 0
+        assert flush_reasons(service)["idle"] == 2
 
 
 @pytest.mark.skipif(
