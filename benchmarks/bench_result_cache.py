@@ -11,7 +11,7 @@ batched front-ends over one frozen engine and a Zipf-skewed workload
 * ``uncached`` — coalescing on, result cache off: each round pays one
   ``execute_many`` per flush, the pre-cache behaviour;
 * ``cached`` — the same config plus ``ServiceConfig(result_cache=True)``:
-  repeat submits across rounds are served from the footprint-indexed
+  repeat submits across rounds are served from the footprint-carrying
   :class:`repro.serving.result_cache.ResultCache` without touching the
   executor.
 

@@ -18,6 +18,16 @@ DROP_CALL = "_drop_views"
 #: ``__init__`` builds the arrays before any view can exist.
 EXEMPT_METHODS = frozenset({"__init__"})
 
+#: FrozenRoad's lazily built per-snapshot caches: builder method -> the
+#: attribute it fills.  ``_drop_views`` must reset every one of them —
+#: the buffer views because a live export blocks a resize, the slot ->
+#: Rnet-id table because a recompile renumbers the slots it inverts.
+CACHED_VIEWS = {
+    "_array_views": "_views",
+    "_numpy_views": "_np_views",
+    "_rnet_ids_by_slot": "_slot_rnets",
+}
+
 #: The only functions allowed to *create* zero-copy views: the backend
 #: primitives, FrozenRoad's cached view builders (which register their
 #: product for `_drop_views` to release), and the snapshot-file mapper
@@ -50,11 +60,17 @@ class ViewLifecycleRule(Rule):
     * ``memoryview(...)`` / ``.frombuffer(...)`` may only appear inside
       the view-factory functions (backend ``view`` / ``frombuffer``,
       ``_numpy_views``, ``_object_numpy_views``) — ad-hoc views created
-      elsewhere are invisible to ``_drop_views``.
+      elsewhere are invisible to ``_drop_views``;
+    * every per-snapshot cache a ``FrozenRoad`` builds lazily
+      (:data:`CACHED_VIEWS`: the array views and the slot -> Rnet-id
+      table footprints translate through) is reset by an assignment in
+      that class's ``_drop_views`` — the drop-ordering check above then
+      guarantees none of them survives a recompile.
 
     How to fix a finding: call ``self._drop_views()`` before the first
-    resizing step, or move the view construction into one of the
-    registered factories so the drop machinery tracks it.
+    resizing step, move the view construction into one of the
+    registered factories so the drop machinery tracks it, or reset the
+    cache attribute in ``_drop_views``.
     """
 
     id = "RA004"
@@ -63,6 +79,7 @@ class ViewLifecycleRule(Rule):
     def check(self, project: Project) -> List[Finding]:
         findings = self._check_drop_ordering(project)
         findings.extend(self._check_view_factories(project))
+        findings.extend(self._check_caches_dropped(project))
         findings.sort(key=lambda f: (f.path, f.line))
         return findings
 
@@ -101,6 +118,33 @@ class ViewLifecycleRule(Rule):
                         f"BufferError (or worse, read stale data)",
                     )
                 )
+        return findings
+
+    def _check_caches_dropped(self, project: Project) -> List[Finding]:
+        findings: List[Finding] = []
+        for drop in project.find_methods("FrozenRoad", [DROP_CALL]):
+            reset = {
+                target.attr
+                for node in ast.walk(drop.node)
+                if isinstance(node, ast.Assign)
+                for target in node.targets
+                if isinstance(target, ast.Attribute)
+                and isinstance(target.value, ast.Name)
+                and target.value.id == "self"
+            }
+            for builder, attr in sorted(CACHED_VIEWS.items()):
+                built = (drop.module, "FrozenRoad", builder) in project.class_methods
+                if built and attr not in reset:
+                    findings.append(
+                        Finding(
+                            self.id,
+                            project.relative_path(project.module_of(drop)),
+                            drop.line,
+                            f"{DROP_CALL} never resets self.{attr}, the "
+                            f"per-snapshot cache {builder} fills — it would "
+                            f"outlive the recompile that invalidates it",
+                        )
+                    )
         return findings
 
     def _check_view_factories(self, project: Project) -> List[Finding]:

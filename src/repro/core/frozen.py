@@ -415,8 +415,10 @@ class FrozenRoad(QueryExecutor):
         self._local_target = B.int_array(local_target)
         self._local_weight = B.float_array(local_weight)
 
-        # Rnet ids in slot order, for the per-directory abstract snapshots.
-        slot_rnets = sorted(self._rnet_index, key=self._rnet_index.get)
+        # Rnet ids in slot order, for the per-directory abstract snapshots
+        # (and, cached, for translating footprints back to real ids).
+        self._slot_rnets: Optional[Tuple[int, ...]] = None
+        slot_rnets = self._rnet_ids_by_slot()
 
         # --- per-directory state: object spans + abstracts + masks ---------
         # Every directory shares the entry/shortcut/edge arrays compiled
@@ -585,6 +587,7 @@ class FrozenRoad(QueryExecutor):
         frozen._default_directory = default_directory
         frozen._views = None
         frozen._np_views = None
+        frozen._slot_rnets = None
         return frozen
 
     def export_parts(self) -> Dict[str, Any]:
@@ -599,13 +602,10 @@ class FrozenRoad(QueryExecutor):
         (:func:`repro.core.serialize.save_snapshot`, :meth:`shm_manifest`)
         rather than mutate.
         """
-        slot_order = sorted(
-            self._rnet_index, key=lambda rnet: self._rnet_index[rnet]
-        )
         return {
             "arrays": self._arrays(),
             "node_ids": list(self.node_ids),
-            "rnet_slots": slot_order,
+            "rnet_slots": list(self._rnet_ids_by_slot()),
             "default_directory": self._default_directory,
             "mask_budget": self._mask_budget,
             "directories": {
@@ -1057,6 +1057,7 @@ class FrozenRoad(QueryExecutor):
         """
         self._views = None
         self._np_views = None
+        self._slot_rnets = None
         for state in self._dirs.values():
             state.views = None
             state.np_views = None
@@ -1451,7 +1452,7 @@ class FrozenRoad(QueryExecutor):
         flushed = [0, 0, 0, 0, 0, 0]
         rnet_slots: Set[int] = set()
         pending_nodes: List[int] = []
-        slot_ids = self._rnet_ids_by_slot() if stats is not None else {}
+        slot_ids = self._rnet_ids_by_slot() if stats is not None else ()
 
         def flush() -> None:
             # Stats update incrementally, like the charged iterator: a
@@ -2126,23 +2127,29 @@ class FrozenRoad(QueryExecutor):
         stats.rnets_bypassed += counters[4]
         stats.rnets_descended += counters[5]
 
-    def _rnet_ids_by_slot(self) -> Dict[int, int]:
-        """Slot -> Rnet id: the inverse of ``_rnet_index``.
+    def _rnet_ids_by_slot(self) -> Tuple[int, ...]:
+        """Rnet ids in slot order: the inverse of ``_rnet_index``.
 
-        Built per stats-carrying query (slots are few); the dense codes
-        in ``entry_rnet`` mean nothing outside one snapshot, so the
-        footprint must speak real Rnet ids like the charged engine.
+        The dense codes in ``entry_rnet`` mean nothing outside one
+        snapshot, so the footprint must speak real Rnet ids like the
+        charged engine.  Built once per snapshot and cached with the
+        array views: ``_compile`` / ``from_parts`` / ``_drop_views``
+        reset it, which covers every place ``_rnet_index`` can change.
         """
-        return {slot: rnet_id for rnet_id, slot in self._rnet_index.items()}
+        slot_rnets = self._slot_rnets
+        if slot_rnets is None:
+            slot_rnets = self._slot_rnets = tuple(
+                sorted(self._rnet_index, key=self._rnet_index.__getitem__)
+            )
+        return slot_rnets
 
     def _flush_rnet_slots(
         self, stats: SearchStats, rnet_slots: Set[int]
     ) -> None:
         """Translate one sweep's examined entry slots into the footprint."""
         if rnet_slots:
-            slot_ids = self._rnet_ids_by_slot()
             stats.visited_rnets.update(
-                slot_ids[slot] for slot in rnet_slots
+                map(self._rnet_ids_by_slot().__getitem__, rnet_slots)
             )
 
     def _flush_footprint(
@@ -2154,18 +2161,27 @@ class FrozenRoad(QueryExecutor):
     ) -> None:
         """Record one sweep's examined nodes + examined Rnets, translated.
 
-        ``visited`` is the pop-time bytearray (codes are set only when a
-        node settles, matching the charged pop-time recording) and
-        ``heap`` the unpopped remnant — together the *examined* set: the
-        frontier boundary is part of the footprint because a patch on an
-        exactly-tied boundary node can reach into the answer (charged
-        twin: ``_Frontier.pending_nodes``).  Both are scanned once after
-        the sweep so the hot loop pays nothing extra.
+        ``visited`` is the pop-time bytearray (a code's byte is set to 1
+        only when the node settles, matching the charged pop-time
+        recording) and ``heap`` the unpopped remnant — together the
+        *examined* set: the frontier boundary is part of the footprint
+        because a patch on an exactly-tied boundary node can reach into
+        the answer (charged twin: ``_Frontier.pending_nodes``).  Both
+        are read once after the sweep so the hot loop pays nothing extra.
+
+        Cost: one interpreter step per *settled* node.  The settled
+        codes are found by hopping ``visited.find(1, pos)`` — a C
+        ``memchr`` over the gaps — never by walking the |V|-byte array
+        in Python, so a footprint costs what the search cost, not what
+        the network holds.
         """
         node_ids = self.node_ids
-        stats.visited_nodes.update(
-            node_ids[code] for code, seen in enumerate(visited) if seen
-        )
+        add = stats.visited_nodes.add
+        find = visited.find
+        code = find(1)
+        while code >= 0:
+            add(node_ids[code])
+            code = find(1, code + 1)
         stats.visited_nodes.update(
             node_ids[code] for _, _, code in heap if code >= 0
         )

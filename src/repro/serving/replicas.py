@@ -54,7 +54,9 @@ def execute_batch(
     list.  With it each query runs individually under its own
     :class:`~repro.core.search.SearchStats` and the result is
     ``(answers, [(visited_nodes, visited_rnets), ...])`` — the per-query
-    visit sets the result cache records as invalidation footprints.
+    visit sets the result cache records as invalidation footprints,
+    frozen here (on the replica's thread or in its process) so the cache
+    keeps these very objects instead of copying them under its lock.
     """
     if not footprints:
         return executor.execute_many(queries, directory=directory)
@@ -65,7 +67,9 @@ def execute_batch(
     for query in queries:
         stats = SearchStats()
         answers.append(executor.execute(query, directory=directory, stats=stats))
-        visited.append((stats.visited_nodes, stats.visited_rnets))
+        visited.append(
+            (frozenset(stats.visited_nodes), frozenset(stats.visited_rnets))
+        )
     return answers, visited
 
 

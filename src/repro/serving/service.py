@@ -484,10 +484,13 @@ class RoadService:
             "road_query_latency_ms",
             "Per-query submit() latency (admission to delivery) in ms.",
         )
-        self._admit_wait = registry.histogram(
-            "road_stage_ms",
-            "Time spent per request-path stage in ms.",
-            labels={"stage": "admit_wait"},
+        self._admit_wait, self._cache_stage = (
+            registry.histogram(
+                "road_stage_ms",
+                "Time spent per request-path stage in ms.",
+                labels={"stage": stage},
+            )
+            for stage in ("admit_wait", "cache")
         )
         self._flush_reasons = {
             reason: registry.counter(
@@ -526,6 +529,10 @@ class RoadService:
             name: registry.counter(f"road_cache_{name}_total", text)
             for name, text in _CACHE_COUNTER_HELP.items()
         }
+        self._cache_invalidate = registry.histogram(
+            "road_cache_invalidate_ms",
+            "Result-cache invalidation time per maintenance report in ms.",
+        )
         registry.gauge(
             "road_cache_hit_ratio",
             "Result-cache hits / lookups (0 while cold or disabled).",
@@ -784,11 +791,15 @@ class RoadService:
         slot, unique = self._coalesce(entries)
         cache = self._result_cache
         if cache is not None:
+            started = time.perf_counter()
             hits, miss_idx, keys = cache.split(directory, unique)
             # Captured *before* execution: an invalidation landing
             # mid-flight bumps it, and the populate then refuses the
             # store rather than caching a pre-patch answer.
             generation = cache.generation(directory)
+            split_ms = (time.perf_counter() - started) * 1000.0
+            if not miss_idx:  # all hits: no populate will follow
+                self._cache_stage.observe(split_ms)
         else:  # cache off: the split yields "all misses"
             hits, miss_idx, keys, generation = {}, range(len(unique)), [], (0, 0)
         if hits:
@@ -809,7 +820,11 @@ class RoadService:
                 return
             if cache is not None:
                 results, footprints = results
+                started = time.perf_counter()
                 cache.populate(zip(keys, misses, results, footprints), generation)
+                self._cache_stage.observe(
+                    split_ms + (time.perf_counter() - started) * 1000.0
+                )
             self._deliver(entries, slot, dict(zip(miss_idx, results)))
 
         loop = self._loop
@@ -1129,13 +1144,14 @@ class RoadService:
         cache = self._result_cache
         if cache is None:
             return
-        if self.config.maintenance == "refreeze":
-            if report.directory is None:
-                cache.clear_all()
-            else:
-                cache.invalidate_directory(report.directory)
-            return
-        cache.invalidate_report(report)
+        started = time.perf_counter()
+        if self.config.maintenance != "refreeze":
+            cache.invalidate_report(report)
+        elif report.directory is None:
+            cache.clear_all()
+        else:
+            cache.invalidate_directory(report.directory)
+        self._cache_invalidate.observe((time.perf_counter() - started) * 1000.0)
 
     def _maintained(self, result: Any) -> Any:
         """Broadcast after a maintenance call; pass its result through."""

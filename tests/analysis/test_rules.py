@@ -122,6 +122,25 @@ def test_ra004_drop_before_resize_passes(tmp_path):
     ) == []
 
 
+_RA004_CACHED_TABLE = (
+    "class FrozenRoad:\n"
+    "    def _rnet_ids_by_slot(self):\n"
+    "        if self._slot_rnets is None:\n"
+    "            self._slot_rnets = tuple(self._rnet_index)\n"
+    "        return self._slot_rnets\n"
+    "    def _drop_views(self):\n"
+    "        self._views = None\n"
+)
+
+
+def test_ra004_cached_slot_table_must_be_dropped(tmp_path):
+    (finding,) = _check(tmp_path, _RA004_CACHED_TABLE, "RA004")
+    assert "_slot_rnets" in finding.message and finding.line == 6
+    assert _check(
+        tmp_path, _RA004_CACHED_TABLE + "        self._slot_rnets = None\n", "RA004"
+    ) == []
+
+
 def test_ra006_owner_guarded_lifecycle_passes(tmp_path):
     (tmp_path / "shm_arrays.py").write_text(
         "from multiprocessing.shared_memory import SharedMemory\n"

@@ -15,6 +15,7 @@ from repro.core.framework import ROAD
 from repro.core.frozen import FrozenRoad, FrozenRoadError, freeze_road
 from repro.core.frozen_backends import installed_backends
 from repro.core.search import SearchStats, iter_nearest_objects
+from repro.graph.network import RoadNetwork
 from repro.objects.model import SpatialObject
 from repro.objects.placement import place_uniform
 from repro.queries.types import (
@@ -259,6 +260,117 @@ class TestIncrementalStats:
         charged.close()
         assert s_frozen.objects_popped == s_charged.objects_popped == 1
         assert s_frozen == s_charged
+
+
+def _brute_force_footprint(frozen, visited, heap):
+    """The definition `_flush_footprint` must reproduce: every settled
+    code plus the heap's unpopped *node* remnant, as real node ids."""
+    node_ids = frozen.node_ids
+    return {node_ids[c] for c, seen in enumerate(visited) if seen} | {
+        node_ids[c] for _, _, c in heap if c >= 0
+    }
+
+
+class TestFootprint:
+    """`_flush_footprint` hops settled codes instead of walking |V|; the
+    slot -> Rnet-id table it translates through is cached per snapshot."""
+
+    @pytest.mark.parametrize(
+        "settled",
+        [
+            pytest.param([], id="nothing-settled"),
+            pytest.param([0], id="code-0"),
+            pytest.param([-1], id="last-code"),
+            pytest.param([0, -1], id="both-ends"),
+            pytest.param([3, 4, 5, 9, 10, 11, 12], id="adjacent-runs"),
+            pytest.param([0, 1, 2, -3, -2, -1], id="runs-at-both-ends"),
+            pytest.param(range(100), id="everything"),
+        ],
+    )
+    def test_matches_the_brute_force_definition(self, frozen, settled):
+        visited = bytearray(frozen.num_nodes)
+        for code in settled:
+            visited[code] = 1
+        # Remnant: one unsettled node, one settled node, one object entry
+        # (objects ride the heap as ~object_id and are not nodes).
+        heap = [(1.0, 1, 7), (1.5, 2, 4), (2.0, 3, ~3)]
+        stats = SearchStats()
+        frozen._flush_footprint(stats, visited, set(), heap)
+        assert stats.visited_nodes == _brute_force_footprint(frozen, visited, heap)
+        assert stats.visited_rnets == set()
+
+    def test_every_search_loop_flushes_the_brute_force_set(
+        self, built, frozen, monkeypatch
+    ):
+        """Real sweeps on every backend (the list/compact scalar loop
+        and numpy's `_search_vec` share the one flush)."""
+        net, _, road = built
+        real, settled_counts = frozen._flush_footprint, []
+
+        def spy(stats, visited, rnet_slots, heap=()):
+            assert not stats.visited_nodes
+            real(stats, visited, rnet_slots, heap)
+            assert stats.visited_nodes == _brute_force_footprint(
+                frozen, visited, heap
+            )
+            settled_counts.append(sum(visited))
+
+        monkeypatch.setattr(frozen, "_flush_footprint", spy)
+        for node in list(net.node_ids())[::13]:
+            for run in (
+                lambda engine, stats: engine.knn(node, 5, stats=stats),
+                lambda engine, stats: engine.range(node, 2.5, stats=stats),
+            ):
+                s_frozen, s_charged = SearchStats(), SearchStats()
+                assert run(frozen, s_frozen) == run(road, s_charged)
+                assert s_frozen == s_charged  # footprints included
+        assert len(settled_counts) == 16 and all(settled_counts)
+
+    @pytest.mark.parametrize("backend", installed_backends())
+    def test_slot_table_is_cached_and_follows_a_recompile(self, backend):
+        # Two road segments with no edge between them: each level-1
+        # Rnet is a whole component, has no border, and so appears in no
+        # shortcut tree.  Joining them promotes node 10 to a border — the
+        # level-1 Rnets enter the compiled slot space and the leaf
+        # Rnets' slots renumber.
+        net = RoadNetwork()
+        for i in range(6):
+            net.add_node(i, float(i), 0.0)
+            net.add_node(10 + i, float(i), 50.0)
+        for i in range(5):
+            net.add_edge(i, i + 1, 1.0)
+            net.add_edge(10 + i, 11 + i, 1.0)
+        road = ROAD.build(net, levels=2, fanout=2)
+        road.attach_objects(place_uniform(net, 4, seed=3))
+        frozen = road.freeze(backend=backend)
+        frozen.knn(0, 3, stats=SearchStats())
+        table = frozen._rnet_ids_by_slot()
+        assert frozen._rnet_ids_by_slot() is table  # one tuple per snapshot
+        assert sorted(table) == sorted(frozen._rnet_index)
+
+        report = road.add_edge(5, 10, 2.0)
+        assert report.structural and report.promoted_borders
+        assert frozen.apply(report) == "recompiled"
+        fresh = frozen._rnet_ids_by_slot()
+        assert len(fresh) > len(table) and fresh[: len(table)] != table
+        for node in (0, 5, 10):
+            s_frozen, s_charged = SearchStats(), SearchStats()
+            assert frozen.knn(node, 3, stats=s_frozen) == road.knn(
+                node, 3, stats=s_charged
+            )
+            assert s_frozen.visited_rnets == s_charged.visited_rnets != set()
+            assert s_frozen == s_charged
+
+    def test_slot_table_survives_a_cold_start(self, built, frozen):
+        """`from_parts` (snapshot files, shm attach) starts uncached."""
+        _, _, road = built
+        parts = frozen.export_parts()
+        clone = FrozenRoad.from_parts(backend=frozen.backend, **parts)
+        assert clone._rnet_ids_by_slot() == tuple(parts["rnet_slots"])
+        s_clone, s_charged = SearchStats(), SearchStats()
+        clone.knn(0, 5, stats=s_clone)
+        road.knn(0, 5, stats=s_charged)
+        assert s_clone == s_charged
 
 
 class TestMaskCacheBound:

@@ -486,6 +486,25 @@ class TestCachedServiceLeg:
         assert "road_cache_hit_ratio" in text
         assert f"road_cache_entries {counters['entries']}" in text
 
+    def test_metrics_scrape_carries_cache_stage_timers(self, cached):
+        service, app = cached
+        payload = {"query": encode_query(KNNQuery(5, 2))}
+        call(app, "POST", "/query", payload)  # miss: split + populate
+        call(app, "POST", "/query", payload)  # hit: split only
+        u, v, distance = sorted(service.executor.network.edges())[0]
+        status, _ = call(
+            app, "POST", "/maintenance",
+            {"op": "update_edge_distance", "u": u, "v": v,
+             "distance": distance * 2.0},
+        )
+        assert status == 200
+        text = call(app, "GET", "/metrics")[1].decode()
+        # One observation per dispatched bucket, one per report.
+        assert 'road_stage_ms_count{stage="cache"} 2' in text
+        assert 'road_stage_ms_count{stage="admit_wait"} 2' in text
+        assert "# TYPE road_cache_invalidate_ms histogram" in text
+        assert "road_cache_invalidate_ms_count 1" in text
+
 
 class _Writer:
     """A StreamWriter stand-in collecting what the server would send."""

@@ -14,7 +14,10 @@ Four contract surfaces of :mod:`repro.serving.result_cache`:
   stores;
 * **counter accuracy** — the attribute counters, ``stats()`` and the
   ``road_cache_*_total`` families on ``/metrics`` all tell the same
-  story.
+  story;
+* **no leaks** — the LRU order and the per-directory scan scopes hold
+  exactly the same entries after any interleaving of stores, evictions
+  and invalidations.
 
 The churn-soak equivalence suite
 (``tests/property/test_result_cache_equivalence.py``) proves the cache
@@ -22,6 +25,7 @@ never changes an answer; this file pins the mechanism.
 """
 
 import asyncio
+import random
 
 import pytest
 
@@ -161,14 +165,14 @@ class TestLRUBudget:
         assert _store(cache, key, ["new"], {0})
         assert len(cache) == 1
         assert cache.lookup(key) == ["new"]
-        # The replaced entry's old footprint is unlinked: dirtying the
-        # node only the *old* footprint touched evicts nothing.
+        # The replaced entry's old footprint is gone with it: dirtying
+        # the node only the *old* footprint touched evicts nothing.
         assert cache.invalidate_report(
             MaintenanceReport(kind="edge_distance", dirty_nodes={1})
         ) == 0
         assert cache.lookup(key) == ["new"]
 
-    def test_eviction_unlinks_the_inverted_indexes(self):
+    def test_eviction_leaves_no_phantom_victim(self):
         cache = ResultCache(budget=1)
         a = canonical_key(DIR, KNNQuery(0, 1))
         b = canonical_key(DIR, KNNQuery(1, 1))
@@ -304,6 +308,202 @@ class TestInvalidationPrecision:
             "entries": 1, "budget": 8, "hits": 1, "misses": 1,
             "evictions": 0, "invalidations": 0,
         }
+
+
+class TestBatchSplit:
+    def test_split_counts_the_batch_once_and_skips_unkeyed(self):
+        bumps = []
+
+        class Mirror:
+            def __init__(self, name):
+                self.name = name
+
+            def inc(self, amount):
+                bumps.append((self.name, amount))
+
+        cache = ResultCache(
+            budget=8, counters={n: Mirror(n) for n in ("hits", "misses")}
+        )
+        hot, cold = KNNQuery(0, 1), KNNQuery(1, 1)
+        assert _store(cache, canonical_key(DIR, hot), ["hot"], {0})
+        unkeyed = object()
+        hits, miss_idx, keys = cache.split(DIR, [hot, cold, unkeyed, hot, cold])
+        assert hits == {0: ["hot"], 3: ["hot"]}
+        assert list(miss_idx) == [1, 2, 4]
+        assert keys == [canonical_key(DIR, cold), None, canonical_key(DIR, cold)]
+        # One bump per counter per batch; the query the cache cannot key
+        # executes uncached and counts as neither.
+        assert bumps == [("hits", 2), ("misses", 2)]
+        assert (cache.hits, cache.misses) == (2, 2)
+
+    def test_split_hit_refreshes_lru_position(self):
+        cache = ResultCache(budget=2)
+        a, b, c = (KNNQuery(n, 1) for n in range(3))
+        assert _store(cache, canonical_key(DIR, a), ["a"], {0})
+        assert _store(cache, canonical_key(DIR, b), ["b"], {1})
+        cache.split(DIR, [a])  # b is now the LRU
+        assert _store(cache, canonical_key(DIR, c), ["c"], {2})
+        hits, miss_idx, _ = cache.split(DIR, [a, b, c])
+        assert (sorted(hits), list(miss_idx)) == ([0, 2], [1])
+
+
+class TestFootprintOwnership:
+    def test_populate_keeps_the_executors_frozensets(self):
+        """The kernel's sets are frozen once (``execute_batch``); the
+        cache stores those very objects, no copy under its lock."""
+        cache = ResultCache(budget=4)
+        query = KNNQuery(3, 1)
+        key = canonical_key(DIR, query)
+        nodes, rnets = frozenset({3, 4, 5}), frozenset({10})
+        cache.populate([(key, query, ["x"], (nodes, rnets))], cache.generation(DIR))
+        entry = cache._entries[key]
+        assert entry.nodes is nodes and entry.rnets is rnets
+
+    def test_populate_widens_a_footprint_missing_the_origin(self):
+        cache = ResultCache(budget=4)
+        query = AggregateKNNQuery((3, 9), 1)
+        key = canonical_key(DIR, query)
+        cache.populate(
+            [(key, query, ["x"], (frozenset({3, 4}), frozenset()))],
+            cache.generation(DIR),
+        )
+        assert cache._entries[key].nodes == {3, 4, 9}
+        assert cache.invalidate_report(
+            MaintenanceReport(kind="edge_distance", dirty_nodes={9})
+        ) == 1
+
+    def test_populate_skips_an_executor_without_footprints(self):
+        cache = ResultCache(budget=4)
+        query = KNNQuery(3, 1)
+        cache.populate(
+            [(canonical_key(DIR, query), query, ["x"], (frozenset(), frozenset()))],
+            cache.generation(DIR),
+        )
+        assert len(cache) == 0
+
+
+def _assert_maps_in_step(cache):
+    """The cache's two containers hold exactly the same entries."""
+    scoped = {
+        key: entry
+        for name, scope in cache._by_dir.items()
+        for key, entry in scope.items()
+    }
+    assert scoped.keys() == cache._entries.keys()
+    assert all(cache._entries[key] is entry for key, entry in scoped.items())
+    assert all(key[0] == name for name, scope in cache._by_dir.items() for key in scope)
+    assert all(cache._by_dir.values()), "an emptied directory scope was kept"
+    assert len(cache) == len(cache._entries) <= cache.budget
+
+
+class TestNoLeak:
+    DIRECTORIES = ("objects", "hotels", "fuel")
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_interleaving_keeps_every_map_in_step(self, seed):
+        rng = random.Random(seed)
+        cache = ResultCache(budget=10)
+        peak = 0
+        for _ in range(600):
+            draw = rng.random()
+            directory = rng.choice(self.DIRECTORIES)
+            if draw < 0.70:  # store (fresh, restore, or LRU-evicting)
+                node = rng.randrange(40)
+                key = canonical_key(directory, KNNQuery(node, rng.choice((1, 2))))
+                nodes = {node, *rng.sample(range(40), rng.randrange(0, 6))}
+                rnets = set(rng.sample(range(8), rng.randrange(0, 3)))
+                assert _store(cache, key, [node], nodes, rnets)
+            elif draw < 0.78:
+                cache.lookup(canonical_key(directory, KNNQuery(rng.randrange(40), 1)))
+            elif draw < 0.90:  # network or object report, sometimes structural
+                cache.invalidate_report(
+                    MaintenanceReport(
+                        kind=rng.choice(("edge_distance", "add_edge", "insert_object")),
+                        directory=rng.choice((None, directory)),
+                        dirty_nodes=set(rng.sample(range(40), rng.randrange(0, 4))),
+                        dirty_rnets=set(rng.sample(range(8), rng.randrange(0, 2))),
+                    )
+                )
+            elif draw < 0.97:
+                cache.invalidate_directory(directory)
+            else:
+                cache.clear_all()
+            _assert_maps_in_step(cache)
+            peak = max(peak, len(cache))
+        # Every way out was taken: LRU eviction at a full budget, report
+        # and wholesale invalidation.
+        assert peak == cache.budget and cache.evictions > 0
+        for directory in self.DIRECTORIES:
+            cache.invalidate_directory(directory)
+            _assert_maps_in_step(cache)
+        assert len(cache) == 0
+        assert not cache._entries and not cache._by_dir
+        counted = cache.stats()
+        assert counted["entries"] == 0 and counted["invalidations"] > 0
+
+    def _two_directories(self):
+        cache = ResultCache(budget=8)
+        keys = {
+            name: [canonical_key(name, KNNQuery(n, 1)) for n in (1, 5)]
+            for name in ("objects", "hotels")
+        }
+        for name, (near, far) in keys.items():
+            assert _store(cache, near, [name, "near"], {1, 2}, {7})
+            assert _store(cache, far, [name, "far"], {5, 6}, {8})
+        return cache, keys
+
+    def test_network_report_scans_every_directory(self):
+        cache, keys = self._two_directories()
+        generations = {name: cache.generation(name) for name in keys}
+        evicted = cache.invalidate_report(
+            MaintenanceReport(kind="edge_distance", dirty_nodes={2}, dirty_rnets={9})
+        )
+        assert evicted == 2
+        assert set(cache._entries) == {keys["objects"][1], keys["hotels"][1]}
+        assert all(cache.generation(n) != generations[n] for n in keys)
+        _assert_maps_in_step(cache)
+
+    def test_object_report_scans_only_its_directory(self):
+        cache, keys = self._two_directories()
+        generations = {name: cache.generation(name) for name in keys}
+        evicted = cache.invalidate_report(
+            MaintenanceReport(
+                kind="insert_object", directory="hotels", dirty_rnets={7, 8}
+            )
+        )
+        assert evicted == 2
+        assert set(cache._entries) == set(keys["objects"])
+        assert "hotels" not in cache._by_dir
+        assert cache.generation("hotels") != generations["hotels"]
+        assert cache.generation("objects") == generations["objects"]
+        _assert_maps_in_step(cache)
+
+    def test_structural_report_drops_every_directory_wholesale(self):
+        cache, keys = self._two_directories()
+        generations = {name: cache.generation(name) for name in keys}
+        report = MaintenanceReport(kind="remove_edge", dirty_nodes={99})
+        assert report.structural
+        assert cache.invalidate_report(report) == 4
+        assert len(cache) == 0 and not cache._by_dir
+        assert all(cache.generation(n) != generations[n] for n in keys)
+
+    def test_report_for_an_unknown_directory_only_bumps_its_generation(self):
+        cache, keys = self._two_directories()
+        before = cache.generation("fuel")
+        assert cache.invalidate_report(
+            MaintenanceReport(kind="insert_object", directory="fuel", dirty_nodes={1})
+        ) == 0
+        assert cache.generation("fuel") != before
+        assert len(cache) == 4 and "fuel" not in cache._by_dir
+
+    def test_wholesale_paths_bump_the_generation(self):
+        cache, keys = self._two_directories()
+        before = cache.generation("objects")
+        cache.invalidate_directory("objects")
+        mid = cache.generation("objects")
+        cache.clear_all()
+        assert before != mid != cache.generation("objects")
+        assert not cache._entries and not cache._by_dir
 
 
 # ---------------------------------------------------------------------------
