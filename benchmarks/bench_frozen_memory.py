@@ -2,9 +2,10 @@
 
 The compiled CSR snapshot has one logical layout and three physical
 representations (:mod:`repro.core.frozen_backends`): pre-boxed Python
-lists (``list``), stdlib typed buffers (``compact``), and numpy views
-over the same buffers (``numpy``).  This bench freezes the Table-1
-default network once per installed backend and reports, per backend:
+lists (``list``), stdlib typed buffers (``compact``), and the same
+buffers in shared-memory segments (``shm``).  This bench freezes the
+Table-1 default network once per installed backend and reports, per
+backend:
 
 * resident bytes of the compiled arrays (``FrozenRoad.memory_stats()``),
 * batch throughput of ``execute_many`` on a mixed kNN/range workload,
@@ -108,13 +109,12 @@ def run_memory_comparison(
             "batch_ms", "latency_ratio", "identical",
         ],
     )
-    backends = installed_backends()
     summary = {}
     reference = None
     reference_answers = None
     list_bytes = None
     list_batch_ms = None
-    for name in backends:
+    for name in installed_backends():
         start = time.perf_counter()
         frozen = road.freeze(backend=name)
         freeze_ms = (time.perf_counter() - start) * 1000.0
@@ -155,10 +155,6 @@ def run_memory_comparison(
             identical=str(identical and not divergences),
         )
         result.note(memory_note(stats))
-    if "numpy" not in backends:
-        result.note(
-            "numpy backend not installed (pip install 'road-repro[numpy]')"
-        )
     result.note(
         f"gates (full runs): compact >= {MIN_MEMORY_RATIO:.0f}x smaller "
         f"resident arrays than list, <= {MAX_LATENCY_RATIO:.2f}x its batch "

@@ -21,7 +21,7 @@ Public API tour:
 """
 
 from repro.core.framework import ROAD, BuildReport, RoutedResult
-from repro.core.frozen import FrozenRoad, FrozenRoadError, freeze_road
+from repro.core.frozen import FrozenRoad, FrozenRoadError
 from repro.core.serialize import load_road, save_road
 from repro.graph.network import RoadNetwork
 from repro.objects.model import ObjectSet, SpatialObject
@@ -64,7 +64,6 @@ __all__ = [
     "UnknownDirectoryError",
     "UnsupportedQueryError",
     "__version__",
-    "freeze_road",
     "load_road",
     "save_road",
 ]

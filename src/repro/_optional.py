@@ -1,10 +1,10 @@
 """Optional-dependency gates shared across the package.
 
-The core library is stdlib-only; numpy is an extra that powers the
-synthetic generators, object placement, workload sampling and the
-FrozenRoad ``numpy`` backend.  Every feature that needs it funnels
-through :func:`require_numpy`, so the install guidance lives (and can be
-reworded) in exactly one place.
+The core library is stdlib-only, every FrozenRoad backend included;
+numpy is an extra that powers the synthetic generators, object placement
+and workload sampling, nothing else.  Every feature that needs it
+funnels through :func:`require_numpy`, so the install guidance lives
+(and can be reworded) in exactly one place.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from repro.analysis.project import Project
 #: buffers.  Any method invoking one must drop cached views first.
 RESIZING_CALLS = frozenset({"_recompile", "_rebuild_node_objects"})
 
-#: The call that releases cached memoryview / frombuffer exports.
+#: The call that releases cached memoryview exports.
 DROP_CALL = "_drop_views"
 
 #: ``__init__`` builds the arrays before any view can exist.
@@ -24,27 +24,22 @@ EXEMPT_METHODS = frozenset({"__init__"})
 #: Rnet-id table because a recompile renumbers the slots it inverts.
 CACHED_VIEWS = {
     "_array_views": "_views",
-    "_numpy_views": "_np_views",
     "_rnet_ids_by_slot": "_slot_rnets",
 }
 
 #: The only functions allowed to *create* zero-copy views: the backend
-#: primitives, FrozenRoad's cached view builders (which register their
-#: product for `_drop_views` to release), and the snapshot-file mapper
-#: (whose product `_SnapshotFile.close` releases).
-VIEW_FACTORIES = frozenset(
-    {"view", "frombuffer", "_numpy_views", "_object_numpy_views",
-     "_map_snapshot"}
-)
+#: primitive (whose product FrozenRoad's cached view builders register
+#: for `_drop_views` to release) and the snapshot-file mapper (whose
+#: product `_SnapshotFile.close` releases).
+VIEW_FACTORIES = frozenset({"view", "_map_snapshot"})
 
 
 @register_rule
 class ViewLifecycleRule(Rule):
     """Cached zero-copy views never outlive a buffer resize.
 
-    Why: the compact and numpy backends serve queries through
-    ``memoryview`` / ``np.frombuffer`` views over ``array('i'/'d')``
-    buffers.  Those are *exports* at the C level: while one is alive,
+    Why: the compact and shm backends serve queries through
+    ``memoryview`` views over ``array('q'/'d')`` buffers.  Those are *exports* at the C level: while one is alive,
     resizing the backing array raises ``BufferError`` — and a stale view
     that survived a resize by luck reads the pre-patch snapshot.  PR 3's
     contract is therefore: ``_drop_views()`` before any patch step that
@@ -58,9 +53,9 @@ class ViewLifecycleRule(Rule):
       steps) must call ``_drop_views`` at a lexically earlier line of
       the same method (``__init__`` is exempt — no views exist yet);
     * ``memoryview(...)`` / ``.frombuffer(...)`` may only appear inside
-      the view-factory functions (backend ``view`` / ``frombuffer``,
-      ``_numpy_views``, ``_object_numpy_views``) — ad-hoc views created
-      elsewhere are invisible to ``_drop_views``;
+      the view-factory functions (the backends' ``view``, the snapshot
+      file's ``_map_snapshot``) — ad-hoc views created elsewhere are
+      invisible to ``_drop_views``;
     * every per-snapshot cache a ``FrozenRoad`` builds lazily
       (:data:`CACHED_VIEWS`: the array views and the slot -> Rnet-id
       table footprints translate through) is reset by an assignment in

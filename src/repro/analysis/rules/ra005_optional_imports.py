@@ -12,9 +12,8 @@ from repro.analysis.project import ModuleInfo, Project
 OPTIONAL_PACKAGES = frozenset({"numpy"})
 
 #: Module basenames allowed to import the optional packages directly:
-#: the gate itself, and the ``[numpy]``-extra backend that the gate
-#: routes to (its import error is converted into install guidance).
-ALLOWED_MODULES = frozenset({"_optional", "frozen_backends"})
+#: the gate itself, nothing else.
+ALLOWED_MODULES = frozenset({"_optional"})
 
 
 def _is_type_checking(test: ast.expr) -> bool:
@@ -68,8 +67,9 @@ class LazyOptionalImportsRule(Rule):
     """numpy (and future optional deps) import only through the gate.
 
     Why: the package promises a working pure-stdlib install — numpy is
-    the ``[numpy]`` extra, accelerating the frozen backend but never
-    required.  A stray top-level ``import numpy`` in any module that the
+    the ``[numpy]`` extra, feeding the synthetic generators, placement
+    and workload sampling but never required by the core or any frozen
+    backend.  A stray top-level ``import numpy`` in any module that the
     core paths (or the CLI) transitively import breaks every
     numpy-less environment at import time, which is exactly what the
     ``tests-no-numpy`` CI leg exists to prevent.  ``repro._optional``
@@ -77,9 +77,7 @@ class LazyOptionalImportsRule(Rule):
     error message instead of an ImportError five frames deep.
 
     How it checks: flags any ``import numpy`` / ``from numpy import``
-    outside the allowed modules (``_optional.py`` — the gate — and
-    ``frozen_backends.py`` — the ``[numpy]``-extra backend, which
-    converts the failure into install guidance).  Imports inside ``if
+    outside ``_optional.py``, the gate.  Imports inside ``if
     TYPE_CHECKING:`` blocks are fine: they cost nothing at runtime and
     keep annotations precise.
 
@@ -111,9 +109,8 @@ class LazyOptionalImportsRule(Rule):
                 self.id,
                 project.relative_path(module),
                 node.lineno,
-                "direct numpy import outside repro._optional / the "
-                "[numpy]-extra backend; use require_numpy(...) or an "
-                "'if TYPE_CHECKING:' guard",
+                "direct numpy import outside repro._optional; use "
+                "require_numpy(...) or an 'if TYPE_CHECKING:' guard",
             )
             for node in walker.hits
         ]

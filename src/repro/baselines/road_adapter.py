@@ -101,7 +101,7 @@ class ROADEngine(SearchEngine):
                 f"got {maintenance_mode!r}"
             )
         if backend is not None:
-            # Validate eagerly (unknown name / missing numpy fail at
+            # Validate eagerly (unknown name / missing /dev/shm fail at
             # engine construction, not at the first freeze).
             get_backend(backend)
         super().__init__(network, pager)

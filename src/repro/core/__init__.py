@@ -3,7 +3,7 @@
 from repro.core.aggregate import AGGREGATES, aggregate_knn, aggregate_knn_generic
 from repro.core.association_directory import AssociationDirectory, DirectoryError
 from repro.core.framework import ROAD, BuildReport, DEFAULT_DIRECTORY, RoutedResult
-from repro.core.frozen import FrozenRoad, FrozenRoadError, freeze_road
+from repro.core.frozen import FrozenRoad, FrozenRoadError
 from repro.core.paths import PathError, PathTracer, expand_shortcut, node_path, object_path
 from repro.core.serialize import SerializeError, load_road, save_road
 from repro.core.maintenance import (
@@ -88,7 +88,6 @@ __all__ = [
     "compute_rnet_shortcuts",
     "counting_abstract",
     "exact_abstract",
-    "freeze_road",
     "expand_shortcut",
     "iter_nearest_objects",
     "knn_search",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.association_directory import AssociationDirectory
 from repro.core.maintenance import (
@@ -31,9 +31,7 @@ from repro.core.maintenance import (
 )
 from repro.core.frozen import FrozenRoad
 from repro.core.multi_source import (
-    Expand,
     bucket_entries,
-    multi_source_objects,
     normalize_breaks,
     od_entries,
     od_matrix_generic,
@@ -45,11 +43,9 @@ from repro.core.route_overlay import RouteOverlay, RouteOverlayError
 from repro.core.search import (
     AbstractCache,
     SearchStats,
-    _Frontier,
-    _choose_path_cached,
-    _collect_node_objects,
     knn_search,
     range_search,
+    sweep_results,
 )
 from repro.core.shortcuts import ShortcutIndex, build_shortcuts
 from repro.graph.network import RoadNetwork, edge_key
@@ -67,6 +63,7 @@ from repro.queries.types import (
     RouteKNNQuery,
     ServiceAreaEntry,
     ServiceAreaQuery,
+    sort_result,
 )
 from repro.serving.dispatch import (
     DEFAULT_DIRECTORY,
@@ -396,22 +393,14 @@ class ROAD(QueryExecutor):
         """Multi-break isochrone: RangeSearch at ``max(breaks)``, with
         every answer tagged by the first break covering it.
 
-        Rides the shared multi-source kernel (single seed); a batch
-        caller passes ``abstracts`` to share Rnet-pruning decisions.
+        A batch caller passes ``abstracts`` to share Rnet-pruning
+        decisions.
         """
         assoc = self.directory(directory)
         cut = normalize_breaks(breaks)
-        search_stats = stats if stats is not None else SearchStats()
-        cache = (
-            abstracts
-            if abstracts is not None
-            else AbstractCache(assoc, predicate)
-        )
-        entries = multi_source_objects(
-            [node],
-            _charged_expand(self.overlay, assoc, predicate, cache, search_stats),
-            radius=cut[-1],
-            stats=search_stats,
+        entries = range_search(
+            self.overlay, assoc, node, cut[-1], predicate, stats,
+            abstracts=abstracts,
         )
         return bucket_entries(entries, cut)
 
@@ -430,26 +419,19 @@ class ROAD(QueryExecutor):
         Every path node seeds one shared frontier at distance 0 — the
         batched multi-source form of kNNSearch, paying each predicate's
         Rnet-pruning decision once for the whole route instead of once
-        per source.
+        per source.  The k-cutoff drains ties and resolves them
+        canonically by (distance, id).
         """
         seeds = list(path)
         if not seeds:
             raise ValueError("need at least one path node")
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        assoc = self.directory(directory)
-        search_stats = stats if stats is not None else SearchStats()
-        cache = (
-            abstracts
-            if abstracts is not None
-            else AbstractCache(assoc, predicate)
+        found = sweep_results(
+            self.overlay, self.directory(directory), seeds, predicate, stats,
+            abstracts=abstracts, k=k, drain_ties=True,
         )
-        return multi_source_objects(
-            seeds,
-            _charged_expand(self.overlay, assoc, predicate, cache, search_stats),
-            k=k,
-            stats=search_stats,
-        )
+        return sort_result(found)[:k]
 
     def knn_routed(
         self,
@@ -534,10 +516,9 @@ class ROAD(QueryExecutor):
 
         ``backend`` selects the compiled array representation —
         ``"list"`` (pre-boxed, fastest), ``"compact"`` (stdlib typed
-        buffers, ~4x less memory), ``"numpy"`` (compact layout +
-        vectorised relaxation; optional dependency) or ``"shm"`` (compact
-        layout in shared-memory segments for process-shard serving); None
-        defers to ``REPRO_BACKEND``/the default.  ``mask_budget`` caps
+        buffers, ~4x less memory) or ``"shm"`` (compact layout in
+        shared-memory segments for process-shard serving); None defers
+        to ``REPRO_BACKEND``/the default.  ``mask_budget`` caps
         the cached predicate masks per compiled directory (default
         ``frozen.MAX_CACHED_PREDICATES``).
         """
@@ -638,31 +619,6 @@ class ROAD(QueryExecutor):
 # ----------------------------------------------------------------------
 # Charged-path query handlers (the "charged" dispatch key).
 # ----------------------------------------------------------------------
-def _charged_expand(
-    overlay: RouteOverlay,
-    assoc: AssociationDirectory,
-    predicate: Predicate,
-    abstracts: AbstractCache,
-    stats: SearchStats,
-) -> Expand:
-    """The multi-source kernel's expansion step over the charged index.
-
-    Exactly one node's worth of kNNSearch body — SearchObject then
-    ChoosePath — pushed through the shared frontier, so the sweep is
-    push-for-push identical to the frozen CSR walk.
-    """
-
-    def expand(
-        frontier: _Frontier, node: int, distance: float, seen_objects: Set[int]
-    ) -> None:
-        _collect_node_objects(
-            assoc, frontier, node, distance, predicate, seen_objects
-        )
-        _choose_path_cached(overlay, abstracts, frontier, node, distance, stats)
-
-    return expand
-
-
 def _charged_cache(road: ROAD, predicate: Predicate, ctx: BatchContext):
     """One AbstractCache per (batch, predicate): Rnet pruning paid once."""
     assoc = road.directory(ctx.directory)

@@ -53,9 +53,9 @@ The physical representation of the compiled arrays is pluggable (see
 :mod:`repro.core.frozen_backends`): ``backend="list"`` keeps pre-boxed
 Python lists (fastest pure-Python queries), ``"compact"`` stores the same
 layout in stdlib typed buffers at ~4x less resident memory, and
-``"numpy"`` adds zero-copy vectorised span relaxation on top of the
-compact buffers.  All three serve byte-identical answers and support the
-patch lifecycle; pick per freeze, per engine, or via ``REPRO_BACKEND``.
+``"shm"`` puts those buffers in shared-memory segments for process
+shards.  All three serve byte-identical answers and support the patch
+lifecycle; pick per freeze, per engine, or via ``REPRO_BACKEND``.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ import copy
 import heapq
 import os
 import sys
-import warnings
 import weakref
 from typing import (
     TYPE_CHECKING,
@@ -83,10 +82,8 @@ from typing import (
 
 from repro.core.aggregate import aggregate_knn_generic
 from repro.core.multi_source import (
-    Expand,
     ExpandFlat,
     bucket_entries,
-    multi_source_objects,
     normalize_breaks,
     od_entries,
     od_matrix_generic,
@@ -99,7 +96,7 @@ from repro.core.frozen_backends import (
     resolve_backend,
 )
 from repro.core.shm_arrays import ShmVector
-from repro.core.search import SearchStats, _Frontier
+from repro.core.search import SearchStats
 from repro.core.shortcut_tree import ShortcutTree, ShortcutTreeEntry
 from repro.objects.model import SpatialObject
 from repro.queries.types import (
@@ -114,6 +111,7 @@ from repro.queries.types import (
     RouteKNNQuery,
     ServiceAreaEntry,
     ServiceAreaQuery,
+    sort_result,
 )
 from repro.serving.dispatch import (
     DEFAULT_DIRECTORY,
@@ -141,10 +139,6 @@ _TreePatch = Tuple[
     List[Tuple[int, float]],
 ]
 
-#: Heap items carry one signed code instead of a (kind, id) pair: nodes are
-#: their dense index (>= 0), objects are ``~object_id`` (< 0).  The heap
-#: orders by (distance, seq) exactly like ``search._Frontier`` — seq is
-#: unique, so the code is never compared.
 _INF = float("inf")
 
 #: Distinct predicates whose compiled masks are retained per (directory,
@@ -156,11 +150,6 @@ _INF = float("inf")
 #: per-directory ``mask_evictions`` surfaced by ``memory_stats()``.
 #: Override per snapshot via ``freeze(mask_budget=...)``.
 MAX_CACHED_PREDICATES = 128
-
-#: Smallest span the numpy backend relaxes through vectorised slice
-#: arithmetic; shorter spans (the typical road-network degree) take the
-#: scalar path — numpy slicing overhead only amortises past this width.
-VEC_MIN_SPAN = 8
 
 
 class FrozenRoadError(Exception):
@@ -231,7 +220,6 @@ class _DirectoryState:
         "obj_masks",
         "mask_evictions",
         "views",
-        "np_views",
     )
 
     def __init__(self, name: str) -> None:
@@ -249,7 +237,6 @@ class _DirectoryState:
         #: Cached (obj_start, obj_id, obj_delta) query views; dropped with
         #: the snapshot's shared views before any patch.
         self.views: Optional[Tuple[Any, Any, Any]] = None
-        self.np_views: Optional[Tuple[Any, Any]] = None
 
 
 class FrozenRoad(QueryExecutor):
@@ -258,12 +245,28 @@ class FrozenRoad(QueryExecutor):
     Construct via :meth:`FrozenRoad.from_road` or
     :meth:`repro.core.framework.ROAD.freeze`.  Queries mirror the facade:
     :meth:`knn`, :meth:`range`, :meth:`aggregate_knn`,
+    :meth:`service_area`, :meth:`route_knn`, :meth:`od_matrix`,
     :meth:`iter_nearest_objects`, :meth:`execute`, and the batch entry
     point :meth:`execute_many`; every query takes ``directory=`` to pick
     one of the compiled directories (None = :attr:`default_directory`).
     After live maintenance, :meth:`apply` delta-patches the snapshot —
     all compiled directories at once — from the update's
     MaintenanceReport.
+
+    There is one object-search kernel, the generator :meth:`_sweep`: the
+    only pop loop over the CSR views, seeded with one node or many,
+    stopped by ``k``, ``radius`` or tie-draining, yielding ``(distance,
+    object_id)`` and flushing counters and footprint into ``SearchStats``
+    when it ends or is closed.  :meth:`knn`, :meth:`range`,
+    :meth:`service_area` and :meth:`route_knn` run it to its stop rule
+    and shape the rows (sort, cut at k, bucket by break);
+    :meth:`iter_nearest_objects` hands it out unbounded, and
+    :meth:`aggregate_knn` interleaves several of those.  The footprint a
+    sweep reports is every node it pushed — settled, still queued, or
+    popped beyond the bound — and every Rnet whose abstract it consulted,
+    the same rule as the charged :func:`repro.core.search.object_sweep`.
+    :meth:`od_matrix` is not an object search and keeps its own
+    lane-tagged Dijkstra (:mod:`repro.core.multi_source`).
     """
 
     dispatch_engine = "frozen"
@@ -397,7 +400,7 @@ class FrozenRoad(QueryExecutor):
 
         # The arrays are staged as plain lists, then materialised through
         # the selected backend: "list" keeps the pre-boxed lists (hot-loop
-        # indexing returns existing objects), "compact"/"numpy" pack the
+        # indexing returns existing objects), "compact"/"shm" pack the
         # same layout into stdlib typed buffers.  All backends keep the
         # arrays mutable so :meth:`apply` can rewrite dirty spans in place
         # with slice assignments.
@@ -451,13 +454,11 @@ class FrozenRoad(QueryExecutor):
             ]
             self._dirs[name] = state
 
-        # Cached array views for the query loops (memoryviews over the
-        # compact buffers; the lists themselves for the list backend) and
-        # zero-copy numpy views (numpy backend only).  Both are built
+        # Cached array views for the sweep (memoryviews over the compact
+        # buffers; the lists themselves for the list backend), built
         # lazily per snapshot and dropped before any patch — a live
         # buffer export would block the resizing object splices.
         self._views: Optional[Tuple[Any, ...]] = None
-        self._np_views: Optional[Tuple[Any, ...]] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -586,7 +587,6 @@ class FrozenRoad(QueryExecutor):
             )
         frozen._default_directory = default_directory
         frozen._views = None
-        frozen._np_views = None
         frozen._slot_rnets = None
         return frozen
 
@@ -759,11 +759,14 @@ class FrozenRoad(QueryExecutor):
         is byte-identical to a fresh ``road.freeze()`` afterwards.
 
         Concurrency caveat: patching mutates the arrays a running
-        traversal indexes, so finish (or drop) any in-flight
+        traversal indexes, so finish (or close) any in-flight
         :meth:`iter_nearest_objects` iterator before calling ``apply`` —
         a paused iterator resumed across a patch may mix pre- and
-        post-update state or raise.  Completed queries and future queries
-        are unaffected; a serving loop applies updates between batches.
+        post-update state or raise, and on ``compact`` the views its
+        frame holds make a size-changing object splice raise
+        ``BufferError`` until it is closed.  Completed queries and future
+        queries are unaffected; a serving loop applies updates between
+        batches.
         """
         self._require_patchable()
         if report.kind in ("insert_object", "delete_object", "update_object"):
@@ -957,8 +960,8 @@ class FrozenRoad(QueryExecutor):
         """Rewrite the targets/weights of one node's spans in place.
 
         Span rewrites are slice assignments, which every backend honours
-        on its native array type (lists, stdlib typed arrays, and the
-        numpy-over-stdlib layout alike) — the planner already guaranteed
+        on its native array type (lists, stdlib typed arrays and the
+        shared-memory vectors alike) — the planner already guaranteed
         each new span has exactly the compiled size.
         """
         idx, sc_values, ed_values, local_values = patch
@@ -1044,33 +1047,32 @@ class FrozenRoad(QueryExecutor):
                 )
 
     # ------------------------------------------------------------------
-    # Numpy view lifecycle (numpy backend only)
+    # Cached view lifecycle
     # ------------------------------------------------------------------
     def _drop_views(self) -> None:
         """Release all cached array views before mutating the arrays.
 
-        Memoryviews and ``np.frombuffer`` views export the stdlib
-        buffers; a live export would make the size-changing object
-        splices in :meth:`_rebuild_node_objects` raise ``BufferError``.
-        Dropping the caches releases the exports (views rebuild lazily on
-        the next query).
+        Memoryviews export the stdlib buffers; a live export would make
+        the size-changing object splices in :meth:`_rebuild_node_objects`
+        raise ``BufferError``.  Dropping the caches releases the exports
+        (views rebuild lazily on the next query) — except the ones a
+        suspended :meth:`iter_nearest_objects` sweep still holds in its
+        frame: close it first (see :meth:`apply`).
         """
         self._views = None
-        self._np_views = None
         self._slot_rnets = None
         for state in self._dirs.values():
             state.views = None
-            state.np_views = None
 
     def _array_views(self) -> Tuple[Any, ...]:
         """The shared-array views the query loops index, built per snapshot.
 
-        List backend: the arrays themselves.  Compact/numpy: memoryviews
+        List backend: the arrays themselves.  Compact/shm: memoryviews
         over the typed buffers — measurably cheaper to index than the
         arrays, and constructing them once here keeps them out of the
-        per-query (and per-pop, for the incremental iterator) hot paths.
-        Order matches the unpacking in :meth:`_search` / :meth:`_expand`;
-        the per-directory object views come from :meth:`_object_views`.
+        per-query hot path.  Order matches the unpacking in
+        :meth:`_sweep`; the per-directory object views come from
+        :meth:`_object_views`.
         """
         views = self._views
         if views is None:
@@ -1105,34 +1107,6 @@ class FrozenRoad(QueryExecutor):
             state.views = views
         return views
 
-    def _numpy_views(self) -> Tuple[Any, ...]:
-        """Zero-copy views over the shared weight buffers, built lazily."""
-        views = self._np_views
-        if views is None:
-            B = self._backend
-            views = (
-                B.frombuffer(self._sc_target, kind="i"),
-                B.frombuffer(self._sc_weight, kind="f"),
-                B.frombuffer(self._ed_target, kind="i"),
-                B.frombuffer(self._ed_weight, kind="f"),
-                B.frombuffer(self._local_target, kind="i"),
-                B.frombuffer(self._local_weight, kind="f"),
-            )
-            self._np_views = views
-        return views
-
-    def _object_numpy_views(self, state: _DirectoryState) -> Tuple[Any, Any]:
-        """One directory's zero-copy (obj_id, obj_delta) numpy views."""
-        views = state.np_views
-        if views is None:
-            B = self._backend
-            views = (
-                B.frombuffer(state.obj_id, kind="i"),
-                B.frombuffer(state.obj_delta, kind="f"),
-            )
-            state.np_views = views
-        return views
-
     # ------------------------------------------------------------------
     # Directory resolution
     # ------------------------------------------------------------------
@@ -1150,24 +1124,6 @@ class FrozenRoad(QueryExecutor):
             raise UnknownDirectoryError(self, directory, self._dirs)
         return state
 
-    # Single-directory back-compat aliases: the default directory's state.
-    @property
-    def directory_name(self) -> str:
-        """Deprecated spelling of :attr:`default_directory`."""
-        return self._default_directory
-
-    @property
-    def _rnet_masks(self) -> Dict[Predicate, Sequence[bool]]:
-        return self._state().rnet_masks
-
-    @property
-    def _obj_masks(self) -> Dict[Predicate, bytearray]:
-        return self._state().obj_masks
-
-    @property
-    def _obj_ref(self) -> List[SpatialObject]:
-        return self._state().obj_ref
-
     def object_refs(
         self, directory: Optional[str] = None
     ) -> List[SpatialObject]:
@@ -1182,14 +1138,13 @@ class FrozenRoad(QueryExecutor):
     ) -> Sequence[bool]:
         """Per-Rnet "may contain an object of interest" bitmask.
 
-        List backend: a list of bools; compact/numpy: a bytearray; shm: a
-        shared-memory byte vector — the query loop only needs truthy
-        indexing, and the patch paths only need item assignment, which
-        all of them honour.  Cached per (directory, predicate): two
-        directories never share a mask, however equal their predicates.
-        The *cached* object is the backend's mask (so patch writes
-        persist); the hot loop indexes ``mask_view`` of it (identity
-        everywhere but shm, where it is the payload memoryview).
+        List backend: a list of bools; compact/shm: a process-local
+        bytearray — the sweep only needs truthy indexing, and the patch
+        paths only need item assignment, which both honour.  Cached per
+        (directory, predicate): two directories never share a mask,
+        however equal their predicates.  The *cached* object is the
+        backend's mask (so patch writes persist); the hot loop indexes
+        ``mask_view`` of it (the identity on every backend today).
         """
         mask = state.rnet_masks.get(predicate)
         if mask is None:
@@ -1256,10 +1211,7 @@ class FrozenRoad(QueryExecutor):
         """kNNSearch (Figure 9) against the compiled arrays."""
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        return self._search(
-            node, predicate, k=k, radius=None, stats=stats,
-            directory=directory,
-        )
+        return self._collect((node,), predicate, stats, directory, k=k)
 
     def range(
         self,
@@ -1273,9 +1225,8 @@ class FrozenRoad(QueryExecutor):
         """RangeSearch (Section 4) against the compiled arrays."""
         if radius < 0:
             raise ValueError(f"radius must be >= 0, got {radius}")
-        return self._search(
-            node, predicate, k=None, radius=radius, stats=stats,
-            directory=directory,
+        return self._collect(
+            (node,), predicate, stats, directory, radius=radius
         )
 
     def aggregate_knn(
@@ -1342,27 +1293,12 @@ class FrozenRoad(QueryExecutor):
         """Multi-break isochrone against the compiled arrays.
 
         A RangeSearch sweep cut at ``max(breaks)``, with every answer
-        tagged by the first break covering it.  Rides the shared
-        multi-source kernel (single seed), so the per-predicate masks
-        serve the whole sweep.
+        tagged by the first break covering it.
         """
-        state = self._state(directory)
         cut = normalize_breaks(breaks)
-        source = self._code(node)
-        may = self._rnet_mask(state, predicate)
-        omask = self._object_mask(state, predicate)
-        counters = [0, 0, 0, 0, 0, 0]
-        rnet_slots: Set[int] = set()
-        entries = multi_source_objects(
-            [source],
-            self._frontier_expand(state, may, omask, counters, rnet_slots),
-            radius=cut[-1],
-            stats=stats,
-            node_ids=self.node_ids,
+        entries = self._collect(
+            (node,), predicate, stats, directory, radius=cut[-1]
         )
-        if stats is not None:
-            self._flush_stats(stats, counters)
-            self._flush_rnet_slots(stats, rnet_slots)
         return bucket_entries(entries, cut)
 
     def route_knn(
@@ -1376,32 +1312,20 @@ class FrozenRoad(QueryExecutor):
     ) -> List[ResultEntry]:
         """In-route kNN: the k best objects by detour from ``path``.
 
-        Every path node seeds one shared frontier at distance 0 (the
-        batched multi-source form of kNNSearch), so an answer's distance
-        is the smallest detour from any point of the route; the k-cutoff
-        drains ties and resolves them canonically by (distance, id).
+        Every path node seeds the one sweep at distance 0, so an
+        answer's distance is the smallest detour from any point of the
+        route; the k-cutoff drains ties and resolves them canonically by
+        (distance, id).
         """
-        state = self._state(directory)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        seeds = [self._code(n) for n in path]
+        seeds = list(path)
         if not seeds:
             raise ValueError("need at least one path node")
-        may = self._rnet_mask(state, predicate)
-        omask = self._object_mask(state, predicate)
-        counters = [0, 0, 0, 0, 0, 0]
-        rnet_slots: Set[int] = set()
-        result = multi_source_objects(
-            seeds,
-            self._frontier_expand(state, may, omask, counters, rnet_slots),
-            k=k,
-            stats=stats,
-            node_ids=self.node_ids,
+        found = self._collect(
+            seeds, predicate, stats, directory, k=k, drain_ties=True
         )
-        if stats is not None:
-            self._flush_stats(stats, counters)
-            self._flush_rnet_slots(stats, rnet_slots)
-        return result
+        return sort_result(found)[:k]
 
     # ``execute`` / ``execute_many`` are inherited from QueryExecutor and
     # served by the ``engine="frozen"`` handlers at the bottom of this
@@ -1436,70 +1360,13 @@ class FrozenRoad(QueryExecutor):
         *,
         directory: Optional[str] = None,
     ) -> Iterator[Tuple[float, int]]:
-        """Lazily yield (distance, object_id) in non-descending distance."""
-        state = self._state(directory)
-        try:
-            source = self._index[node]
-        except KeyError:
-            raise FrozenRoadError(f"node {node} not in frozen index") from None
-        may = self._rnet_mask(state, predicate)
-        omask = self._object_mask(state, predicate)
-        heap: List[Tuple[float, int, int]] = [(0.0, 0, source)]
-        seq = 1
-        visited = bytearray(len(self.node_ids))
-        seen_objects: set = set()
-        counters = [0, 0, 0, 0, 0, 0]
-        flushed = [0, 0, 0, 0, 0, 0]
-        rnet_slots: Set[int] = set()
-        pending_nodes: List[int] = []
-        slot_ids = self._rnet_ids_by_slot() if stats is not None else ()
+        """Lazily yield (distance, object_id) in non-descending distance.
 
-        def flush() -> None:
-            # Stats update incrementally, like the charged iterator: a
-            # consumer that stops pulling (aggregate lockstep, early break)
-            # still sees the work done so far.
-            if stats is not None:
-                self._flush_stats(
-                    stats, [c - f for c, f in zip(counters, flushed)]
-                )
-                flushed[:] = counters
-                node_ids = self.node_ids
-                stats.visited_nodes.update(
-                    node_ids[code] for code in pending_nodes
-                )
-                pending_nodes.clear()
-                while rnet_slots:
-                    stats.visited_rnets.add(slot_ids[rnet_slots.pop()])
-
-        try:
-            while heap:
-                distance, _, code = heapq.heappop(heap)
-                if code < 0:  # an object: ~object_id
-                    oid = ~code
-                    if oid in seen_objects:
-                        continue
-                    seen_objects.add(oid)
-                    counters[1] += 1
-                    flush()
-                    yield distance, oid
-                    continue
-                if visited[code]:
-                    continue
-                visited[code] = 1
-                counters[0] += 1
-                if stats is not None:
-                    pending_nodes.append(code)
-                seq = self._expand(
-                    heap, seq, code, distance, may, omask, seen_objects,
-                    counters, state, rnet_slots,
-                )
-        finally:
-            if stats is not None:
-                # The frontier boundary joins the footprint when the
-                # consumer stops pulling (charged twin: the
-                # ``_Frontier.pending_nodes`` union on generator close).
-                pending_nodes.extend(c for _, _, c in heap if c >= 0)
-            flush()
+        The unbounded sweep itself: it advances only as far as the
+        consumer pulls, and ``stats`` receive its counters and footprint
+        when it is exhausted or closed.
+        """
+        return self._sweep((node,), predicate, stats, directory)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -1564,7 +1431,7 @@ class FrozenRoad(QueryExecutor):
 
         ``total_bytes`` is what the arrays actually hold on the heap —
         container plus boxed elements for the list backend, the inline
-        typed buffers for compact/numpy — next to ``payload_bytes``, the
+        typed buffers for compact/shm — next to ``payload_bytes``, the
         backend-independent 8 B/element ideal (== :attr:`nbytes`).  The
         per-predicate mask caches are reported separately; the
         ``object_refs`` list (shared ``SpatialObject`` instances, one
@@ -1659,32 +1526,54 @@ class FrozenRoad(QueryExecutor):
     # ------------------------------------------------------------------
     # Internal: the compiled expansion
     # ------------------------------------------------------------------
-    def _search(
+    def _sweep(
         self,
-        node: int,
+        seeds: Iterable[int],
         predicate: Predicate,
-        *,
-        k: Optional[int],
-        radius: Optional[float],
         stats: Optional[SearchStats],
-        directory: Optional[str] = None,
-    ) -> List[ResultEntry]:
+        directory: Optional[str],
+        *,
+        k: Optional[int] = None,
+        radius: float = _INF,
+        drain_ties: bool = False,
+    ) -> Iterator[Tuple[float, int]]:
+        """The one expansion: yield (distance, object_id), nearest first.
+
+        Every seed enters the heap at distance 0 (duplicates collapse),
+        so a yielded distance is the minimum over seeds.  The sweep ends
+        when the heap runs dry, when a pop lies beyond ``radius``
+        (inclusive bound, RangeSearch), or after the ``k``-th object —
+        at once (kNNSearch), or, with ``drain_ties``, once the objects
+        tied with the k-th are out too, so a consumer can cut the
+        canonical (distance, id) prefix instead of a push-order one.
+
+        Counters and footprint reach ``stats`` once, in the ``finally``:
+        on exhaustion, on a stop rule, or when the consumer closes the
+        generator early.  The footprint is **every node the sweep
+        pushed**: the settled nodes, the nodes still queued, and the
+        node (if it is one) whose pop tripped the bound.  A push to an
+        already-settled node is skipped here and kept as a stale
+        duplicate by the charged frontier; the rule is blind to that,
+        because a skipped target is in the settled set already.
+        """
         state = self._state(directory)
-        try:
-            source = self._index[node]
-        except KeyError:
-            raise FrozenRoadError(f"node {node} not in frozen index") from None
+        # Heap items carry one signed code instead of a (kind, id) pair:
+        # nodes are their dense index (>= 0), objects ``~object_id``
+        # (< 0).  The heap orders by (distance, seq) exactly like
+        # ``search._Frontier`` — seq is unique, so the code is never
+        # compared.
+        heap: List[Tuple[float, int, int]] = [
+            (0.0, seq, code)
+            for seq, code in enumerate(dict.fromkeys(map(self._code, seeds)))
+        ]
+        seq = len(heap)
         may = self._rnet_mask(state, predicate)
         omask = self._object_mask(state, predicate)
-        if self._backend.vectorised:
-            return self._search_vec(
-                source, may, omask, state, k=k, radius=radius, stats=stats
-            )
-        # Bind every array view to a local once per query: the loop below
+        # Bind every array view to a local once per sweep: the loop below
         # is the hot path, and attribute loads per pop would dominate it.
         # The backend picks the view the loop indexes — the list itself
         # for "list", a cached memoryview over the typed buffer for
-        # "compact" (cheaper per access than the array).
+        # "compact"/"shm" (cheaper per access than the array).
         pop = heapq.heappop
         push = heapq.heappush
         obj_start, obj_id, obj_delta = self._object_views(state)
@@ -1695,219 +1584,75 @@ class FrozenRoad(QueryExecutor):
             local_start, local_target, local_weight,
         ) = self._array_views()
 
-        heap: List[Tuple[float, int, int]] = [(0.0, 0, source)]
-        seq = 1
         visited = bytearray(len(self.node_ids))
-        seen_objects: set = set()
-        result: List[ResultEntry] = []
-        append = result.append
-        limit = k if k is not None else -1
-        bound = radius if radius is not None else _INF
+        seen_objects: Set[int] = set()
         # scalar counters, flushed into SearchStats at the end:
         # nodes/objects popped, edges relaxed, shortcuts taken,
         # rnets bypassed/descended
         c_np = c_op = c_er = c_st = c_rb = c_rd = 0
         track = stats is not None
         rnet_seen: Set[int] = set()
-        while heap:
-            distance, _, code = pop(heap)
-            if distance > bound:
-                break  # everything else is farther: the bounded space is done
-            if code < 0:  # an object: ~object_id
-                oid = ~code
-                if oid in seen_objects:
-                    continue
-                seen_objects.add(oid)
-                c_op += 1
-                append(ResultEntry(oid, distance))
-                if c_op == limit:
+        try:
+            while heap:
+                distance, _, code = pop(heap)
+                if distance > radius:
+                    # Everything else is farther: the bounded space is
+                    # done.  The entry that tripped the bound was pushed,
+                    # so it rejoins the (no longer ordered) remnant the
+                    # footprint is read from.
+                    heap.append((distance, 0, code))
                     break
-                continue
-            if visited[code]:
-                continue
-            visited[code] = 1
-            c_np += 1
-            # SearchObject(AD, node): matching objects in stored order, as
-            # the charged `_collect_node_objects` does.
-            for j in range(obj_start[code], obj_start[code + 1]):
-                oid = obj_id[j]
-                if oid in seen_objects:
-                    continue
-                if omask is None or omask[j]:
-                    push(heap, (distance + obj_delta[j], seq, ~oid))
-                    seq += 1
-            # ChoosePath (Fig 10), flattened: preorder walk + subtree skip.
-            i = entry_start[code]
-            end = entry_start[code + 1]
-            if i == end:
-                # Non-border node: one leaf of physical edges (Fig 6, n_q).
-                # A push to an already-settled node would only be discarded
-                # on pop, so it is skipped (counters still record the
-                # relaxation, keeping SearchStats identical to the charged
-                # path; surviving entries keep their relative seq order, so
-                # results are unchanged too).
-                for j in range(local_start[code], local_start[code + 1]):
-                    c_er += 1
-                    target = local_target[j]
-                    if not visited[target]:
-                        push(heap, (distance + local_weight[j], seq, target))
-                        seq += 1
-                continue
-            while i < end:
-                if track:
-                    rnet_seen.add(entry_rnet[i])
-                if may[entry_rnet[i]]:
-                    nxt = entry_next[i]
-                    if nxt == i + 1:
-                        # Finest Rnet with objects of interest: its edges.
-                        for j in range(ed_start[i], ed_start[i + 1]):
-                            c_er += 1
-                            target = ed_target[j]
-                            if not visited[target]:
-                                push(heap, (distance + ed_weight[j], seq, target))
-                                seq += 1
-                    else:
-                        c_rd += 1
-                    i += 1
-                else:
-                    # Bypass: jump straight to the Rnet's other borders.
-                    c_rb += 1
-                    for j in range(sc_start[i], sc_start[i + 1]):
-                        c_st += 1
-                        target = sc_target[j]
-                        if not visited[target]:
-                            push(heap, (distance + sc_weight[j], seq, target))
-                            seq += 1
-                    i = entry_next[i]
-        if stats is not None:
-            self._flush_stats(stats, (c_np, c_op, c_er, c_st, c_rb, c_rd))
-            self._flush_footprint(stats, visited, rnet_seen, heap)
-        return result
-
-    def _search_vec(
-        self,
-        source: int,
-        may: Sequence[bool],
-        omask: Optional[bytearray],
-        state: _DirectoryState,
-        *,
-        k: Optional[int],
-        radius: Optional[float],
-        stats: Optional[SearchStats],
-    ) -> List[ResultEntry]:
-        """The numpy backend's expansion: vectorised span relaxation.
-
-        Identical decisions (and byte-identical results/stats) to the
-        scalar loop in :meth:`_search`: spans at least
-        :data:`VEC_MIN_SPAN` wide are relaxed with one vectorised
-        ``distance + weights[a:b]`` add and a bulk ``.tolist()`` back to
-        Python floats — IEEE-identical to the scalar additions — before
-        the per-candidate visited filter and heap push; narrower spans
-        (the typical road-network degree) take the scalar memoryview
-        path, where numpy slicing overhead would dominate.
-        """
-        obj_id_v, obj_delta_v = self._object_numpy_views(state)
-        (
-            sc_target_v, sc_weight_v,
-            ed_target_v, ed_weight_v, local_target_v, local_weight_v,
-        ) = self._numpy_views()
-        pop = heapq.heappop
-        push = heapq.heappush
-        obj_start, obj_id, obj_delta = self._object_views(state)
-        (
-            entry_start, entry_rnet, entry_next,
-            sc_start, sc_target, sc_weight,
-            ed_start, ed_target, ed_weight,
-            local_start, local_target, local_weight,
-        ) = self._array_views()
-
-        heap: List[Tuple[float, int, int]] = [(0.0, 0, source)]
-        seq = 1
-        visited = bytearray(len(self.node_ids))
-        seen_objects: set = set()
-        result: List[ResultEntry] = []
-        append = result.append
-        limit = k if k is not None else -1
-        bound = radius if radius is not None else _INF
-        c_np = c_op = c_er = c_st = c_rb = c_rd = 0
-        track = stats is not None
-        rnet_seen: Set[int] = set()
-        while heap:
-            distance, _, code = pop(heap)
-            if distance > bound:
-                break
-            if code < 0:  # an object: ~object_id
-                oid = ~code
-                if oid in seen_objects:
-                    continue
-                seen_objects.add(oid)
-                c_op += 1
-                append(ResultEntry(oid, distance))
-                if c_op == limit:
-                    break
-                continue
-            if visited[code]:
-                continue
-            visited[code] = 1
-            c_np += 1
-            a, b = obj_start[code], obj_start[code + 1]
-            if b - a >= VEC_MIN_SPAN:
-                oids = obj_id_v[a:b].tolist()
-                odists = (distance + obj_delta_v[a:b]).tolist()
-                for j in range(b - a):
-                    oid = oids[j]
+                if code < 0:  # an object: ~object_id
+                    oid = ~code
                     if oid in seen_objects:
                         continue
-                    if omask is None or omask[a + j]:
-                        push(heap, (odists[j], seq, ~oid))
-                        seq += 1
-            else:
-                for j in range(a, b):
+                    seen_objects.add(oid)
+                    c_op += 1
+                    yield distance, oid
+                    if c_op == k:
+                        if not drain_ties:
+                            break
+                        radius = distance  # only the k-th's ties remain
+                    continue
+                if visited[code]:
+                    continue
+                visited[code] = 1
+                c_np += 1
+                # SearchObject(AD, node): matching objects in stored order,
+                # as the charged `_collect_node_objects` does.
+                for j in range(obj_start[code], obj_start[code + 1]):
                     oid = obj_id[j]
                     if oid in seen_objects:
                         continue
                     if omask is None or omask[j]:
                         push(heap, (distance + obj_delta[j], seq, ~oid))
                         seq += 1
-            i = entry_start[code]
-            end = entry_start[code + 1]
-            if i == end:
-                a, b = local_start[code], local_start[code + 1]
-                if b - a >= VEC_MIN_SPAN:
-                    targets = local_target_v[a:b].tolist()
-                    dists = (distance + local_weight_v[a:b]).tolist()
-                    for j in range(b - a):
-                        c_er += 1
-                        target = targets[j]
-                        if not visited[target]:
-                            push(heap, (dists[j], seq, target))
-                            seq += 1
-                else:
-                    for j in range(a, b):
+                # ChoosePath (Fig 10), flattened: preorder walk + subtree
+                # skip.
+                i = entry_start[code]
+                end = entry_start[code + 1]
+                if i == end:
+                    # Non-border node: one leaf of physical edges (Fig 6,
+                    # n_q).  A push to an already-settled node would only
+                    # be discarded on pop, so it is skipped (counters still
+                    # record the relaxation, keeping SearchStats identical
+                    # to the charged path; surviving entries keep their
+                    # relative seq order, so results are unchanged too).
+                    for j in range(local_start[code], local_start[code + 1]):
                         c_er += 1
                         target = local_target[j]
                         if not visited[target]:
                             push(heap, (distance + local_weight[j], seq, target))
                             seq += 1
-                continue
-            while i < end:
-                if track:
-                    rnet_seen.add(entry_rnet[i])
-                if may[entry_rnet[i]]:
-                    nxt = entry_next[i]
-                    if nxt == i + 1:
-                        a, b = ed_start[i], ed_start[i + 1]
-                        if b - a >= VEC_MIN_SPAN:
-                            targets = ed_target_v[a:b].tolist()
-                            dists = (distance + ed_weight_v[a:b]).tolist()
-                            for j in range(b - a):
-                                c_er += 1
-                                target = targets[j]
-                                if not visited[target]:
-                                    push(heap, (dists[j], seq, target))
-                                    seq += 1
-                        else:
-                            for j in range(a, b):
+                    continue
+                while i < end:
+                    if track:
+                        rnet_seen.add(entry_rnet[i])
+                    if may[entry_rnet[i]]:
+                        nxt = entry_next[i]
+                        if nxt == i + 1:
+                            # Finest Rnet with objects of interest: its edges.
+                            for j in range(ed_start[i], ed_start[i + 1]):
                                 c_er += 1
                                 target = ed_target[j]
                                 if not visited[target]:
@@ -1916,104 +1661,44 @@ class FrozenRoad(QueryExecutor):
                                         (distance + ed_weight[j], seq, target),
                                     )
                                     seq += 1
+                        else:
+                            c_rd += 1
+                        i += 1
                     else:
-                        c_rd += 1
-                    i += 1
-                else:
-                    c_rb += 1
-                    a, b = sc_start[i], sc_start[i + 1]
-                    if b - a >= VEC_MIN_SPAN:
-                        targets = sc_target_v[a:b].tolist()
-                        dists = (distance + sc_weight_v[a:b]).tolist()
-                        for j in range(b - a):
-                            c_st += 1
-                            target = targets[j]
-                            if not visited[target]:
-                                push(heap, (dists[j], seq, target))
-                                seq += 1
-                    else:
-                        for j in range(a, b):
+                        # Bypass: jump straight to the Rnet's other borders.
+                        c_rb += 1
+                        for j in range(sc_start[i], sc_start[i + 1]):
                             c_st += 1
                             target = sc_target[j]
                             if not visited[target]:
-                                push(
-                                    heap,
-                                    (distance + sc_weight[j], seq, target),
-                                )
+                                push(heap, (distance + sc_weight[j], seq, target))
                                 seq += 1
-                    i = entry_next[i]
-        if stats is not None:
-            self._flush_stats(stats, (c_np, c_op, c_er, c_st, c_rb, c_rd))
-            self._flush_footprint(stats, visited, rnet_seen, heap)
-        return result
+                        i = entry_next[i]
+        finally:
+            if stats is not None:
+                stats.nodes_popped += c_np
+                stats.objects_popped += c_op
+                stats.edges_relaxed += c_er
+                stats.shortcuts_taken += c_st
+                stats.rnets_bypassed += c_rb
+                stats.rnets_descended += c_rd
+                self._flush_footprint(stats, visited, rnet_seen, heap)
 
-    def _expand(
+    def _collect(
         self,
-        heap: List[Tuple[float, int, int]],
-        seq: int,
-        item: int,
-        distance: float,
-        may: List[bool],
-        omask: Optional[bytearray],
-        seen_objects: set,
-        counters: List[int],
-        state: _DirectoryState,
-        rnet_slots: Set[int],
-    ) -> int:
-        """SearchObject + ChoosePath for one popped node; returns next seq.
-
-        The incremental iterator's expansion step — identical decisions to
-        the inlined loop in :meth:`_search`.  Runs the scalar path on
-        every backend (the aggregate lockstep pulls one node at a time, so
-        there is no batch to vectorise); the array views come from the
-        per-snapshot cache, so a pop costs no view construction.
-        """
-        push = heapq.heappush
-        obj_start, obj_id, obj_delta = self._object_views(state)
-        (
-            entry_start, entry_rnet, entry_next,
-            sc_start, sc_target, sc_weight,
-            ed_start, ed_target, ed_weight,
-            local_start, local_target, local_weight,
-        ) = self._array_views()
-        for j in range(obj_start[item], obj_start[item + 1]):
-            oid = obj_id[j]
-            if oid in seen_objects:
-                continue
-            if omask is None or omask[j]:
-                push(heap, (distance + obj_delta[j], seq, ~oid))
-                seq += 1
-        i = entry_start[item]
-        end = entry_start[item + 1]
-        if i == end:
-            # Non-border node: a single leaf of physical edges (Fig 6, n_q).
-            for j in range(local_start[item], local_start[item + 1]):
-                push(heap, (distance + local_weight[j], seq, local_target[j]))
-                seq += 1
-                counters[2] += 1
-            return seq
-        while i < end:
-            rnet_slots.add(entry_rnet[i])
-            if may[entry_rnet[i]]:
-                nxt = entry_next[i]
-                if nxt == i + 1:
-                    # Finest Rnet with objects of interest: traverse edges.
-                    for j in range(ed_start[i], ed_start[i + 1]):
-                        push(heap, (distance + ed_weight[j], seq, ed_target[j]))
-                        seq += 1
-                        counters[2] += 1
-                else:
-                    counters[5] += 1
-                i += 1
-            else:
-                # Bypass: jump straight to the Rnet's other border nodes.
-                counters[4] += 1
-                for j in range(sc_start[i], sc_start[i + 1]):
-                    push(heap, (distance + sc_weight[j], seq, sc_target[j]))
-                    seq += 1
-                    counters[3] += 1
-                i = entry_next[i]
-        return seq
+        seeds: Iterable[int],
+        predicate: Predicate,
+        stats: Optional[SearchStats],
+        directory: Optional[str],
+        **stop: Any,
+    ) -> List[ResultEntry]:
+        """One sweep run to its stop rule, as result rows in pop order."""
+        return [
+            ResultEntry(oid, distance)
+            for distance, oid in self._sweep(
+                seeds, predicate, stats, directory, **stop
+            )
+        ]
 
     def _code(self, node: int) -> int:
         """One node id's dense code; unknown ids raise like the queries."""
@@ -2021,70 +1706,6 @@ class FrozenRoad(QueryExecutor):
             return self._index[node]
         except KeyError:
             raise FrozenRoadError(f"node {node} not in frozen index") from None
-
-    def _frontier_expand(
-        self,
-        state: _DirectoryState,
-        may: Sequence[bool],
-        omask: Optional[bytearray],
-        counters: List[int],
-        rnet_slots: Set[int],
-    ) -> Expand:
-        """The multi-source kernel's expansion step over the CSR spans.
-
-        The frontier twin of :meth:`_expand`: identical decisions in
-        identical order (objects first, then the entry walk), pushing
-        through the shared :class:`~repro.core.search._Frontier` instead
-        of the raw heap — which is what keeps the multi-source sweeps
-        push-for-push identical to the charged engine.  ``counters``
-        accumulates edge/shortcut/Rnet work (indexes 2..5 of
-        :meth:`_flush_stats`); the kernel itself counts the pops.
-        """
-        obj_start, obj_id, obj_delta = self._object_views(state)
-        (
-            entry_start, entry_rnet, entry_next,
-            sc_start, sc_target, sc_weight,
-            ed_start, ed_target, ed_weight,
-            local_start, local_target, local_weight,
-        ) = self._array_views()
-
-        def expand(
-            frontier: "_Frontier", item: int, distance: float,
-            seen_objects: Set[int],
-        ) -> None:
-            push_node = frontier.push_node
-            push_object = frontier.push_object
-            for j in range(obj_start[item], obj_start[item + 1]):
-                oid = obj_id[j]
-                if oid in seen_objects:
-                    continue
-                if omask is None or omask[j]:
-                    push_object(oid, distance + obj_delta[j])
-            i = entry_start[item]
-            end = entry_start[item + 1]
-            if i == end:
-                for j in range(local_start[item], local_start[item + 1]):
-                    push_node(local_target[j], distance + local_weight[j])
-                    counters[2] += 1
-                return
-            while i < end:
-                rnet_slots.add(entry_rnet[i])
-                if may[entry_rnet[i]]:
-                    if entry_next[i] == i + 1:
-                        for j in range(ed_start[i], ed_start[i + 1]):
-                            push_node(ed_target[j], distance + ed_weight[j])
-                            counters[2] += 1
-                    else:
-                        counters[5] += 1
-                    i += 1
-                else:
-                    counters[4] += 1
-                    for j in range(sc_start[i], sc_start[i + 1]):
-                        push_node(sc_target[j], distance + sc_weight[j])
-                        counters[3] += 1
-                    i = entry_next[i]
-
-        return expand
 
     def _flat_expand(self) -> ExpandFlat:
         """The OD sweep's step: a node's full physical adjacency.
@@ -2118,15 +1739,6 @@ class FrozenRoad(QueryExecutor):
 
         return expand_flat
 
-    @staticmethod
-    def _flush_stats(stats: SearchStats, counters: Sequence[int]) -> None:
-        stats.nodes_popped += counters[0]
-        stats.objects_popped += counters[1]
-        stats.edges_relaxed += counters[2]
-        stats.shortcuts_taken += counters[3]
-        stats.rnets_bypassed += counters[4]
-        stats.rnets_descended += counters[5]
-
     def _rnet_ids_by_slot(self) -> Tuple[int, ...]:
         """Rnet ids in slot order: the inverse of ``_rnet_index``.
 
@@ -2143,15 +1755,6 @@ class FrozenRoad(QueryExecutor):
             )
         return slot_rnets
 
-    def _flush_rnet_slots(
-        self, stats: SearchStats, rnet_slots: Set[int]
-    ) -> None:
-        """Translate one sweep's examined entry slots into the footprint."""
-        if rnet_slots:
-            stats.visited_rnets.update(
-                map(self._rnet_ids_by_slot().__getitem__, rnet_slots)
-            )
-
     def _flush_footprint(
         self,
         stats: SearchStats,
@@ -2163,11 +1766,12 @@ class FrozenRoad(QueryExecutor):
 
         ``visited`` is the pop-time bytearray (a code's byte is set to 1
         only when the node settles, matching the charged pop-time
-        recording) and ``heap`` the unpopped remnant — together the
-        *examined* set: the frontier boundary is part of the footprint
-        because a patch on an exactly-tied boundary node can reach into
-        the answer (charged twin: ``_Frontier.pending_nodes``).  Both
-        are read once after the sweep so the hot loop pays nothing extra.
+        recording) and ``heap`` the unpopped remnant, the entry that
+        tripped the bound included — together every node the sweep
+        pushed (see :meth:`_sweep`): the frontier boundary is part of
+        the footprint because a patch on an exactly-tied boundary node
+        can reach into the answer.  Both are read once after the sweep
+        so the hot loop pays nothing extra.
 
         Cost: one interpreter step per *settled* node.  The settled
         codes are found by hopping ``visited.find(1, pos)`` — a C
@@ -2185,29 +1789,10 @@ class FrozenRoad(QueryExecutor):
         stats.visited_nodes.update(
             node_ids[code] for _, _, code in heap if code >= 0
         )
-        self._flush_rnet_slots(stats, rnet_slots)
-
-
-def freeze_road(
-    road: "ROAD",
-    *,
-    directory: str = "objects",
-    backend: Optional[Union[str, ListBackend]] = None,
-) -> FrozenRoad:
-    """Deprecated alias for :meth:`ROAD.freeze` / :meth:`FrozenRoad.from_road`.
-
-    .. deprecated:: 1.1
-       Use ``road.freeze(...)`` directly, or serve through
-       :class:`repro.serving.RoadService` with
-       ``ServiceConfig(mode="frozen")``.
-    """
-    warnings.warn(
-        "road-repro deprecated: freeze_road() — use ROAD.freeze() or "
-        "repro.serving.RoadService (ServiceConfig(mode='frozen'))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return FrozenRoad.from_road(road, directory=directory, backend=backend)
+        if rnet_slots:
+            stats.visited_rnets.update(
+                map(self._rnet_ids_by_slot().__getitem__, rnet_slots)
+            )
 
 
 # ----------------------------------------------------------------------

@@ -12,10 +12,6 @@ representations, selected per snapshot:
   ``bytearray`` predicate masks, read through memoryviews in the query
   loops.  8 B per slot, no boxed elements: ≥4x smaller resident arrays
   than ``"list"`` with near-identical query latency.
-* ``"numpy"`` — the ``compact`` layout (the same stdlib buffers stay the
-  source of truth for in-place span patching) with zero-copy
-  ``np.frombuffer`` views that vectorise the span-relaxation inner loop.
-  Optional: requires the ``numpy`` extra.
 * ``"shm"`` — the ``compact`` layout stored in named
   ``multiprocessing.shared_memory`` segments
   (:class:`repro.core.shm_arrays.ShmVector`), so worker *processes*
@@ -26,8 +22,10 @@ representations, selected per snapshot:
 Every backend serves byte-identical answers — the equivalence probes
 (:func:`repro.eval.metrics.snapshot_divergences`) hold across all of them
 — and supports the incremental-freeze patch lifecycle: span rewrites are
-slice assignments (``arr[a:b] = values``), which lists, stdlib arrays,
-the numpy-over-stdlib layout and the shared-memory vectors all honour.
+slice assignments (``arr[a:b] = values``), which lists, stdlib arrays
+and the shared-memory vectors all honour.  None of them needs numpy: the
+optional extra serves the generators, placement and workload sampling
+only (:mod:`repro._optional`).
 
 Select a backend per call (``road.freeze(backend="compact")``), per engine
 (``ROADEngine(..., backend=...)``), or globally via ``REPRO_BACKEND`` /
@@ -51,7 +49,7 @@ FloatVector = Union[List[float], "array[float]", ShmVector]
 BoolMask = Union[List[bool], bytearray, ShmVector]
 
 #: Valid FrozenRoad array backends, in documentation order.
-BACKENDS = ("list", "compact", "numpy", "shm")
+BACKENDS = ("list", "compact", "shm")
 
 #: Environment variable overriding the default backend.
 BACKEND_ENV = "REPRO_BACKEND"
@@ -61,8 +59,6 @@ class ListBackend:
     """Plain Python lists of pre-boxed elements (the fast default)."""
 
     name = "list"
-    #: Whether :meth:`FrozenRoad._search` should take the vectorised path.
-    vectorised = False
     #: Whether ``FrozenRoad.apply`` may mutate arrays this backend built.
     #: Every live backend is patchable; the read-only mmap layout a
     #: snapshot file loads into (:func:`repro.core.serialize.load_snapshot`)
@@ -117,7 +113,6 @@ class CompactBackend(ListBackend):
     """Stdlib typed buffers: ``array('q')``/``array('d')`` + bytearrays."""
 
     name = "compact"
-    vectorised = False
 
     def int_array(self, values: Iterable[int]) -> IntVector:
         return array("q", values)
@@ -151,37 +146,6 @@ class CompactBackend(ListBackend):
         return sys.getsizeof(arr)
 
 
-class NumpyBackend(CompactBackend):
-    """The compact layout served through zero-copy numpy views.
-
-    Storage stays in the stdlib typed arrays (so the patch lifecycle's
-    slice assignments and size-changing object splices carry over
-    unchanged); queries build ``np.frombuffer`` views over the same
-    buffers and vectorise span relaxation.  Views are cached per snapshot
-    and dropped before any patch — a live buffer export would block the
-    resizing splices ``apply`` relies on.
-    """
-
-    name = "numpy"
-    vectorised = True
-
-    #: The imported numpy module; typed Any so the strict core does not
-    #: depend on numpy stubs being installed.
-    np: Any
-
-    def __init__(self) -> None:
-        import numpy  # may raise: surfaced by get_backend with guidance
-
-        self.np = numpy
-
-    def frombuffer(self, arr: "array[Any]", *, kind: str) -> Any:
-        """A zero-copy view over one stdlib buffer (``kind``: "i"/"f")."""
-        dtype = self.np.int64 if kind == "i" else self.np.float64
-        if len(arr) == 0:
-            return self.np.empty(0, dtype=dtype)
-        return self.np.frombuffer(arr, dtype=dtype)
-
-
 class ShmBackend(CompactBackend):
     """The compact layout in named shared-memory segments.
 
@@ -208,7 +172,6 @@ class ShmBackend(CompactBackend):
     """
 
     name = "shm"
-    vectorised = False
 
     def int_array(self, values: Iterable[int]) -> IntVector:
         return ShmVector("q", values)
@@ -232,8 +195,8 @@ class ShmBackend(CompactBackend):
 def get_backend(name: str) -> ListBackend:
     """Resolve a backend name to a backend instance.
 
-    Raises ``ValueError`` for unknown names and ``ImportError`` (with
-    install guidance) when ``"numpy"`` is requested but numpy is absent.
+    Raises ``ValueError`` for unknown names and ``OSError`` when
+    ``"shm"`` is requested on a host without POSIX shared memory.
     Case-insensitive, like every other backend config surface.
     """
     name = validate_backend_name(name)
@@ -241,16 +204,6 @@ def get_backend(name: str) -> ListBackend:
         return ListBackend()
     if name == "compact":
         return CompactBackend()
-    if name == "numpy":
-        try:
-            return NumpyBackend()
-        except ImportError as exc:
-            raise ImportError(
-                "FrozenRoad backend 'numpy' requires the optional numpy "
-                "dependency: install it with pip install 'road-repro[numpy]' "
-                "(or pip install numpy), or use backend='compact' for the "
-                "stdlib-only typed-array layout"
-            ) from exc
     if name == "shm":
         if not shared_memory_available():
             raise OSError(
@@ -305,16 +258,11 @@ def installed_backends() -> Tuple[str, ...]:
     """The backends constructible in this environment, in BACKENDS order.
 
     ``"list"`` and ``"compact"`` are stdlib-only and always present;
-    ``"numpy"`` appears when the optional dependency imports, ``"shm"``
-    when the host provides POSIX shared memory (``/dev/shm``).
+    ``"shm"`` appears when the host provides POSIX shared memory
+    (``/dev/shm``).
     """
-    available = ["list", "compact"]
-    try:
-        get_backend("numpy")
-    except ImportError:
-        pass
-    else:
-        available.append("numpy")
-    if shared_memory_available():
-        available.append("shm")
-    return tuple(available)
+    return tuple(
+        name
+        for name in BACKENDS
+        if name != "shm" or shared_memory_available()
+    )

@@ -1,30 +1,25 @@
-"""Shared batched multi-source search core for the network workloads.
+"""The OD-matrix kernel and the row shapers of the network workloads.
 
 The paper's LDSQs expand from one query node; production road-network
 traffic is dominated by many-to-many and reachability shapes (OD cost
 matrices, service-area isochrones, "nearest charger along my route").
-All of them are the same sweep with S sources instead of one, so this
-module hosts the one kernel every engine rides:
+Two of the three are object searches and ride each engine's one sweep
+(:func:`repro.core.search.object_sweep`,
+:meth:`repro.core.frozen.FrozenRoad._sweep`): ``ServiceAreaQuery`` is
+its radius-bounded form cut into breaks by :func:`bucket_entries`,
+``RouteKNNQuery`` its multi-seed, tie-draining k-bounded form.
 
-* :func:`multi_source_objects` — one frontier seeded with every source
-  at distance 0, popping objects in non-descending *minimum-over-seeds*
-  distance.  ``ServiceAreaQuery`` is the radius-bounded form,
-  ``RouteKNNQuery`` the k-bounded form.  Because there is a single
-  frontier, the per-predicate Rnet masks and the
-  :class:`~repro.core.search.AbstractCache` decisions are paid once for
-  all S sources, the way ``execute_many`` amortises them across a batch.
-* :func:`od_matrix_generic` — a lane-tagged multi-source Dijkstra over
-  the flat physical adjacency: one shared heap carries entries for all S
-  source lanes, each lane settling its targets and retiring as soon as
-  the last one is found.  Final distances are push-order independent, so
-  charged and frozen expansions agree byte-for-byte even though they
-  enumerate edges in different orders.
-
-The expansion step is a callable the engine supplies: the charged side
-closes over :func:`~repro.core.search._choose_path_cached`, the frozen
-side over its CSR span walk (:meth:`repro.core.frozen.FrozenRoad`), and
-both push into the same :class:`~repro.core.search._Frontier`, which is
-what makes the collect sweeps push-for-push identical across engines.
+The third is not, and stays its own loop here on purpose:
+:func:`od_matrix_generic` is a lane-tagged multi-source Dijkstra over
+the flat physical adjacency — one shared heap carries entries for all S
+source lanes, each lane settling its targets and retiring as soon as the
+last one is found.  It looks up no objects, consults no Rnet abstract
+and takes no shortcut, so it shares no decision with the object sweep;
+folding it in would make that sweep branch on its caller at every pop.
+Its expansion step is a callable the engine supplies (the charged side
+reads ``overlay.neighbours``, the frozen side one contiguous CSR span);
+final distances are push-order independent, so the two agree
+byte-for-byte even though they enumerate edges in different orders.
 """
 
 from __future__ import annotations
@@ -33,7 +28,7 @@ import heapq
 from bisect import bisect_left
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.search import SearchStats, _Frontier
+from repro.core.search import SearchStats
 from repro.queries.types import (
     ODMatrixEntry,
     ResultEntry,
@@ -44,87 +39,10 @@ from repro.queries.types import (
 
 _INF = float("inf")
 
-#: One engine-supplied expansion step for the collect sweep:
-#: ``expand(frontier, node, distance, seen_objects)`` pushes the node's
-#: matching objects (skipping ids already in ``seen_objects``) and its
-#: outgoing moves (edges / shortcuts / span walks) into the frontier.
-Expand = Callable[[_Frontier, int, float, Set[int]], None]
-
 #: One engine-supplied flat-adjacency step for the OD sweep:
 #: ``expand_flat(node, distance, push)`` calls ``push(neighbour,
 #: distance + weight)`` for every physical edge out of ``node``.
 ExpandFlat = Callable[[int, float, Callable[[int, float], None]], None]
-
-
-def multi_source_objects(
-    seeds: Sequence[int],
-    expand: Expand,
-    *,
-    radius: float = _INF,
-    k: Optional[int] = None,
-    stats: Optional[SearchStats] = None,
-    node_ids: Optional[Sequence[int]] = None,
-) -> List[ResultEntry]:
-    """Matching objects reachable from any seed, nearest seed first.
-
-    Every seed enters one shared frontier at distance 0 (duplicates
-    collapse), so a popped object's distance is the minimum over seeds —
-    the detour distance for a route, the coverage distance for a service
-    area.  ``radius`` bounds the sweep inclusively (``distance <=
-    radius`` qualifies, matching RangeSearch); ``k`` stops it after the
-    k-th object, draining distance ties first so the returned prefix is
-    the canonical (distance, object id) cut rather than an artifact of
-    push order.
-
-    ``node_ids`` translates the engine's frontier items back to real
-    node ids for the ``stats.visited_nodes`` footprint (the frozen
-    engine sweeps dense codes; the charged engine passes ``None`` and
-    records items as-is).
-    """
-    frontier = _Frontier()
-    seeded: Set[int] = set()
-    for node in seeds:
-        if node not in seeded:
-            seeded.add(node)
-            frontier.push_node(node, 0.0)
-    visited: Set[int] = set()
-    seen_objects: Set[int] = set()
-    result: List[ResultEntry] = []
-    tie_bound: Optional[float] = None
-    while frontier:
-        distance, is_object, item, _origin = frontier.pop()
-        if distance > radius:
-            break  # everything else is farther: the bounded space is done
-        if tie_bound is not None and distance > tie_bound:
-            break  # k answers found and their distance ties are drained
-        if is_object:
-            if item in seen_objects:
-                continue
-            seen_objects.add(item)
-            if stats is not None:
-                stats.objects_popped += 1
-            result.append(ResultEntry(item, distance))
-            if k is not None and tie_bound is None and len(result) >= k:
-                tie_bound = distance
-            continue
-        if item in visited:
-            continue
-        visited.add(item)
-        if stats is not None:
-            stats.nodes_popped += 1
-        expand(frontier, item, distance, seen_objects)
-    if stats is not None:
-        # Settled nodes plus the frontier boundary: every node whose
-        # distance the sweep examined (see _Frontier.pending_nodes).
-        examined = visited.union(frontier.pending_nodes())
-        if node_ids is None:
-            stats.visited_nodes.update(examined)
-        else:
-            stats.visited_nodes.update(node_ids[item] for item in examined)
-    result = sort_result(result)
-    if k is not None:
-        del result[k:]
-    return result
 
 
 def od_matrix_generic(
@@ -229,7 +147,8 @@ def normalize_breaks(breaks: Sequence[float]) -> Tuple[float, ...]:
 def bucket_entries(
     entries: Sequence[ResultEntry], breaks: Sequence[float]
 ) -> List[ServiceAreaEntry]:
-    """Tag range answers with the index of the first break covering them.
+    """Range answers in canonical (distance, object id) order, each
+    tagged with the index of the first break covering it.
 
     ``breaks`` must be sorted ascending (the query dataclass normalises)
     and the entries already cut at ``max(breaks)`` by the sweep's radius.
@@ -238,5 +157,5 @@ def bucket_entries(
         ServiceAreaEntry(
             entry.object_id, entry.distance, bisect_left(breaks, entry.distance)
         )
-        for entry in entries
+        for entry in sort_result(list(entries))
     ]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.core.association_directory import AssociationDirectory
 from repro.core.paths import PathTracer
@@ -34,9 +34,11 @@ class SearchStats:
     """Traversal counters for one query (used by the evaluation and tests).
 
     Besides the scalar counters, a search records its *footprint*: the
-    node ids it settled (``visited_nodes``) and the Rnet ids whose
-    Association Directory abstract it consulted (``visited_rnets``,
-    every entry examined by ChoosePath — bypassed, descended, or leaf).
+    node ids it pushed (``visited_nodes`` — settled, still queued when
+    it stopped, or popped beyond its bound; see :func:`object_sweep`)
+    and the Rnet ids whose Association Directory abstract it consulted
+    (``visited_rnets``, every entry examined by ChoosePath — bypassed,
+    descended, or leaf).
     The footprint is the identity set a ``MaintenanceReport``'s dirty
     nodes/Rnets must intersect for a patch to possibly change the
     answer, which is what the serving result cache keys invalidation
@@ -86,10 +88,6 @@ class AbstractCache:
             cached = self._directory.rnet_may_contain(rnet_id, self._predicate)
             self._memo[rnet_id] = cached
         return cached
-
-
-#: Backwards-compatible private alias (pre-batch-API name).
-_AbstractCache = AbstractCache
 
 
 class _Frontier:
@@ -152,6 +150,95 @@ class _Frontier:
         return bool(self._heap)
 
 
+def object_sweep(
+    overlay: RouteOverlay,
+    directory: AssociationDirectory,
+    seeds: Iterable[int],
+    predicate: Predicate = ANY,
+    stats: Optional[SearchStats] = None,
+    tracer: Optional[PathTracer] = None,
+    abstracts: Optional[AbstractCache] = None,
+    *,
+    k: Optional[int] = None,
+    radius: float = float("inf"),
+    drain_ties: bool = False,
+) -> Iterator[Tuple[float, int]]:
+    """The one charged expansion: yield (distance, object_id), nearest first.
+
+    Every query kind is this loop with a different stop rule.  Each seed
+    enters one frontier at distance 0 (duplicates collapse), so a yielded
+    distance is the minimum over seeds; each pop is SearchObject then
+    ChoosePath on the settled node.  The sweep ends when the frontier
+    runs dry, when a pop lies beyond ``radius`` (inclusive bound), or
+    after the ``k``-th object — at once, or, with ``drain_ties``, once
+    the objects tied with the k-th are out too, so a consumer can cut
+    the canonical (distance, id) prefix instead of a push-order one.
+    It advances only as far as the consumer pulls.
+
+    ``stats.visited_nodes`` ends up holding **every node the sweep
+    pushed**: the settled nodes, the nodes still queued when it ends or
+    is closed, and the node (if it is one) whose pop tripped the bound —
+    the same rule as :meth:`repro.core.frozen.FrozenRoad._sweep`, which
+    skips pushes to settled nodes where this frontier keeps them as
+    stale duplicates; a skipped target is in the settled set already, so
+    the two engines report identical footprints.
+    """
+    stats = stats if stats is not None else SearchStats()
+    frontier = _Frontier()
+    for node in dict.fromkeys(seeds):
+        frontier.push_node(node, 0.0)
+    visited_nodes: Set[int] = set()
+    visited_objects: Set[int] = set()
+    if abstracts is None:
+        abstracts = AbstractCache(directory, predicate)
+    found = 0
+    try:
+        while frontier:
+            distance, is_object, item, origin = frontier.pop()
+            if distance > radius:
+                # Everything else is farther: the bounded space is done.
+                if not is_object:
+                    stats.visited_nodes.add(item)
+                break
+            if is_object:
+                if item in visited_objects:
+                    continue
+                visited_objects.add(item)
+                stats.objects_popped += 1
+                if tracer is not None and origin is not None:
+                    tracer.record_object(item, origin[0], origin[1])
+                found += 1
+                yield distance, item
+                if found == k:
+                    if not drain_ties:
+                        break
+                    radius = distance  # only the k-th's ties remain
+                continue
+            if item in visited_nodes:
+                continue
+            visited_nodes.add(item)
+            stats.nodes_popped += 1
+            stats.visited_nodes.add(item)
+            if tracer is not None and origin is not None:
+                tracer.record_node(item, origin[0], origin[1])
+            _collect_node_objects(
+                directory, frontier, item, distance, predicate, visited_objects
+            )
+            _choose_path_cached(
+                overlay, abstracts, frontier, item, distance, stats
+            )
+    finally:
+        stats.visited_nodes.update(frontier.pending_nodes())
+
+
+def sweep_results(*args: Any, **kwargs: Any) -> List[ResultEntry]:
+    """One :func:`object_sweep` run to its stop rule, as rows in pop order."""
+    return [
+        ResultEntry(item, distance)
+        for distance, item in object_sweep(*args, **kwargs)
+    ]
+
+
 def knn_search(
     overlay: RouteOverlay,
     directory: AssociationDirectory,
@@ -172,39 +259,10 @@ def knn_search(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    stats = stats if stats is not None else SearchStats()
-    frontier = _Frontier()
-    frontier.push_node(query_node, 0.0)
-    visited_nodes: Set[int] = set()
-    visited_objects: Set[int] = set()
-    result: List[ResultEntry] = []
-    if abstracts is None:
-        abstracts = AbstractCache(directory, predicate)
-
-    while frontier and len(result) < k:
-        distance, is_object, item, origin = frontier.pop()
-        if is_object:
-            if item in visited_objects:
-                continue
-            visited_objects.add(item)
-            stats.objects_popped += 1
-            if tracer is not None and origin is not None:
-                tracer.record_object(item, origin[0], origin[1])
-            result.append(ResultEntry(item, distance))
-            continue
-        if item in visited_nodes:
-            continue
-        visited_nodes.add(item)
-        stats.nodes_popped += 1
-        stats.visited_nodes.add(item)
-        if tracer is not None and origin is not None:
-            tracer.record_node(item, origin[0], origin[1])
-        _collect_node_objects(
-            directory, frontier, item, distance, predicate, visited_objects
-        )
-        _choose_path_cached(overlay, abstracts, frontier, item, distance, stats)
-    stats.visited_nodes.update(frontier.pending_nodes())
-    return result
+    return sweep_results(
+        overlay, directory, (query_node,), predicate, stats, tracer,
+        abstracts, k=k,
+    )
 
 
 def range_search(
@@ -224,41 +282,10 @@ def range_search(
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    stats = stats if stats is not None else SearchStats()
-    frontier = _Frontier()
-    frontier.push_node(query_node, 0.0)
-    visited_nodes: Set[int] = set()
-    visited_objects: Set[int] = set()
-    result: List[ResultEntry] = []
-    if abstracts is None:
-        abstracts = AbstractCache(directory, predicate)
-
-    while frontier:
-        distance, is_object, item, origin = frontier.pop()
-        if distance > radius:
-            break  # everything else is farther: the bounded space is done
-        if is_object:
-            if item in visited_objects:
-                continue
-            visited_objects.add(item)
-            stats.objects_popped += 1
-            if tracer is not None and origin is not None:
-                tracer.record_object(item, origin[0], origin[1])
-            result.append(ResultEntry(item, distance))
-            continue
-        if item in visited_nodes:
-            continue
-        visited_nodes.add(item)
-        stats.nodes_popped += 1
-        stats.visited_nodes.add(item)
-        if tracer is not None and origin is not None:
-            tracer.record_node(item, origin[0], origin[1])
-        _collect_node_objects(
-            directory, frontier, item, distance, predicate, visited_objects
-        )
-        _choose_path_cached(overlay, abstracts, frontier, item, distance, stats)
-    stats.visited_nodes.update(frontier.pending_nodes())
-    return result
+    return sweep_results(
+        overlay, directory, (query_node,), predicate, stats, tracer,
+        abstracts, radius=radius,
+    )
 
 
 def iter_nearest_objects(
@@ -268,48 +295,19 @@ def iter_nearest_objects(
     predicate: Predicate = ANY,
     stats: Optional[SearchStats] = None,
     abstracts: Optional[AbstractCache] = None,
-):
+) -> Iterator[Tuple[float, int]]:
     """Lazily yield matching objects in non-descending network distance.
 
-    The incremental form of kNNSearch: the expansion advances only as far
-    as the consumer pulls.  Used by aggregate queries
+    The incremental form of kNNSearch: the unbounded sweep, advancing
+    only as far as the consumer pulls.  Used by aggregate queries
     (:mod:`repro.core.aggregate`) that interleave several expansions — a
     shared :class:`AbstractCache` lets them reuse Rnet-pruning decisions
     across expansions (and, via batch callers, across queries).
     """
-    stats = stats if stats is not None else SearchStats()
-    frontier = _Frontier()
-    frontier.push_node(query_node, 0.0)
-    visited_nodes: Set[int] = set()
-    visited_objects: Set[int] = set()
-    if abstracts is None:
-        abstracts = AbstractCache(directory, predicate)
-
-    try:
-        while frontier:
-            distance, is_object, item, _ = frontier.pop()
-            if is_object:
-                if item in visited_objects:
-                    continue
-                visited_objects.add(item)
-                stats.objects_popped += 1
-                yield distance, item
-                continue
-            if item in visited_nodes:
-                continue
-            visited_nodes.add(item)
-            stats.nodes_popped += 1
-            stats.visited_nodes.add(item)
-            _collect_node_objects(
-                directory, frontier, item, distance, predicate, visited_objects
-            )
-            _choose_path_cached(
-                overlay, abstracts, frontier, item, distance, stats
-            )
-    finally:
-        # The frontier boundary joins the footprint when the consumer
-        # stops pulling — see :meth:`_Frontier.pending_nodes`.
-        stats.visited_nodes.update(frontier.pending_nodes())
+    return object_sweep(
+        overlay, directory, (query_node,), predicate, stats,
+        abstracts=abstracts,
+    )
 
 
 def choose_path(

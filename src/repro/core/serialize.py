@@ -386,7 +386,6 @@ class _SnapshotViewBackend(CompactBackend):
     """
 
     name = "mmap"
-    vectorised = False
     patchable = False
 
     def __init__(self, source: _SnapshotFile) -> None:

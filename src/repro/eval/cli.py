@@ -95,9 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=BACKENDS,
         help="FrozenRoad array backend: pre-boxed lists (fastest), "
-        "compact stdlib typed buffers (~4x less memory), or numpy "
-        "vectorised views (optional extra) (sets REPRO_BACKEND, a "
-        "ServiceConfig.from_env override)",
+        "compact stdlib typed buffers (~4x less memory), or the compact "
+        "layout in shared-memory segments for process shards (sets "
+        "REPRO_BACKEND, a ServiceConfig.from_env override)",
     )
     parser.add_argument(
         "--replica-mode",

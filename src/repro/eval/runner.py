@@ -11,7 +11,6 @@ facade (async front-end included) for serving-shaped callers.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Optional, Sequence
 
 from repro.baselines import SearchEngine
@@ -24,39 +23,6 @@ from repro.storage.pager import PageManager
 
 #: Engine labels in the order the figures list them.
 ENGINE_ORDER = ("NetExp", "Euclidean", "DistIdx", "ROAD")
-
-
-def road_mode() -> str:
-    """Deprecated: read ``ServiceConfig.from_env().mode`` instead."""
-    warnings.warn(
-        "road-repro deprecated: road_mode() — use "
-        "repro.serving.ServiceConfig.from_env().mode",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return ServiceConfig.from_env().mode
-
-
-def road_backend() -> Optional[str]:
-    """Deprecated: read ``ServiceConfig.from_env().backend`` instead."""
-    warnings.warn(
-        "road-repro deprecated: road_backend() — use "
-        "repro.serving.ServiceConfig.from_env().backend",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return ServiceConfig.from_env().backend
-
-
-def road_maintenance() -> str:
-    """Deprecated: read ``ServiceConfig.from_env().maintenance`` instead."""
-    warnings.warn(
-        "road-repro deprecated: road_maintenance() — use "
-        "repro.serving.ServiceConfig.from_env().maintenance",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return ServiceConfig.from_env().maintenance
 
 
 def make_objects(

@@ -11,8 +11,8 @@ flush-everything:
 
 * Every entry records the **footprint** its answer touched — the node
   and Rnet visit sets from :class:`~repro.core.search.SearchStats`
-  (settled nodes *plus* the frontier boundary; see
-  ``_Frontier.pending_nodes``) united with the query's own nodes — as
+  (every node the sweep pushed: settled, still queued, or popped
+  beyond its bound) united with the query's own nodes — as
   two frozensets, built once by the replica that executed the miss.
 * Every :class:`~repro.core.maintenance.MaintenanceReport` carries the
   dirty identity sets of what it changed (``dirty_nodes`` /

@@ -141,6 +141,19 @@ def test_ra004_cached_slot_table_must_be_dropped(tmp_path):
     ) == []
 
 
+def test_ra004_numpy_view_builders_are_no_longer_factories(tmp_path):
+    """The numpy backend's view builders left the registry with it: a
+    `frombuffer` view is ad hoc wherever it is built."""
+    (finding,) = _check(
+        tmp_path,
+        "class FrozenRoad:\n"
+        "    def _numpy_views(self):\n"
+        "        return self._backend.frombuffer(self._sc_weight)\n",
+        "RA004",
+    )
+    assert "zero-copy view created in _numpy_views" in finding.message
+
+
 def test_ra006_owner_guarded_lifecycle_passes(tmp_path):
     (tmp_path / "shm_arrays.py").write_text(
         "from multiprocessing.shared_memory import SharedMemory\n"
@@ -216,6 +229,13 @@ def test_ra005_type_checking_guard_passes(tmp_path):
 def test_ra005_gate_module_is_allowed(tmp_path):
     (tmp_path / "_optional.py").write_text("import numpy\n")
     assert analyze_path(tmp_path, rule_ids=["RA005"]) == []
+
+
+def test_ra005_backend_module_is_no_longer_allowed(tmp_path):
+    """No backend needs numpy, so `frozen_backends.py` lost its pass."""
+    (tmp_path / "frozen_backends.py").write_text("import numpy\n")
+    (finding,) = analyze_path(tmp_path, rule_ids=["RA005"])
+    assert finding.path == "frozen_backends.py"
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,20 @@
 """FrozenRoad: compiled fast path equivalence, isolation, batch API.
 
 The ``frozen`` fixture is parametrised over every installed array backend
-(list / compact / numpy), so the whole equivalence + patch contract runs
+(list / compact / shm), so the whole equivalence + patch contract runs
 per backend.
 """
-
-import sys
 
 import pytest
 
 from repro.baselines.engine import EngineError
 from repro.baselines.road_adapter import ROADEngine
 from repro.core.framework import ROAD
-from repro.core.frozen import FrozenRoad, FrozenRoadError, freeze_road
+from repro.core.frozen import FrozenRoad, FrozenRoadError
 from repro.core.frozen_backends import installed_backends
 from repro.core.search import SearchStats, iter_nearest_objects
 from repro.graph.network import RoadNetwork
-from repro.objects.model import SpatialObject
+from repro.objects.model import ObjectSet, SpatialObject
 from repro.objects.placement import place_uniform
 from repro.queries.types import (
     ANY,
@@ -44,7 +42,8 @@ def frozen(built, request):
 
     Every test taking this fixture asserts the compiled fast path — and
     the apply() patch lifecycle — per backend, so "list", "compact" and
-    (when installed) "numpy" all hold the same equivalence contract.
+    (where the host has /dev/shm) "shm" all hold the same equivalence
+    contract.
     """
     _, _, road = built
     return road.freeze(backend=request.param)
@@ -123,9 +122,10 @@ class TestBatch:
     def test_predicate_masks_are_shared(self, frozen):
         pred = Predicate.of(type="a")
         frozen.knn(0, 2, pred)
-        mask = frozen._rnet_masks[pred]
+        mask = frozen._state().rnet_masks[pred]
         frozen.range(9, 5.0, pred)
-        assert frozen._rnet_masks[pred] is mask  # compiled once per predicate
+        # compiled once per predicate
+        assert frozen._state().rnet_masks[pred] is mask
 
 
 class TestSnapshotSemantics:
@@ -155,12 +155,6 @@ class TestSnapshotSemantics:
         road = ROAD.build(medium_grid, levels=2)
         with pytest.raises(KeyError):
             road.freeze(directory="missing")
-
-    def test_freeze_road_helper_is_deprecated_shim(self, built):
-        _, _, road = built
-        with pytest.warns(DeprecationWarning, match="road-repro deprecated"):
-            snapshot = freeze_road(road)
-        assert snapshot.knn(0, 2) == road.knn(0, 2)
 
     def test_execute_dispatch(self, frozen):
         assert frozen.execute(KNNQuery(0, 2)) == frozen.knn(0, 2)
@@ -248,7 +242,8 @@ class TestFrozenEngineMode:
 
 class TestIncrementalStats:
     def test_partial_iterator_reports_stats(self, built, frozen):
-        """Stats update at each yield, like the charged iterator."""
+        """A sweep closed after one pull reports the work done so far —
+        counters and footprint — exactly like the charged iterator."""
         _, _, road = built
         s_frozen, s_charged = SearchStats(), SearchStats()
         lazy = frozen.iter_nearest_objects(0, stats=s_frozen)
@@ -260,6 +255,76 @@ class TestIncrementalStats:
         charged.close()
         assert s_frozen.objects_popped == s_charged.objects_popped == 1
         assert s_frozen == s_charged
+
+
+class TestFootprintRule:
+    """The footprint is every node the sweep pushed: settled, still
+    queued, or popped beyond the bound — whichever engine swept.
+
+    The charged frontier keeps a push to an already-settled node as a
+    stale duplicate; the frozen sweep skips it.  Here that makes the two
+    engines trip the radius on different entries: from `Q`, `X` settles
+    at 2 via `M`; `N` settles at 3 and relaxes `X` again (at 9) and the
+    unsettled `Y` (at 9.5).  With radius 8 the charged sweep breaks on
+    the stale `X`, the frozen one on the live `Y` — which a "drop the
+    breaking pop" footprint loses on one engine only.
+    """
+
+    Q, M, X, N, Y = range(5)
+
+    @pytest.fixture
+    def road(self):
+        Q, M, X, N, Y = range(5)
+        net = RoadNetwork()
+        for node, (x, y) in enumerate(
+            [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (0.0, 3.0), (0.0, 9.5)]
+        ):
+            net.add_node(node, x, y)
+        edges = [(Q, M, 1.0), (M, X, 1.0), (Q, N, 3.0), (N, X, 6.0), (N, Y, 6.5)]
+        objects = ObjectSet()
+        # One object near the first endpoint of every edge, so no Rnet is
+        # bypassed and no object entry lands between the radius and Y.
+        for object_id, (u, v, weight) in enumerate(edges):
+            net.add_edge(u, v, weight)
+            objects.add(SpatialObject(object_id, (u, v), 0.1))
+        road = ROAD.build(net, levels=2, fanout=2)
+        road.attach_objects(objects)
+        return road
+
+    @pytest.mark.parametrize("backend", installed_backends())
+    @pytest.mark.parametrize(
+        "run",
+        [
+            pytest.param(
+                lambda e, stats: e.range(0, 8.0, stats=stats), id="range"
+            ),
+            pytest.param(
+                lambda e, stats: e.service_area(0, [4.0, 8.0], stats=stats),
+                id="service_area",
+            ),
+            pytest.param(
+                # k-th answer at 1.1 (via M); the tie drain trips on X at 2
+                lambda e, stats: e.route_knn([0], 3, stats=stats),
+                id="route_knn-tie-drain",
+            ),
+        ],
+    )
+    def test_whole_stats_match_across_engines(self, road, backend, run):
+        frozen = road.freeze(backend=backend)
+        s_frozen, s_charged = SearchStats(), SearchStats()
+        assert run(frozen, s_frozen) == run(road, s_charged)
+        assert s_frozen == s_charged
+
+    def test_the_node_that_tripped_the_bound_is_examined(self, road):
+        for engine in (road, road.freeze()):
+            stats = SearchStats()
+            engine.range(self.Q, 8.0, stats=stats)
+            assert stats.nodes_popped == 4  # Q, M, X, N settle; Y does not
+            assert stats.visited_nodes == {self.Q, self.M, self.X, self.N, self.Y}
+            stats = SearchStats()
+            engine.route_knn([self.Q], 3, stats=stats)
+            assert stats.nodes_popped == 2  # Q and M
+            assert stats.visited_nodes == {self.Q, self.M, self.X, self.N}
 
 
 def _brute_force_footprint(frozen, visited, heap):
@@ -302,8 +367,8 @@ class TestFootprint:
     def test_every_search_loop_flushes_the_brute_force_set(
         self, built, frozen, monkeypatch
     ):
-        """Real sweeps on every backend (the list/compact scalar loop
-        and numpy's `_search_vec` share the one flush)."""
+        """Real sweeps on every backend: the one `_sweep` flushes once
+        per query, whatever its stop rule."""
         net, _, road = built
         real, settled_counts = frozen._flush_footprint, []
 
@@ -379,8 +444,8 @@ class TestMaskCacheBound:
 
         for i in range(MAX_CACHED_PREDICATES + 40):
             frozen.knn(0, 1, Predicate.of(type=f"p{i}"))
-        assert len(frozen._rnet_masks) <= MAX_CACHED_PREDICATES
-        assert len(frozen._obj_masks) <= MAX_CACHED_PREDICATES
+        assert len(frozen._state().rnet_masks) <= MAX_CACHED_PREDICATES
+        assert len(frozen._state().obj_masks) <= MAX_CACHED_PREDICATES
         # An evicted predicate still answers correctly (recompiled).
         assert frozen.knn(0, 2, Predicate.of(type="a")) == frozen.knn(
             0, 2, Predicate.of(type="a")
@@ -481,6 +546,31 @@ class TestApplyPatch:
         for node in (a, b, 42):
             assert frozen.knn(node, 4) == fresh.knn(node, 4)
 
+    def test_apply_while_a_sweep_is_suspended(self, built, frozen):
+        """The documented caveat: a paused iterator holds the array views
+        in its frame, so on `compact` (stdlib buffers refuse to resize
+        under a live export) a size-changing object splice raises
+        `BufferError`, before writing anything, until it is closed."""
+        _, _, road = built
+        lazy = frozen.iter_nearest_objects(0)
+        next(lazy)
+        u, v, d = next(iter(road.network.edges()))
+        report = road.insert_object(
+            SpatialObject(road.directory().objects.next_id(), (u, v), d / 2)
+        )
+        if frozen.backend != "compact":
+            # lists export nothing; shm vectors splice inside their segment
+            assert frozen.apply(report) == "patched"
+        else:
+            with pytest.raises(BufferError):
+                frozen.apply(report)
+            assert frozen._views is None  # `_drop_views` ran first
+            lazy.close()
+            assert frozen.apply(report) == "patched"
+        fresh = road.freeze()
+        for node in (u, v, 42):
+            assert frozen.knn(node, 5) == fresh.knn(node, 5)
+
     def test_apply_without_source_raises(self, built):
         _, _, road = built
         node_entries, abstracts = road.directory().export_entries()
@@ -535,8 +625,6 @@ class TestBackends:
             for name in installed_backends()
         }
         assert by_backend["compact"] < by_backend["list"] / 2
-        if "numpy" in by_backend:  # same stdlib buffers underneath
-            assert by_backend["numpy"] == by_backend["compact"]
 
     def test_unknown_backend_rejected(self, built):
         _, _, road = built
@@ -550,11 +638,12 @@ class TestBackends:
                 backend="arrow",
             )
 
-    def test_numpy_backend_requires_numpy(self, built, monkeypatch):
-        """Without numpy, backend="numpy" raises a clear ImportError."""
-        monkeypatch.setitem(sys.modules, "numpy", None)  # hide if installed
+    def test_numpy_backend_is_gone(self, built):
+        """freeze(backend="numpy") is an unknown name like any other."""
         _, _, road = built
-        with pytest.raises(ImportError, match="road-repro\\[numpy\\]"):
+        with pytest.raises(
+            ValueError, match=r"must be one of \('list', 'compact', 'shm'\)"
+        ):
             road.freeze(backend="numpy")
 
     def test_env_default_backend(self, built, monkeypatch):
@@ -764,6 +853,20 @@ class TestFrozenAggregate:
         query = AggregateKNNQuery((0, 99), 3, "max")
         assert frozen.execute(query) == road.execute(query)
         assert frozen.execute_many([query]) == road.execute_many([query])
+
+    def test_aggregate_flushes_every_expansion_before_returning(
+        self, built, frozen
+    ):
+        """`aggregate_knn` closes its sweeps, so each one's counters and
+        footprint are in `stats` by the time the answer is."""
+        _, _, road = built
+        s_frozen, s_charged = SearchStats(), SearchStats()
+        assert frozen.aggregate_knn(
+            [0, 55, 99], 3, stats=s_frozen
+        ) == road.aggregate_knn([0, 55, 99], 3, stats=s_charged)
+        assert s_frozen == s_charged
+        assert {0, 55, 99} <= s_frozen.visited_nodes
+        assert s_frozen.nodes_popped >= 3 and s_frozen.visited_rnets
 
     def test_aggregate_zero_pager_traffic(self, built, frozen):
         _, _, road = built

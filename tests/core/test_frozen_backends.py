@@ -2,11 +2,9 @@
 
 The no-numpy CI leg executes exactly this module: it must import and pass
 in an environment with only the stdlib, proving that the core library —
-network model, ROAD build, FrozenRoad with the ``list`` and ``compact``
-backends, and the patch lifecycle — has no hard numpy dependency, and
-that ``backend="numpy"`` degrades to a clear ImportError rather than a
-crash.  (With numpy installed, the same parity assertions additionally
-cover the numpy backend via :func:`installed_backends`.)
+network model, ROAD build, FrozenRoad on every backend, and the patch
+lifecycle — never imports numpy.  (The ``"numpy"`` backend is gone: the
+name is rejected like any other unknown one, numpy installed or not.)
 
 Fixtures here avoid the numpy-seeded generators on purpose: networks come
 from :func:`tests.conftest.random_connected_network` (stdlib ``random``)
@@ -14,7 +12,6 @@ and objects are placed by hand.
 """
 
 import random
-import sys
 
 import pytest
 
@@ -32,12 +29,8 @@ from repro.queries.types import Predicate
 from tests.conftest import random_connected_network
 
 
-def _numpy_available() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
+#: The one rejection every backend config surface raises.
+_ONE_OF = r"must be one of \('list', 'compact', 'shm'\), got 'numpy'"
 
 
 @pytest.fixture
@@ -62,21 +55,23 @@ class TestRegistry:
         assert available[:2] == ("list", "compact")
         assert set(available) <= set(BACKENDS)
 
-    def test_numpy_listed_iff_importable(self):
-        assert ("numpy" in installed_backends()) == _numpy_available()
+    def test_three_backends_and_none_is_numpy(self):
+        assert BACKENDS == ("list", "compact", "shm")
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="arrow"):
             get_backend("arrow")
 
-    def test_missing_numpy_raises_clear_import_error(self, monkeypatch):
-        # Hide numpy if present; a plain no-numpy env takes the same path.
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        with pytest.raises(ImportError) as exc_info:
+    def test_numpy_name_rejected_by_get_backend(self):
+        with pytest.raises(ValueError, match=_ONE_OF):
             get_backend("numpy")
-        message = str(exc_info.value)
-        assert "road-repro[numpy]" in message
-        assert "compact" in message  # points at the stdlib fallback
+
+    def test_numpy_name_rejected_from_env(self, monkeypatch, built):
+        monkeypatch.setenv("REPRO_BACKEND", "numpy")
+        with pytest.raises(ValueError, match="REPRO_BACKEND " + _ONE_OF):
+            default_backend()
+        with pytest.raises(ValueError, match=_ONE_OF):
+            built[1].freeze()
 
     def test_default_backend_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)

@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.framework import ROAD
+from repro.core.frozen_backends import installed_backends
 from repro.core.object_abstract import counting_abstract, exact_abstract
+from repro.core.search import SearchStats
 from repro.objects.model import ObjectSet, SpatialObject
 from repro.queries.types import Predicate
 from tests.conftest import random_connected_network
@@ -117,3 +119,30 @@ def test_refreeze_after_maintenance_equivalence(seed):
         got = _assert_no_pager_traffic(road, lambda: frozen.knn(nq, 3))
         assert got == road.knn(nq, 3)
         assert_same_result(got, brute_knn(network, directory.objects, nq, 3))
+
+
+def test_range_whole_stats_parity_on_the_largest_network():
+    """Whole SearchStats — counters and footprint — charged == frozen on
+    every backend, over 240 range queries on the suite's largest size.
+
+    The radius stop drops the entry whose pop tripped it; which entry
+    that is differs across engines (the charged frontier pops stale
+    duplicates the frozen sweep never pushed), so the footprint only
+    agrees because both count every node they pushed.
+    """
+    rnd = random.Random(15)
+    network = random_connected_network(rnd, 60, 30)
+    objects = random_objects(rnd, network, 12)
+    road = ROAD.build(network, levels=3, fanout=4)
+    road.attach_objects(objects)
+    snapshots = [road.freeze(backend=name) for name in installed_backends()]
+    for node in range(network.num_nodes):
+        for radius in (3.0, 7.0, 12.0, 20.0):
+            charged = SearchStats()
+            want = road.range(node, radius, stats=charged)
+            for frozen in snapshots:
+                got = SearchStats()
+                assert frozen.range(node, radius, stats=got) == want
+                assert got == charged, (frozen.backend, node, radius)
+    for frozen in snapshots:
+        frozen.close()

@@ -248,10 +248,15 @@ class TestDegenerateShapes:
         assert decode_result(encoded) == [cell]
 
     def test_duplicate_path_nodes_collapse(self, road, frozen):
+        # One seed per distinct node: the answer and the whole SearchStats
+        # (a second seed entry would count a second pop) are those of the
+        # deduplicated path, on both engines.
         for engine in (road, frozen):
-            assert engine.execute(RouteKNNQuery((5, 5, 5), 3)) == engine.execute(
-                RouteKNNQuery((5,), 3)
-            )
+            repeated, once = SearchStats(), SearchStats()
+            assert engine.execute(
+                RouteKNNQuery((5, 5, 5), 3), stats=repeated
+            ) == engine.execute(RouteKNNQuery((5,), 3), stats=once)
+            assert repeated == once
 
     def test_unsorted_breaks_normalise(self, road):
         sorted_q = ServiceAreaQuery(0, (150.0, 400.0))
@@ -287,3 +292,52 @@ class TestDegenerateShapes:
         got = road.execute(ServiceAreaQuery(0, (400.0,)))
         assert all(isinstance(entry, ServiceAreaEntry) for entry in got)
         assert all(entry.bucket == 0 for entry in got)
+
+
+
+#: Every object-search kind — each one a consumer of its engine's one
+#: sweep — as ``run(engine, node, k, radius, stats)``.
+SWEEP_KINDS = {
+    "knn": lambda e, node, k, radius, stats: e.knn(node, k, stats=stats),
+    "range": lambda e, node, k, radius, stats: e.range(
+        node, radius, stats=stats
+    ),
+    "aggregate_knn": lambda e, node, k, radius, stats: e.aggregate_knn(
+        [node, 63], k, stats=stats
+    ),
+    "service_area": lambda e, node, k, radius, stats: e.service_area(
+        node, [radius], stats=stats
+    ),
+    "route_knn": lambda e, node, k, radius, stats: e.route_knn(
+        [0, node], k, stats=stats
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SWEEP_KINDS))
+class TestSweepConsumers:
+    """The stop rules' edges behave alike on every consumer of the sweep,
+    with whole-``SearchStats`` parity across the two engines."""
+
+    def test_k_beyond_the_objects_and_radius_zero(self, road, frozen, kind):
+        run = SWEEP_KINDS[kind]
+        charged_stats, frozen_stats = SearchStats(), SearchStats()
+        got = run(frozen, 0, 50, 0.0, frozen_stats)
+        assert got == run(road, 0, 50, 0.0, charged_stats)
+        assert frozen_stats == charged_stats
+        if kind in ("range", "service_area"):
+            assert got == []  # nothing sits on node 0 itself
+            assert frozen_stats.nodes_popped == 1
+        else:
+            # k=50 over 20 objects: the sweep runs dry and returns them all.
+            assert len(got) == len(OBJECTS)
+
+    def test_unknown_node_raises(self, road, frozen, kind):
+        from repro.core.frozen import FrozenRoadError
+        from repro.core.route_overlay import RouteOverlayError
+
+        run = SWEEP_KINDS[kind]
+        with pytest.raises(RouteOverlayError, match="node 999"):
+            run(road, 999, 2, 5.0, None)
+        with pytest.raises(FrozenRoadError, match="node 999"):
+            run(frozen, 999, 2, 5.0, None)

@@ -180,6 +180,14 @@ class TestServiceConfig:
         with pytest.raises(ValueError):
             ServiceConfig(**{field: value})
 
+    def test_numpy_backend_name_rejected(self):
+        with pytest.raises(
+            ValueError,
+            match=r"ServiceConfig.backend must be one of "
+            r"\('list', 'compact', 'shm'\), got 'numpy'",
+        ):
+            ServiceConfig(backend="numpy")
+
     def test_from_env_reads_overrides(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "frozen")
         monkeypatch.setenv("REPRO_MAINTENANCE", "refreeze")
@@ -874,17 +882,3 @@ class TestEvalHarnessIsolation:
         )
         assert service.replicas == ()
         service.close()
-
-
-class TestDeprecationShims:
-    def test_runner_mode_helpers_warn_and_delegate(self, monkeypatch):
-        from repro.eval import runner
-
-        monkeypatch.setenv("REPRO_ENGINE", "frozen")
-        monkeypatch.setenv("REPRO_MAINTENANCE", "refreeze")
-        with pytest.warns(DeprecationWarning, match="road-repro deprecated"):
-            assert runner.road_mode() == "frozen"
-        with pytest.warns(DeprecationWarning, match="road-repro deprecated"):
-            assert runner.road_maintenance() == "refreeze"
-        with pytest.warns(DeprecationWarning, match="road-repro deprecated"):
-            assert runner.road_backend() is None
