@@ -32,18 +32,3 @@ def publish(result, results_dir: Path) -> None:
     result.save(results_dir)
     result.save_json(results_dir)
 
-
-def publish_main(result, *, smoke: bool = False, smoke_note: str = "") -> None:
-    """Standalone-``main()`` scaffold shared by the tracked benches.
-
-    Renders and persists the result under ``benchmarks/results``.  In
-    smoke mode the experiment id gains a ``_smoke`` suffix (so
-    ``BENCH_*_smoke.json`` artifacts can never be mistaken for full
-    Table-1 trajectory points) and ``smoke_note`` records the shrunk
-    parameters.
-    """
-    if smoke:
-        result.experiment_id += "_smoke"
-        if smoke_note:
-            result.note(smoke_note)
-    publish(result, RESULTS_DIR)

@@ -5,7 +5,6 @@ from repro.baselines.engine import EngineError, SearchEngine
 from repro.baselines.euclidean import EuclideanEngine
 from repro.baselines.network_expansion import NetworkExpansionEngine
 from repro.baselines.road_adapter import (
-    ROAD_MAINTENANCE_MODES,
     ROAD_MODES,
     ROADEngine,
 )
@@ -20,7 +19,6 @@ ALL_ENGINES = (
 
 __all__ = [
     "ALL_ENGINES",
-    "ROAD_MAINTENANCE_MODES",
     "ROAD_MODES",
     "DistanceIndexEngine",
     "EngineError",

@@ -11,16 +11,13 @@ Two serving modes are supported:
 * ``"frozen"`` — queries run against a compiled
   :class:`~repro.core.frozen.FrozenRoad` snapshot (zero pager traffic).
 
-In frozen mode, maintenance follows one of two lifecycles selected by
-``maintenance_mode``:
-
-* ``"patch"`` (default) — each update's
-  :class:`~repro.core.maintenance.MaintenanceReport` is delta-applied to
-  the live snapshot (:meth:`FrozenRoad.apply`): only the dirty CSR spans
-  are rewritten, falling back to a full recompile on structural changes.
-  Update cost scales with the perturbation, not the network.
-* ``"refreeze"`` — the pre-patch behaviour: updates invalidate the
-  snapshot, which is lazily re-frozen in full on the next query.
+In frozen mode each update's
+:class:`~repro.core.maintenance.MaintenanceReport` is delta-applied to the
+live snapshot (:meth:`FrozenRoad.apply`): only the dirty CSR spans are
+rewritten, falling back to a full recompile on structural changes, so
+update cost scales with the perturbation, not the network.  Attaching or
+detaching a directory changes what the snapshot compiles, so it is dropped
+and lazily re-frozen on the next query.
 
 ``stats()`` surfaces the last report plus cumulative maintenance counters
 (patches applied, fallbacks, invalidations, freezes).
@@ -60,9 +57,6 @@ from repro.storage.pager import PageManager
 #: Valid serving modes for :class:`ROADEngine`.
 ROAD_MODES = ("charged", "frozen")
 
-#: Valid frozen-snapshot maintenance lifecycles.
-ROAD_MAINTENANCE_MODES = ("patch", "refreeze")
-
 
 class ROADEngine(SearchEngine):
     """The paper's system as a pluggable engine (Table 1 defaults: p=4)."""
@@ -86,7 +80,6 @@ class ROADEngine(SearchEngine):
         reduce_shortcuts: bool = True,
         abstract_factory: AbstractFactory = exact_abstract,
         mode: str = "charged",
-        maintenance_mode: str = "patch",
         backend: Optional[str] = None,
         providers: Optional[Mapping[str, ObjectSet]] = None,
         directories: Optional[Sequence[str]] = None,
@@ -95,18 +88,12 @@ class ROADEngine(SearchEngine):
             raise EngineError(
                 f"mode must be one of {ROAD_MODES}, got {mode!r}"
             )
-        if maintenance_mode not in ROAD_MAINTENANCE_MODES:
-            raise EngineError(
-                f"maintenance_mode must be one of {ROAD_MAINTENANCE_MODES}, "
-                f"got {maintenance_mode!r}"
-            )
         if backend is not None:
             # Validate eagerly (unknown name / missing /dev/shm fail at
             # engine construction, not at the first freeze).
             get_backend(backend)
         super().__init__(network, pager)
         self.mode = mode
-        self.maintenance_mode = maintenance_mode
         self.backend = backend
         #: The abstract factory every directory of this engine uses —
         #: late-attached providers default to it, so pruning behaviour
@@ -175,7 +162,7 @@ class ROADEngine(SearchEngine):
             "updates": 0,           # maintenance calls seen by the engine
             "patches_applied": 0,   # snapshot delta-patches that stuck
             "patch_fallbacks": 0,   # patches that degraded to a recompile
-            "invalidations": 0,     # snapshots dropped (refreeze lifecycle)
+            "invalidations": 0,     # snapshots dropped (attach/detach)
             "freezes": 0,           # full compiles (initial, lazy, fallback)
         }
         if mode == "frozen":
@@ -202,19 +189,16 @@ class ROADEngine(SearchEngine):
         return self.road
 
     def invalidate_frozen(self) -> None:
-        """Drop the snapshot after an update; re-frozen on next query."""
+        """Drop the snapshot (directory set changed); re-frozen on next query."""
         if self._frozen is not None:
             self._maintenance_counters["invalidations"] += 1
         self._frozen = None
 
     def _maintain(self, report: MaintenanceReport) -> MaintenanceReport:
-        """Reconcile the snapshot with one live update, per lifecycle."""
+        """Patch the live snapshot with one update's report."""
         self._last_report = report
         self._maintenance_counters["updates"] += 1
         if self.mode != "frozen" or self._frozen is None:
-            return report
-        if self.maintenance_mode == "refreeze":
-            self.invalidate_frozen()
             return report
         outcome = self._frozen.apply(report, self.road)
         if outcome == "patched":
@@ -228,10 +212,10 @@ class ROADEngine(SearchEngine):
     def frozen(self) -> Optional[FrozenRoad]:
         """The current snapshot.
 
-        None in charged mode and, under the ``refreeze`` lifecycle, after
-        an update (until the next query lazily re-freezes).  Under the
-        default ``patch`` lifecycle the same snapshot object stays live
-        across updates — it is delta-patched, never dropped.
+        None in charged mode and after ``attach_objects`` /
+        ``detach_objects`` dropped it (until the next query lazily
+        re-freezes).  Across updates the same snapshot object stays live
+        — it is delta-patched, never dropped.
         """
         return self._frozen
 
@@ -359,7 +343,7 @@ class ROADEngine(SearchEngine):
         )
 
     # ------------------------------------------------------------------
-    # Maintenance (patched into or invalidating any frozen snapshot)
+    # Maintenance (patched into any frozen snapshot)
     # ------------------------------------------------------------------
     def insert_object(
         self, obj: SpatialObject, *, directory: str = DEFAULT_DIRECTORY
@@ -406,7 +390,6 @@ class ROADEngine(SearchEngine):
         summary = self.road.stats()
         summary.update(
             mode=self.mode,
-            maintenance_mode=self.maintenance_mode,
             maintenance=dict(self._maintenance_counters),
             last_report=self._last_report,
         )

@@ -8,7 +8,7 @@ Regenerate any of the paper's tables/figures without pytest::
     python -m repro.eval all --out results/
     python -m repro.eval list
 
-Serving switches (``--engine`` / ``--maintenance`` / ``--backend``) set
+Serving switches (``--engine`` / ``--backend`` / ``--directories``) set
 the corresponding ``REPRO_*`` environment overrides, which the engine
 builders read through
 :meth:`repro.serving.ServiceConfig.from_env` — the typed config is the
@@ -22,7 +22,7 @@ import os
 import sys
 from typing import Callable, Dict
 
-from repro.baselines import ROAD_MAINTENANCE_MODES, ROAD_MODES
+from repro.baselines import ROAD_MODES
 from repro.core.frozen_backends import BACKEND_ENV, BACKENDS
 from repro.eval import ablations, experiments
 from repro.eval.reporting import ExperimentResult
@@ -85,13 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
         "ServiceConfig(mode=...) instead)",
     )
     parser.add_argument(
-        "--maintenance",
-        choices=ROAD_MAINTENANCE_MODES,
-        help="frozen-snapshot maintenance lifecycle: delta-patch from "
-        "MaintenanceReports or full re-freeze (sets REPRO_MAINTENANCE, "
-        "a ServiceConfig.from_env override)",
-    )
-    parser.add_argument(
         "--backend",
         choices=BACKENDS,
         help="FrozenRoad array backend: pre-boxed lists (fastest), "
@@ -126,8 +119,6 @@ def main(argv=None) -> int:
         os.environ["REPRO_SCALE"] = args.scale
     if args.engine is not None:
         os.environ["REPRO_ENGINE"] = args.engine
-    if args.maintenance is not None:
-        os.environ["REPRO_MAINTENANCE"] = args.maintenance
     if args.backend is not None:
         os.environ[BACKEND_ENV] = args.backend
     if args.replica_mode is not None:

@@ -112,9 +112,10 @@ def snapshot_divergences(
     a patched snapshot must match a fresh ``freeze()`` on results *and*
     SearchStats, including predicate-filtered queries (the patched mask /
     abstract state) and aggregate queries (the patched incremental
-    iterator).  The patch property suite asserts the returned list is
-    empty; the maintenance bench counts its length as violations, so the
-    two can never enforce different contracts.
+    iterator).  Every suite holding a snapshot to this contract (the
+    patch, serialize and multi-directory properties, the serving tests)
+    asserts the returned list is empty, so no two can enforce different
+    contracts.
 
     ``directory`` routes the probes on ``patched`` to one directory of a
     multi-directory snapshot (``fresh`` answers from its own default), so

@@ -74,11 +74,7 @@ class ExperimentResult:
         }
 
     def save_json(self, directory: Union[str, Path]) -> Path:
-        """Write ``BENCH_<id>.json`` under ``directory``; return the path.
-
-        CI uploads these as artifacts so the perf trajectory of every
-        tracked benchmark accumulates run over run.
-        """
+        """Write ``BENCH_<id>.json`` under ``directory``; return the path."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         payload = self.to_dict()
@@ -88,32 +84,6 @@ class ExperimentResult:
         path = directory / f"BENCH_{self.experiment_id}.json"
         path.write_text(json.dumps(payload, indent=2, default=str) + "\n")
         return path
-
-
-def format_bytes(num_bytes: float) -> str:
-    """Human-readable byte count (B / KiB / MiB, one decimal)."""
-    value = float(num_bytes)
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if abs(value) < 1024.0 or unit == "GiB":
-            if unit == "B":
-                return f"{value:.0f} {unit}"
-            return f"{value:.1f} {unit}"
-        value /= 1024.0
-    raise AssertionError("unreachable")
-
-
-def memory_note(stats: Dict[str, Any]) -> str:
-    """One-line resident-memory summary of ``FrozenRoad.memory_stats()``.
-
-    The standard way benches and reports cite a snapshot's footprint, so
-    every artifact phrases backend memory the same way.
-    """
-    return (
-        f"backend={stats['backend']}: "
-        f"{format_bytes(stats['total_bytes'])} resident compiled arrays "
-        f"({format_bytes(stats['payload_bytes'])} payload across "
-        f"{stats['elements']:,} elements)"
-    )
 
 
 def _format(value: Cell) -> str:

@@ -2,8 +2,8 @@
 
 Engines are built through the serving stack: one
 :class:`~repro.serving.ServiceConfig` (seeded from the ``REPRO_*``
-environment overrides) selects the ROAD serving mode, maintenance
-lifecycle and array backend, and :meth:`RoadService.build` constructs
+environment overrides) selects the ROAD serving mode and array
+backend, and :meth:`RoadService.build` constructs
 the engine behind a service facade.  ``build_engine`` unwraps the bare
 engine for the figure harness; ``build_service`` hands back the whole
 facade (async front-end included) for serving-shaped callers.
@@ -59,9 +59,9 @@ def build_service(
     """A :class:`RoadService` over one engine and a private network copy.
 
     The config comes from :meth:`ServiceConfig.from_env` — the
-    ``--engine`` / ``--maintenance`` / ``--backend`` / ``--directories``
-    CLI switches and ``REPRO_*`` variables act as overrides — with the
-    explicit ``road_*_override`` arguments beating both.
+    ``--engine`` / ``--backend`` / ``--directories`` CLI switches and
+    ``REPRO_*`` variables act as overrides — with the explicit
+    ``road_*_override`` arguments beating both.
     """
     from repro.serving.service import ENGINE_NAMES
 

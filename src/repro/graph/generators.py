@@ -33,7 +33,7 @@ def _numpy():
     """Import numpy on first use.
 
     Keeps ``import repro.graph`` (and everything layered on it — the core
-    framework, FrozenRoad, the eval compare gate) stdlib-only; only the
+    framework, FrozenRoad, the serving tier) stdlib-only; only the
     synthetic generators themselves need numpy, and environments without
     it (the no-numpy CI leg) still import and use the rest of the library.
     """

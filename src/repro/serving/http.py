@@ -421,8 +421,11 @@ async def serve(
 ) -> None:
     """Host the app on a minimal asyncio HTTP/1.1 server, forever.
 
-    Supports pipelined keep-alive requests with ``Content-Length``
-    bodies — the subset the wire protocol and the load harness use.
+    Supports keep-alive requests with ``Content-Length`` bodies — the
+    subset the wire protocol and the load harness use.  A connection is
+    served strictly serially: the next request is read only after the
+    previous response is written, so requests a client pipelines wait
+    their turn in the socket buffer; concurrency comes from connections.
     ``ready`` (if given) is set once the listening socket is bound.
     """
 
@@ -516,6 +519,8 @@ async def _read_request(
             try:
                 content_length = int(value)
             except ValueError:
+                content_length = -1
+            if content_length < 0:  # int() accepts a sign; readexactly does not
                 _write_error(writer, 400, f"bad content-length {value!r}")
                 return None
         elif name == "connection":

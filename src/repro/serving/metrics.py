@@ -180,8 +180,8 @@ class Histogram:
 
     ``observe`` is the hot-path entry: one lock, one bisect, three adds.
     ``percentile`` interpolates within the winning bucket — coarse, but
-    scrape-side only; the benches compute exact percentiles from their
-    own recorded samples.
+    scrape-side only; ``road_bench`` computes exact percentiles from
+    its own recorded samples.
     """
 
     kind = "histogram"

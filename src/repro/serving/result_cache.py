@@ -20,9 +20,9 @@ flush-everything:
   :meth:`ResultCache.invalidate_report` scans the entries of the
   affected directories and evicts those whose footprint is not
   disjoint from the dirty sets — exactly the dirtied entries.
-* Structural reports (edge add/remove, border promotions) and refreezes
-  invalidate the affected scope wholesale — identity sets do not bound
-  a shortcut-graph rebuild.
+* Structural reports (edge add/remove, border promotions) and re-freezes
+  (attach/detach, replica rebuild) invalidate the affected scope
+  wholesale — identity sets do not bound a shortcut-graph rebuild.
 
 Cost model: a write pays O(entries in scope), a read pays nothing for
 upkeep.  There is deliberately no node -> entries index: keeping one in
@@ -356,8 +356,8 @@ class ResultCache:
             return self._invalidate(victims)
 
     def invalidate_directory(self, directory: str) -> int:
-        """Wholesale eviction for one directory (refreeze, attach/detach,
-        replica rebuild) — the snapshot identity changed, not an
+        """Wholesale eviction for one directory (attach/detach, replica
+        rebuild) — the snapshot identity changed, not an
         enumerable dirty set."""
         with self._lock:
             self._gen_dir[directory] = self._gen_dir.get(directory, 0) + 1

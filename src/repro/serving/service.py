@@ -5,8 +5,8 @@ answer ``execute`` / ``execute_many`` identically; this module puts one
 front door in front of them:
 
 * :class:`ServiceConfig` — a typed configuration owning engine selection
-  (engine family, charged/frozen mode, maintenance lifecycle, array
-  backend, serving directory) plus the admission-batching knobs.  The
+  (engine family, charged/frozen mode, array backend, serving
+  directory) plus the admission-batching knobs.  The
   historical ``REPRO_*`` environment variables are *overrides* read by
   :meth:`ServiceConfig.from_env`, not the primary API.
 * :class:`RoadService` — sync ``run``/``run_many`` over the configured
@@ -68,7 +68,7 @@ from typing import (
     Union,
 )
 
-from repro.baselines.road_adapter import ROAD_MAINTENANCE_MODES, ROAD_MODES
+from repro.baselines.road_adapter import ROAD_MODES
 from repro.core.maintenance import MaintenanceReport
 from repro.queries.types import ResultRow
 from repro.serving.dispatch import (
@@ -112,16 +112,12 @@ ENGINE_NAMES = ("ROAD", "NetExp", "Euclidean", "DistIdx")
 #: ROAD serving modes — the one source of truth lives on the engine.
 MODES = ROAD_MODES
 
-#: Frozen-snapshot maintenance lifecycles (same source of truth).
-MAINTENANCE_MODES = ROAD_MAINTENANCE_MODES
-
 #: How replica shards execute: interpreter threads over per-shard
 #: snapshots, or worker processes over one shared-memory snapshot.
 REPLICA_MODES = ("thread", "process")
 
 #: Environment overrides honoured by :meth:`ServiceConfig.from_env`.
 MODE_ENV = "REPRO_ENGINE"
-MAINTENANCE_ENV = "REPRO_MAINTENANCE"
 REPLICAS_ENV = "REPRO_REPLICAS"
 REPLICA_MODE_ENV = "REPRO_REPLICA_MODE"
 DIRECTORIES_ENV = "REPRO_DIRECTORIES"
@@ -146,6 +142,14 @@ def _parse_bool(name: str, raw: str) -> bool:
     if value in ("0", "false", "no", "off", ""):
         return False
     raise ValueError(f"{name} must be a boolean flag, got {raw!r}")
+
+
+def _parse_int(name: str, raw: str) -> int:
+    """An integer env override — a typo must name its variable."""
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
 class ServiceError(RuntimeError):
@@ -174,17 +178,16 @@ def _stat_number(stats: Mapping[str, object], key: str) -> float:
 class ServiceConfig:
     """Typed serving configuration: what was previously ``REPRO_*`` sprawl.
 
-    ``engine`` picks the engine family; ``mode``/``maintenance``/
-    ``backend`` configure the ROAD serving path exactly like the
-    eponymous :class:`~repro.baselines.road_adapter.ROADEngine` knobs.
+    ``engine`` picks the engine family; ``mode``/``backend`` configure
+    the ROAD serving path exactly like the eponymous
+    :class:`~repro.baselines.road_adapter.ROADEngine` knobs.
     The remaining fields drive the async front-end: ``max_batch`` caps
     how many queries one admission flush may hold, ``max_delay_ms`` is
     the upper bound on how long an under-full bucket is held while
     every replica is busy (with a replica free it is flushed within the
-    event-loop tick and never meets the timer), ``coalesce`` whether
-    identical in-flight queries share one execution, and ``replicas``
-    how many read-only frozen shards serve from the worker pool
-    (0 = serve on the primary executor), and ``replica_mode`` what a
+    event-loop tick and never meets the timer), ``replicas`` how many
+    read-only frozen shards serve from the worker pool (0 = serve on
+    the primary executor), and ``replica_mode`` what a
     shard *is*: ``"thread"`` replicas are per-shard snapshot copies
     served by pool threads (one interpreter, concurrency not
     parallelism), ``"process"`` replicas are worker processes attached
@@ -195,7 +198,6 @@ class ServiceConfig:
 
     engine: str = "ROAD"
     mode: str = "charged"
-    maintenance: str = "patch"
     backend: Optional[str] = None
     #: None targets the executor's own default directory (for a snapshot
     #: of a named provider, the directory it compiled).
@@ -208,14 +210,13 @@ class ServiceConfig:
     fanout: int = 4
     max_batch: int = 64
     max_delay_ms: float = 2.0
-    coalesce: bool = True
     replicas: int = 0
     replica_mode: str = "thread"
     #: Serve repeated queries from a cross-request result cache whose
     #: entries are invalidated by maintenance-report footprints
-    #: (:mod:`repro.serving.result_cache`).  Composes with ``coalesce``:
-    #: coalescing dedupes *in-flight* twins inside one flush, the cache
-    #: dedupes *across* flushes.
+    #: (:mod:`repro.serving.result_cache`).  Coalescing dedupes
+    #: *in-flight* twins inside one flush, the cache dedupes *across*
+    #: flushes.
     result_cache: bool = False
     #: Max cached entries (LRU evicts beyond this).
     cache_budget: int = 2048
@@ -227,11 +228,6 @@ class ServiceConfig:
             )
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.maintenance not in MAINTENANCE_MODES:
-            raise ValueError(
-                f"maintenance must be one of {MAINTENANCE_MODES}, "
-                f"got {self.maintenance!r}"
-            )
         if self.backend is not None:
             from repro.core.frozen_backends import validate_backend_name
 
@@ -285,12 +281,10 @@ class ServiceConfig:
         env: Dict[str, Any] = {}
         if MODE_ENV in os.environ:
             env["mode"] = os.environ[MODE_ENV].lower()
-        if MAINTENANCE_ENV in os.environ:
-            env["maintenance"] = os.environ[MAINTENANCE_ENV].lower()
         if BACKEND_ENV in os.environ:
             env["backend"] = os.environ[BACKEND_ENV].lower()
         if REPLICAS_ENV in os.environ:
-            env["replicas"] = int(os.environ[REPLICAS_ENV])
+            env["replicas"] = _parse_int(REPLICAS_ENV, os.environ[REPLICAS_ENV])
         if REPLICA_MODE_ENV in os.environ:
             env["replica_mode"] = os.environ[REPLICA_MODE_ENV].lower()
         if DIRECTORIES_ENV in os.environ:
@@ -312,7 +306,9 @@ class ServiceConfig:
                 RESULT_CACHE_ENV, os.environ[RESULT_CACHE_ENV]
             )
         if CACHE_BUDGET_ENV in os.environ:
-            env["cache_budget"] = int(os.environ[CACHE_BUDGET_ENV])
+            env["cache_budget"] = _parse_int(
+                CACHE_BUDGET_ENV, os.environ[CACHE_BUDGET_ENV]
+            )
         env.update(overrides)
         return cls(**env)
 
@@ -400,7 +396,6 @@ class RoadService:
                 levels=config.levels,
                 fanout=config.fanout,
                 mode=config.mode,
-                maintenance_mode=config.maintenance,
                 backend=config.backend,
                 directories=config.directories,
                 **engine_kwargs,
@@ -697,8 +692,7 @@ class RoadService:
         submitter of one ``gather`` shares it; with every replica busy
         it is held until a batch completes, ``max_batch`` queries are
         pending or ``max_delay_ms`` elapses, whichever comes first.
-        With ``coalesce`` on, an identical in-flight query is executed
-        once and fanned out.
+        An identical in-flight query is executed once and fanned out.
         """
         start = time.perf_counter()
         if self._shards.closed:
@@ -862,10 +856,8 @@ class RoadService:
 
     def _coalesce(
         self, entries: List[_Entry]
-    ) -> Tuple[Optional[Dict[object, int]], List[object]]:
+    ) -> Tuple[Dict[object, int], List[object]]:
         """Fold identical in-flight queries: (query → unique index, unique)."""
-        if not self.config.coalesce:
-            return None, [query for query, _future in entries]
         slot: Dict[object, int] = {}
         unique: List[object] = []
         for query, _future in entries:
@@ -878,7 +870,7 @@ class RoadService:
     @staticmethod
     def _deliver(
         entries: List[_Entry],
-        slot: Optional[Dict[object, int]],
+        slot: Dict[object, int],
         answers: Mapping[int, List[ResultRow]],
     ) -> None:
         """Complete the futures whose unique-index has an answer.
@@ -888,8 +880,8 @@ class RoadService:
         sorting/truncating its result must corrupt neither — the sync
         path hands every caller its own list too.
         """
-        for position, (query, future) in enumerate(entries):
-            answer = answers.get(position if slot is None else slot[query])
+        for query, future in entries:
+            answer = answers.get(slot[query])
             if answer is not None and not future.done():
                 future.set_result(list(answer))
 
@@ -1136,21 +1128,14 @@ class RoadService:
     def _invalidate_cache(self, report: MaintenanceReport) -> None:
         """Report-driven cache eviction (no-op when the cache is off).
 
-        ``maintenance="refreeze"`` recompiles the serving snapshot
-        wholesale, so the affected scope is cleared wholesale too; the
-        patch lifecycles evict by footprint intersection (structural
-        reports clear wholesale inside ``invalidate_report``).
+        Evicts by footprint intersection; structural reports clear
+        wholesale inside ``invalidate_report``.
         """
         cache = self._result_cache
         if cache is None:
             return
         started = time.perf_counter()
-        if self.config.maintenance != "refreeze":
-            cache.invalidate_report(report)
-        elif report.directory is None:
-            cache.clear_all()
-        else:
-            cache.invalidate_directory(report.directory)
+        cache.invalidate_report(report)
         self._cache_invalidate.observe((time.perf_counter() - started) * 1000.0)
 
     def _maintained(self, result: Any) -> Any:

@@ -180,19 +180,23 @@ class TestFrozenEngineMode:
             assert frozen.range(node, 5.0) == charged.range(node, 5.0)
 
     def test_refreeze_mode_invalidates_snapshot(self, medium_grid):
+        """The lazy re-freeze (what attach/detach fall back to): the
+        dropped snapshot is rebuilt on the next query, over the updated
+        network."""
         objects = place_uniform(medium_grid, 12, seed=4)
-        engine = ROADEngine(
-            medium_grid.copy(), objects, levels=2, mode="frozen",
-            maintenance_mode="refreeze",
-        )
+        engine = ROADEngine(medium_grid.copy(), objects, levels=2, mode="frozen")
         assert engine.frozen is not None
         u, v, d = next(iter(engine.network.edges()))
         engine.update_edge_distance(u, v, d * 3)
+        engine.attach_objects(place_uniform(medium_grid, 5, seed=9), name="hotels")
         assert engine.frozen is None  # stale snapshot dropped
         result = engine.knn(0, 2)  # lazily re-frozen
         assert engine.frozen is not None
+        assert engine.frozen.directory_names == ["objects", "hotels"]
         assert result == engine.road.knn(0, 2)
-        assert engine.stats()["maintenance"]["invalidations"] == 1
+        counters = engine.stats()["maintenance"]
+        assert counters["invalidations"] == 1
+        assert counters["freezes"] == 2  # construction + the lazy one
 
     def test_patch_mode_keeps_snapshot_current(self, medium_grid):
         objects = place_uniform(medium_grid, 12, seed=4)
@@ -230,13 +234,6 @@ class TestFrozenEngineMode:
                 place_uniform(medium_grid, 3, seed=1),
                 levels=2,
                 mode="warp",
-            )
-        with pytest.raises(EngineError):
-            ROADEngine(
-                medium_grid.copy(),
-                place_uniform(medium_grid, 3, seed=1),
-                levels=2,
-                maintenance_mode="hope",
             )
 
 
@@ -624,7 +621,9 @@ class TestBackends:
             name: road.freeze(backend=name).memory_stats()["total_bytes"]
             for name in installed_backends()
         }
-        assert by_backend["compact"] < by_backend["list"] / 2
+        # Deterministic (a byte count, not a timing): 4.24x on this
+        # fixture, 4.30x at 2,116 nodes.
+        assert by_backend["list"] >= 4.0 * by_backend["compact"]
 
     def test_unknown_backend_rejected(self, built):
         _, _, road = built
@@ -718,13 +717,17 @@ class TestMultiDirectory:
 
     def test_entry_arrays_shared_not_duplicated(self, multi):
         road, _, _ = multi
-        combined = road.freeze()
-        singles = [
-            road.freeze(directory=name) for name in ("objects", "hotels")
-        ]
-        # The entry/shortcut/edge arrays are compiled once: the combined
-        # snapshot's payload is far below the sum of the singles'.
-        assert combined.nbytes < sum(s.nbytes for s in singles) * 0.75
+        # The entry/shortcut/edge arrays are compiled once: two single
+        # snapshots hold close to twice the combined one's resident
+        # bytes (1.93x here, 1.96x at 2,116 nodes), on every backend.
+        for backend in installed_backends():
+            combined = road.freeze(backend=backend)
+            singles = [
+                road.freeze(directory=name, backend=backend)
+                for name in ("objects", "hotels")
+            ]
+            resident = sum(s.memory_stats()["total_bytes"] for s in singles)
+            assert resident >= 1.8 * combined.memory_stats()["total_bytes"]
 
     def test_apply_patches_every_directory(self, multi):
         road, _, hotels_set = multi

@@ -33,7 +33,7 @@ _OUTCOMES = ("patched", "recompiled")
 
 def _assert_snapshots_identical(rnd, patched, fresh, probes=3, k=4):
     # One contract, defined once: eval.metrics.snapshot_divergences is the
-    # same probe the maintenance bench counts violations with.
+    # same probe the serving and serialize suites hold snapshots to.
     divergences = snapshot_divergences(
         rnd, patched, fresh, probes=probes, k=k, max_radius=20.0
     )
@@ -147,10 +147,7 @@ def test_patch_mode_engine_serves_like_charged(seed):
     network = random_connected_network(rnd, rnd.randint(15, 35), rnd.randint(2, 12))
     objects = random_objects(rnd, network, rnd.randint(2, 8))
     charged = ROADEngine(network.copy(), objects, levels=2, mode="charged")
-    patched = ROADEngine(
-        network.copy(), objects, levels=2, mode="frozen",
-        maintenance_mode="patch",
-    )
+    patched = ROADEngine(network.copy(), objects, levels=2, mode="frozen")
     edges = sorted((u, v) for u, v, _ in network.edges())
     for _ in range(4):
         u, v = edges[rnd.randrange(len(edges))]

@@ -238,32 +238,30 @@ class TestAuthoritativeDirectorySurface:
     def test_run_on_named_directory_survives_refreeze(
         self, network, providers
     ):
-        """Regression: under the refreeze lifecycle, the lazily rebuilt
-        snapshot used to compile only the default directory — a service
-        configured for a named provider then 404'd after any update."""
+        """Regression: the lazily rebuilt snapshot used to compile only
+        the default directory — a service configured for a named
+        provider then 404'd once its snapshot had been dropped (here by
+        attaching another provider)."""
         engine = ROADEngine(
             network.copy(),
             providers["objects"],
             levels=2,
             mode="frozen",
-            maintenance_mode="refreeze",
             providers={"hotels": providers["hotels"]},
         )
         service = RoadService(
             engine,
-            config=ServiceConfig(
-                mode="frozen", maintenance="refreeze", directory="hotels"
-            ),
+            config=ServiceConfig(mode="frozen", directory="hotels"),
         )
         try:
             before = service.run(KNNQuery(0, 2))
             assert _ids(before) <= set(providers["hotels"].ids())
-            u, v, d = next(iter(engine.network.edges()))
-            service.update_edge_distance(u, v, d * 2.0)
+            service.attach_objects(providers["fuel"], name="fuel")
             assert engine.frozen is None  # snapshot dropped, not patched
             got = service.run(KNNQuery(0, 2))  # lazily re-frozen
             assert engine.frozen is not None
-            assert engine.frozen.directory_names == ["objects", "hotels"]
+            assert engine.frozen.directory_names == ["objects", "hotels", "fuel"]
+            assert got == before
             assert got == engine.road.freeze(directory="hotels").knn(0, 2)
         finally:
             service.close()
@@ -564,16 +562,11 @@ class TestAuthoritativeDirectorySurface:
             providers["objects"],
             levels=2,
             mode="frozen",
-            maintenance_mode="refreeze",
             providers={"hotels": providers["hotels"]},
         )
-        service = RoadService(
-            engine,
-            config=ServiceConfig(mode="frozen", maintenance="refreeze"),
-        )
+        service = RoadService(engine, config=ServiceConfig(mode="frozen"))
         try:
-            u, v, d = next(iter(engine.network.edges()))
-            service.update_edge_distance(u, v, d * 2.0)
+            service.attach_objects(providers["fuel"], name="fuel")
             assert engine.frozen is None  # invalidated, not yet rebuilt
             freezes = engine.stats()["maintenance"]["freezes"]
             service.detach_objects("hotels")

@@ -583,6 +583,18 @@ class TestHttp11Parser:
         )
         assert _run_connection(app, request).startswith(b"HTTP/1.1 501")
 
+    @pytest.mark.parametrize("value", [b"abc", b"-5"])
+    def test_bad_content_length_answers_400(self, setting, value):
+        # "-5" parses as an int: it must be refused like "abc", not
+        # reach readexactly(-5) and die inside the connection task.
+        _, app = setting
+        request = (
+            b"POST /query HTTP/1.1\r\nContent-Length: " + value + b"\r\n\r\n"
+        )
+        data = _run_connection(app, request)
+        assert data.startswith(b"HTTP/1.1 400")
+        assert b"bad content-length" in data
+
     def test_malformed_request_line_answers_400(self, setting):
         _, app = setting
         data = _run_connection(app, b"BOGUS\r\n\r\n")

@@ -718,6 +718,28 @@ class TestCachedService:
         (post,) = submit_all(cached_service, QUERIES)
         assert post == cached_service.run_many(QUERIES)
 
+    def test_zipf_stream_executes_a_third_or_less(self, network, cached_service):
+        """The count the cache exists to move: on a Zipf stream arriving
+        in small flushes (coalescing only dedupes inside one), the cached
+        service executes at most a third of what the uncached one does."""
+        rnd = random.Random(5)
+        pool = [
+            KNNQuery(node, 3) if rank % 2 else RangeQuery(node, 300.0)
+            for rank, node in enumerate(rnd.sample(range(network.num_nodes), 24))
+        ]
+        weights = [1.0 / (rank + 1) ** 1.1 for rank in range(len(pool))]
+        waves = [rnd.choices(pool, weights=weights, k=8) for _ in range(30)]
+        uncached = RoadService(
+            cached_service.executor, config=ServiceConfig(mode="frozen")
+        )
+        try:
+            for wave in waves:
+                assert submit_all(cached_service, wave) == submit_all(uncached, wave)
+            executed = uncached.stats()["service"]["executed"]
+        finally:
+            uncached.close()
+        assert 3 * cached_service.stats()["service"]["executed"] <= executed
+
     def test_counters_agree_with_metrics_render_and_stats(
         self, cached_service
     ):

@@ -161,15 +161,13 @@ class TestServiceConfig:
     def test_defaults(self):
         config = ServiceConfig()
         assert (config.engine, config.mode) == ("ROAD", "charged")
-        assert config.maintenance == "patch"
-        assert config.replicas == 0 and config.coalesce
+        assert config.replicas == 0
 
     @pytest.mark.parametrize(
         "field,value",
         [
             ("engine", "Oracle"),
             ("mode", "warm"),
-            ("maintenance", "rebuild"),
             ("backend", "sparse"),
             ("max_batch", 0),
             ("max_delay_ms", -1.0),
@@ -190,12 +188,10 @@ class TestServiceConfig:
 
     def test_from_env_reads_overrides(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "frozen")
-        monkeypatch.setenv("REPRO_MAINTENANCE", "refreeze")
         monkeypatch.setenv("REPRO_REPLICAS", "3")
         monkeypatch.setenv("REPRO_DIRECTORIES", "objects, hotels")
         config = ServiceConfig.from_env()
         assert config.mode == "frozen"
-        assert config.maintenance == "refreeze"
         assert config.replicas == 3
         assert config.directories == ("objects", "hotels")
 
@@ -234,6 +230,12 @@ class TestServiceConfig:
     def test_explicit_kwargs_beat_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "frozen")
         assert ServiceConfig.from_env(mode="charged").mode == "charged"
+
+    @pytest.mark.parametrize("name", ["REPRO_REPLICAS", "REPRO_CACHE_BUDGET"])
+    def test_from_env_integer_typo_names_its_variable(self, monkeypatch, name):
+        monkeypatch.setenv(name, "2x")
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got '2x'"):
+            ServiceConfig.from_env()
 
     def test_env_validation_still_applies(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "lukewarm")
