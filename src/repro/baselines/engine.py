@@ -62,6 +62,9 @@ class SearchEngine(QueryExecutor):
     ) -> List[ResultEntry]:
         """All matching objects within network distance ``radius``."""
 
+    def has_node(self, node: int) -> bool:
+        return self.network.has_node(node)
+
     # ``execute`` / ``execute_many`` are inherited from QueryExecutor and
     # served by the ``engine="baseline"`` handlers at the bottom of this
     # module.

@@ -15,9 +15,10 @@ In frozen mode each update's
 :class:`~repro.core.maintenance.MaintenanceReport` is delta-applied to the
 live snapshot (:meth:`FrozenRoad.apply`): only the dirty CSR spans are
 rewritten, falling back to a full recompile on structural changes, so
-update cost scales with the perturbation, not the network.  Attaching or
-detaching a directory changes what the snapshot compiles, so it is dropped
-and lazily re-frozen on the next query.
+update cost scales with the perturbation, not the network.  The snapshot
+always compiles **every** attached directory — what the engine serves is
+what is attached to its ROAD, in both modes — so attaching or detaching
+one drops it, to be lazily re-frozen on the next query.
 
 ``stats()`` surfaces the last report plus cumulative maintenance counters
 (patches applied, fallbacks, invalidations, freezes).
@@ -25,7 +26,7 @@ and lazily re-frozen on the next query.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.baselines.engine import EngineError, SearchEngine
 from repro.core.framework import ROAD
@@ -57,6 +58,10 @@ from repro.storage.pager import PageManager
 #: Valid serving modes for :class:`ROADEngine`.
 ROAD_MODES = ("charged", "frozen")
 
+#: Environment override for the mode (``ServiceConfig.from_env`` and the
+#: figure harness's ``build_engine`` read it).
+MODE_ENV = "REPRO_ENGINE"
+
 
 class ROADEngine(SearchEngine):
     """The paper's system as a pluggable engine (Table 1 defaults: p=4)."""
@@ -82,7 +87,6 @@ class ROADEngine(SearchEngine):
         mode: str = "charged",
         backend: Optional[str] = None,
         providers: Optional[Mapping[str, ObjectSet]] = None,
-        directories: Optional[Sequence[str]] = None,
     ) -> None:
         if mode not in ROAD_MODES:
             raise EngineError(
@@ -121,41 +125,6 @@ class ROADEngine(SearchEngine):
                 name=name,
                 abstract_factory=abstract_factory,
             )
-        #: Which attached directories frozen snapshots compile — None
-        #: means *all* of them (the multi-directory snapshot), so a
-        #: refreeze can never silently drop a provider the service routes
-        #: to.  Names are validated against the attached set eagerly, and
-        #: a pinned set must keep the default directory: the engine's
-        #: directory-less queries must answer identically in charged and
-        #: frozen mode, so the snapshot's default may never drift to
-        #: "first pinned name".  (Named-provider-only serving wants a
-        #: bare ``road.freeze(directory=...)`` snapshot, not the engine.)
-        if directories is not None:
-            # Normalise once up front: a one-shot iterable must not be
-            # exhausted by the first validation pass.
-            directories = tuple(directories)
-            attached = self.road.directory_names
-            unknown = [d for d in directories if d not in attached]
-            if unknown:
-                raise EngineError(
-                    f"directories {unknown!r} not attached "
-                    f"(attached: {attached!r})"
-                )
-            if len(set(directories)) != len(directories):
-                raise EngineError(
-                    f"directories lists a name twice: {directories!r}"
-                )
-            if DEFAULT_DIRECTORY not in directories:
-                raise EngineError(
-                    f"directories must include the default directory "
-                    f"{DEFAULT_DIRECTORY!r} so charged and frozen modes "
-                    f"serve the same provider for directory-less queries; "
-                    f"freeze a snapshot directly for named-provider-only "
-                    f"serving"
-                )
-            self.directories: Optional[Tuple[str, ...]] = directories
-        else:
-            self.directories = None
         self._frozen: Optional[FrozenRoad] = None
         self._last_report: Optional[MaintenanceReport] = None
         self._maintenance_counters: Dict[str, int] = {
@@ -172,13 +141,9 @@ class ROADEngine(SearchEngine):
     # Frozen snapshot lifecycle
     # ------------------------------------------------------------------
     def _refreeze(self) -> FrozenRoad:
-        # Compile the configured directory set (None = every attached
-        # provider) into one snapshot sharing the entry arrays, so a
-        # lazily re-frozen snapshot serves the same directories the
-        # previous one did.
-        self._frozen = self.road.freeze(
-            directories=self.directories, backend=self.backend
-        )
+        # Every attached provider, in one snapshot sharing the entry
+        # arrays: a refreeze can never drop a directory the road serves.
+        self._frozen = self.road.freeze(backend=self.backend)
         self._maintenance_counters["freezes"] += 1
         return self._frozen
 
@@ -238,19 +203,16 @@ class ROADEngine(SearchEngine):
 
         ``abstract_factory`` defaults to the factory the engine was
         constructed with, so late-attached providers prune exactly like
-        construction-time ones.  In frozen mode a live snapshot compiled
-        with the default ``directories=None`` policy is invalidated so
-        the next query re-freezes with the new directory included; a
-        pinned explicit ``directories`` list is left alone (the new
-        provider is served once the caller adds it and refreezes).
+        construction-time ones.  In frozen mode the live snapshot is
+        invalidated so the next query re-freezes with the new directory
+        included.
         """
         if abstract_factory is None:
             abstract_factory = self._abstract_factory
         directory = self.road.attach_objects(
             objects, name=name, abstract_factory=abstract_factory
         )
-        if self.mode == "frozen" and self.directories is None:
-            self.invalidate_frozen()
+        self.invalidate_frozen()
         return directory
 
     def detach_objects(self, name: str) -> None:
@@ -268,17 +230,8 @@ class ROADEngine(SearchEngine):
                 f"detached from the engine (charged and frozen modes "
                 f"would diverge on directory-less queries)"
             )
-        compiled = self.directories
         self.road.detach_objects(name)
-        if self.directories is not None:
-            self.directories = tuple(
-                d for d in self.directories if d != name
-            )
-        # A pinned set that never compiled the detached name leaves the
-        # snapshot's contents untouched — keep it instead of paying a
-        # full refreeze on the next query.
-        if self.mode == "frozen" and (compiled is None or name in compiled):
-            self.invalidate_frozen()
+        self.invalidate_frozen()
 
     # ------------------------------------------------------------------
     # Queries
@@ -303,23 +256,12 @@ class ROADEngine(SearchEngine):
 
     @property
     def directory_names(self) -> List[str]:
-        """Directories this engine serves, pinned set applied.
-
-        The pinned ``directories`` knob restricts the servable set in
-        *both* modes — the charged road physically holds every attached
-        directory, but answering for an unpinned one in charged mode
-        while frozen mode 404s on it would make the modes diverge on the
-        same named query.
+        """The road's attached directories — exactly what a snapshot
+        compiles, so both modes serve the same set (and asking never
+        lazily freezes).  The default stays the inherited ``"objects"``:
+        it is attached at construction and cannot be detached.
         """
-        names = self._serving().directory_names
-        if self.directories is not None:
-            names = [n for n in names if n in self.directories]
-        return names
-
-    @property
-    def default_directory(self) -> str:
-        """The configured serving object's own default."""
-        return self._serving().default_directory
+        return self.road.directory_names
 
     def execute_many(
         self,
@@ -332,14 +274,10 @@ class ROADEngine(SearchEngine):
 
         Forwarding the whole batch (rather than looping the inherited
         per-query dispatch) lets the charged path share its per-predicate
-        AbstractCaches across the batch exactly as before.  The directory
-        resolves through *this* engine first, so the pinned
-        ``directories`` restriction holds on the batch path exactly as on
-        ``execute`` — the charged road itself would happily serve any
-        attached directory.
+        AbstractCaches across the batch exactly as before.
         """
         return self._serving().execute_many(
-            queries, directory=self.check_directory(directory), stats=stats
+            queries, directory=directory, stats=stats
         )
 
     # ------------------------------------------------------------------

@@ -229,6 +229,9 @@ class ROAD(QueryExecutor):
         """Names of attached directories."""
         return list(self._directories)
 
+    def has_node(self, node: int) -> bool:
+        return self.network.has_node(node)
+
     def insert_object(
         self, obj: SpatialObject, *, directory: str = DEFAULT_DIRECTORY
     ) -> MaintenanceReport:

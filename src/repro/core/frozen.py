@@ -1333,6 +1333,9 @@ class FrozenRoad(QueryExecutor):
     # memoised on the snapshot itself, so a workload with few distinct
     # predicates compiles each predicate once regardless of batching.
 
+    def has_node(self, node: int) -> bool:
+        return node in self._index
+
     @property
     def directory_names(self) -> List[str]:
         """The directories this snapshot compiled, in compiled order.

@@ -103,8 +103,8 @@ def change_edge_distance(
     new_distance: float,
 ) -> MaintenanceReport:
     """Apply an edge-distance change with filtering-and-refreshing."""
-    if new_distance <= 0:
-        raise MaintenanceError("edge distance must stay positive")
+    if not 0 < new_distance < math.inf:  # NaN fails both comparisons
+        raise MaintenanceError("edge distance must stay positive and finite")
     report = MaintenanceReport(kind="edge_distance", edge=edge_key(u, v))
     old_distance = network.update_edge(u, v, new_distance)
     leaf = hierarchy.leaf_of_edge(u, v)

@@ -26,7 +26,6 @@ from repro.eval.runner import (
     ENGINE_ORDER,
     build_engine,
     build_engines,
-    build_service,
     make_objects,
 )
 
@@ -45,7 +44,6 @@ __all__ = [
     "WorkloadSummary",
     "build_engine",
     "build_engines",
-    "build_service",
     "dataset_levels",
     "dominance",
     "load_dataset",

@@ -8,11 +8,10 @@ Regenerate any of the paper's tables/figures without pytest::
     python -m repro.eval all --out results/
     python -m repro.eval list
 
-Serving switches (``--engine`` / ``--backend`` / ``--directories``) set
-the corresponding ``REPRO_*`` environment overrides, which the engine
-builders read through
-:meth:`repro.serving.ServiceConfig.from_env` — the typed config is the
-primary API; the environment is the CLI's override channel into it.
+The ROAD switches (``--engine`` / ``--backend``) set the ``REPRO_ENGINE``
+/ ``REPRO_BACKEND`` environment overrides, which
+:func:`repro.eval.runner.build_engine` and the snapshot freeze read —
+the environment is the CLI's channel into the experiment functions.
 """
 
 from __future__ import annotations
@@ -22,11 +21,10 @@ import os
 import sys
 from typing import Callable, Dict
 
-from repro.baselines import ROAD_MODES
+from repro.baselines.road_adapter import MODE_ENV, ROAD_MODES
 from repro.core.frozen_backends import BACKEND_ENV, BACKENDS
 from repro.eval import ablations, experiments
 from repro.eval.reporting import ExperimentResult
-from repro.serving.service import REPLICA_MODE_ENV, REPLICA_MODES
 
 #: Experiment name -> zero-argument callable producing an ExperimentResult.
 REGISTRY: Dict[str, Callable[[], ExperimentResult]] = {
@@ -80,9 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=ROAD_MODES,
         help="ROAD serving mode: charged disk path (paper I/O model) or "
-        "frozen in-memory fast path (sets REPRO_ENGINE, a "
-        "ServiceConfig.from_env override — library callers pass "
-        "ServiceConfig(mode=...) instead)",
+        "frozen in-memory fast path (sets REPRO_ENGINE)",
     )
     parser.add_argument(
         "--backend",
@@ -90,23 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="FrozenRoad array backend: pre-boxed lists (fastest), "
         "compact stdlib typed buffers (~4x less memory), or the compact "
         "layout in shared-memory segments for process shards (sets "
-        "REPRO_BACKEND, a ServiceConfig.from_env override)",
-    )
-    parser.add_argument(
-        "--replica-mode",
-        choices=REPLICA_MODES,
-        help="replica sharding mode: interpreter threads over per-replica "
-        "snapshots or worker processes attached to one shared-memory "
-        "snapshot (sets REPRO_REPLICA_MODE, a ServiceConfig.from_env "
-        "override)",
-    )
-    parser.add_argument(
-        "--directories",
-        metavar="NAMES",
-        help="comma-separated Association Directories frozen snapshots "
-        "compile into one multi-directory FrozenRoad (default: all "
-        "attached) (sets REPRO_DIRECTORIES, a ServiceConfig.from_env "
-        "override)",
+        "REPRO_BACKEND)",
     )
     return parser
 
@@ -118,13 +98,9 @@ def main(argv=None) -> int:
     if args.scale is not None:
         os.environ["REPRO_SCALE"] = args.scale
     if args.engine is not None:
-        os.environ["REPRO_ENGINE"] = args.engine
+        os.environ[MODE_ENV] = args.engine
     if args.backend is not None:
         os.environ[BACKEND_ENV] = args.backend
-    if args.replica_mode is not None:
-        os.environ[REPLICA_MODE_ENV] = args.replica_mode
-    if args.directories is not None:
-        os.environ["REPRO_DIRECTORIES"] = args.directories
 
     if args.experiment == "list":
         for name in REGISTRY:

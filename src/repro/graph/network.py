@@ -58,8 +58,8 @@ class RoadNetwork:
         """Add undirected edge (u, v) with a positive distance."""
         if u == v:
             raise NetworkError(f"self-loop at node {u} not allowed")
-        if distance <= 0:
-            raise NetworkError(f"edge ({u}, {v}) needs positive distance")
+        if not 0 < distance < math.inf:  # NaN fails both comparisons
+            raise NetworkError(f"edge ({u}, {v}) needs a positive finite distance")
         if u not in self._adj or v not in self._adj:
             missing = u if u not in self._adj else v
             raise NetworkError(f"node {missing} does not exist")
@@ -90,8 +90,8 @@ class RoadNetwork:
 
     def update_edge(self, u: int, v: int, distance: float) -> float:
         """Change the distance of edge (u, v); return the old distance."""
-        if distance <= 0:
-            raise NetworkError(f"edge ({u}, {v}) needs positive distance")
+        if not 0 < distance < math.inf:  # NaN fails both comparisons
+            raise NetworkError(f"edge ({u}, {v}) needs a positive finite distance")
         if u not in self._adj or v not in self._adj[u]:
             raise NetworkError(f"edge ({u}, {v}) does not exist")
         old = self._adj[u][v]

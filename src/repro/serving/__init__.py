@@ -6,7 +6,7 @@ Four layers:
   :class:`QueryExecutor` ABC all engines implement, the
   ``@register_handler`` registry replacing the per-engine ``isinstance``
   ladders, and the typed :class:`UnsupportedQueryError` /
-  :class:`UnknownDirectoryError` errors.
+  :class:`UnknownDirectoryError` / :class:`UnknownNodeError` errors.
 * :mod:`repro.serving.metrics` / :mod:`repro.serving.wire` /
   :mod:`repro.serving.http` — the observability and HTTP edge: the
   :class:`MetricsRegistry` threaded through the service and scraped by
@@ -40,6 +40,7 @@ from repro.serving.dispatch import (
     BatchContext,
     QueryExecutor,
     UnknownDirectoryError,
+    UnknownNodeError,
     UnsupportedQueryError,
     lookup_handler,
     register_handler,
@@ -60,6 +61,7 @@ __all__ = [
     "ServiceConfig",
     "ServiceError",
     "UnknownDirectoryError",
+    "UnknownNodeError",
     "UnsupportedQueryError",
     "WireError",
     "WorkerError",

@@ -28,7 +28,9 @@ them with a registry:
   :class:`UnknownDirectoryError` (subclass of :class:`KeyError`, raised
   uniformly when ``directory=`` names a directory the engine does not
   serve — previously the charged path raised while the frozen path
-  silently ignored the argument).
+  silently ignored the argument) and :class:`UnknownNodeError` (also a
+  :class:`KeyError`; the admission path's refusal of a node id the
+  executor's :meth:`QueryExecutor.has_node` does not know).
 
 Batching is part of the protocol, not of each engine: the default
 ``execute_many`` runs every query through one shared
@@ -111,6 +113,22 @@ class UnknownDirectoryError(KeyError):
         # KeyError.__str__ repr-wraps its single argument (stray outer
         # quotes in f-strings); render the plain sentence instead.
         return self.args[0]
+
+
+class UnknownNodeError(KeyError):
+    """A query names a node id the executor's network does not hold.
+
+    Raised at admission (``RoadService.submit``), so one caller's bad id
+    rejects that call alone instead of failing the batch it joined.
+    """
+
+    def __init__(self, executor: object, node: object) -> None:
+        self.engine = type(executor).__name__
+        self.node = node
+        super().__init__(f"{self.engine} holds no node {node!r}")
+
+    def __str__(self) -> str:
+        return self.args[0]  # see UnknownDirectoryError.__str__
 
 
 class BatchContext:
@@ -254,6 +272,12 @@ class QueryExecutor(ABC):
         if directory not in self.directory_names:
             raise UnknownDirectoryError(self, directory, self.directory_names)
         return directory
+
+    def has_node(self, node: int) -> bool:
+        """True if ``node`` is a node id queries may name.  Executors
+        that know their node set override this; the default admits all.
+        """
+        return True
 
     # -- dispatch -------------------------------------------------------
     def supports(self, query: object) -> bool:

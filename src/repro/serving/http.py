@@ -29,7 +29,9 @@ one app behind several server workers).
 
 Errors are typed, not leaked: malformed payloads
 (:class:`~repro.serving.wire.WireError`) and invalid maintenance
-arguments answer 400, unknown directories 404, unsupported queries 400,
+arguments (a non-positive or non-finite distance, a self-loop, a missing
+edge) answer 400, unknown directories and node ids 404, unsupported
+queries 400,
 a closed/misconfigured service 503, an executor without maintenance
 methods 501.  Anything else is a 500 with the exception type named —
 the edge answers, it does not crash.
@@ -53,7 +55,8 @@ from typing import (
     Tuple,
 )
 
-from repro.core.maintenance import MaintenanceReport
+from repro.core.maintenance import MaintenanceError, MaintenanceReport
+from repro.graph.network import NetworkError
 from repro.objects.model import ObjectError, SpatialObject
 from repro.serving.dispatch import UnknownDirectoryError, UnsupportedQueryError
 from repro.serving.service import RoadService, ServiceConfig, ServiceError
@@ -225,13 +228,21 @@ class RoadServiceApp:
             return _json_reply(exc.status, {"error": str(exc)})
         except UnknownDirectoryError as exc:
             return _json_reply(404, {"error": str(exc)})
-        except (UnsupportedQueryError, ObjectError, ValueError) as exc:
-            # WireError is a ValueError; engine-side validation
-            # (bad radius, bad aggregate, negative offsets) lands here.
+        except (
+            UnsupportedQueryError,
+            ObjectError,
+            ValueError,
+            MaintenanceError,
+            NetworkError,
+        ) as exc:
+            # WireError is a ValueError; engine-side validation (bad
+            # radius, bad aggregate, negative offsets, a refused edge
+            # write) lands here.
             return _json_reply(400, {"error": str(exc)})
         except KeyError as exc:
-            # Unknown object/edge ids surface as KeyErrors from the
-            # maintenance path: the thing addressed does not exist.
+            # Unknown object ids surface as KeyErrors from the
+            # maintenance path, unknown query nodes as UnknownNodeError
+            # from admission: the thing addressed does not exist.
             return _json_reply(404, {"error": str(exc)})
         except ServiceError as exc:
             return _json_reply(503, {"error": str(exc)})
@@ -506,7 +517,7 @@ async def _read_request(
         return None
     method, target, version = parts
     headers: List[Tuple[bytes, bytes]] = []
-    content_length = 0
+    content_length: Optional[int] = None
     keep_alive = version == "HTTP/1.1"
     for line in header_lines:
         if not line:
@@ -516,19 +527,19 @@ async def _read_request(
         value = value.strip()
         headers.append((name.encode("latin-1"), value.encode("latin-1")))
         if name == "content-length":
-            try:
-                content_length = int(value)
-            except ValueError:
-                content_length = -1
-            if content_length < 0:  # int() accepts a sign; readexactly does not
+            # ASCII digits only (int() also takes "+5" and "1_000"), and
+            # a repeat must agree: two lengths are two framings.
+            length = int(value) if value.isascii() and value.isdigit() else -1
+            if length < 0 or content_length not in (None, length):
                 _write_error(writer, 400, f"bad content-length {value!r}")
                 return None
+            content_length = length
         elif name == "connection":
             keep_alive = value.lower() != "close"
         elif name == "transfer-encoding":
             _write_error(writer, 501, "chunked bodies are not supported")
             return None
-    if content_length > MAX_BODY_BYTES:
+    if content_length is not None and content_length > MAX_BODY_BYTES:
         _write_error(writer, 413, "request body too large")
         return None
     body = (
@@ -637,7 +648,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     service = _build_service(args)
     app = RoadServiceApp(service)
     print(
-        f"road-serving: {service.config.engine} engine, "
+        f"road-serving: ROAD engine ({service.config.mode}), "
         f"{service.config.replicas} {service.config.replica_mode} replicas "
         f"on http://{args.host}:{args.port} (Ctrl-C stops)"
     )

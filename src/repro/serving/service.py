@@ -4,11 +4,15 @@ The dispatch protocol (:mod:`repro.serving.dispatch`) makes every engine
 answer ``execute`` / ``execute_many`` identically; this module puts one
 front door in front of them:
 
-* :class:`ServiceConfig` — a typed configuration owning engine selection
-  (engine family, charged/frozen mode, array backend, serving
-  directory) plus the admission-batching knobs.  The
+* :class:`ServiceConfig` — a typed configuration owning the ROAD
+  serving path (charged/frozen mode, array backend, hierarchy shape)
+  plus the admission-batching, replica and result-cache knobs.  The
   historical ``REPRO_*`` environment variables are *overrides* read by
-  :meth:`ServiceConfig.from_env`, not the primary API.
+  :meth:`ServiceConfig.from_env`, not the primary API.  *What* is
+  served is not configuration: the directories attached to the ROAD
+  are, every frozen snapshot compiles all of them, and a request names
+  its directory (an omitted name is the primary executor's
+  ``default_directory`` on the sync and the async path alike).
 * :class:`RoadService` — sync ``run``/``run_many`` over the configured
   executor, and an **asyncio front-end**: ``await service.submit(query)``
   parks the query in a per-(directory, predicate) admission bucket.
@@ -68,18 +72,18 @@ from typing import (
     Union,
 )
 
-from repro.baselines.road_adapter import ROAD_MODES
+from repro.baselines.road_adapter import MODE_ENV, ROAD_MODES, ROADEngine
 from repro.core.maintenance import MaintenanceReport
 from repro.queries.types import ResultRow
 from repro.serving.dispatch import (
     QueryExecutor,
-    UnknownDirectoryError,
+    UnknownNodeError,
     UnsupportedQueryError,
 )
 from repro.serving.metrics import BATCH_SIZE_BUCKETS, Counter, MetricsRegistry
 from repro.serving.process_pool import ProcessReplicaPool
 from repro.serving.replicas import InlineReplicas, ThreadReplicaSet
-from repro.serving.result_cache import ResultCache
+from repro.serving.result_cache import ResultCache, query_nodes
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.core.framework import ROAD
@@ -106,9 +110,6 @@ FLUSH_REASONS = ("full", "idle", "released", "deadline")
 #: documents the shared surface).
 ReplicaSet = Union[InlineReplicas, ThreadReplicaSet, ProcessReplicaPool]
 
-#: Engine families :meth:`RoadService.build` can construct.
-ENGINE_NAMES = ("ROAD", "NetExp", "Euclidean", "DistIdx")
-
 #: ROAD serving modes — the one source of truth lives on the engine.
 MODES = ROAD_MODES
 
@@ -116,11 +117,10 @@ MODES = ROAD_MODES
 #: snapshots, or worker processes over one shared-memory snapshot.
 REPLICA_MODES = ("thread", "process")
 
-#: Environment overrides honoured by :meth:`ServiceConfig.from_env`.
-MODE_ENV = "REPRO_ENGINE"
+#: Environment overrides honoured by :meth:`ServiceConfig.from_env`
+#: (beside ``MODE_ENV`` and ``frozen_backends.BACKEND_ENV``).
 REPLICAS_ENV = "REPRO_REPLICAS"
 REPLICA_MODE_ENV = "REPRO_REPLICA_MODE"
-DIRECTORIES_ENV = "REPRO_DIRECTORIES"
 RESULT_CACHE_ENV = "REPRO_RESULT_CACHE"
 CACHE_BUDGET_ENV = "REPRO_CACHE_BUDGET"
 
@@ -178,9 +178,9 @@ def _stat_number(stats: Mapping[str, object], key: str) -> float:
 class ServiceConfig:
     """Typed serving configuration: what was previously ``REPRO_*`` sprawl.
 
-    ``engine`` picks the engine family; ``mode``/``backend`` configure
-    the ROAD serving path exactly like the eponymous
-    :class:`~repro.baselines.road_adapter.ROADEngine` knobs.
+    ``mode``/``backend`` configure the ROAD serving path exactly like
+    the eponymous :class:`~repro.baselines.road_adapter.ROADEngine`
+    knobs.
     The remaining fields drive the async front-end: ``max_batch`` caps
     how many queries one admission flush may hold, ``max_delay_ms`` is
     the upper bound on how long an under-full bucket is held while
@@ -196,16 +196,8 @@ class ServiceConfig:
     CPU parallelism at one snapshot's memory cost.
     """
 
-    engine: str = "ROAD"
     mode: str = "charged"
     backend: Optional[str] = None
-    #: None targets the executor's own default directory (for a snapshot
-    #: of a named provider, the directory it compiled).
-    directory: Optional[str] = None
-    #: Which attached directories frozen snapshots (the ROAD engine's and
-    #: the replica shards') compile — None compiles **all** attached
-    #: providers into one snapshot sharing the entry arrays.
-    directories: Optional[Tuple[str, ...]] = None
     levels: int = 4
     fanout: int = 4
     max_batch: int = 64
@@ -222,34 +214,12 @@ class ServiceConfig:
     cache_budget: int = 2048
 
     def __post_init__(self) -> None:
-        if self.engine not in ENGINE_NAMES:
-            raise ValueError(
-                f"engine must be one of {ENGINE_NAMES}, got {self.engine!r}"
-            )
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.backend is not None:
             from repro.core.frozen_backends import validate_backend_name
 
             validate_backend_name(self.backend, source="ServiceConfig.backend")
-        if self.directories is not None:
-            if isinstance(self.directories, str):
-                raise ValueError(
-                    f"directories must be a sequence of names, not the "
-                    f"single string {self.directories!r} (it would split "
-                    f"into per-character names); wrap it in a tuple"
-                )
-            names = tuple(self.directories)
-            if not names or not all(isinstance(name, str) and name for name in names):
-                raise ValueError(
-                    "directories must be a non-empty sequence of directory "
-                    f"names, got {self.directories!r}"
-                )
-            if len(set(names)) != len(names):
-                raise ValueError(f"directories lists a name twice: {names!r}")
-            # Normalise any iterable to the hashable tuple form (the
-            # dataclass is frozen, hence the object.__setattr__).
-            object.__setattr__(self, "directories", names)
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.max_delay_ms < 0:
@@ -287,20 +257,6 @@ class ServiceConfig:
             env["replicas"] = _parse_int(REPLICAS_ENV, os.environ[REPLICAS_ENV])
         if REPLICA_MODE_ENV in os.environ:
             env["replica_mode"] = os.environ[REPLICA_MODE_ENV].lower()
-        if DIRECTORIES_ENV in os.environ:
-            names = tuple(
-                name.strip()
-                for name in os.environ[DIRECTORIES_ENV].split(",")
-                if name.strip()
-            )
-            if not names:
-                # A malformed restriction must not degrade to "compile
-                # everything" — that is the opposite of what was asked.
-                raise ValueError(
-                    f"{DIRECTORIES_ENV} must name at least one directory, "
-                    f"got {os.environ[DIRECTORIES_ENV]!r}"
-                )
-            env["directories"] = names
         if RESULT_CACHE_ENV in os.environ:
             env["result_cache"] = _parse_bool(
                 RESULT_CACHE_ENV, os.environ[RESULT_CACHE_ENV]
@@ -320,7 +276,7 @@ class RoadService:
     :class:`~repro.core.framework.ROAD`, a
     :class:`~repro.core.frozen.FrozenRoad`, a
     :class:`~repro.baselines.road_adapter.ROADEngine` or any baseline),
-    or let :meth:`build` construct the engine the config asks for.
+    or let :meth:`build` construct the ROAD engine the config describes.
 
     The async front-end is single-loop: call :meth:`submit` from one
     running event loop (the flush machinery uses that loop's clock and
@@ -372,41 +328,25 @@ class RoadService:
         pager: Optional["PageManager"] = None,
         **engine_kwargs: Any,
     ) -> "RoadService":
-        """Build the engine the config selects and wrap it.
+        """Build the :class:`ROADEngine` the config describes and wrap it.
 
         ``config=None`` reads the environment overrides
         (:meth:`ServiceConfig.from_env`).  Extra keyword arguments are
-        forwarded to the engine constructor (``bisector``,
-        ``abstract_factory``, ...).
+        forwarded to the engine constructor (``providers``,
+        ``bisector``, ``abstract_factory``, ...).
         """
-        from repro.baselines import (
-            DistanceIndexEngine,
-            EuclideanEngine,
-            NetworkExpansionEngine,
-            ROADEngine,
-        )
-
         if config is None:
             config = ServiceConfig.from_env()
-        if config.engine == "ROAD":
-            executor = ROADEngine(
-                network,
-                objects,
-                pager,
-                levels=config.levels,
-                fanout=config.fanout,
-                mode=config.mode,
-                backend=config.backend,
-                directories=config.directories,
-                **engine_kwargs,
-            )
-        else:
-            engine_cls = {
-                "NetExp": NetworkExpansionEngine,
-                "Euclidean": EuclideanEngine,
-                "DistIdx": DistanceIndexEngine,
-            }[config.engine]
-            executor = engine_cls(network, objects, pager, **engine_kwargs)
+        executor = ROADEngine(
+            network,
+            objects,
+            pager,
+            levels=config.levels,
+            fanout=config.fanout,
+            mode=config.mode,
+            backend=config.backend,
+            **engine_kwargs,
+        )
         return cls(executor, config=config)
 
     # ------------------------------------------------------------------
@@ -638,9 +578,7 @@ class RoadService:
         stats: Optional["SearchStats"] = None,
     ) -> List[ResultRow]:
         """Run one query synchronously on the primary executor."""
-        return self._executor.execute(
-            query, directory=self._directory(directory), stats=stats
-        )
+        return self._executor.execute(query, directory=directory, stats=stats)
 
     def run_many(
         self,
@@ -651,32 +589,8 @@ class RoadService:
     ) -> List[List[ResultRow]]:
         """Run a workload synchronously on the primary executor."""
         return self._executor.execute_many(
-            queries, directory=self._directory(directory), stats=stats
+            queries, directory=directory, stats=stats
         )
-
-    def _directory(self, directory: Optional[str]) -> Optional[str]:
-        # None cascades: explicit argument > config > executor default
-        # (resolved by the executor's check_directory).  A pinned
-        # ServiceConfig.directories restricts the whole service surface:
-        # ROADEngine filters its own names, but a bare executor would
-        # otherwise serve an unpinned directory on the sync path while
-        # the replica shards 404 on it — sync and async must agree.
-        if directory is None:
-            directory = self.config.directory
-        if self.config.directories is not None:
-            # The implicit executor default must not slip past the pinned
-            # set either — directory-less queries and explicitly named
-            # ones face the same restriction.  Resolution goes through
-            # _serving_directory, never the serving object (which could
-            # lazily compile a snapshot just to answer a name lookup).
-            resolved = (
-                directory if directory is not None else self._serving_directory()
-            )
-            if resolved not in self.config.directories:
-                raise UnknownDirectoryError(
-                    self._executor, resolved, self.config.directories
-                )
-        return directory
 
     # ------------------------------------------------------------------
     # Async admission-batched path
@@ -698,11 +612,18 @@ class RoadService:
         if self._shards.closed:
             raise ServiceError("service closed")
         serving = self._serving_executor()
-        # Fail fast — a bad query or directory must reject *this* call,
-        # not poison the whole flush it would have joined.
+        # Fail fast — a bad query, node or directory must reject *this*
+        # call, not poison the whole flush it would have joined.
         if not serving.supports(query):
             raise UnsupportedQueryError(serving, query)
-        directory = serving.check_directory(self._directory(directory))
+        for node in query_nodes(query):
+            if not serving.has_node(node):
+                raise UnknownNodeError(serving, node)
+        if directory is None:
+            # The primary's default, as on the sync path: a shard
+            # snapshot lacking it must refuse, not pick its own.
+            directory = self._executor.default_directory
+        directory = serving.check_directory(directory)
         loop = asyncio.get_running_loop()
         if self._loop is not loop:
             # A previous event loop died with admission state in flight
@@ -939,76 +860,12 @@ class RoadService:
         )
 
     def _freeze_shards(self, count: int, backend: Optional[str]) -> List["FrozenRoad"]:
-        """Freeze ``count`` fresh shard snapshots off the charged road.
-
-        Each shard is one multi-directory snapshot: the configured
-        directory set (None = every attached provider) shares the entry
-        arrays, and the service's serving directory becomes the shard's
-        default so directory=None submits route identically on the
-        primary and on every replica.
-        """
+        """Freeze ``count`` fresh shard snapshots off the charged road,
+        each compiling every attached directory (they share the entry
+        arrays), exactly as the primary engine's own snapshot does."""
         road = self._road()
         assert road is not None
-        directories = self._shard_directories()
-        default = self._shard_default(road, directories)
-        return [
-            road.freeze(directories=directories, default=default, backend=backend)
-            for _ in range(count)
-        ]
-
-    def _shard_directories(self) -> Optional[Tuple[str, ...]]:
-        """The directory set replica shards compile.
-
-        An executor carrying its own ``directories`` knob (ROADEngine,
-        which keeps it current across attach/detach) is authoritative —
-        freezing from the config's snapshot-in-time copy would diverge
-        from the primary after membership changes.  Bare executors fall
-        back to the configured set, filtered to the directories the
-        executor still serves (a pinned name whose provider was detached
-        must not crash every later shard rebuild).  None compiles every
-        attached provider.
-        """
-        sentinel = object()
-        directories = getattr(self._executor, "directories", sentinel)
-        if directories is sentinel:
-            directories = self.config.directories
-            if directories is not None:
-                serving = self._executor.directory_names
-                directories = tuple(name for name in directories if name in serving)
-                if not directories:
-                    raise ServiceError(
-                        f"none of the configured directories "
-                        f"{self.config.directories!r} are still attached "
-                        f"(serving: {serving!r})"
-                    )
-        return directories
-
-    def _shard_default(
-        self, road: "ROAD", directories: Optional[Tuple[str, ...]]
-    ) -> str:
-        """The default directory replica shards freeze with.
-
-        ``directories`` is the caller's already-resolved
-        :meth:`_shard_directories` value (resolving it can touch the
-        primary snapshot, so it is computed once per rebuild).  The
-        default is resolved without touching the serving object
-        (:meth:`_serving_directory`), then validated against the pinned
-        set up front — otherwise the mismatch would surface as a deep
-        ``UnknownDirectoryError`` naming a directory the operator never
-        configured.
-        """
-        default = self._serving_directory()
-        compiled = (
-            directories if directories is not None else tuple(road.directory_names)
-        )
-        if default not in compiled:
-            raise ServiceError(
-                f"the serving directory resolves to {default!r}, which the "
-                f"shard directories {compiled!r} do not "
-                f"compile; add it to ServiceConfig.directories or set "
-                f"ServiceConfig.directory to a compiled name"
-            )
-        return default
+        return [road.freeze(backend=backend) for _ in range(count)]
 
     def _rebuild_replicas(self) -> None:
         """Re-freeze every shard after directory membership changed.
@@ -1038,59 +895,32 @@ class RoadService:
         The executor decides its own snapshot lifecycle
         (:meth:`ROADEngine.attach_objects` invalidates a live snapshot);
         the service re-freezes the replica shards, which the maintenance
-        patch-broadcast cannot grow a directory into.  The rebuild only
-        runs when the effective shard set actually changed — it never
-        does under a live pinned knob, but a bare executor's set is
-        pinned ∩ attached and grows when a pinned name gets attached.
+        patch-broadcast cannot grow a directory into.
         """
         attach = self._directory_manager("attach_objects")
-        sharded = bool(self._shards.workers)
-        before = self._shard_directories() if sharded else None
         directory = attach(objects, name=name, **kwargs)
         if self._result_cache is not None:
             self._result_cache.invalidate_directory(directory)
-        if sharded and (before is None or self._shard_directories() != before):
+        if self._shards.workers:
             self._rebuild_replicas()
         return directory
 
     def detach_objects(self, name: str) -> None:
         """Detach a provider through the executor; re-freeze all shards.
 
-        Detaching the *serving* directory is rejected up front — with
-        shards it would strand them serving the detached provider after
-        a mid-operation failure, and without shards it would break every
-        subsequent ``run``/``submit``; either way the config still names
-        it, so fail fast with the fix spelled out.
+        Shards cannot compile an empty directory set, so the last
+        directory of a sharded service is refused *before* the executor
+        is touched — failing in the rebuild would strand the shards
+        serving the detached provider.
         """
         detach = self._directory_manager("detach_objects")
-        if self._serving_directory() == name:
+        if self._shards.workers and self._executor.directory_names == [name]:
             raise ServiceError(
-                f"cannot detach {name!r}: it is this service's serving "
-                f"directory; point ServiceConfig.directory elsewhere first"
+                f"cannot detach {name!r}: it is the last directory the "
+                f"replica shards serve"
             )
-        compiled = self._shard_directories()
         detach(name)
-        if self._result_cache is not None:
-            self._result_cache.invalidate_directory(name)
-        if compiled is None or name in compiled:
-            self._rebuild_replicas()
-
-    def _serving_directory(self) -> str:
-        """``config.directory`` resolved without touching the serving object.
-
-        Asking the executor (``check_directory``/``default_directory`` on
-        a frozen-mode ROADEngine) can lazily compile a full snapshot just
-        to answer a name lookup; the charged road answers for free.  Used
-        by the shard default and the detach guard — validation of the
-        resolved name happens where it is consumed (``freeze(default=)``
-        / the pinned-set check).
-        """
-        if self.config.directory is not None:
-            return self.config.directory
-        road = self._road()
-        if road is not None:
-            return road.default_directory
-        return self._executor.default_directory
+        self._rebuild_replicas()
 
     def _directory_manager(self, method: str) -> Callable[..., Any]:
         """The executor's attach/detach entry point, or a typed error.

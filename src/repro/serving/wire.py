@@ -209,8 +209,14 @@ def _require_int(body: Mapping[str, Any], field: str) -> int:
 
 def _require_number(body: Mapping[str, Any], field: str) -> float:
     value = body.get(field)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise WireError(f"field {field!r} must be a number, got {value!r}")
+    # json.loads accepts the NaN / Infinity literals; no field has a use
+    # for them (a NaN edge distance breaks every comparison downstream).
+    if (
+        not isinstance(value, (int, float))
+        or isinstance(value, bool)
+        or not math.isfinite(value)
+    ):
+        raise WireError(f"field {field!r} must be a finite number, got {value!r}")
     return float(value)
 
 

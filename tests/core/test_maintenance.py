@@ -79,10 +79,17 @@ class TestEdgeDistanceChange:
         check_queries(net, objects, road)
 
     def test_non_positive_distance_rejected(self, built):
+        """NaN and infinity too (``distance <= 0`` is false for NaN),
+        leaving the network, the charged answers and a snapshot intact."""
         _, _, road = built
-        u, v, _ = next(road.network.edges())
-        with pytest.raises(MaintenanceError):
-            road.update_edge_distance(u, v, 0.0)
+        u, v, d = next(road.network.edges())
+        frozen = road.freeze()
+        before = road.knn(0, 3)
+        for distance in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(MaintenanceError):
+                road.update_edge_distance(u, v, distance)
+            assert road.network.edge_distance(u, v) == d
+            assert road.knn(0, 3) == before == frozen.knn(0, 3)
 
     def test_missing_edge_rejected(self, built):
         _, _, road = built

@@ -36,10 +36,15 @@ class TestConstruction:
 
     def test_non_positive_distance_rejected(self, triangle):
         triangle.add_node(4)
-        with pytest.raises(NetworkError):
-            triangle.add_edge(1, 4, 0.0)
-        with pytest.raises(NetworkError):
-            triangle.add_edge(1, 4, -2.0)
+        old = triangle.edge_distance(1, 2)
+        # NaN compares false against everything: it needs the finite check.
+        for distance in (0.0, -2.0, float("nan"), float("inf")):
+            with pytest.raises(NetworkError):
+                triangle.add_edge(1, 4, distance)
+            with pytest.raises(NetworkError):
+                triangle.update_edge(1, 2, distance)
+        assert not triangle.has_edge(1, 4)
+        assert triangle.edge_distance(1, 2) == old
 
     def test_edge_to_missing_node_rejected(self, triangle):
         with pytest.raises(NetworkError):

@@ -10,7 +10,11 @@ The edge cases the multi-directory refactor must pin down:
   directories' identical queries never share one result list;
 * ``FrozenRoad.directory_names`` / ``default_directory`` are
   authoritative for the serving layer — in particular,
-  ``RoadService.run`` on a named directory survives a snapshot refreeze.
+  ``RoadService.run`` on a named directory survives a snapshot refreeze;
+* what a service serves is what is attached to its ROAD: every snapshot
+  (the engine's, the replica shards') compiles all of it, attach/detach
+  re-freeze the shards, and a directory-less query resolves through the
+  primary executor on ``run``, ``run_many`` and ``submit`` alike.
 """
 
 import asyncio
@@ -19,6 +23,7 @@ import pytest
 
 from repro.baselines.road_adapter import ROADEngine
 from repro.core.framework import ROAD
+from repro.core.frozen_backends import shared_memory_available
 from repro.graph.generators import grid_network
 from repro.objects.placement import place_uniform
 from repro.queries.types import KNNQuery
@@ -55,6 +60,41 @@ def _ids(entries):
     return {entry.object_id for entry in entries}
 
 
+#: Every replica set a service can run on.
+REPLICA_ARMS = {
+    "inline": {},
+    "thread": {"replicas": 2},
+    "process": {"replicas": 1, "replica_mode": "process"},
+}
+
+
+def _arm_config(arm):
+    if arm == "process" and not shared_memory_available():
+        pytest.skip("host has no POSIX shared memory (/dev/shm)")
+    return ServiceConfig(**REPLICA_ARMS[arm])
+
+
+def _outcome(call):
+    """A call's answer, or the typed directory refusal it raised."""
+    try:
+        return call()
+    except UnknownDirectoryError as exc:
+        return ("unknown-directory", exc.directory)
+
+
+def _three_paths(service, query, directory=None):
+    """One query's outcome on ``run``, ``run_many`` and ``submit``."""
+
+    async def submit():
+        return await service.submit(query, directory=directory)
+
+    return [
+        _outcome(lambda: service.run(query, directory=directory)),
+        _outcome(lambda: service.run_many([query], directory=directory)[0]),
+        _outcome(lambda: asyncio.run(submit())),
+    ]
+
+
 class TestDefaultResolution:
     def test_default_is_configured_not_first_compiled(self, road, providers):
         """freeze(default=...) wins; None never means "first compiled"."""
@@ -88,23 +128,18 @@ class TestDefaultResolution:
         with pytest.raises(ValueError):
             road.freeze(directories=["hotels", "hotels"])
 
-    def test_service_config_directory_routes_on_multi_snapshot(
-        self, road, providers
-    ):
-        """A service's config.directory picks the span set on a
-        multi-directory snapshot; directory=None submits follow it."""
-        snapshot = road.freeze()
-        service = RoadService(
-            snapshot, config=ServiceConfig(directory="hotels")
-        )
+    def test_request_directory_routes_on_multi_snapshot(self, road, providers):
+        """The request's ``directory=`` picks the span set on a
+        multi-directory snapshot; an omitted one follows the snapshot's
+        own default, on every path."""
+        service = RoadService(road.freeze(default="fuel"))
         try:
-            got = service.run(KNNQuery(0, 2))
-            assert _ids(got) <= set(providers["hotels"].ids())
-
-            async def go():
-                return await service.submit(KNNQuery(0, 2))
-
-            assert asyncio.run(go()) == got
+            named = _three_paths(service, KNNQuery(0, 2), "hotels")
+            assert named[0] == named[1] == named[2]
+            assert _ids(named[0]) <= set(providers["hotels"].ids())
+            assert _three_paths(service, KNNQuery(0, 2)) == _three_paths(
+                service, KNNQuery(0, 2), "fuel"
+            )
         finally:
             service.close()
 
@@ -239,9 +274,9 @@ class TestAuthoritativeDirectorySurface:
         self, network, providers
     ):
         """Regression: the lazily rebuilt snapshot used to compile only
-        the default directory — a service configured for a named
-        provider then 404'd once its snapshot had been dropped (here by
-        attaching another provider)."""
+        the default directory — queries naming another provider then
+        404'd once the snapshot had been dropped (here by attaching a
+        third provider)."""
         engine = ROADEngine(
             network.copy(),
             providers["objects"],
@@ -249,86 +284,19 @@ class TestAuthoritativeDirectorySurface:
             mode="frozen",
             providers={"hotels": providers["hotels"]},
         )
-        service = RoadService(
-            engine,
-            config=ServiceConfig(mode="frozen", directory="hotels"),
-        )
+        service = RoadService(engine, config=ServiceConfig(mode="frozen"))
         try:
-            before = service.run(KNNQuery(0, 2))
+            before = service.run(KNNQuery(0, 2), directory="hotels")
             assert _ids(before) <= set(providers["hotels"].ids())
             service.attach_objects(providers["fuel"], name="fuel")
             assert engine.frozen is None  # snapshot dropped, not patched
-            got = service.run(KNNQuery(0, 2))  # lazily re-frozen
+            got = service.run(KNNQuery(0, 2), directory="hotels")  # re-frozen
             assert engine.frozen is not None
             assert engine.frozen.directory_names == ["objects", "hotels", "fuel"]
             assert got == before
             assert got == engine.road.freeze(directory="hotels").knn(0, 2)
         finally:
             service.close()
-
-    def test_explicit_directories_knob_pins_compile_set(
-        self, network, providers
-    ):
-        engine = ROADEngine(
-            network.copy(),
-            providers["objects"],
-            levels=2,
-            mode="frozen",
-            providers={"hotels": providers["hotels"]},
-            directories=["objects"],
-        )
-        assert engine.frozen.directory_names == ["objects"]
-        with pytest.raises(UnknownDirectoryError):
-            engine.execute(KNNQuery(0, 1), directory="hotels")
-
-    def test_pinned_set_restricts_charged_mode_too(self, network, providers):
-        """Regression: the pinned set must hold in both modes — the
-        charged road physically serves every attached directory, but an
-        unpinned name answering in charged mode while frozen mode 404s
-        would make the modes diverge on the same query."""
-        engine = ROADEngine(
-            network.copy(),
-            providers["objects"],
-            levels=2,
-            mode="charged",
-            providers={"hotels": providers["hotels"]},
-            directories=["objects"],
-        )
-        assert engine.directory_names == ["objects"]
-        with pytest.raises(UnknownDirectoryError):
-            engine.execute(KNNQuery(0, 1), directory="hotels")
-        # ... and on the batch path, which forwards wholesale.
-        with pytest.raises(UnknownDirectoryError):
-            engine.execute_many([KNNQuery(0, 1)], directory="hotels")
-
-    def test_blank_directories_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DIRECTORIES", " , ,")
-        with pytest.raises(ValueError, match="at least one"):
-            ServiceConfig.from_env()
-
-    def test_pinned_config_restricts_bare_executor_sync_path(
-        self, road, providers
-    ):
-        """Regression: a pinned ServiceConfig.directories must restrict
-        the sync path of a bare executor too — otherwise run() answers
-        from a directory the replica shards 404 on."""
-        service = RoadService(
-            road, config=ServiceConfig(directories=("objects",))
-        )
-        with pytest.raises(UnknownDirectoryError):
-            service.run(KNNQuery(0, 1), directory="hotels")
-        assert service.run(KNNQuery(0, 1), directory="objects")
-        service.close()
-        # The implicit default faces the same restriction: a pinned set
-        # that excludes the executor's default 404s directory-less runs
-        # instead of silently serving the unpinned default.
-        service = RoadService(
-            road, config=ServiceConfig(directories=("hotels",))
-        )
-        with pytest.raises(UnknownDirectoryError):
-            service.run(KNNQuery(0, 1))
-        assert service.run(KNNQuery(0, 1), directory="hotels")
-        service.close()
 
     def test_late_attach_inherits_engine_abstract_factory(
         self, network, providers
@@ -346,68 +314,6 @@ class TestAuthoritativeDirectorySurface:
             engine.road.directory("hotels")._abstract_factory
             is counting_abstract
         )
-
-    def test_unknown_directories_knob_rejected(self, network, providers):
-        from repro.baselines.engine import EngineError
-
-        with pytest.raises(EngineError):
-            ROADEngine(
-                network.copy(),
-                providers["objects"],
-                levels=2,
-                directories=["parking"],
-            )
-        with pytest.raises(EngineError, match="twice"):
-            ROADEngine(
-                network.copy(),
-                providers["objects"],
-                levels=2,
-                directories=["objects", "objects"],
-            )
-        with pytest.raises(ValueError, match="twice"):
-            ServiceConfig(directories=("objects", "objects"))
-
-    def test_detaching_serving_directory_rejected_without_shards(
-        self, network, providers
-    ):
-        """The guard holds with replicas=0 too: a detached serving
-        directory would break every later run/submit, so it fails fast
-        just like the sharded case."""
-        from repro.serving import ServiceError
-
-        engine = ROADEngine(
-            network.copy(),
-            providers["objects"],
-            levels=2,
-            mode="frozen",
-            providers={"hotels": providers["hotels"]},
-        )
-        service = RoadService(
-            engine, config=ServiceConfig(mode="frozen", directory="hotels")
-        )
-        try:
-            with pytest.raises(ServiceError, match="serving directory"):
-                service.detach_objects("hotels")
-            assert service.run(KNNQuery(0, 1))  # still serving hotels
-        finally:
-            service.close()
-
-    def test_pinned_directories_must_include_default(
-        self, network, providers
-    ):
-        """Regression: a pinned set without "objects" would make frozen
-        and charged modes answer directory-less queries from different
-        providers — rejected at construction instead."""
-        from repro.baselines.engine import EngineError
-
-        with pytest.raises(EngineError, match="default directory"):
-            ROADEngine(
-                network.copy(),
-                providers["objects"],
-                levels=2,
-                providers={"hotels": providers["hotels"]},
-                directories=["hotels"],
-            )
 
     def test_default_directory_cannot_be_detached(self, network, providers):
         from repro.baselines.engine import EngineError
@@ -461,20 +367,15 @@ class TestAuthoritativeDirectorySurface:
         finally:
             service.close()
 
-    def test_detach_with_pinned_directories_keeps_shards_consistent(
+    def test_detach_of_a_build_time_provider_keeps_shards_consistent(
         self, network, providers
     ):
-        """Regression: shards must re-freeze from the executor's *live*
-        directory knob, not the config's snapshot-in-time copy — a
-        pinned-set detach used to crash the rebuild and strand the
-        shards on the detached provider."""
+        """Shards re-freeze from what is attached *now*: detaching a
+        provider that was there at build must not strand them on it."""
         service = RoadService.build(
             network.copy(),
             providers["objects"],
-            config=ServiceConfig(
-                mode="frozen", levels=2, replicas=1,
-                directories=("objects", "hotels"),
-            ),
+            config=ServiceConfig(mode="frozen", levels=2, replicas=1),
             providers={"hotels": providers["hotels"]},
         )
         try:
@@ -491,28 +392,25 @@ class TestAuthoritativeDirectorySurface:
         finally:
             service.close()
 
-    def test_detaching_the_serving_directory_rejected_with_shards(
+    def test_detaching_the_last_directory_rejected_with_shards(
         self, network, providers
     ):
-        """Regression: the detach must fail BEFORE mutating the executor —
-        otherwise stale shards keep serving the detached provider while
-        the primary raises on it."""
+        """Regression: detaching the only directory the shards serve
+        must fail BEFORE mutating the executor — shards cannot compile
+        an empty set, so a failed rebuild would leave them serving the
+        detached provider while the primary raises on it."""
         from repro.serving import ServiceError
 
-        service = RoadService.build(
-            network.copy(),
-            providers["objects"],
-            config=ServiceConfig(
-                mode="frozen", levels=2, replicas=1, directory="hotels"
-            ),
-            providers={"hotels": providers["hotels"]},
-        )
+        road = ROAD.build(network.copy(), levels=2)
+        road.attach_objects(providers["hotels"], name="hotels")
+        service = RoadService(road, config=ServiceConfig(replicas=1))
         try:
-            with pytest.raises(ServiceError, match="serving directory"):
+            with pytest.raises(ServiceError, match="last directory"):
                 service.detach_objects("hotels")
             # Nothing mutated: primary and shards still serve hotels.
-            assert "hotels" in service.executor.directory_names
-            assert service.run(KNNQuery(0, 1))
+            assert service.executor.directory_names == ["hotels"]
+            assert service.replicas[0].directory_names == ["hotels"]
+            assert service.run(KNNQuery(0, 1), directory="hotels")
         finally:
             service.close()
 
@@ -532,28 +430,10 @@ class TestAuthoritativeDirectorySurface:
         finally:
             service.close()
 
-    def test_detach_outside_pinned_set_keeps_snapshot(
-        self, network, providers
-    ):
-        """A pinned set that never compiled the detached provider keeps
-        its snapshot — no refreeze for an unchanged compile set."""
-        engine = ROADEngine(
-            network.copy(),
-            providers["objects"],
-            levels=2,
-            mode="frozen",
-            providers={"hotels": providers["hotels"]},
-            directories=["objects"],
-        )
-        snapshot = engine.frozen
-        assert snapshot is not None
-        engine.detach_objects("hotels")
-        assert engine.frozen is snapshot  # untouched, still serving
-
     def test_detach_guard_never_compiles_a_doomed_snapshot(
         self, network, providers
     ):
-        """Regression: the serving-directory guard must not resolve
+        """Regression: a service-level detach must not look names up
         through the lazily-freezing serving object — with an invalidated
         snapshot that would pay a full compile the detach immediately
         invalidates again."""
@@ -574,105 +454,87 @@ class TestAuthoritativeDirectorySurface:
         finally:
             service.close()
 
-    def test_bare_road_pinned_detach_keeps_shards_consistent(
-        self, network, providers
-    ):
-        """Regression: with a bare ROAD executor (no live directories
-        knob) and a pinned config set, detach must rebuild the shards
-        from the directories still attached — not crash on the stale
-        config tuple and strand shards on the detached provider."""
-        from repro.core.framework import ROAD
-
-        road = ROAD.build(network.copy(), levels=2)
-        for name, objects in providers.items():
-            road.attach_objects(objects, name=name)
-        service = RoadService(
-            road,
-            config=ServiceConfig(
-                replicas=1, directories=("objects", "hotels")
-            ),
-        )
+    def test_bare_road_detach_keeps_shards_consistent(self, road):
+        """A bare ROAD executor's shards follow its attached set too."""
+        service = RoadService(road, config=ServiceConfig(replicas=1))
         try:
             assert service.replicas[0].directory_names == [
-                "objects", "hotels",
+                "objects", "hotels", "fuel",
             ]
             service.detach_objects("hotels")
-            assert service.replicas[0].directory_names == ["objects"]
+            assert service.replicas[0].directory_names == ["objects", "fuel"]
             u, v, d = next(iter(road.network.edges()))
             service.update_edge_distance(u, v, d * 1.5)
-            assert service.run(KNNQuery(0, 2)) == road.execute(KNNQuery(0, 2))
+            assert _three_paths(service, KNNQuery(0, 2)) == [
+                road.execute(KNNQuery(0, 2))
+            ] * 3
         finally:
             service.close()
 
-    def test_bare_road_pinned_attach_rebuilds_shards(
-        self, network, providers
-    ):
-        """Regression: on a bare executor the effective shard set is
-        pinned ∩ attached — attaching a pinned-but-absent provider grows
-        it, so the shards must be re-frozen, not skipped."""
-        import asyncio
-
+    def test_bare_road_attach_rebuilds_shards(self, network, providers):
         road = ROAD.build(network.copy(), levels=2)
         road.attach_objects(providers["objects"])
-        service = RoadService(
-            road,
-            config=ServiceConfig(
-                replicas=1, directories=("objects", "hotels")
-            ),
-        )
+        service = RoadService(road, config=ServiceConfig(replicas=1))
         try:
             assert service.replicas[0].directory_names == ["objects"]
             service.attach_objects(providers["hotels"], name="hotels")
             assert service.replicas[0].directory_names == [
                 "objects", "hotels",
             ]
-
-            async def go():
-                return await service.submit(
-                    KNNQuery(0, 2), directory="hotels"
-                )
-
-            assert asyncio.run(go()) == service.run(
-                KNNQuery(0, 2), directory="hotels"
-            )
+            assert _three_paths(service, KNNQuery(0, 2), "hotels") == [
+                road.execute(KNNQuery(0, 2), directory="hotels")
+            ] * 3
         finally:
             service.close()
 
+    @pytest.mark.parametrize("arm", REPLICA_ARMS)
     def test_named_providers_only_replicas_need_explicit_directory(
-        self, network, providers
+        self, network, providers, arm
     ):
-        """A replica service over a road with only named providers fails
-        with a clear ServiceError (set ServiceConfig.directory), not a
-        deep UnknownDirectoryError about the never-attached default."""
-        from repro.serving import ServiceError
-
+        """A road lacking ``objects`` serves its named providers on every
+        replica set, and refuses a directory-less query the same typed
+        way on ``run`` and ``submit`` — a shard snapshot's own default
+        (its first compiled name) never answers in the primary's place."""
         road = ROAD.build(network.copy(), levels=2)
         road.attach_objects(providers["hotels"], name="hotels")
-        with pytest.raises(ServiceError, match="do not compile"):
-            RoadService(road, config=ServiceConfig(replicas=1))
-        # Naming the serving directory makes the same shape work.
-        service = RoadService(
-            road, config=ServiceConfig(replicas=1, directory="hotels")
-        )
+        service = RoadService(road, config=_arm_config(arm))
         try:
-            assert service.run(KNNQuery(0, 2))
+            assert _three_paths(service, KNNQuery(0, 2)) == [
+                ("unknown-directory", "objects")
+            ] * 3
+            assert _three_paths(service, KNNQuery(0, 2), "hotels") == [
+                road.execute(KNNQuery(0, 2), directory="hotels")
+            ] * 3
         finally:
             service.close()
 
-    def test_replica_default_must_be_compiled(self, network, providers):
-        """Regression: a pinned shard set that excludes the resolved
-        serving directory fails with a clear ServiceError, not a deep
-        UnknownDirectoryError naming an unconfigured directory."""
-        from repro.core.framework import ROAD
-        from repro.serving import ServiceError
-
-        road = ROAD.build(network.copy(), levels=2)
-        for name, objects in providers.items():
-            road.attach_objects(objects, name=name)
-        with pytest.raises(ServiceError, match="do not compile"):
-            RoadService(
-                road,
-                config=ServiceConfig(
-                    replicas=1, directories=("hotels", "fuel")
-                ),
-            )
+    @pytest.mark.parametrize("arm", REPLICA_ARMS)
+    def test_directory_less_queries_agree_on_every_path(
+        self, road, providers, arm
+    ):
+        """``run``, ``run_many`` and ``submit`` resolve an omitted
+        directory identically — the same answer or the same typed
+        refusal — before and after attach/detach, on every replica set."""
+        for name in ("hotels", "fuel"):
+            road.detach_objects(name)
+        service = RoadService(road, config=_arm_config(arm))
+        query = KNNQuery(0, 2)
+        try:
+            served = [road.execute(query)] * 3
+            assert _three_paths(service, query) == served
+            service.attach_objects(providers["hotels"], name="hotels")
+            assert _three_paths(service, query) == served
+            assert _three_paths(service, query, "hotels") == [
+                road.execute(query, directory="hotels")
+            ] * 3
+            service.detach_objects("objects")  # a bare ROAD lets it go
+            assert _three_paths(service, query) == [
+                ("unknown-directory", "objects")
+            ] * 3
+            assert _three_paths(service, query, "hotels") == [
+                road.execute(query, directory="hotels")
+            ] * 3
+            service.attach_objects(providers["objects"], name="objects")
+            assert _three_paths(service, query) == served
+        finally:
+            service.close()

@@ -181,6 +181,23 @@ class TestQueryRoute:
         assert status == 404
         assert "nope" in body["error"]
 
+    @pytest.mark.parametrize("mode", ["charged", "frozen"])
+    def test_unknown_node_is_404(self, mode):
+        network = grid_network(8, 8, seed=13)
+        service = RoadService.build(
+            network, place_uniform(network, 16, seed=5),
+            config=ServiceConfig(mode=mode, levels=3),
+        )
+        try:
+            status, body = call(
+                RoadServiceApp(service), "POST", "/query",
+                {"query": encode_query(KNNQuery(-5, 1))},
+            )
+            assert status == 404
+            assert "holds no node -5" in body["error"]
+        finally:
+            service.close()
+
     @pytest.mark.parametrize(
         "payload",
         [
@@ -268,6 +285,17 @@ class TestMaintenanceRoute:
             {"op": "update_edge_distance", "u": 0},  # v missing
             {"op": "update_edge_distance", "u": 0, "v": 1,
              "distance": "near"},
+            # json.loads takes the NaN / Infinity literals json.dumps emits.
+            {"op": "update_edge_distance", "u": 0, "v": 1,
+             "distance": float("nan")},
+            {"op": "update_edge_distance", "u": 0, "v": 1,
+             "distance": float("inf")},
+            {"op": "add_edge", "u": 0, "v": 9, "distance": float("inf")},
+            # Typed refusals of the maintenance layer, not 500s.
+            {"op": "update_edge_distance", "u": 0, "v": 1, "distance": -1.0},
+            {"op": "update_edge_distance", "u": 0, "v": 63, "distance": 1.0},
+            {"op": "add_edge", "u": 0, "v": 0, "distance": 1.0},
+            {"op": "remove_edge", "u": 0, "v": 63},
             {"op": "insert_object", "object": {"object_id": 1,
              "edge": [0], "delta": 0.0}},
             {"op": "insert_object", "object": {"object_id": 1,
@@ -275,10 +303,20 @@ class TestMaintenanceRoute:
         ],
     )
     def test_bad_maintenance_is_400(self, setting, payload):
-        _, app = setting
+        service, app = setting
+        network = service.executor.network
+        edges = sorted(network.edges())
+        queries = [SAMPLES[t.__name__] for t in wire_types()]
+        before = service.run_many(queries)
         status, body = call(app, "POST", "/maintenance", payload)
         assert status == 400
         assert "error" in body
+        # A refusal changes nothing: not the network, not the primary's
+        # snapshot, not the shards'.
+        assert sorted(network.edges()) == edges
+        assert service.run_many(queries) == before
+        for replica in service.replicas:
+            assert replica.execute_many(queries) == before
 
 
 class TestMetricsRoute:
@@ -583,10 +621,14 @@ class TestHttp11Parser:
         )
         assert _run_connection(app, request).startswith(b"HTTP/1.1 501")
 
-    @pytest.mark.parametrize("value", [b"abc", b"-5"])
+    @pytest.mark.parametrize(
+        "value",
+        [b"abc", b"-5", b"+5", b"1_000", b"\xb2", b"5\r\nContent-Length: 6"],
+    )
     def test_bad_content_length_answers_400(self, setting, value):
-        # "-5" parses as an int: it must be refused like "abc", not
-        # reach readexactly(-5) and die inside the connection task.
+        # Whatever int() parses beyond ASCII digits ("-5" would reach
+        # readexactly(-5) and die inside the connection task) is refused
+        # like "abc", and so is a second header that disagrees.
         _, app = setting
         request = (
             b"POST /query HTTP/1.1\r\nContent-Length: " + value + b"\r\n\r\n"

@@ -16,6 +16,7 @@ from concurrent.futures import Future
 
 import pytest
 
+from repro.baselines import NetworkExpansionEngine
 from repro.core.framework import ROAD
 from repro.core.frozen_backends import shared_memory_available
 from repro.eval.metrics import snapshot_divergences
@@ -31,6 +32,7 @@ from repro.serving import (
     ServiceConfig,
     ServiceError,
     UnknownDirectoryError,
+    UnknownNodeError,
     UnsupportedQueryError,
 )
 from repro.serving.service import FLUSH_REASONS
@@ -160,13 +162,12 @@ async def settle():
 class TestServiceConfig:
     def test_defaults(self):
         config = ServiceConfig()
-        assert (config.engine, config.mode) == ("ROAD", "charged")
+        assert config.mode == "charged"
         assert config.replicas == 0
 
     @pytest.mark.parametrize(
         "field,value",
         [
-            ("engine", "Oracle"),
             ("mode", "warm"),
             ("backend", "sparse"),
             ("max_batch", 0),
@@ -189,21 +190,9 @@ class TestServiceConfig:
     def test_from_env_reads_overrides(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "frozen")
         monkeypatch.setenv("REPRO_REPLICAS", "3")
-        monkeypatch.setenv("REPRO_DIRECTORIES", "objects, hotels")
         config = ServiceConfig.from_env()
         assert config.mode == "frozen"
         assert config.replicas == 3
-        assert config.directories == ("objects", "hotels")
-
-    def test_directories_normalised_and_validated(self):
-        config = ServiceConfig(directories=["hotels", "objects"])
-        assert config.directories == ("hotels", "objects")
-        with pytest.raises(ValueError):
-            ServiceConfig(directories=())
-        with pytest.raises(ValueError):
-            ServiceConfig(directories=("", "hotels"))
-        with pytest.raises(ValueError, match="per-character"):
-            ServiceConfig(directories="hotels")
 
     def test_sharded_build_never_compiles_a_primary_snapshot(
         self, network, objects
@@ -245,11 +234,16 @@ class TestServiceConfig:
 
 class TestBuild:
     def test_build_selects_engine_family(self, network, objects):
+        """``build`` constructs the ROAD engine; any other family is
+        built by its caller and wrapped."""
         service = RoadService.build(
-            network.copy(), objects,
-            config=ServiceConfig(engine="NetExp"),
+            network.copy(), objects, config=ServiceConfig(levels=3)
         )
-        assert type(service.executor).__name__ == "NetworkExpansionEngine"
+        assert type(service.executor).__name__ == "ROADEngine"
+        engine = NetworkExpansionEngine(network.copy(), objects)
+        service = RoadService(engine)
+        assert service.executor is engine
+        assert gather_submits(service, [KNNQuery(0, 2)]) == [engine.knn(0, 2)]
 
     def test_build_road_frozen(self, network, objects):
         service = RoadService.build(
@@ -270,10 +264,10 @@ class TestBuild:
             RoadService(object())
 
     def test_replicas_need_a_road(self, network, objects):
-        with pytest.raises(ServiceError):
-            RoadService.build(
-                network.copy(), objects,
-                config=ServiceConfig(engine="NetExp", replicas=2),
+        with pytest.raises(ServiceError, match="ROAD-backed"):
+            RoadService(
+                NetworkExpansionEngine(network.copy(), objects),
+                config=ServiceConfig(replicas=2),
             )
 
 
@@ -504,6 +498,35 @@ class TestAdmissionControl:
         asyncio.run(go())
         service.close()
 
+    @pytest.mark.parametrize(
+        "settings",
+        [{}, {"replicas": 1}, {"result_cache": True}],
+        ids=["inline", "thread", "cached"],
+    )
+    def test_unknown_node_rejects_its_caller_alone(
+        self, network, objects, settings
+    ):
+        """One caller's bad node id is refused at admission; the
+        neighbours that would have shared its batch get their answers."""
+        service = RoadService.build(
+            network.copy(), objects,
+            config=ServiceConfig(mode="frozen", levels=3, **settings),
+        )
+        queries = [KNNQuery(3, 1), KNNQuery(999, 1), KNNQuery(5, 1)]
+
+        async def go():
+            return await asyncio.gather(
+                *(service.submit(q) for q in queries), return_exceptions=True
+            )
+
+        try:
+            first, bad, last = asyncio.run(go())
+            assert isinstance(bad, UnknownNodeError) and bad.node == 999
+            assert [first, last] == service.run_many([queries[0], queries[2]])
+            assert service.stats()["service"]["submitted"] == 2
+        finally:
+            service.close()
+
     def test_survives_an_abandoned_event_loop(self, network, objects):
         """Regression: a loop dying with a flush timer pending must not
         wedge the service — the next loop's submits adopt fresh state."""
@@ -534,7 +557,7 @@ class TestAdmissionControl:
 
     def test_wrapping_named_directory_snapshot(self, network, objects):
         """A service over a snapshot of a named provider serves it by
-        default (config.directory=None cascades to the executor)."""
+        default (an omitted directory cascades to the executor)."""
         road = ROAD.build(network.copy(), levels=3)
         road.attach_objects(objects, name="hotels")
         snapshot = road.freeze(directory="hotels")
@@ -872,15 +895,15 @@ class TestEvalHarnessIsolation:
         """Regression: REPRO_REPLICAS must not leak into the figure
         harness — baseline engines cannot shard, and bare ROAD engines
         must not freeze snapshots the harness never serves from."""
-        from repro.eval.runner import build_engine, build_service
+        from repro.eval.runner import build_engine
 
         monkeypatch.setenv("REPRO_REPLICAS", "2")
         engine = build_engine(
             "NetExp", network, objects, buffer_pages=8
         )
         assert engine.knn(0, 1)
-        service = build_service(
+        monkeypatch.setenv("REPRO_ENGINE", "frozen")
+        road = build_engine(
             "ROAD", network, objects, road_levels=3, buffer_pages=8
         )
-        assert service.replicas == ()
-        service.close()
+        assert road.stats()["maintenance"]["freezes"] == 1  # its own, once
