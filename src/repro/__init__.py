@@ -41,7 +41,7 @@ from repro.serving import (
     UnsupportedQueryError,
 )
 
-__version__ = "1.4.0"
+__version__ = "1.5.0"
 
 __all__ = [
     "ANY",

@@ -33,7 +33,6 @@ FORBIDDEN_METHODS = frozenset(
         "allocate",
         # charged RouteOverlay accessors
         "shortcut_tree",
-        "neighbours",
         "refresh_node",
         "refresh_nodes",
         # charged AssociationDirectory accessors (incl. the charged bulk

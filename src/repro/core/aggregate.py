@@ -18,6 +18,7 @@ beaten by any partially-seen or unseen object.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.association_directory import AssociationDirectory
@@ -141,31 +142,32 @@ def _lockstep(
 ) -> List[ResultEntry]:
     partials: Dict[int, Dict[int, float]] = {}
     finalised: Dict[int, float] = {}
+    ranked_values: List[float] = []  # finalised.values(), kept sorted
 
-    def lower_bound(known: Dict[int, float]) -> float:
-        """Sound lower bound on an object's final aggregate."""
-        values = [
-            known.get(i, expansions[i].radius) for i in range(m)
-        ]
-        return combine(values)
+    def can_stop(radii: List[float]) -> bool:
+        """Termination: nothing pending can beat the current k-th best.
 
-    def kth_best() -> float:
-        if len(finalised) < k:
-            return math.inf
-        return sorted(finalised.values())[k - 1]
+        The pending objects' lower bounds are only computed once the
+        unseen bound (the radii's aggregate) no longer beats the k-th
+        best, which is infinite until k objects are final.
+        """
+        kth = ranked_values[k - 1] if len(ranked_values) >= k else math.inf
+        if combine(radii) < kth:
+            return False
+        # Sound lower bound on each pending object's final aggregate.
+        return all(
+            combine([known.get(i, radii[i]) for i in range(m)]) >= kth
+            for known in partials.values()
+        )
+
+    def finalise(object_id: int, value: float) -> None:
+        finalised[object_id] = value
+        insort(ranked_values, value)
+        del partials[object_id]
 
     while True:
-        # Termination: nothing pending can beat the current k-th best.
-        best_possible = math.inf
-        for known in partials.values():
-            best_possible = min(best_possible, lower_bound(known))
-        unseen = combine([e.radius for e in expansions])
-        best_possible = min(best_possible, unseen)
-        if kth_best() <= best_possible:
+        if can_stop([e.radius for e in expansions]):
             break
-        if all(e.exhausted for e in expansions):
-            break
-
         # Advance the expansion with the smallest frontier radius.
         index = min(
             (i for i, e in enumerate(expansions) if not e.exhausted),
@@ -192,13 +194,9 @@ def _lockstep(
                 for i in range(m)
                 if i not in known
             ):
-                finalised[object_id] = best
-                del partials[object_id]
+                finalise(object_id, best)
         elif len(known) == m:
-            finalised[object_id] = combine(
-                [known[i] for i in range(m)]
-            )
-            del partials[object_id]
+            finalise(object_id, combine([known[i] for i in range(m)]))
 
     # `min` stragglers: partially-seen objects are still valid candidates.
     if agg == "min":

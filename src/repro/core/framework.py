@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.association_directory import AssociationDirectory
 from repro.core.maintenance import (
@@ -34,7 +34,6 @@ from repro.core.multi_source import (
     bucket_entries,
     normalize_breaks,
     od_entries,
-    od_matrix_generic,
 )
 from repro.core.object_abstract import AbstractFactory, exact_abstract
 from repro.core.paths import PathTracer, object_path
@@ -43,7 +42,9 @@ from repro.core.route_overlay import RouteOverlay, RouteOverlayError
 from repro.core.search import (
     AbstractCache,
     SearchStats,
+    TargetSet,
     knn_search,
+    object_sweep,
     range_search,
     sweep_results,
 )
@@ -357,11 +358,12 @@ class ROAD(QueryExecutor):
     ) -> List[ODMatrixEntry]:
         """Many-to-many network distances (the OD cost matrix workload).
 
-        One lane-tagged multi-source Dijkstra
-        (:func:`repro.core.multi_source.od_matrix_generic`) over the full
-        physical adjacency, charging pager I/O per expanded node the way
-        every charged traversal does.  Cells come back row-major with
-        ``inf`` for unreachable pairs; unknown sources *or* targets raise
+        One object sweep per distinct source whose objects are the
+        distinct targets (a :class:`~repro.core.search.TargetSet`): it
+        descends only the Rnets holding a target as an interior node,
+        crosses the rest on shortcuts, and stops once every target has
+        settled.  Cells come back row-major with ``inf`` for unreachable
+        pairs; unknown sources *or* targets raise
         :class:`~repro.core.route_overlay.RouteOverlayError` rather than
         silently reporting them unreachable.
         """
@@ -373,15 +375,15 @@ class ROAD(QueryExecutor):
         for node in (*src, *tgt):
             if not overlay.has_node(node):
                 raise RouteOverlayError(f"node {node} not in Route Overlay")
-
-        def expand_flat(
-            node: int, distance: float, push: Callable[[int, float], None]
-        ) -> None:
-            for neighbour, weight in overlay.neighbours(node):
-                push(neighbour, distance + weight)
-
-        rows = od_matrix_generic(src, tgt, expand_flat, stats=stats)
-        return od_entries(src, tgt, rows)
+        distinct = list(dict.fromkeys(tgt))
+        goal = TargetSet(self.hierarchy, distinct)
+        return od_entries(
+            src,
+            tgt,
+            lambda source: object_sweep(
+                overlay, goal, (source,), stats=stats, k=len(distinct)
+            ),
+        )
 
     def service_area(
         self,

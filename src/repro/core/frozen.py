@@ -68,7 +68,6 @@ import weakref
 from typing import (
     TYPE_CHECKING,
     Any,
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -82,11 +81,9 @@ from typing import (
 
 from repro.core.aggregate import aggregate_knn_generic
 from repro.core.multi_source import (
-    ExpandFlat,
     bucket_entries,
     normalize_breaks,
     od_entries,
-    od_matrix_generic,
 )
 from repro.core.frozen_backends import (
     BoolMask,
@@ -125,6 +122,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.core.framework import ROAD
     from repro.core.maintenance import MaintenanceReport
     from repro.core.object_abstract import ObjectAbstract
+    from repro.core.rnet import RnetHierarchy
 
 #: One directory's ``export_entries()``/``peek_entries()`` payload.
 _DirectoryExport = Tuple[
@@ -140,6 +138,16 @@ _TreePatch = Tuple[
 ]
 
 _INF = float("inf")
+
+#: The compiled arrays every directory shares, by their ``_arrays()`` and
+#: snapshot-file key; each lives on the snapshot as ``_<key>``.
+SHARED_ARRAYS = (
+    "entry_start", "entry_rnet", "entry_next",
+    "sc_start", "sc_target", "sc_weight",
+    "ed_start", "ed_target", "ed_weight",
+    "local_start", "local_target", "local_weight",
+    "home_slot", "slot_parent",
+)
 
 #: Distinct predicates whose compiled masks are retained per (directory,
 #: mask-kind) cache.  A long-lived server seeing high-cardinality
@@ -261,12 +269,12 @@ class FrozenRoad(QueryExecutor):
     :meth:`service_area` and :meth:`route_knn` run it to its stop rule
     and shape the rows (sort, cut at k, bucket by break);
     :meth:`iter_nearest_objects` hands it out unbounded, and
-    :meth:`aggregate_knn` interleaves several of those.  The footprint a
+    :meth:`aggregate_knn` interleaves several of those.  :meth:`od_matrix`
+    runs it once per source with the query's targets standing in for
+    the directory's objects (:meth:`_target_goal`).  The footprint a
     sweep reports is every node it pushed — settled, still queued, or
     popped beyond the bound — and every Rnet whose abstract it consulted,
     the same rule as the charged :func:`repro.core.search.object_sweep`.
-    :meth:`od_matrix` is not an object search and keeps its own
-    lane-tagged Dijkstra (:mod:`repro.core.multi_source`).
     """
 
     dispatch_engine = "frozen"
@@ -282,6 +290,7 @@ class FrozenRoad(QueryExecutor):
         default_directory: Optional[str] = None,
         backend: Optional[Union[str, ListBackend]] = None,
         mask_budget: Optional[int] = None,
+        hierarchy: "RnetHierarchy",
     ) -> None:
         """Compile ``trees`` plus one or more exported directories.
 
@@ -290,6 +299,8 @@ class FrozenRoad(QueryExecutor):
         compiled order.  The legacy single-directory form —
         positional ``node_entries``/``abstracts`` under ``directory_name``
         — is kept for callers that assemble exports by hand.
+        ``hierarchy`` is the one the trees were built over (OD target
+        masks read its interior Rnet chains).
         """
         if directories is None:
             if node_entries is None or abstracts is None:
@@ -329,12 +340,13 @@ class FrozenRoad(QueryExecutor):
         #: — a server that drops the ROAD reclaims them, and a later
         #: no-road ``apply`` raises :class:`FrozenRoadError` instead.
         self._source: Optional["weakref.ReferenceType[ROAD]"] = None
-        self._compile(trees, directories)
+        self._compile(trees, directories, hierarchy)
 
     def _compile(
         self,
         trees: Dict[int, "ShortcutTree"],
         directories: Dict[str, _DirectoryExport],
+        hierarchy: "RnetHierarchy",
     ) -> None:
         """(Re)build every compiled array from a fresh export."""
         # --- node id space -------------------------------------------------
@@ -422,6 +434,34 @@ class FrozenRoad(QueryExecutor):
         # (and, cached, for translating footprints back to real ids).
         self._slot_rnets: Optional[Tuple[int, ...]] = None
         slot_rnets = self._rnet_ids_by_slot()
+
+        # --- OD target masks (see _target_goal) ----------------------------
+        # Per node the slot of its interior Rnet (RnetHierarchy.interior_rnet,
+        # read off the tree: a border node's roots are its children, a
+        # non-border node's edges all lie in it), per slot its parent's;
+        # both skip to the nearest slotted ancestor, as only slotted Rnets
+        # are ever consulted.
+        def slotted(rnet_id: Optional[int]) -> int:
+            while rnet_id is not None:
+                slot = self._rnet_index.get(rnet_id)
+                if slot is not None:
+                    return slot
+                rnet_id = hierarchy.rnet(rnet_id).parent
+            return -1
+
+        def interior(node: int, tree: ShortcutTree) -> Optional[int]:
+            if tree.roots:
+                return hierarchy.rnet(tree.roots[0].rnet_id).parent
+            if tree.local_edges:
+                return hierarchy.leaf_of_edge(node, tree.local_edges[0][0]).rnet_id
+            return None  # on no edge: only the root holds it
+
+        self._home_slot = B.int_array(
+            slotted(interior(node, trees[node])) for node in self.node_ids
+        )
+        self._slot_parent = B.int_array(
+            slotted(hierarchy.rnet(rnet_id).parent) for rnet_id in slot_rnets
+        )
 
         # --- per-directory state: object spans + abstracts + masks ---------
         # Every directory shares the entry/shortcut/edge arrays compiled
@@ -514,6 +554,7 @@ class FrozenRoad(QueryExecutor):
             default_directory=default,
             backend=backend,
             mask_budget=mask_budget,
+            hierarchy=road.hierarchy,
         )
         frozen._source = weakref.ref(road)
         return frozen
@@ -556,18 +597,8 @@ class FrozenRoad(QueryExecutor):
         frozen._rnet_index = {
             rnet_id: slot for slot, rnet_id in enumerate(rnet_slots)
         }
-        frozen._entry_start = arrays["entry_start"]
-        frozen._entry_rnet = arrays["entry_rnet"]
-        frozen._entry_next = arrays["entry_next"]
-        frozen._sc_start = arrays["sc_start"]
-        frozen._sc_target = arrays["sc_target"]
-        frozen._sc_weight = arrays["sc_weight"]
-        frozen._ed_start = arrays["ed_start"]
-        frozen._ed_target = arrays["ed_target"]
-        frozen._ed_weight = arrays["ed_weight"]
-        frozen._local_start = arrays["local_start"]
-        frozen._local_target = arrays["local_target"]
-        frozen._local_weight = arrays["local_weight"]
+        for key in SHARED_ARRAYS:
+            setattr(frozen, f"_{key}", arrays[key])
         if not directories:
             raise ValueError("directories must compile at least one directory")
         frozen._dirs = {}
@@ -900,7 +931,7 @@ class FrozenRoad(QueryExecutor):
             name: road.directory(name).peek_entries() for name in self._dirs
         }
         trees = dict(road.overlay.iter_trees())
-        self._compile(trees, exports)
+        self._compile(trees, exports, road.hierarchy)
         self._source = weakref.ref(road)
 
     def _plan_tree_patch(
@@ -1262,24 +1293,26 @@ class FrozenRoad(QueryExecutor):
         *,
         directory: Optional[str] = None,
     ) -> List[ODMatrixEntry]:
-        """Many-to-many network distances over the compiled flat adjacency.
+        """Many-to-many network distances against the compiled arrays.
 
-        One lane-tagged multi-source Dijkstra
-        (:func:`repro.core.multi_source.od_matrix_generic`) relaxes the
-        contiguous edge spans for all S sources from a single shared
-        heap; cells are returned row-major with ``inf`` for unreachable
-        pairs.  ``directory`` only routes admission — the matrix itself
-        is a pure network product.
+        One :meth:`_sweep` per distinct source over the targets instead
+        of a directory's objects (:meth:`_target_goal`), stopped once
+        every target has settled.  Cells are returned row-major with
+        ``inf`` for unreachable pairs.  ``directory`` only routes
+        admission — the matrix itself is a pure network product.
         """
         self._state(directory)
-        src = [self._code(node) for node in sources]
-        if not src:
+        if not sources:
             raise ValueError("need at least one source node")
-        tgt = [self._code(node) for node in targets]
-        rows = od_matrix_generic(
-            src, tgt, self._flat_expand(), stats=stats, node_ids=self.node_ids
+        codes = [self._code(node) for node in dict.fromkeys(targets)]
+        goal = self._target_goal(codes)
+        return od_entries(
+            sources,
+            targets,
+            lambda source: self._sweep(
+                (source,), ANY, stats, directory, k=len(codes), goal=goal
+            ),
         )
-        return od_entries(list(sources), list(targets), rows)
 
     def service_area(
         self,
@@ -1393,18 +1426,7 @@ class FrozenRoad(QueryExecutor):
         single-directory snapshot keeps the historical flat keys).
         """
         arrays: Dict[str, Sequence] = {
-            "entry_start": self._entry_start,
-            "entry_rnet": self._entry_rnet,
-            "entry_next": self._entry_next,
-            "sc_start": self._sc_start,
-            "sc_target": self._sc_target,
-            "sc_weight": self._sc_weight,
-            "ed_start": self._ed_start,
-            "ed_target": self._ed_target,
-            "ed_weight": self._ed_weight,
-            "local_start": self._local_start,
-            "local_target": self._local_target,
-            "local_weight": self._local_weight,
+            key: getattr(self, f"_{key}") for key in SHARED_ARRAYS
         }
         for name, state in self._dirs.items():
             prefix = self._dir_prefix(name)
@@ -1539,6 +1561,7 @@ class FrozenRoad(QueryExecutor):
         k: Optional[int] = None,
         radius: float = _INF,
         drain_ties: bool = False,
+        goal: Optional[Tuple[Any, ...]] = None,
     ) -> Iterator[Tuple[float, int]]:
         """The one expansion: yield (distance, object_id), nearest first.
 
@@ -1549,6 +1572,9 @@ class FrozenRoad(QueryExecutor):
         at once (kNNSearch), or, with ``drain_ties``, once the objects
         tied with the k-th are out too, so a consumer can cut the
         canonical (distance, id) prefix instead of a push-order one.
+
+        A ``goal`` from :meth:`_target_goal` swaps the directory's objects
+        and Rnet mask for an OD query's targets (yielded as their index).
 
         Counters and footprint reach ``stats`` once, in the ``finally``:
         on exhaustion, on a stop rule, or when the consumer closes the
@@ -1570,8 +1596,13 @@ class FrozenRoad(QueryExecutor):
             for seq, code in enumerate(dict.fromkeys(map(self._code, seeds)))
         ]
         seq = len(heap)
-        may = self._rnet_mask(state, predicate)
-        omask = self._object_mask(state, predicate)
+        if goal is None:
+            may = self._rnet_mask(state, predicate)
+            omask = self._object_mask(state, predicate)
+            obj_start, obj_id, obj_delta = self._object_views(state)
+        else:
+            may, obj_start, obj_id, obj_delta = goal
+            omask = None
         # Bind every array view to a local once per sweep: the loop below
         # is the hot path, and attribute loads per pop would dominate it.
         # The backend picks the view the loop indexes — the list itself
@@ -1579,7 +1610,6 @@ class FrozenRoad(QueryExecutor):
         # "compact"/"shm" (cheaper per access than the array).
         pop = heapq.heappop
         push = heapq.heappush
-        obj_start, obj_id, obj_delta = self._object_views(state)
         (
             entry_start, entry_rnet, entry_next,
             sc_start, sc_target, sc_weight,
@@ -1710,37 +1740,30 @@ class FrozenRoad(QueryExecutor):
         except KeyError:
             raise FrozenRoadError(f"node {node} not in frozen index") from None
 
-    def _flat_expand(self) -> ExpandFlat:
-        """The OD sweep's step: a node's full physical adjacency.
+    def _target_goal(self, codes: Sequence[int]) -> Tuple[Any, ...]:
+        """Distinct OD targets as one sweep's Rnet mask and object spans.
 
-        A non-border node relaxes its local span; a border node's leaf
-        edges sit contiguous across its entry spans (``_compile`` emits
-        them in entry order and patches preserve the layout), so the
-        whole adjacency is one ``range(ed_start[i0], ed_start[i1])``.
-        Same edge multiset as the charged ``overlay.neighbours`` — and
-        Dijkstra's settled distances are relaxation-order independent,
-        so the OD rows agree across engines byte-for-byte.
+        Target ``i`` (code ``codes[i]``) is object ``i`` on its node at
+        offset 0, in a directory's object CSR layout.  The mask marks the
+        compiled Rnets holding a target as an interior node (``home_slot``
+        up the ``slot_parent`` chain) — the charged twin is
+        :class:`repro.core.search.TargetSet`.
         """
-        (
-            entry_start, _entry_rnet, _entry_next,
-            _sc_start, _sc_target, _sc_weight,
-            ed_start, ed_target, ed_weight,
-            local_start, local_target, local_weight,
-        ) = self._array_views()
-
-        def expand_flat(
-            item: int, distance: float, push: Callable[[int, float], None]
-        ) -> None:
-            i0 = entry_start[item]
-            i1 = entry_start[item + 1]
-            if i0 == i1:
-                for j in range(local_start[item], local_start[item + 1]):
-                    push(local_target[j], distance + local_weight[j])
-            else:
-                for j in range(ed_start[i0], ed_start[i1]):
-                    push(ed_target[j], distance + ed_weight[j])
-
-        return expand_flat
+        home_slot, slot_parent = self._home_slot, self._slot_parent
+        may = bytearray(len(slot_parent))
+        for code in codes:
+            slot = home_slot[code]
+            while slot >= 0 and not may[slot]:
+                may[slot] = 1
+                slot = slot_parent[slot]
+        order = sorted(range(len(codes)), key=codes.__getitem__)
+        # obj_start[c] = number of targets whose code is below c
+        obj_start: List[int] = []
+        for rank, i in enumerate(order):
+            obj_start.extend([rank] * (codes[i] + 1 - len(obj_start)))
+        tail = len(self.node_ids) + 1 - len(obj_start)
+        obj_start.extend([len(codes)] * tail)
+        return may, obj_start, order, [0.0] * len(codes)
 
     def _rnet_ids_by_slot(self) -> Tuple[int, ...]:
         """Rnet ids in slot order: the inverse of ``_rnet_index``.

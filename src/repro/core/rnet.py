@@ -161,13 +161,12 @@ class RnetHierarchy:
         found.sort(key=lambda r: r.level)
         return found
 
-    def border_roots(self, node: int) -> List[Rnet]:
-        """Shortcut-tree roots for ``node`` (Section 3.4).
+    def interior_rnet(self, node: int) -> Rnet:
+        """The deepest Rnet that contains ``node`` as an *interior* node.
 
-        The children of the deepest Rnet that contains ``node`` as an
-        *interior* node: the highest-level Rnets for which the node is a
-        border node.  Empty for non-border nodes (their tree is a single
-        leaf of physical edges).
+        It and its ancestors are exactly the Rnets a search must descend
+        to settle ``node``; an Rnet the node only borders is crossed on
+        shortcuts that end at it.  A node on no edge gets the root.
         """
         current = self.root
         while True:
@@ -176,26 +175,31 @@ class RnetHierarchy:
                 for c in current.children
                 if node in self._rnets[c].nodes
             ]
-            if not holders:
-                return []  # `current` is a leaf: node is interior everywhere
-            if len(holders) == 1 and node not in holders[0].border:
-                current = holders[0]
-                continue
-            return sorted(holders, key=lambda r: r.rnet_id)
+            if len(holders) != 1 or node in holders[0].border:
+                return current
+            current = holders[0]
+
+    def border_roots(self, node: int) -> List[Rnet]:
+        """Shortcut-tree roots for ``node`` (Section 3.4).
+
+        The children of :meth:`interior_rnet` that contain ``node``: the
+        highest-level Rnets for which the node is a border node.  Empty
+        for non-border nodes (their tree is a single leaf of physical
+        edges).
+        """
+        holders = [
+            self._rnets[c]
+            for c in self.interior_rnet(node).children
+            if node in self._rnets[c].nodes
+        ]
+        return sorted(holders, key=lambda r: r.rnet_id)
 
     def home_leaf(self, node: int) -> Rnet:
         """The unique finest Rnet of a non-border (interior) node."""
-        current = self.root
-        while current.children:
-            holders = [
-                self._rnets[c]
-                for c in current.children
-                if node in self._rnets[c].nodes
-            ]
-            if len(holders) != 1:
-                raise HierarchyError(f"node {node} is a border node")
-            current = holders[0]
-        return current
+        home = self.interior_rnet(node)
+        if not home.is_leaf:
+            raise HierarchyError(f"node {node} is a border node")
+        return home
 
     def is_border(self, node: int, rnet_id: int) -> bool:
         """True if ``node`` is a border node of the given Rnet."""

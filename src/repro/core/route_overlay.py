@@ -152,10 +152,6 @@ class RouteOverlay:
             self._pager.read(extra)  # continuation pages of bulky records
         return block.trees[node]
 
-    def neighbours(self, node: int) -> List[Tuple[int, float]]:
-        """A node's full adjacency (through the charged index)."""
-        return self.shortcut_tree(node).all_edges()
-
     def has_node(self, node: int) -> bool:
         """Membership check (charged like a directory search)."""
         return node in self._directory

@@ -20,12 +20,14 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.core.association_directory import AssociationDirectory
 from repro.core.paths import PathTracer
+from repro.core.rnet import RnetHierarchy
 from repro.core.route_overlay import RouteOverlay
 from repro.core.shortcuts import Shortcut
+from repro.objects.model import SpatialObject
 from repro.queries.types import ANY, Predicate, ResultEntry
 
 
@@ -77,7 +79,7 @@ class AbstractCache:
 
     __slots__ = ("_directory", "_predicate", "_memo")
 
-    def __init__(self, directory: AssociationDirectory, predicate: Predicate):
+    def __init__(self, directory: ObjectSource, predicate: Predicate):
         self._directory = directory
         self._predicate = predicate
         self._memo: Dict[int, bool] = {}
@@ -88,6 +90,41 @@ class AbstractCache:
             cached = self._directory.rnet_may_contain(rnet_id, self._predicate)
             self._memo[rnet_id] = cached
         return cached
+
+
+class TargetSet:
+    """An OD query's distinct targets, posing as one sweep's directory.
+
+    Target ``i`` is an object on its node at offset 0.  SearchObject(AD,
+    R) holds for the Rnets containing a target as an interior node (its
+    :meth:`~repro.core.rnet.RnetHierarchy.interior_rnet` and ancestors);
+    every other Rnet is crossed on shortcuts, which end at a target that
+    borders it.  The compiled twin is
+    :meth:`repro.core.frozen.FrozenRoad._target_goal`.
+    """
+
+    def __init__(self, hierarchy: RnetHierarchy, targets: Iterable[int]) -> None:
+        self._at = {
+            node: [(SpatialObject(i, (node, node), 0.0), 0.0)]
+            for i, node in enumerate(targets)
+        }
+        self._rnets = {
+            rnet.rnet_id
+            for node in self._at
+            for rnet in hierarchy.ancestors(
+                hierarchy.interior_rnet(node).rnet_id
+            )
+        }
+
+    def node_objects(self, node: int) -> List[Tuple[SpatialObject, float]]:
+        return self._at.get(node, [])
+
+    def rnet_may_contain(self, rnet_id: int, predicate: Predicate) -> bool:
+        return rnet_id in self._rnets
+
+
+#: What :func:`object_sweep` reads objects and Rnet abstracts from.
+ObjectSource = Union[AssociationDirectory, TargetSet]
 
 
 class _Frontier:
@@ -152,7 +189,7 @@ class _Frontier:
 
 def object_sweep(
     overlay: RouteOverlay,
-    directory: AssociationDirectory,
+    directory: ObjectSource,
     seeds: Iterable[int],
     predicate: Predicate = ANY,
     stats: Optional[SearchStats] = None,
@@ -173,7 +210,8 @@ def object_sweep(
     after the ``k``-th object — at once, or, with ``drain_ties``, once
     the objects tied with the k-th are out too, so a consumer can cut
     the canonical (distance, id) prefix instead of a push-order one.
-    It advances only as far as the consumer pulls.
+    It advances only as far as the consumer pulls.  ``directory`` may be
+    an OD query's :class:`TargetSet`, whose objects are its targets.
 
     ``stats.visited_nodes`` ends up holding **every node the sweep
     pushed**: the settled nodes, the nodes still queued when it ends or
@@ -373,7 +411,7 @@ def _choose_path_cached(
 
 
 def _collect_node_objects(
-    directory: AssociationDirectory,
+    directory: ObjectSource,
     frontier: _Frontier,
     node: int,
     distance: float,

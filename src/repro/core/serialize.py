@@ -46,7 +46,7 @@ from pathlib import Path
 from typing import Any, BinaryIO, Dict, List, Optional, Tuple, Union
 
 from repro.core.framework import ROAD, BuildReport
-from repro.core.frozen import FrozenRoad
+from repro.core.frozen import SHARED_ARRAYS, FrozenRoad
 from repro.core.frozen_backends import (
     CompactBackend,
     ListBackend,
@@ -462,6 +462,13 @@ def _parse_snapshot(
             f"{path}: unsupported snapshot version "
             f"{meta.get('version') if isinstance(meta, dict) else meta!r}"
         )
+    missing = set(SHARED_ARRAYS) - {entry[0] for entry in meta["arrays"]}
+    if missing:
+        raise SerializeError(
+            f"{path}: snapshot lacks the compiled arrays "
+            f"{', '.join(sorted(missing))} (saved by an older version); "
+            "re-freeze the ROAD and save the snapshot again"
+        )
     blob_start = _SNAPSHOT_HEADER_BYTES + meta_end + ((-meta_end) % 8)
     return meta, buf[blob_start:]
 
@@ -489,42 +496,27 @@ def load_snapshot(
     try:
         meta, blob = _parse_snapshot(path, buf)
         source.track(blob)
+        chosen = (
+            _SnapshotViewBackend(source)
+            if backend is None
+            else resolve_backend(backend)
+        )
         arrays: Dict[str, Any] = {}
-        if backend is None:
-            holder = _SnapshotViewBackend(source)
-            for key, typecode, length, offset, nbytes in meta["arrays"]:
-                view = blob[offset : offset + nbytes].cast(typecode)
-                if len(view) != length:
-                    raise SerializeError(
-                        f"{path}: array {key!r} length mismatch"
-                    )
-                source.track(view)
-                arrays[key] = view
-            frozen = FrozenRoad.from_parts(
-                backend=holder,
-                arrays=arrays,
-                node_ids=meta["node_ids"],
-                rnet_slots=meta["rnet_slots"],
-                directories=meta["directories"],
-                default_directory=meta["default_directory"],
-                mask_budget=(
-                    meta["mask_budget"] if mask_budget is None else mask_budget
-                ),
-                snapshot_path=str(path),
-            )
-            keep_mapped = True
-            return frozen
-        chosen = resolve_backend(backend)
         for key, typecode, length, offset, nbytes in meta["arrays"]:
-            staged: "array[Any]" = array(typecode)
-            staged.frombytes(bytes(blob[offset : offset + nbytes]))
-            if len(staged) != length:
-                raise SerializeError(f"{path}: array {key!r} length mismatch")
-            if typecode == "d":
-                arrays[key] = chosen.float_array(staged)
+            if backend is None:
+                arr: Any = blob[offset : offset + nbytes].cast(typecode)
+                source.track(arr)
             else:
-                arrays[key] = chosen.int_array(staged)
-        return FrozenRoad.from_parts(
+                arr = array(typecode, bytes(blob[offset : offset + nbytes]))
+            if len(arr) != length:
+                raise SerializeError(f"{path}: array {key!r} length mismatch")
+            if backend is None:
+                arrays[key] = arr
+            elif typecode == "d":
+                arrays[key] = chosen.float_array(arr)
+            else:
+                arrays[key] = chosen.int_array(arr)
+        frozen = FrozenRoad.from_parts(
             backend=chosen,
             arrays=arrays,
             node_ids=meta["node_ids"],
@@ -536,6 +528,8 @@ def load_snapshot(
             ),
             snapshot_path=str(path),
         )
+        keep_mapped = backend is None
+        return frozen
     finally:
         if not keep_mapped:
             source.close()

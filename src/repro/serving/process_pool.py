@@ -723,6 +723,10 @@ def _catch_up(
     A degraded pool leaves the patch window open indefinitely; the stop
     word (``ctrl[2]``, set by the primary's ``close()``) aborts the wait
     so the worker can drain its task queue and exit.
+
+    A ``"reload"`` re-attaches the whole snapshot, so every payload
+    queued before it is skipped — an earlier reload's segments may
+    already be unlinked by the later swap.
     """
     while True:
         if int(ctrl[2]):
@@ -730,9 +734,18 @@ def _catch_up(
         if int(ctrl[0]) % 2:
             time.sleep(_PATCH_WAIT_S)
             continue
-        if state.applied_seq >= int(ctrl[1]):
+        published = int(ctrl[1])
+        if state.applied_seq >= published:
             return
-        _apply_sync(state, syncs.get())
+        pending = [syncs.get()]
+        while pending[-1][1] < published:
+            pending.append(syncs.get())
+        start = max(
+            (i for i, payload in enumerate(pending) if payload[0] == "reload"),
+            default=0,
+        )
+        for payload in pending[start:]:
+            _apply_sync(state, payload)
 
 
 def _apply_sync(state: _WorkerState, payload: Tuple[Any, ...]) -> None:

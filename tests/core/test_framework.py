@@ -116,7 +116,7 @@ class TestRouteOverlay:
     def test_neighbours_roundtrip(self, medium_grid):
         road = ROAD.build(medium_grid, levels=2)
         for node in list(medium_grid.node_ids())[:10]:
-            assert sorted(road.overlay.neighbours(node)) == sorted(
+            assert sorted(road.overlay.shortcut_tree(node).all_edges()) == sorted(
                 medium_grid.neighbours(node)
             )
 

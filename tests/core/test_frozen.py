@@ -572,7 +572,8 @@ class TestApplyPatch:
         _, _, road = built
         node_entries, abstracts = road.directory().export_entries()
         orphan = FrozenRoad(
-            dict(road.overlay.iter_trees()), node_entries, abstracts
+            dict(road.overlay.iter_trees()), node_entries, abstracts,
+            hierarchy=road.hierarchy,
         )
         u, v, d = next(iter(road.network.edges()))
         report = road.update_edge_distance(u, v, d * 2)

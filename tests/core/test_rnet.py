@@ -138,6 +138,22 @@ class TestBorderRoots:
                 parents = {r.parent for r in roots}
                 assert len(parents) == 1
 
+    def test_interior_rnet_is_the_deepest_holding_the_node_inside(
+        self, grid_hierarchy
+    ):
+        _, hier = grid_hierarchy
+        for node in hier.root.nodes:
+            home = hier.interior_rnet(node)
+            assert node in home.nodes and node not in home.border
+            assert not any(
+                node in hier.rnet(c).nodes and node not in hier.rnet(c).border
+                for c in home.children
+            )
+            assert hier.border_roots(node) == sorted(
+                (hier.rnet(c) for c in home.children if node in hier.rnet(c).nodes),
+                key=lambda rnet: rnet.rnet_id,
+            )
+
     def test_home_leaf_of_interior_node(self, grid_hierarchy):
         _, hier = grid_hierarchy
         for leaf in hier.leaves():

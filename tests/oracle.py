@@ -6,7 +6,8 @@ the query node — the paper's correctness ground truth.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+import math
+from typing import List, Sequence, Tuple
 
 from repro.graph.network import RoadNetwork
 from repro.graph.shortest_path import dijkstra_distances
@@ -63,6 +64,34 @@ def brute_range(
         for d, i in brute_object_distances(network, objects, query_node, predicate)
         if d <= radius + 1e-9
     ]
+
+
+def assert_od_matches_dijkstra(
+    network: RoadNetwork,
+    sources: Sequence[int],
+    targets: Sequence[int],
+    cells,
+    *,
+    tol: float = 1e-6,
+) -> None:
+    """OD cells against plain Dijkstra from each source.
+
+    Row-major (source, target) pairs exactly; distances within ``tol``
+    (shortcut weights are pre-summed, so the last digits may differ);
+    ``inf`` exactly where the target is unreachable.
+    """
+    assert [(c.source, c.target) for c in cells] == [
+        (s, t) for s in sources for t in targets
+    ]
+    exact = {
+        s: dijkstra_distances(network.neighbours, s) for s in set(sources)
+    }
+    for cell in cells:
+        want = exact[cell.source].get(cell.target, math.inf)
+        if math.isinf(want):
+            assert math.isinf(cell.distance), cell
+        else:
+            assert abs(cell.distance - want) <= tol, (cell, want)
 
 
 def assert_same_result(got, expected, *, tol: float = 1e-6) -> None:

@@ -183,6 +183,8 @@ def _soak(seed, config_kwargs, *, steps=5):
         for _step in range(steps):
             _maintain_twins(rnd, network, cached, uncached, added)
             batch = _query_batch(rnd, network)
+            # OD rides the hierarchy too: its Rnet-id footprint is soaked.
+            assert any(isinstance(q, ODMatrixQuery) for q in batch)
             expected = uncached.run_many(batch)
             # Populate pass, then hit pass: both byte-identical.
             assert gather_submits(cached, batch) == expected

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.frozen import FrozenRoad
 from repro.core.frozen_backends import installed_backends
 from repro.core.serialize import (
     SerializeError,
@@ -134,6 +135,28 @@ def test_load_rejects_invalid_mask_budget(tmp_path):
         load_snapshot(path, mask_budget=0)
     with pytest.raises(ValueError, match="mask_budget"):
         road.freeze(mask_budget=0)
+
+
+def test_snapshot_without_od_arrays_is_refused(tmp_path, monkeypatch):
+    """A file saved before the OD target arrays existed is refused by
+    name on every load path, never with a bare ``KeyError``."""
+    _network, road, _directories = _build_multi_road(random.Random(5))
+    export_parts = FrozenRoad.export_parts
+
+    def without_od_arrays(self):
+        parts = export_parts(self)
+        del parts["arrays"]["home_slot"], parts["arrays"]["slot_parent"]
+        return parts
+
+    path = tmp_path / "older.roadsnp"
+    frozen = road.freeze()
+    with monkeypatch.context() as patch:
+        patch.setattr(FrozenRoad, "export_parts", without_od_arrays)
+        save_snapshot(frozen, path)
+    frozen.close()
+    for backend in (None, *installed_backends()):
+        with pytest.raises(SerializeError, match="home_slot, slot_parent"):
+            load_snapshot(path, backend=backend)
 
 
 def test_snapshot_rejects_corruption(tmp_path):

@@ -141,6 +141,61 @@ def test_attach_objects_replaces_the_shared_snapshot(service_parts, service):
     assert service.stats()["replica_pool"]["reloads"] >= 1
 
 
+def _shm_entries():
+    """Shared-memory segment names (the queues' sem.mp-* excluded)."""
+    return {
+        os.path.basename(path)
+        for pattern in ("/dev/shm/psm_*", "/dev/shm/repro_*")
+        for path in glob.glob(pattern)
+    }
+
+
+def test_back_to_back_swaps_skip_the_superseded_reload(service_parts):
+    """Two snapshot swaps with no batch between them (attach, attach).
+
+    The first swap's reload payload names segments the second swap has
+    already unlinked; a worker catching up must skip it for the later
+    reload instead of attaching it (``FileNotFoundError`` in the worker,
+    ``WorkerError`` in the parent).
+    """
+    network, objects, workload = service_parts
+    before = _shm_entries()
+    service = RoadService.build(
+        network.copy(), objects,
+        config=ServiceConfig(
+            mode="frozen", levels=3, replicas=1, replica_mode="process",
+        ),
+    )
+    try:
+        for name, seed in (("banks", 77), ("fuel", 78)):
+            service.attach_objects(
+                place_uniform(network, 6, seed=seed), name=name
+            )
+
+        async def wave():
+            return await asyncio.gather(
+                *(service.submit(q, directory="fuel") for q in workload)
+            )
+
+        fresh = service.executor.road.freeze()
+        assert asyncio.run(wave()) == fresh.execute_many(
+            workload, directory="fuel"
+        )
+        fresh.close()
+        # Only the live snapshot's segments and the control vector are
+        # left: both superseded snapshots were unlinked.
+        (snapshot,) = service.replicas
+        live = {
+            segment
+            for segment, _typecode in snapshot.shm_manifest()["segments"].values()
+        }
+        live.add(service._shards._ctrl.segment_name)
+        assert _shm_entries() - before == live
+    finally:
+        service.close()
+    assert _shm_entries() - before == set()
+
+
 def test_worker_errors_surface_with_type_and_message(service):
     async def ask():
         return await service.submit(

@@ -31,7 +31,10 @@ import pytest
 
 from repro.core.frozen_backends import shared_memory_available
 from repro.core.maintenance import MaintenanceReport
+from repro.core.search import TargetSet
 from repro.graph.generators import grid_network
+from repro.graph.network import edge_key
+from repro.graph.shortest_path import dijkstra
 from repro.objects.model import SpatialObject
 from repro.objects.placement import place_uniform
 from repro.queries.types import (
@@ -665,6 +668,54 @@ class TestCachedService:
         }
         assert set(before) - set(cache._entries) == expected_victims
         assert cache.invalidations == len(expected_victims)
+
+    def test_od_entry_dies_when_a_bypassed_rnet_is_reweighed(
+        self, network, objects, cached_service
+    ):
+        """An OD sweep crosses target-free Rnets on their shortcuts, so
+        its footprint carries Rnet ids — and a reweigh that changes such
+        an Rnet's shortcuts must reach the entry through them."""
+        query = ODMatrixQuery((0,), (63,))
+        submit_all(cached_service, [query])
+        cache = cached_service._result_cache
+        key = canonical_key(DIR, query)
+        road = cached_service.executor.road
+        goal = TargetSet(road.hierarchy, [63])
+        bypassed = [
+            road.hierarchy.rnet(rnet_id)
+            for rnet_id in sorted(cache._entries[key].rnets)
+            if not goal.rnet_may_contain(rnet_id, None)
+        ]
+        rnet = next(r for r in bypassed if len(r.border) >= 2)
+        # The first edge of the in-Rnet shortest path between two of its
+        # borders: making it shorter shortens that shortcut.
+        a, b = sorted(rnet.border)[:2]
+        _, pred = dijkstra(
+            lambda n: (
+                (m, w)
+                for m, w in cached_service.executor.network.neighbours(n)
+                if edge_key(n, m) in rnet.edges
+            ),
+            a,
+            targets={b},
+        )
+        node = b
+        while pred[node] != a:
+            node = pred[node]
+        distance = cached_service.executor.network.edge_distance(a, node) / 10
+        uncached = RoadService.build(
+            network.copy(), objects, config=ServiceConfig(mode="frozen", levels=3)
+        )
+        try:
+            report = cached_service.update_edge_distance(a, node, distance)
+            uncached.update_edge_distance(a, node, distance)
+            assert rnet.rnet_id in report.dirty_rnets
+            assert key not in cache._entries
+            assert submit_all(cached_service, [query]) == submit_all(
+                uncached, [query]
+            )
+        finally:
+            uncached.close()
 
     def test_structural_patch_nukes_the_cache(self, cached_service):
         submit_all(cached_service, QUERIES)
