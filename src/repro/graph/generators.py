@@ -46,17 +46,27 @@ class GeneratorError(Exception):
     """Raised when requested parameters cannot produce a valid network."""
 
 
-def _delaunay_edges(points: np.ndarray) -> List[Tuple[int, int]]:
-    """Unique undirected edges of the Delaunay triangulation of ``points``."""
+def _delaunay_edges(
+    points: np.ndarray,
+) -> Tuple[List[Tuple[int, int]], List[float]]:
+    """Unique undirected edges of the Delaunay triangulation of ``points``.
+
+    Returns the sorted ``(u, v)`` pairs with ``u < v`` and their Euclidean
+    lengths.  Each pair is encoded as the integer ``u * n + v`` (64-bit:
+    ``n**2`` outgrows the triangulation's 32-bit indices), whose order is
+    the pairs' lexicographic order.
+    """
     from scipy.spatial import Delaunay  # imported lazily: optional heavy dep
 
-    tri = Delaunay(points)
-    edges = set()
-    for simplex in tri.simplices:
-        a, b, c = int(simplex[0]), int(simplex[1]), int(simplex[2])
-        for u, v in ((a, b), (b, c), (a, c)):
-            edges.add((u, v) if u < v else (v, u))
-    return sorted(edges)
+    np = _numpy()
+    n = len(points)
+    simplices = np.sort(Delaunay(points).simplices, axis=1).astype(np.int64)
+    a, b, c = simplices[:, 0], simplices[:, 1], simplices[:, 2]
+    codes = np.unique(np.concatenate((a * n + b, b * n + c, a * n + c)))
+    us, vs = codes // n, codes % n
+    delta = points[us] - points[vs]
+    lengths = np.hypot(delta[:, 0], delta[:, 1])
+    return list(zip(us.tolist(), vs.tolist())), lengths.tolist()
 
 
 class _UnionFind:
@@ -137,10 +147,8 @@ def road_network(
     # leave isolated nodes; spread everything slightly apart.
     points += rng.uniform(-1e-4 * extent, 1e-4 * extent, size=points.shape)
 
-    edges = _delaunay_edges(points)
-    lengths = {
-        (u, v): float(np.hypot(*(points[u] - points[v]))) for u, v in edges
-    }
+    edges, edge_lengths = _delaunay_edges(points)
+    lengths = dict(zip(edges, edge_lengths))
 
     # Spanning tree first (connectivity), then the shortest remaining
     # Delaunay edges until the target count is reached: short links dominate

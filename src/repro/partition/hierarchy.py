@@ -9,13 +9,19 @@ Rnet hierarchy with border nodes per Definitions 1 and 4.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Set
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from repro.graph.network import EdgeKey, RoadNetwork
 from repro.partition.base import PartitionError, validate_partition
-from repro.partition.geometric import geometric_bisection
+from repro.partition.geometric import (
+    Point,
+    bisect_at_median,
+    edge_midpoints,
+    geometric_bisection,
+)
 from repro.partition.kl import refine_bisection
 
 #: A bisector takes (network, edges) and returns two non-empty halves.
@@ -48,29 +54,54 @@ class PartitionNode:
         return [node for node in self.descendants() if node.is_leaf]
 
 
+class _KLBisector:
+    """The bisector :func:`kl_bisector` returns.
+
+    Called as a plain :data:`Bisector` it computes the midpoints of the
+    edges it is given; :func:`build_partition_tree` instead calls
+    :meth:`split` with the table it computed once for the whole tree.
+    """
+
+    def __init__(
+        self,
+        weights: Optional[Dict[EdgeKey, float]],
+        balance_tol: float,
+        max_passes: int,
+    ) -> None:
+        self.weights = weights
+        self.balance_tol = balance_tol
+        self.max_passes = max_passes
+
+    def __call__(
+        self, network: RoadNetwork, edges: Set[EdgeKey]
+    ) -> Tuple[Set[EdgeKey], Set[EdgeKey]]:
+        return self.split(network, edges, edge_midpoints(network, edges))
+
+    def split(
+        self,
+        network: RoadNetwork,
+        edges: Set[EdgeKey],
+        midpoints: Mapping[EdgeKey, Point],
+    ) -> Tuple[Set[EdgeKey], Set[EdgeKey]]:
+        left, right = bisect_at_median(edges, midpoints, weights=self.weights)
+        left, right, _ = refine_bisection(
+            network,
+            left,
+            right,
+            weights=self.weights,
+            balance_tol=self.balance_tol,
+            max_passes=self.max_passes,
+        )
+        return left, right
+
+
 def kl_bisector(
     *, weights: Optional[Dict[EdgeKey, float]] = None,
     balance_tol: float = 0.1,
     max_passes: int = 8,
 ) -> Bisector:
     """The paper's bisector: geometric split + KL border-node refinement."""
-
-    def bisect(network: RoadNetwork, edges: Set[EdgeKey]):
-        part_weights = (
-            None if weights is None else {e: weights[e] for e in edges}
-        )
-        left, right = geometric_bisection(network, edges, weights=part_weights)
-        left, right, _ = refine_bisection(
-            network,
-            left,
-            right,
-            weights=part_weights,
-            balance_tol=balance_tol,
-            max_passes=max_passes,
-        )
-        return left, right
-
-    return bisect
+    return _KLBisector(weights, balance_tol, max_passes)
 
 
 def geometric_bisector() -> Bisector:
@@ -120,6 +151,11 @@ def build_partition_tree(
     ids = itertools.count()
 
     all_edges = frozenset((u, v) for u, v, _ in network.edges())
+    if isinstance(bisect, _KLBisector):
+        # One midpoint table for every level, instead of one per split.
+        bisect = functools.partial(
+            bisect.split, midpoints=edge_midpoints(network, all_edges)
+        )
     root = PartitionNode(next(ids), 0, all_edges)
     frontier = [root]
     for level in range(1, levels + 1):

@@ -245,8 +245,13 @@ def _require_number_list(body: Mapping[str, Any], field: str) -> Tuple[float, ..
         raise WireError(f"field {field!r} must be a list of numbers, got {raw!r}")
     values: List[float] = []
     for value in raw:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise WireError(f"field {field!r} must hold numbers, got {value!r}")
+        # Same rule as _require_number: NaN / Infinity literals are refused.
+        if (
+            not isinstance(value, (int, float))
+            or isinstance(value, bool)
+            or not math.isfinite(value)
+        ):
+            raise WireError(f"field {field!r} must hold finite numbers, got {value!r}")
         values.append(float(value))
     return tuple(values)
 

@@ -1,8 +1,10 @@
 """Partition trees: structure, Definition 4 at every level, variants."""
 
+import hashlib
+
 import pytest
 
-from repro.graph.generators import chain_network, grid_network
+from repro.graph.generators import ca_like, chain_network, grid_network
 from repro.partition.base import PartitionError, validate_partition
 from repro.partition.grid import grid_partition_tree
 from repro.partition.hierarchy import (
@@ -83,6 +85,23 @@ class TestBuildPartitionTree:
         kl_cut = cut_nodes([set(c.edges) for c in kl_tree.children])
         geo_cut = cut_nodes([set(c.edges) for c in geo_tree.children])
         assert len(kl_cut) <= len(geo_cut)
+
+    def test_pinned_tree_digest(self):
+        """The mini CA tree is pinned: a partition change must be deliberate.
+
+        Every decision of the bisector (geometric cut, each FM heap pop,
+        refusal and rollback) shows up in this digest, and through it in
+        the hierarchy, shortcuts and compiled snapshot built on the tree.
+        """
+        tree = build_partition_tree(ca_like(2100), levels=4)
+        digest = hashlib.sha256()
+        for node in tree.descendants():
+            digest.update(
+                repr((node.part_id, node.level, sorted(node.edges))).encode()
+            )
+        assert digest.hexdigest() == (
+            "193417e5933bc642146c68404a875867de0a2647658bfa4a0fdafd0e5234e375"
+        )
 
     def test_descendants_and_leaves(self, medium_grid):
         tree = build_partition_tree(medium_grid, levels=2, fanout=4)

@@ -145,6 +145,17 @@ class TestWireCodecs:
         with pytest.raises((WireError, ValueError)):
             decode_query(payload)
 
+    @pytest.mark.parametrize(
+        "breaks", [[float("nan")], [100.0, float("inf")], [-float("inf")]]
+    )
+    def test_non_finite_breaks_are_refused_by_the_decoder(self, breaks):
+        # json.loads takes the NaN / Infinity literals json.dumps emits.
+        payload = json.loads(json.dumps(
+            {"type": "service_area", "node": 0, "breaks": breaks}
+        ))
+        with pytest.raises(WireError, match="must hold finite numbers"):
+            decode_query(payload)
+
 
 class TestQueryRoute:
     @pytest.mark.parametrize(
@@ -213,6 +224,16 @@ class TestQueryRoute:
         status, body = call(app, "POST", "/query", payload)
         assert status == 400
         assert "error" in body
+
+    def test_nan_service_area_break_is_400(self, setting):
+        _, app = setting
+        status, body = call(
+            app, "POST", "/query",
+            {"query": {"type": "service_area", "node": 0,
+                       "breaks": [150.0, float("nan")]}},
+        )
+        assert status == 400
+        assert "'breaks' must hold finite numbers" in body["error"]
 
     def test_invalid_json_is_400(self, setting):
         _, app = setting
