@@ -5,8 +5,8 @@ The charged ROAD index models the paper's disk-resident storage; a server
 handling heavy traffic wraps it in a :class:`repro.serving.RoadService`:
 a typed :class:`ServiceConfig` selects the frozen in-memory fast path,
 the async front-end admission-batches concurrent queries (coalescing
-duplicates), and read-only snapshot replicas serve from worker threads —
-all byte-identical to the charged path.  Run with::
+duplicates), and replica threads run the batches off the event loop on
+the engine's one snapshot — all byte-identical to the charged path.  Run with::
 
     python examples/frozen_batch_serving.py
 """
@@ -29,13 +29,14 @@ def main() -> None:
     )
 
     # 2. One config instead of REPRO_* env sprawl: frozen serving mode,
-    #    patch maintenance, two read-only replicas for the worker pool.
+    #    patch maintenance, two replica threads for the worker pool.
     config = ServiceConfig(mode="frozen", levels=3, replicas=2, max_batch=256)
     start = time.perf_counter()
     service = RoadService.build(network, objects, config=config)
     build_ms = (time.perf_counter() - start) * 1000.0
     print(f"service up in {build_ms:.0f} ms: {network.num_nodes} nodes, "
-          f"{len(objects)} objects, {len(service.replicas)} frozen replicas")
+          f"{len(objects)} objects, {service.stats()['replicas']} replica "
+          f"threads on one frozen snapshot")
 
     # 3. A server-shaped moment: 200 in-flight queries from many users,
     #    heavily overlapping (popular predicates repeat).  The sync path
@@ -61,21 +62,20 @@ def main() -> None:
     counters = service.stats()["service"]
     print(f"{len(queries)} concurrent queries: sync batch {sync_ms:.1f} ms, "
           f"async admission-batched {async_ms:.1f} ms on "
-          f"{len(service.replicas)} replicas "
+          f"{service.stats()['replicas']} replica threads "
           f"({counters['coalesced']} duplicates coalesced, "
           f"{counters['batches']} execute_many calls)")
 
     # 4. Serving under churn: maintenance goes through the service, which
-    #    patch-broadcasts each MaintenanceReport to every replica — the
-    #    shards never drift, and nobody pays a full re-freeze.
+    #    patches the one snapshot every replica thread reads, under the
+    #    lock their batches hold — nobody pays a full re-freeze.
     start = time.perf_counter()
     service.update_edge_distance(1, 2, network.edge_distance(1, 2) * 2.5)
     service.insert_object(
         SpatialObject(objects.next_id(), (5, 6), 20.0, {"type": "fuel"})
     )
     patch_ms = (time.perf_counter() - start) * 1000.0
-    print(f"2 updates patched into engine + {len(service.replicas)} replicas "
-          f"in {patch_ms:.2f} ms")
+    print(f"2 updates patched into the serving snapshot in {patch_ms:.2f} ms")
 
     nearest = service.run(KNNQuery(0, 1, Predicate.of(type="fuel")))
     if nearest:

@@ -1,29 +1,29 @@
-"""RA002 — replica lock discipline in the serving layer."""
+"""RA002 — executor lock discipline in the serving layer."""
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Tuple
+from typing import FrozenSet, List, Tuple
 
 from repro.analysis.engine import Finding, Rule, register_rule
 from repro.analysis.project import ModuleInfo, Project
 
-#: Methods allowed to (re)bind the replica containers themselves: before
-#: the pool starts there is nothing to race with.
-SETUP_METHODS = frozenset({"__init__"})
+#: The one lock every batch on the primary executor holds.
+LOCK_ATTR = "_executor_lock"
 
-#: Replica/shard state: element writes require an enclosing lock.
-REPLICA_ATTRS = frozenset({"_replicas", "_replica_locks"})
+#: Executor entry points besides RA007's maintenance operations that
+#: change what a batch reads.
+DIRECTORY_CALLS = frozenset({"attach_objects", "detach_objects"})
 
 #: Admission-batching state is *event-loop-thread-confined* by design
-#: (see RoadService.submit) — it is never written under a replica lock,
-#: because code holding a replica lock runs on a pool worker thread.
+#: (see RoadService.submit) — it is never written under the executor
+#: lock, because code holding that lock may run on a pool worker thread.
 ADMISSION_ATTRS = frozenset(
     {"_pending", "_pending_count", "_in_flight", "_flush_handle"}
 )
 
 
-def _self_attr(node: ast.expr) -> Optional[str]:
+def _self_attr(node: ast.expr) -> str | None:
     if (
         isinstance(node, ast.Attribute)
         and isinstance(node.value, ast.Name)
@@ -33,176 +33,154 @@ def _self_attr(node: ast.expr) -> Optional[str]:
     return None
 
 
-def _flatten_targets(target: ast.expr) -> Iterator[ast.expr]:
-    if isinstance(target, (ast.Tuple, ast.List)):
-        for elt in target.elts:
-            yield from _flatten_targets(elt)
-    else:
-        yield target
-
-
 class _LockWalker(ast.NodeVisitor):
-    """Walk one method body tracking the enclosing ``with`` contexts."""
+    """Walk one method body tracking whether the executor lock is held.
 
-    def __init__(self) -> None:
-        self.with_stack: List[str] = []
-        #: (line, attr, write kind, joined with-contexts at that point)
-        self.writes: List[Tuple[int, str, str, str]] = []
+    Nested defs run on whichever thread calls them; their statements are
+    judged in the lexical context where they appear.
+    """
+
+    def __init__(self, guarded_calls: FrozenSet[str]) -> None:
+        self.guarded_calls = guarded_calls
+        self.depth = 0  # enclosing ``with`` blocks naming the lock
+        #: (line, message) per breach.
+        self.breaches: List[Tuple[int, str]] = []
 
     def _visit_with(self, node: ast.With | ast.AsyncWith) -> None:
-        contexts = " ".join(
-            ast.unparse(item.context_expr) for item in node.items
-        )
-        self.with_stack.append(contexts)
-        for stmt in node.body:
-            self.visit(stmt)
-        self.with_stack.pop()
+        locked = any(LOCK_ATTR in ast.unparse(item.context_expr) for item in node.items)
+        self.depth += locked
+        self.generic_visit(node)
+        self.depth -= locked
 
     visit_With = _visit_with
     visit_AsyncWith = _visit_with
 
-    def _record(self, target: ast.expr, line: int) -> None:
-        attr = _self_attr(target)
-        if attr is not None:
-            self._push(line, attr, "rebind")
+    def _written(self, target: ast.expr, line: int) -> None:
+        if isinstance(target, (ast.Tuple, ast.List)):
+            for element in target.elts:
+                self._written(element, line)
             return
         if isinstance(target, ast.Subscript):
-            attr = _self_attr(target.value)
-            if attr is not None:
-                self._push(line, attr, "element")
-
-    def _push(self, line: int, attr: str, kind: str) -> None:
-        self.writes.append((line, attr, kind, " ".join(self.with_stack)))
+            target = target.value
+        attr = _self_attr(target)
+        if self.depth and attr in ADMISSION_ATTRS:
+            self.breaches.append(
+                (
+                    line,
+                    f"loop-confined admission state 'self.{attr}' written "
+                    f"under the executor lock; hand it back to the event "
+                    f"loop instead",
+                )
+            )
 
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
-            for leaf in _flatten_targets(target):
-                self._record(leaf, node.lineno)
+            self._written(target, node.lineno)
         self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._record(node.target, node.lineno)
+        self._written(node.target, node.lineno)
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
         if node.value is not None:
-            self._record(node.target, node.lineno)
+            self._written(node.target, node.lineno)
         self.generic_visit(node)
 
-    # Nested defs run on whichever thread calls them; their writes are
-    # judged in the lexical context where they appear, which is exactly
-    # the enclosing-with picture this walker maintains.
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        if (
+            not self.depth
+            and isinstance(func, ast.Attribute)
+            and func.attr in self.guarded_calls
+            and _self_attr(func.value) == "_executor"
+        ):
+            self.breaches.append(
+                (
+                    node.lineno,
+                    f"'self._executor.{func.attr}(...)' called outside "
+                    f"'with self.{LOCK_ATTR}:' — it can land under a batch "
+                    f"executing on a pool thread",
+                )
+            )
+        self.generic_visit(node)
 
 
 @register_rule
 class LockDisciplineRule(Rule):
-    """Replica/shard state is touched only under its per-replica lock.
+    """Executor writes hold the one executor lock; admission state never does.
 
-    Why: ``repro.serving.replicas.ThreadReplicaSet`` keeps one
-    ``FrozenRoad`` replica per pool thread, each guarded by a
-    ``threading.Lock`` in ``_replica_locks``.  Query execution holds the
-    lock on a *worker* thread (``_run_locked``); ``apply`` and
-    ``replace_snapshot`` patch and swap replicas from the maintenance
-    caller's thread.  A replica write outside its lock lets a rebuild
-    swap an engine out from under an executing batch — a "stale read"
-    at best, a corrupted snapshot at worst.  Conversely
+    Why: thread replicas (``repro.serving.replicas.LocalReplicas``) run
+    each batch on a pool *worker* thread against the primary executor
+    itself, holding ``RoadService._executor_lock``.  A maintenance or
+    directory-management call on the executor outside that lock patches
+    or swaps the snapshot under an executing batch — a torn read at
+    best, a ``BufferError`` from a splice at worst.  Conversely
     ``RoadService``'s admission buckets (``_pending``,
     ``_pending_count``, ``_flush_handle``) are event-loop-confined and
-    deliberately lock-free; a class that writes them while holding a
-    replica lock has worker-thread code reaching into loop-owned state.
+    deliberately lock-free; code writing them while holding the lock
+    has worker-thread code reaching into loop-owned state.
 
-    How it checks: in every class that defines ``_replica_locks``,
+    How it checks: in every class that assigns ``self._executor_lock``,
 
-    * element writes (``self._replicas[i] = ...``) must be lexically
-      inside a ``with`` whose context mentions a lock;
-    * rebinding ``self._replicas`` / ``self._replica_locks`` wholesale
-      is allowed only in ``__init__`` (before the pool exists);
-    * admission-bucket writes must *not* appear under a replica lock.
+    * ``self._executor.<op>(...)`` for RA007's maintenance operations
+      and ``attach_objects`` / ``detach_objects`` must be lexically
+      inside a ``with`` naming the lock;
+    * admission-bucket writes must *not* appear inside one.
 
-    How to fix a finding: wrap the write in ``with
-    self._replica_locks[index]:`` (or the lock variable for that
-    replica); build the containers once in ``__init__`` and swap
-    elements afterwards; move admission mutations back onto the event
+    How to fix a finding: wrap the executor call in ``with
+    self._executor_lock:``; move admission mutations back onto the event
     loop via ``loop.call_soon_threadsafe``.
     """
 
     id = "RA002"
-    title = "replica state writes must hold the matching replica lock"
+    title = "executor writes hold the executor lock; admission state never does"
 
     def check(self, project: Project) -> List[Finding]:
+        # Imported here: a module-level import would register RA007
+        # ahead of this rule and reorder the report.
+        from repro.analysis.rules.ra007_cache_invalidation import MAINTENANCE_OPS
+
+        guarded_calls = MAINTENANCE_OPS | DIRECTORY_CALLS
         findings: List[Finding] = []
         for module in project.iter_modules():
             for class_node in ast.walk(module.tree):
-                if isinstance(class_node, ast.ClassDef) and self._guarded(
-                    class_node
-                ):
-                    findings.extend(self._check_class(module, class_node, project))
+                if isinstance(class_node, ast.ClassDef) and self._guarded(class_node):
+                    findings.extend(
+                        self._check_class(module, class_node, project, guarded_calls)
+                    )
         findings.sort(key=lambda f: (f.path, f.line))
         return findings
 
     @staticmethod
     def _guarded(class_node: ast.ClassDef) -> bool:
-        """Does this class manage replica locks at all?"""
+        """Does this class hold the executor lock at all?"""
         return any(
-            isinstance(node, (ast.Assign, ast.AnnAssign))
-            and _self_attr(
-                node.targets[0]
-                if isinstance(node, ast.Assign)
-                else node.target
-            )
-            == "_replica_locks"
+            _self_attr(target) == LOCK_ATTR
             for node in ast.walk(class_node)
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (
+                node.targets if isinstance(node, ast.Assign) else [node.target]
+            )
         )
 
     def _check_class(
-        self, module: ModuleInfo, class_node: ast.ClassDef, project: Project
+        self,
+        module: ModuleInfo,
+        class_node: ast.ClassDef,
+        project: Project,
+        guarded_calls: FrozenSet[str],
     ) -> List[Finding]:
-        findings: List[Finding] = []
         path = project.relative_path(module)
+        findings: List[Finding] = []
         for method in class_node.body:
             if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            walker = _LockWalker()
+            walker = _LockWalker(guarded_calls)
             for stmt in method.body:
                 walker.visit(stmt)
-            for line, attr, kind, contexts in walker.writes:
-                locked = "lock" in contexts.lower()
-                if attr in REPLICA_ATTRS:
-                    if kind == "rebind" and method.name not in SETUP_METHODS:
-                        findings.append(
-                            Finding(
-                                self.id,
-                                path,
-                                line,
-                                f"'self.{attr}' rebound outside "
-                                f"__init__ (in {method.name}); "
-                                f"swap elements under their lock instead",
-                            )
-                        )
-                    elif (
-                        kind == "element"
-                        and not locked
-                        and method.name not in SETUP_METHODS
-                    ):
-                        findings.append(
-                            Finding(
-                                self.id,
-                                path,
-                                line,
-                                f"'self.{attr}[...]' written outside a "
-                                f"'with <replica lock>:' block "
-                                f"(in {method.name})",
-                            )
-                        )
-                elif attr in ADMISSION_ATTRS and "_replica_locks" in contexts:
-                    findings.append(
-                        Finding(
-                            self.id,
-                            path,
-                            line,
-                            f"loop-confined admission state 'self.{attr}' "
-                            f"written under a replica lock (in {method.name}); "
-                            f"hand it back to the event loop instead",
-                        )
-                    )
+            findings.extend(
+                Finding(self.id, path, line, f"{message} (in {method.name})")
+                for line, message in walker.breaches
+            )
         return findings

@@ -17,11 +17,8 @@ SINKS = frozenset({"invalidate_report", "invalidate_directory", "clear_all"})
 #: The class owning the sinks.
 CACHE_CLASS = "ResultCache"
 
-#: Entry points that dirty what cached answers were computed from: the
-#: six maintenance operations, plus the two snapshot-replacement paths
-#: (a swapped snapshot invalidates every answer's provenance even though
-#: no report describes the delta).
-ENTRY_POINTS = frozenset(
+#: The six maintenance operations (RA002 polices their executor calls).
+MAINTENANCE_OPS = frozenset(
     {
         "insert_object",
         "delete_object",
@@ -29,10 +26,14 @@ ENTRY_POINTS = frozenset(
         "update_edge_distance",
         "add_edge",
         "remove_edge",
-        "replace_snapshot",
-        "_rebuild_replicas",
     }
 )
+
+#: Entry points that dirty what cached answers were computed from: the
+#: maintenance operations, plus the two snapshot-replacement paths (a
+#: swapped snapshot invalidates every answer's provenance even though no
+#: report describes the delta).
+ENTRY_POINTS = MAINTENANCE_OPS | {"replace_snapshot", "_rebuild_replicas"}
 
 
 @register_rule

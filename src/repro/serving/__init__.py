@@ -23,12 +23,11 @@ Four layers:
 * :mod:`repro.serving.replicas` / :mod:`repro.serving.process_pool` —
   what the execute stage hands a batch to, behind one ``submit`` /
   ``apply`` / ``replace_snapshot`` / ``stats`` / ``close`` surface: the
-  primary executor inline, read-only
-  :class:`~repro.core.frozen.FrozenRoad` replicas on interpreter threads
+  primary executor itself, inline or on pool threads under its one lock
   (``replica_mode="thread"``), or worker processes attached to one
   shared-memory snapshot (``replica_mode="process"``,
-  :class:`~repro.serving.process_pool.ProcessReplicaPool`) — all kept
-  current by patch-broadcast.
+  :class:`~repro.serving.process_pool.ProcessReplicaPool`) kept current
+  by patching it in place.
 
 The service layer is imported lazily (PEP 562): the core engine modules
 import the dispatch protocol from here, while the service imports those

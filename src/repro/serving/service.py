@@ -28,15 +28,17 @@ front door in front of them:
      delivered at once); with the cache off everything is a miss;
   3. **execute** — the misses go, as one batch sharing its predicate
      caches, to the *replica set* picked at construction (the primary
-     executor inline, thread replicas or process replicas behind one
-     ``submit(...) -> Future`` surface: :mod:`repro.serving.replicas`);
+     executor inline or on pool threads, or process replicas, behind
+     one ``submit(...) -> Future`` surface: :mod:`repro.serving.replicas`);
   4. **populate** — executed answers enter the cache under their
      visit-set footprints, unless a patch landed mid-flight;
   5. **deliver** — every caller's future completes with its own copy.
 
-  Maintenance goes through the service too: every update's
-  :class:`~repro.core.maintenance.MaintenanceReport` is patch-broadcast
-  to all replicas, so the shards never drift from the primary.
+  Maintenance goes through the service too, under the one executor
+  lock every batch on the primary holds: the executor patches its own
+  snapshot, and each update's
+  :class:`~repro.core.maintenance.MaintenanceReport` patches the process
+  pool's shared snapshot, so no snapshot drifts from the primary.
 
 Typical use::
 
@@ -56,18 +58,19 @@ from __future__ import annotations
 
 import asyncio
 import os
+import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
-    Callable,
     Dict,
     List,
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -82,7 +85,7 @@ from repro.serving.dispatch import (
 )
 from repro.serving.metrics import BATCH_SIZE_BUCKETS, Counter, MetricsRegistry
 from repro.serving.process_pool import ProcessReplicaPool
-from repro.serving.replicas import InlineReplicas, ThreadReplicaSet
+from repro.serving.replicas import LocalReplicas
 from repro.serving.result_cache import ResultCache, query_nodes
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -108,13 +111,13 @@ FLUSH_REASONS = ("full", "idle", "released", "deadline")
 
 #: What the execute stage hands batches to (:mod:`repro.serving.replicas`
 #: documents the shared surface).
-ReplicaSet = Union[InlineReplicas, ThreadReplicaSet, ProcessReplicaPool]
+ReplicaSet = Union[LocalReplicas, ProcessReplicaPool]
 
 #: ROAD serving modes — the one source of truth lives on the engine.
 MODES = ROAD_MODES
 
-#: How replica shards execute: interpreter threads over per-shard
-#: snapshots, or worker processes over one shared-memory snapshot.
+#: Where replica batches execute: pool threads on the primary's own
+#: snapshot, or worker processes over one shared-memory snapshot.
 REPLICA_MODES = ("thread", "process")
 
 #: Environment overrides honoured by :meth:`ServiceConfig.from_env`
@@ -186,12 +189,12 @@ class ServiceConfig:
     the upper bound on how long an under-full bucket is held while
     every replica is busy (with a replica free it is flushed within the
     event-loop tick and never meets the timer), ``replicas`` how many
-    read-only frozen shards serve from the worker pool (0 = serve on
-    the primary executor), and ``replica_mode`` what a
-    shard *is*: ``"thread"`` replicas are per-shard snapshot copies
-    served by pool threads (one interpreter, concurrency not
-    parallelism), ``"process"`` replicas are worker processes attached
-    to one shared ``backend="shm"`` snapshot
+    workers execute batches (0 = inside the flush, on the event-loop
+    thread), and ``replica_mode`` what a worker *is*: ``"thread"``
+    workers are pool threads running batches on the primary executor
+    itself, one at a time under its lock (one interpreter: the event
+    loop stays live, nothing runs in parallel), ``"process"`` workers
+    are processes attached to one shared ``backend="shm"`` snapshot
     (:class:`~repro.serving.process_pool.ProcessReplicaPool`) — real
     CPU parallelism at one snapshot's memory cost.
     """
@@ -281,7 +284,9 @@ class RoadService:
     The async front-end is single-loop: call :meth:`submit` from one
     running event loop (the flush machinery uses that loop's clock and
     thread); the replica worker pool is where cross-thread execution
-    happens.
+    happens.  A batch on the primary holds the one executor lock, and
+    so does every other touch of the executor here; two services over
+    one executor do not share it.
     """
 
     def __init__(
@@ -297,6 +302,9 @@ class RoadService:
             )
         self.config = config if config is not None else ServiceConfig()
         self._executor = executor
+        self._executor_lock = threading.Lock()
+        #: The gauges sampling one memory_stats() pass, and that pass.
+        self._memory_round: Optional[Tuple[Set[str], Mapping[str, object]]] = None
         # -- async admission state (touched only from the loop thread) --
         self._pending: _Buckets = {}
         self._pending_count = 0
@@ -359,12 +367,13 @@ class RoadService:
 
     @property
     def replicas(self) -> Tuple[QueryExecutor, ...]:
-        """The read-only frozen shards (empty when ``replicas == 0``).
+        """The snapshot the replica set holds, if it holds one.
 
-        Thread mode has one snapshot per shard; process mode has one
-        *shared* snapshot every worker process attaches, so this returns
-        that single primary-owned snapshot (probe it to probe what every
-        worker serves).
+        Process mode has one *shared* snapshot every worker process
+        attaches, so this returns that single snapshot (probe it to
+        probe what every worker serves).  Inline and thread batches run
+        on the primary executor itself, so this is empty: probe
+        ``executor.frozen`` instead.
         """
         return self._shards.replicas
 
@@ -383,7 +392,8 @@ class RoadService:
             summary["result_cache"] = self._result_cache.stats()
         engine_stats = getattr(self._executor, "stats", None)
         if callable(engine_stats):
-            summary["engine"] = engine_stats()
+            with self._executor_lock:
+                summary["engine"] = engine_stats()
         return summary
 
     def replica_pool_stats(self) -> Dict[str, object]:
@@ -515,21 +525,33 @@ class RoadService:
             if isinstance(value, (int, float))
         }
 
-    def _serving_frozen(self) -> Optional["FrozenRoad"]:
-        """The frozen snapshot the memory gauges sample, if one serves."""
+    def _memory_stats(self, gauge: str) -> Mapping[str, object]:
+        """The serving snapshot's ``memory_stats()``, one pass per scrape.
+
+        On the ``list`` backend the pass walks every boxed element (tens
+        of ms on full CA), and three gauges read it.  Each scrape samples
+        each gauge once, so the first gauge of a round computes it and
+        the others reuse it; a gauge asking again opens the next round.
+        Empty when no frozen snapshot serves.
+        """
         from repro.core.frozen import FrozenRoad
 
-        serving = self._serving_executor()
-        if isinstance(serving, FrozenRoad):
-            return serving
-        frozen = getattr(serving, "frozen", None)
-        return frozen if isinstance(frozen, FrozenRoad) else None
+        if self._memory_round is None or gauge in self._memory_round[0]:
+            serving = self._serving_executor()
+            # A snapshot serves itself; an engine exposes its own.
+            frozen = getattr(serving, "frozen", serving)
+            stats: Mapping[str, object] = {}
+            if isinstance(frozen, FrozenRoad):
+                # The primary's snapshot may be mid-batch on a pool thread.
+                with self._executor_lock:
+                    stats = frozen.memory_stats()
+            self._memory_round = (set(), stats)
+        sampled, stats = self._memory_round
+        sampled.add(gauge)
+        return stats
 
     def _directory_bytes_gauge(self) -> Dict[str, float]:
-        frozen = self._serving_frozen()
-        if frozen is None:
-            return {}
-        directories = frozen.memory_stats().get("directories")
+        directories = self._memory_stats("directories").get("directories")
         if not isinstance(directories, Mapping):
             return {}
         out: Dict[str, float] = {}
@@ -547,10 +569,9 @@ class RoadService:
         return out
 
     def _mask_cache_gauge(self) -> Dict[str, float]:
-        frozen = self._serving_frozen()
-        if frozen is None:
+        stats = self._memory_stats("mask_cache")
+        if not stats:
             return {}
-        stats = frozen.memory_stats()
         return {
             key: _stat_number(stats, key)
             for key in (
@@ -562,10 +583,7 @@ class RoadService:
         }
 
     def _snapshot_bytes_gauge(self) -> float:
-        frozen = self._serving_frozen()
-        if frozen is None:
-            return 0.0
-        return _stat_number(frozen.memory_stats(), "total_bytes")
+        return _stat_number(self._memory_stats("snapshot"), "total_bytes")
 
     # ------------------------------------------------------------------
     # Sync path
@@ -578,7 +596,8 @@ class RoadService:
         stats: Optional["SearchStats"] = None,
     ) -> List[ResultRow]:
         """Run one query synchronously on the primary executor."""
-        return self._executor.execute(query, directory=directory, stats=stats)
+        with self._executor_lock:
+            return self._executor.execute(query, directory=directory, stats=stats)
 
     def run_many(
         self,
@@ -588,9 +607,10 @@ class RoadService:
         stats: Optional["SearchStats"] = None,
     ) -> List[List[ResultRow]]:
         """Run a workload synchronously on the primary executor."""
-        return self._executor.execute_many(
-            queries, directory=directory, stats=stats
-        )
+        with self._executor_lock:
+            return self._executor.execute_many(
+                queries, directory=directory, stats=stats
+            )
 
     # ------------------------------------------------------------------
     # Async admission-batched path
@@ -819,12 +839,11 @@ class RoadService:
                 pass
 
     # ------------------------------------------------------------------
-    # Sharded replicas + maintenance broadcast
+    # Replicas + maintenance
     # ------------------------------------------------------------------
     def _serving_executor(self) -> QueryExecutor:
-        """The executor async submits are validated against (and, when
-        unsharded, executed on): the replica set's snapshot, or the
-        primary."""
+        """The executor async submits are validated against: the replica
+        set's snapshot, or the primary."""
         frozen = self._shards.frozen
         return self._executor if frozen is None else frozen
 
@@ -839,119 +858,108 @@ class RoadService:
 
     def _init_replicas(self) -> ReplicaSet:
         """Pick the replica set — the one place ``replica_mode`` decides."""
-        if not self.config.replicas:
-            return InlineReplicas(self._executor)
-        if self._road() is None:
+        if self.config.replicas and self._road() is None:
             raise ServiceError(
                 "replicas need a ROAD-backed executor "
-                f"(got {type(self._executor).__name__}); freezing shards "
-                "requires the charged structures"
+                f"(got {type(self._executor).__name__})"
             )
-        if self.config.replica_mode == "process":
+        if self.config.replicas and self.config.replica_mode == "process":
             # One shared-memory snapshot, N attached worker processes:
-            # the shards are real CPUs, not interpreter time slices, and
-            # the arrays exist once whatever the worker count.  The
-            # shard backend is necessarily "shm" (the config's backend
-            # still governs the primary executor's own snapshot).
-            (snapshot,) = self._freeze_shards(1, "shm")
-            return ProcessReplicaPool(snapshot, workers=self.config.replicas)
-        return ThreadReplicaSet(
-            self._freeze_shards(self.config.replicas, self.config.backend)
+            # the workers are real CPUs, not interpreter time slices, and
+            # the arrays exist once whatever the worker count.
+            return ProcessReplicaPool(
+                self._shared_snapshot(), workers=self.config.replicas
+            )
+        return LocalReplicas(
+            self._executor, self._executor_lock, workers=self.config.replicas
         )
 
-    def _freeze_shards(self, count: int, backend: Optional[str]) -> List["FrozenRoad"]:
-        """Freeze ``count`` fresh shard snapshots off the charged road,
-        each compiling every attached directory (they share the entry
-        arrays), exactly as the primary engine's own snapshot does."""
+    def _shared_snapshot(self) -> "FrozenRoad":
+        """A fresh ``backend="shm"`` snapshot of the charged road,
+        compiling every attached directory, exactly as the primary
+        engine's own snapshot does (whose backend the config governs)."""
         road = self._road()
         assert road is not None
-        return [road.freeze(backend=backend) for _ in range(count)]
+        return road.freeze(backend="shm")
 
     def _rebuild_replicas(self) -> None:
-        """Re-freeze every shard after directory membership changed.
+        """Re-freeze the process pool's snapshot after directory
+        membership changed.
 
-        Patch-broadcast keeps shard *contents* current, but cannot add or
-        remove a compiled directory — only a fresh freeze can.  One new
-        snapshot is frozen per snapshot the replica set holds, outside
-        any shard lock; the set swaps them in (thread replicas under
-        their locks, the process pool by publishing a new attach
-        manifest its workers re-attach between batches).
+        Patches keep snapshot *contents* current, but cannot add or
+        remove a compiled directory — only a fresh freeze can.  The pool
+        publishes the new attach manifest and its workers re-attach
+        between batches; a set holding no snapshot has nothing to swap.
         """
         if self._result_cache is not None:
             # Directory membership changed: every key's snapshot identity
             # is suspect, so the whole cache goes.
             self._result_cache.clear_all()
-        stale = self._shards.replicas
-        if stale:
-            # Same backend as the snapshots being replaced.
-            fresh = self._freeze_shards(len(stale), stale[0].backend)
-            self._shards.replace_snapshot(*fresh)
+        if self._shards.replicas:
+            self._shards.replace_snapshot(self._shared_snapshot())
 
     def attach_objects(
         self, objects: "ObjectSet", *, name: str, **kwargs: Any
     ) -> str:
-        """Attach a provider through the executor; re-freeze all shards.
+        """Attach a provider through the executor.
 
         The executor decides its own snapshot lifecycle
         (:meth:`ROADEngine.attach_objects` invalidates a live snapshot);
-        the service re-freezes the replica shards, which the maintenance
-        patch-broadcast cannot grow a directory into.
+        the service re-freezes the process pool's snapshot, which a
+        maintenance patch cannot grow a directory into.
         """
-        attach = self._directory_manager("attach_objects")
-        directory = attach(objects, name=name, **kwargs)
+        self._require_directories("attach_objects")
+        with self._executor_lock:
+            directory = self._executor.attach_objects(objects, name=name, **kwargs)
         if self._result_cache is not None:
             self._result_cache.invalidate_directory(directory)
-        if self._shards.workers:
+        if self._shards.replicas:
             self._rebuild_replicas()
         return directory
 
     def detach_objects(self, name: str) -> None:
-        """Detach a provider through the executor; re-freeze all shards.
+        """Detach a provider through the executor.
 
-        Shards cannot compile an empty directory set, so the last
-        directory of a sharded service is refused *before* the executor
-        is touched — failing in the rebuild would strand the shards
-        serving the detached provider.
+        The process pool's snapshot cannot compile an empty directory
+        set, so there the last directory is refused *before* the
+        executor is touched — failing in the rebuild would strand the
+        workers serving the detached provider.
         """
-        detach = self._directory_manager("detach_objects")
-        if self._shards.workers and self._executor.directory_names == [name]:
+        self._require_directories("detach_objects")
+        if self._shards.replicas and self._executor.directory_names == [name]:
             raise ServiceError(
                 f"cannot detach {name!r}: it is the last directory the "
-                f"replica shards serve"
+                f"process replicas serve"
             )
-        detach(name)
+        with self._executor_lock:
+            self._executor.detach_objects(name)
         self._rebuild_replicas()
 
-    def _directory_manager(self, method: str) -> Callable[..., Any]:
-        """The executor's attach/detach entry point, or a typed error.
+    def _require_directories(self, method: str) -> None:
+        """Raise a typed error unless the executor manages directories.
 
-        Mirrors the replica-path pattern: directory management needs an
-        executor that owns directories (ROAD or ROADEngine); baselines
-        and bare snapshots get a :class:`ServiceError`, not an
-        ``AttributeError``.
+        Directory management needs an executor that owns directories
+        (ROAD or ROADEngine); baselines and bare snapshots get a
+        :class:`ServiceError`, not an ``AttributeError``.
         """
-        manager = getattr(self._executor, method, None)
-        if manager is None:
+        if not hasattr(self._executor, method):
             raise ServiceError(
                 f"{type(self._executor).__name__} does not manage "
                 f"Association Directories ({method} requires a ROAD-backed "
                 f"executor)"
             )
-        return manager
 
     def apply_report(self, report: MaintenanceReport) -> None:
-        """Patch-broadcast one maintenance report to every replica.
+        """Reconcile the replica set with one maintenance report.
 
-        The primary executor reconciles itself (ROADEngine's lifecycle);
-        this keeps the read-only shards in lockstep.  Thread replicas
-        are each locked against their in-flight batches while patched;
-        the process pool patches its one shared snapshot inside the
-        seqlock window every worker honours; unsharded there is nothing
-        to patch.
+        The primary executor patches its own snapshot (ROADEngine's
+        lifecycle), which is all inline and thread batches run on; the
+        process pool patches its one shared snapshot inside the seqlock
+        window every worker honours.
         """
-        # Cache entries dirtied by this report die before any shard could
-        # serve their keys post-patch; racing populates are refused by
-        # the generation bump this performs.
+        # Cache entries dirtied by this report die before any worker
+        # could serve their keys post-patch; racing populates are
+        # refused by the generation bump this performs.
         self._invalidate_cache(report)
         self._shards.apply(report, self._road())
 
@@ -969,7 +977,7 @@ class RoadService:
         self._cache_invalidate.observe((time.perf_counter() - started) * 1000.0)
 
     def _maintained(self, result: Any) -> Any:
-        """Broadcast after a maintenance call; pass its result through."""
+        """Reconcile after a maintenance call; pass its result through."""
         report = (
             result
             if isinstance(result, MaintenanceReport)
@@ -985,32 +993,44 @@ class RoadService:
         return result
 
     def insert_object(self, obj: Any, **kwargs: Any) -> Any:
-        """Insert an object through the executor; reconcile all replicas."""
-        return self._maintained(self._executor.insert_object(obj, **kwargs))
+        """Insert an object through the executor; reconcile the replicas."""
+        with self._executor_lock:
+            return self._maintained(self._executor.insert_object(obj, **kwargs))
 
     def delete_object(self, object_id: int, **kwargs: Any) -> Any:
-        """Delete an object through the executor; reconcile all replicas."""
-        return self._maintained(self._executor.delete_object(object_id, **kwargs))
+        """Delete an object through the executor; reconcile the replicas."""
+        with self._executor_lock:
+            return self._maintained(
+                self._executor.delete_object(object_id, **kwargs)
+            )
 
     def update_object_attrs(
         self, object_id: int, attrs: Dict[str, Any], **kwargs: Any
     ) -> Any:
-        """Update object attributes; reconcile all replicas."""
-        return self._maintained(
-            self._executor.update_object_attrs(object_id, attrs, **kwargs)
-        )
+        """Update object attributes; reconcile the replicas."""
+        with self._executor_lock:
+            return self._maintained(
+                self._executor.update_object_attrs(object_id, attrs, **kwargs)
+            )
 
     def update_edge_distance(self, u: int, v: int, distance: float) -> Any:
-        """Change an edge distance; reconcile all replicas."""
-        return self._maintained(self._executor.update_edge_distance(u, v, distance))
+        """Change an edge distance; reconcile the replicas."""
+        with self._executor_lock:
+            return self._maintained(
+                self._executor.update_edge_distance(u, v, distance)
+            )
 
     def add_edge(self, u: int, v: int, distance: float, **kwargs: Any) -> Any:
-        """Open a road segment; reconcile all replicas."""
-        return self._maintained(self._executor.add_edge(u, v, distance, **kwargs))
+        """Open a road segment; reconcile the replicas."""
+        with self._executor_lock:
+            return self._maintained(
+                self._executor.add_edge(u, v, distance, **kwargs)
+            )
 
     def remove_edge(self, u: int, v: int) -> Any:
-        """Close a road segment; reconcile all replicas."""
-        return self._maintained(self._executor.remove_edge(u, v))
+        """Close a road segment; reconcile the replicas."""
+        with self._executor_lock:
+            return self._maintained(self._executor.remove_edge(u, v))
 
     # ------------------------------------------------------------------
     # Lifecycle

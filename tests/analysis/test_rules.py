@@ -74,24 +74,29 @@ def test_ra002_locked_writes_pass(tmp_path):
     assert _check(
         tmp_path,
         "class Service:\n"
-        "    def __init__(self):\n"
-        "        self._replicas = [None]\n"
-        "        self._replica_locks = [object()]\n"
-        "    def swap(self, index, snapshot):\n"
-        "        with self._replica_locks[index]:\n"
-        "            self._replicas[index] = snapshot\n",
+        "    def __init__(self, executor):\n"
+        "        self._executor = executor\n"
+        "        self._executor_lock = object()\n"
+        "        self._pending_count = 0\n"
+        "    def detach_objects(self, name):\n"
+        "        with self._executor_lock:\n"
+        "            self._executor.detach_objects(name)\n"
+        "        self._pending_count = 0\n"
+        "    def run(self, query):\n"
+        "        # Reads are not what the rule polices.\n"
+        "        return self._executor.execute(query)\n",
         "RA002",
     ) == []
 
 
-def test_ra002_ignores_classes_without_replica_locks(tmp_path):
+def test_ra002_ignores_classes_without_an_executor_lock(tmp_path):
     assert _check(
         tmp_path,
         "class Plain:\n"
-        "    def __init__(self):\n"
-        "        self._replicas = [None]\n"
-        "    def swap(self, index, snapshot):\n"
-        "        self._replicas[index] = snapshot\n",
+        "    def __init__(self, executor):\n"
+        "        self._executor = executor\n"
+        "    def remove_edge(self, u, v):\n"
+        "        return self._executor.remove_edge(u, v)\n",
         "RA002",
     ) == []
 

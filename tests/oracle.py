@@ -1,7 +1,9 @@
 """Brute-force oracles shared across test suites.
 
 Every engine (ROAD and the baselines) must agree with plain Dijkstra from
-the query node — the paper's correctness ground truth.
+the query node — the paper's correctness ground truth.  Snapshot probes
+compare against a fresh freeze instead; :func:`serving_snapshots` names
+the snapshots a service actually serves from.
 """
 
 from __future__ import annotations
@@ -150,3 +152,17 @@ def _tie_tolerant_equal(got_pairs, expected, tol: float) -> bool:
         if not any(abs(d - e) <= tol for e in exp_dists):
             return False
     return True
+
+
+def serving_snapshots(service) -> list:
+    """The compiled snapshots a ``RoadService``'s batches run on.
+
+    The process pool's shared snapshot when the replica set holds one;
+    otherwise (inline and thread replicas) the primary executor's own.
+    Never empty: a probe loop over none would pass checking nothing.
+    """
+    snapshots = list(service.replicas) or [service.executor.frozen]
+    assert all(snapshot is not None for snapshot in snapshots), (
+        "no frozen snapshot serves this service"
+    )
+    return snapshots

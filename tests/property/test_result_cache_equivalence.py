@@ -43,6 +43,7 @@ from repro.queries.types import (
 )
 from repro.serving import RoadService, ServiceConfig
 from tests.conftest import random_connected_network
+from tests.oracle import serving_snapshots
 from tests.property.test_frozen_equivalence import random_objects
 from tests.serving.test_service import gather_submits
 
@@ -192,8 +193,7 @@ def _soak(seed, config_kwargs, *, steps=5):
             # The cached side's snapshots track the uncached twin's
             # maintained road exactly — the cache never ate a patch.
             fresh = uncached.executor.road.freeze()
-            snapshots = cached.replicas or [cached.executor.frozen]
-            for snapshot in snapshots:
+            for snapshot in serving_snapshots(cached):
                 divergences = snapshot_divergences(
                     rnd, snapshot, fresh, probes=2, k=3, max_radius=20.0
                 )

@@ -12,8 +12,8 @@ The edge cases the multi-directory refactor must pin down:
   authoritative for the serving layer — in particular,
   ``RoadService.run`` on a named directory survives a snapshot refreeze;
 * what a service serves is what is attached to its ROAD: every snapshot
-  (the engine's, the replica shards') compiles all of it, attach/detach
-  re-freeze the shards, and a directory-less query resolves through the
+  (the engine's, the process pool's) compiles all of it, attach/detach
+  re-freeze the pool's, and a directory-less query resolves through the
   primary executor on ``run``, ``run_many`` and ``submit`` alike.
 """
 
@@ -32,6 +32,7 @@ from repro.serving import (
     ServiceConfig,
     UnknownDirectoryError,
 )
+from tests.oracle import serving_snapshots
 
 
 @pytest.fixture
@@ -332,85 +333,103 @@ class TestAuthoritativeDirectorySurface:
     def test_service_attach_detach_rebuilds_replicas(
         self, network, providers
     ):
-        """Directory membership changes reach the shards: attach through
-        the service re-freezes them (patch-broadcast cannot grow a
-        directory), detach drops it everywhere, and maintenance keeps
-        working afterwards."""
+        """Directory membership changes reach the snapshot that serves:
+        attach through the service drops it and the next batch re-freezes
+        it with the new directory (a patch cannot grow one), detach drops
+        it everywhere, and maintenance keeps working afterwards."""
         service = RoadService.build(
             network.copy(),
             providers["objects"],
             config=ServiceConfig(mode="frozen", levels=2, replicas=2),
         )
+        query = KNNQuery(0, 2)
         try:
             assert all(
                 replica.directory_names == ["objects"]
-                for replica in service.replicas
+                for replica in serving_snapshots(service)
             )
             service.attach_objects(providers["hotels"], name="hotels")
+            got = _three_paths(service, query, "hotels")
+            assert got == [service.executor.road.execute(query, directory="hotels")] * 3
             assert all(
                 replica.directory_names == ["objects", "hotels"]
-                for replica in service.replicas
+                for replica in serving_snapshots(service)
             )
-            got = service.run(KNNQuery(0, 2), directory="hotels")
-            assert _ids(got) <= set(providers["hotels"].ids())
             service.detach_objects("hotels")
+            assert _three_paths(service, query, "hotels") == [
+                ("unknown-directory", "hotels")
+            ] * 3
             assert all(
                 replica.directory_names == ["objects"]
-                for replica in service.replicas
+                for replica in serving_snapshots(service)
             )
-            # The broadcast path survives the membership change.
             u, v, d = next(iter(service.executor.network.edges()))
             service.update_edge_distance(u, v, d * 1.5)
-            assert service.run(KNNQuery(0, 2)) == service.executor.execute(
-                KNNQuery(0, 2)
-            )
+            assert _three_paths(service, query) == [
+                service.executor.road.execute(query)
+            ] * 3
         finally:
             service.close()
 
     def test_detach_of_a_build_time_provider_keeps_shards_consistent(
         self, network, providers
     ):
-        """Shards re-freeze from what is attached *now*: detaching a
-        provider that was there at build must not strand them on it."""
+        """Detaching a provider that was there at build stops it being
+        served on every path, thread replicas included; maintenance
+        afterwards answers like the charged road."""
         service = RoadService.build(
             network.copy(),
             providers["objects"],
             config=ServiceConfig(mode="frozen", levels=2, replicas=1),
             providers={"hotels": providers["hotels"]},
         )
+        road = service.executor.road
+        query = KNNQuery(0, 2)
         try:
-            assert service.replicas[0].directory_names == [
-                "objects", "hotels",
-            ]
+            assert _three_paths(service, query, "hotels") == [
+                road.execute(query, directory="hotels")
+            ] * 3
             service.detach_objects("hotels")
-            assert service.replicas[0].directory_names == ["objects"]
-            u, v, d = next(iter(service.executor.network.edges()))
+            assert _three_paths(service, query, "hotels") == [
+                ("unknown-directory", "hotels")
+            ] * 3
+            u, v, d = next(iter(road.network.edges()))
             service.update_edge_distance(u, v, d * 1.5)
-            assert service.run(KNNQuery(0, 2)) == service.executor.execute(
-                KNNQuery(0, 2)
-            )
+            assert _three_paths(service, query) == [road.execute(query)] * 3
         finally:
             service.close()
 
+    @pytest.mark.parametrize("arm", ["thread", "process"])
     def test_detaching_the_last_directory_rejected_with_shards(
-        self, network, providers
+        self, network, providers, arm
     ):
-        """Regression: detaching the only directory the shards serve
-        must fail BEFORE mutating the executor — shards cannot compile
-        an empty set, so a failed rebuild would leave them serving the
-        detached provider while the primary raises on it."""
+        """Only a replica set holding a snapshot refuses to detach the
+        last directory, and it refuses BEFORE mutating the executor: the
+        process pool's snapshot cannot compile an empty set, so a failed
+        rebuild would strand its workers serving the detached provider.
+        Thread replicas hold none, so they detach like inline."""
         from repro.serving import ServiceError
 
         road = ROAD.build(network.copy(), levels=2)
         road.attach_objects(providers["hotels"], name="hotels")
-        service = RoadService(road, config=ServiceConfig(replicas=1))
+        service = RoadService(road, config=_arm_config(arm))
+        query = KNNQuery(0, 1)
         try:
+            if arm == "thread":
+                service.detach_objects("hotels")
+                assert service.executor.directory_names == []
+                assert _three_paths(service, query, "hotels") == [
+                    ("unknown-directory", "hotels")
+                ] * 3
+                return
             with pytest.raises(ServiceError, match="last directory"):
                 service.detach_objects("hotels")
-            # Nothing mutated: primary and shards still serve hotels.
+            # Nothing mutated: the primary and the workers serve hotels.
             assert service.executor.directory_names == ["hotels"]
-            assert service.replicas[0].directory_names == ["hotels"]
-            assert service.run(KNNQuery(0, 1), directory="hotels")
+            assert serving_snapshots(service)[0].directory_names == ["hotels"]
+            assert _three_paths(service, query, "hotels") == [
+                road.execute(query, directory="hotels")
+            ] * 3
         finally:
             service.close()
 
@@ -455,19 +474,21 @@ class TestAuthoritativeDirectorySurface:
             service.close()
 
     def test_bare_road_detach_keeps_shards_consistent(self, road):
-        """A bare ROAD executor's shards follow its attached set too."""
+        """Thread replicas over a bare ROAD serve its charged path, so
+        they follow its attached set on every path."""
         service = RoadService(road, config=ServiceConfig(replicas=1))
+        query = KNNQuery(0, 2)
         try:
-            assert service.replicas[0].directory_names == [
-                "objects", "hotels", "fuel",
-            ]
+            assert _three_paths(service, query, "hotels") == [
+                road.execute(query, directory="hotels")
+            ] * 3
             service.detach_objects("hotels")
-            assert service.replicas[0].directory_names == ["objects", "fuel"]
+            assert _three_paths(service, query, "hotels") == [
+                ("unknown-directory", "hotels")
+            ] * 3
             u, v, d = next(iter(road.network.edges()))
             service.update_edge_distance(u, v, d * 1.5)
-            assert _three_paths(service, KNNQuery(0, 2)) == [
-                road.execute(KNNQuery(0, 2))
-            ] * 3
+            assert _three_paths(service, query) == [road.execute(query)] * 3
         finally:
             service.close()
 
@@ -475,14 +496,14 @@ class TestAuthoritativeDirectorySurface:
         road = ROAD.build(network.copy(), levels=2)
         road.attach_objects(providers["objects"])
         service = RoadService(road, config=ServiceConfig(replicas=1))
+        query = KNNQuery(0, 2)
         try:
-            assert service.replicas[0].directory_names == ["objects"]
+            assert _three_paths(service, query, "hotels") == [
+                ("unknown-directory", "hotels")
+            ] * 3
             service.attach_objects(providers["hotels"], name="hotels")
-            assert service.replicas[0].directory_names == [
-                "objects", "hotels",
-            ]
-            assert _three_paths(service, KNNQuery(0, 2), "hotels") == [
-                road.execute(KNNQuery(0, 2), directory="hotels")
+            assert _three_paths(service, query, "hotels") == [
+                road.execute(query, directory="hotels")
             ] * 3
         finally:
             service.close()

@@ -44,6 +44,7 @@ from repro.serving.wire import (
     wire_kinds,
     wire_types,
 )
+from tests.oracle import serving_snapshots
 
 #: One representative (predicate-bearing where supported) query per
 #: registered wire codec — the coverage guard below keeps this dict in
@@ -332,11 +333,11 @@ class TestMaintenanceRoute:
         status, body = call(app, "POST", "/maintenance", payload)
         assert status == 400
         assert "error" in body
-        # A refusal changes nothing: not the network, not the primary's
-        # snapshot, not the shards'.
+        # A refusal changes nothing: not the network, not the snapshot
+        # that serves.
         assert sorted(network.edges()) == edges
         assert service.run_many(queries) == before
-        for replica in service.replicas:
+        for replica in serving_snapshots(service):
             assert replica.execute_many(queries) == before
 
 
@@ -357,6 +358,31 @@ class TestMetricsRoute:
         snapshot = service.stats()["metrics"]
         assert snapshot["road_service_submitted_total"] >= 1
         assert snapshot["road_query_latency_ms"]["count"] >= 1
+
+    def test_one_scrape_takes_one_memory_stats_pass(self, setting, monkeypatch):
+        """The three snapshot gauges share one ``memory_stats()`` pass
+        per render (on the list backend it walks every boxed element);
+        the next render takes a fresh one."""
+        from repro.core.frozen import FrozenRoad
+
+        service, _ = setting
+        calls = []
+        original = FrozenRoad.memory_stats
+        monkeypatch.setattr(
+            FrozenRoad,
+            "memory_stats",
+            lambda snapshot: calls.append(snapshot) or original(snapshot),
+        )
+        text = service.metrics.render()
+        assert len(calls) == 1
+        for family in (
+            "road_directory_resident_bytes",
+            "road_mask_cache",
+            "road_snapshot_resident_bytes",
+        ):
+            assert f"# TYPE {family} gauge" in text
+        service.metrics.render()
+        assert calls == [service.executor.frozen] * 2
 
 
 class TestHealthz:

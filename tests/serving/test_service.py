@@ -2,10 +2,10 @@
 
 The acceptance contract: the service serves **byte-identical** results
 across the sync path, the async admission-batched path, and the
-sharded-replica path — including after maintenance patch-broadcasts —
-verified both by direct result comparison and with the
-:func:`repro.eval.metrics.snapshot_divergences` probes between replicas
-and a fresh freeze.
+replica paths — including after maintenance patches — verified both by
+direct result comparison and with the
+:func:`repro.eval.metrics.snapshot_divergences` probes between the
+snapshots that serve and a fresh freeze.
 """
 
 import asyncio
@@ -36,6 +36,7 @@ from repro.serving import (
     UnsupportedQueryError,
 )
 from repro.serving.service import FLUSH_REASONS
+from tests.oracle import serving_snapshots
 
 
 @pytest.fixture
@@ -283,6 +284,9 @@ class TestByteIdentity:
         service.close()
 
     def test_sharded_matches_sync(self, network, objects, workload):
+        """Thread replicas decide where a batch runs, not what it runs
+        on: two pool threads, no snapshot of their own, and answers
+        that follow the primary's patches with nothing broadcast."""
         service = RoadService.build(
             network.copy(), objects,
             config=ServiceConfig(
@@ -290,8 +294,14 @@ class TestByteIdentity:
             ),
         )
         try:
-            assert len(service.replicas) == 2
+            assert service.replicas == ()
+            assert service.stats()["replicas"] == 2
             assert gather_submits(service, workload) == service.run_many(workload)
+            assert service.replica_pool_stats()["batches"] >= 1
+            u, v, distance = next(service.executor.network.edges())
+            service.update_edge_distance(u, v, distance * 3.0)
+            assert gather_submits(service, workload) == service.run_many(workload)
+            assert service.replica_pool_stats()["syncs"] == 0
         finally:
             service.close()
 
@@ -381,9 +391,8 @@ def test_dispatch_lattice(network, objects, workload, arm, cached):
         else:
             assert counters["executed"] > first["executed"]
         pool = stats["replica_pool"]
-        if arm != "inline":
-            assert pool["batches"] == counters["batches"]
-            assert pool["queries"] == counters["executed"]
+        assert pool["batches"] == counters["batches"]
+        assert pool["queries"] == counters["executed"]
     finally:
         service.close()
 
@@ -416,10 +425,10 @@ class TestShardedMaintenance:
             service.insert_object(
                 SpatialObject(objects.next_id(), (u, v), 0.0, {"type": "cafe"})
             )
-            # Replicas were patch-broadcast, not re-frozen: zero
+            # The serving snapshot was patched, not re-frozen: zero
             # divergences against a fresh freeze of the updated road.
             fresh = engine.road.freeze()
-            for replica in service.replicas:
+            for replica in serving_snapshots(service):
                 divergences = snapshot_divergences(
                     random.Random(17), replica, fresh, probes=3
                 )
@@ -443,7 +452,7 @@ class TestShardedMaintenance:
             engine = service.executor
             assert all(
                 replica.directory_names == ["objects", "hotels"]
-                for replica in service.replicas
+                for replica in serving_snapshots(service)
             )
             u, v, distance = next(engine.network.edges())
             service.update_edge_distance(u, v, distance * 1.8)
@@ -453,7 +462,7 @@ class TestShardedMaintenance:
             )
             for name in ("objects", "hotels"):
                 fresh = engine.road.freeze(directory=name)
-                for replica in service.replicas:
+                for replica in serving_snapshots(service):
                     divergences = snapshot_divergences(
                         random.Random(5), replica, fresh, probes=3,
                         directory=name,
