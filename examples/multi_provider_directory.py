@@ -97,12 +97,10 @@ def main() -> None:
     # Route Overlay entry arrays — the memory that scales with the map —
     # are built once and shared; each provider adds only its object spans
     # and abstract slots.  Compare against per-provider snapshots:
-    snapshot = road.freeze(backend="compact")
+    snapshot = road.freeze()
     combined = snapshot.memory_stats()
     singles = sum(
-        road.freeze(directory=name, backend="compact").memory_stats()[
-            "total_bytes"
-        ]
+        road.freeze(directory=name).memory_stats()["total_bytes"]
         for name in road.directory_names
     )
     print(f"\none frozen snapshot for {len(snapshot.directory_names)} "

@@ -38,11 +38,12 @@ VIEW_FACTORIES = frozenset({"view", "_map_snapshot"})
 class ViewLifecycleRule(Rule):
     """Cached zero-copy views never outlive a buffer resize.
 
-    Why: the compact and shm backends serve queries through
-    ``memoryview`` views over ``array('q'/'d')`` buffers.  Those are *exports* at the C level: while one is alive,
-    resizing the backing array raises ``BufferError`` — and a stale view
-    that survived a resize by luck reads the pre-patch snapshot.  PR 3's
-    contract is therefore: ``_drop_views()`` before any patch step that
+    Why: the shm and mmap backends serve queries through ``memoryview``
+    views over typed buffers (shared-memory segments, the mapped
+    snapshot file).  Those are *exports* at the C level: while one is
+    alive, the buffer underneath cannot be resized or released
+    (``BufferError``) — and a stale view that survived a splice reads
+    the pre-patch layout.  The contract is therefore: ``_drop_views()`` before any patch step that
     can splice or recompile the arrays, and views are only (re)built by
     the registered factory methods that ``_drop_views`` knows about.
 

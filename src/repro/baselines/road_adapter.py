@@ -31,7 +31,6 @@ from typing import Dict, List, Mapping, Optional, Sequence
 from repro.baselines.engine import EngineError, SearchEngine
 from repro.core.framework import ROAD
 from repro.core.frozen import FrozenRoad
-from repro.core.frozen_backends import get_backend
 from repro.core.maintenance import MaintenanceReport
 from repro.core.object_abstract import AbstractFactory, exact_abstract
 from repro.graph.network import RoadNetwork
@@ -85,20 +84,14 @@ class ROADEngine(SearchEngine):
         reduce_shortcuts: bool = True,
         abstract_factory: AbstractFactory = exact_abstract,
         mode: str = "charged",
-        backend: Optional[str] = None,
         providers: Optional[Mapping[str, ObjectSet]] = None,
     ) -> None:
         if mode not in ROAD_MODES:
             raise EngineError(
                 f"mode must be one of {ROAD_MODES}, got {mode!r}"
             )
-        if backend is not None:
-            # Validate eagerly (unknown name / missing /dev/shm fail at
-            # engine construction, not at the first freeze).
-            get_backend(backend)
         super().__init__(network, pager)
         self.mode = mode
-        self.backend = backend
         #: The abstract factory every directory of this engine uses —
         #: late-attached providers default to it, so pruning behaviour
         #: never depends on *when* a provider was attached.
@@ -143,7 +136,8 @@ class ROADEngine(SearchEngine):
     def _refreeze(self) -> FrozenRoad:
         # Every attached provider, in one snapshot sharing the entry
         # arrays: a refreeze can never drop a directory the road serves.
-        self._frozen = self.road.freeze(backend=self.backend)
+        # The engine reads it in this process, so it is a list snapshot.
+        self._frozen = self.road.freeze()
         self._maintenance_counters["freezes"] += 1
         return self._frozen
 

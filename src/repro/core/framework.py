@@ -499,7 +499,6 @@ class ROAD(QueryExecutor):
         directories: Optional[Iterable[str]] = None,
         default: Optional[str] = None,
         backend=None,
-        mask_budget: Optional[int] = None,
     ) -> FrozenRoad:
         """Compile the index + directories into one :class:`FrozenRoad`.
 
@@ -519,13 +518,10 @@ class ROAD(QueryExecutor):
         delta-patch the snapshot (all compiled directories at once), or
         re-freeze.
 
-        ``backend`` selects the compiled array representation —
-        ``"list"`` (pre-boxed, fastest), ``"compact"`` (stdlib typed
-        buffers, ~4x less memory) or ``"shm"`` (compact layout in
-        shared-memory segments for process-shard serving); None defers
-        to ``REPRO_BACKEND``/the default.  ``mask_budget`` caps
-        the cached predicate masks per compiled directory (default
-        ``frozen.MAX_CACHED_PREDICATES``).
+        ``backend`` follows from who reads the snapshot: ``"list"`` (the
+        default; pre-boxed, fastest) for this process, ``"shm"``
+        (typed buffers in shared-memory segments) for a process pool to
+        attach.
         """
         return FrozenRoad.from_road(
             self,
@@ -533,7 +529,6 @@ class ROAD(QueryExecutor):
             directories=directories,
             default=default,
             backend=backend,
-            mask_budget=mask_budget,
         )
 
     # ------------------------------------------------------------------

@@ -49,13 +49,12 @@ patcher falls back to a full in-place recompile — so an ``apply`` always
 leaves the snapshot byte-identical to a fresh ``freeze()``, at a cost
 that scales with the perturbation in the common case.
 
-The physical representation of the compiled arrays is pluggable (see
-:mod:`repro.core.frozen_backends`): ``backend="list"`` keeps pre-boxed
-Python lists (fastest pure-Python queries), ``"compact"`` stores the same
-layout in stdlib typed buffers at ~4x less resident memory, and
-``"shm"`` puts those buffers in shared-memory segments for process
-shards.  All three serve byte-identical answers and support the patch
-lifecycle; pick per freeze, per engine, or via ``REPRO_BACKEND``.
+How the compiled arrays are stored follows from who reads the snapshot
+(see :mod:`repro.core.frozen_backends`): a heap snapshot keeps pre-boxed
+Python lists (``"list"``, the fastest pure-Python queries), the process
+pool's snapshot puts typed buffers in shared-memory segments (``"shm"``),
+and a snapshot file loads as a read-only mmap view.  All of them serve
+byte-identical answers; the first two support the patch lifecycle.
 """
 
 from __future__ import annotations
@@ -156,26 +155,11 @@ SHARED_ARRAYS = (
 #: dict entry is always the coldest) — an evicted predicate recompiles in
 #: O(rnets + objects) on its next use, and each eviction counts into the
 #: per-directory ``mask_evictions`` surfaced by ``memory_stats()``.
-#: Override per snapshot via ``freeze(mask_budget=...)``.
 MAX_CACHED_PREDICATES = 128
 
 
 class FrozenRoadError(Exception):
     """Raised on queries against nodes missing from the frozen snapshot."""
-
-
-def _resolve_mask_budget(mask_budget: Optional[int]) -> int:
-    """Default and validate a mask-cache budget.
-
-    Shared by ``__init__`` and ``from_parts`` so every construction path
-    — freeze, snapshot load, worker attach — enforces the same floor: a
-    budget below 1 would make the LRU eviction loop pop from an empty
-    cache on the first cached predicate.
-    """
-    budget = MAX_CACHED_PREDICATES if mask_budget is None else mask_budget
-    if budget < 1:
-        raise ValueError(f"mask_budget must be >= 1, got {budget}")
-    return budget
 
 
 def _flatten_tree_entries(
@@ -282,33 +266,19 @@ class FrozenRoad(QueryExecutor):
     def __init__(
         self,
         trees: Dict[int, "ShortcutTree"],
-        node_entries: Optional[Dict[int, List[Tuple[SpatialObject, float]]]] = None,
-        abstracts: Optional[Dict[int, "ObjectAbstract"]] = None,
         *,
-        directory_name: str = DEFAULT_DIRECTORY,
-        directories: Optional[Dict[str, _DirectoryExport]] = None,
+        directories: Dict[str, _DirectoryExport],
         default_directory: Optional[str] = None,
         backend: Optional[Union[str, ListBackend]] = None,
-        mask_budget: Optional[int] = None,
         hierarchy: "RnetHierarchy",
     ) -> None:
         """Compile ``trees`` plus one or more exported directories.
 
         ``directories`` maps directory name to an ``export_entries()``
         pair ``(node_entries, abstracts)``; insertion order becomes the
-        compiled order.  The legacy single-directory form —
-        positional ``node_entries``/``abstracts`` under ``directory_name``
-        — is kept for callers that assemble exports by hand.
-        ``hierarchy`` is the one the trees were built over (OD target
-        masks read its interior Rnet chains).
+        compiled order.  ``hierarchy`` is the one the trees were built
+        over (OD target masks read its interior Rnet chains).
         """
-        if directories is None:
-            if node_entries is None or abstracts is None:
-                raise ValueError(
-                    "pass directories={name: (node_entries, abstracts)} "
-                    "or the legacy (node_entries, abstracts) pair"
-                )
-            directories = {directory_name: (node_entries, abstracts)}
         if not directories:
             raise ValueError("directories must compile at least one directory")
         if default_directory is None:
@@ -324,12 +294,9 @@ class FrozenRoad(QueryExecutor):
         self._default_directory = default_directory
         #: The array backend this snapshot compiles into — a name from
         #: :data:`repro.core.frozen_backends.BACKENDS`, an instance, or
-        #: None for the REPRO_BACKEND/default selection.  Recompiles keep
-        #: the same backend for the snapshot's whole lifetime.
+        #: None for ``"list"``.  Recompiles keep the same backend for the
+        #: snapshot's whole lifetime.
         self._backend = resolve_backend(backend)
-        #: Cached-predicate budget per (directory, mask-kind) cache; the
-        #: LRU eviction counter lives on each directory state.
-        self._mask_budget = _resolve_mask_budget(mask_budget)
         #: Path of the snapshot file this instance was loaded from (set by
         #: :func:`repro.core.serialize.load_snapshot`); surfaced by
         #: :meth:`memory_stats`.
@@ -412,10 +379,10 @@ class FrozenRoad(QueryExecutor):
 
         # The arrays are staged as plain lists, then materialised through
         # the selected backend: "list" keeps the pre-boxed lists (hot-loop
-        # indexing returns existing objects), "compact"/"shm" pack the
-        # same layout into stdlib typed buffers.  All backends keep the
-        # arrays mutable so :meth:`apply` can rewrite dirty spans in place
-        # with slice assignments.
+        # indexing returns existing objects), "shm" packs the same layout
+        # into typed buffers in shared segments.  Both keep the arrays
+        # mutable so :meth:`apply` can rewrite dirty spans in place with
+        # slice assignments.
         B = self._backend
         self._entry_start = B.int_array(e_start)
         self._entry_rnet = B.int_array(e_rnet)
@@ -494,10 +461,9 @@ class FrozenRoad(QueryExecutor):
             ]
             self._dirs[name] = state
 
-        # Cached array views for the sweep (memoryviews over the compact
+        # Cached array views for the sweep (memoryviews over the typed
         # buffers; the lists themselves for the list backend), built
-        # lazily per snapshot and dropped before any patch — a live
-        # buffer export would block the resizing object splices.
+        # lazily per snapshot and dropped before any patch.
         self._views: Optional[Tuple[Any, ...]] = None
 
     # ------------------------------------------------------------------
@@ -512,7 +478,6 @@ class FrozenRoad(QueryExecutor):
         directories: Optional[Sequence[str]] = None,
         default: Optional[str] = None,
         backend: Optional[Union[str, ListBackend]] = None,
-        mask_budget: Optional[int] = None,
     ) -> "FrozenRoad":
         """Compile a built :class:`~repro.core.framework.ROAD`.
 
@@ -553,7 +518,6 @@ class FrozenRoad(QueryExecutor):
             directories=exports,
             default_directory=default,
             backend=backend,
-            mask_budget=mask_budget,
             hierarchy=road.hierarchy,
         )
         frozen._source = weakref.ref(road)
@@ -571,7 +535,6 @@ class FrozenRoad(QueryExecutor):
             str, Tuple[List[SpatialObject], List[Optional["ObjectAbstract"]]]
         ],
         default_directory: str,
-        mask_budget: Optional[int] = None,
         snapshot_path: Optional[str] = None,
     ) -> "FrozenRoad":
         """Assemble a snapshot from already-materialised arrays — no compile.
@@ -589,7 +552,6 @@ class FrozenRoad(QueryExecutor):
         """
         frozen = cls.__new__(cls)
         frozen._backend = resolve_backend(backend)
-        frozen._mask_budget = _resolve_mask_budget(mask_budget)
         frozen._snapshot_path = snapshot_path
         frozen._source = None
         frozen.node_ids = list(node_ids)
@@ -627,8 +589,8 @@ class FrozenRoad(QueryExecutor):
         Everything a cold process needs to reconstruct this snapshot
         without recompiling: the compiled arrays (by their
         directory-prefixed names), node/Rnet id spaces in slot order, the
-        default directory, the mask-cache budget, and each directory's
-        ``(obj_ref, abstracts)`` pair.  The arrays are the live backend
+        default directory, and each directory's ``(obj_ref, abstracts)``
+        pair.  The arrays are the live backend
         objects, not copies — consumers serialise or re-home them
         (:func:`repro.core.serialize.save_snapshot`, :meth:`shm_manifest`)
         rather than mutate.
@@ -638,7 +600,6 @@ class FrozenRoad(QueryExecutor):
             "node_ids": list(self.node_ids),
             "rnet_slots": list(self._rnet_ids_by_slot()),
             "default_directory": self._default_directory,
-            "mask_budget": self._mask_budget,
             "directories": {
                 name: (list(state.obj_ref), list(state.abstracts))
                 for name, state in self._dirs.items()
@@ -692,7 +653,6 @@ class FrozenRoad(QueryExecutor):
             rnet_slots=manifest["rnet_slots"],
             directories=manifest["directories"],
             default_directory=manifest["default_directory"],
-            mask_budget=manifest["mask_budget"],
         )
 
     def close(self) -> None:
@@ -705,10 +665,6 @@ class FrozenRoad(QueryExecutor):
         """
         self._drop_views()
         for state in self._dirs.values():
-            for mask in state.rnet_masks.values():
-                release_mask = getattr(mask, "close", None)
-                if release_mask is not None:
-                    release_mask()
             state.rnet_masks.clear()
             state.obj_masks.clear()
         for arr in self._arrays().values():
@@ -753,10 +709,6 @@ class FrozenRoad(QueryExecutor):
                 continue
             state.obj_ref = list(obj_ref)
             state.abstracts = list(abstracts)
-            for mask in state.rnet_masks.values():
-                release_mask = getattr(mask, "close", None)
-                if release_mask is not None:
-                    release_mask()
             state.rnet_masks.clear()
             state.obj_masks.clear()
         self._drop_views()
@@ -793,9 +745,7 @@ class FrozenRoad(QueryExecutor):
         traversal indexes, so finish (or close) any in-flight
         :meth:`iter_nearest_objects` iterator before calling ``apply`` —
         a paused iterator resumed across a patch may mix pre- and
-        post-update state or raise, and on ``compact`` the views its
-        frame holds make a size-changing object splice raise
-        ``BufferError`` until it is closed.  Completed queries and future
+        post-update state or raise.  Completed queries and future
         queries are unaffected; a serving loop applies updates between
         batches.
         """
@@ -854,8 +804,8 @@ class FrozenRoad(QueryExecutor):
         Section 5.1 property that object churn never reaches the Route
         Overlay.  The report's ``directory`` names the churned provider —
         only its compiled state is rewritten; churn in a directory this
-        snapshot never compiled is a no-op.  A legacy report without a
-        directory refreshes every compiled directory from live state.
+        snapshot never compiled is a no-op.  A report naming no object or
+        no directory raises :class:`FrozenRoadError`.
         """
         self._require_patchable()
         obj = report.obj
@@ -863,34 +813,31 @@ class FrozenRoad(QueryExecutor):
             raise FrozenRoadError(
                 f"{report.kind} report carries no object to patch from"
             )
-        directory = getattr(report, "directory", None)
-        if directory is None:
-            states = list(self._dirs.values())
-        else:
-            state = self._dirs.get(directory)
-            if state is None:
-                # Churn in a directory outside this snapshot: the compiled
-                # spans already match a fresh freeze of the compiled set —
-                # a true no-op, so neither a live source ROAD (a dropped
-                # road is a supported serving state) nor the cached query
-                # views are touched.  An explicitly passed road still
-                # becomes the source for future applies.
-                if road is not None:
-                    self._source = weakref.ref(road)
-                return "patched"
-            states = [state]
+        if report.directory is None:
+            raise FrozenRoadError(
+                f"{report.kind} report names no directory to patch"
+            )
+        state = self._dirs.get(report.directory)
+        if state is None:
+            # Churn in a directory outside this snapshot: the compiled
+            # spans already match a fresh freeze of the compiled set — a
+            # true no-op, so neither a live source ROAD (a dropped road is
+            # a supported serving state) nor the cached query views are
+            # touched.  An explicitly passed road still becomes the
+            # source for future applies.
+            if road is not None:
+                self._source = weakref.ref(road)
+            return "patched"
         road = self._require_source(road)
-        for state in states:
-            # All-or-nothing, as in :meth:`apply`: resolve every live
-            # directory before the first span is touched.
-            road.directory(state.name)
+        # All-or-nothing, as in :meth:`apply`: resolve the live directory
+        # before the first span is touched.
+        road.directory(state.name)
         self._drop_views()
         if any(node not in self._index for node in obj.edge):
             self._recompile(road)
             return "recompiled"
-        for state in states:
-            self._rebuild_node_objects(road, list(obj.edge), state)
-            self._refresh_abstracts(road, report.dirty_rnets, state)
+        self._rebuild_node_objects(road, list(obj.edge), state)
+        self._refresh_abstracts(road, report.dirty_rnets, state)
         return "patched"
 
     def _require_patchable(self) -> None:
@@ -899,8 +846,8 @@ class FrozenRoad(QueryExecutor):
             raise FrozenRoadError(
                 "this snapshot is a read-only view of "
                 f"{self._snapshot_path or 'a snapshot file'}; "
-                "load_snapshot(path, backend='compact') (or any live "
-                "backend) materialises a patchable copy"
+                "load_snapshot(path, backend='list') materialises a "
+                "patchable copy"
             )
 
     def _require_source(self, road: Optional["ROAD"]) -> "ROAD":
@@ -1083,12 +1030,11 @@ class FrozenRoad(QueryExecutor):
     def _drop_views(self) -> None:
         """Release all cached array views before mutating the arrays.
 
-        Memoryviews export the stdlib buffers; a live export would make
-        the size-changing object splices in :meth:`_rebuild_node_objects`
-        raise ``BufferError``.  Dropping the caches releases the exports
-        (views rebuild lazily on the next query) — except the ones a
-        suspended :meth:`iter_nearest_objects` sweep still holds in its
-        frame: close it first (see :meth:`apply`).
+        A size-changing object splice in :meth:`_rebuild_node_objects`
+        leaves the cached views of the old span layout stale; they
+        rebuild lazily on the next query.  A suspended
+        :meth:`iter_nearest_objects` sweep still holds the old ones in
+        its frame: close it first (see :meth:`apply`).
         """
         self._views = None
         self._slot_rnets = None
@@ -1098,10 +1044,9 @@ class FrozenRoad(QueryExecutor):
     def _array_views(self) -> Tuple[Any, ...]:
         """The shared-array views the query loops index, built per snapshot.
 
-        List backend: the arrays themselves.  Compact/shm: memoryviews
-        over the typed buffers — measurably cheaper to index than the
-        arrays, and constructing them once here keeps them out of the
-        per-query hot path.  Order matches the unpacking in
+        List backend: the arrays themselves.  Shm: the vectors' payload
+        memoryviews — constructing them once here keeps them out of the
+        per-query hot path.  Mmap: the stored casts, as they are.  Order matches the unpacking in
         :meth:`_sweep`; the per-directory object views come from
         :meth:`_object_views`.
         """
@@ -1166,16 +1111,15 @@ class FrozenRoad(QueryExecutor):
     # ------------------------------------------------------------------
     def _rnet_mask(
         self, state: _DirectoryState, predicate: Predicate
-    ) -> Sequence[bool]:
+    ) -> BoolMask:
         """Per-Rnet "may contain an object of interest" bitmask.
 
-        List backend: a list of bools; compact/shm: a process-local
+        List backend: a list of bools; shm/mmap: a process-local
         bytearray — the sweep only needs truthy indexing, and the patch
         paths only need item assignment, which both honour.  Cached per
         (directory, predicate): two directories never share a mask,
-        however equal their predicates.  The *cached* object is the
-        backend's mask (so patch writes persist); the hot loop indexes
-        ``mask_view`` of it (the identity on every backend today).
+        however equal their predicates.  The hot loop indexes the cached
+        mask itself, so patch writes reach it.
         """
         mask = state.rnet_masks.get(predicate)
         if mask is None:
@@ -1187,7 +1131,7 @@ class FrozenRoad(QueryExecutor):
         else:
             # LRU refresh: a re-seen predicate moves to the young end.
             state.rnet_masks[predicate] = state.rnet_masks.pop(predicate)
-        return self._backend.mask_view(mask)
+        return mask
 
     def _object_mask(
         self, state: _DirectoryState, predicate: Predicate
@@ -1216,13 +1160,13 @@ class FrozenRoad(QueryExecutor):
 
         Both mask caches (per-Rnet and per-object-slot) are insertion-
         ordered dicts whose hit paths re-insert the key, so the first
-        entry is always the least recently used.  Evictions count into
+        entry is always the least recently used.  Each cache holds at
+        most :data:`MAX_CACHED_PREDICATES` masks; evictions count into
         ``state.mask_evictions`` (surfaced by :meth:`memory_stats` /
-        ``RoadService.stats()``); an evicted shared-memory mask releases
-        its segment when the last in-flight reader drops its view (the
-        GC finalizer in :mod:`repro.core.shm_arrays`).
+        ``RoadService.stats()``).  Masks are process-local heap objects
+        on every backend, so an evicted one is simply garbage.
         """
-        while len(cache) >= self._mask_budget:
+        while len(cache) >= MAX_CACHED_PREDICATES:
             cache.pop(next(iter(cache)))
             state.mask_evictions += 1
         cache[key] = value
@@ -1455,8 +1399,8 @@ class FrozenRoad(QueryExecutor):
         """Resident footprint of the compiled arrays under this backend.
 
         ``total_bytes`` is what the arrays actually hold on the heap —
-        container plus boxed elements for the list backend, the inline
-        typed buffers for compact/shm — next to ``payload_bytes``, the
+        container plus boxed elements for the list backend, the mapped
+        typed buffers for shm/mmap — next to ``payload_bytes``, the
         backend-independent 8 B/element ideal (== :attr:`nbytes`).  The
         per-predicate mask caches are reported separately; the
         ``object_refs`` list (shared ``SpatialObject`` instances, one
@@ -1508,7 +1452,7 @@ class FrozenRoad(QueryExecutor):
             ),
             "mask_cache_bytes": mask_bytes,
             "mask_cache_entries": mask_entries,
-            "mask_budget": self._mask_budget,
+            "mask_budget": MAX_CACHED_PREDICATES,
             "mask_evictions": mask_evictions,
             "directories": per_directory,
         }
@@ -1607,7 +1551,7 @@ class FrozenRoad(QueryExecutor):
         # is the hot path, and attribute loads per pop would dominate it.
         # The backend picks the view the loop indexes — the list itself
         # for "list", a cached memoryview over the typed buffer for
-        # "compact"/"shm" (cheaper per access than the array).
+        # "shm" (cheaper per access than the vector).
         pop = heapq.heappop
         push = heapq.heappush
         (

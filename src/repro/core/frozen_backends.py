@@ -1,40 +1,38 @@
-"""Pluggable array backends for the :class:`~repro.core.frozen.FrozenRoad`.
+"""Array layouts for the :class:`~repro.core.frozen.FrozenRoad`.
 
 The compiled CSR arrays (entry offsets, shortcut/edge targets and weights,
-object ids and deltas) have one logical layout but three physical
-representations, selected per snapshot:
+object ids and deltas) have one logical layout.  How a snapshot stores
+them follows from who reads it; no user-set option chooses:
 
-* ``"list"`` (default) — plain Python lists of pre-boxed ints/floats.
-  Hot-loop indexing returns existing objects without boxing a fresh
-  int/float per access, so this is the fastest pure-Python query path,
-  at ~4x the memory the data needs (8 B pointer + boxed payload per slot).
-* ``"compact"`` — stdlib ``array('q')`` / ``array('d')`` buffers plus
-  ``bytearray`` predicate masks, read through memoryviews in the query
-  loops.  8 B per slot, no boxed elements: ≥4x smaller resident arrays
-  than ``"list"`` with near-identical query latency.
-* ``"shm"`` — the ``compact`` layout stored in named
-  ``multiprocessing.shared_memory`` segments
+* ``"list"`` — every heap snapshot (``road.freeze()``, the engine's own
+  snapshot, thread replicas).  Plain Python lists of pre-boxed
+  ints/floats: hot-loop indexing returns existing objects without boxing
+  a fresh int/float per access, the fastest pure-Python query path.
+* ``"shm"`` — the snapshot process workers attach.  Stdlib typed buffers
+  in named ``multiprocessing.shared_memory`` segments
   (:class:`repro.core.shm_arrays.ShmVector`), so worker *processes*
   attach the same snapshot zero-copy and the primary's ``apply()`` patch
-  writes land in every attached process at once.  Requires a host with
-  POSIX shared memory (``/dev/shm``); see ``installed_backends``.
+  writes land in every attached process at once.  The service freezes
+  it for its process pool itself.  Requires a host with POSIX shared
+  memory (``/dev/shm``); see ``installed_backends``.
+* ``"mmap"`` — a snapshot file loaded by
+  :func:`repro.core.serialize.load_snapshot`: read-only memoryview casts
+  into the mapped file.  Not a ``freeze`` choice, so not in
+  :data:`BACKENDS`.
 
-Every backend serves byte-identical answers — the equivalence probes
+``shm`` and ``mmap`` share the typed-buffer methods of
+:class:`TypedBufferBackend`, which no name selects.  Every backend serves
+byte-identical answers — the equivalence probes
 (:func:`repro.eval.metrics.snapshot_divergences`) hold across all of them
-— and supports the incremental-freeze patch lifecycle: span rewrites are
-slice assignments (``arr[a:b] = values``), which lists, stdlib arrays
-and the shared-memory vectors all honour.  None of them needs numpy: the
+— and the patchable ones support the incremental-freeze patch lifecycle:
+span rewrites are slice assignments (``arr[a:b] = values``), which lists
+and the shared-memory vectors both honour.  None of them needs numpy: the
 optional extra serves the generators, placement and workload sampling
 only (:mod:`repro._optional`).
-
-Select a backend per call (``road.freeze(backend="compact")``), per engine
-(``ROADEngine(..., backend=...)``), or globally via ``REPRO_BACKEND`` /
-the eval CLI's ``--backend``.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 from array import array
 from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
@@ -46,17 +44,14 @@ IntVector = Union[List[int], "array[int]", ShmVector]
 #: One compiled float CSR array.
 FloatVector = Union[List[float], "array[float]", ShmVector]
 #: One per-slot predicate mask.
-BoolMask = Union[List[bool], bytearray, ShmVector]
+BoolMask = Union[List[bool], bytearray]
 
-#: Valid FrozenRoad array backends, in documentation order.
-BACKENDS = ("list", "compact", "shm")
-
-#: Environment variable overriding the default backend.
-BACKEND_ENV = "REPRO_BACKEND"
+#: The backends ``freeze(backend=)`` and ``load_snapshot(backend=)`` accept.
+BACKENDS = ("list", "shm")
 
 
 class ListBackend:
-    """Plain Python lists of pre-boxed elements (the fast default)."""
+    """Plain Python lists of pre-boxed elements (every heap snapshot)."""
 
     name = "list"
     #: Whether ``FrozenRoad.apply`` may mutate arrays this backend built.
@@ -89,15 +84,6 @@ class ListBackend:
         """The object query loops should index (identity for lists)."""
         return arr
 
-    def mask_view(self, mask: Any) -> Any:
-        """The object the hot loop indexes for one predicate mask.
-
-        Lists and bytearrays index fast as-is, so every backend keeps the
-        identity mapping — masks are process-local on all of them,
-        including ``shm`` (see :class:`ShmBackend`).
-        """
-        return mask
-
     def resident_bytes(self, arr: Sequence[object]) -> int:
         """Resident heap bytes of one array, boxes included.
 
@@ -109,10 +95,14 @@ class ListBackend:
         return sys.getsizeof(arr) + sum(sys.getsizeof(x) for x in arr)
 
 
-class CompactBackend(ListBackend):
-    """Stdlib typed buffers: ``array('q')``/``array('d')`` + bytearrays."""
+class TypedBufferBackend(ListBackend):
+    """Stdlib typed buffers: the base of the ``shm`` and ``mmap`` layouts.
 
-    name = "compact"
+    ``array('q')``/``array('d')`` CSR arrays and bytearray predicate
+    masks, read through memoryviews in the query loops.  No name selects
+    this class: a heap snapshot is a ``list`` one, and the subclasses set
+    their own ``name``.
+    """
 
     def int_array(self, values: Iterable[int]) -> IntVector:
         return array("q", values)
@@ -121,7 +111,7 @@ class CompactBackend(ListBackend):
         return array("d", values)
 
     def int_values(self, values: Sequence[int]) -> "array[int]":
-        # array slice assignment only accepts a same-typecode array.
+        # typed slice assignment only accepts a same-typecode buffer.
         return array("q", values)
 
     def float_values(self, values: Sequence[float]) -> "array[float]":
@@ -133,11 +123,9 @@ class CompactBackend(ListBackend):
     def view(self, arr: Any) -> Any:
         """A memoryview for the query hot loop.
 
-        Indexing a memoryview of a typed array is measurably cheaper than
-        indexing the array itself.  Note the view exports the array's
-        buffer: FrozenRoad caches views per snapshot and MUST release
-        them (``_drop_views``) before any patch — a live export makes a
-        resizing splice raise ``BufferError``.
+        Indexing a memoryview of a typed buffer is measurably cheaper
+        than indexing the buffer itself.  FrozenRoad caches views per
+        snapshot and releases them (``_drop_views``) before any patch.
         """
         return memoryview(arr)
 
@@ -146,28 +134,26 @@ class CompactBackend(ListBackend):
         return sys.getsizeof(arr)
 
 
-class ShmBackend(CompactBackend):
-    """The compact layout in named shared-memory segments.
+class ShmBackend(TypedBufferBackend):
+    """Typed buffers in named shared-memory segments.
 
-    Same 8 B/slot CSR arrays and bytes-per-slot masks as ``compact``, but
-    each array is a :class:`~repro.core.shm_arrays.ShmVector` whose bytes
-    live in a ``multiprocessing.shared_memory`` segment.  One process —
-    the primary — owns the segments and applies patches; any number of
-    worker processes attach the same segments by name
+    8 B/slot CSR arrays, each a :class:`~repro.core.shm_arrays.ShmVector`
+    whose bytes live in a ``multiprocessing.shared_memory`` segment.  One
+    process — the primary — owns the segments and applies patches; any
+    number of worker processes attach the same segments by name
     (:meth:`repro.core.frozen.FrozenRoad.shm_manifest` +
     :meth:`~repro.core.frozen.FrozenRoad.from_parts`) and serve queries
     zero-copy while the primary's slice writes land in place.
 
-    Predicate mask caches deliberately stay process-local bytearrays
-    (inherited from ``compact``): masks are never in the manifest — each
-    attacher recompiles its own lazily — so a named segment per cached
-    predicate would buy no sharing while leaking a ``/dev/shm`` entry
-    whenever a worker dies without running its ``close()`` (e.g.
-    SIGKILL), until the resource tracker reaps it at interpreter exit.
+    Predicate mask caches deliberately stay process-local bytearrays:
+    masks are never in the manifest — each attacher recompiles its own
+    lazily — so a named segment per cached predicate would buy no
+    sharing while leaking a ``/dev/shm`` entry whenever a worker dies
+    without running its ``close()`` (e.g. SIGKILL), until the resource
+    tracker reaps it at interpreter exit.
 
-    Query loops read through the vectors' cached payload memoryviews, so
-    the scalar hot path costs the same as ``compact``.  Snapshots built
-    on this backend should be released deterministically
+    Query loops read through the vectors' cached payload memoryviews.
+    Snapshots built on this backend should be released deterministically
     (``FrozenRoad.close()``); a GC finalizer backstop covers the rest.
     """
 
@@ -180,7 +166,7 @@ class ShmBackend(CompactBackend):
         return ShmVector("d", values)
 
     def view(self, arr: Any) -> Any:
-        """The vector's cached payload memoryview (see CompactBackend)."""
+        """The vector's cached payload memoryview."""
         if isinstance(arr, ShmVector):
             return arr.view()
         return memoryview(arr)
@@ -195,47 +181,22 @@ class ShmBackend(CompactBackend):
 def get_backend(name: str) -> ListBackend:
     """Resolve a backend name to a backend instance.
 
-    Raises ``ValueError`` for unknown names and ``OSError`` when
-    ``"shm"`` is requested on a host without POSIX shared memory.
-    Case-insensitive, like every other backend config surface.
-    """
-    name = validate_backend_name(name)
-    if name == "list":
-        return ListBackend()
-    if name == "compact":
-        return CompactBackend()
-    if name == "shm":
-        if not shared_memory_available():
-            raise OSError(
-                "FrozenRoad backend 'shm' requires POSIX shared memory "
-                "(/dev/shm), which this host does not provide; use "
-                "backend='compact' for the same layout in process-private "
-                "buffers"
-            )
-        return ShmBackend()
-    raise AssertionError(f"unhandled validated backend {name!r}")
-
-
-def validate_backend_name(name: str, *, source: str = "backend") -> str:
-    """Normalise and check a backend name; ``source`` labels the error.
-
-    The single validation used by :func:`default_backend` and every
-    config surface that accepts a backend string (eval runner/CLI), so
-    adding a backend or rewording the error happens in one place.
+    Case-insensitive.  Raises ``ValueError`` for names outside
+    :data:`BACKENDS` and ``OSError`` when ``"shm"`` is requested on a
+    host without POSIX shared memory.
     """
     name = name.lower()
     if name not in BACKENDS:
-        raise ValueError(
-            f"{source} must be one of {BACKENDS}, got {name!r}"
+        raise ValueError(f"backend must be one of {BACKENDS}, got {name!r}")
+    if name == "list":
+        return ListBackend()
+    if not shared_memory_available():
+        raise OSError(
+            "FrozenRoad backend 'shm' requires POSIX shared memory "
+            "(/dev/shm), which this host does not provide; process "
+            "replicas cannot run here"
         )
-    return name
-
-
-def default_backend() -> str:
-    """The session-wide backend: ``REPRO_BACKEND`` or ``"list"``."""
-    return validate_backend_name(
-        os.environ.get(BACKEND_ENV, "list"), source=BACKEND_ENV
-    )
+    return ShmBackend()
 
 
 def resolve_backend(
@@ -243,12 +204,13 @@ def resolve_backend(
 ) -> ListBackend:
     """Normalise a ``backend=`` argument to a backend instance.
 
-    ``None`` defers to :func:`default_backend`; strings are looked up via
-    :func:`get_backend`; backend instances pass through (snapshot patch
-    paths re-use the instance they were compiled with).
+    ``None`` is ``"list"``; strings are looked up via :func:`get_backend`;
+    backend instances pass through (snapshot patch paths re-use the
+    instance they were compiled with, and a snapshot file's mmap view
+    brings its own).
     """
     if backend is None:
-        backend = default_backend()
+        return ListBackend()
     if isinstance(backend, str):
         return get_backend(backend)
     return backend
@@ -257,9 +219,8 @@ def resolve_backend(
 def installed_backends() -> Tuple[str, ...]:
     """The backends constructible in this environment, in BACKENDS order.
 
-    ``"list"`` and ``"compact"`` are stdlib-only and always present;
-    ``"shm"`` appears when the host provides POSIX shared memory
-    (``/dev/shm``).
+    ``"list"`` is stdlib-only and always present; ``"shm"`` appears when
+    the host provides POSIX shared memory (``/dev/shm``).
     """
     return tuple(
         name

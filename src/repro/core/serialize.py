@@ -48,8 +48,8 @@ from typing import Any, BinaryIO, Dict, List, Optional, Tuple, Union
 from repro.core.framework import ROAD, BuildReport
 from repro.core.frozen import SHARED_ARRAYS, FrozenRoad
 from repro.core.frozen_backends import (
-    CompactBackend,
     ListBackend,
+    TypedBufferBackend,
     resolve_backend,
 )
 from repro.core.shm_arrays import ShmVector
@@ -330,7 +330,6 @@ def save_snapshot(frozen: FrozenRoad, path: PathLike) -> int:
         "node_ids": parts["node_ids"],
         "rnet_slots": parts["rnet_slots"],
         "default_directory": parts["default_directory"],
-        "mask_budget": parts["mask_budget"],
         "arrays": table,
         "directories": parts["directories"],
     }
@@ -374,7 +373,7 @@ class _SnapshotFile:
         self._handle.close()
 
 
-class _SnapshotViewBackend(CompactBackend):
+class _SnapshotViewBackend(TypedBufferBackend):
     """Read-only serving over an mmapped snapshot file.
 
     The compiled arrays ARE the file's pages — int64/float64 memoryview
@@ -382,7 +381,7 @@ class _SnapshotViewBackend(CompactBackend):
     (page-cache warm-up) and zero array copies.  Patching is refused
     (``patchable = False``): the file is shared, immutable truth; a
     deployment that needs live maintenance loads the snapshot into a
-    patchable backend instead (``load_snapshot(path, backend=...)``).
+    patchable backend instead (``load_snapshot(path, backend="list")``).
     """
 
     name = "mmap"
@@ -477,7 +476,6 @@ def load_snapshot(
     path: PathLike,
     *,
     backend: Optional[Union[str, ListBackend]] = None,
-    mask_budget: Optional[int] = None,
 ) -> FrozenRoad:
     """Reload a compiled snapshot saved by :func:`save_snapshot`.
 
@@ -486,8 +484,9 @@ def load_snapshot(
     no recompilation and no copies, and the snapshot is read-only —
     ``apply`` raises, and ``close()`` unmaps the file.  Passing a backend
     name (or instance) instead materialises the arrays into that backend
-    — e.g. ``backend="shm"`` to seed a process pool's shared segments
-    from a snapshot file.
+    — ``backend="list"`` for a patchable heap copy, ``backend="shm"`` to
+    seed a process pool's shared segments from a snapshot file.  A
+    ``mask_budget`` key that files saved before 1.6 carry is ignored.
     """
     handle, mapping, buf = _map_snapshot(path)
     source = _SnapshotFile(handle, mapping)
@@ -523,9 +522,6 @@ def load_snapshot(
             rnet_slots=meta["rnet_slots"],
             directories=meta["directories"],
             default_directory=meta["default_directory"],
-            mask_budget=(
-                meta["mask_budget"] if mask_budget is None else mask_budget
-            ),
             snapshot_path=str(path),
         )
         keep_mapped = backend is None

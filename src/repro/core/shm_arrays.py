@@ -1,9 +1,9 @@
 """Shared-memory typed vectors: the storage layer of the ``"shm"`` backend.
 
-A :class:`ShmVector` is one compiled CSR array (or predicate mask) whose
-bytes live in a named ``multiprocessing.shared_memory`` segment, so any
-number of worker *processes* can attach the same snapshot zero-copy while
-the primary keeps patching it in place.  The layout per segment::
+A :class:`ShmVector` is one compiled CSR array whose bytes live in a
+named ``multiprocessing.shared_memory`` segment, so any number of worker
+*processes* can attach the same snapshot zero-copy while the primary
+keeps patching it in place.  The layout per segment::
 
     [ length : int64 ][ capacity : int64 ][ payload : capacity * itemsize ]
 
@@ -26,8 +26,9 @@ loops.
 Lifecycle (statically enforced by analysis rule RA006): every segment is
 ``close()``-d by each attached process and ``unlink()``-ed exactly once,
 by the owner, from :meth:`ShmVector.close`.  A ``weakref.finalize``
-backstop covers vectors dropped without an explicit close (tests, evicted
-mask-cache entries) so abandoned segments do not outlive the process.
+backstop covers vectors dropped without an explicit close (tests, a
+snapshot garbage-collected unclosed) so abandoned segments do not outlive
+the process.
 CPython < 3.13 registers *attached* segments with the resource tracker as
 if they were owned — see :func:`attach_segment` for why that is benign in
 the one-tracker-per-process-tree world the serving pool runs in.

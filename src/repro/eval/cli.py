@@ -8,10 +8,9 @@ Regenerate any of the paper's tables/figures without pytest::
     python -m repro.eval all --out results/
     python -m repro.eval list
 
-The ROAD switches (``--engine`` / ``--backend``) set the ``REPRO_ENGINE``
-/ ``REPRO_BACKEND`` environment overrides, which
-:func:`repro.eval.runner.build_engine` and the snapshot freeze read —
-the environment is the CLI's channel into the experiment functions.
+The ROAD switch (``--engine``) sets the ``REPRO_ENGINE`` environment
+override, which :func:`repro.eval.runner.build_engine` reads — the
+environment is the CLI's channel into the experiment functions.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import sys
 from typing import Callable, Dict
 
 from repro.baselines.road_adapter import MODE_ENV, ROAD_MODES
-from repro.core.frozen_backends import BACKEND_ENV, BACKENDS
 from repro.eval import ablations, experiments
 from repro.eval.reporting import ExperimentResult
 
@@ -80,14 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="ROAD serving mode: charged disk path (paper I/O model) or "
         "frozen in-memory fast path (sets REPRO_ENGINE)",
     )
-    parser.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        help="FrozenRoad array backend: pre-boxed lists (fastest), "
-        "compact stdlib typed buffers (~4x less memory), or the compact "
-        "layout in shared-memory segments for process shards (sets "
-        "REPRO_BACKEND)",
-    )
     return parser
 
 
@@ -99,8 +89,6 @@ def main(argv=None) -> int:
         os.environ["REPRO_SCALE"] = args.scale
     if args.engine is not None:
         os.environ[MODE_ENV] = args.engine
-    if args.backend is not None:
-        os.environ[BACKEND_ENV] = args.backend
 
     if args.experiment == "list":
         for name in REGISTRY:

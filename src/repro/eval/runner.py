@@ -1,9 +1,8 @@
 """Engine construction helpers for the evaluation.
 
 ``build_engine`` constructs the paper's four approaches directly, each
-over a private network copy and its own pager; the ``REPRO_ENGINE`` /
-``REPRO_BACKEND`` overrides (the CLI's ``--engine`` / ``--backend``)
-pick the ROAD serving mode and array backend.
+over a private network copy and its own pager; the ``REPRO_ENGINE``
+override (the CLI's ``--engine``) picks the ROAD serving mode.
 """
 
 from __future__ import annotations
@@ -55,8 +54,8 @@ def build_engine(
     """One bare engine over a private copy of the network (no cross-talk).
 
     The figure harness drives engines directly (cold-cache I/O
-    accounting).  ROAD's serving mode is ``REPRO_ENGINE``; its array
-    backend is ``REPRO_BACKEND``, which the freeze itself reads.
+    accounting).  ROAD's serving mode is ``REPRO_ENGINE``; a frozen
+    ROAD serves a ``list`` snapshot.
     """
     if name not in _ENGINES:
         raise KeyError(f"unknown engine {name!r}")

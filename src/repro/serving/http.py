@@ -59,7 +59,13 @@ from repro.core.maintenance import MaintenanceError, MaintenanceReport
 from repro.graph.network import NetworkError
 from repro.objects.model import ObjectError, SpatialObject
 from repro.serving.dispatch import UnknownDirectoryError, UnsupportedQueryError
-from repro.serving.service import RoadService, ServiceConfig, ServiceError
+from repro.serving.service import (
+    MODES,
+    REPLICA_MODES,
+    RoadService,
+    ServiceConfig,
+    ServiceError,
+)
 from repro.serving.wire import (
     WireError,
     _require_int,
@@ -615,11 +621,8 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--objects", type=int, default=96)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--replicas", type=int, default=None)
-    parser.add_argument(
-        "--replica-mode", choices=("thread", "process"), default=None
-    )
-    parser.add_argument("--engine-mode", dest="mode", default=None)
-    parser.add_argument("--backend", default=None)
+    parser.add_argument("--replica-mode", choices=REPLICA_MODES, default=None)
+    parser.add_argument("--engine-mode", dest="mode", choices=MODES, default=None)
     return parser
 
 
@@ -635,7 +638,7 @@ def _build_service(args: argparse.Namespace) -> RoadService:
         attr_choices={"type": ["restaurant", "hotel", "fuel"]},
     )
     overrides: Dict[str, Any] = {}
-    for field in ("replicas", "replica_mode", "mode", "backend"):
+    for field in ("replicas", "replica_mode", "mode"):
         value = getattr(args, field)
         if value is not None:
             overrides[field] = value

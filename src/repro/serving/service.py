@@ -5,14 +5,16 @@ answer ``execute`` / ``execute_many`` identically; this module puts one
 front door in front of them:
 
 * :class:`ServiceConfig` — a typed configuration owning the ROAD
-  serving path (charged/frozen mode, array backend, hierarchy shape)
-  plus the admission-batching, replica and result-cache knobs.  The
-  historical ``REPRO_*`` environment variables are *overrides* read by
+  serving path (charged/frozen mode, hierarchy shape) plus the
+  admission-batching, replica and result-cache knobs.  The historical
+  ``REPRO_*`` environment variables are *overrides* read by
   :meth:`ServiceConfig.from_env`, not the primary API.  *What* is
   served is not configuration: the directories attached to the ROAD
   are, every frozen snapshot compiles all of them, and a request names
   its directory (an omitted name is the primary executor's
-  ``default_directory`` on the sync and the async path alike).
+  ``default_directory`` on the sync and the async path alike).  Nor is
+  a snapshot's array layout: the primary's is ``list``, the process
+  pool's ``shm``.
 * :class:`RoadService` — sync ``run``/``run_many`` over the configured
   executor, and an **asyncio front-end**: ``await service.submit(query)``
   parks the query in a per-(directory, predicate) admission bucket.
@@ -42,7 +44,7 @@ front door in front of them:
 
 Typical use::
 
-    config = ServiceConfig(mode="frozen", backend="compact", replicas=2)
+    config = ServiceConfig(mode="frozen", replicas=2)
     service = RoadService.build(network, objects, config=config)
     nearest = service.run(KNNQuery(node, k=5))          # sync
     answers = await asyncio.gather(                     # async, batched
@@ -121,7 +123,7 @@ MODES = ROAD_MODES
 REPLICA_MODES = ("thread", "process")
 
 #: Environment overrides honoured by :meth:`ServiceConfig.from_env`
-#: (beside ``MODE_ENV`` and ``frozen_backends.BACKEND_ENV``).
+#: (beside ``MODE_ENV``).
 REPLICAS_ENV = "REPRO_REPLICAS"
 REPLICA_MODE_ENV = "REPRO_REPLICA_MODE"
 RESULT_CACHE_ENV = "REPRO_RESULT_CACHE"
@@ -181,9 +183,9 @@ def _stat_number(stats: Mapping[str, object], key: str) -> float:
 class ServiceConfig:
     """Typed serving configuration: what was previously ``REPRO_*`` sprawl.
 
-    ``mode``/``backend`` configure the ROAD serving path exactly like
-    the eponymous :class:`~repro.baselines.road_adapter.ROADEngine`
-    knobs.
+    ``mode``, ``levels`` and ``fanout`` configure the ROAD serving path
+    exactly like the eponymous
+    :class:`~repro.baselines.road_adapter.ROADEngine` knobs.
     The remaining fields drive the async front-end: ``max_batch`` caps
     how many queries one admission flush may hold, ``max_delay_ms`` is
     the upper bound on how long an under-full bucket is held while
@@ -200,7 +202,6 @@ class ServiceConfig:
     """
 
     mode: str = "charged"
-    backend: Optional[str] = None
     levels: int = 4
     fanout: int = 4
     max_batch: int = 64
@@ -219,10 +220,6 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.backend is not None:
-            from repro.core.frozen_backends import validate_backend_name
-
-            validate_backend_name(self.backend, source="ServiceConfig.backend")
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.max_delay_ms < 0:
@@ -249,13 +246,9 @@ class ServiceConfig:
         (``max_delay_ms``, keyword only, bounds a hold while every
         replica is busy).
         """
-        from repro.core.frozen_backends import BACKEND_ENV
-
         env: Dict[str, Any] = {}
         if MODE_ENV in os.environ:
             env["mode"] = os.environ[MODE_ENV].lower()
-        if BACKEND_ENV in os.environ:
-            env["backend"] = os.environ[BACKEND_ENV].lower()
         if REPLICAS_ENV in os.environ:
             env["replicas"] = _parse_int(REPLICAS_ENV, os.environ[REPLICAS_ENV])
         if REPLICA_MODE_ENV in os.environ:
@@ -352,7 +345,6 @@ class RoadService:
             levels=config.levels,
             fanout=config.fanout,
             mode=config.mode,
-            backend=config.backend,
             **engine_kwargs,
         )
         return cls(executor, config=config)
@@ -877,7 +869,7 @@ class RoadService:
     def _shared_snapshot(self) -> "FrozenRoad":
         """A fresh ``backend="shm"`` snapshot of the charged road,
         compiling every attached directory, exactly as the primary
-        engine's own snapshot does (whose backend the config governs)."""
+        engine's own ``list`` snapshot does."""
         road = self._road()
         assert road is not None
         return road.freeze(backend="shm")

@@ -1,9 +1,11 @@
 """FrozenRoad: compiled fast path equivalence, isolation, batch API.
 
 The ``frozen`` fixture is parametrised over every installed array backend
-(list / compact / shm), so the whole equivalence + patch contract runs
-per backend.
+(list / shm), so the whole equivalence + patch contract runs per
+backend.
 """
+
+import dataclasses
 
 import pytest
 
@@ -41,9 +43,8 @@ def frozen(built, request):
     """One frozen snapshot per installed array backend.
 
     Every test taking this fixture asserts the compiled fast path — and
-    the apply() patch lifecycle — per backend, so "list", "compact" and
-    (where the host has /dev/shm) "shm" all hold the same equivalence
-    contract.
+    the apply() patch lifecycle — per backend, so "list" and (where the
+    host has /dev/shm) "shm" hold the same equivalence contract.
     """
     _, _, road = built
     return road.freeze(backend=request.param)
@@ -544,10 +545,9 @@ class TestApplyPatch:
             assert frozen.knn(node, 4) == fresh.knn(node, 4)
 
     def test_apply_while_a_sweep_is_suspended(self, built, frozen):
-        """The documented caveat: a paused iterator holds the array views
-        in its frame, so on `compact` (stdlib buffers refuse to resize
-        under a live export) a size-changing object splice raises
-        `BufferError`, before writing anything, until it is closed."""
+        """A paused iterator holds the array views in its frame, yet a
+        size-changing object splice still patches: lists export nothing,
+        and shm vectors splice inside their segment."""
         _, _, road = built
         lazy = frozen.iter_nearest_objects(0)
         next(lazy)
@@ -555,24 +555,17 @@ class TestApplyPatch:
         report = road.insert_object(
             SpatialObject(road.directory().objects.next_id(), (u, v), d / 2)
         )
-        if frozen.backend != "compact":
-            # lists export nothing; shm vectors splice inside their segment
-            assert frozen.apply(report) == "patched"
-        else:
-            with pytest.raises(BufferError):
-                frozen.apply(report)
-            assert frozen._views is None  # `_drop_views` ran first
-            lazy.close()
-            assert frozen.apply(report) == "patched"
+        assert frozen.apply(report) == "patched"
+        lazy.close()
         fresh = road.freeze()
         for node in (u, v, 42):
             assert frozen.knn(node, 5) == fresh.knn(node, 5)
 
     def test_apply_without_source_raises(self, built):
         _, _, road = built
-        node_entries, abstracts = road.directory().export_entries()
         orphan = FrozenRoad(
-            dict(road.overlay.iter_trees()), node_entries, abstracts,
+            dict(road.overlay.iter_trees()),
+            directories={"objects": road.directory().export_entries()},
             hierarchy=road.hierarchy,
         )
         u, v, d = next(iter(road.network.edges()))
@@ -581,6 +574,19 @@ class TestApplyPatch:
             orphan.apply(report)
         orphan.apply(report, road)  # explicit road works
         assert orphan.knn(0, 3) == road.freeze().knn(0, 3)
+
+    def test_object_report_without_directory_raises(self, built, frozen):
+        """Every object report the ROAD emits names its directory; a
+        hand-built one that does not is refused, like one with no
+        object, before anything is patched."""
+        _, _, road = built
+        u, v, d = next(iter(road.network.edges()))
+        obj = SpatialObject(road.directory().objects.next_id(), (u, v), d / 2)
+        report = dataclasses.replace(road.insert_object(obj), directory=None)
+        before = frozen.knn(u, 5)
+        with pytest.raises(FrozenRoadError, match="names no directory"):
+            frozen.apply(report)
+        assert frozen.knn(u, 5) == before
 
     def test_report_identities_populated(self, built):
         net, _, road = built
@@ -616,21 +622,12 @@ class TestBackends:
         assert stats["mask_cache_entries"] == 2  # rnet + object masks
         assert stats["mask_cache_bytes"] > before
 
-    def test_compact_resident_smaller_than_list(self, built):
-        _, _, road = built
-        by_backend = {
-            name: road.freeze(backend=name).memory_stats()["total_bytes"]
-            for name in installed_backends()
-        }
-        # Deterministic (a byte count, not a timing): 4.24x on this
-        # fixture, 4.30x at 2,116 nodes.
-        assert by_backend["list"] >= 4.0 * by_backend["compact"]
-
     def test_unknown_backend_rejected(self, built):
         _, _, road = built
         with pytest.raises(ValueError):
             road.freeze(backend="arrow")
-        with pytest.raises(ValueError):
+        # the engine takes no layout at all: its snapshot is a list one
+        with pytest.raises(TypeError):
             ROADEngine(
                 road.network.copy(),
                 place_uniform(road.network, 3, seed=1),
@@ -642,32 +639,23 @@ class TestBackends:
         """freeze(backend="numpy") is an unknown name like any other."""
         _, _, road = built
         with pytest.raises(
-            ValueError, match=r"must be one of \('list', 'compact', 'shm'\)"
+            ValueError, match=r"must be one of \('list', 'shm'\)"
         ):
             road.freeze(backend="numpy")
-
-    def test_env_default_backend(self, built, monkeypatch):
-        _, _, road = built
-        monkeypatch.setenv("REPRO_BACKEND", "compact")
-        assert road.freeze().backend == "compact"
-        monkeypatch.setenv("REPRO_BACKEND", "warp")
-        with pytest.raises(ValueError):
-            road.freeze()
 
     def test_engine_backend_plumbing(self, medium_grid):
         objects = place_uniform(medium_grid, 12, seed=4)
         engine = ROADEngine(
-            medium_grid.copy(), objects, levels=2, mode="frozen",
-            backend="compact",
+            medium_grid.copy(), objects, levels=2, mode="frozen"
         )
-        assert engine.frozen.backend == "compact"
+        assert engine.frozen.backend == "list"
         stats = engine.stats()
-        assert stats["frozen_backend"] == "compact"
-        assert stats["frozen_memory"]["backend"] == "compact"
-        # the patch lifecycle re-freezes with the engine's backend too
+        assert stats["frozen_backend"] == "list"
+        assert stats["frozen_memory"]["backend"] == "list"
+        # the patch lifecycle keeps the snapshot on the same backend
         u, v, d = next(iter(engine.network.edges()))
         engine.update_edge_distance(u, v, d * 2)
-        assert engine.frozen.backend == "compact"
+        assert engine.frozen.backend == "list"
 
     def test_backend_survives_recompile(self, built, frozen):
         net, _, road = built

@@ -18,19 +18,19 @@ import pytest
 from repro.core.framework import ROAD
 from repro.core.frozen_backends import (
     BACKENDS,
-    default_backend,
     get_backend,
     installed_backends,
     resolve_backend,
 )
 from repro.core.search import SearchStats
+from repro.core.serialize import load_snapshot, save_snapshot
 from repro.objects.model import ObjectSet, SpatialObject
 from repro.queries.types import Predicate
 from tests.conftest import random_connected_network
 
 
 #: The one rejection every backend config surface raises.
-_ONE_OF = r"must be one of \('list', 'compact', 'shm'\), got 'numpy'"
+_ONE_OF = r"must be one of \('list', 'shm'\), got 'numpy'"
 
 
 @pytest.fixture
@@ -52,11 +52,11 @@ def built():
 class TestRegistry:
     def test_stdlib_backends_always_available(self):
         available = installed_backends()
-        assert available[:2] == ("list", "compact")
+        assert available[:1] == ("list",)
         assert set(available) <= set(BACKENDS)
 
-    def test_three_backends_and_none_is_numpy(self):
-        assert BACKENDS == ("list", "compact", "shm")
+    def test_two_backends_and_none_is_numpy(self):
+        assert BACKENDS == ("list", "shm")
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="arrow"):
@@ -66,31 +66,34 @@ class TestRegistry:
         with pytest.raises(ValueError, match=_ONE_OF):
             get_backend("numpy")
 
-    def test_numpy_name_rejected_from_env(self, monkeypatch, built):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        with pytest.raises(ValueError, match="REPRO_BACKEND " + _ONE_OF):
-            default_backend()
-        with pytest.raises(ValueError, match=_ONE_OF):
-            built[1].freeze()
+    def test_compact_name_rejected(self, built, tmp_path):
+        """The heap typed-buffer layout is gone from every entry point."""
+        _, road = built
+        one_of = r"must be one of \('list', 'shm'\), got 'compact'"
+        with pytest.raises(ValueError, match=one_of):
+            road.freeze(backend="compact")
+        path = tmp_path / "road.roadsnp"
+        frozen = road.freeze()
+        save_snapshot(frozen, path)
+        frozen.close()
+        with pytest.raises(ValueError, match=one_of):
+            load_snapshot(path, backend="compact")
 
-    def test_default_backend_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert default_backend() == "list"
-        monkeypatch.setenv("REPRO_BACKEND", "compact")
-        assert default_backend() == "compact"
-        assert resolve_backend(None).name == "compact"
-        monkeypatch.setenv("REPRO_BACKEND", "bogus")
-        with pytest.raises(ValueError):
-            default_backend()
+    def test_backend_env_is_ignored(self, monkeypatch, built):
+        """No environment variable picks a layout: a heap snapshot is a
+        list one, whatever ``REPRO_BACKEND`` says."""
+        monkeypatch.setenv("REPRO_BACKEND", "shm")
+        assert resolve_backend(None).name == "list"
+        assert built[1].freeze().backend == "list"
 
     def test_resolve_backend_passthrough(self):
-        instance = get_backend("compact")
+        instance = get_backend("list")
         assert resolve_backend(instance) is instance
         assert resolve_backend("list").name == "list"
 
     def test_backend_names_case_insensitive(self):
-        # every config surface (env, CLI, freeze kwarg) accepts any case
-        assert get_backend("Compact").name == "compact"
+        # every config surface (freeze, load_snapshot) accepts any case
+        assert get_backend("List").name == "list"
         assert resolve_backend("LIST").name == "list"
 
 
@@ -154,14 +157,3 @@ class TestStdlibParity:
         for name, frozen in snapshots.items():
             for node in range(0, network.num_nodes, 6):
                 assert frozen.knn(node, 4) == fresh.knn(node, 4), name
-
-    def test_memory_stats_compact_vs_list(self, built):
-        _, road = built
-        stats = {
-            name: road.freeze(backend=name).memory_stats()
-            for name in ("list", "compact")
-        }
-        assert stats["list"]["payload_bytes"] == stats["compact"]["payload_bytes"]
-        assert stats["compact"]["total_bytes"] < stats["list"]["total_bytes"] / 2
-        # typed buffers sit within ~2x of the 8 B/element payload ideal
-        assert stats["compact"]["total_bytes"] < 2 * stats["compact"]["payload_bytes"]

@@ -16,8 +16,9 @@ batch:
   against a fresh freeze of the uncached twin's maintained road — the
   invalidation hooks never skipped a patch.
 
-Backends parametrise the unsharded soak; the replicated soak runs the
-cache above both thread shards and the shared-memory process pool.
+The unsharded soak runs the cache over the primary's own (list)
+snapshot; the replicated soak runs it above both thread replicas and the
+shared-memory process pool.
 """
 
 import random
@@ -26,10 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.frozen_backends import (
-    installed_backends,
-    shared_memory_available,
-)
+from repro.core.frozen_backends import shared_memory_available
 from repro.eval.metrics import snapshot_divergences
 from repro.objects.model import SpatialObject
 from repro.queries.types import (
@@ -205,12 +203,11 @@ def _soak(seed, config_kwargs, *, steps=5):
         uncached.close()
 
 
-@pytest.mark.parametrize("backend", installed_backends())
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 10_000))
-def test_churn_soak_unsharded(backend, seed):
-    """All six maintenance ops x all six query kinds, per backend."""
-    _soak(seed, {"backend": backend})
+def test_churn_soak_unsharded(seed):
+    """All six maintenance ops x all six query kinds."""
+    _soak(seed, {})
 
 
 @settings(max_examples=6, deadline=None)

@@ -19,7 +19,10 @@ foreign magic) must be rejected with :class:`SerializeError` before any
 unpickling happens.
 """
 
+import hashlib
+import pickle
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +31,7 @@ from hypothesis import strategies as st
 from repro.core.frozen import FrozenRoad
 from repro.core.frozen_backends import installed_backends
 from repro.core.serialize import (
+    SNAPSHOT_MAGIC,
     SerializeError,
     load_road,
     load_snapshot,
@@ -119,22 +123,44 @@ def test_snapshot_round_trip_diverges_nowhere(backend, seed, tmp_path_factory):
         frozen.close()
 
 
-def test_load_rejects_invalid_mask_budget(tmp_path):
-    """Every construction path enforces the mask-budget floor.
+def _with_meta(path, out, **extra):
+    """Re-write snapshot ``path`` to ``out`` with ``extra`` meta keys,
+    re-sealed (length, padding and checksum) like :func:`save_snapshot`."""
+    data = path.read_bytes()
+    header = len(SNAPSHOT_MAGIC) + 8 + 32
+    (meta_len,) = struct.unpack_from("<Q", data, header)
+    meta_end = 8 + meta_len
+    meta = pickle.loads(data[header + 8 : header + meta_end])
+    blob = data[header + meta_end + (-meta_end) % 8 :]
+    meta.update(extra)
+    head = pickle.dumps(meta)
+    head = struct.pack("<Q", len(head)) + head
+    payload = head + b"\0" * (-len(head) % 8) + blob
+    out.write_bytes(
+        SNAPSHOT_MAGIC
+        + struct.pack("<Q", len(payload))
+        + hashlib.sha256(payload).digest()
+        + payload
+    )
 
-    ``from_parts`` (behind ``load_snapshot``) shares ``__init__``'s
-    validation: a budget below 1 would make the mask-cache LRU pop from
-    an empty dict on the first cached predicate.
-    """
+
+def test_snapshot_with_mask_budget_key_still_loads(tmp_path):
+    """Files saved while the mask budget was a knob carry a
+    ``mask_budget`` meta key; every load path still serves them."""
     _network, road, _directories = _build_multi_road(random.Random(3))
-    path = tmp_path / "good.roadsnp"
-    frozen = road.freeze()
-    save_snapshot(frozen, path)
-    frozen.close()
-    with pytest.raises(ValueError, match="mask_budget"):
-        load_snapshot(path, mask_budget=0)
-    with pytest.raises(ValueError, match="mask_budget"):
-        road.freeze(mask_budget=0)
+    saved = tmp_path / "saved.roadsnp"
+    original = road.freeze()
+    save_snapshot(original, saved)
+    older = tmp_path / "older.roadsnp"
+    _with_meta(saved, older, mask_budget=64)
+    for backend in (None, *installed_backends()):
+        loaded = load_snapshot(older, backend=backend)
+        assert snapshot_divergences(
+            random.Random(4), loaded, original, probes=2, k=4,
+            max_radius=20.0,
+        ) == [], backend
+        loaded.close()
+    original.close()
 
 
 def test_snapshot_without_od_arrays_is_refused(tmp_path, monkeypatch):

@@ -35,7 +35,12 @@ from repro.queries.types import (
     ServiceAreaQuery,
 )
 from repro.serving import RoadService, ServiceConfig
-from repro.serving.http import RoadServiceApp, _handle_connection
+from repro.serving.http import (
+    RoadServiceApp,
+    _handle_connection,
+    _parser,
+    main,
+)
 from repro.serving.wire import (
     WireError,
     decode_query,
@@ -688,3 +693,21 @@ class TestHttp11Parser:
         _, app = setting
         data = _run_connection(app, b"BOGUS\r\n\r\n")
         assert data.startswith(b"HTTP/1.1 400")
+
+
+class TestCommandLine:
+    def test_bad_engine_mode_is_a_usage_error(self, capsys):
+        """A typo'd mode stops argparse with exit 2 and a usage line,
+        not a ``ServiceConfig`` traceback after the demo network built."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--engine-mode", "warp"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: python -m repro.serving.http")
+        assert "argument --engine-mode: invalid choice: 'warp'" in err
+
+    def test_no_backend_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            _parser().parse_args(["--backend", "list"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --backend list" in capsys.readouterr().err

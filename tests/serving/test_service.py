@@ -170,7 +170,6 @@ class TestServiceConfig:
         "field,value",
         [
             ("mode", "warm"),
-            ("backend", "sparse"),
             ("max_batch", 0),
             ("max_delay_ms", -1.0),
             ("replicas", -2),
@@ -181,12 +180,17 @@ class TestServiceConfig:
             ServiceConfig(**{field: value})
 
     def test_numpy_backend_name_rejected(self):
-        with pytest.raises(
-            ValueError,
-            match=r"ServiceConfig.backend must be one of "
-            r"\('list', 'compact', 'shm'\), got 'numpy'",
-        ):
+        """No config field picks an array layout: the primary snapshot
+        is a list one, the process pool's an shm one."""
+        with pytest.raises(TypeError, match="backend"):
             ServiceConfig(backend="numpy")
+
+    def test_from_env_ignores_backend_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "shm")
+        monkeypatch.setenv("REPRO_REPLICAS", "1")
+        config = ServiceConfig.from_env()
+        assert config.replicas == 1
+        assert not hasattr(config, "backend")
 
     def test_from_env_reads_overrides(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "frozen")
