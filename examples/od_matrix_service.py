@@ -12,10 +12,11 @@ classic LDSQ menu cannot:
 * "what's the nearest fuel stop along a driver's route?"
   — a :class:`RouteKNNQuery` (k best objects by detour distance).
 
-All three run through the same dispatch registry as kNN/range, so they
-get the frozen fast path, admission batching, replica shards, and the
-JSON wire codecs for free.  The example drives each surface: sync
-``run``/``run_many``, the async admission path, and a wire round-trip.
+All three are declared like kNN/range (a ``kind`` naming the engine
+method that answers them), so they get the frozen fast path, admission
+batching, replica shards, and the JSON wire codec for free.  The
+example drives each surface: sync ``run``/``run_many``, the async
+admission path, and a wire round-trip.
 
 Run with::
 

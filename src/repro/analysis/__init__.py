@@ -7,7 +7,7 @@ invariants as AST / call-graph rules:
 ========  ==========================================================
 RA001     patch paths stay *uncharged* (peek-family access only)
 RA002     executor writes hold the one executor lock
-RA003     query dispatch stays registry-complete (no isinstance ladders)
+RA003     every declared query kind has its method (no isinstance ladders)
 RA004     cached buffer views are dropped before any resizing patch
 RA005     optional deps (numpy) import only via ``repro._optional``
 ========  ==========================================================

@@ -71,7 +71,7 @@ def register_rule(rule_cls: Type[Rule]) -> Type[Rule]:
     """Class decorator adding a rule to the registry.
 
     Double registration raises — two rules fighting over an id is always
-    a bug, mirroring the dispatch registry's contract.
+    a bug.
     """
     rule_id = rule_cls.id
     if rule_id in _RULES:

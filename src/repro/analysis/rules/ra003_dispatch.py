@@ -1,9 +1,9 @@
-"""RA003 — dispatch completeness: registry over isinstance ladders."""
+"""RA003 — dispatch completeness: declared kinds, no isinstance ladders."""
 
 from __future__ import annotations
 
 import ast
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.analysis.engine import Finding, Rule, register_rule
 from repro.analysis.project import Project
@@ -25,44 +25,41 @@ def _query_type_name(node: ast.expr) -> Optional[str]:
 
 @register_rule
 class DispatchCompletenessRule(Rule):
-    """Every query type reaches every engine through the registry.
+    """Every declared query kind reaches the ROAD engines by its method.
 
-    Why: PR 4 replaced per-engine ``isinstance(query, ...)`` ladders
-    with the ``@register_handler(QueryType, engine=...)`` registry in
-    ``repro.serving.dispatch``.  A ladder reintroduced in one executor
-    silently diverges from the others the next time a query type is
-    added: the registry raises ``UnsupportedQueryError`` loudly, a
-    ladder just falls through.  The registry is also what makes the
-    completeness *checkable* — the rule can enumerate it.
+    Why: a query kind is declared once, in ``repro.queries.types``: its
+    ``kind`` names the executor method that answers it, and
+    ``QueryExecutor.execute`` (``repro.serving.dispatch``) calls that
+    method.  An ``isinstance(query, ...)`` ladder reintroduced in
+    one executor silently diverges from the others the next time a kind
+    is added: the protocol raises ``UnsupportedQueryError`` loudly, a
+    ladder just falls through.  And a kind the charged ``ROAD`` or the
+    compiled ``FrozenRoad`` has no method for is a kind the byte-identity
+    contract (charged == frozen) cannot cover.
 
     How it checks: two halves.
 
     * **Static** (always): any ``isinstance(x, SomethingQuery)`` test in
-      the scanned tree is flagged — executors must consult
-      ``lookup_handler`` / ``supported_queries`` instead.
-    * **Registry** (only when the real ``repro`` package is the scan
-      target): imports the executors and asserts the charged (``ROAD``)
-      and frozen (``FrozenRoad``) engines serve *identical* query-type
-      sets, the ``ROADEngine`` facade serves everything charged does,
-      every executor serves at least ``KNNQuery`` + ``RangeQuery``, and
-      the wire-codec registry (``repro.serving.wire``) matches the
-      dispatch registry in *both* directions — a query type no engine
-      can reach over HTTP, or a codec for a type no engine executes, is
-      a finding.
+      the scanned tree is flagged — executors answer through the method
+      the query's ``kind`` names instead.
+    * **Methods** (only when the real ``repro`` package is the scan
+      target): imports ``ROAD``, ``FrozenRoad`` and ``QUERY_TYPES`` and
+      asserts each engine has a method for every declared kind.
 
-    How to fix a finding: for a ladder, register one handler per query
-    type with ``@register_handler``; for a coverage gap, add the missing
-    handler next to that engine's others (see the bottom of
-    ``core/frozen.py`` for the pattern).
+    How to fix a finding: for a ladder, delete it and let ``execute``
+    call the method the kind names; for a missing method, add it to the
+    engine, taking the query's fields in declaration order as positional
+    arguments plus the ``directory=`` / ``stats=`` keywords (see
+    ``FrozenRoad.knn`` for the pattern).
     """
 
     id = "RA003"
-    title = "query dispatch must stay registry-complete (no isinstance ladders)"
+    title = "every declared query kind has its method (no isinstance ladders)"
 
     def check(self, project: Project) -> List[Finding]:
         findings = self._check_ladders(project)
-        if "repro.serving.dispatch" in project.modules:
-            findings.extend(self._check_registry(project))
+        if "repro.queries.types" in project.modules:
+            findings.extend(self._check_methods(project))
         return findings
 
     # -- static half ----------------------------------------------------
@@ -85,90 +82,38 @@ class DispatchCompletenessRule(Rule):
                             project.relative_path(module),
                             node.lineno,
                             f"isinstance ladder on query type {name}; "
-                            f"dispatch through @register_handler / "
-                            f"lookup_handler instead",
+                            f"let execute call the method the query's "
+                            f"kind names instead",
                         )
                     )
         findings.sort(key=lambda f: (f.path, f.line))
         return findings
 
-    # -- registry half --------------------------------------------------
-    def _check_registry(self, project: Project) -> List[Finding]:
+    # -- method half ----------------------------------------------------
+    def _check_methods(self, project: Project) -> List[Finding]:
         try:
-            from repro.baselines.engine import SearchEngine
-            from repro.baselines.road_adapter import ROADEngine
             from repro.core.framework import ROAD
             from repro.core.frozen import FrozenRoad
-            from repro.queries.types import KNNQuery, RangeQuery
-            from repro.serving.dispatch import supported_queries
-            from repro.serving.wire import wire_types
+            from repro.queries.types import QUERY_TYPES
         except ImportError:  # pragma: no cover - partial install
             return []
 
-        module = project.modules["repro.serving.dispatch"]
-        path = project.relative_path(module)
-
-        def finding(message: str) -> Finding:
-            return Finding(self.id, path, 1, message)
-
+        path = project.relative_path(project.modules["repro.queries.types"])
         findings: List[Finding] = []
-        names = lambda types: sorted(t.__name__ for t in types)  # noqa: E731
-
-        charged = set(supported_queries(ROAD))
-        frozen = set(supported_queries(FrozenRoad))
-        if charged != frozen:
-            findings.append(
-                finding(
-                    f"charged and frozen engines serve different query sets "
-                    f"(charged={names(charged)}, frozen={names(frozen)})"
-                )
-            )
-        road = set(supported_queries(ROADEngine))
-        missing = charged - road
-        if missing:
-            findings.append(
-                finding(
-                    f"ROADEngine is missing handlers for {names(missing)} "
-                    f"served by the charged engine"
-                )
-            )
-        executors: List[Tuple[str, type]] = [
-            ("ROAD", ROAD),
-            ("FrozenRoad", FrozenRoad),
-            ("ROADEngine", ROADEngine),
-            ("SearchEngine", SearchEngine),
-        ]
-        served_anywhere: set = set()
-        for label, executor in executors:
-            served = set(supported_queries(executor))
-            served_anywhere |= served
-            core_missing = {KNNQuery, RangeQuery} - served
-            if core_missing:
+        for engine in (ROAD, FrozenRoad):
+            missing = [
+                query_type.kind
+                for query_type in QUERY_TYPES
+                if not callable(getattr(engine, query_type.kind, None))
+            ]
+            if missing:
                 findings.append(
-                    finding(
-                        f"{label} has no handler for {names(core_missing)} "
-                        f"(every engine must serve kNN and range)"
+                    Finding(
+                        self.id,
+                        path,
+                        1,
+                        f"{engine.__name__} has no method for declared query "
+                        f"kind(s) {', '.join(missing)}",
                     )
                 )
-        # Wire-registry parity, both directions: every executable query
-        # type must cross the HTTP edge, and no codec may advertise a
-        # type nothing executes.
-        on_wire = set(wire_types())
-        unreachable = served_anywhere - on_wire
-        if unreachable:
-            findings.append(
-                finding(
-                    f"query types {names(unreachable)} are registered for "
-                    f"dispatch but have no wire codec (register_wire in "
-                    f"repro.serving.wire)"
-                )
-            )
-        orphaned = on_wire - served_anywhere
-        if orphaned:
-            findings.append(
-                finding(
-                    f"wire codecs for {names(orphaned)} name query types "
-                    f"no executor serves (dead wire surface)"
-                )
-            )
         return findings

@@ -15,12 +15,8 @@ from typing import List, Optional
 
 from repro.graph.network import RoadNetwork
 from repro.objects.model import ObjectSet, SpatialObject
-from repro.queries.types import ANY, KNNQuery, Predicate, RangeQuery, ResultEntry
-from repro.serving.dispatch import (
-    BatchContext,
-    QueryExecutor,
-    register_handler,
-)
+from repro.queries.types import ANY, Predicate, ResultEntry, ResultRow
+from repro.serving.dispatch import BatchContext, QueryExecutor
 from repro.storage.pager import IOStats, PageManager
 
 
@@ -31,15 +27,13 @@ class EngineError(Exception):
 class SearchEngine(QueryExecutor):
     """One LDSQ evaluation approach over a network + object set.
 
-    As a :class:`~repro.serving.QueryExecutor` (dispatch key
-    ``"baseline"``), every subclass gets ``execute`` / ``execute_many``
-    — and with them the batch server front-end — for free from the two
-    abstract query methods below; only engines with extra query kinds
-    (e.g. :class:`~repro.baselines.road_adapter.ROADEngine` and
-    aggregate kNN) register additional handlers under their own key.
+    As a :class:`~repro.serving.QueryExecutor`, every subclass gets
+    ``execute`` / ``execute_many`` — and with them the batch server
+    front-end — for free from the two abstract query methods below.
+    The Section-2 baselines have no multi-source expansion, so any other
+    query kind (aggregate kNN, ...) raises a typed
+    ``UnsupportedQueryError`` naming the engine.
     """
-
-    dispatch_engine = "baseline"
 
     #: Short label used in result tables ("ROAD", "NetExp", ...).
     name: str = "engine"
@@ -65,9 +59,11 @@ class SearchEngine(QueryExecutor):
     def has_node(self, node: int) -> bool:
         return self.network.has_node(node)
 
-    # ``execute`` / ``execute_many`` are inherited from QueryExecutor and
-    # served by the ``engine="baseline"`` handlers at the bottom of this
-    # module.
+    def _dispatch(self, query: object, ctx: BatchContext) -> List[ResultRow]:
+        # The baseline query methods take neither a directory (they serve
+        # the default one only) nor SearchStats.
+        method, args = self._bind(query)
+        return method(*args)
 
     # ------------------------------------------------------------------
     # Maintenance (Figures 15 and 16)
@@ -118,20 +114,3 @@ class SearchEngine(QueryExecutor):
             f"{type(self).__name__}(nodes={self.network.num_nodes}, "
             f"objects={len(self.objects)})"
         )
-
-
-# ----------------------------------------------------------------------
-# Generic baseline query handlers (the "baseline" dispatch key).
-#
-# Aggregate kNN is deliberately absent: the Section-2 baselines have no
-# multi-source expansion, so an AggregateKNNQuery on them raises a typed
-# UnsupportedQueryError naming the engine.
-# ----------------------------------------------------------------------
-@register_handler(KNNQuery, engine="baseline")
-def _baseline_knn(engine: SearchEngine, query: KNNQuery, ctx: BatchContext):
-    return engine.knn(query.node, query.k, query.predicate)
-
-
-@register_handler(RangeQuery, engine="baseline")
-def _baseline_range(engine: SearchEngine, query: RangeQuery, ctx: BatchContext):
-    return engine.range(query.node, query.radius, query.predicate)

@@ -36,21 +36,11 @@ from repro.core.object_abstract import AbstractFactory, exact_abstract
 from repro.graph.network import RoadNetwork
 from repro.objects.model import ObjectSet, SpatialObject
 from repro.partition.hierarchy import Bisector
-from repro.queries.types import (
-    ANY,
-    AggregateKNNQuery,
-    KNNQuery,
-    ODMatrixQuery,
-    Predicate,
-    RangeQuery,
-    ResultEntry,
-    RouteKNNQuery,
-    ServiceAreaQuery,
-)
+from repro.queries.types import ANY, Predicate, ResultEntry, ResultRow
 from repro.serving.dispatch import (
     DEFAULT_DIRECTORY,
     BatchContext,
-    register_handler,
+    UnsupportedQueryError,
 )
 from repro.storage.pager import PageManager
 
@@ -66,10 +56,6 @@ class ROADEngine(SearchEngine):
     """The paper's system as a pluggable engine (Table 1 defaults: p=4)."""
 
     name = "ROAD"
-    #: Registry key: the ``"road"`` handlers forward to whichever serving
-    #: object (charged ROAD / frozen snapshot) the configured mode picks,
-    #: falling back to the generic ``"baseline"`` handlers via the MRO.
-    dispatch_engine = "road"
 
     def __init__(
         self,
@@ -257,13 +243,26 @@ class ROADEngine(SearchEngine):
         """
         return self.road.directory_names
 
+    def supports(self, query: object) -> bool:
+        """Every kind the road serves (both modes serve the same set)."""
+        return self.road.supports(query)
+
+    def _dispatch(self, query: object, ctx: BatchContext) -> List[ResultRow]:
+        # Forward to the configured serving object, which re-validates
+        # the directory and answers through its own method.
+        if not self.supports(query):
+            raise UnsupportedQueryError(self, query)
+        return self._serving().execute(
+            query, directory=ctx.directory, stats=ctx.stats
+        )
+
     def execute_many(
         self,
         queries: Sequence,
         *,
         directory: Optional[str] = None,
         stats=None,
-    ) -> List[List[ResultEntry]]:
+    ) -> List[List[ResultRow]]:
         """Batch entry point: forwarded wholesale to the serving object.
 
         Forwarding the whole batch (rather than looping the inherited
@@ -338,26 +337,3 @@ class ROADEngine(SearchEngine):
     @property
     def objects(self) -> ObjectSet:
         return self.road.directory().objects
-
-
-# ----------------------------------------------------------------------
-# ROADEngine query handlers (the "road" dispatch key): forward one query
-# to the configured serving object, which re-validates the directory and
-# runs its own registered handler.
-# ----------------------------------------------------------------------
-def _road_forward(engine: ROADEngine, query, ctx: BatchContext):
-    return engine._serving().execute(
-        query, directory=ctx.directory, stats=ctx.stats
-    )
-
-
-for _query_type in (
-    KNNQuery,
-    RangeQuery,
-    AggregateKNNQuery,
-    ODMatrixQuery,
-    ServiceAreaQuery,
-    RouteKNNQuery,
-):
-    register_handler(_query_type, engine="road")(_road_forward)
-del _query_type

@@ -54,16 +54,11 @@ from repro.objects.model import ObjectSet, SpatialObject
 from repro.partition.hierarchy import Bisector, PartitionNode, build_partition_tree
 from repro.queries.types import (
     ANY,
-    AggregateKNNQuery,
-    KNNQuery,
     ODMatrixEntry,
-    ODMatrixQuery,
     Predicate,
-    RangeQuery,
     ResultEntry,
-    RouteKNNQuery,
+    ResultRow,
     ServiceAreaEntry,
-    ServiceAreaQuery,
     sort_result,
 )
 from repro.serving.dispatch import (
@@ -71,7 +66,6 @@ from repro.serving.dispatch import (
     BatchContext,
     QueryExecutor,
     UnknownDirectoryError,
-    register_handler,
 )
 from repro.storage.pager import PageManager
 
@@ -109,12 +103,9 @@ class ROAD(QueryExecutor):
     """A built ROAD index over one road network.
 
     Queries run the paper's charged disk path; as a
-    :class:`~repro.serving.QueryExecutor` (dispatch key ``"charged"``)
-    the facade shares ``execute`` / ``execute_many`` signatures with
-    every other engine.
+    :class:`~repro.serving.QueryExecutor` the facade shares ``execute``
+    / ``execute_many`` signatures with every other engine.
     """
-
-    dispatch_engine = "charged"
 
     def __init__(
         self,
@@ -298,10 +289,16 @@ class ROAD(QueryExecutor):
         *,
         directory: str = DEFAULT_DIRECTORY,
         stats: Optional[SearchStats] = None,
+        abstracts: Optional[AbstractCache] = None,
     ) -> List[ResultEntry]:
-        """k nearest matching objects from ``node`` by network distance."""
+        """k nearest matching objects from ``node`` by network distance.
+
+        ``abstracts`` shares one Rnet-pruning cache across queries
+        (batch callers).
+        """
         return knn_search(
-            self.overlay, self.directory(directory), node, k, predicate, stats
+            self.overlay, self.directory(directory), node, k, predicate, stats,
+            abstracts=abstracts,
         )
 
     def range(
@@ -312,10 +309,16 @@ class ROAD(QueryExecutor):
         *,
         directory: str = DEFAULT_DIRECTORY,
         stats: Optional[SearchStats] = None,
+        abstracts: Optional[AbstractCache] = None,
     ) -> List[ResultEntry]:
-        """All matching objects within network distance ``radius``."""
+        """All matching objects within network distance ``radius``.
+
+        ``abstracts`` shares one Rnet-pruning cache across queries
+        (batch callers).
+        """
         return range_search(
-            self.overlay, self.directory(directory), node, radius, predicate, stats
+            self.overlay, self.directory(directory), node, radius, predicate, stats,
+            abstracts=abstracts,
         )
 
     def aggregate_knn(
@@ -354,6 +357,7 @@ class ROAD(QueryExecutor):
         sources: Iterable[int],
         targets: Iterable[int],
         *,
+        directory: Optional[str] = None,
         stats: Optional[SearchStats] = None,
     ) -> List[ODMatrixEntry]:
         """Many-to-many network distances (the OD cost matrix workload).
@@ -365,8 +369,12 @@ class ROAD(QueryExecutor):
         settled.  Cells come back row-major with ``inf`` for unreachable
         pairs; unknown sources *or* targets raise
         :class:`~repro.core.route_overlay.RouteOverlayError` rather than
-        silently reporting them unreachable.
+        silently reporting them unreachable.  ``directory`` only routes
+        admission (a named one must be attached): the matrix itself is
+        object-free.
         """
+        if directory is not None:
+            self.directory(directory)
         src = list(sources)
         if not src:
             raise ValueError("need at least one source node")
@@ -486,11 +494,23 @@ class ROAD(QueryExecutor):
             routed.append(RoutedResult(entry, path, approach))
         return routed
 
-    # ``execute`` / ``execute_many`` are inherited from QueryExecutor and
-    # served by the ``engine="charged"`` handlers at the bottom of this
-    # module; queries in one batch share per-predicate AbstractCaches
-    # through the BatchContext, so each Rnet's pruning decision is paid
-    # once per batch rather than once per query.
+    def _dispatch(self, query: object, ctx: BatchContext) -> List[ResultRow]:
+        """``execute`` / ``execute_many`` answer through the method the
+        query's kind names, passing every kind with a predicate the
+        batch's AbstractCache for it: each Rnet's pruning decision is
+        paid once per batch rather than once per query.
+        """
+        method, args = self._bind(query)
+        predicate = getattr(query, "predicate", None)
+        if predicate is None:
+            return method(*args, directory=ctx.directory, stats=ctx.stats)
+        assoc = self.directory(ctx.directory)
+        abstracts = ctx.cache(
+            ("abstracts", predicate), lambda: AbstractCache(assoc, predicate)
+        )
+        return method(
+            *args, directory=ctx.directory, stats=ctx.stats, abstracts=abstracts
+        )
 
     def freeze(
         self,
@@ -614,83 +634,3 @@ class ROAD(QueryExecutor):
             build_seconds=self.build_report.total_seconds,
         )
         return summary
-
-
-# ----------------------------------------------------------------------
-# Charged-path query handlers (the "charged" dispatch key).
-# ----------------------------------------------------------------------
-def _charged_cache(road: ROAD, predicate: Predicate, ctx: BatchContext):
-    """One AbstractCache per (batch, predicate): Rnet pruning paid once."""
-    assoc = road.directory(ctx.directory)
-    return ctx.cache(
-        ("abstracts", predicate), lambda: AbstractCache(assoc, predicate)
-    )
-
-
-@register_handler(KNNQuery, engine="charged")
-def _charged_knn(road: ROAD, query: KNNQuery, ctx: BatchContext):
-    return knn_search(
-        road.overlay,
-        road.directory(ctx.directory),
-        query.node,
-        query.k,
-        query.predicate,
-        ctx.stats,
-        abstracts=_charged_cache(road, query.predicate, ctx),
-    )
-
-
-@register_handler(RangeQuery, engine="charged")
-def _charged_range(road: ROAD, query: RangeQuery, ctx: BatchContext):
-    return range_search(
-        road.overlay,
-        road.directory(ctx.directory),
-        query.node,
-        query.radius,
-        query.predicate,
-        ctx.stats,
-        abstracts=_charged_cache(road, query.predicate, ctx),
-    )
-
-
-@register_handler(AggregateKNNQuery, engine="charged")
-def _charged_aggregate(road: ROAD, query: AggregateKNNQuery, ctx: BatchContext):
-    return road.aggregate_knn(
-        query.nodes,
-        query.k,
-        query.agg,
-        query.predicate,
-        directory=ctx.directory,
-        stats=ctx.stats,
-        abstracts=_charged_cache(road, query.predicate, ctx),
-    )
-
-
-@register_handler(ODMatrixQuery, engine="charged")
-def _charged_od_matrix(road: ROAD, query: ODMatrixQuery, ctx: BatchContext):
-    # The matrix is object-free; ctx.directory only gated admission.
-    return road.od_matrix(query.sources, query.targets, stats=ctx.stats)
-
-
-@register_handler(ServiceAreaQuery, engine="charged")
-def _charged_service_area(road: ROAD, query: ServiceAreaQuery, ctx: BatchContext):
-    return road.service_area(
-        query.node,
-        query.breaks,
-        query.predicate,
-        directory=ctx.directory,
-        stats=ctx.stats,
-        abstracts=_charged_cache(road, query.predicate, ctx),
-    )
-
-
-@register_handler(RouteKNNQuery, engine="charged")
-def _charged_route_knn(road: ROAD, query: RouteKNNQuery, ctx: BatchContext):
-    return road.route_knn(
-        query.path,
-        query.k,
-        query.predicate,
-        directory=ctx.directory,
-        stats=ctx.stats,
-        abstracts=_charged_cache(road, query.predicate, ctx),
-    )

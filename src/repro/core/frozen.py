@@ -97,24 +97,16 @@ from repro.core.shortcut_tree import ShortcutTree, ShortcutTreeEntry
 from repro.objects.model import SpatialObject
 from repro.queries.types import (
     ANY,
-    AggregateKNNQuery,
-    KNNQuery,
     ODMatrixEntry,
-    ODMatrixQuery,
     Predicate,
-    RangeQuery,
     ResultEntry,
-    RouteKNNQuery,
     ServiceAreaEntry,
-    ServiceAreaQuery,
     sort_result,
 )
 from repro.serving.dispatch import (
     DEFAULT_DIRECTORY,
-    BatchContext,
     QueryExecutor,
     UnknownDirectoryError,
-    register_handler,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -260,8 +252,6 @@ class FrozenRoad(QueryExecutor):
     popped beyond the bound — and every Rnet whose abstract it consulted,
     the same rule as the charged :func:`repro.core.search.object_sweep`.
     """
-
-    dispatch_engine = "frozen"
 
     def __init__(
         self,
@@ -1305,10 +1295,10 @@ class FrozenRoad(QueryExecutor):
         return sort_result(found)[:k]
 
     # ``execute`` / ``execute_many`` are inherited from QueryExecutor and
-    # served by the ``engine="frozen"`` handlers at the bottom of this
-    # module.  Predicate state (Rnet masks, object match masks) is
-    # memoised on the snapshot itself, so a workload with few distinct
-    # predicates compiles each predicate once regardless of batching.
+    # call the method above that the query's kind names.  Predicate
+    # state (Rnet masks, object match masks) is memoised on the snapshot
+    # itself, so a workload with few distinct predicates compiles each
+    # predicate once regardless of batching.
 
     def has_node(self, node: int) -> bool:
         return node in self._index
@@ -1763,65 +1753,3 @@ class FrozenRoad(QueryExecutor):
             stats.visited_rnets.update(
                 map(self._rnet_ids_by_slot().__getitem__, rnet_slots)
             )
-
-
-# ----------------------------------------------------------------------
-# Frozen-path query handlers (the "frozen" dispatch key).
-# ----------------------------------------------------------------------
-@register_handler(KNNQuery, engine="frozen")
-def _frozen_knn(
-    snapshot: FrozenRoad, query: KNNQuery, ctx: BatchContext
-) -> List[ResultEntry]:
-    return snapshot.knn(
-        query.node, query.k, query.predicate, stats=ctx.stats,
-        directory=ctx.directory,
-    )
-
-
-@register_handler(RangeQuery, engine="frozen")
-def _frozen_range(
-    snapshot: FrozenRoad, query: RangeQuery, ctx: BatchContext
-) -> List[ResultEntry]:
-    return snapshot.range(
-        query.node, query.radius, query.predicate, stats=ctx.stats,
-        directory=ctx.directory,
-    )
-
-
-@register_handler(AggregateKNNQuery, engine="frozen")
-def _frozen_aggregate(
-    snapshot: FrozenRoad, query: AggregateKNNQuery, ctx: BatchContext
-) -> List[ResultEntry]:
-    return snapshot.aggregate_knn(
-        query.nodes, query.k, query.agg, query.predicate, stats=ctx.stats,
-        directory=ctx.directory,
-    )
-
-
-@register_handler(ODMatrixQuery, engine="frozen")
-def _frozen_od_matrix(
-    snapshot: FrozenRoad, query: ODMatrixQuery, ctx: BatchContext
-) -> List[ODMatrixEntry]:
-    return snapshot.od_matrix(
-        query.sources, query.targets, stats=ctx.stats, directory=ctx.directory,
-    )
-
-
-@register_handler(ServiceAreaQuery, engine="frozen")
-def _frozen_service_area(
-    snapshot: FrozenRoad, query: ServiceAreaQuery, ctx: BatchContext
-) -> List[ServiceAreaEntry]:
-    return snapshot.service_area(
-        query.node, query.breaks, query.predicate, stats=ctx.stats,
-        directory=ctx.directory,
-    )
-
-
-@register_handler(RouteKNNQuery, engine="frozen")
-def _frozen_route_knn(
-    snapshot: FrozenRoad, query: RouteKNNQuery, ctx: BatchContext
-) -> List[ResultEntry]:
-    return snapshot.route_knn(
-        query.path, query.k, query.predicate, stats=ctx.stats,
-        directory=ctx.directory,
-    )

@@ -110,12 +110,15 @@ def snapshot_divergences(
 
     The single definition of the incremental-freeze equivalence contract —
     a patched snapshot must match a fresh ``freeze()`` on results *and*
-    SearchStats, including predicate-filtered queries (the patched mask /
-    abstract state) and aggregate queries (the patched incremental
-    iterator).  Every suite holding a snapshot to this contract (the
-    patch, serialize and multi-directory properties, the serving tests)
-    asserts the returned list is empty, so no two can enforce different
-    contracts.
+    SearchStats for every declared query kind, plus a predicate-filtered
+    kNN (the patched mask / abstract state) when any object carries
+    attributes.  The stats comparison is the whole ``SearchStats``: the
+    visit-set footprints drive result-cache invalidation, so a patched
+    snapshot reporting a different footprint than a fresh freeze is a
+    divergence even when the answers agree.  Every suite holding a
+    snapshot to this contract (the patch, serialize and multi-directory
+    properties, the serving tests) asserts the returned list is empty, so
+    no two can enforce different contracts.
 
     ``directory`` routes the probes on ``patched`` to one directory of a
     multi-directory snapshot (``fresh`` answers from its own default), so
@@ -123,21 +126,20 @@ def snapshot_divergences(
     single freezes it replaces.  ``None`` probes ``patched``'s default.
     """
     from repro.core.search import SearchStats
-    from repro.queries.types import Predicate
-
-    # Only pass directory= through when asked: the probes then also run
-    # unchanged against snapshots predating the multi-directory layout.
-    kw = {} if directory is None else {"directory": directory}
+    from repro.queries.types import (
+        AggregateKNNQuery,
+        KNNQuery,
+        ODMatrixQuery,
+        Predicate,
+        RangeQuery,
+        RouteKNNQuery,
+        ServiceAreaQuery,
+    )
 
     # A predicate matching at least one snapshotted object, if any carries
     # attributes — exercises the patched _rnet/_obj masks and abstracts.
     predicate = None
-    refs = (
-        patched.object_refs(directory)
-        if hasattr(patched, "object_refs")
-        else getattr(patched, "_obj_ref", [])
-    )
-    for obj in refs:
+    for obj in patched.object_refs(directory):
         if obj.attrs:
             key, value = sorted(obj.attrs.items())[0]
             predicate = Predicate.of(**{key: value})
@@ -146,81 +148,24 @@ def snapshot_divergences(
     divergences: List[str] = []
     for _ in range(probes):
         node = patched.node_ids[rnd.randrange(patched.num_nodes)]
-        s_patched, s_fresh = SearchStats(), SearchStats()
-        got = patched.knn(node, k, stats=s_patched, **kw)
-        want = fresh.knn(node, k, stats=s_fresh)
-        if got != want:
-            divergences.append(f"knn({node}, {k}): {got} != {want}")
-        if s_patched != s_fresh:
-            divergences.append(
-                f"knn({node}, {k}) stats: {s_patched} != {s_fresh}"
-            )
         radius = rnd.uniform(0.0, max_radius)
-        s_patched, s_fresh = SearchStats(), SearchStats()
-        if patched.range(node, radius, stats=s_patched, **kw) != fresh.range(
-            node, radius, stats=s_fresh
-        ):
-            divergences.append(f"range({node}, {radius:.3f}) diverged")
-        if s_patched != s_fresh:
-            divergences.append(f"range({node}, {radius:.3f}) stats diverged")
-        if predicate is not None:
-            s_patched, s_fresh = SearchStats(), SearchStats()
-            if patched.knn(
-                node, k, predicate, stats=s_patched, **kw
-            ) != fresh.knn(node, k, predicate, stats=s_fresh):
-                divergences.append(f"knn({node}, {k}, {predicate}) diverged")
-            if s_patched != s_fresh:
-                divergences.append(
-                    f"knn({node}, {k}, {predicate}) stats diverged"
-                )
         other = patched.node_ids[rnd.randrange(patched.num_nodes)]
-        s_patched, s_fresh = SearchStats(), SearchStats()
-        if patched.aggregate_knn(
-            [node, other], k, stats=s_patched, **kw
-        ) != fresh.aggregate_knn([node, other], k, stats=s_fresh):
-            divergences.append(f"aggregate_knn([{node}, {other}]) diverged")
-        if s_patched != s_fresh:
-            divergences.append(
-                f"aggregate_knn([{node}, {other}]) stats diverged"
-            )
-        # Network-workload probes (hasattr-guarded so the function still
-        # accepts snapshots predating the multi-source kernel).  Each
-        # compares SearchStats too: the visit-set footprints drive
-        # result-cache invalidation, so a patched snapshot reporting a
-        # different footprint than a fresh freeze is a divergence even
-        # when the answers agree.
-        if hasattr(patched, "od_matrix"):
+        queries = [
+            KNNQuery(node, k),
+            RangeQuery(node, radius),
+            AggregateKNNQuery((node, other), k),
+            ODMatrixQuery((node, other), (other, node)),
+            ServiceAreaQuery(node, (max_radius / 2.0, max_radius)),
+            RouteKNNQuery((node, other), k),
+        ]
+        if predicate is not None:
+            queries.append(KNNQuery(node, k, predicate))
+        for query in queries:
             s_patched, s_fresh = SearchStats(), SearchStats()
-            got_od = patched.od_matrix(
-                [node, other], [other, node], stats=s_patched, **kw
-            )
-            if got_od != fresh.od_matrix(
-                [node, other], [other, node], stats=s_fresh
-            ):
-                divergences.append(f"od_matrix([{node}, {other}]) diverged")
+            got = patched.execute(query, directory=directory, stats=s_patched)
+            want = fresh.execute(query, stats=s_fresh)
+            if got != want:
+                divergences.append(f"{query}: {got} != {want}")
             if s_patched != s_fresh:
-                divergences.append(
-                    f"od_matrix([{node}, {other}]) stats diverged"
-                )
-        if hasattr(patched, "service_area"):
-            breaks = (max_radius / 2.0, max_radius)
-            s_patched, s_fresh = SearchStats(), SearchStats()
-            if patched.service_area(
-                node, breaks, stats=s_patched, **kw
-            ) != fresh.service_area(node, breaks, stats=s_fresh):
-                divergences.append(f"service_area({node}, {breaks}) diverged")
-            if s_patched != s_fresh:
-                divergences.append(
-                    f"service_area({node}, {breaks}) stats diverged"
-                )
-        if hasattr(patched, "route_knn"):
-            s_patched, s_fresh = SearchStats(), SearchStats()
-            if patched.route_knn(
-                [node, other], k, stats=s_patched, **kw
-            ) != fresh.route_knn([node, other], k, stats=s_fresh):
-                divergences.append(f"route_knn([{node}, {other}]) diverged")
-            if s_patched != s_fresh:
-                divergences.append(
-                    f"route_knn([{node}, {other}]) stats diverged"
-                )
+                divergences.append(f"{query} stats: {s_patched} != {s_fresh}")
     return divergences

@@ -8,6 +8,7 @@ from repro.queries.types import (
     ODMatrixEntry,
     ODMatrixQuery,
     Predicate,
+    QUERY_TYPES,
     RangeQuery,
     ResultEntry,
     ResultRow,
@@ -31,6 +32,7 @@ __all__ = [
     "ODMatrixEntry",
     "ODMatrixQuery",
     "Predicate",
+    "QUERY_TYPES",
     "RangeQuery",
     "ResultEntry",
     "ResultRow",

@@ -7,10 +7,18 @@ the query node satisfies ``D`` and its attributes satisfy ``A`` (e.g.
 queries (distance condition: among the k smallest) and range queries
 (distance condition: within radius r).
 
-Beyond the paper's menu, the network-analysis workloads ride the same
-dispatch registry: :class:`ODMatrixQuery` (many-to-many cost matrices),
+Beyond the paper's menu, the network-analysis workloads are served the
+same way: :class:`ODMatrixQuery` (many-to-many cost matrices),
 :class:`ServiceAreaQuery` (multi-break isochrones) and
 :class:`RouteKNNQuery` (k best objects by detour distance from a route).
+
+A query kind is declared here once.  Each class in :data:`QUERY_TYPES`
+names its ``kind``, which is both its wire tag and the name of the
+executor method that answers it (``KNNQuery.kind == "knn"`` is answered
+by ``executor.knn``); its fields, in declaration order, are that
+method's positional arguments and its wire payload's keys.  The
+dispatch protocol (:mod:`repro.serving.dispatch`) and the JSON codec
+(:mod:`repro.serving.wire`) read both from the dataclass itself.
 
 Every query dataclass validates through one small set of shared helpers
 (`_require_node` and friends) so the rules are identical everywhere:
@@ -23,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Tuple, Union
+from typing import Any, ClassVar, Dict, Iterable, List, Mapping, Tuple, Type, Union
 
 from repro.objects.model import SpatialObject
 
@@ -118,6 +126,8 @@ class KNNQuery:
     1-NN query.
     """
 
+    kind: ClassVar[str] = "knn"
+
     node: int
     k: int
     predicate: Predicate = ANY
@@ -130,6 +140,8 @@ class KNNQuery:
 @dataclass(frozen=True)
 class RangeQuery:
     """Range LDSQ: all matching objects within network distance ``radius``."""
+
+    kind: ClassVar[str] = "range"
 
     node: int
     radius: float
@@ -157,6 +169,8 @@ class AggregateKNNQuery:
     carry the aggregate values.
     """
 
+    kind: ClassVar[str] = "aggregate_knn"
+
     nodes: Tuple[int, ...]
     k: int
     agg: str = "sum"
@@ -182,6 +196,8 @@ class ODMatrixQuery:
     degenerate "no destinations yet" shape).  There is no attribute
     predicate: the matrix is a pure network-distance product.
     """
+
+    kind: ClassVar[str] = "od_matrix"
 
     sources: Tuple[int, ...]
     targets: Tuple[int, ...]
@@ -209,6 +225,8 @@ class ServiceAreaQuery:
     non-negative number and at least one is required.
     """
 
+    kind: ClassVar[str] = "service_area"
+
     node: int
     breaks: Tuple[float, ...]
     predicate: Predicate = ANY
@@ -232,6 +250,8 @@ class RouteKNNQuery:
     are legal (loops, stuttered GPS traces) and collapse to one seed.
     """
 
+    kind: ClassVar[str] = "route_knn"
+
     path: Tuple[int, ...]
     k: int
     predicate: Predicate = ANY
@@ -239,6 +259,18 @@ class RouteKNNQuery:
     def __post_init__(self) -> None:
         object.__setattr__(self, "path", _require_nodes(self.path, field="path"))
         _require_count(self.k)
+
+
+#: Every declared query kind.  Executors and the wire codec accept
+#: exactly these classes (by exact type, never a subclass).
+QUERY_TYPES: Tuple[Type[Any], ...] = (
+    KNNQuery,
+    RangeQuery,
+    AggregateKNNQuery,
+    ODMatrixQuery,
+    ServiceAreaQuery,
+    RouteKNNQuery,
+)
 
 
 @dataclass(frozen=True)

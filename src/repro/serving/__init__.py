@@ -3,14 +3,15 @@
 Four layers:
 
 * :mod:`repro.serving.dispatch` — the query-dispatch protocol: the
-  :class:`QueryExecutor` ABC all engines implement, the
-  ``@register_handler`` registry replacing the per-engine ``isinstance``
-  ladders, and the typed :class:`UnsupportedQueryError` /
-  :class:`UnknownDirectoryError` / :class:`UnknownNodeError` errors.
+  :class:`QueryExecutor` ABC all engines implement, answering each
+  declared query kind (:data:`repro.queries.types.QUERY_TYPES`) through
+  the executor method the kind names, and the typed
+  :class:`UnsupportedQueryError` / :class:`UnknownDirectoryError` /
+  :class:`UnknownNodeError` errors.
 * :mod:`repro.serving.metrics` / :mod:`repro.serving.wire` /
   :mod:`repro.serving.http` — the observability and HTTP edge: the
   :class:`MetricsRegistry` threaded through the service and scraped by
-  ``GET /metrics``, the JSON wire codecs, and the stdlib-only ASGI app
+  ``GET /metrics``, the JSON wire codec, and the stdlib-only ASGI app
   (``python -m repro.serving.http`` hosts it).
 * :mod:`repro.serving.service` — the :class:`RoadService` facade: typed
   :class:`ServiceConfig` (the ``REPRO_*`` env vars become overrides),
@@ -41,9 +42,6 @@ from repro.serving.dispatch import (
     UnknownDirectoryError,
     UnknownNodeError,
     UnsupportedQueryError,
-    lookup_handler,
-    register_handler,
-    supported_queries,
 )
 
 __all__ = [
@@ -64,10 +62,7 @@ __all__ = [
     "UnsupportedQueryError",
     "WireError",
     "WorkerError",
-    "lookup_handler",
-    "register_handler",
     "serve",
-    "supported_queries",
 ]
 
 _SERVICE_EXPORTS = ("RoadService", "ServiceConfig", "ServiceError")

@@ -1,27 +1,26 @@
 """The query-dispatch protocol: one execution surface for every engine.
 
 The paper pitches ROAD as a *search-engine framework* — one index, many
-query kinds ("search by sweeping over Rnets", Fig. 1).  The reproduction
-grew four execution surfaces (charged :class:`~repro.core.framework.ROAD`,
-compiled :class:`~repro.core.frozen.FrozenRoad`, the
+query kinds ("search by sweeping over Rnets", Fig. 1).  Every engine
+here (charged :class:`~repro.core.framework.ROAD`, compiled
+:class:`~repro.core.frozen.FrozenRoad`, the
 :class:`~repro.baselines.road_adapter.ROADEngine` adapter, and the
-Section-2 baselines), each with its own ``isinstance`` ladder and
-slightly different ``execute`` signatures.  This module replaces all of
-them with a registry:
+Section-2 baselines) answers query objects the same way:
 
-* a **handler registry** keyed on ``(engine key, query type)`` —
-  engines register one handler per query class::
-
-      @register_handler(KNNQuery, engine="frozen")
-      def _knn(snapshot, query, ctx):
-          return snapshot.knn(query.node, query.k, query.predicate,
-                              stats=ctx.stats)
+* a query kind is declared once, in :mod:`repro.queries.types`: its
+  ``kind`` names the executor method that answers it, and its fields,
+  in declaration order, are that method's positional arguments —
+  ``execute(KNNQuery(3, 5, pred))`` calls ``executor.knn(3, 5, pred,
+  directory=..., stats=...)``.  Only the classes in
+  :data:`~repro.queries.types.QUERY_TYPES` are accepted, by exact type,
+  so an object whose ``kind`` happens to name some other method is
+  refused rather than called;
 
 * a common :class:`QueryExecutor` ABC providing ``execute`` /
-  ``execute_many`` with **normalised signatures** — ``execute(query, *,
-  directory=..., stats=...)`` everywhere — by looking the handler up
-  along the executor's MRO (``ROADEngine`` falls back to the generic
-  ``"baseline"`` handlers for anything it does not override);
+  ``execute_many`` / ``supports`` with **normalised signatures** —
+  ``execute(query, *, directory=..., stats=...)`` everywhere.  An engine
+  serves a kind by having its method; engines whose methods take other
+  keywords override :meth:`QueryExecutor._dispatch`;
 
 * typed errors: :class:`UnsupportedQueryError` (subclass of
   :class:`TypeError`, names the engine and the query type) and
@@ -44,59 +43,51 @@ front-end (:class:`repro.serving.RoadService`) — for free.
 from __future__ import annotations
 
 from abc import ABC
-from functools import lru_cache
-from typing import (
-    Callable,
-    ClassVar,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Type,
-)
+from dataclasses import fields
+from operator import attrgetter
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.queries.types import ResultRow
+from repro.queries.types import QUERY_TYPES, ResultRow
 
 #: The implicit directory name every engine serves (the charged path can
 #: attach more; see :meth:`repro.core.framework.ROAD.attach_objects`).
 DEFAULT_DIRECTORY = "objects"
 
-#: A registered query handler: ``(executor, query, ctx) -> results``.
-#: The return type is a covariant ``Sequence`` of the result-row union
-#: (:data:`repro.queries.types.ResultRow`), so a handler may keep the
-#: precise ``List[ResultEntry]`` / ``List[ODMatrixEntry]`` annotation of
-#: the method it wraps.
-Handler = Callable[["QueryExecutor", object, "BatchContext"], Sequence[ResultRow]]
-
-#: (engine key, query type) -> handler.
-_HANDLERS: Dict[Tuple[str, Type], Handler] = {}
+#: Declared query class -> ``(kind, args)``: the name of the executor
+#: method answering it, and a getter for its field values in declaration
+#: order (that method's positional arguments).  Every query class has at
+#: least two fields, so each getter returns a tuple.
+_DECLARED: Dict[type, Tuple[str, Callable[[object], Tuple[object, ...]]]] = {
+    query_type: (
+        query_type.kind,
+        attrgetter(*(field.name for field in fields(query_type))),
+    )
+    for query_type in QUERY_TYPES
+}
 
 
 class UnsupportedQueryError(TypeError):
-    """An engine has no registered handler for this query type.
+    """An engine does not serve this query object.
 
-    Subclasses :class:`TypeError` so callers of the pre-registry
-    ``execute`` (which raised bare ``TypeError``) keep working.
+    Raised for anything that is not one of the declared query classes
+    (:data:`~repro.queries.types.QUERY_TYPES`, exact type) and for a
+    declared kind the engine has no method for.  Subclasses
+    :class:`TypeError` so callers of the earliest ``execute`` (which
+    raised bare ``TypeError``) keep working.
     """
 
     def __init__(self, executor: object, query: object) -> None:
         self.engine = type(executor).__name__
         self.query_type = type(query).__name__
-        supported = ", ".join(
-            sorted(q.__name__ for q in supported_queries(type(executor)))
-        )
         super().__init__(
-            f"{self.engine} has no handler for query type {self.query_type}"
-            + (f" (supported: {supported})" if supported else "")
+            f"{self.engine} does not serve query type {self.query_type}"
         )
 
 
 class UnknownDirectoryError(KeyError):
     """``directory=`` names a directory this engine does not serve.
 
-    Subclasses :class:`KeyError` so callers of the pre-registry charged
+    Subclasses :class:`KeyError` so callers of the earliest charged
     path (which raised bare ``KeyError``) keep working.
     """
 
@@ -134,12 +125,12 @@ class UnknownNodeError(KeyError):
 class BatchContext:
     """Shared state for one ``execute`` call or one ``execute_many`` batch.
 
-    Handlers receive the context instead of loose keyword arguments:
-    ``directory`` (already validated by the executor), optional ``stats``
-    to accumulate into, and :meth:`cache` — a memo the whole batch
-    shares, used by the charged handlers to build one
-    :class:`~repro.core.search.AbstractCache` per distinct predicate per
-    batch rather than one per query.
+    :meth:`QueryExecutor._dispatch` receives the context instead of loose
+    keyword arguments: ``directory`` (already validated by the
+    executor), optional ``stats`` to accumulate into, and :meth:`cache`
+    — a memo the whole batch shares, used by the charged ``ROAD`` to
+    build one :class:`~repro.core.search.AbstractCache` per distinct
+    predicate per batch rather than one per query.
     """
 
     __slots__ = ("directory", "stats", "_memo")
@@ -158,79 +149,11 @@ class BatchContext:
             return value
 
 
-def register_handler(
-    query_type: Type, *, engine: str
-) -> Callable[[Handler], Handler]:
-    """Class decorator-factory registering a handler for one query type.
-
-    ``engine`` is the executor's :attr:`QueryExecutor.dispatch_engine`
-    key.  Registering the same (engine, query type) twice raises — a
-    double registration is always a bug (two modules fighting over a
-    dispatch slot), never a feature.
-    """
-
-    def decorate(handler: Handler) -> Handler:
-        key = (engine, query_type)
-        if key in _HANDLERS:
-            raise ValueError(
-                f"handler for {query_type.__name__} on engine {engine!r} "
-                f"already registered ({_HANDLERS[key]!r})"
-            )
-        _HANDLERS[key] = handler
-        return handler
-
-    return decorate
-
-
-@lru_cache(maxsize=None)
-def _dispatch_chain(executor_type: Type) -> Tuple[str, ...]:
-    """The executor's engine keys, most specific first (its MRO order).
-
-    Only classes that *declare* ``dispatch_engine`` in their own body
-    contribute a key, so ``ROADEngine`` (key ``"road"``) falls back to
-    ``SearchEngine``'s generic ``"baseline"`` handlers, while a plain
-    baseline only sees ``"baseline"``.  The chain is a pure function of
-    the type (independent of the handler registry), so it is memoised —
-    per-query dispatch on the hot serving path must not re-walk the MRO.
-    """
-    chain: List[str] = []
-    for klass in executor_type.__mro__:
-        key = klass.__dict__.get("dispatch_engine")
-        if key is not None and key not in chain:
-            chain.append(key)
-    return tuple(chain)
-
-
-def lookup_handler(executor_type: Type, query_type: Type) -> Optional[Handler]:
-    """The handler serving ``query_type`` on this executor, if any.
-
-    Walks the executor's dispatch chain, then the query type's MRO — so
-    a handler registered for a query base class serves subclasses too.
-    """
-    for engine in _dispatch_chain(executor_type):
-        for qt in query_type.__mro__:
-            handler = _HANDLERS.get((engine, qt))
-            if handler is not None:
-                return handler
-    return None
-
-
-def supported_queries(executor_type: Type) -> Tuple[Type, ...]:
-    """Query types this executor type has handlers for (for messages/tests)."""
-    chain = _dispatch_chain(executor_type)
-    return tuple(
-        sorted(
-            {qt for (engine, qt) in _HANDLERS if engine in chain},
-            key=lambda qt: qt.__name__,
-        )
-    )
-
-
 class QueryExecutor(ABC):
     """One LDSQ execution surface: anything that can serve query objects.
 
-    Subclasses declare a :attr:`dispatch_engine` key and register one
-    handler per supported query class; ``execute`` / ``execute_many`` /
+    A subclass serves a query kind by having the method the kind names
+    (:mod:`repro.queries.types`); ``execute`` / ``execute_many`` /
     ``supports`` are inherited, with identical signatures everywhere.
 
     ``execute_many`` is the single-threaded batch entry point the async
@@ -240,9 +163,6 @@ class QueryExecutor(ABC):
     :class:`~repro.baselines.road_adapter.ROADEngine` forwarding to its
     frozen snapshot).
     """
-
-    #: Registry key for this executor family; subclasses redeclare it.
-    dispatch_engine: ClassVar[Optional[str]] = None
 
     # -- directory surface ---------------------------------------------
     @property
@@ -265,7 +185,7 @@ class QueryExecutor(ABC):
         """Resolve/validate ``directory=``; raises
         :class:`UnknownDirectoryError` on a name this executor does not
         serve.  ``None`` means :attr:`default_directory`.  Returns the
-        resolved name so handlers can chain on it.
+        resolved name so callers can chain on it.
         """
         if directory is None:
             directory = self.default_directory
@@ -281,8 +201,10 @@ class QueryExecutor(ABC):
 
     # -- dispatch -------------------------------------------------------
     def supports(self, query: object) -> bool:
-        """True if :meth:`execute` can serve this query object."""
-        return lookup_handler(type(self), type(query)) is not None
+        """True if :meth:`execute` can serve this query object: a declared
+        query class (exact type) whose ``kind`` names a method here."""
+        declared = _DECLARED.get(type(query))
+        return declared is not None and hasattr(self, declared[0])
 
     def execute(
         self,
@@ -291,7 +213,7 @@ class QueryExecutor(ABC):
         directory: Optional[str] = None,
         stats: Optional[object] = None,
     ) -> List[ResultRow]:
-        """Run one query object through the registered handler.
+        """Answer one query object through the method its kind names.
 
         ``directory=None`` targets :attr:`default_directory` — for a
         snapshot compiled from a named provider, its own directory.
@@ -316,8 +238,25 @@ class QueryExecutor(ABC):
         ctx = BatchContext(self.check_directory(directory), stats)
         return [self._dispatch(query, ctx) for query in queries]
 
+    def _bind(
+        self, query: object
+    ) -> Tuple[Callable[..., List[ResultRow]], Tuple[object, ...]]:
+        """The method answering ``query`` and its positional arguments.
+
+        Raises :class:`UnsupportedQueryError` unless ``query`` is a
+        declared query class (exact type) and this executor has the
+        method its ``kind`` names.
+        """
+        declared = _DECLARED.get(type(query))
+        if declared is not None:
+            kind, args_of = declared
+            method = getattr(self, kind, None)
+            if method is not None:
+                return method, args_of(query)
+        raise UnsupportedQueryError(self, query)
+
     def _dispatch(self, query: object, ctx: BatchContext) -> List[ResultRow]:
-        handler = lookup_handler(type(self), type(query))
-        if handler is None:
-            raise UnsupportedQueryError(self, query)
-        return list(handler(self, query, ctx))
+        """Answer one query of a batch (engines whose methods take other
+        keywords override this)."""
+        method, args = self._bind(query)
+        return method(*args, directory=ctx.directory, stats=ctx.stats)

@@ -1,16 +1,20 @@
-"""JSON wire codecs for every registered query class (and results).
+"""The JSON wire codec for every declared query class (and results).
 
 The HTTP tier (:mod:`repro.serving.http`) needs a serialization story
-that keeps pace with the dispatch registry: every query class an engine
-registers a handler for must round-trip through JSON, or the network
-edge silently serves a subset of the API.  This module is the one
-mapping between wire payloads and the dataclasses in
-:mod:`repro.queries.types`:
+that keeps pace with the query kinds: every class in
+:data:`~repro.queries.types.QUERY_TYPES` must round-trip through JSON,
+or the network edge silently serves a subset of the API.  This module
+is the one mapping between wire payloads and the dataclasses in
+:mod:`repro.queries.types`, and it is read off those dataclasses rather
+than written per kind:
 
 * ``encode_query`` / ``decode_query`` — ``{"type": "knn", "node": 3,
-  "k": 5, "predicate": {"type": "seafood"}}`` <-> :class:`KNNQuery`,
-  dispatching on the ``type`` tag through a codec registry
-  (:func:`register_wire`) mirroring ``@register_handler``;
+  "k": 5, "predicate": {"type": "seafood"}}`` <-> :class:`KNNQuery`.
+  The ``type`` tag is the class's ``kind``; the other keys are its
+  fields, each checked by the rule :data:`_FIELD_CHECKS` keeps for that
+  field name.  An absent field takes the dataclass default if it has
+  one; any other absent field, and any key that is not a field of the
+  kind, is refused;
 * ``encode_result`` / ``decode_result`` — result lists as
   ``[{"object_id": ..., "distance": ...}, ...]``, exact float
   round-trip (JSON carries the ``repr`` of IEEE doubles); rows carry
@@ -20,29 +24,21 @@ mapping between wire payloads and the dataclasses in
   batch responses decode without a side channel;
 * :class:`WireError` — every malformed payload raises this one typed
   error, which the HTTP tier maps to a 400.
-
-The serving tests pair :func:`wire_types` with the dispatch registry's
-``supported_queries`` to prove no query class can be registered for
-execution without also being reachable over the wire.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple, Type
+from dataclasses import MISSING, fields
+from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Sequence, Tuple
 
 from repro.queries.types import (
-    AggregateKNNQuery,
-    KNNQuery,
+    QUERY_TYPES,
     ODMatrixEntry,
-    ODMatrixQuery,
     Predicate,
-    RangeQuery,
     ResultEntry,
     ResultRow,
-    RouteKNNQuery,
     ServiceAreaEntry,
-    ServiceAreaQuery,
 )
 
 __all__ = [
@@ -51,9 +47,6 @@ __all__ = [
     "decode_result",
     "encode_query",
     "encode_result",
-    "register_wire",
-    "wire_kinds",
-    "wire_types",
 ]
 
 
@@ -61,56 +54,29 @@ class WireError(ValueError):
     """A malformed wire payload (the HTTP tier answers 400)."""
 
 
-#: One codec half each way: object -> JSON-safe body, body -> object.
-Encoder = Callable[[Any], Dict[str, Any]]
-Decoder = Callable[[Mapping[str, Any]], object]
-
-#: kind tag -> (query class, decoder); query class -> (kind tag, encoder).
-_DECODERS: Dict[str, Tuple[Type, Decoder]] = {}
-_ENCODERS: Dict[Type, Tuple[str, Encoder]] = {}
-
-
-def register_wire(
-    query_type: Type,
-    kind: str,
-    *,
-    encode: Encoder,
-    decode: Decoder,
-) -> None:
-    """Register the JSON codec for one query class.
-
-    Mirrors ``@register_handler``: a double registration (either of the
-    class or of the ``kind`` tag) raises — two codecs fighting over one
-    wire tag is always a bug.
-    """
-    if kind in _DECODERS:
-        raise ValueError(f"wire kind {kind!r} already registered")
-    if query_type in _ENCODERS:
-        raise ValueError(f"wire codec for {query_type.__name__} already registered")
-    _DECODERS[kind] = (query_type, decode)
-    _ENCODERS[query_type] = (kind, encode)
-
-
-def wire_kinds() -> Tuple[str, ...]:
-    """Every registered wire tag, sorted."""
-    return tuple(sorted(_DECODERS))
-
-
-def wire_types() -> Tuple[Type, ...]:
-    """Every query class with a codec (for registry-parity tests)."""
-    return tuple(sorted(_ENCODERS, key=lambda qt: qt.__name__))
-
-
 def encode_query(query: object) -> Dict[str, Any]:
-    """One query object as its JSON-safe wire payload."""
-    entry = _ENCODERS.get(type(query))
+    """One query object as its JSON-safe wire payload.
+
+    Fields in declaration order, tuples as lists, an unconstrained
+    predicate omitted, then the ``type`` tag.
+    """
+    entry = _BY_TYPE.get(type(query))
     if entry is None:
         raise WireError(
-            f"no wire codec for query type {type(query).__name__} "
-            f"(registered: {', '.join(wire_kinds()) or 'none'})"
+            f"no wire form for query type {type(query).__name__} "
+            f"(declared: {_KINDS})"
         )
-    kind, encode = entry
-    payload = encode(query)
+    kind, declared = entry
+    payload: Dict[str, Any] = {}
+    for name, _check, _default in declared:
+        value = getattr(query, name)
+        if isinstance(value, tuple):
+            value = list(value)
+        elif isinstance(value, Predicate):
+            if value.is_unconstrained:
+                continue
+            value = value.as_dict()
+        payload[name] = value
     payload["type"] = kind
     return payload
 
@@ -121,17 +87,25 @@ def decode_query(payload: object) -> object:
     kind = body.get("type")
     if not isinstance(kind, str):
         raise WireError("query payload needs a string 'type' tag")
-    entry = _DECODERS.get(kind)
+    entry = _BY_KIND.get(kind)
     if entry is None:
+        raise WireError(f"unknown query type {kind!r} (declared: {_KINDS})")
+    query_type, declared, keys = entry
+    unknown = body.keys() - keys
+    if unknown:
         raise WireError(
-            f"unknown query type {kind!r} "
-            f"(registered: {', '.join(wire_kinds()) or 'none'})"
+            f"{kind} query has no field {', '.join(sorted(map(repr, unknown)))}"
         )
-    _query_type, decode = entry
+    values: List[Any] = []
+    for name, check, default in declared:
+        if name in body:
+            values.append(check(body, name))
+        elif default is not MISSING:
+            values.append(default)
+        else:
+            raise WireError(f"{kind} query needs field {name!r}")
     try:
-        return decode(body)
-    except WireError:
-        raise
+        return query_type(*values)
     except (TypeError, ValueError) as exc:
         # Dataclass validation (k < 1, bad aggregate name, ...) speaks
         # ValueError; on the wire every rejection is one typed error.
@@ -191,7 +165,7 @@ def decode_result(payload: object) -> List[ResultRow]:
 
 
 # ---------------------------------------------------------------------------
-# Field helpers (shared by the codecs below and the maintenance endpoint)
+# Field checks (shared by the query codec and the maintenance endpoint)
 # ---------------------------------------------------------------------------
 def _require_mapping(value: object, what: str) -> Mapping[str, Any]:
     if not isinstance(value, Mapping):
@@ -256,11 +230,11 @@ def _require_number_list(body: Mapping[str, Any], field: str) -> Tuple[float, ..
     return tuple(values)
 
 
-def _decode_predicate(body: Mapping[str, Any]) -> Predicate:
-    raw = body.get("predicate")
+def _require_predicate(body: Mapping[str, Any], field: str) -> Predicate:
+    raw = body[field]
     if raw is None:
         return Predicate()
-    mapping = _require_mapping(raw, "predicate")
+    mapping = _require_mapping(raw, field)
     for key, value in mapping.items():
         if not isinstance(key, str) or not isinstance(value, str):
             raise WireError(
@@ -270,126 +244,49 @@ def _decode_predicate(body: Mapping[str, Any]) -> Predicate:
     return Predicate.from_mapping(mapping)
 
 
-def _encode_predicate(predicate: Predicate, payload: Dict[str, Any]) -> None:
-    if not predicate.is_unconstrained:
-        payload["predicate"] = predicate.as_dict()
-
-
 # ---------------------------------------------------------------------------
-# The built-in codecs, one per registered query class
+# The codec tables, read off the declared query classes
 # ---------------------------------------------------------------------------
-def _encode_knn(query: KNNQuery) -> Dict[str, Any]:
-    payload: Dict[str, Any] = {"node": query.node, "k": query.k}
-    _encode_predicate(query.predicate, payload)
-    return payload
+#: Query field name -> the check its wire value must pass (whichever kind
+#: declares the field).
+_FIELD_CHECKS: Dict[str, Callable[[Mapping[str, Any], str], Any]] = {
+    "node": _require_int,
+    "k": _require_int,
+    "radius": _require_number,
+    "nodes": _require_node_list,
+    "sources": _require_node_list,
+    "targets": _require_node_list,
+    "path": _require_node_list,
+    "breaks": _require_number_list,
+    "agg": _require_str,
+    "predicate": _require_predicate,
+}
 
+#: One field's wire form: its name, its check, and its dataclass default
+#: (``MISSING`` when the field has none and the payload must carry it).
+_WireField = Tuple[str, Callable[[Mapping[str, Any], str], Any], Any]
 
-def _decode_knn(body: Mapping[str, Any]) -> KNNQuery:
-    return KNNQuery(
-        node=_require_int(body, "node"),
-        k=_require_int(body, "k"),
-        predicate=_decode_predicate(body),
+#: Declared query class -> (wire tag, its fields in declaration order).
+_BY_TYPE: Dict[type, Tuple[str, Tuple[_WireField, ...]]] = {
+    query_type: (
+        query_type.kind,
+        tuple(
+            (field.name, _FIELD_CHECKS[field.name], field.default)
+            for field in fields(query_type)
+        ),
     )
+    for query_type in QUERY_TYPES
+}
 
-
-def _encode_range(query: RangeQuery) -> Dict[str, Any]:
-    payload: Dict[str, Any] = {"node": query.node, "radius": query.radius}
-    _encode_predicate(query.predicate, payload)
-    return payload
-
-
-def _decode_range(body: Mapping[str, Any]) -> RangeQuery:
-    return RangeQuery(
-        node=_require_int(body, "node"),
-        radius=_require_number(body, "radius"),
-        predicate=_decode_predicate(body),
+#: Wire tag -> (query class, its fields, the payload keys it accepts).
+_BY_KIND: Dict[str, Tuple[type, Tuple[_WireField, ...], FrozenSet[str]]] = {
+    kind: (
+        query_type,
+        declared,
+        frozenset(name for name, _check, _default in declared) | {"type"},
     )
+    for query_type, (kind, declared) in _BY_TYPE.items()
+}
 
-
-def _encode_aggregate(query: AggregateKNNQuery) -> Dict[str, Any]:
-    payload: Dict[str, Any] = {
-        "nodes": list(query.nodes),
-        "k": query.k,
-        "agg": query.agg,
-    }
-    _encode_predicate(query.predicate, payload)
-    return payload
-
-
-def _decode_aggregate(body: Mapping[str, Any]) -> AggregateKNNQuery:
-    agg = body.get("agg", "sum")
-    if not isinstance(agg, str):
-        raise WireError(f"field 'agg' must be a string, got {agg!r}")
-    return AggregateKNNQuery(
-        nodes=_require_node_list(body, "nodes"),
-        k=_require_int(body, "k"),
-        agg=agg,
-        predicate=_decode_predicate(body),
-    )
-
-
-def _encode_od_matrix(query: ODMatrixQuery) -> Dict[str, Any]:
-    return {"sources": list(query.sources), "targets": list(query.targets)}
-
-
-def _decode_od_matrix(body: Mapping[str, Any]) -> ODMatrixQuery:
-    return ODMatrixQuery(
-        sources=_require_node_list(body, "sources"),
-        targets=_require_node_list(body, "targets"),
-    )
-
-
-def _encode_service_area(query: ServiceAreaQuery) -> Dict[str, Any]:
-    payload: Dict[str, Any] = {"node": query.node, "breaks": list(query.breaks)}
-    _encode_predicate(query.predicate, payload)
-    return payload
-
-
-def _decode_service_area(body: Mapping[str, Any]) -> ServiceAreaQuery:
-    return ServiceAreaQuery(
-        node=_require_int(body, "node"),
-        breaks=_require_number_list(body, "breaks"),
-        predicate=_decode_predicate(body),
-    )
-
-
-def _encode_route_knn(query: RouteKNNQuery) -> Dict[str, Any]:
-    payload: Dict[str, Any] = {"path": list(query.path), "k": query.k}
-    _encode_predicate(query.predicate, payload)
-    return payload
-
-
-def _decode_route_knn(body: Mapping[str, Any]) -> RouteKNNQuery:
-    return RouteKNNQuery(
-        path=_require_node_list(body, "path"),
-        k=_require_int(body, "k"),
-        predicate=_decode_predicate(body),
-    )
-
-
-register_wire(KNNQuery, "knn", encode=_encode_knn, decode=_decode_knn)
-register_wire(RangeQuery, "range", encode=_encode_range, decode=_decode_range)
-register_wire(
-    AggregateKNNQuery,
-    "aggregate_knn",
-    encode=_encode_aggregate,
-    decode=_decode_aggregate,
-)
-register_wire(
-    ODMatrixQuery,
-    "od_matrix",
-    encode=_encode_od_matrix,
-    decode=_decode_od_matrix,
-)
-register_wire(
-    ServiceAreaQuery,
-    "service_area",
-    encode=_encode_service_area,
-    decode=_decode_service_area,
-)
-register_wire(
-    RouteKNNQuery,
-    "route_knn",
-    encode=_encode_route_knn,
-    decode=_decode_route_knn,
-)
+#: Every wire tag, sorted (for error messages).
+_KINDS = ", ".join(sorted(_BY_KIND))

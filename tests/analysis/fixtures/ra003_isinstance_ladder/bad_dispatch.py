@@ -1,7 +1,7 @@
 """RA003 seeded violation: a per-engine ``isinstance`` dispatch ladder.
 
-The shape PR 4 removed — each branch silently falls through when a new
-query type is added instead of raising ``UnsupportedQueryError``.
+Each branch silently falls through when a new query type is added
+instead of raising ``UnsupportedQueryError``.
 """
 
 
@@ -14,7 +14,7 @@ class RangeQuery:
 
 
 def execute(engine, query):
-    # BAD: dispatch must go through @register_handler / lookup_handler.
+    # BAD: execute must call the method the query's kind names.
     if isinstance(query, KNNQuery):
         return engine.knn(query.node, query.k)
     if isinstance(query, (RangeQuery, tuple)):

@@ -112,6 +112,18 @@ def test_ra003_non_query_isinstance_passes(tmp_path):
     ) == []
 
 
+def test_ra003_flags_a_declared_kind_without_its_method(monkeypatch):
+    import repro
+    from repro.core.frozen import FrozenRoad
+
+    monkeypatch.delattr(FrozenRoad, "route_knn")
+    (finding,) = analyze_path(Path(repro.__file__).parent, rule_ids=["RA003"])
+    assert finding.path == "queries/types.py"
+    assert finding.message == (
+        "FrozenRoad has no method for declared query kind(s) route_knn"
+    )
+
+
 def test_ra004_drop_before_resize_passes(tmp_path):
     assert _check(
         tmp_path,

@@ -3,7 +3,8 @@
 Every engine (ROAD and the baselines) must agree with plain Dijkstra from
 the query node — the paper's correctness ground truth.  Snapshot probes
 compare against a fresh freeze instead; :func:`serving_snapshots` names
-the snapshots a service actually serves from.
+the snapshots a service actually serves from, and :data:`QUERY_SAMPLES`
+holds one query per declared kind.
 """
 
 from __future__ import annotations
@@ -14,7 +15,28 @@ from typing import List, Sequence, Tuple
 from repro.graph.network import RoadNetwork
 from repro.graph.shortest_path import dijkstra_distances
 from repro.objects.model import ObjectSet
-from repro.queries.types import ANY, Predicate
+from repro.queries.types import (
+    ANY,
+    AggregateKNNQuery,
+    KNNQuery,
+    ODMatrixQuery,
+    Predicate,
+    RangeQuery,
+    RouteKNNQuery,
+    ServiceAreaQuery,
+)
+
+#: One representative query per declared kind (predicate-bearing where
+#: the kind takes one), valid on any network holding nodes 0..63 whose
+#: objects carry a ``type`` of ``"a"`` or ``"b"``.
+QUERY_SAMPLES = {
+    KNNQuery: KNNQuery(0, 3, Predicate.of(type="a")),
+    RangeQuery: RangeQuery(0, 250.0),
+    AggregateKNNQuery: AggregateKNNQuery((0, 20), 2, agg="max"),
+    ODMatrixQuery: ODMatrixQuery((0, 9), (20, 63)),
+    ServiceAreaQuery: ServiceAreaQuery(0, (150.0, 400.0), Predicate.of(type="a")),
+    RouteKNNQuery: RouteKNNQuery((0, 1, 9), 2, Predicate.of(type="b")),
+}
 
 
 def brute_object_distances(

@@ -1,12 +1,15 @@
-"""The query-dispatch protocol: registry round-trips, typed errors.
+"""The query-dispatch protocol: kind-named methods, typed errors.
 
-The satellite contract of the serving refactor: every engine answers
-``execute`` / ``execute_many`` with the same signatures, unknown query
-types raise a typed :class:`UnsupportedQueryError` naming the engine,
-and ``directory=`` is honoured (and rejected with
+Every engine answers ``execute`` / ``execute_many`` with the same
+signatures, through the method each declared query kind names; the
+behaviour matrix below pins which kinds each engine serves.  Unknown
+query types raise a typed :class:`UnsupportedQueryError` naming the
+engine, and ``directory=`` is honoured (and rejected with
 :class:`UnknownDirectoryError`) uniformly — previously the charged path
 raised ``KeyError`` while the frozen path silently ignored the argument.
 """
+
+from dataclasses import fields
 
 import pytest
 
@@ -19,17 +22,16 @@ from repro.baselines import (
 from repro.core.framework import ROAD
 from repro.graph.generators import grid_network
 from repro.objects.placement import place_uniform
-from repro.queries.types import AggregateKNNQuery, KNNQuery, Predicate, RangeQuery
-from repro.queries.workload import mixed_workload
-from repro.serving import (
-    QueryExecutor,
-    UnknownDirectoryError,
-    UnsupportedQueryError,
-    lookup_handler,
-    register_handler,
-    supported_queries,
+from repro.queries.types import (
+    QUERY_TYPES,
+    AggregateKNNQuery,
+    KNNQuery,
+    Predicate,
+    RangeQuery,
 )
-from tests.oracle import assert_same_result
+from repro.queries.workload import mixed_workload
+from repro.serving import QueryExecutor, UnknownDirectoryError, UnsupportedQueryError
+from tests.oracle import QUERY_SAMPLES, assert_same_result
 
 
 @pytest.fixture(scope="module")
@@ -68,9 +70,24 @@ ALL = [
 #: Executors with a multi-source expansion (aggregate kNN support).
 AGGREGATE_CAPABLE = ["ROAD", "FrozenRoad", "ROADEngine-charged", "ROADEngine-frozen"]
 
+#: The query kinds each executor serves: the ROAD family every declared
+#: kind, the Section-2 baselines kNN and range only.
+SUPPORTED_QUERIES = {
+    name: set(QUERY_TYPES) if name in AGGREGATE_CAPABLE else {KNNQuery, RangeQuery}
+    for name in ALL
+}
+
+
+def answering(executor):
+    """The object whose methods answer ``executor``'s queries: a
+    ``ROADEngine`` forwards to its snapshot or its charged road."""
+    if isinstance(executor, ROADEngine):
+        return executor.frozen if executor.mode == "frozen" else executor.road
+    return executor
+
 
 class TestRegistryRoundTrip:
-    """The registry serves every query class on every engine uniformly."""
+    """Every declared kind is served on every engine the same way."""
 
     @pytest.mark.parametrize("name", ALL)
     def test_all_executors_are_query_executors(self, setting, name):
@@ -135,7 +152,7 @@ class TestUnsupportedQuery:
         assert type(executor).__name__ in str(excinfo.value)
         assert excinfo.value.engine == type(executor).__name__
         assert excinfo.value.query_type == "str"
-        # The typed error is still a TypeError for pre-registry callers.
+        # The typed error is still a TypeError for callers expecting one.
         assert isinstance(excinfo.value, TypeError)
 
     @pytest.mark.parametrize("name", ["NetExp", "Euclidean", "DistIdx"])
@@ -153,17 +170,33 @@ class TestUnsupportedQuery:
     def test_supports_agrees_with_supported_queries(self, setting, name):
         _, _, executors = setting
         executor = executors[name]
-        supported = supported_queries(type(executor))
-        assert KNNQuery in supported and RangeQuery in supported
-        assert (AggregateKNNQuery in supported) == (name in AGGREGATE_CAPABLE)
-        for query_type in supported:
-            assert lookup_handler(type(executor), query_type) is not None
+        assert {
+            query_type
+            for query_type in QUERY_TYPES
+            if executor.supports(QUERY_SAMPLES[query_type])
+        } == SUPPORTED_QUERIES[name]
+
+    @pytest.mark.parametrize("name", ALL)
+    @pytest.mark.parametrize("query_type", QUERY_TYPES, ids=lambda t: t.__name__)
+    def test_execute_answers_through_the_named_method(
+        self, setting, query_type, name
+    ):
+        _, _, executors = setting
+        executor = executors[name]
+        query = QUERY_SAMPLES[query_type]
+        if query_type not in SUPPORTED_QUERIES[name]:
+            with pytest.raises(UnsupportedQueryError, match=type(executor).__name__):
+                executor.execute(query)
+            return
+        method = getattr(answering(executor), query.kind)
+        args = [getattr(query, field.name) for field in fields(query)]
+        assert executor.execute(query) == method(*args)
 
 
 class TestDirectoryDrift:
     """Regression: ``directory=`` must be honoured by *every* engine.
 
-    The pre-registry frozen path and ROADEngine silently ignored the
+    The early frozen path and ROADEngine silently ignored the
     argument — a query against a directory the snapshot never compiled
     would answer from the wrong object set.
     """
@@ -176,7 +209,7 @@ class TestDirectoryDrift:
             executor.execute(KNNQuery(0, 1), directory="nope")
         assert excinfo.value.directory == "nope"
         assert excinfo.value.engine == type(executor).__name__
-        # Still a KeyError for pre-registry charged-path callers.
+        # Still a KeyError for callers of the early charged path.
         assert isinstance(excinfo.value, KeyError)
         with pytest.raises(UnknownDirectoryError):
             executor.execute_many([KNNQuery(0, 1)], directory="nope")
@@ -232,13 +265,3 @@ class TestDirectoryDrift:
         rendered = f"{excinfo.value}"
         assert rendered.startswith("ROAD serves no directory")
         assert not rendered.startswith('"')
-
-
-class TestRegistryHygiene:
-    def test_double_registration_rejected(self):
-        class _Probe:  # pragma: no cover - never executed
-            pass
-
-        register_handler(_Probe, engine="test-hygiene")(lambda e, q, c: [])
-        with pytest.raises(ValueError, match="already registered"):
-            register_handler(_Probe, engine="test-hygiene")(lambda e, q, c: [])

@@ -3,11 +3,12 @@
 Exercises :class:`repro.serving.http.RoadServiceApp` in process (ASGI
 calls, no sockets) against a real :class:`RoadService`:
 
-* every query class with a wire codec round-trips through JSON and
-  answers byte-identical to the sync primary (the registry-parity
-  parametrisation mirrors ``tests/serving/test_dispatch.py``),
-* errors map to the contract statuses (malformed 400, unknown directory
-  404, wrong method 405, unknown route 404),
+* every declared query class round-trips through JSON and answers
+  byte-identical to the sync primary (parametrised over
+  ``QUERY_TYPES``, like ``tests/serving/test_dispatch.py``),
+* errors map to the contract statuses (malformed 400 — an unknown
+  query field included —, unknown directory 404, wrong method 405,
+  unknown route 404),
 * ``POST /maintenance`` rides the patch-broadcast path and answers with
   the report kind,
 * ``/metrics`` scrapes the service registry, ``/healthz`` grades the
@@ -25,15 +26,7 @@ import pytest
 from repro.core.frozen_backends import shared_memory_available
 from repro.graph.generators import grid_network
 from repro.objects.placement import place_uniform
-from repro.queries.types import (
-    AggregateKNNQuery,
-    KNNQuery,
-    ODMatrixQuery,
-    Predicate,
-    RangeQuery,
-    RouteKNNQuery,
-    ServiceAreaQuery,
-)
+from repro.queries.types import QUERY_TYPES, KNNQuery, RangeQuery
 from repro.serving import RoadService, ServiceConfig
 from repro.serving.http import (
     RoadServiceApp,
@@ -46,22 +39,17 @@ from repro.serving.wire import (
     decode_query,
     decode_result,
     encode_query,
-    wire_kinds,
-    wire_types,
 )
-from tests.oracle import serving_snapshots
+from tests.oracle import QUERY_SAMPLES, serving_snapshots
 
-#: One representative (predicate-bearing where supported) query per
-#: registered wire codec — the coverage guard below keeps this dict in
-#: lockstep with the registry.
-SAMPLES = {
-    "KNNQuery": KNNQuery(0, 3, Predicate.of(type="a")),
-    "RangeQuery": RangeQuery(0, 250.0),
-    "AggregateKNNQuery": AggregateKNNQuery((0, 20), 2, agg="max"),
-    "ODMatrixQuery": ODMatrixQuery((0, 9), (20, 63)),
-    "ServiceAreaQuery": ServiceAreaQuery(0, (150.0, 400.0), Predicate.of(type="a")),
-    "RouteKNNQuery": RouteKNNQuery((0, 1, 9), 2, Predicate.of(type="b")),
-}
+#: Queries whose keys are not all fields of their kind: a misspelt
+#: predicate, and a predicate on the predicate-free OD matrix.  Each was
+#: once decoded with the key dropped, so the query ran unfiltered.
+UNKNOWN_FIELDS = [
+    {"type": "knn", "node": 0, "k": 5, "predicat": {"type": "a"}},
+    {"type": "od_matrix", "sources": [0], "targets": [9],
+     "predicate": {"type": "a"}},
+]
 
 
 def call(app, method, path, payload=None, raw=None):
@@ -112,14 +100,14 @@ def setting():
 
 class TestWireCodecs:
     def test_every_registered_type_has_a_sample(self):
-        assert {t.__name__ for t in wire_types()} == set(SAMPLES)
-        assert len(wire_kinds()) == len(wire_types())
+        assert set(QUERY_SAMPLES) == set(QUERY_TYPES)
+        assert len({t.kind for t in QUERY_TYPES}) == len(QUERY_TYPES)
 
     @pytest.mark.parametrize(
-        "query_type", wire_types(), ids=lambda t: t.__name__
+        "query_type", QUERY_TYPES, ids=lambda t: t.__name__
     )
     def test_json_round_trip(self, query_type):
-        query = SAMPLES[query_type.__name__]
+        query = QUERY_SAMPLES[query_type]
         payload = json.loads(json.dumps(encode_query(query)))
         assert decode_query(payload) == query
 
@@ -151,6 +139,11 @@ class TestWireCodecs:
         with pytest.raises((WireError, ValueError)):
             decode_query(payload)
 
+    @pytest.mark.parametrize("payload", UNKNOWN_FIELDS)
+    def test_unknown_fields_raise_wire_errors(self, payload):
+        with pytest.raises(WireError, match="query has no field 'predicat"):
+            decode_query(payload)
+
     @pytest.mark.parametrize(
         "breaks", [[float("nan")], [100.0, float("inf")], [-float("inf")]]
     )
@@ -165,11 +158,11 @@ class TestWireCodecs:
 
 class TestQueryRoute:
     @pytest.mark.parametrize(
-        "query_type", wire_types(), ids=lambda t: t.__name__
+        "query_type", QUERY_TYPES, ids=lambda t: t.__name__
     )
     def test_single_query_matches_the_sync_primary(self, setting, query_type):
         service, app = setting
-        query = SAMPLES[query_type.__name__]
+        query = QUERY_SAMPLES[query_type]
         status, body = call(
             app, "POST", "/query", {"query": encode_query(query)}
         )
@@ -179,7 +172,7 @@ class TestQueryRoute:
 
     def test_batch_matches_run_many(self, setting):
         service, app = setting
-        queries = [SAMPLES[t.__name__] for t in wire_types()]
+        queries = [QUERY_SAMPLES[t] for t in QUERY_TYPES]
         status, body = call(
             app, "POST", "/query",
             {"queries": [encode_query(q) for q in queries]},
@@ -231,6 +224,13 @@ class TestQueryRoute:
         assert status == 400
         assert "error" in body
 
+    @pytest.mark.parametrize("payload", UNKNOWN_FIELDS)
+    def test_unknown_query_fields_are_400(self, setting, payload):
+        _, app = setting
+        status, body = call(app, "POST", "/query", {"query": payload})
+        assert status == 400
+        assert "query has no field 'predicat" in body["error"]
+
     def test_nan_service_area_break_is_400(self, setting):
         _, app = setting
         status, body = call(
@@ -269,7 +269,7 @@ class TestMaintenanceRoute:
             "kind": "edge_distance", "structural": False,
         }
         # The patch reached the shards: async answers == maintained primary.
-        queries = [SAMPLES[t.__name__] for t in wire_types()]
+        queries = [QUERY_SAMPLES[t] for t in QUERY_TYPES]
         status, got = call(
             app, "POST", "/query",
             {"queries": [encode_query(q) for q in queries]},
@@ -333,7 +333,7 @@ class TestMaintenanceRoute:
         service, app = setting
         network = service.executor.network
         edges = sorted(network.edges())
-        queries = [SAMPLES[t.__name__] for t in wire_types()]
+        queries = [QUERY_SAMPLES[t] for t in QUERY_TYPES]
         before = service.run_many(queries)
         status, body = call(app, "POST", "/maintenance", payload)
         assert status == 400

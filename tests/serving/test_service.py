@@ -497,6 +497,35 @@ class TestAdmissionControl:
         assert asyncio.run(go()) == service.run(KNNQuery(0, 2))
         service.close()
 
+    def test_kind_naming_another_method_is_refused(self, network, objects):
+        """Only the declared query classes dispatch: an object whose
+        ``kind`` names some other snapshot method (``close``) is refused
+        by ``supports``, ``execute`` and ``submit`` and never called."""
+
+        class Impostor:
+            kind = "close"
+            node = 0
+
+        road = ROAD.build(network.copy(), levels=3)
+        road.attach_objects(objects)
+        snapshot = road.freeze()
+        service = RoadService(snapshot)
+        try:
+            assert not snapshot.supports(Impostor())
+            with pytest.raises(UnsupportedQueryError, match="FrozenRoad"):
+                snapshot.execute(Impostor())
+
+            async def go():
+                with pytest.raises(UnsupportedQueryError, match="FrozenRoad"):
+                    await service.submit(Impostor())
+                return await service.submit(KNNQuery(0, 2))
+
+            # The snapshot was not closed: it still serves, sync and async.
+            assert asyncio.run(go()) == snapshot.execute(KNNQuery(0, 2))
+            assert service.run(KNNQuery(0, 2)) == snapshot.execute(KNNQuery(0, 2))
+        finally:
+            service.close()
+
     def test_unknown_directory_rejected_before_admission(
         self, network, objects
     ):
