@@ -19,7 +19,7 @@ coexist on the same network: construct one per object set with distinct
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.graph.network import RoadNetwork
 from repro.core.object_abstract import AbstractFactory, ObjectAbstract, exact_abstract
@@ -86,6 +86,24 @@ class AssociationDirectory:
         if abstract is None:
             return False
         return abstract.may_contain(predicate)
+
+    def pruning_keys(self, edge: Tuple[int, int]) -> Dict[int, Hashable]:
+        """The :meth:`~repro.core.object_abstract.ObjectAbstract.pruning_key`
+        of every Rnet in ``edge``'s chain (``None``: no abstract), uncharged.
+
+        An object write on ``edge`` can change how a search treats an
+        Rnet of the chain — bypass or descend, for any predicate — only
+        if it moves that Rnet's key (Section 5.1).  An edge the network
+        lacks has no chain, so the write itself refuses it.
+        """
+        if not self.network.has_edge(*edge):
+            return {}
+        leaf = self.hierarchy.leaf_of_edge(*edge)
+        keys: Dict[int, Hashable] = {}
+        for rnet in self.hierarchy.ancestors(leaf.rnet_id):
+            abstract = self._tree.peek(_rnet_key(rnet.rnet_id))
+            keys[rnet.rnet_id] = None if abstract is None else abstract.pruning_key()
+        return keys
 
     # ------------------------------------------------------------------
     # Object updates (Section 5.1) — Route Overlay is never touched

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.association_directory import AssociationDirectory
 from repro.core.maintenance import (
@@ -230,12 +230,16 @@ class ROAD(QueryExecutor):
         """Insert an object (Section 5.1; Route Overlay untouched).
 
         Returns a report identifying the touched node entries, the Rnet
-        chain whose abstracts changed, and the directory churned — enough
-        for :meth:`repro.core.frozen.FrozenRoad.apply` to patch a
-        snapshot, including one compiled over several directories.
+        chain whose abstracts changed (and those of it whose pruning
+        answers can differ now), and the directory churned — enough for
+        :meth:`repro.core.frozen.FrozenRoad.apply` to patch a snapshot,
+        including one compiled over several directories, and for the
+        serving result cache to evict only the answers it can reach.
         """
-        self.directory(directory).insert(obj)
-        return self._object_report("insert_object", obj, directory)
+        target = self.directory(directory)
+        before = target.pruning_keys(obj.edge)
+        target.insert(obj)
+        return self._object_report("insert_object", obj, directory, before)
 
     def delete_object(
         self, object_id: int, *, directory: str = DEFAULT_DIRECTORY
@@ -244,20 +248,30 @@ class ROAD(QueryExecutor):
 
         Returns a report whose ``obj`` field carries the removed object.
         """
-        removed = self.directory(directory).delete(object_id)
-        return self._object_report("delete_object", removed, directory)
+        target = self.directory(directory)
+        before = target.pruning_keys(target.get_object(object_id).edge)
+        removed = target.delete(object_id)
+        return self._object_report("delete_object", removed, directory, before)
 
     def _object_report(
-        self, kind: str, obj: SpatialObject, directory: str
+        self,
+        kind: str,
+        obj: SpatialObject,
+        directory: str,
+        before: Dict[int, Hashable],
     ) -> MaintenanceReport:
+        """The report of one object write on ``obj``'s edge, ``before``
+        holding the chain's pruning keys taken ahead of the write."""
         u, v = obj.edge
-        leaf = self.hierarchy.leaf_of_edge(u, v)
-        chain = {rnet.rnet_id for rnet in self.hierarchy.ancestors(leaf.rnet_id)}
+        after = self.directory(directory).pruning_keys(obj.edge)
         return MaintenanceReport(
             kind=kind,
             edge=edge_key(u, v),
             dirty_nodes={u, v},
-            dirty_rnets=chain,
+            dirty_rnets=set(after),
+            mask_rnets={
+                rnet_id for rnet_id, key in after.items() if key != before[rnet_id]
+            },
             obj=obj,
             directory=directory,
         )
@@ -275,8 +289,10 @@ class ROAD(QueryExecutor):
         object) so a patched snapshot can refresh the object's entries and
         the Rnet chain's abstracts/masks.
         """
-        updated = self.directory(directory).update_attrs(object_id, attrs)
-        return self._object_report("update_object", updated, directory)
+        target = self.directory(directory)
+        before = target.pruning_keys(target.get_object(object_id).edge)
+        updated = target.update_attrs(object_id, attrs)
+        return self._object_report("update_object", updated, directory, before)
 
     # ------------------------------------------------------------------
     # Queries (Section 4)

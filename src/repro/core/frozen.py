@@ -1559,6 +1559,7 @@ class FrozenRoad(QueryExecutor):
         c_np = c_op = c_er = c_st = c_rb = c_rd = 0
         track = stats is not None
         rnet_seen: Set[int] = set()
+        settled: List[int] = []  # tracked sweeps only: codes in pop order
         try:
             while heap:
                 distance, _, code = pop(heap)
@@ -1585,6 +1586,8 @@ class FrozenRoad(QueryExecutor):
                     continue
                 visited[code] = 1
                 c_np += 1
+                if track:
+                    settled.append(code)
                 # SearchObject(AD, node): matching objects in stored order,
                 # as the charged `_collect_node_objects` does.
                 for j in range(obj_start[code], obj_start[code + 1]):
@@ -1649,7 +1652,7 @@ class FrozenRoad(QueryExecutor):
                 stats.shortcuts_taken += c_st
                 stats.rnets_bypassed += c_rb
                 stats.rnets_descended += c_rd
-                self._flush_footprint(stats, visited, rnet_seen, heap)
+                self._flush_footprint(stats, settled, rnet_seen, may, heap)
 
     def _collect(
         self,
@@ -1718,38 +1721,35 @@ class FrozenRoad(QueryExecutor):
     def _flush_footprint(
         self,
         stats: SearchStats,
-        visited: bytearray,
+        settled: Sequence[int],
         rnet_slots: Set[int],
+        may: BoolMask,
         heap: Sequence[Tuple[float, int, int]] = (),
     ) -> None:
-        """Record one sweep's examined nodes + examined Rnets, translated.
+        """Record one sweep's examined nodes + Rnets, translated to ids.
 
-        ``visited`` is the pop-time bytearray (a code's byte is set to 1
-        only when the node settles, matching the charged pop-time
-        recording) and ``heap`` the unpopped remnant, the entry that
-        tripped the bound included — together every node the sweep
-        pushed (see :meth:`_sweep`): the frontier boundary is part of
-        the footprint because a patch on an exactly-tied boundary node
-        can reach into the answer.  Both are read once after the sweep
-        so the hot loop pays nothing extra.
+        ``settled`` lists the codes the sweep settled (each once, as it
+        settled them, matching the charged pop-time recording) and
+        ``heap`` the unpopped remnant, the entry that tripped the bound
+        included — together every node the sweep pushed (see
+        :meth:`_sweep`): the frontier boundary is part of the footprint
+        because a patch on an exactly-tied boundary node can reach into
+        the answer.  ``rnet_slots`` are the examined entries' slots and
+        ``may`` the mask the sweep read them through, so the bypassed
+        ones — the slots ``may`` rejects — need no bookkeeping in the
+        hot loop.
 
-        Cost: one interpreter step per *settled* node.  The settled
-        codes are found by hopping ``visited.find(1, pos)`` — a C
-        ``memchr`` over the gaps — never by walking the |V|-byte array
-        in Python, so a footprint costs what the search cost, not what
-        the network holds.
+        Cost: one C-level ``map`` over the settled codes, so a footprint
+        costs a fraction of the search it records, never a second pass
+        over it.
         """
         node_ids = self.node_ids
-        add = stats.visited_nodes.add
-        find = visited.find
-        code = find(1)
-        while code >= 0:
-            add(node_ids[code])
-            code = find(1, code + 1)
-        stats.visited_nodes.update(
-            node_ids[code] for _, _, code in heap if code >= 0
-        )
+        visited_nodes = stats.visited_nodes
+        visited_nodes.update(map(node_ids.__getitem__, settled))
+        visited_nodes.update(node_ids[code] for _, _, code in heap if code >= 0)
         if rnet_slots:
-            stats.visited_rnets.update(
-                map(self._rnet_ids_by_slot().__getitem__, rnet_slots)
+            rnet_ids = self._rnet_ids_by_slot()
+            stats.visited_rnets.update(map(rnet_ids.__getitem__, rnet_slots))
+            stats.bypassed_rnets.update(
+                rnet_ids[slot] for slot in rnet_slots if not may[slot]
             )

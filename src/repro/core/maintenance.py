@@ -71,6 +71,12 @@ class MaintenanceReport:
     #: Identities of the Rnets whose shortcut sets (network updates) or
     #: object abstracts (object updates) changed.
     dirty_rnets: Set[int] = field(default_factory=set)
+    #: Object updates only: the subset of ``dirty_rnets`` whose abstract
+    #: can now answer some predicate differently (its
+    #: :meth:`~repro.core.object_abstract.ObjectAbstract.pruning_key`
+    #: moved) — the only Rnets where a search can switch between
+    #: bypassing and descending because of this update.
+    mask_rnets: Set[int] = field(default_factory=set)
     #: The object inserted/removed, for object-churn reports.
     obj: Optional[SpatialObject] = None
     #: The Association Directory the object churn happened in (None for

@@ -24,7 +24,7 @@ Directory owns that).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Hashable, Optional
 
 from repro.objects.bloom import BloomFilter
 from repro.objects.model import SpatialObject
@@ -49,6 +49,16 @@ class ObjectAbstract:
 
     def may_contain(self, predicate: Predicate) -> bool:
         """False only if *no* object satisfying ``predicate`` can be inside."""
+        raise NotImplementedError
+
+    def pruning_key(self) -> Hashable:
+        """Everything :meth:`may_contain` reads, as one hashable value.
+
+        Equal keys give equal ``may_contain`` answers for every
+        predicate, so a write that leaves an Rnet's key unchanged cannot
+        change a search through that Rnet (the Association Directory
+        reports the Rnets whose key moved, Section 5.1).
+        """
         raise NotImplementedError
 
     @property
@@ -78,6 +88,9 @@ class CountingAbstract(ObjectAbstract):
         return True
 
     def may_contain(self, predicate: Predicate) -> bool:
+        return self._count > 0
+
+    def pruning_key(self) -> Hashable:
         return self._count > 0
 
     @property
@@ -130,6 +143,15 @@ class ExactAbstract(ObjectAbstract):
                 return False
         return True
 
+    def pruning_key(self) -> Hashable:
+        # Only positive counters are kept, so the pairs present are the
+        # pairs a required (key, value) can find.
+        return self._count > 0, frozenset(
+            (key, value)
+            for key, values in self._attr_counts.items()
+            for value in values
+        )
+
     @property
     def count(self) -> int:
         return self._count
@@ -167,6 +189,9 @@ class BloomAbstract(ObjectAbstract):
             for key, value in predicate.required
         )
 
+    def pruning_key(self) -> Hashable:
+        return self._count > 0, self._bloom.bits
+
     @property
     def count(self) -> int:
         return self._count
@@ -190,6 +215,9 @@ class SignatureAbstract(ObjectAbstract):
 
     def may_contain(self, predicate: Predicate) -> bool:
         return self._signature.may_contain(predicate.as_dict())
+
+    def pruning_key(self) -> Hashable:
+        return self._signature.count > 0, self._signature.bits
 
     @property
     def count(self) -> int:

@@ -37,16 +37,21 @@ class SearchStats:
 
     Besides the scalar counters, a search records its *footprint*: the
     node ids it pushed (``visited_nodes`` — settled, still queued when
-    it stopped, or popped beyond its bound; see :func:`object_sweep`)
-    and the Rnet ids whose Association Directory abstract it consulted
+    it stopped, or popped beyond its bound; see :func:`object_sweep`),
+    the Rnet ids whose Association Directory abstract it consulted
     (``visited_rnets``, every entry examined by ChoosePath — bypassed,
-    descended, or leaf).
-    The footprint is the identity set a ``MaintenanceReport``'s dirty
-    nodes/Rnets must intersect for a patch to possibly change the
-    answer, which is what the serving result cache keys invalidation
-    on.  Both engines must report identical sets for the same query —
-    the cross-engine parity suites compare whole ``SearchStats``
-    values, footprints included.
+    descended, or leaf), and the subset of those it crossed on
+    shortcuts (``bypassed_rnets``).  One query reads one abstract
+    answer per Rnet, so an examined Rnet is either bypassed or
+    descended (its children or leaf edges walked), never both.
+    The footprint bounds what a maintenance report can change in the
+    answer (Section 5): a reweighed edge matters only through a node
+    in ``visited_nodes``, a refreshed Rnet's shortcuts only if it was
+    bypassed, and an abstract flip only on the side the search took —
+    which is what the serving result cache keys invalidation on.  Both
+    engines must report identical sets for the same query — the
+    cross-engine parity suites compare whole ``SearchStats`` values,
+    footprints included.
     """
 
     nodes_popped: int = 0
@@ -57,6 +62,7 @@ class SearchStats:
     rnets_descended: int = 0
     visited_nodes: Set[int] = field(default_factory=set)
     visited_rnets: Set[int] = field(default_factory=set)
+    bypassed_rnets: Set[int] = field(default_factory=set)
 
     @property
     def expansions(self) -> int:
@@ -392,6 +398,7 @@ def _choose_path_cached(
         if not abstracts.may_contain(entry.rnet_id):
             # Bypass: jump straight to the Rnet's other border nodes.
             stats.rnets_bypassed += 1
+            stats.bypassed_rnets.add(entry.rnet_id)
             for shortcut in entry.shortcuts:
                 frontier.push_node(
                     shortcut.target,

@@ -82,6 +82,11 @@ class BloomFilter:
         self._count = 0
 
     @property
+    def bits(self) -> int:
+        """The bitmap as an integer (bit ``i`` set = position ``i`` hit)."""
+        return self._bits
+
+    @property
     def fill_ratio(self) -> float:
         """Fraction of set bits — a false-positive-rate proxy."""
         return bin(self._bits).count("1") / self.num_bits

@@ -31,6 +31,8 @@ from __future__ import annotations
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple
 
+from repro.serving.result_cache import node_footprint
+
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     import threading
 
@@ -56,10 +58,11 @@ def execute_batch(
     per-predicate batch caches apply) and the answers come back as a
     list.  With it each query runs individually under its own
     :class:`~repro.core.search.SearchStats` and the result is
-    ``(answers, [(visited_nodes, visited_rnets), ...])`` — the per-query
-    visit sets the result cache records as invalidation footprints,
-    frozen here (on the replica's thread or in its process) so the cache
-    keeps these very objects instead of copying them under its lock.
+    ``(answers, [(visited_nodes, visited_rnets, bypassed_rnets), ...])``
+    — the per-query visit sets the result cache records as invalidation
+    footprints, converted here (on the replica's thread or in its
+    process; the nodes to a sorted tuple) so the cache keeps these very
+    objects instead of copying them under its lock.
     """
     if not footprints:
         return executor.execute_many(queries, directory=directory)
@@ -71,7 +74,11 @@ def execute_batch(
         stats = SearchStats()
         answers.append(executor.execute(query, directory=directory, stats=stats))
         visited.append(
-            (frozenset(stats.visited_nodes), frozenset(stats.visited_rnets))
+            (
+                node_footprint(stats.visited_nodes),
+                frozenset(stats.visited_rnets),
+                frozenset(stats.bypassed_rnets),
+            )
         )
     return answers, visited
 

@@ -9,17 +9,20 @@ lookups.  A cache that can serve stale answers is worse than no cache,
 which is why invalidation here is *report-driven* rather than
 flush-everything:
 
-* Every entry records the **footprint** its answer touched — the node
-  and Rnet visit sets from :class:`~repro.core.search.SearchStats`
-  (every node the sweep pushed: settled, still queued, or popped
-  beyond its bound) united with the query's own nodes — as
-  two frozensets, built once by the replica that executed the miss.
-* Every :class:`~repro.core.maintenance.MaintenanceReport` carries the
-  dirty identity sets of what it changed (``dirty_nodes`` /
-  ``dirty_rnets``) and, for object churn, the one directory it touched.
-  :meth:`ResultCache.invalidate_report` scans the entries of the
-  affected directories and evicts those whose footprint is not
-  disjoint from the dirty sets — exactly the dirtied entries.
+* Every entry records the **footprint** its answer was computed from,
+  as :class:`~repro.core.search.SearchStats` reports it: every node the
+  sweep pushed (settled, still queued, or popped beyond its bound)
+  united with the query's own nodes, kept as a sorted tuple, and the
+  Rnets it examined, split into those it bypassed and those it
+  descended, kept as frozensets — built once by the replica that
+  executed the miss.
+* Every :class:`~repro.core.maintenance.MaintenanceReport` names the
+  edge it concerns, the Rnets whose shortcuts it changed
+  (``dirty_rnets``) and, for object churn, the one directory it touched
+  and the chain Rnets whose pruning answer can now differ
+  (``mask_rnets``).  :meth:`ResultCache.invalidate_report` scans the
+  entries of the affected directories and evicts exactly those the
+  write could change (the rule is spelled out there).
 * Structural reports (edge add/remove, border promotions) and re-freezes
   (attach/detach, replica rebuild) invalidate the affected scope
   wholesale — identity sets do not bound a shortcut-graph rebuild.
@@ -29,23 +32,36 @@ upkeep.  There is deliberately no node -> entries index: keeping one in
 step cost ~380 dict-of-set updates per populate (and as many again per
 eviction, under the lock) to save a scan that, at the default budget, is
 cheaper than the unlinking it triggered.  Measured on the full CA
-replica, 2,048 entries: passing over an entry costs 0.26 us (two
-``isdisjoint`` probes, each O(min) of the two sets), so 0.5 ms for a
-report that evicts nothing; over the churn workload's own reports
-``invalidate_report`` went 12.1 -> 2.3 ms median and 134 -> 14 ms worst
-with identical victims, and a populate 382 -> 35 us per entry.  Writes
+replica, 2,048 entries of the churn workload's pool (2-vCPU Xeon,
+CPython 3.11): passing over an entry costs 0.28 us (one ``isdisjoint``
+probe over at most a handful of Rnet ids, and a range test that ends
+most node probes before their binary search), so 0.57 ms for a report
+that evicts nothing; a populate costs 5 us per entry.  A sorted tuple
+holds a node footprint in a sixth of the memory of a frozenset.  Writes
 are about 1 in 100 operations; revisit if ``cache_budget`` grows 10x+.
 
-Correctness of the intersection test rests on two properties proven by
-the churn-soak equivalence suite:
+The rule is exact: an entry survives only a write that cannot change its
+answer.  A sweep run after the write repeats the sweep run before it up
+to their first difference (same pops, same pushes, same tie order), and
+a difference needs one of
 
-1. a changed edge always has an endpoint in some examined node set of
-   every query it could affect (relaxing an edge requires popping an
-   endpoint; an exactly-tied boundary node is in the frontier remnant,
-   which the footprint includes), and
-2. an object insert into a bypassed Rnet is caught by ``dirty_rnets``
-   intersecting the examined-Rnet set (``ChoosePath`` recorded every
-   Rnet entry it looked at, including the ones it bypassed).
+1. relaxing the changed edge or pushing the churned object, which needs
+   ``u`` or ``v`` settled — so an endpoint is in the node footprint (an
+   exactly-tied boundary node is in the frontier remnant, which the
+   footprint includes);
+2. taking a changed shortcut, which needs the reweighed Rnet bypassed —
+   a descended Rnet's shortcuts are never read;
+3. an examined Rnet whose may-contain flag flipped: one that turned on
+   was bypassed before the write (an insert can only turn flags on), one
+   that turned off was descended (a delete can only turn them off), and
+   an attribute update can do either.  One query reads one mask, so an
+   examined Rnet is bypassed or descended, never both.
+
+An OD answer is a pure network product (the directory only routes its
+admission), so object churn skips OD entries.  The twin churn soak
+(``tests/property/test_result_cache_equivalence.py``) holds the rule to
+byte-identical answers, and ``tests/serving/test_result_cache.py`` pins
+one case per clause.
 
 Populates are guarded by per-scope generation counters: a miss executed
 against a pre-patch snapshot can only be *refused* (a lost populate),
@@ -55,7 +71,9 @@ never stored over a post-patch invalidation.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from collections import OrderedDict
+from operator import attrgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.maintenance import MaintenanceReport
@@ -74,8 +92,20 @@ CacheKey = Tuple[str, str, tuple, tuple]
 #: ``(global generation, directory generation)`` captured at miss time.
 Generation = Tuple[int, int]
 
-#: One executed miss's ``(visited nodes, visited Rnets)``.
-Footprint = Tuple[frozenset, frozenset]
+#: One executed miss's ``(visited nodes, visited Rnets, bypassed Rnets)``:
+#: the nodes as a sorted tuple (see :func:`node_footprint`), the Rnets as
+#: frozensets.
+Footprint = Tuple[Tuple[int, ...], frozenset, frozenset]
+
+#: The side of an entry's examined Rnets an object report can reach, by
+#: report kind: an insert can only turn an abstract's answer on (a
+#: bypass could become a descent), a delete only off, an attribute
+#: update either way.
+_OBJECT_SIDES = {
+    "insert_object": "bypassed",
+    "delete_object": "descended",
+    "update_object": "rnets",
+}
 
 #: Distinguishes "no cached entry" from a cached empty answer.
 MISS = object()
@@ -143,17 +173,54 @@ def query_nodes(query: object) -> Tuple[int, ...]:
     return () if nodes_of is None else nodes_of(query)
 
 
-class _Entry:
-    """One cached answer plus the footprint that justifies evicting it."""
+def node_footprint(nodes: Iterable[int]) -> Tuple[int, ...]:
+    """A node visit set as the cache keeps it: sorted, without repeats.
 
-    __slots__ = ("answer", "nodes", "rnets")
+    The only question the cache asks of it is whether it holds one of a
+    report's two edge endpoints, which a binary search answers, and a
+    tuple costs a sixth of the memory of a frozenset of the same nodes.
+    """
+    if not isinstance(nodes, (set, frozenset)):
+        nodes = set(nodes)
+    return tuple(sorted(nodes))
+
+
+def _holds_any(nodes: Tuple[int, ...], wanted: Iterable[int]) -> bool:
+    """Whether the sorted, non-empty tuple ``nodes`` holds a node of
+    ``wanted``.  The range test first: a sweep's node ids tend to span
+    a narrow band of the id space, so most probes end there."""
+    low, high = nodes[0], nodes[-1]
+    for node in wanted:
+        if low <= node <= high and nodes[bisect_left(nodes, node)] == node:
+            return True
+    return False
+
+
+class _Entry:
+    """One cached answer plus the footprint that justifies evicting it.
+
+    ``rnets`` are the Rnets the sweep examined, split into the
+    ``bypassed`` ones and the ``descended`` rest.  An entry stored
+    without the split counts every examined Rnet on both sides.
+    """
+
+    __slots__ = ("answer", "nodes", "rnets", "bypassed", "descended")
 
     def __init__(
-        self, answer: list, nodes: frozenset, rnets: frozenset
+        self,
+        answer: list,
+        nodes: Tuple[int, ...],
+        rnets: frozenset,
+        bypassed: Optional[frozenset],
     ) -> None:
         self.answer = answer
         self.nodes = nodes
         self.rnets = rnets
+        if bypassed is None:
+            self.bypassed = self.descended = rnets
+        else:
+            self.bypassed = bypassed
+            self.descended = rnets - bypassed
 
 
 class ResultCache:
@@ -164,7 +231,7 @@ class ResultCache:
     maintenance.  Reads and populates are O(1) dictionary operations —
     an entry *is* its footprint, there is no index to maintain — and a
     maintenance report scans the entries of the directories it touches,
-    0.26 us per entry scanned (see the module docstring's cost model).
+    0.28 us per entry scanned (see the module docstring's cost model).
     """
 
     def __init__(
@@ -262,12 +329,18 @@ class ResultCache:
         nodes: Iterable[int],
         rnets: Iterable[int],
         generation: Generation,
+        bypassed: Optional[Iterable[int]] = None,
     ) -> bool:
         """Populate ``key`` with ``answer``; True if the entry went in.
 
-        ``nodes`` / ``rnets`` become the entry's footprint; frozensets
-        (what :func:`~repro.serving.replicas.execute_batch` hands over)
-        are kept as they are, anything else is frozen here.  Refused
+        ``nodes`` / ``rnets`` / ``bypassed`` become the entry's
+        footprint.  What :func:`~repro.serving.replicas.execute_batch`
+        hands over — the nodes as a :func:`node_footprint` tuple, the
+        Rnets as frozensets — is kept as it is; anything else is
+        converted here, so a tuple of nodes must already be sorted and
+        free of repeats.  Without
+        ``bypassed`` every examined Rnet counts as both bypassed and
+        descended, which evicts on a superset of the exact rule.  Refused
         when ``generation`` is stale (an invalidation landed while the
         miss executed — the answer may predate the patch) or when the
         node footprint is empty (nothing to invalidate on, so the entry
@@ -276,7 +349,12 @@ class ResultCache:
         """
         if key is None:
             return False
-        entry = _Entry(answer, frozenset(nodes), frozenset(rnets))
+        entry = _Entry(
+            answer,
+            nodes if type(nodes) is tuple else node_footprint(nodes),
+            frozenset(rnets),
+            None if bypassed is None else frozenset(bypassed),
+        )
         if not entry.nodes:
             return False
         directory = key[0]
@@ -299,38 +377,53 @@ class ResultCache:
         executed: Iterable[Tuple[Optional[CacheKey], object, list, Footprint]],
         generation: Generation,
     ) -> None:
-        """Store each executed ``(key, query, answer, (nodes, rnets))`` miss
-        under its visit set united with the query's own nodes."""
-        for key, query, answer, (nodes, rnets) in executed:
+        """Store each executed ``(key, query, answer, (nodes, rnets,
+        bypassed))`` miss under its visit sets, the query's own nodes
+        joining the node set."""
+        for key, query, answer, (nodes, rnets, bypassed) in executed:
             if not nodes:
                 # The executor reported no visit set (a baseline
                 # without footprint support): caching it would make
                 # the entry invisible to report invalidation.
                 continue
             own = query_nodes(query)
-            if not nodes.issuperset(own):
+            if not all(_holds_any(nodes, (node,)) for node in own):
                 # Rare (a sweep settles its own origins first): only
-                # then is the kernel's set copied to widen it.
-                nodes = nodes.union(own)
-            self.store(key, list(answer), nodes, rnets, generation)
+                # then is the kernel's tuple copied to widen it.
+                nodes = node_footprint(nodes + tuple(own))
+            self.store(key, list(answer), nodes, rnets, generation, bypassed)
 
     # ------------------------------------------------------------------
     # Invalidation path
     # ------------------------------------------------------------------
     def invalidate_report(self, report: MaintenanceReport) -> int:
-        """Evict every entry whose footprint the report dirtied.
+        """Evict every entry whose answer the report could change.
 
         Object reports carry their directory and scan only its entries;
         network reports (``directory is None``) dirty the shared graph,
-        so every directory is scanned.  Each scanned entry costs two
-        ``isdisjoint`` probes, O(min(dirty, footprint)).  Structural
-        reports invalidate the affected scope wholesale: a
-        shortcut-graph rebuild is not bounded by identity sets.  Returns
-        the number of entries evicted; the populate generation advances
-        regardless, so in-flight misses against the pre-patch snapshot
-        are refused.
+        so every directory is scanned.  A non-structural report kills an
+        entry iff the entry's nodes hold an endpoint of ``report.edge``
+        (a report without an edge falls back to ``dirty_nodes``), or the
+        Rnets the report changed meet the side of the entry's examined
+        Rnets that reads them: for a reweigh, its ``dirty_rnets`` against
+        the bypassed Rnets (shortcuts are read only there); for object
+        churn, its ``mask_rnets`` against the side :data:`_OBJECT_SIDES`
+        names.  An OD answer never reads the directory, so object churn
+        skips OD entries.  Each scanned entry costs one ``isdisjoint``
+        probe over the report's few Rnets and a binary search per
+        endpoint.  Structural reports invalidate the affected scope
+        wholesale: a shortcut-graph rebuild is not bounded by identity
+        sets.  Returns the number of entries evicted; the populate
+        generation advances regardless, so in-flight misses against the
+        pre-patch snapshot are refused.
         """
-        dirty_nodes, dirty_rnets = report.dirty_nodes, report.dirty_rnets
+        side = _OBJECT_SIDES.get(report.kind)
+        if side is None:
+            reads, changed = attrgetter("bypassed"), report.dirty_rnets
+        else:
+            reads, changed = attrgetter(side), report.mask_rnets
+        endpoints = report.dirty_nodes if report.edge is None else report.edge
+        spared_kind = None if side is None else ODMatrixQuery.__name__
         with self._lock:
             if report.directory is None:
                 self._gen_global += 1
@@ -348,9 +441,10 @@ class ResultCache:
                     key
                     for scope in scopes
                     for key, entry in scope.items()
-                    if not (
-                        dirty_nodes.isdisjoint(entry.nodes)
-                        and dirty_rnets.isdisjoint(entry.rnets)
+                    if key[1] != spared_kind
+                    and (
+                        not changed.isdisjoint(reads(entry))
+                        or _holds_any(entry.nodes, endpoints)
                     )
                 ]
             return self._invalidate(victims)

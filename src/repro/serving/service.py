@@ -958,8 +958,8 @@ class RoadService:
     def _invalidate_cache(self, report: MaintenanceReport) -> None:
         """Report-driven cache eviction (no-op when the cache is off).
 
-        Evicts by footprint intersection; structural reports clear
-        wholesale inside ``invalidate_report``.
+        Evicts the entries whose footprint the report could change;
+        structural reports clear wholesale inside ``invalidate_report``.
         """
         cache = self._result_cache
         if cache is None:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import ROAD
 from repro.core.association_directory import AssociationDirectory, DirectoryError
 from repro.core.object_abstract import bloom_abstract
 from repro.core.rnet import RnetHierarchy
@@ -245,3 +246,42 @@ class TestBulkExport:
         freed = ad.free_pages()
         assert freed > 0
         assert pager.page_count == before
+
+
+class TestPruningKeys:
+    """What ``ROAD`` reports as ``mask_rnets``: the chain Rnets whose
+    pruning key an object write moved."""
+
+    def test_keys_cover_the_chain_and_follow_the_writes(self, setting):
+        net, hierarchy, _ = setting
+        u, v = some_edge(net)
+        ad = make_directory(setting)
+        leaf = hierarchy.leaf_of_edge(u, v)
+        chain = [rnet.rnet_id for rnet in hierarchy.ancestors(leaf.rnet_id)]
+        empty = ad.pruning_keys((u, v))
+        assert list(empty) == chain and set(empty.values()) == {None}
+        ad.insert(SpatialObject(1, (u, v), 0.0, {"type": "hotel"}))
+        one = ad.pruning_keys((u, v))
+        assert all(one[r] != empty[r] for r in chain)  # the chain turned on
+        ad.insert(SpatialObject(2, (u, v), 0.0, {"type": "hotel"}))
+        assert ad.pruning_keys((u, v)) == one  # a repeated pair moves nothing
+        ad.delete(2)
+        ad.delete(1)
+        assert ad.pruning_keys((u, v)) == empty
+
+    def test_an_edge_the_network_lacks_has_no_chain(self, setting):
+        assert make_directory(setting).pruning_keys((0, 99)) == {}
+
+    def test_road_reports_the_moved_keys(self, medium_grid):
+        road = ROAD.build(medium_grid, levels=2, fanout=4)
+        road.attach_objects(ObjectSet())
+        u, v = some_edge(medium_grid)
+        hotel = SpatialObject(1, (u, v), 0.0, {"type": "hotel"})
+        report = road.insert_object(hotel)
+        assert report.mask_rnets == report.dirty_rnets  # every Rnet was empty
+        twin = SpatialObject(2, (u, v), 0.0, {"type": "hotel"})
+        assert road.insert_object(twin).mask_rnets == set()
+        assert road.delete_object(2).mask_rnets == set()
+        assert road.delete_object(1).mask_rnets == report.dirty_rnets
+        with pytest.raises(DirectoryError):  # refused by the write itself
+            road.insert_object(SpatialObject(3, (0, 99), 0.0))

@@ -335,8 +335,9 @@ def _brute_force_footprint(frozen, visited, heap):
 
 
 class TestFootprint:
-    """`_flush_footprint` hops settled codes instead of walking |V|; the
-    slot -> Rnet-id table it translates through is cached per snapshot."""
+    """`_flush_footprint` maps the sweep's settled codes instead of
+    walking |V|; the slot -> Rnet-id table it translates through is
+    cached per snapshot."""
 
     @pytest.mark.parametrize(
         "settled",
@@ -352,13 +353,14 @@ class TestFootprint:
     )
     def test_matches_the_brute_force_definition(self, frozen, settled):
         visited = bytearray(frozen.num_nodes)
-        for code in settled:
+        codes = [code % frozen.num_nodes for code in settled]
+        for code in codes:
             visited[code] = 1
         # Remnant: one unsettled node, one settled node, one object entry
         # (objects ride the heap as ~object_id and are not nodes).
         heap = [(1.0, 1, 7), (1.5, 2, 4), (2.0, 3, ~3)]
         stats = SearchStats()
-        frozen._flush_footprint(stats, visited, set(), heap)
+        frozen._flush_footprint(stats, codes, set(), (), heap)
         assert stats.visited_nodes == _brute_force_footprint(frozen, visited, heap)
         assert stats.visited_rnets == set()
 
@@ -370,13 +372,18 @@ class TestFootprint:
         net, _, road = built
         real, settled_counts = frozen._flush_footprint, []
 
-        def spy(stats, visited, rnet_slots, heap=()):
+        def spy(stats, settled, rnet_slots, may, heap=()):
             assert not stats.visited_nodes
-            real(stats, visited, rnet_slots, heap)
+            assert len(set(settled)) == len(settled)  # each code once
+            visited = bytearray(frozen.num_nodes)
+            for code in settled:
+                visited[code] = 1
+            real(stats, settled, rnet_slots, may, heap)
             assert stats.visited_nodes == _brute_force_footprint(
                 frozen, visited, heap
             )
-            settled_counts.append(sum(visited))
+            assert stats.bypassed_rnets <= stats.visited_rnets
+            settled_counts.append(len(settled))
 
         monkeypatch.setattr(frozen, "_flush_footprint", spy)
         for node in list(net.node_ids())[::13]:

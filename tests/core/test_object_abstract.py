@@ -1,4 +1,7 @@
-"""Object abstracts: no false negatives, update semantics, sizes."""
+"""Object abstracts: no false negatives, update semantics, sizes, and
+pruning keys."""
+
+import random
 
 import pytest
 
@@ -158,3 +161,119 @@ class TestFixedSizeAbstracts:
         factory = signature_abstract()
         a, b = factory(), factory()
         assert a._signature.scheme is b._signature.scheme
+
+
+#: A predicate sample: the unconstrained one, every single pair of a small
+#: vocabulary (seen and unseen), and some conjunctions.
+VOCABULARY = {"type": ["hotel", "fuel", "cafe"], "stars": ["3", "5"]}
+PREDICATES = (
+    [ANY, Predicate.of(type="bank")]
+    + [
+        Predicate.of(**{key: value})
+        for key, values in VOCABULARY.items()
+        for value in values
+    ]
+    + [
+        Predicate.of(type=kind, stars=stars)
+        for kind in VOCABULARY["type"]
+        for stars in VOCABULARY["stars"]
+    ]
+)
+
+
+def answers(abstract):
+    return tuple(abstract.may_contain(predicate) for predicate in PREDICATES)
+
+
+def random_abstracts(factory, seed, count=300):
+    """Abstracts over random object multisets: adds, and for abstracts
+    that can delete, removes — so many distinct histories share a key."""
+    rnd = random.Random(seed)
+    out = []
+    for _ in range(count):
+        abstract, live = factory(), []
+        for step in range(rnd.randrange(0, 6)):
+            if live and rnd.random() < 0.3 and abstract.remove(live[-1]):
+                live.pop()
+                continue
+            attrs = {
+                key: rnd.choice(values)
+                for key, values in VOCABULARY.items()
+                if rnd.random() < 0.7
+            }
+            new = obj(step, **attrs)
+            abstract.add(new)
+            live.append(new)
+        out.append(abstract)
+    return out
+
+
+@pytest.mark.parametrize("factory", ALL_FACTORIES)
+class TestPruningKey:
+    def test_equal_keys_give_equal_answers(self, factory):
+        by_key = {}
+        for abstract in random_abstracts(factory, seed=7):
+            by_key.setdefault(abstract.pruning_key(), set()).add(answers(abstract))
+        assert all(len(seen) == 1 for seen in by_key.values()), by_key
+        # The sample is not degenerate: keys repeat and differ.
+        assert 1 < len(by_key) < 300
+
+    def test_empty_and_non_empty_keys_differ(self, factory):
+        abstract = factory()
+        empty = abstract.pruning_key()
+        hash(empty)
+        abstract.add(obj(type="hotel"))
+        assert abstract.pruning_key() != empty
+        assert factory().pruning_key() == empty
+
+    def test_a_repeated_pair_keeps_the_key(self, factory):
+        abstract = factory()
+        abstract.add(obj(1, type="hotel"))
+        before = abstract.pruning_key()
+        abstract.add(obj(2, type="hotel"))
+        assert abstract.pruning_key() == before
+
+
+@pytest.mark.parametrize(
+    "factory", [exact_abstract, bloom_abstract(), signature_abstract()]
+)
+def test_a_first_pair_moves_the_key(factory):
+    abstract = factory()
+    abstract.add(obj(1, type="hotel"))
+    before = abstract.pruning_key()
+    abstract.add(obj(2, type="fuel"))
+    assert abstract.pruning_key() != before
+
+
+def test_counting_key_ignores_attributes():
+    abstract = CountingAbstract()
+    abstract.add(obj(1, type="hotel"))
+    before = abstract.pruning_key()
+    abstract.add(obj(2, type="fuel"))
+    assert abstract.pruning_key() == before
+
+
+@pytest.mark.parametrize("factory", [exact_abstract, counting_abstract])
+def test_removing_the_last_object_restores_the_empty_key(factory):
+    abstract = factory()
+    empty = abstract.pruning_key()
+    hotel = obj(1, type="hotel")
+    abstract.add(hotel)
+    assert abstract.remove(hotel)
+    assert abstract.pruning_key() == empty
+
+
+def test_exact_key_moves_on_a_last_pair_only():
+    abstract = ExactAbstract()
+    first, second = obj(1, type="hotel"), obj(2, type="hotel")
+    fuel = obj(3, type="fuel")
+    for o in (first, second, fuel):
+        abstract.add(o)
+    full = abstract.pruning_key()
+    abstract.remove(first)  # one hotel is left: the pair stays
+    assert abstract.pruning_key() == full
+    abstract.remove(fuel)  # the last fuel: the pair goes
+    assert abstract.pruning_key() != full
+    only_hotels = ExactAbstract()
+    only_hotels.add(obj(4, type="hotel"))
+    assert abstract.pruning_key() == only_hotels.pruning_key()

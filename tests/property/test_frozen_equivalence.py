@@ -15,7 +15,7 @@ from repro.core.frozen_backends import installed_backends
 from repro.core.object_abstract import counting_abstract, exact_abstract
 from repro.core.search import SearchStats
 from repro.objects.model import ObjectSet, SpatialObject
-from repro.queries.types import Predicate
+from repro.queries.types import ANY, Predicate
 from tests.conftest import random_connected_network
 from tests.oracle import assert_same_result, brute_knn, brute_range
 
@@ -39,6 +39,18 @@ def _assert_no_pager_traffic(road, run):
         f"frozen query touched the pager: {diff}"
     )
     return out
+
+
+def _assert_one_side_per_rnet(road, stats, predicate=ANY):
+    """Every examined Rnet took exactly the side its one abstract answer
+    names: bypassed iff the directory says it cannot hold a match, so no
+    Rnet is both bypassed and descended within one query."""
+    directory = road.directory()
+    assert stats.bypassed_rnets == {
+        rnet_id
+        for rnet_id in stats.visited_rnets
+        if not directory.rnet_may_contain(rnet_id, predicate)
+    }
 
 
 @settings(max_examples=20, deadline=None)
@@ -94,8 +106,13 @@ def test_frozen_predicate_equivalence(seed, counting):
     pred = Predicate.of(type="a")
     for _ in range(3):
         nq = rnd.randrange(network.num_nodes)
-        got = _assert_no_pager_traffic(road, lambda: frozen.knn(nq, 3, pred))
-        assert got == road.knn(nq, 3, pred)
+        s_frozen, s_charged = SearchStats(), SearchStats()
+        got = _assert_no_pager_traffic(
+            road, lambda: frozen.knn(nq, 3, pred, stats=s_frozen)
+        )
+        assert got == road.knn(nq, 3, pred, stats=s_charged)
+        assert s_frozen == s_charged  # bypassed_rnets included
+        _assert_one_side_per_rnet(road, s_charged, pred)
         assert_same_result(got, brute_knn(network, objects, nq, 3, pred))
 
 
@@ -144,5 +161,6 @@ def test_range_whole_stats_parity_on_the_largest_network():
                 got = SearchStats()
                 assert frozen.range(node, radius, stats=got) == want
                 assert got == charged, (frozen.backend, node, radius)
+            _assert_one_side_per_rnet(road, charged)
     for frozen in snapshots:
         frozen.close()

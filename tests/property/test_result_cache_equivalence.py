@@ -5,8 +5,12 @@ change *nothing* but latency.  Each soak drives two twin services —
 identical network, identical objects, one with ``result_cache=True`` —
 through random interleavings of all six maintenance operations
 (edge-weight updates, edge addition/removal, object insert/delete/
-attr-update) and batches covering all six query kinds.  After every
-batch:
+attr-update), plus the two object writes that flip an abstract's
+pruning answer (an insert onto an object-free leaf, the delete of a
+leaf's last object), and batches covering all six query kinds.  Every
+batch re-asks one standing set of queries, so an entry the exact
+invalidation rule spared is served across the write it survived.
+After every batch:
 
 * the cached service's answers are byte-identical to the uncached
   twin's, on the **populate** pass and again on the **hit** pass (the
@@ -24,7 +28,7 @@ shared-memory process pool.
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.core.frozen_backends import shared_memory_available
@@ -99,9 +103,12 @@ def _maintain_twins(rnd, network, cached, uncached, added):
     Returns False when the drawn op was inapplicable this step (e.g.
     nothing left to delete) — the caller just proceeds to the queries.
     """
-    action = rnd.randrange(6)
+    action = rnd.randrange(8)
     edges = sorted((u, v) for u, v, _ in cached.executor.network.edges())
-    directory = cached.executor.road.directory()
+    road = cached.executor.road
+    directory = road.directory()
+    if action >= 6:
+        return _flip_a_leaf(rnd, road, cached, uncached, insert=action == 6)
     if action == 0:  # congestion / clearing
         u, v = edges[rnd.randrange(len(edges))]
         factor = rnd.choice([0.3, 0.5, 1.8, 3.0])
@@ -156,6 +163,54 @@ def _maintain_twins(rnd, network, cached, uncached, added):
     return True
 
 
+def _flip_a_leaf(rnd, road, cached, uncached, *, insert):
+    """Turn one leaf's abstract on (insert onto an object-free leaf) or
+    off (delete a leaf's last object): the writes whose reports carry a
+    ``mask_rnets`` entry, the only hook a bypass or a descent has."""
+    directory = road.directory()
+    hosted = {}
+    for obj in directory.objects:
+        leaf = road.hierarchy.leaf_of_edge(*obj.edge).rnet_id
+        hosted.setdefault(leaf, []).append(obj)
+    if insert:
+        edges = sorted(
+            edge
+            for leaf in road.hierarchy.leaves()
+            if leaf.rnet_id not in hosted
+            for edge in leaf.edges
+        )
+        if not edges:
+            return False
+        u, v = edges[rnd.randrange(len(edges))]
+        obj = SpatialObject(
+            directory.objects.next_id(),
+            (u, v),
+            rnd.uniform(0.0, cached.executor.network.edge_distance(u, v)),
+            {"type": rnd.choice(["a", "b"])},
+        )
+        for service in (cached, uncached):
+            service.insert_object(obj)
+    else:
+        lone = sorted(
+            objects[0].object_id
+            for objects in hosted.values()
+            if len(objects) == 1
+        )
+        if not lone or len(directory.objects) <= 1:
+            return False
+        obj = directory.objects.get(lone[rnd.randrange(len(lone))])
+        for service in (cached, uncached):
+            service.delete_object(obj.object_id)
+    leaf = road.hierarchy.leaf_of_edge(*obj.edge).rnet_id
+    assert leaf in cached.executor.last_report.mask_rnets
+    event(
+        "flip: insert onto an object-free leaf"
+        if insert
+        else "flip: delete a leaf's last object"
+    )
+    return True
+
+
 def _soak(seed, config_kwargs, *, steps=5):
     rnd = random.Random(seed)
     network = random_connected_network(
@@ -178,10 +233,11 @@ def _soak(seed, config_kwargs, *, steps=5):
         config=ServiceConfig(**base),
     )
     added = []
+    standing = _query_batch(rnd, network)
     try:
         for _step in range(steps):
             _maintain_twins(rnd, network, cached, uncached, added)
-            batch = _query_batch(rnd, network)
+            batch = standing + _query_batch(rnd, network)
             # OD rides the hierarchy too: its Rnet-id footprint is soaked.
             assert any(isinstance(q, ODMatrixQuery) for q in batch)
             expected = uncached.run_many(batch)

@@ -7,11 +7,13 @@ Four contract surfaces of :mod:`repro.serving.result_cache`:
   multisets are answer-significant, so permutations must miss;
 * **LRU budget** — least-recently-*used* eviction order, with hits
   refreshing recency;
-* **invalidation precision** — a report dirtying node A must evict
-  every entry whose footprint contains A and no entry whose footprint
-  excludes it, scoped to the report's directory; structural reports
-  drop the scope wholesale; the populate generation refuses stale
-  stores;
+* **invalidation precision** — a report evicts exactly the entries it
+  could change: those holding an endpoint of its edge, and those whose
+  bypassed (reweigh, insert), descended (delete) or examined (attribute
+  update) Rnets meet the Rnets it changed, scoped to the report's
+  directory, with object churn sparing OD answers; one service-level
+  case pins each clause; structural reports drop the scope wholesale;
+  the populate generation refuses stale stores;
 * **counter accuracy** — the attribute counters, ``stats()`` and the
   ``road_cache_*_total`` families on ``/metrics`` all tell the same
   story;
@@ -51,15 +53,18 @@ from repro.serving.result_cache import (
     MISS,
     ResultCache,
     canonical_key,
+    node_footprint,
     query_nodes,
 )
 
 DIR = "objects"
 
 
-def _store(cache, key, answer, nodes, rnets=()):
+def _store(cache, key, answer, nodes, rnets=(), bypassed=None):
     """Populate with a fresh (non-stale) generation for the key's scope."""
-    return cache.store(key, answer, nodes, rnets, cache.generation(key[0]))
+    return cache.store(
+        key, answer, nodes, rnets, cache.generation(key[0]), bypassed
+    )
 
 
 class TestCanonicalKey:
@@ -226,31 +231,92 @@ class TestPopulateGuards:
 
 class TestInvalidationPrecision:
     def test_only_footprint_intersecting_entries_die(self):
+        # A reweigh of edge (2, 3) refreshing Rnet 4, whose borders
+        # (node 6 among them) fill ``dirty_nodes``: only the edge's
+        # endpoints and the Rnets crossed on shortcuts can reach an answer.
         cache = ResultCache(budget=8)
         near = canonical_key(DIR, KNNQuery(1, 1))
         far = canonical_key(DIR, KNNQuery(6, 1))
-        assert _store(cache, near, ["near"], {1, 2})
-        assert _store(cache, far, ["far"], {6, 7})
+        across = canonical_key(DIR, KNNQuery(9, 1))
+        assert _store(cache, near, ["near"], {1, 2}, bypassed=())
+        assert _store(cache, far, ["far"], {6, 7}, {4}, bypassed=())
+        assert _store(cache, across, ["across"], {9}, {4}, bypassed={4})
         evicted = cache.invalidate_report(
-            MaintenanceReport(kind="edge_distance", dirty_nodes={2, 3})
+            MaintenanceReport(
+                kind="edge_distance",
+                edge=(2, 3),
+                dirty_nodes={2, 3, 6},
+                dirty_rnets={4},
+            )
         )
-        assert evicted == 1
-        assert cache.lookup(near) is MISS
-        assert cache.lookup(far) == ["far"]  # footprint excludes node 2
-        assert cache.invalidations == 1
+        assert evicted == 2
+        assert cache.lookup(near) is MISS  # settled endpoint 2
+        assert cache.lookup(across) is MISS  # crossed Rnet 4 on shortcuts
+        # Settled a border of Rnet 4 and descended it: neither the edge
+        # nor a shortcut of Rnet 4 entered its sweep.
+        assert cache.lookup(far) == ["far"]
+        assert cache.invalidations == 2
 
     def test_dirty_rnets_reach_bypassed_expansions(self):
         # ChoosePath may answer without settling any node of an Rnet it
-        # bypassed — the examined-Rnet set is the only hook a report has.
+        # bypassed — the bypassed-Rnet set is the only hook a report has.
+        cache = ResultCache(budget=8)
+        bypassing = canonical_key(DIR, KNNQuery(0, 1))
+        descending = canonical_key(DIR, KNNQuery(1, 1))
+        assert _store(cache, bypassing, ["x"], {0}, {3}, bypassed={3})
+        assert _store(cache, descending, ["y"], {1}, {3}, bypassed=())
+        insert = MaintenanceReport(
+            kind="insert_object",
+            directory=DIR,
+            edge=(10, 11),
+            dirty_nodes={10, 11},
+            dirty_rnets={3, 5},
+            mask_rnets={3},
+        )
+        assert cache.invalidate_report(insert) == 1
+        assert cache.lookup(bypassing) is MISS
+        assert cache.lookup(descending) == ["y"]  # an insert only turns on
+        assert _store(cache, bypassing, ["x"], {0}, {3}, bypassed={3})
+        reweigh = MaintenanceReport(
+            kind="edge_distance", edge=(10, 11), dirty_rnets={3}
+        )
+        assert cache.invalidate_report(reweigh) == 1
+        assert cache.lookup(bypassing) is MISS
+        assert cache.lookup(descending) == ["y"]
+
+    def test_object_reports_reach_the_side_their_flip_can_change(self):
+        cache = ResultCache(budget=8)
+        bypassing = canonical_key(DIR, KNNQuery(0, 1))
+        descending = canonical_key(DIR, KNNQuery(1, 1))
+        elsewhere = canonical_key(DIR, KNNQuery(2, 1))
+
+        def fill():
+            _store(cache, bypassing, ["b"], {0}, {3, 4}, bypassed={3})
+            _store(cache, descending, ["d"], {1}, {3, 4}, bypassed={4})
+            _store(cache, elsewhere, ["e"], {2}, {4}, bypassed={4})
+
+        def survivors(kind):
+            fill()
+            cache.invalidate_report(
+                MaintenanceReport(
+                    kind=kind, directory=DIR, edge=(8, 9), mask_rnets={3}
+                )
+            )
+            return set(cache._entries)
+
+        assert survivors("insert_object") == {descending, elsewhere}
+        assert survivors("delete_object") == {bypassing, elsewhere}
+        assert survivors("update_object") == {elsewhere}
+
+    def test_a_store_without_the_split_counts_both_sides(self):
         cache = ResultCache(budget=8)
         key = canonical_key(DIR, KNNQuery(0, 1))
-        assert _store(cache, key, ["x"], {0}, rnets={3})
-        evicted = cache.invalidate_report(
-            MaintenanceReport(
-                kind="insert_object", directory=DIR, dirty_rnets={3}
+        for kind in ("insert_object", "delete_object", "edge_distance"):
+            assert _store(cache, key, ["x"], {0}, {3})
+            report = MaintenanceReport(
+                kind=kind, edge=(8, 9), dirty_rnets={3}, mask_rnets={3}
             )
-        )
-        assert (evicted, cache.lookup(key)) == (1, MISS)
+            assert cache.invalidate_report(report) == 1, kind
 
     def test_object_reports_are_directory_scoped(self):
         cache = ResultCache(budget=8)
@@ -352,25 +418,30 @@ class TestBatchSplit:
 
 class TestFootprintOwnership:
     def test_populate_keeps_the_executors_frozensets(self):
-        """The kernel's sets are frozen once (``execute_batch``); the
-        cache stores those very objects, no copy under its lock."""
+        """The kernel's sets are converted once (``execute_batch``): the
+        nodes to a sorted tuple, the Rnets to frozensets; the cache
+        stores those very objects, no copy under its lock."""
         cache = ResultCache(budget=4)
         query = KNNQuery(3, 1)
         key = canonical_key(DIR, query)
-        nodes, rnets = frozenset({3, 4, 5}), frozenset({10})
-        cache.populate([(key, query, ["x"], (nodes, rnets))], cache.generation(DIR))
+        nodes, rnets = node_footprint({5, 3, 4}), frozenset({10, 11})
+        bypassed = frozenset({10})
+        cache.populate(
+            [(key, query, ["x"], (nodes, rnets, bypassed))], cache.generation(DIR)
+        )
         entry = cache._entries[key]
         assert entry.nodes is nodes and entry.rnets is rnets
+        assert entry.bypassed is bypassed and entry.descended == {11}
 
     def test_populate_widens_a_footprint_missing_the_origin(self):
         cache = ResultCache(budget=4)
         query = AggregateKNNQuery((3, 9), 1)
         key = canonical_key(DIR, query)
         cache.populate(
-            [(key, query, ["x"], (frozenset({3, 4}), frozenset()))],
+            [(key, query, ["x"], ((3, 4), frozenset(), frozenset()))],
             cache.generation(DIR),
         )
-        assert cache._entries[key].nodes == {3, 4, 9}
+        assert cache._entries[key].nodes == (3, 4, 9)
         assert cache.invalidate_report(
             MaintenanceReport(kind="edge_distance", dirty_nodes={9})
         ) == 1
@@ -379,7 +450,14 @@ class TestFootprintOwnership:
         cache = ResultCache(budget=4)
         query = KNNQuery(3, 1)
         cache.populate(
-            [(canonical_key(DIR, query), query, ["x"], (frozenset(), frozenset()))],
+            [
+                (
+                    canonical_key(DIR, query),
+                    query,
+                    ["x"],
+                    ((), frozenset(), frozenset()),
+                )
+            ],
             cache.generation(DIR),
         )
         assert len(cache) == 0
@@ -471,7 +549,7 @@ class TestNoLeak:
         generations = {name: cache.generation(name) for name in keys}
         evicted = cache.invalidate_report(
             MaintenanceReport(
-                kind="insert_object", directory="hotels", dirty_rnets={7, 8}
+                kind="insert_object", directory="hotels", mask_rnets={7, 8}
             )
         )
         assert evicted == 2
@@ -512,6 +590,22 @@ class TestNoLeak:
 # ---------------------------------------------------------------------------
 # Service integration
 # ---------------------------------------------------------------------------
+
+
+def _reaches(report, key, entry):
+    """The exact rule, restated: can ``report`` change ``entry``'s answer?"""
+    if report.kind.endswith("_object") and key[1] == "ODMatrixQuery":
+        return False
+    if not set(report.edge).isdisjoint(entry.nodes):
+        return True
+    examined, bypassed = entry.rnets, entry.bypassed
+    if report.kind == "edge_distance":
+        return bool(report.dirty_rnets & bypassed)
+    if report.kind == "insert_object":
+        return bool(report.mask_rnets & bypassed)
+    if report.kind == "delete_object":
+        return bool(report.mask_rnets & (examined - bypassed))
+    return bool(report.mask_rnets & examined)
 
 
 def submit_all(service, queries, repeats=1):
@@ -646,28 +740,34 @@ class TestCachedService:
         assert post == cached_service.run_many(QUERIES)
 
     def test_invalidation_matches_footprints_exactly(self, cached_service):
-        """Service-level precision: recompute the victims a report should
-        claim from the stored footprints and hold the cache to exactly
-        that set — no sparing, no collateral."""
-        submit_all(cached_service, QUERIES)
+        """Service-level precision: recompute the victims each report
+        should claim from the stored footprints and hold the cache to
+        exactly that set — no sparing, no collateral — for a reweigh,
+        an insert and a delete."""
+        network = cached_service.executor.network
+        u, v, distance = sorted(network.edges())[0]
+        fresh = SpatialObject(10_000, (u, v), 0.0, {"type": "cafe"})
+        writes = [
+            lambda: cached_service.update_edge_distance(u, v, distance * 1.7),
+            lambda: cached_service.insert_object(fresh),
+            lambda: cached_service.delete_object(fresh.object_id),
+        ]
         cache = cached_service._result_cache
-        before = {
-            key: (entry.nodes, entry.rnets)
-            for key, entry in cache._entries.items()
-        }
-        assert len(before) == len(QUERIES)
-        u, v, distance = sorted(
-            cached_service.executor.network.edges()
-        )[0]
-        report = cached_service.update_edge_distance(u, v, distance * 1.7)
-        assert not report.structural
-        expected_victims = {
-            key
-            for key, (nodes, rnets) in before.items()
-            if nodes & report.dirty_nodes or rnets & report.dirty_rnets
-        }
-        assert set(before) - set(cache._entries) == expected_victims
-        assert cache.invalidations == len(expected_victims)
+        for write in writes:
+            submit_all(cached_service, QUERIES)
+            before = dict(cache._entries)
+            assert len(before) == len(QUERIES)
+            spent = cache.invalidations
+            write()
+            report = cached_service.executor.last_report
+            assert not report.structural
+            expected_victims = {
+                key for key, entry in before.items() if _reaches(report, key, entry)
+            }
+            assert set(before) - set(cache._entries) == expected_victims
+            assert cache.invalidations - spent == len(expected_victims)
+            (post,) = submit_all(cached_service, QUERIES)
+            assert post == cached_service.run_many(QUERIES)
 
     def test_od_entry_dies_when_a_bypassed_rnet_is_reweighed(
         self, network, objects, cached_service
@@ -810,6 +910,200 @@ class TestCachedService:
         assert snapshot["road_cache_entries"] == float(
             len(cached_service._result_cache)
         )
+
+
+class TestExactInvalidation:
+    """One service-level case per clause of the exact rule.
+
+    Each case finds, in a warmed cache, an entry that only its clause
+    can reach (the write's edge endpoints are outside the entry's
+    nodes), applies the write to the cached service and an uncached
+    twin, and holds the cache to evicting the entry and to answering
+    like the twin afterwards.  A 12x12 grid at three levels with ten
+    objects leaves object-free leaves and leaves of a single object
+    that a 2NN crosses both ways.
+    """
+
+    @pytest.fixture
+    def twins(self):
+        network = grid_network(12, 12, seed=3)
+        objects = place_uniform(
+            network, 10, seed=4, attr_choices={"type": ["cafe", "fuel"]}
+        )
+        cached = RoadService.build(
+            network.copy(), objects,
+            config=ServiceConfig(
+                mode="frozen", levels=3, max_batch=256,
+                result_cache=True, cache_budget=256,
+            ),
+        )
+        uncached = RoadService.build(
+            network.copy(), objects, config=ServiceConfig(mode="frozen", levels=3)
+        )
+        queries = [KNNQuery(node, 2) for node in range(network.num_nodes)]
+        submit_all(cached, queries)
+        assert len(cached._result_cache) == len(queries)
+        yield cached, uncached, queries
+        cached.close()
+        uncached.close()
+
+    @staticmethod
+    def _entries(service):
+        return list(service._result_cache._entries.items())
+
+    @staticmethod
+    def _apply(cached, uncached, write):
+        write(cached)
+        write(uncached)
+        return cached.executor.last_report
+
+    @staticmethod
+    def _assert_fresh(cached, uncached, queries):
+        (served,) = submit_all(cached, queries)
+        assert served == uncached.run_many(queries)
+
+    def test_a_reweigh_inside_a_bypassed_rnet_evicts(self, twins):
+        cached, uncached, queries = twins
+        road = cached.executor.road
+        network = cached.executor.network
+
+        def path_edges(rnet, a, b):
+            """Edges of the in-Rnet shortest path from border a to b."""
+            _, pred = dijkstra(
+                lambda n: (
+                    (m, w)
+                    for m, w in network.neighbours(n)
+                    if edge_key(n, m) in rnet.edges
+                ),
+                a,
+                targets={b},
+            )
+            if b not in pred:
+                return []
+            edges, node = [], b
+            while node != a:
+                edges.append((pred[node], node))
+                node = pred[node]
+            return edges
+
+        def candidates():
+            for key, entry in self._entries(cached):
+                for rnet_id in sorted(entry.bypassed):
+                    rnet = road.hierarchy.rnet(rnet_id)
+                    a, b = sorted(rnet.border)[:2]
+                    for x, y in path_edges(rnet, a, b):
+                        if {x, y}.isdisjoint(entry.nodes):
+                            yield key, rnet_id, (x, y)
+
+        key, rnet_id, (x, y) = next(candidates())
+        shorter = network.edge_distance(x, y) / 10
+        report = self._apply(
+            cached, uncached, lambda svc: svc.update_edge_distance(x, y, shorter)
+        )
+        assert rnet_id in report.dirty_rnets
+        assert key not in cached._result_cache._entries
+        self._assert_fresh(cached, uncached, queries)
+
+    def test_an_insert_into_a_bypassed_object_free_leaf_evicts(self, twins):
+        cached, uncached, queries = twins
+        road = cached.executor.road
+        directory = road.directory()
+        key, leaf, (u, v) = next(
+            (key, rnet_id, edge)
+            for key, entry in self._entries(cached)
+            for rnet_id in sorted(entry.bypassed)
+            if road.hierarchy.rnet(rnet_id).is_leaf
+            and directory.peek_rnet_abstract(rnet_id) is None
+            for edge in sorted(road.hierarchy.rnet(rnet_id).edges)
+            if set(edge).isdisjoint(entry.nodes)
+        )
+        obj = SpatialObject(10_000, (u, v), 0.0, {"type": "cafe"})
+        report = self._apply(cached, uncached, lambda svc: svc.insert_object(obj))
+        assert leaf in report.mask_rnets
+        assert key not in cached._result_cache._entries
+        self._assert_fresh(cached, uncached, queries)
+
+    def test_deleting_a_descended_leafs_last_object_evicts(self, twins):
+        cached, uncached, queries = twins
+        road = cached.executor.road
+        directory = road.directory()
+        hosted = {}
+        for obj in directory.objects:
+            leaf = road.hierarchy.leaf_of_edge(*obj.edge).rnet_id
+            hosted.setdefault(leaf, []).append(obj)
+        key, leaf, obj = next(
+            (key, rnet_id, hosted[rnet_id][0])
+            for key, entry in self._entries(cached)
+            for rnet_id in sorted(entry.descended)
+            if len(hosted.get(rnet_id, ())) == 1
+            and set(hosted[rnet_id][0].edge).isdisjoint(entry.nodes)
+        )
+        report = self._apply(
+            cached, uncached, lambda svc: svc.delete_object(obj.object_id)
+        )
+        assert leaf in report.mask_rnets
+        assert key not in cached._result_cache._entries
+        self._assert_fresh(cached, uncached, queries)
+
+    def _insert_beside_a_twin(self, twins):
+        """Insert, at a cached origin, an object whose attributes its leaf
+        already holds: no abstract's pruning key moves."""
+        cached, uncached, queries = twins
+        road = cached.executor.road
+        directory = road.directory()
+        origin, (u, v), twin = next(
+            (node, edge_key(node, m), obj)
+            for node in range(len(queries))
+            for m, _ in sorted(road.network.neighbours(node))
+            for obj in directory.objects
+            if road.hierarchy.leaf_of_edge(*obj.edge)
+            is road.hierarchy.leaf_of_edge(node, m)
+        )
+        before = dict(cached._result_cache._entries)
+        delta = 0.0 if u == origin else road.network.edge_distance(u, v)
+        obj = SpatialObject(10_000, (u, v), delta, dict(twin.attrs))
+        report = self._apply(cached, uncached, lambda svc: svc.insert_object(obj))
+        assert not report.mask_rnets
+        return origin, (u, v), before
+
+    def test_an_edge_endpoint_hit_evicts(self, twins):
+        cached, uncached, queries = twins
+        origin, _, _ = self._insert_beside_a_twin(twins)
+        query = KNNQuery(origin, 2)
+        assert canonical_key(DIR, query) not in cached._result_cache._entries
+        ((answer,),) = submit_all(cached, [query])
+        assert answer[0].distance == 0.0  # the new object, at the origin
+        self._assert_fresh(cached, uncached, queries)
+
+    def test_an_insert_beside_objects_spares_whoever_missed_its_edge(self, twins):
+        cached = twins[0]
+        _, (u, v), before = self._insert_beside_a_twin(twins)
+        spared = {
+            key for key, entry in before.items() if {u, v}.isdisjoint(entry.nodes)
+        }
+        assert spared and spared <= set(cached._result_cache._entries)
+
+    def test_object_churn_skips_od_entries(self, network, objects, cached_service):
+        """An OD answer is a pure network product: churn at its very
+        source leaves the entry cached, and still right."""
+        query = ODMatrixQuery((0, 9), (27, 63))
+        submit_all(cached_service, [query])
+        key = canonical_key(DIR, query)
+        u, v = edge_key(0, sorted(cached_service.executor.network.neighbours(0))[0][0])
+        assert not {u, v}.isdisjoint(cached_service._result_cache._entries[key].nodes)
+        cached_service.insert_object(
+            SpatialObject(10_000, (u, v), 0.0, {"type": "cafe"})
+        )
+        assert key in cached_service._result_cache._entries
+        uncached = RoadService(
+            cached_service.executor, config=ServiceConfig(mode="frozen")
+        )
+        try:
+            assert submit_all(cached_service, [query]) == submit_all(
+                uncached, [query]
+            )
+        finally:
+            uncached.close()
 
 
 @pytest.mark.parametrize(
