@@ -41,7 +41,7 @@ from repro.serving import (
     UnsupportedQueryError,
 )
 
-__version__ = "1.7.1"
+__version__ = "1.7.2"
 
 __all__ = [
     "ANY",

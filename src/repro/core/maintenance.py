@@ -131,7 +131,7 @@ def change_edge_distance(
         if rnet.is_leaf:
             report.filtered_rnets += 1
             affected = _filter_leaf_shortcuts(
-                network, shortcuts, rnet, u, v, old_distance, new_distance
+                hierarchy, shortcuts, rnet, u, v, old_distance, new_distance
             )
             if not affected:
                 child_changed = False
@@ -242,7 +242,7 @@ def remove_edge(
 # ---------------------------------------------------------------------------
 
 def _filter_leaf_shortcuts(
-    network: RoadNetwork,
+    hierarchy: RnetHierarchy,
     shortcuts: ShortcutIndex,
     rnet: Rnet,
     u: int,
@@ -260,7 +260,7 @@ def _filter_leaf_shortcuts(
     increase = new_distance > old_distance
     # For the increase test the detour distances must be measured with the
     # old weight; override the single changed edge.
-    base = _leaf_adjacency(network, rnet)
+    base = _leaf_adjacency(hierarchy, rnet)
     override = old_distance if increase else new_distance
 
     def adjacency(node: int) -> Iterator[Tuple[int, float]]:

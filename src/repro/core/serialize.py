@@ -102,13 +102,14 @@ def _write(road: ROAD, out: BinaryIO) -> int:
         written += out.write(codecs.encode_float(distance))
 
     rnets = sorted(road.hierarchy.rnets(), key=lambda r: r.rnet_id)
+    leaf_edges = road.hierarchy.edges_by_leaf()
     written += out.write(_U32.pack(len(rnets)))
     for rnet in rnets:
         written += out.write(codecs.encode_int(rnet.rnet_id))
         written += out.write(codecs.encode_int(rnet.level))
         written += out.write(codecs.encode_int_list(sorted(rnet.children)))
         flat: List[int] = []
-        for u, v in sorted(rnet.edges) if rnet.is_leaf else []:
+        for u, v in sorted(leaf_edges.get(rnet.rnet_id, ())):
             flat.extend((u, v))
         written += out.write(codecs.encode_int_list(flat))
 
@@ -233,8 +234,8 @@ def load_road(
 def _rebuild_tree(records) -> PartitionNode:
     """Reassemble the PartitionNode tree from flat Rnet records.
 
-    Leaf records carry their edge sets; internal edge sets are the unions
-    of their children (Definition 4), rebuilt bottom-up.
+    Leaf records carry their edge sets; internal records carry none and
+    their edge sets stay empty: :class:`RnetHierarchy` reads only leaves.
     """
     by_id: Dict[int, PartitionNode] = {}
     children_of: Dict[int, List[int]] = {}
@@ -247,18 +248,8 @@ def _rebuild_tree(records) -> PartitionNode:
     if len(roots) != 1:
         raise SerializeError(f"expected one root Rnet, found {len(roots)}")
 
-    def attach(rnet_id: int) -> frozenset:
-        node = by_id[rnet_id]
-        if not children_of[rnet_id]:
-            return node.edges
-        union = set()
-        for child_id in children_of[rnet_id]:
-            node.children.append(by_id[child_id])
-            union |= attach(child_id)
-        node.edges = frozenset(union)
-        return node.edges
-
-    attach(roots[0])
+    for rnet_id, children in children_of.items():
+        by_id[rnet_id].children = [by_id[child_id] for child_id in children]
     return by_id[roots[0]]
 
 

@@ -15,9 +15,9 @@ sit immediately above their children, matching the N-ary layout of Fig 6.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, Set, Tuple
 
-from repro.graph.network import RoadNetwork, edge_key
+from repro.graph.network import RoadNetwork
 from repro.core.rnet import Rnet, RnetHierarchy
 from repro.core.shortcuts import Shortcut, ShortcutIndex
 from repro.storage.codecs import EDGE_RECORD_SIZE, INT_SIZE, shortcut_size
@@ -97,19 +97,20 @@ def build_shortcut_tree(
     roots = hierarchy.border_roots(node)
     if not roots:
         return ShortcutTree(node, local_edges=list(network.neighbours(node)))
+    held = hierarchy.containing_ids(node)
     entries = [
-        _build_entry(network, hierarchy, shortcuts, rnet, node)
+        _build_entry(hierarchy, shortcuts, rnet, node, held)
         for rnet in roots
     ]
     return ShortcutTree(node, roots=entries)
 
 
 def _build_entry(
-    network: RoadNetwork,
     hierarchy: RnetHierarchy,
     shortcuts: ShortcutIndex,
     rnet: Rnet,
     node: int,
+    held: Set[int],
 ) -> ShortcutTreeEntry:
     entry = ShortcutTreeEntry(
         rnet.rnet_id,
@@ -117,16 +118,11 @@ def _build_entry(
         shortcuts=shortcuts.from_node(node, rnet.rnet_id),
     )
     if rnet.is_leaf:
-        entry.edges = [
-            (neighbour, distance)
-            for neighbour, distance in network.neighbours(node)
-            if edge_key(node, neighbour) in rnet.edges
-        ]
+        entry.edges = hierarchy.leaf_neighbours(node, rnet.rnet_id)
         return entry
     for child_id in rnet.children:
-        child = hierarchy.rnet(child_id)
-        if node in child.nodes:
+        if child_id in held:
             entry.children.append(
-                _build_entry(network, hierarchy, shortcuts, child, node)
+                _build_entry(hierarchy, shortcuts, hierarchy.rnet(child_id), node, held)
             )
     return entry

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.graph.network import RoadNetwork, edge_key
+from repro.graph.network import RoadNetwork
 from repro.graph.shortest_path import dijkstra
 from repro.core.rnet import Rnet, RnetHierarchy
 
@@ -180,7 +180,7 @@ def compute_rnet_shortcuts(
     if not rnet.border:
         return []
     if rnet.is_leaf:
-        adjacency = _leaf_adjacency(network, rnet)
+        adjacency = _leaf_adjacency(hierarchy, rnet)
     else:
         adjacency = _border_graph_adjacency(hierarchy, index, rnet)
     shortcuts: List[Shortcut] = []
@@ -200,14 +200,20 @@ def compute_rnet_shortcuts(
     return shortcuts
 
 
-def _leaf_adjacency(network: RoadNetwork, rnet: Rnet):
-    """Adjacency restricted to a finest Rnet's own edges."""
-    edges = rnet.edges
+def _leaf_adjacency(hierarchy: RnetHierarchy, rnet: Rnet):
+    """Adjacency restricted to a finest Rnet's own edges.
+
+    A leaf runs one search per border node, so each node's in-leaf
+    neighbours are looked up once and reused by the later searches.
+    """
+    leaf_id = rnet.rnet_id
+    seen: Dict[int, List[Tuple[int, float]]] = {}
 
     def adjacency(node: int):
-        for neighbour, distance in network.neighbours(node):
-            if edge_key(node, neighbour) in edges:
-                yield neighbour, distance
+        found = seen.get(node)
+        if found is None:
+            found = seen[node] = hierarchy.leaf_neighbours(node, leaf_id)
+        return found
 
     return adjacency
 

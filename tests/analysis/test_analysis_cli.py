@@ -6,6 +6,7 @@ nonzero exit.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -19,10 +20,14 @@ PACKAGE_ROOT = Path(repro.__file__).parent
 
 
 def run_cli(*args):
+    # The child must import the same ``repro`` this process did, whether it
+    # is installed or found through pytest's ``pythonpath`` setting.
+    path = [str(PACKAGE_ROOT.parent), os.environ.get("PYTHONPATH", "")]
     return subprocess.run(
         [sys.executable, "-m", "repro.analysis", *map(str, args)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
 
 
