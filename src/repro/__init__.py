@@ -12,14 +12,20 @@ Public API tour:
 * :mod:`repro.objects` — spatial objects and placement.
 * :mod:`repro.queries` — LDSQ types (kNN / range, attribute predicates).
 * :mod:`repro.baselines` — NetExp, Euclidean and Distance-Index engines.
-* :mod:`repro.serving` — the unified serving API: the query-dispatch
-  protocol every engine implements and the :class:`RoadService` facade
-  (typed :class:`ServiceConfig`, async admission-batched front-end,
-  sharded frozen replicas).
+* :mod:`repro.serving` — the unified serving API: the
+  :class:`RoadService` facade (typed :class:`ServiceConfig`, async
+  admission-batched front-end, sharded frozen replicas) over the
+  query-dispatch protocol every engine implements
+  (:mod:`repro.core.dispatch`).
 * :mod:`repro.eval` — the experiment harness reproducing the paper's
   figures.
 """
 
+from repro.core.dispatch import (
+    QueryExecutor,
+    UnknownDirectoryError,
+    UnsupportedQueryError,
+)
 from repro.core.framework import ROAD, BuildReport, RoutedResult
 from repro.core.frozen import FrozenRoad, FrozenRoadError
 from repro.core.serialize import load_road, save_road
@@ -33,15 +39,8 @@ from repro.queries.types import (
     RangeQuery,
     ResultEntry,
 )
-from repro.serving import (
-    QueryExecutor,
-    RoadService,
-    ServiceConfig,
-    UnknownDirectoryError,
-    UnsupportedQueryError,
-)
 
-__version__ = "1.7.2"
+__version__ = "1.8.0"
 
 __all__ = [
     "ANY",
@@ -67,3 +66,12 @@ __all__ = [
     "load_road",
     "save_road",
 ]
+
+
+def __getattr__(name: str) -> object:
+    # Resolved on first access: ``import repro.core...`` loads no serving.
+    if name in ("RoadService", "ServiceConfig"):
+        from repro import serving
+
+        return getattr(serving, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,10 +11,6 @@ from repro.analysis.project import ModuleInfo, Project
 #: The one lock every batch on the primary executor holds.
 LOCK_ATTR = "_executor_lock"
 
-#: Executor entry points besides RA007's maintenance operations that
-#: change what a batch reads.
-DIRECTORY_CALLS = frozenset({"attach_objects", "detach_objects"})
-
 #: Admission-batching state is *event-loop-thread-confined* by design
 #: (see RoadService.submit) — it is never written under the executor
 #: lock, because code holding that lock may run on a pool worker thread.
@@ -93,12 +89,11 @@ class _LockWalker(ast.NodeVisitor):
             not self.depth
             and isinstance(func, ast.Attribute)
             and func.attr in self.guarded_calls
-            and _self_attr(func.value) == "_executor"
         ):
             self.breaches.append(
                 (
                     node.lineno,
-                    f"'self._executor.{func.attr}(...)' called outside "
+                    f"'{ast.unparse(func)}(...)' called outside "
                     f"'with self.{LOCK_ATTR}:' — it can land under a batch "
                     f"executing on a pool thread",
                 )
@@ -123,12 +118,14 @@ class LockDisciplineRule(Rule):
 
     How it checks: in every class that assigns ``self._executor_lock``,
 
-    * ``self._executor.<op>(...)`` for RA007's maintenance operations
-      and ``attach_objects`` / ``detach_objects`` must be lexically
-      inside a ``with`` naming the lock;
+    * a call of one of RA007's maintenance operations or
+      ``attach_objects`` / ``detach_objects`` must be lexically inside a
+      ``with`` naming the lock, whatever it is called on — the executor
+      attribute itself or a local naming the same owner
+      (``owner = self._owner(...)``);
     * admission-bucket writes must *not* appear inside one.
 
-    How to fix a finding: wrap the executor call in ``with
+    How to fix a finding: wrap the write in ``with
     self._executor_lock:``; move admission mutations back onto the event
     loop via ``loop.call_soon_threadsafe``.
     """
@@ -139,9 +136,12 @@ class LockDisciplineRule(Rule):
     def check(self, project: Project) -> List[Finding]:
         # Imported here: a module-level import would register RA007
         # ahead of this rule and reorder the report.
-        from repro.analysis.rules.ra007_cache_invalidation import MAINTENANCE_OPS
+        from repro.analysis.rules.ra007_cache_invalidation import (
+            DIRECTORY_OPS,
+            MAINTENANCE_OPS,
+        )
 
-        guarded_calls = MAINTENANCE_OPS | DIRECTORY_CALLS
+        guarded_calls = MAINTENANCE_OPS | DIRECTORY_OPS
         findings: List[Finding] = []
         for module in project.iter_modules():
             for class_node in ast.walk(module.tree):

@@ -29,7 +29,7 @@ class DispatchCompletenessRule(Rule):
 
     Why: a query kind is declared once, in ``repro.queries.types``: its
     ``kind`` names the executor method that answers it, and
-    ``QueryExecutor.execute`` (``repro.serving.dispatch``) calls that
+    ``QueryExecutor.execute`` (``repro.core.dispatch``) calls that
     method.  An ``isinstance(query, ...)`` ladder reintroduced in
     one executor silently diverges from the others the next time a kind
     is added: the protocol raises ``UnsupportedQueryError`` loudly, a

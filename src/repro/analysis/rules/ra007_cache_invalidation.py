@@ -17,7 +17,7 @@ SINKS = frozenset({"invalidate_report", "invalidate_directory", "clear_all"})
 #: The class owning the sinks.
 CACHE_CLASS = "ResultCache"
 
-#: The six maintenance operations (RA002 polices their executor calls).
+#: The six maintenance operations (RA002 polices their calls).
 MAINTENANCE_OPS = frozenset(
     {
         "insert_object",
@@ -29,11 +29,15 @@ MAINTENANCE_OPS = frozenset(
     }
 )
 
+#: The directory-membership operations (RA002 polices their calls too).
+DIRECTORY_OPS = frozenset({"attach_objects", "detach_objects"})
+
 #: Entry points that dirty what cached answers were computed from: the
-#: maintenance operations, plus the two snapshot-replacement paths (a
-#: swapped snapshot invalidates every answer's provenance even though no
-#: report describes the delta).
-ENTRY_POINTS = MAINTENANCE_OPS | {"replace_snapshot", "_rebuild_replicas"}
+#: maintenance operations, plus the paths that swap a snapshot — the
+#: directory-membership operations and ``replace_snapshot`` (a swapped
+#: snapshot changes answers' provenance though no report describes the
+#: delta).
+ENTRY_POINTS = MAINTENANCE_OPS | DIRECTORY_OPS | {"replace_snapshot"}
 
 
 @register_rule

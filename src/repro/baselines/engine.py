@@ -13,10 +13,10 @@ import time
 from abc import abstractmethod
 from typing import List, Optional
 
+from repro.core.dispatch import BatchContext, QueryExecutor
 from repro.graph.network import RoadNetwork
 from repro.objects.model import ObjectSet, SpatialObject
 from repro.queries.types import ANY, Predicate, ResultEntry, ResultRow
-from repro.serving.dispatch import BatchContext, QueryExecutor
 from repro.storage.pager import IOStats, PageManager
 
 
@@ -27,7 +27,7 @@ class EngineError(Exception):
 class SearchEngine(QueryExecutor):
     """One LDSQ evaluation approach over a network + object set.
 
-    As a :class:`~repro.serving.QueryExecutor`, every subclass gets
+    As a :class:`~repro.core.dispatch.QueryExecutor`, every subclass gets
     ``execute`` / ``execute_many`` — and with them the batch server
     front-end — for free from the two abstract query methods below.
     The Section-2 baselines have no multi-source expansion, so any other

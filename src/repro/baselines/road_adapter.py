@@ -1,27 +1,22 @@
-"""ROAD behind the common engine interface.
+"""ROAD behind the common engine interface — and the served ROAD's owner.
 
 Wraps :class:`repro.core.framework.ROAD` as a :class:`SearchEngine` so the
 evaluation harness can run all four approaches through one code path with
-shared I/O accounting.
+shared I/O accounting.  ``mode="charged"`` (default) runs every query on
+the simulated disk stack, reproducing the paper's I/O profile;
+``mode="frozen"`` runs them on a compiled ``list``
+:class:`~repro.core.frozen.FrozenRoad` snapshot (zero pager traffic) that
+exists from construction on.
 
-Two serving modes are supported:
-
-* ``"charged"`` (default) — every query pays the simulated disk stack,
-  reproducing the paper's I/O profile;
-* ``"frozen"`` — queries run against a compiled
-  :class:`~repro.core.frozen.FrozenRoad` snapshot (zero pager traffic).
-
-In frozen mode each update's
-:class:`~repro.core.maintenance.MaintenanceReport` is delta-applied to the
-live snapshot (:meth:`FrozenRoad.apply`): only the dirty CSR spans are
-rewritten, falling back to a full recompile on structural changes, so
-update cost scales with the perturbation, not the network.  The snapshot
-always compiles **every** attached directory — what the engine serves is
-what is attached to its ROAD, in both modes — so attaching or detaching
-one drops it, to be lazily re-frozen on the next query.
-
-``stats()`` surfaces the last report plus cumulative maintenance counters
-(patches applied, fallbacks, invalidations, freezes).
+As the :class:`~repro.core.dispatch.RoadOwner` a
+:class:`~repro.serving.RoadService` is built over, the engine is the
+only code holding the ROAD.  Each write updates its snapshot before it
+returns: a maintenance report is delta-applied (:meth:`FrozenRoad.apply`
+rewrites only the dirty CSR spans, recompiling on structural changes),
+and attaching or detaching a directory re-freezes at once, since the
+snapshot compiles **every** attached directory.  Snapshots for other
+readers come from :meth:`ROADEngine.freeze`.  ``stats()`` surfaces the
+last report plus cumulative counters (patches, fallbacks, freezes).
 """
 
 from __future__ import annotations
@@ -29,6 +24,12 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.baselines.engine import EngineError, SearchEngine
+from repro.core.dispatch import (
+    DEFAULT_DIRECTORY,
+    BatchContext,
+    RoadOwner,
+    UnsupportedQueryError,
+)
 from repro.core.framework import ROAD
 from repro.core.frozen import FrozenRoad
 from repro.core.maintenance import MaintenanceReport
@@ -37,11 +38,6 @@ from repro.graph.network import RoadNetwork
 from repro.objects.model import ObjectSet, SpatialObject
 from repro.partition.hierarchy import Bisector
 from repro.queries.types import ANY, Predicate, ResultEntry, ResultRow
-from repro.serving.dispatch import (
-    DEFAULT_DIRECTORY,
-    BatchContext,
-    UnsupportedQueryError,
-)
 from repro.storage.pager import PageManager
 
 #: Valid serving modes for :class:`ROADEngine`.
@@ -52,7 +48,7 @@ ROAD_MODES = ("charged", "frozen")
 MODE_ENV = "REPRO_ENGINE"
 
 
-class ROADEngine(SearchEngine):
+class ROADEngine(SearchEngine, RoadOwner):
     """The paper's system as a pluggable engine (Table 1 defaults: p=4)."""
 
     name = "ROAD"
@@ -105,45 +101,35 @@ class ROADEngine(SearchEngine):
                 abstract_factory=abstract_factory,
             )
         self._frozen: Optional[FrozenRoad] = None
-        self._last_report: Optional[MaintenanceReport] = None
         self._maintenance_counters: Dict[str, int] = {
             "updates": 0,           # maintenance calls seen by the engine
             "patches_applied": 0,   # snapshot delta-patches that stuck
             "patch_fallbacks": 0,   # patches that degraded to a recompile
-            "invalidations": 0,     # snapshots dropped (attach/detach)
-            "freezes": 0,           # full compiles (initial, lazy, fallback)
+            "freezes": 0,           # full compiles (initial, re-freeze, fallback)
         }
+        self._serving = self.road
         if mode == "frozen":
             self._timed(self._refreeze)
 
     # ------------------------------------------------------------------
     # Frozen snapshot lifecycle
     # ------------------------------------------------------------------
-    def _refreeze(self) -> FrozenRoad:
-        # Every attached provider, in one snapshot sharing the entry
-        # arrays: a refreeze can never drop a directory the road serves.
-        # The engine reads it in this process, so it is a list snapshot.
-        self._frozen = self.road.freeze()
+    def freeze(self, *, backend=None) -> FrozenRoad:
+        """A fresh snapshot of every attached directory, for another
+        reader to patch from the reports (not tracked here)."""
+        return self.road.freeze(backend=backend)
+
+    def _refreeze(self) -> None:
+        """Replace the snapshot with one compiling every attached
+        directory, so it never lacks one the road serves."""
+        self._frozen = self._serving = self.road.freeze()
         self._maintenance_counters["freezes"] += 1
-        return self._frozen
-
-    def _serving(self):
-        """The object queries run against in the configured mode."""
-        if self.mode == "frozen":
-            return self._frozen if self._frozen is not None else self._refreeze()
-        return self.road
-
-    def invalidate_frozen(self) -> None:
-        """Drop the snapshot (directory set changed); re-frozen on next query."""
-        if self._frozen is not None:
-            self._maintenance_counters["invalidations"] += 1
-        self._frozen = None
 
     def _maintain(self, report: MaintenanceReport) -> MaintenanceReport:
-        """Patch the live snapshot with one update's report."""
-        self._last_report = report
+        """Patch the snapshot with one update's report."""
+        self.last_report = report
         self._maintenance_counters["updates"] += 1
-        if self.mode != "frozen" or self._frozen is None:
+        if self._frozen is None:
             return report
         outcome = self._frozen.apply(report, self.road)
         if outcome == "patched":
@@ -155,19 +141,10 @@ class ROADEngine(SearchEngine):
 
     @property
     def frozen(self) -> Optional[FrozenRoad]:
-        """The current snapshot.
-
-        None in charged mode and after ``attach_objects`` /
-        ``detach_objects`` dropped it (until the next query lazily
-        re-freezes).  Across updates the same snapshot object stays live
-        — it is delta-patched, never dropped.
-        """
+        """The current snapshot: ``None`` in charged mode, never in
+        frozen mode.  Across updates the same snapshot object stays live
+        (delta-patched); attach and detach replace it."""
         return self._frozen
-
-    @property
-    def last_report(self) -> Optional[MaintenanceReport]:
-        """The report of the most recent maintenance operation."""
-        return self._last_report
 
     # ------------------------------------------------------------------
     # Directory management (multi-provider serving)
@@ -183,16 +160,16 @@ class ROADEngine(SearchEngine):
 
         ``abstract_factory`` defaults to the factory the engine was
         constructed with, so late-attached providers prune exactly like
-        construction-time ones.  In frozen mode the live snapshot is
-        invalidated so the next query re-freezes with the new directory
-        included.
+        construction-time ones.  In frozen mode the snapshot is
+        re-frozen with the new directory included.
         """
         if abstract_factory is None:
             abstract_factory = self._abstract_factory
         directory = self.road.attach_objects(
             objects, name=name, abstract_factory=abstract_factory
         )
-        self.invalidate_frozen()
+        if self.mode == "frozen":
+            self._refreeze()
         return directory
 
     def detach_objects(self, name: str) -> None:
@@ -211,18 +188,19 @@ class ROADEngine(SearchEngine):
                 f"would diverge on directory-less queries)"
             )
         self.road.detach_objects(name)
-        self.invalidate_frozen()
+        if self.mode == "frozen":
+            self._refreeze()
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def knn(self, node: int, k: int, predicate: Predicate = ANY) -> List[ResultEntry]:
-        return self._serving().knn(node, k, predicate)
+        return self._serving.knn(node, k, predicate)
 
     def range(
         self, node: int, radius: float, predicate: Predicate = ANY
     ) -> List[ResultEntry]:
-        return self._serving().range(node, radius, predicate)
+        return self._serving.range(node, radius, predicate)
 
     def aggregate_knn(
         self,
@@ -232,13 +210,12 @@ class ROADEngine(SearchEngine):
         predicate: Predicate = ANY,
     ) -> List[ResultEntry]:
         """Aggregate kNN in the configured serving mode."""
-        return self._serving().aggregate_knn(nodes, k, agg, predicate)
+        return self._serving.aggregate_knn(nodes, k, agg, predicate)
 
     @property
     def directory_names(self) -> List[str]:
         """The road's attached directories — exactly what a snapshot
-        compiles, so both modes serve the same set (and asking never
-        lazily freezes).  The default stays the inherited ``"objects"``:
+        compiles, so both modes serve the same set.  The default stays the inherited ``"objects"``:
         it is attached at construction and cannot be detached.
         """
         return self.road.directory_names
@@ -252,7 +229,7 @@ class ROADEngine(SearchEngine):
         # the directory and answers through its own method.
         if not self.supports(query):
             raise UnsupportedQueryError(self, query)
-        return self._serving().execute(
+        return self._serving.execute(
             query, directory=ctx.directory, stats=ctx.stats
         )
 
@@ -269,7 +246,7 @@ class ROADEngine(SearchEngine):
         per-query dispatch) lets the charged path share its per-predicate
         AbstractCaches across the batch exactly as before.
         """
-        return self._serving().execute_many(
+        return self._serving.execute_many(
             queries, directory=directory, stats=stats
         )
 
@@ -322,7 +299,7 @@ class ROADEngine(SearchEngine):
         summary.update(
             mode=self.mode,
             maintenance=dict(self._maintenance_counters),
-            last_report=self._last_report,
+            last_report=self.last_report,
         )
         if self._frozen is not None:
             summary["frozen_backend"] = self._frozen.backend

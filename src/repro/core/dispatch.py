@@ -22,6 +22,9 @@ Section-2 baselines) answers query objects the same way:
   serves a kind by having its method; engines whose methods take other
   keywords override :meth:`QueryExecutor._dispatch`;
 
+* :class:`RoadOwner`: the executors holding a live ROAD, where every
+  write lands;
+
 * typed errors: :class:`UnsupportedQueryError` (subclass of
   :class:`TypeError`, names the engine and the query type) and
   :class:`UnknownDirectoryError` (subclass of :class:`KeyError`, raised
@@ -37,17 +40,33 @@ Batching is part of the protocol, not of each engine: the default
 per-predicate state (the charged path's
 :class:`~repro.core.search.AbstractCache`) across the whole batch.  A
 baseline engine therefore gets batch execution — and the batch server
-front-end (:class:`repro.serving.RoadService`) — for free.
+front-end (:class:`repro.serving.RoadService`) — for free.  The protocol
+lives in ``repro.core`` because the engines implement it: no module
+below :mod:`repro.serving` imports the serving tier.
 """
 
 from __future__ import annotations
 
-from abc import ABC
+from abc import ABC, abstractmethod
 from dataclasses import fields
 from operator import attrgetter
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.queries.types import QUERY_TYPES, ResultRow
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.core.frozen import FrozenRoad
+    from repro.core.maintenance import MaintenanceReport
 
 #: The implicit directory name every engine serves (the charged path can
 #: attach more; see :meth:`repro.core.framework.ROAD.attach_objects`).
@@ -199,6 +218,11 @@ class QueryExecutor(ABC):
         """
         return True
 
+    @property
+    def frozen(self) -> Optional["FrozenRoad"]:
+        """The compiled snapshot a batch here reads (None: no snapshot)."""
+        return None
+
     # -- dispatch -------------------------------------------------------
     def supports(self, query: object) -> bool:
         """True if :meth:`execute` can serve this query object: a declared
@@ -260,3 +284,31 @@ class QueryExecutor(ABC):
         keywords override this)."""
         method, args = self._bind(query)
         return method(*args, directory=ctx.directory, stats=ctx.stats)
+
+
+class RoadOwner(QueryExecutor):
+    """An executor that holds a live ROAD: the one place writes land.
+
+    Each write runs on the ROAD, brings the owner's own snapshot
+    (:attr:`frozen`) up to date before it returns and records its report
+    in :attr:`last_report`.  Snapshots for other readers come from
+    :meth:`freeze`; each patches itself from the reports, against the
+    ROAD it was frozen from.
+    """
+
+    #: The report of the most recent maintenance operation.
+    last_report: Optional["MaintenanceReport"] = None
+
+    #: The write surface (signatures: :class:`~repro.core.framework.ROAD`).
+    insert_object: Callable[..., Any]
+    delete_object: Callable[..., Any]
+    update_object_attrs: Callable[..., Any]
+    update_edge_distance: Callable[..., Any]
+    add_edge: Callable[..., Any]
+    remove_edge: Callable[..., Any]
+    attach_objects: Callable[..., Any]
+    detach_objects: Callable[..., None]
+
+    @abstractmethod
+    def freeze(self, *, backend: Optional[str] = None) -> "FrozenRoad":
+        """A fresh snapshot compiling every attached directory."""

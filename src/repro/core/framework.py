@@ -22,6 +22,12 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.association_directory import AssociationDirectory
+from repro.core.dispatch import (
+    DEFAULT_DIRECTORY,
+    BatchContext,
+    RoadOwner,
+    UnknownDirectoryError,
+)
 from repro.core.maintenance import (
     MaintenanceError,
     MaintenanceReport,
@@ -61,12 +67,6 @@ from repro.queries.types import (
     ServiceAreaEntry,
     sort_result,
 )
-from repro.serving.dispatch import (
-    DEFAULT_DIRECTORY,
-    BatchContext,
-    QueryExecutor,
-    UnknownDirectoryError,
-)
 from repro.storage.pager import PageManager
 
 
@@ -99,12 +99,14 @@ class BuildReport:
         return self.partition_seconds + self.shortcut_seconds + self.overlay_seconds
 
 
-class ROAD(QueryExecutor):
+class ROAD(RoadOwner):
     """A built ROAD index over one road network.
 
     Queries run the paper's charged disk path; as a
-    :class:`~repro.serving.QueryExecutor` the facade shares ``execute``
-    / ``execute_many`` signatures with every other engine.
+    :class:`~repro.core.dispatch.QueryExecutor` the facade shares
+    ``execute`` / ``execute_many`` signatures with every other engine.
+    As a :class:`~repro.core.dispatch.RoadOwner` it keeps no snapshot of
+    its own and records each maintenance report in :attr:`last_report`.
     """
 
     def __init__(
@@ -264,7 +266,7 @@ class ROAD(QueryExecutor):
         holding the chain's pruning keys taken ahead of the write."""
         u, v = obj.edge
         after = self.directory(directory).pruning_keys(obj.edge)
-        return MaintenanceReport(
+        report = self.last_report = MaintenanceReport(
             kind=kind,
             edge=edge_key(u, v),
             dirty_nodes={u, v},
@@ -275,6 +277,7 @@ class ROAD(QueryExecutor):
             obj=obj,
             directory=directory,
         )
+        return report
 
     def update_object_attrs(
         self,
@@ -577,7 +580,7 @@ class ROAD(QueryExecutor):
         directory rescales their offsets by the distance ratio.
         """
         old_distance = self.network.edge_distance(u, v)
-        report = _change_edge_distance(
+        report = self.last_report = _change_edge_distance(
             self.network, self.hierarchy, self.shortcuts, self.overlay, u, v, distance
         )
         if old_distance == 0:
@@ -606,10 +609,11 @@ class ROAD(QueryExecutor):
         coords: Optional[Dict[int, Tuple[float, float]]] = None,
     ) -> MaintenanceReport:
         """Open a new road segment (with border promotion when needed)."""
-        return _add_edge(
+        report = self.last_report = _add_edge(
             self.network, self.hierarchy, self.shortcuts, self.overlay,
             u, v, distance, coords=coords,
         )
+        return report
 
     def remove_edge(self, u: int, v: int) -> MaintenanceReport:
         """Close a road segment (with border demotion when possible).
@@ -622,9 +626,10 @@ class ROAD(QueryExecutor):
                 raise MaintenanceError(
                     f"directory {name!r} has objects on edge ({u}, {v})"
                 )
-        return _remove_edge(
+        report = self.last_report = _remove_edge(
             self.network, self.hierarchy, self.shortcuts, self.overlay, u, v
         )
+        return report
 
     # ------------------------------------------------------------------
     # Statistics

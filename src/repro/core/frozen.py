@@ -79,6 +79,11 @@ from typing import (
 )
 
 from repro.core.aggregate import aggregate_knn_generic
+from repro.core.dispatch import (
+    DEFAULT_DIRECTORY,
+    QueryExecutor,
+    UnknownDirectoryError,
+)
 from repro.core.multi_source import (
     bucket_entries,
     normalize_breaks,
@@ -102,11 +107,6 @@ from repro.queries.types import (
     ResultEntry,
     ServiceAreaEntry,
     sort_result,
-)
-from repro.serving.dispatch import (
-    DEFAULT_DIRECTORY,
-    QueryExecutor,
-    UnknownDirectoryError,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -1311,6 +1311,11 @@ class FrozenRoad(QueryExecutor):
         ``execute(directory=...)`` accept exactly these names.
         """
         return list(self._dirs)
+
+    @property
+    def frozen(self) -> "FrozenRoad":
+        """A snapshot serves itself."""
+        return self
 
     @property
     def default_directory(self) -> str:

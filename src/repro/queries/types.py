@@ -17,7 +17,7 @@ names its ``kind``, which is both its wire tag and the name of the
 executor method that answers it (``KNNQuery.kind == "knn"`` is answered
 by ``executor.knn``); its fields, in declaration order, are that
 method's positional arguments and its wire payload's keys.  The
-dispatch protocol (:mod:`repro.serving.dispatch`) and the JSON codec
+dispatch protocol (:mod:`repro.core.dispatch`) and the JSON codec
 (:mod:`repro.serving.wire`) read both from the dataclass itself.
 
 Every query dataclass validates through one small set of shared helpers

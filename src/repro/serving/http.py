@@ -55,17 +55,16 @@ from typing import (
     Tuple,
 )
 
-from repro.core.maintenance import MaintenanceError, MaintenanceReport
+from repro.core.dispatch import (
+    RoadOwner,
+    UnknownDirectoryError,
+    UnsupportedQueryError,
+)
+from repro.core.maintenance import MaintenanceError
 from repro.graph.network import NetworkError
 from repro.objects.model import ObjectError, SpatialObject
-from repro.serving.dispatch import UnknownDirectoryError, UnsupportedQueryError
-from repro.serving.service import (
-    MODES,
-    REPLICA_MODES,
-    RoadService,
-    ServiceConfig,
-    ServiceError,
-)
+from repro.serving.config import MODES, REPLICA_MODES, ServiceConfig
+from repro.serving.service import RoadService, ServiceError
 from repro.serving.wire import (
     WireError,
     _require_int,
@@ -302,21 +301,17 @@ class RoadServiceApp:
             raise WireError(
                 f"unknown op {op!r} (one of: {', '.join(MAINTENANCE_OPS)})"
             )
-        try:
-            result = self._run_maintenance(op, payload)
-        except AttributeError as exc:
+        owner = self.service.executor
+        if not isinstance(owner, RoadOwner):
             raise _HttpError(
                 501,
-                f"{type(self.service.executor).__name__} does not support "
-                f"maintenance ({exc})",
-            ) from exc
-        report = (
-            result
-            if isinstance(result, MaintenanceReport)
-            else getattr(self.service.executor, "last_report", None)
-        )
+                f"{type(owner).__name__} does not support maintenance "
+                f"(it holds no ROAD)",
+            )
+        self._run_maintenance(op, payload)
+        report = owner.last_report
         answer: Dict[str, Any] = {"op": op, "ok": True}
-        if isinstance(report, MaintenanceReport):
+        if report is not None:
             answer["kind"] = report.kind
             answer["structural"] = report.structural
         return _json_reply(200, answer)

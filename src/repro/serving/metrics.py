@@ -39,16 +39,32 @@ from __future__ import annotations
 import re
 import threading
 from bisect import bisect_left
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.serving.result_cache import ResultCache
 
 __all__ = [
     "BATCH_SIZE_BUCKETS",
+    "FLUSH_REASONS",
     "LATENCY_BUCKETS_MS",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricError",
     "MetricsRegistry",
+    "ServiceMetrics",
 ]
 
 #: Histogram bounds for per-query latency in milliseconds: sub-50us
@@ -487,3 +503,235 @@ class MetricsRegistry:
     def _with_families(self) -> List[Tuple[str, _Family]]:
         with self._lock:
             return list(self._families.items())
+
+
+# ---------------------------------------------------------------------------
+# The families one RoadService registers
+# ---------------------------------------------------------------------------
+
+#: Why a flush ran (``road_flushes_total{reason=...}``): the buckets
+#: reached ``max_batch``; a replica was free; a batch completed and
+#: released what was held behind it; or the hold hit ``max_delay_ms``.
+FLUSH_REASONS = ("full", "idle", "released", "deadline")
+
+#: Service-level counters and their ``/metrics`` help lines.  The dict in
+#: ``ServiceMetrics.counts`` stays the cheap in-process view; each name is
+#: mirrored into a ``road_service_<name>_total`` counter family.
+_SERVICE_COUNTER_HELP: Dict[str, str] = {
+    "submitted": "Queries accepted by submit().",
+    "flushes": "Admission-bucket flushes drained.",
+    "batches": "execute_many calls issued by flushes.",
+    "executed": "Queries actually executed (after coalescing).",
+    "coalesced": "Queries answered by an in-flight twin.",
+}
+
+#: Counter names the result cache mirrors into ``/metrics`` families
+#: (``road_cache_<name>_total``).
+_CACHE_COUNTER_HELP: Dict[str, str] = {
+    "hits": "Queries answered from the result cache.",
+    "misses": "Cache lookups that fell through to execution.",
+    "evictions": "Entries dropped by the LRU budget.",
+    "invalidations": "Entries evicted by maintenance reports.",
+}
+
+
+def _stat_number(stats: Mapping[str, object], key: str) -> float:
+    """One numeric field of a stats mapping, 0.0 when absent/non-numeric."""
+    value = stats.get(key)
+    return float(value) if isinstance(value, (int, float)) else 0.0
+
+
+class ServiceMetrics:
+    """Every metric family one :class:`~repro.serving.RoadService` owns.
+
+    The request path observes through the handles and :meth:`count`; the
+    gauges sample at scrape time the replica set's ``pool_stats``, the
+    serving snapshot's ``memory_stats()`` and :attr:`cache`.
+    """
+
+    def __init__(
+        self,
+        registry: MetricsRegistry,
+        *,
+        pool_stats: Callable[[], Mapping[str, object]],
+        snapshot_memory: Callable[[], Mapping[str, object]],
+    ) -> None:
+        self.registry = registry
+        self._pool_stats = pool_stats
+        self._snapshot_memory = snapshot_memory
+        #: The result cache the cache gauges read (None: cache off).
+        self.cache: Optional["ResultCache"] = None
+        #: The gauges sampling one memory_stats() pass, and that pass.
+        self._memory_round: Optional[Tuple[Set[str], Mapping[str, object]]] = None
+        self.counts = dict.fromkeys(_SERVICE_COUNTER_HELP, 0)
+        self._counters = {
+            name: registry.counter(f"road_service_{name}_total", text)
+            for name, text in _SERVICE_COUNTER_HELP.items()
+        }
+        # Per-kind admission counters materialise lazily: query classes
+        # appear as their first instance is submitted.
+        self._kind_counters: Dict[str, Counter] = {}
+        self.batch_sizes = registry.histogram(
+            "road_admission_batch_size",
+            "Unique queries per execute_many admission batch.",
+            buckets=BATCH_SIZE_BUCKETS,
+        )
+        self.latency = registry.histogram(
+            "road_query_latency_ms",
+            "Per-query submit() latency (admission to delivery) in ms.",
+        )
+        self.admit_wait, self.cache_stage = (
+            registry.histogram(
+                "road_stage_ms",
+                "Time spent per request-path stage in ms.",
+                labels={"stage": stage},
+            )
+            for stage in ("admit_wait", "cache")
+        )
+        self.flush_reasons = {
+            reason: registry.counter(
+                "road_flushes_total",
+                "Admission flushes by what triggered them.",
+                labels={"reason": reason},
+            )
+            for reason in FLUSH_REASONS
+        }
+        registry.gauge(
+            "road_replica_pool",
+            "Replica-pool state (ProcessReplicaPool.stats() keys, both "
+            "modes).",
+            self._pool_gauge,
+            label="field",
+        )
+        registry.gauge(
+            "road_directory_resident_bytes",
+            "Resident bytes per compiled directory of the serving "
+            "snapshot.",
+            self._directory_bytes_gauge,
+            label="directory",
+        )
+        registry.gauge(
+            "road_mask_cache",
+            "Mask-cache occupancy/eviction state of the serving snapshot.",
+            self._mask_cache_gauge,
+            label="field",
+        )
+        registry.gauge(
+            "road_snapshot_resident_bytes",
+            "Total resident bytes of the serving snapshot.",
+            self._snapshot_bytes_gauge,
+        )
+        #: The ``road_cache_<name>_total`` counters a ResultCache mirrors.
+        self.cache_counters = {
+            name: registry.counter(f"road_cache_{name}_total", text)
+            for name, text in _CACHE_COUNTER_HELP.items()
+        }
+        self.cache_invalidate = registry.histogram(
+            "road_cache_invalidate_ms",
+            "Result-cache invalidation time per maintenance report in ms.",
+        )
+        registry.gauge(
+            "road_cache_hit_ratio",
+            "Result-cache hits / lookups (0 while cold or disabled).",
+            self._cache_hit_ratio_gauge,
+        )
+        registry.gauge(
+            "road_cache_entries",
+            "Entries resident in the result cache.",
+            self._cache_entries_gauge,
+        )
+
+    # -- counters ------------------------------------------------------
+    def count(self, name: str, amount: int = 1) -> None:
+        """Bump one service counter in both surfaces (dict + /metrics)."""
+        self.counts[name] += amount
+        self._counters[name].inc(amount)
+
+    def count_kind(self, kind: str) -> None:
+        """Bump the per-query-class admission counter."""
+        counter = self._kind_counters.get(kind)
+        if counter is None:
+            counter = self.registry.counter(
+                "road_queries_by_kind_total",
+                "Queries admitted by submit(), per query class.",
+                labels={"kind": kind},
+            )
+            self._kind_counters[kind] = counter
+        counter.inc()
+
+    def count_patch(self, kind: str) -> None:
+        """Bump ``road_patches_total`` for one maintenance report kind."""
+        self.registry.counter(
+            "road_patches_total",
+            "Maintenance patches processed, by report kind.",
+            labels={"kind": kind},
+        ).inc()
+
+    # -- gauges --------------------------------------------------------
+    def _cache_hit_ratio_gauge(self) -> float:
+        cache = self.cache
+        if cache is None:
+            return 0.0
+        hits, misses = cache.hits, cache.misses
+        lookups = hits + misses
+        return hits / lookups if lookups else 0.0
+
+    def _cache_entries_gauge(self) -> float:
+        cache = self.cache
+        return 0.0 if cache is None else float(len(cache))
+
+    def _pool_gauge(self) -> Dict[str, float]:
+        return {
+            key: float(value)
+            for key, value in self._pool_stats().items()
+            if isinstance(value, (int, float))
+        }
+
+    def _memory_stats(self, gauge: str) -> Mapping[str, object]:
+        """The serving snapshot's ``memory_stats()``, one pass per scrape.
+
+        On the ``list`` backend the pass walks every boxed element (tens
+        of ms on full CA), and three gauges read it.  Each scrape samples
+        each gauge once, so the first gauge of a round computes it and
+        the others reuse it; a gauge asking again opens the next round.
+        """
+        if self._memory_round is None or gauge in self._memory_round[0]:
+            self._memory_round = (set(), self._snapshot_memory())
+        sampled, stats = self._memory_round
+        sampled.add(gauge)
+        return stats
+
+    def _directory_bytes_gauge(self) -> Dict[str, float]:
+        directories = self._memory_stats("directories").get("directories")
+        if not isinstance(directories, Mapping):
+            return {}
+        out: Dict[str, float] = {}
+        for name, entry in directories.items():
+            if not isinstance(entry, Mapping):
+                continue
+            out[str(name)] = sum(
+                _stat_number(entry, key)
+                for key in (
+                    "object_array_bytes",
+                    "object_ref_bytes",
+                    "mask_cache_bytes",
+                )
+            )
+        return out
+
+    def _mask_cache_gauge(self) -> Dict[str, float]:
+        stats = self._memory_stats("mask_cache")
+        if not stats:
+            return {}
+        return {
+            key: _stat_number(stats, key)
+            for key in (
+                "mask_cache_bytes",
+                "mask_cache_entries",
+                "mask_budget",
+                "mask_evictions",
+            )
+        }
+
+    def _snapshot_bytes_gauge(self) -> float:
+        return _stat_number(self._memory_stats("snapshot"), "total_bytes")

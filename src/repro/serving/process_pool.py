@@ -62,7 +62,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from multiprocessing.context import SpawnContext
     from multiprocessing.queues import SimpleQueue
 
-    from repro.core.framework import ROAD
     from repro.core.maintenance import MaintenanceReport
 
 #: Maintenance kinds whose sync payload must carry fresh directory state.
@@ -308,14 +307,13 @@ class ProcessReplicaPool:
     # ------------------------------------------------------------------
     # Maintenance publication (the seqlock writer side)
     # ------------------------------------------------------------------
-    def apply(
-        self, report: "MaintenanceReport", road: Optional["ROAD"] = None
-    ) -> str:
+    def apply(self, report: "MaintenanceReport") -> str:
         """Patch the shared snapshot and publish the change to workers.
 
-        The patch happens once, in place, on the shared arrays — every
-        worker sees the new spans without copying — inside an odd
-        generation window so no worker returns a half-patched read.
+        The snapshot patches itself, once and in place, against the ROAD
+        it was frozen from — every worker sees the new spans without
+        copying — inside an odd generation window so no worker returns a
+        half-patched read.
         Returns the snapshot's patch outcome (``"patched"`` /
         ``"recompiled"``).
 
@@ -336,7 +334,7 @@ class ProcessReplicaPool:
                     )
             self._ctrl[0] = int(self._ctrl[0]) + 1  # odd: readers pause
             try:
-                outcome = self._frozen.apply(report, road)
+                outcome = self._frozen.apply(report)
             except BaseException:
                 # The shared arrays may be half-patched.  Leaving the
                 # generation odd keeps every worker paused (no torn or
@@ -352,7 +350,7 @@ class ProcessReplicaPool:
         """Swap in a freshly frozen shm snapshot (directory changes).
 
         Patching keeps shard contents current but cannot add or remove
-        a compiled directory; the service re-freezes and the pool
+        a compiled directory; the ROAD's owner re-freezes and the pool
         publishes the new manifest — workers re-attach between batches.
         The old snapshot closes (and unlinks its segments) immediately;
         POSIX keeps the memory alive for workers still mapping it until

@@ -13,7 +13,7 @@ had:
     Execute one batch; returns a :class:`concurrent.futures.Future`
     resolving to what :func:`execute_batch` returns.  A batch the set
     cannot take (closed, degraded, every worker dead) raises instead.
-``apply(report, road)``
+``apply(report)``
     Patch the snapshot the set holds with one maintenance report.
 ``replace_snapshot(snapshot)``
     Swap in a freshly frozen snapshot.
@@ -36,10 +36,9 @@ from repro.serving.result_cache import node_footprint
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     import threading
 
-    from repro.core.framework import ROAD
+    from repro.core.dispatch import QueryExecutor
     from repro.core.frozen import FrozenRoad
     from repro.core.maintenance import MaintenanceReport
-    from repro.serving.dispatch import QueryExecutor
 
 #: Counter names every replica set reports (``ProcessReplicaPool.stats()``
 #: field names, so ``replica_pool_stats()`` is uniform across modes).
@@ -137,9 +136,7 @@ class LocalReplicas:
         with self._executor_lock:
             return execute_batch(self._executor, queries, directory, footprints)
 
-    def apply(
-        self, report: "MaintenanceReport", road: Optional["ROAD"] = None
-    ) -> None:
+    def apply(self, report: "MaintenanceReport") -> None:
         """Nothing to patch: the primary executor reconciles itself."""
 
     def replace_snapshot(self, snapshot: "FrozenRoad") -> None:

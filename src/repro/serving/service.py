@@ -1,46 +1,34 @@
-"""The :class:`RoadService` facade: one public way to run queries.
+"""The :class:`RoadService` admission pipeline: one front door for queries.
 
-The dispatch protocol (:mod:`repro.serving.dispatch`) makes every engine
-answer ``execute`` / ``execute_many`` identically; this module puts one
-front door in front of them:
+Every engine answers ``execute`` / ``execute_many`` through the dispatch
+protocol (:mod:`repro.core.dispatch`); a :class:`RoadService` built from
+a :class:`~repro.serving.config.ServiceConfig` puts sync
+``run``/``run_many`` and an **asyncio front-end** in front of one of
+them.  ``await service.submit(query)`` parks the query in a
+per-(directory, predicate) admission bucket.  Admission is
+**work-conserving**: while a replica is free the buckets flush at the
+end of the current event-loop tick (one ``gather`` is one batch); only
+while every replica is busy are they held, until a batch completes,
+``max_batch`` queries are pending or ``max_delay_ms`` has passed.  A
+flush sends each bucket through one pipeline, whatever the
+configuration:
 
-* :class:`ServiceConfig` — a typed configuration owning the ROAD
-  serving path (charged/frozen mode, hierarchy shape) plus the
-  admission-batching, replica and result-cache knobs.  The historical
-  ``REPRO_*`` environment variables are *overrides* read by
-  :meth:`ServiceConfig.from_env`, not the primary API.  *What* is
-  served is not configuration: the directories attached to the ROAD
-  are, every frozen snapshot compiles all of them, and a request names
-  its directory (an omitted name is the primary executor's
-  ``default_directory`` on the sync and the async path alike).  Nor is
-  a snapshot's array layout: the primary's is ``list``, the process
-  pool's ``shm``.
-* :class:`RoadService` — sync ``run``/``run_many`` over the configured
-  executor, and an **asyncio front-end**: ``await service.submit(query)``
-  parks the query in a per-(directory, predicate) admission bucket.
-  Admission is **work-conserving**: while a replica is free the buckets
-  flush at the end of the current event-loop tick (one ``gather`` is one
-  batch); only while every replica is busy are they held, until a batch
-  completes, ``max_batch`` queries are pending or ``max_delay_ms`` has
-  passed.  A flush sends each bucket through one dispatch pipeline,
-  whatever the configuration:
+1. **coalesce** — identical in-flight queries fold into one;
+2. **cache-split** — the result cache answers what it can (hits are
+   delivered at once); with the cache off everything is a miss;
+3. **execute** — the misses go, as one batch sharing its predicate
+   caches, to the *replica set* picked at construction
+   (:mod:`repro.serving.replicas`);
+4. **populate** — executed answers enter the cache under their
+   visit-set footprints, unless a patch landed mid-flight;
+5. **deliver** — every caller's future completes with its own copy.
 
-  1. **coalesce** — identical in-flight queries fold into one;
-  2. **cache-split** — the result cache answers what it can (hits are
-     delivered at once); with the cache off everything is a miss;
-  3. **execute** — the misses go, as one batch sharing its predicate
-     caches, to the *replica set* picked at construction (the primary
-     executor inline or on pool threads, or process replicas, behind
-     one ``submit(...) -> Future`` surface: :mod:`repro.serving.replicas`);
-  4. **populate** — executed answers enter the cache under their
-     visit-set footprints, unless a patch landed mid-flight;
-  5. **deliver** — every caller's future completes with its own copy.
-
-  Maintenance goes through the service too, under the one executor
-  lock every batch on the primary holds: the executor patches its own
-  snapshot, and each update's
-  :class:`~repro.core.maintenance.MaintenanceReport` patches the process
-  pool's shared snapshot, so no snapshot drifts from the primary.
+Writes go through the service under the one executor lock, but the
+service never touches a ROAD: the executor (a
+:class:`~repro.core.dispatch.RoadOwner`) applies each write and updates
+its own snapshot, and the service fans the write's
+:class:`~repro.core.maintenance.MaintenanceReport` out to the result
+cache and to the process pool's snapshot, which the owner froze for it.
 
 Typical use::
 
@@ -51,19 +39,16 @@ Typical use::
         *(service.submit(q) for q in queries)
     )
 
-All three paths — sync, async-batched, sharded-replica — return
-byte-identical results; the serving test suite asserts it with the
-:func:`repro.eval.metrics.snapshot_divergences` probes.
+Sync, async-batched and sharded-replica paths return byte-identical
+results (:func:`repro.eval.metrics.snapshot_divergences` probes).
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -72,31 +57,32 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
 
-from repro.baselines.road_adapter import MODE_ENV, ROAD_MODES, ROADEngine
-from repro.core.maintenance import MaintenanceReport
-from repro.queries.types import ResultRow
-from repro.serving.dispatch import (
+from repro.baselines.road_adapter import ROADEngine
+from repro.core.dispatch import (
     QueryExecutor,
+    RoadOwner,
     UnknownNodeError,
     UnsupportedQueryError,
 )
-from repro.serving.metrics import BATCH_SIZE_BUCKETS, Counter, MetricsRegistry
+from repro.core.maintenance import MaintenanceReport
+from repro.queries.types import ResultRow
+from repro.serving.config import ServiceConfig
+from repro.serving.metrics import FLUSH_REASONS, MetricsRegistry, ServiceMetrics
 from repro.serving.process_pool import ProcessReplicaPool
 from repro.serving.replicas import LocalReplicas
 from repro.serving.result_cache import ResultCache, query_nodes
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.core.framework import ROAD
-    from repro.core.frozen import FrozenRoad
     from repro.core.search import SearchStats
     from repro.graph.network import RoadNetwork
     from repro.objects.model import ObjectSet
     from repro.storage.pager import PageManager
+
+__all__ = ["FLUSH_REASONS", "RoadService", "ServiceError"]
 
 #: One admitted (query, completion future) pair; the future completes
 #: with that query's result list.
@@ -106,173 +92,24 @@ _Entry = Tuple[object, "asyncio.Future[List[ResultRow]]"]
 #: entries, keyed in ``RoadService._pending`` by (directory, predicate).
 _Buckets = Dict[Tuple[str, object], Tuple[float, List[_Entry]]]
 
-#: Why a flush ran (``road_flushes_total{reason=...}``): the buckets
-#: reached ``max_batch``; a replica was free; a batch completed and
-#: released what was held behind it; or the hold hit ``max_delay_ms``.
-FLUSH_REASONS = ("full", "idle", "released", "deadline")
-
 #: What the execute stage hands batches to (:mod:`repro.serving.replicas`
 #: documents the shared surface).
 ReplicaSet = Union[LocalReplicas, ProcessReplicaPool]
-
-#: ROAD serving modes — the one source of truth lives on the engine.
-MODES = ROAD_MODES
-
-#: Where replica batches execute: pool threads on the primary's own
-#: snapshot, or worker processes over one shared-memory snapshot.
-REPLICA_MODES = ("thread", "process")
-
-#: Environment overrides honoured by :meth:`ServiceConfig.from_env`
-#: (beside ``MODE_ENV``).
-REPLICAS_ENV = "REPRO_REPLICAS"
-REPLICA_MODE_ENV = "REPRO_REPLICA_MODE"
-RESULT_CACHE_ENV = "REPRO_RESULT_CACHE"
-CACHE_BUDGET_ENV = "REPRO_CACHE_BUDGET"
-
-#: Counter names the result cache mirrors into ``/metrics`` families
-#: (``road_cache_<name>_total``).
-_CACHE_COUNTER_HELP: Dict[str, str] = {
-    "hits": "Queries answered from the result cache.",
-    "misses": "Cache lookups that fell through to execution.",
-    "evictions": "Entries dropped by the LRU budget.",
-    "invalidations": "Entries evicted by maintenance reports.",
-}
-
-
-def _parse_bool(name: str, raw: str) -> bool:
-    """A strict boolean env flag — a typo must not silently disable."""
-    value = raw.strip().lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off", ""):
-        return False
-    raise ValueError(f"{name} must be a boolean flag, got {raw!r}")
-
-
-def _parse_int(name: str, raw: str) -> int:
-    """An integer env override — a typo must name its variable."""
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
 class ServiceError(RuntimeError):
     """A service-level misconfiguration (e.g. replicas without a ROAD)."""
 
 
-#: Service-level counters and their ``/metrics`` help lines.  The dict in
-#: ``RoadService._counters`` stays the cheap in-process view; each name is
-#: mirrored into a ``road_service_<name>_total`` counter family.
-_SERVICE_COUNTER_HELP: Dict[str, str] = {
-    "submitted": "Queries accepted by submit().",
-    "flushes": "Admission-bucket flushes drained.",
-    "batches": "execute_many calls issued by flushes.",
-    "executed": "Queries actually executed (after coalescing).",
-    "coalesced": "Queries answered by an in-flight twin.",
-}
-
-
-def _stat_number(stats: Mapping[str, object], key: str) -> float:
-    """One numeric field of a stats mapping, 0.0 when absent/non-numeric."""
-    value = stats.get(key)
-    return float(value) if isinstance(value, (int, float)) else 0.0
-
-
-@dataclass(frozen=True)
-class ServiceConfig:
-    """Typed serving configuration: what was previously ``REPRO_*`` sprawl.
-
-    ``mode``, ``levels`` and ``fanout`` configure the ROAD serving path
-    exactly like the eponymous
-    :class:`~repro.baselines.road_adapter.ROADEngine` knobs.
-    The remaining fields drive the async front-end: ``max_batch`` caps
-    how many queries one admission flush may hold, ``max_delay_ms`` is
-    the upper bound on how long an under-full bucket is held while
-    every replica is busy (with a replica free it is flushed within the
-    event-loop tick and never meets the timer), ``replicas`` how many
-    workers execute batches (0 = inside the flush, on the event-loop
-    thread), and ``replica_mode`` what a worker *is*: ``"thread"``
-    workers are pool threads running batches on the primary executor
-    itself, one at a time under its lock (one interpreter: the event
-    loop stays live, nothing runs in parallel), ``"process"`` workers
-    are processes attached to one shared ``backend="shm"`` snapshot
-    (:class:`~repro.serving.process_pool.ProcessReplicaPool`) — real
-    CPU parallelism at one snapshot's memory cost.
-    """
-
-    mode: str = "charged"
-    levels: int = 4
-    fanout: int = 4
-    max_batch: int = 64
-    max_delay_ms: float = 2.0
-    replicas: int = 0
-    replica_mode: str = "thread"
-    #: Serve repeated queries from a cross-request result cache whose
-    #: entries are invalidated by maintenance-report footprints
-    #: (:mod:`repro.serving.result_cache`).  Coalescing dedupes
-    #: *in-flight* twins inside one flush, the cache dedupes *across*
-    #: flushes.
-    result_cache: bool = False
-    #: Max cached entries (LRU evicts beyond this).
-    cache_budget: int = 2048
-
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_delay_ms < 0:
-            raise ValueError(f"max_delay_ms must be >= 0, got {self.max_delay_ms}")
-        if self.replicas < 0:
-            raise ValueError(f"replicas must be >= 0, got {self.replicas}")
-        if self.replica_mode not in REPLICA_MODES:
-            raise ValueError(
-                f"replica_mode must be one of {REPLICA_MODES}, "
-                f"got {self.replica_mode!r}"
-            )
-        if self.cache_budget < 1:
-            raise ValueError(
-                f"cache_budget must be >= 1, got {self.cache_budget}"
-            )
-
-    @classmethod
-    def from_env(cls, **overrides: Any) -> "ServiceConfig":
-        """A config from the ``REPRO_*`` environment overrides.
-
-        Explicit keyword arguments beat the environment; the environment
-        beats the defaults.  This is the one place the serving stack
-        reads those variables — everything else takes a config object
-        (``max_delay_ms``, keyword only, bounds a hold while every
-        replica is busy).
-        """
-        env: Dict[str, Any] = {}
-        if MODE_ENV in os.environ:
-            env["mode"] = os.environ[MODE_ENV].lower()
-        if REPLICAS_ENV in os.environ:
-            env["replicas"] = _parse_int(REPLICAS_ENV, os.environ[REPLICAS_ENV])
-        if REPLICA_MODE_ENV in os.environ:
-            env["replica_mode"] = os.environ[REPLICA_MODE_ENV].lower()
-        if RESULT_CACHE_ENV in os.environ:
-            env["result_cache"] = _parse_bool(
-                RESULT_CACHE_ENV, os.environ[RESULT_CACHE_ENV]
-            )
-        if CACHE_BUDGET_ENV in os.environ:
-            env["cache_budget"] = _parse_int(
-                CACHE_BUDGET_ENV, os.environ[CACHE_BUDGET_ENV]
-            )
-        env.update(overrides)
-        return cls(**env)
-
-
 class RoadService:
-    """The serving facade over one :class:`~repro.serving.QueryExecutor`.
+    """The serving facade over one :class:`~repro.core.dispatch.QueryExecutor`.
 
     Construct over an existing executor (a built
     :class:`~repro.core.framework.ROAD`, a
     :class:`~repro.core.frozen.FrozenRoad`, a
     :class:`~repro.baselines.road_adapter.ROADEngine` or any baseline),
     or let :meth:`build` construct the ROAD engine the config describes.
+    Replicas and writes need an executor that owns a ROAD.
 
     The async front-end is single-loop: call :meth:`submit` from one
     running event loop (the flush machinery uses that loop's clock and
@@ -296,8 +133,6 @@ class RoadService:
         self.config = config if config is not None else ServiceConfig()
         self._executor = executor
         self._executor_lock = threading.Lock()
-        #: The gauges sampling one memory_stats() pass, and that pass.
-        self._memory_round: Optional[Tuple[Set[str], Mapping[str, object]]] = None
         # -- async admission state (touched only from the loop thread) --
         self._pending: _Buckets = {}
         self._pending_count = 0
@@ -305,14 +140,17 @@ class RoadService:
         self._in_flight = 0
         self._flush_handle: Optional[asyncio.Handle] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._counters = {name: 0 for name in _SERVICE_COUNTER_HELP}
-        self._result_cache: Optional[ResultCache] = None
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._register_metrics()
+        self._meters = ServiceMetrics(
+            self.metrics,
+            pool_stats=self.replica_pool_stats,
+            snapshot_memory=self._snapshot_memory,
+        )
+        self._result_cache: Optional[ResultCache] = None
         if self.config.result_cache:
-            self._result_cache = ResultCache(
+            self._result_cache = self._meters.cache = ResultCache(
                 self.config.cache_budget,
-                counters=dict(self._cache_counters),
+                counters=dict(self._meters.cache_counters),
             )
         self._shards: ReplicaSet = self._init_replicas()
 
@@ -359,20 +197,15 @@ class RoadService:
 
     @property
     def replicas(self) -> Tuple[QueryExecutor, ...]:
-        """The snapshot the replica set holds, if it holds one.
-
-        Process mode has one *shared* snapshot every worker process
-        attaches, so this returns that single snapshot (probe it to
-        probe what every worker serves).  Inline and thread batches run
-        on the primary executor itself, so this is empty: probe
-        ``executor.frozen`` instead.
-        """
+        """The snapshot the replica set holds: the process pool's one
+        shared snapshot, or ``()`` when batches run on the primary
+        itself (probe ``executor.frozen`` then)."""
         return self._shards.replicas
 
     def stats(self) -> Dict[str, object]:
         """Serving counters plus the executor's own stats when it has any."""
         summary: Dict[str, object] = {
-            "service": dict(self._counters),
+            "service": dict(self._meters.counts),
             "in_flight": self._in_flight,
             "replicas": self._shards.workers,
             "replica_mode": self.config.replica_mode,
@@ -389,193 +222,21 @@ class RoadService:
         return summary
 
     def replica_pool_stats(self) -> Dict[str, object]:
-        """Replica-pool counters under mode-independent key names.
-
-        Every replica set reports the :meth:`ProcessReplicaPool.stats`
-        keys (the process pool adds its seqlock words), and keeps
-        reporting after ``close()`` — ``closed`` is how ``/healthz``
-        learns the service is down.  ``/metrics`` and ``stats()``
-        consumers never branch on ``replica_mode``.
-        """
+        """Replica-pool counters under mode-independent key names (the
+        :meth:`ProcessReplicaPool.stats` keys), reported after
+        ``close()`` too — ``closed`` is how ``/healthz`` learns the
+        service is down."""
         return self._shards.stats()
 
-    # ------------------------------------------------------------------
-    # Metrics surface
-    # ------------------------------------------------------------------
-    def _register_metrics(self) -> None:
-        """Register this service's counter/histogram/gauge families."""
-        registry = self.metrics
-        self._metric_counters = {
-            name: registry.counter(f"road_service_{name}_total", text)
-            for name, text in _SERVICE_COUNTER_HELP.items()
-        }
-        # Per-kind admission counters materialise lazily: query classes
-        # appear as their first instance is submitted.
-        self._kind_counters: Dict[str, Counter] = {}
-        self._batch_sizes = registry.histogram(
-            "road_admission_batch_size",
-            "Unique queries per execute_many admission batch.",
-            buckets=BATCH_SIZE_BUCKETS,
-        )
-        self._latency = registry.histogram(
-            "road_query_latency_ms",
-            "Per-query submit() latency (admission to delivery) in ms.",
-        )
-        self._admit_wait, self._cache_stage = (
-            registry.histogram(
-                "road_stage_ms",
-                "Time spent per request-path stage in ms.",
-                labels={"stage": stage},
-            )
-            for stage in ("admit_wait", "cache")
-        )
-        self._flush_reasons = {
-            reason: registry.counter(
-                "road_flushes_total",
-                "Admission flushes by what triggered them.",
-                labels={"reason": reason},
-            )
-            for reason in FLUSH_REASONS
-        }
-        registry.gauge(
-            "road_replica_pool",
-            "Replica-pool state (ProcessReplicaPool.stats() keys, both "
-            "modes).",
-            self._pool_gauge,
-            label="field",
-        )
-        registry.gauge(
-            "road_directory_resident_bytes",
-            "Resident bytes per compiled directory of the serving "
-            "snapshot.",
-            self._directory_bytes_gauge,
-            label="directory",
-        )
-        registry.gauge(
-            "road_mask_cache",
-            "Mask-cache occupancy/eviction state of the serving snapshot.",
-            self._mask_cache_gauge,
-            label="field",
-        )
-        registry.gauge(
-            "road_snapshot_resident_bytes",
-            "Total resident bytes of the serving snapshot.",
-            self._snapshot_bytes_gauge,
-        )
-        self._cache_counters = {
-            name: registry.counter(f"road_cache_{name}_total", text)
-            for name, text in _CACHE_COUNTER_HELP.items()
-        }
-        self._cache_invalidate = registry.histogram(
-            "road_cache_invalidate_ms",
-            "Result-cache invalidation time per maintenance report in ms.",
-        )
-        registry.gauge(
-            "road_cache_hit_ratio",
-            "Result-cache hits / lookups (0 while cold or disabled).",
-            self._cache_hit_ratio_gauge,
-        )
-        registry.gauge(
-            "road_cache_entries",
-            "Entries resident in the result cache.",
-            self._cache_entries_gauge,
-        )
-
-    def _cache_hit_ratio_gauge(self) -> float:
-        cache = self._result_cache
-        if cache is None:
-            return 0.0
-        hits, misses = cache.hits, cache.misses
-        lookups = hits + misses
-        return hits / lookups if lookups else 0.0
-
-    def _cache_entries_gauge(self) -> float:
-        cache = self._result_cache
-        return 0.0 if cache is None else float(len(cache))
-
-    def _count(self, name: str, amount: int = 1) -> None:
-        """Bump one service counter in both surfaces (dict + /metrics)."""
-        self._counters[name] += amount
-        self._metric_counters[name].inc(amount)
-
-    def _count_kind(self, kind: str) -> None:
-        """Bump the per-query-class admission counter."""
-        counter = self._kind_counters.get(kind)
-        if counter is None:
-            counter = self.metrics.counter(
-                "road_queries_by_kind_total",
-                "Queries admitted by submit(), per query class.",
-                labels={"kind": kind},
-            )
-            self._kind_counters[kind] = counter
-        counter.inc()
-
-    def _pool_gauge(self) -> Dict[str, float]:
-        return {
-            key: float(value)
-            for key, value in self.replica_pool_stats().items()
-            if isinstance(value, (int, float))
-        }
-
-    def _memory_stats(self, gauge: str) -> Mapping[str, object]:
-        """The serving snapshot's ``memory_stats()``, one pass per scrape.
-
-        On the ``list`` backend the pass walks every boxed element (tens
-        of ms on full CA), and three gauges read it.  Each scrape samples
-        each gauge once, so the first gauge of a round computes it and
-        the others reuse it; a gauge asking again opens the next round.
-        Empty when no frozen snapshot serves.
-        """
-        from repro.core.frozen import FrozenRoad
-
-        if self._memory_round is None or gauge in self._memory_round[0]:
-            serving = self._serving_executor()
-            # A snapshot serves itself; an engine exposes its own.
-            frozen = getattr(serving, "frozen", serving)
-            stats: Mapping[str, object] = {}
-            if isinstance(frozen, FrozenRoad):
-                # The primary's snapshot may be mid-batch on a pool thread.
-                with self._executor_lock:
-                    stats = frozen.memory_stats()
-            self._memory_round = (set(), stats)
-        sampled, stats = self._memory_round
-        sampled.add(gauge)
-        return stats
-
-    def _directory_bytes_gauge(self) -> Dict[str, float]:
-        directories = self._memory_stats("directories").get("directories")
-        if not isinstance(directories, Mapping):
+    def _snapshot_memory(self) -> Mapping[str, object]:
+        """The serving snapshot's ``memory_stats()``; empty when none
+        serves (the metrics gauges read it once per scrape)."""
+        snapshot = self._serving_executor().frozen
+        if snapshot is None:
             return {}
-        out: Dict[str, float] = {}
-        for name, entry in directories.items():
-            if not isinstance(entry, Mapping):
-                continue
-            out[str(name)] = sum(
-                _stat_number(entry, key)
-                for key in (
-                    "object_array_bytes",
-                    "object_ref_bytes",
-                    "mask_cache_bytes",
-                )
-            )
-        return out
-
-    def _mask_cache_gauge(self) -> Dict[str, float]:
-        stats = self._memory_stats("mask_cache")
-        if not stats:
-            return {}
-        return {
-            key: _stat_number(stats, key)
-            for key in (
-                "mask_cache_bytes",
-                "mask_cache_entries",
-                "mask_budget",
-                "mask_evictions",
-            )
-        }
-
-    def _snapshot_bytes_gauge(self) -> float:
-        return _stat_number(self._memory_stats("snapshot"), "total_bytes")
+        # The primary's snapshot may be mid-batch on a pool thread.
+        with self._executor_lock:
+            return snapshot.memory_stats()
 
     # ------------------------------------------------------------------
     # Sync path
@@ -650,8 +311,8 @@ class RoadService:
             bucket = self._pending[key] = (start, [])
         bucket[1].append((query, future))
         self._pending_count += 1
-        self._count("submitted")
-        self._count_kind(type(query).__name__)
+        self._meters.count("submitted")
+        self._meters.count_kind(type(query).__name__)
         if self._pending_count >= self.config.max_batch:
             self._flush("full")
         elif self._flush_handle is None:  # else armed by an earlier submit
@@ -671,7 +332,7 @@ class RoadService:
         finally:
             # Failed queries are observed too: a latency surface that
             # drops errors under load reports a fantasy tail.
-            self._latency.observe((time.perf_counter() - start) * 1000.0)
+            self._meters.latency.observe((time.perf_counter() - start) * 1000.0)
 
     def _take_pending(self) -> _Buckets:
         """Cancel the armed flush and take every admission bucket."""
@@ -698,11 +359,11 @@ class RoadService:
         pending = self._take_pending()
         if not pending:
             return
-        self._count("flushes")
-        self._flush_reasons[reason].inc()
+        self._meters.count("flushes")
+        self._meters.flush_reasons[reason].inc()
         now = time.perf_counter()
         for (directory, _predicate), (since, entries) in pending.items():
-            self._admit_wait.observe((now - since) * 1000.0)
+            self._meters.admit_wait.observe((now - since) * 1000.0)
             self._dispatch(directory, entries)
 
     # ------------------------------------------------------------------
@@ -726,7 +387,7 @@ class RoadService:
             generation = cache.generation(directory)
             split_ms = (time.perf_counter() - started) * 1000.0
             if not miss_idx:  # all hits: no populate will follow
-                self._cache_stage.observe(split_ms)
+                self._meters.cache_stage.observe(split_ms)
         else:  # cache off: the split yields "all misses"
             hits, miss_idx, keys, generation = {}, range(len(unique)), [], (0, 0)
         if hits:
@@ -734,9 +395,9 @@ class RoadService:
         if not miss_idx:
             return
         misses = [unique[index] for index in miss_idx]
-        self._count("batches")
-        self._count("executed", len(misses))
-        self._batch_sizes.observe(float(len(misses)))
+        self._meters.count("batches")
+        self._meters.count("executed", len(misses))
+        self._meters.batch_sizes.observe(float(len(misses)))
 
         def complete(done: "Union[Future[Any], asyncio.Future[Any]]") -> None:
             try:
@@ -749,7 +410,7 @@ class RoadService:
                 results, footprints = results
                 started = time.perf_counter()
                 cache.populate(zip(keys, misses, results, footprints), generation)
-                self._cache_stage.observe(
+                self._meters.cache_stage.observe(
                     split_ms + (time.perf_counter() - started) * 1000.0
                 )
             self._deliver(entries, slot, dict(zip(miss_idx, results)))
@@ -797,7 +458,7 @@ class RoadService:
             if query not in slot:
                 slot[query] = len(unique)
                 unique.append(query)
-        self._count("coalesced", len(entries) - len(unique))
+        self._meters.count("coalesced", len(entries) - len(unique))
         return slot, unique
 
     @staticmethod
@@ -831,7 +492,7 @@ class RoadService:
                 pass
 
     # ------------------------------------------------------------------
-    # Replicas + maintenance
+    # Replicas + writes
     # ------------------------------------------------------------------
     def _serving_executor(self) -> QueryExecutor:
         """The executor async submits are validated against: the replica
@@ -839,190 +500,147 @@ class RoadService:
         frozen = self._shards.frozen
         return self._executor if frozen is None else frozen
 
-    def _road(self) -> Optional["ROAD"]:
-        """The charged ROAD behind the executor, if there is one."""
-        road = getattr(self._executor, "road", None)
-        if road is not None:
-            return road
-        from repro.core.framework import ROAD
+    def _owner(self, method: str) -> RoadOwner:
+        """The executor as the ROAD's owner, or a typed refusal.
 
-        return self._executor if isinstance(self._executor, ROAD) else None
+        Replicas and writes need the code that holds the ROAD: baselines
+        and bare snapshots get a :class:`ServiceError`, not an
+        ``AttributeError``.
+        """
+        if not isinstance(self._executor, RoadOwner):
+            raise ServiceError(
+                f"{type(self._executor).__name__} does not manage a ROAD "
+                f"or its Association Directories ({method} needs a "
+                f"ROAD-backed executor)"
+            )
+        return self._executor
 
     def _init_replicas(self) -> ReplicaSet:
         """Pick the replica set — the one place ``replica_mode`` decides."""
-        if self.config.replicas and self._road() is None:
-            raise ServiceError(
-                "replicas need a ROAD-backed executor "
-                f"(got {type(self._executor).__name__})"
-            )
-        if self.config.replicas and self.config.replica_mode == "process":
-            # One shared-memory snapshot, N attached worker processes:
-            # the workers are real CPUs, not interpreter time slices, and
-            # the arrays exist once whatever the worker count.
-            return ProcessReplicaPool(
-                self._shared_snapshot(), workers=self.config.replicas
-            )
+        if self.config.replicas:
+            owner = self._owner("replicas")
+            if self.config.replica_mode == "process":
+                # One shared-memory snapshot, N attached worker processes:
+                # the workers are real CPUs, not interpreter time slices,
+                # and the arrays exist once whatever the worker count.
+                return ProcessReplicaPool(
+                    owner.freeze(backend="shm"), workers=self.config.replicas
+                )
         return LocalReplicas(
             self._executor, self._executor_lock, workers=self.config.replicas
         )
 
-    def _shared_snapshot(self) -> "FrozenRoad":
-        """A fresh ``backend="shm"`` snapshot of the charged road,
-        compiling every attached directory, exactly as the primary
-        engine's own ``list`` snapshot does."""
-        road = self._road()
-        assert road is not None
-        return road.freeze(backend="shm")
-
-    def _rebuild_replicas(self) -> None:
-        """Re-freeze the process pool's snapshot after directory
-        membership changed.
-
-        Patches keep snapshot *contents* current, but cannot add or
-        remove a compiled directory — only a fresh freeze can.  The pool
-        publishes the new attach manifest and its workers re-attach
-        between batches; a set holding no snapshot has nothing to swap.
-        """
-        if self._result_cache is not None:
-            # Directory membership changed: every key's snapshot identity
-            # is suspect, so the whole cache goes.
-            self._result_cache.clear_all()
-        if self._shards.replicas:
-            self._shards.replace_snapshot(self._shared_snapshot())
-
     def attach_objects(
         self, objects: "ObjectSet", *, name: str, **kwargs: Any
-    ) -> str:
-        """Attach a provider through the executor.
-
-        The executor decides its own snapshot lifecycle
-        (:meth:`ROADEngine.attach_objects` invalidates a live snapshot);
-        the service re-freezes the process pool's snapshot, which a
-        maintenance patch cannot grow a directory into.
-        """
-        self._require_directories("attach_objects")
+    ) -> Any:
+        """Attach a provider through the owner, which re-freezes its own
+        snapshot; returns what the owner's ``attach_objects`` returns."""
+        owner = self._owner("attach_objects")
         with self._executor_lock:
-            directory = self._executor.attach_objects(objects, name=name, **kwargs)
-        if self._result_cache is not None:
-            self._result_cache.invalidate_directory(directory)
-        if self._shards.replicas:
-            self._rebuild_replicas()
+            directory = owner.attach_objects(objects, name=name, **kwargs)
+            self._directories_changed(owner, name)
         return directory
 
     def detach_objects(self, name: str) -> None:
-        """Detach a provider through the executor.
+        """Detach a provider through the owner.
 
         The process pool's snapshot cannot compile an empty directory
-        set, so there the last directory is refused *before* the
-        executor is touched — failing in the rebuild would strand the
-        workers serving the detached provider.
+        set, so there the last directory is refused *before* the owner
+        is touched — failing in the re-freeze would strand the workers
+        serving the detached provider.
         """
-        self._require_directories("detach_objects")
-        if self._shards.replicas and self._executor.directory_names == [name]:
+        owner = self._owner("detach_objects")
+        if self._shards.replicas and owner.directory_names == [name]:
             raise ServiceError(
                 f"cannot detach {name!r}: it is the last directory the "
                 f"process replicas serve"
             )
         with self._executor_lock:
-            self._executor.detach_objects(name)
-        self._rebuild_replicas()
+            owner.detach_objects(name)
+            self._directories_changed(owner, name)
 
-    def _require_directories(self, method: str) -> None:
-        """Raise a typed error unless the executor manages directories.
+    def _directories_changed(self, owner: RoadOwner, name: str) -> None:
+        """Reconcile the cache and the replicas with an attach or detach
+        of directory ``name``, in every replica mode alike.
 
-        Directory management needs an executor that owns directories
-        (ROAD or ROADEngine); baselines and bare snapshots get a
-        :class:`ServiceError`, not an ``AttributeError``.
+        Only ``name``'s cached answers go (the Route Overlay and the other
+        directories are untouched, so their answers stand).  A patch
+        cannot add or remove a compiled directory, so the process pool
+        swaps in a fresh ``shm`` freeze of the owner's.
         """
-        if not hasattr(self._executor, method):
-            raise ServiceError(
-                f"{type(self._executor).__name__} does not manage "
-                f"Association Directories ({method} requires a ROAD-backed "
-                f"executor)"
-            )
+        if self._result_cache is not None:
+            self._result_cache.invalidate_directory(name)
+        if self._shards.replicas:
+            self._shards.replace_snapshot(owner.freeze(backend="shm"))
 
     def apply_report(self, report: MaintenanceReport) -> None:
-        """Reconcile the replica set with one maintenance report.
+        """Reconcile the result cache and the replica set with one report.
 
-        The primary executor patches its own snapshot (ROADEngine's
-        lifecycle), which is all inline and thread batches run on; the
-        process pool patches its one shared snapshot inside the seqlock
-        window every worker honours.
+        The owner has already patched its own snapshot, which is all
+        inline and thread batches run on; the process pool patches its
+        one shared snapshot inside the seqlock window every worker
+        honours.
         """
         # Cache entries dirtied by this report die before any worker
         # could serve their keys post-patch; racing populates are
         # refused by the generation bump this performs.
-        self._invalidate_cache(report)
-        self._shards.apply(report, self._road())
-
-    def _invalidate_cache(self, report: MaintenanceReport) -> None:
-        """Report-driven cache eviction (no-op when the cache is off).
-
-        Evicts the entries whose footprint the report could change;
-        structural reports clear wholesale inside ``invalidate_report``.
-        """
         cache = self._result_cache
-        if cache is None:
-            return
-        started = time.perf_counter()
-        cache.invalidate_report(report)
-        self._cache_invalidate.observe((time.perf_counter() - started) * 1000.0)
+        if cache is not None:
+            started = time.perf_counter()
+            cache.invalidate_report(report)
+            self._meters.cache_invalidate.observe(
+                (time.perf_counter() - started) * 1000.0
+            )
+        self._shards.apply(report)
 
-    def _maintained(self, result: Any) -> Any:
-        """Reconcile after a maintenance call; pass its result through."""
-        report = (
-            result
-            if isinstance(result, MaintenanceReport)
-            else getattr(self._executor, "last_report", None)
-        )
-        if report is not None:
-            self.metrics.counter(
-                "road_patches_total",
-                "Maintenance patches processed, by report kind.",
-                labels={"kind": report.kind},
-            ).inc()
-            self.apply_report(report)
+    def _maintained(self, owner: RoadOwner, result: Any) -> Any:
+        """Fan the owner's report of the write just run out; pass the
+        write's result through."""
+        report = owner.last_report
+        assert report is not None, "a write records its report"
+        self._meters.count_patch(report.kind)
+        self.apply_report(report)
         return result
 
     def insert_object(self, obj: Any, **kwargs: Any) -> Any:
-        """Insert an object through the executor; reconcile the replicas."""
+        """Insert an object through the owner; reconcile the replicas."""
+        owner = self._owner("insert_object")
         with self._executor_lock:
-            return self._maintained(self._executor.insert_object(obj, **kwargs))
+            return self._maintained(owner, owner.insert_object(obj, **kwargs))
 
     def delete_object(self, object_id: int, **kwargs: Any) -> Any:
-        """Delete an object through the executor; reconcile the replicas."""
+        """Delete an object through the owner; reconcile the replicas."""
+        owner = self._owner("delete_object")
         with self._executor_lock:
-            return self._maintained(
-                self._executor.delete_object(object_id, **kwargs)
-            )
+            return self._maintained(owner, owner.delete_object(object_id, **kwargs))
 
     def update_object_attrs(
         self, object_id: int, attrs: Dict[str, Any], **kwargs: Any
     ) -> Any:
         """Update object attributes; reconcile the replicas."""
+        owner = self._owner("update_object_attrs")
         with self._executor_lock:
             return self._maintained(
-                self._executor.update_object_attrs(object_id, attrs, **kwargs)
+                owner, owner.update_object_attrs(object_id, attrs, **kwargs)
             )
 
     def update_edge_distance(self, u: int, v: int, distance: float) -> Any:
         """Change an edge distance; reconcile the replicas."""
+        owner = self._owner("update_edge_distance")
         with self._executor_lock:
-            return self._maintained(
-                self._executor.update_edge_distance(u, v, distance)
-            )
+            return self._maintained(owner, owner.update_edge_distance(u, v, distance))
 
     def add_edge(self, u: int, v: int, distance: float, **kwargs: Any) -> Any:
         """Open a road segment; reconcile the replicas."""
+        owner = self._owner("add_edge")
         with self._executor_lock:
-            return self._maintained(
-                self._executor.add_edge(u, v, distance, **kwargs)
-            )
+            return self._maintained(owner, owner.add_edge(u, v, distance, **kwargs))
 
     def remove_edge(self, u: int, v: int) -> Any:
         """Close a road segment; reconcile the replicas."""
+        owner = self._owner("remove_edge")
         with self._executor_lock:
-            return self._maintained(self._executor.remove_edge(u, v))
+            return self._maintained(owner, owner.remove_edge(u, v))
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -2,7 +2,7 @@
 
 ``update_edge_distance`` and ``insert_object`` route through the
 invalidation helper — the clean shape.  ``delete_object``, ``add_edge``
-and ``_rebuild_replicas`` mutate what cached answers were computed from
+and ``detach_objects`` mutate what cached answers were computed from
 without ever reaching an invalidator: three findings.
 """
 
@@ -43,8 +43,8 @@ class MiniService:
     def add_edge(self, u, v, distance):  # BUG: structural, still cached
         return self._executor.open_segment(u, v, distance)
 
-    def _rebuild_replicas(self):  # BUG: new snapshots, old answers
-        self._shards = [self._executor.refreeze()]
+    def detach_objects(self, name):  # BUG: new snapshots, old answers
+        self._shards = [self._executor.refreeze(name)]
 
     def _invalidate(self, report):
         self._cache.invalidate_report(report)

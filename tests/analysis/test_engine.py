@@ -75,7 +75,7 @@ def test_project_load_derives_package_dotted_names():
 
     project = Project.load(Path(repro.__file__).parent)
     assert "repro.core.frozen" in project.modules
-    assert "repro.serving.dispatch" in project.modules
+    assert "repro.core.dispatch" in project.modules
     assert "repro" in project.modules  # the package __init__
 
 

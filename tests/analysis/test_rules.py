@@ -200,8 +200,8 @@ def test_ra007_invalidating_entry_points_pass(tmp_path):
         "        report = self._executor.open_segment(u, v, distance)\n"
         "        self._invalidate(report)\n"
         "        return report\n"
-        "    def _rebuild_replicas(self):\n"
-        "        self._cache.clear_all()\n"
+        "    def detach_objects(self, name):\n"
+        "        self._cache.invalidate_directory(name)\n"
         "    def _invalidate(self, report):\n"
         "        self._cache.invalidate_report(report)\n",
         "RA007",

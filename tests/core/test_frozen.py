@@ -181,23 +181,25 @@ class TestFrozenEngineMode:
             assert frozen.range(node, 5.0) == charged.range(node, 5.0)
 
     def test_refreeze_mode_invalidates_snapshot(self, medium_grid):
-        """The lazy re-freeze (what attach/detach fall back to): the
-        dropped snapshot is rebuilt on the next query, over the updated
-        network."""
+        """Attach and detach re-freeze at once: the stale snapshot is
+        replaced inside the call, over the updated network, and the
+        snapshot is never None in frozen mode."""
         objects = place_uniform(medium_grid, 12, seed=4)
         engine = ROADEngine(medium_grid.copy(), objects, levels=2, mode="frozen")
-        assert engine.frozen is not None
+        stale = engine.frozen
+        assert stale is not None
         u, v, d = next(iter(engine.network.edges()))
         engine.update_edge_distance(u, v, d * 3)
         engine.attach_objects(place_uniform(medium_grid, 5, seed=9), name="hotels")
-        assert engine.frozen is None  # stale snapshot dropped
-        result = engine.knn(0, 2)  # lazily re-frozen
-        assert engine.frozen is not None
+        assert engine.frozen is not None and engine.frozen is not stale
         assert engine.frozen.directory_names == ["objects", "hotels"]
-        assert result == engine.road.knn(0, 2)
+        assert engine.knn(0, 2) == engine.road.knn(0, 2)
         counters = engine.stats()["maintenance"]
-        assert counters["invalidations"] == 1
-        assert counters["freezes"] == 2  # construction + the lazy one
+        assert "invalidations" not in counters
+        assert counters["freezes"] == 2  # construction + the attach
+        engine.detach_objects("hotels")
+        assert engine.frozen.directory_names == ["objects"]
+        assert engine.stats()["maintenance"]["freezes"] == 3
 
     def test_patch_mode_keeps_snapshot_current(self, medium_grid):
         objects = place_uniform(medium_grid, 12, seed=4)
@@ -772,7 +774,7 @@ class TestMultiDirectory:
         assert "hotels:obj_id" in stats["arrays"]
 
     def test_unknown_directory_raises_on_query(self, multi):
-        from repro.serving.dispatch import UnknownDirectoryError
+        from repro.core.dispatch import UnknownDirectoryError
 
         road, _, _ = multi
         frozen = road.freeze()

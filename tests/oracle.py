@@ -3,8 +3,9 @@
 Every engine (ROAD and the baselines) must agree with plain Dijkstra from
 the query node — the paper's correctness ground truth.  Snapshot probes
 compare against a fresh freeze instead; :func:`serving_snapshots` names
-the snapshots a service actually serves from, and :data:`QUERY_SAMPLES`
-holds one query per declared kind.
+the snapshots a service actually serves from, :func:`build_arm` builds a
+service on one of the :data:`ARMS` its batches can execute on, and
+:data:`QUERY_SAMPLES` holds one query per declared kind.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ from __future__ import annotations
 import math
 from typing import List, Sequence, Tuple
 
+import pytest
+
+from repro.core.frozen_backends import shared_memory_available
 from repro.graph.network import RoadNetwork
 from repro.graph.shortest_path import dijkstra_distances
 from repro.objects.model import ObjectSet
@@ -25,6 +29,7 @@ from repro.queries.types import (
     RouteKNNQuery,
     ServiceAreaQuery,
 )
+from repro.serving import RoadService, ServiceConfig
 
 #: One representative query per declared kind (predicate-bearing where
 #: the kind takes one), valid on any network holding nodes 0..63 whose
@@ -188,3 +193,21 @@ def serving_snapshots(service) -> list:
         "no frozen snapshot serves this service"
     )
     return snapshots
+
+
+#: Every execution arm the dispatch pipeline hands batches to.
+ARMS = {
+    "inline": {},
+    "thread": {"replicas": 2},
+    "process": {"replicas": 1, "replica_mode": "process"},
+}
+
+
+def build_arm(network, objects, arm, **overrides):
+    """A frozen-mode service on one execution arm of the lattice."""
+    if arm == "process" and not shared_memory_available():
+        pytest.skip("host has no POSIX shared memory (/dev/shm)")
+    settings = {"mode": "frozen", "levels": 3, **ARMS[arm], **overrides}
+    return RoadService.build(
+        network.copy(), objects, config=ServiceConfig(**settings)
+    )

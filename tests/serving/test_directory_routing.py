@@ -274,10 +274,10 @@ class TestAuthoritativeDirectorySurface:
     def test_run_on_named_directory_survives_refreeze(
         self, network, providers
     ):
-        """Regression: the lazily rebuilt snapshot used to compile only
-        the default directory — queries naming another provider then
-        404'd once the snapshot had been dropped (here by attaching a
-        third provider)."""
+        """Regression: the rebuilt snapshot used to compile only the
+        default directory — queries naming another provider then 404'd
+        once the snapshot had been replaced (here by attaching a third
+        provider)."""
         engine = ROADEngine(
             network.copy(),
             providers["objects"],
@@ -289,10 +289,10 @@ class TestAuthoritativeDirectorySurface:
         try:
             before = service.run(KNNQuery(0, 2), directory="hotels")
             assert _ids(before) <= set(providers["hotels"].ids())
+            stale = engine.frozen
             service.attach_objects(providers["fuel"], name="fuel")
-            assert engine.frozen is None  # snapshot dropped, not patched
-            got = service.run(KNNQuery(0, 2), directory="hotels")  # re-frozen
-            assert engine.frozen is not None
+            assert engine.frozen is not stale  # re-frozen at once, not patched
+            got = service.run(KNNQuery(0, 2), directory="hotels")
             assert engine.frozen.directory_names == ["objects", "hotels", "fuel"]
             assert got == before
             assert got == engine.road.freeze(directory="hotels").knn(0, 2)
@@ -334,9 +334,9 @@ class TestAuthoritativeDirectorySurface:
         self, network, providers
     ):
         """Directory membership changes reach the snapshot that serves:
-        attach through the service drops it and the next batch re-freezes
-        it with the new directory (a patch cannot grow one), detach drops
-        it everywhere, and maintenance keeps working afterwards."""
+        attach through the service re-freezes it with the new directory
+        (a patch cannot grow one), detach drops the directory from it,
+        and maintenance keeps working afterwards."""
         service = RoadService.build(
             network.copy(),
             providers["objects"],
@@ -453,9 +453,8 @@ class TestAuthoritativeDirectorySurface:
         self, network, providers
     ):
         """Regression: a service-level detach must not look names up
-        through the lazily-freezing serving object — with an invalidated
-        snapshot that would pay a full compile the detach immediately
-        invalidates again."""
+        through the serving snapshot — each membership change freezes
+        exactly once, inside the engine's own attach or detach."""
         engine = ROADEngine(
             network.copy(),
             providers["objects"],
@@ -465,11 +464,12 @@ class TestAuthoritativeDirectorySurface:
         )
         service = RoadService(engine, config=ServiceConfig(mode="frozen"))
         try:
-            service.attach_objects(providers["fuel"], name="fuel")
-            assert engine.frozen is None  # invalidated, not yet rebuilt
             freezes = engine.stats()["maintenance"]["freezes"]
+            service.attach_objects(providers["fuel"], name="fuel")
+            assert engine.stats()["maintenance"]["freezes"] == freezes + 1
             service.detach_objects("hotels")
-            assert engine.stats()["maintenance"]["freezes"] == freezes
+            assert engine.stats()["maintenance"]["freezes"] == freezes + 2
+            assert engine.frozen.directory_names == ["objects", "fuel"]
         finally:
             service.close()
 

@@ -40,7 +40,7 @@ from repro.queries.types import (
     ServiceAreaQuery,
 )
 from repro.serving import RoadService, ServiceConfig
-from repro.serving.dispatch import UnknownDirectoryError
+from repro.core.dispatch import UnknownDirectoryError
 from repro.serving.wire import decode_result, encode_result
 from tests.oracle import assert_od_matches_dijkstra, brute_object_distances
 

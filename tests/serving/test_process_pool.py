@@ -334,7 +334,7 @@ def test_failed_patch_degrades_pool_until_snapshot_replaced(monkeypatch):
 
         monkeypatch.setattr(pool.frozen, "apply", explode)
         with pytest.raises(RuntimeError, match="mid-patch"):
-            pool.apply(object(), None)
+            pool.apply(object())
 
         stats = pool.stats()
         assert stats["degraded"] is True
@@ -342,7 +342,7 @@ def test_failed_patch_degrades_pool_until_snapshot_replaced(monkeypatch):
         with pytest.raises(ProcessPoolError, match="degraded"):
             pool.submit(workload, None)
         with pytest.raises(ProcessPoolError, match="degraded"):
-            pool.apply(object(), None)
+            pool.apply(object())
 
         pool.replace_snapshot(road.freeze(backend="shm"))
         stats = pool.stats()
@@ -368,7 +368,7 @@ def test_close_unblocks_workers_parked_in_an_open_patch_window(monkeypatch):
 
     monkeypatch.setattr(pool.frozen, "apply", explode)
     with pytest.raises(RuntimeError, match="mid-patch"):
-        pool.apply(object(), None)
+        pool.apply(object())
     # Hand a worker a batch directly (submit() refuses while degraded):
     # it parks in the catch-up loop because the window never closes.
     pool._tasks[0].put(("batch", 10_000, list(workload), None, False))

@@ -19,7 +19,7 @@ from repro.queries.types import (
     RangeQuery,
     ResultEntry,
 )
-from repro.serving.dispatch import QueryExecutor, UnsupportedQueryError
+from repro.core.dispatch import QueryExecutor, UnsupportedQueryError
 from repro.serving.wire import WireError, decode_query, encode_query
 from tests.oracle import QUERY_SAMPLES
 

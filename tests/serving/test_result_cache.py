@@ -56,6 +56,7 @@ from repro.serving.result_cache import (
     node_footprint,
     query_nodes,
 )
+from tests.oracle import ARMS, build_arm
 
 DIR = "objects"
 
@@ -1140,3 +1141,38 @@ class TestCachedReplicaModes:
             assert post == service.run_many(QUERIES)
         finally:
             service.close()
+
+
+@pytest.mark.parametrize("arm", list(ARMS))
+def test_membership_changes_evict_only_their_directory(network, objects, arm):
+    """One eviction rule in every replica mode: attaching or detaching
+    directory ``b`` evicts ``b``'s cached answers and nothing else.  The
+    Route Overlay and every other directory are untouched, so their
+    answers stand — served from the cache afterwards, equal to a fresh
+    run."""
+    service = build_arm(
+        network, objects, arm, result_cache=True, cache_budget=64
+    )
+    queries = [KNNQuery(node, 2) for node in range(10)]
+    try:
+        submit_all(service, queries)
+        cache = service._result_cache
+        assert len(cache) == 10
+        service.attach_objects(place_uniform(network, 6, seed=41), name="b")
+        assert len(cache) == 10
+
+        async def in_b():
+            return await asyncio.gather(
+                *(service.submit(q, directory="b") for q in queries[:3])
+            )
+
+        asyncio.run(in_b())
+        assert len(cache) == 13
+        service.detach_objects("b")
+        assert sorted(key[0] for key in cache._entries) == [DIR] * 10
+        hits = cache.hits
+        (post,) = submit_all(service, queries)
+        assert cache.hits - hits == 10
+        assert post == service.run_many(queries)
+    finally:
+        service.close()

@@ -36,7 +36,7 @@ from repro.serving import (
     UnsupportedQueryError,
 )
 from repro.serving.service import FLUSH_REASONS
-from tests.oracle import serving_snapshots
+from tests.oracle import ARMS, build_arm, serving_snapshots
 
 
 @pytest.fixture
@@ -66,24 +66,6 @@ def gather_submits(service, queries, **kwargs):
         )
 
     return asyncio.run(go())
-
-
-#: Every execution arm the dispatch pipeline hands batches to.
-ARMS = {
-    "inline": {},
-    "thread": {"replicas": 2},
-    "process": {"replicas": 1, "replica_mode": "process"},
-}
-
-
-def build_arm(network, objects, arm, **overrides):
-    """A frozen-mode service on one execution arm of the lattice."""
-    if arm == "process" and not shared_memory_available():
-        pytest.skip("host has no POSIX shared memory (/dev/shm)")
-    settings = {"mode": "frozen", "levels": 3, **ARMS[arm], **overrides}
-    return RoadService.build(
-        network.copy(), objects, config=ServiceConfig(**settings)
-    )
 
 
 def flush_reasons(service):
@@ -202,9 +184,9 @@ class TestServiceConfig:
     def test_sharded_build_never_compiles_a_primary_snapshot(
         self, network, objects
     ):
-        """Regression: resolving the shard default must not lazily
-        freeze the primary — only the replica freezes may run at build
-        (and membership changes must not re-freeze the primary either)."""
+        """Regression: resolving the shard default must not freeze the
+        primary — only the engine's own freeze may run at build, and a
+        membership change re-freezes it exactly once, inside the attach."""
         service = RoadService.build(
             network.copy(), objects,
             config=ServiceConfig(mode="frozen", levels=3, replicas=2),
@@ -216,7 +198,8 @@ class TestServiceConfig:
             assert engine.stats()["maintenance"]["freezes"] == 1
             hotels = place_uniform(network, 6, seed=41)
             service.attach_objects(hotels, name="hotels")
-            service.run(KNNQuery(0, 1))  # one lazy refreeze (new directory)
+            assert engine.stats()["maintenance"]["freezes"] == 2
+            service.run(KNNQuery(0, 1))  # no query-time freeze
             assert engine.stats()["maintenance"]["freezes"] == 2
         finally:
             service.close()
