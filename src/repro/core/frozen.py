@@ -863,7 +863,7 @@ class FrozenRoad(QueryExecutor):
         """
         # Uncharged export (peek_entries): the recompile runs inside a
         # maintenance apply, which must not disturb the LRU buffer or
-        # the I/O counters (RA001).
+        # the I/O counters.
         exports = {
             name: road.directory(name).peek_entries() for name in self._dirs
         }

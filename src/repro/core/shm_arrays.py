@@ -23,12 +23,12 @@ slice-assignment writes (including resizing splices, byte-moved with a
 single tail copy), and a cached :meth:`view` memoryview for the query hot
 loops.
 
-Lifecycle (statically enforced by analysis rule RA006): every segment is
-``close()``-d by each attached process and ``unlink()``-ed exactly once,
-by the owner, from :meth:`ShmVector.close`.  A ``weakref.finalize``
-backstop covers vectors dropped without an explicit close (tests, a
-snapshot garbage-collected unclosed) so abandoned segments do not outlive
-the process.
+Lifecycle: this module is the only one that creates a ``SharedMemory``
+segment.  Every segment is ``close()``-d by each attached process and
+``unlink()``-ed exactly once, by the owner, from :meth:`ShmVector.close`.
+A ``weakref.finalize`` backstop covers vectors dropped without an
+explicit close (tests, a snapshot garbage-collected unclosed) so
+abandoned segments do not outlive the process.
 CPython < 3.13 registers *attached* segments with the resource tracker as
 if they were owned — see :func:`attach_segment` for why that is benign in
 the one-tracker-per-process-tree world the serving pool runs in.
@@ -335,8 +335,8 @@ class ShmVector(Sequence[Any]):
     def close(self) -> None:
         """Release this process's mapping; the owner also unlinks.
 
-        Idempotent.  Each attached process must call this (RA006); the
-        segment itself is destroyed exactly once, by the owner.
+        Idempotent.  Each attached process must call this; the segment
+        itself is destroyed exactly once, by the owner.
         """
         if self._closed:
             return

@@ -475,16 +475,25 @@ class TestApplyPatch:
             assert frozen.range(node, 6.0) == fresh.range(node, 6.0)
 
     def test_patched_snapshot_stays_pager_free(self, built, frozen):
-        _, _, road = built
-        u, v, d = next(iter(road.network.edges()))
-        report = road.update_edge_distance(u, v, d * 1.7)
-        # The delta-patch itself is uncharged (stored_tree/peek reads):
-        # snapshot bookkeeping must not pollute the maintenance I/O profile.
-        before = road.pager.stats.snapshot()
-        outcome = frozen.apply(report)
-        if outcome == "patched":
+        """A delta-patch and a full recompile alike read the road
+        uncharged (stored_tree / peek_entries / iter_trees): snapshot
+        bookkeeping must not pollute the maintenance I/O profile."""
+        net, _, road = built
+        u, v, d = next(iter(net.edges()))
+        a, b = 0, net.num_nodes - 1
+        assert not net.has_edge(a, b)
+        writes = [
+            (lambda: road.update_edge_distance(u, v, d * 1.7), "patched"),
+            (lambda: road.add_edge(a, b, 3.0), "recompiled"),
+            (lambda: road.remove_edge(a, b), "recompiled"),
+        ]
+        for write, expected in writes:
+            report = write()
+            before = road.pager.stats.snapshot()
+            assert frozen.apply(report) == expected
             diff = road.pager.stats.diff(before)
             assert (diff.reads, diff.writes, diff.hits, diff.misses) == (0, 0, 0, 0)
+            assert frozen.knn(a, 4) == road.freeze().knn(a, 4)
         before = road.pager.stats.snapshot()
         frozen.knn(0, 5)
         frozen.range(9, 4.0, Predicate.of(type="a"))

@@ -4,9 +4,10 @@ The storage contract the process replica pool builds on: length lives in
 the shared header (attachers observe owner splices with no side
 channel), in-place splices keep the segment name, outgrowing the
 capacity slack re-homes to a *new* name (the pool's reload trigger), and
-teardown is close-everywhere / unlink-exactly-once-by-the-owner (the
-discipline RA006 enforces statically).
+teardown is close-everywhere / unlink-exactly-once-by-the-owner.
 """
+
+from pathlib import Path
 
 import pytest
 
@@ -144,6 +145,25 @@ class TestLifecycle:
         vec.close()  # idempotent: the unlink does not run twice
         with pytest.raises(FileNotFoundError):
             ShmVector.attach(name, "q")
+
+    def test_close_releases_the_mapping_in_every_process(self):
+        """Each close drops its own process's mapping at once, not at
+        garbage collection; the owner's close also unlinks the name."""
+        maps = Path("/proc/self/maps")
+        if not maps.exists():
+            pytest.skip("needs /proc/self/maps to count mappings")
+        owner = ShmVector("q", (1, 2, 3))
+        name = owner.segment_name.lstrip("/")
+
+        def mapped():
+            return sum(name in line for line in maps.read_text().splitlines())
+
+        reader = ShmVector.attach(owner.segment_name, "q")
+        assert mapped() == 2
+        reader.close()
+        assert mapped() == 1
+        owner.close()
+        assert mapped() == 0
 
     def test_backend_arrays_are_shm_vectors(self):
         backend = get_backend("shm")

@@ -5,16 +5,13 @@ pool *worker* thread against the primary executor itself, holding the
 one executor lock (``LocalReplicas._run``), while maintenance writes and
 sync ``run_many`` calls take that same lock on the event-loop thread.
 This suite hammers both sides at once on one snapshot — the primary's
-own, the only one there is — and asserts the lock delivers what RA002
-polices statically: no write lands while a batch executes (batches are
-widened to make that race likely), answers equal to an untouched twin's
-at every step, and zero snapshot divergences afterwards.  A bare
-(charged) ROAD primary runs the same stress, since its pager is reached
-from the pool threads too.
-
-The companion assertion runs RA002 itself over the seeded lock-violation
-fixture: the invariant the stress exercises dynamically must be the one
-the lint engine can catch statically.
+own, the only one there is — and asserts the lock delivers: no write
+lands while a batch executes (batches are widened to make that race
+likely), answers equal to an untouched twin's at every step, and zero
+snapshot divergences afterwards.  Directory management is a write
+too: two waves attach, then detach, a side directory.  A bare (charged)
+ROAD primary runs the same stress, since its pager is reached from the
+pool threads too.
 """
 
 import asyncio
@@ -22,11 +19,9 @@ import random
 import sys
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
-from repro.analysis import analyze_path
 from repro.core.framework import ROAD
 from repro.eval.metrics import snapshot_divergences
 from repro.graph.generators import grid_network
@@ -38,9 +33,8 @@ from repro.serving import RoadService, ServiceConfig
 
 ROUNDS = 6
 LEVELS = 3
-LOCK_FIXTURE = (
-    Path(__file__).parent.parent / "analysis" / "fixtures" / "ra002_unlocked_write"
-)
+#: The waves that attach, then detach, the side directory.
+ATTACH_WAVE, DETACH_WAVE = 1, 4
 #: Small batches force several hand-offs per wave, so pool threads (more
 #: of them than a small host has cores) have batches running or queued
 #: on the lock when a write lands.
@@ -57,6 +51,11 @@ def make_objects(network):
     return place_uniform(
         network, 24, seed=8, attr_choices={"type": ["cafe", "fuel"]}
     )
+
+
+def make_side_objects(network):
+    """A second provider's objects, attached and detached mid-stress."""
+    return place_uniform(network, 12, seed=31, attr_choices={"type": ["cafe"]})
 
 
 @pytest.fixture
@@ -96,7 +95,12 @@ class Recorder:
                 self.batches.append((wave, start, time.perf_counter()))
 
         executor.execute_many = execute_many
-        for name in ("update_edge_distance", "insert_object"):
+        for name in (
+            "update_edge_distance",
+            "insert_object",
+            "attach_objects",
+            "detach_objects",
+        ):
 
             def write(*args, _write=getattr(executor, name), **kwargs):
                 self.writes.append((self.wave, time.perf_counter()))
@@ -124,7 +128,8 @@ class Recorder:
 
 def stress(service, twin, workload):
     """Waves of async batches with a write and a sync read landing on
-    the loop thread mid-wave, against a twin mirroring every write."""
+    the loop thread mid-wave, against a twin mirroring every write; two
+    waves also attach, then detach, a second provider."""
     rnd = random.Random(97)
     edges = sorted((u, v) for u, v, _ in twin.network.edges())
     next_id = max(twin.directory().objects.ids()) + 1
@@ -139,6 +144,12 @@ def stress(service, twin, workload):
             for _ in range(2):
                 await asyncio.sleep(0)
             time.sleep(0.0005)
+            if step == ATTACH_WAVE:
+                for target in (service, twin):
+                    target.attach_objects(make_side_objects(twin.network), name="side")
+            elif step == DETACH_WAVE:
+                for target in (service, twin):
+                    target.detach_objects("side")
             u, v = edges[rnd.randrange(len(edges))]
             if step % 2 == 0:
                 distance = twin.network.edge_distance(u, v) * 1.5
@@ -151,6 +162,10 @@ def stress(service, twin, workload):
                     )
             # A sync read waits out the running batch, then sees the write.
             assert service.run_many(workload) == twin.execute_many(workload)
+            if "side" in twin.directory_names:
+                assert service.run_many(workload, directory="side") == (
+                    twin.execute_many(workload, directory="side")
+                )
             await asyncio.wait_for(in_flight, timeout=30.0)
         # Quiesced: the async path agrees with the twin too.
         return await asyncio.gather(*(service.submit(q) for q in workload))
@@ -163,7 +178,7 @@ def stress(service, twin, workload):
         sys.setswitchinterval(interval)
     assert answers == twin.execute_many(workload)
     assert service.stats()["in_flight"] == 0
-    assert len(recorder.writes) == ROUNDS
+    assert len(recorder.writes) == ROUNDS + 2
     assert recorder.torn() == [], "a write landed under a running batch"
     assert recorder.split_waves(), "no write landed mid-wave"
 
@@ -193,9 +208,10 @@ def test_broadcast_under_concurrent_batches(network, workload):
 
 def test_charged_primary_under_concurrent_batches(network, workload):
     """A bare ROAD: thread batches run the charged path, pager included,
-    on pool threads, with writes and sync reads interleaved."""
+    on pool threads, with writes and sync reads interleaved; thread × 2,
+    as the benchmark's thread workloads serve."""
     road = make_twin(network)
-    service = RoadService(road, config=ServiceConfig(**STRESS))
+    service = RoadService(road, config=ServiceConfig(**dict(STRESS, replicas=2)))
     try:
         stress(service, make_twin(network), workload)
         assert service.replica_pool_stats()["batches"] >= ROUNDS
@@ -223,16 +239,3 @@ def test_thread_replicas_freeze_only_the_primary(network, monkeypatch):
     service = RoadService(make_twin(network), config=ServiceConfig(replicas=2))
     service.close()
     assert len(freezes) == 1
-
-
-def test_ra002_catches_the_seeded_lock_violation():
-    """The discipline stressed above is statically enforced: RA002 fires
-    on every seeded violation shape (a maintenance call and a
-    directory-management call outside the executor lock, admission
-    state written under it)."""
-    findings = analyze_path(LOCK_FIXTURE, rule_ids=["RA002"])
-    assert [f.rule for f in findings] == ["RA002"] * 3
-    messages = " | ".join(f.message for f in findings)
-    assert "self._executor.update_edge_distance" in messages
-    assert "self._executor.attach_objects" in messages
-    assert "_pending_count" in messages

@@ -3,11 +3,15 @@
 The serving tier sits on top of the library.  The dispatch protocol the
 engines implement lives in :mod:`repro.core.dispatch`, so no module of
 the library layers imports :mod:`repro.serving`, and importing the core
-engine never loads the serving tier.  Stdlib only, so the no-numpy CI
-leg runs it.
+engine never loads the serving tier.  Two more import-time contracts
+live here: every module imports without numpy (the extra feeds the
+generators only, through :mod:`repro._optional`), and only
+:mod:`repro.core.shm_arrays` creates a ``SharedMemory`` segment.  Stdlib
+only, so the no-numpy CI leg runs it.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -32,6 +36,19 @@ LIBRARY = (
 )
 
 
+def _parsed(root):
+    """(path, AST) of every module under ``root``."""
+    for path in sorted(root.rglob("*.py")):
+        yield path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _child_env():
+    """The child must import the same ``repro`` this process did, whether
+    it is installed or found through pytest's ``pythonpath`` setting."""
+    path = [str(PACKAGE_ROOT.parent), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
 def _imported_modules(tree):
     """Every absolute module name an ``import`` / ``from`` names,
     ``TYPE_CHECKING`` blocks and function bodies included."""
@@ -47,8 +64,7 @@ def _imported_modules(tree):
 @pytest.mark.parametrize("package", LIBRARY)
 def test_library_layers_never_import_serving(package):
     offenders = []
-    for path in sorted((PACKAGE_ROOT / package).rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for path, tree in _parsed(PACKAGE_ROOT / package):
         offenders.extend(
             f"{path.relative_to(PACKAGE_ROOT)}: {name}"
             for name in _imported_modules(tree)
@@ -57,10 +73,57 @@ def test_library_layers_never_import_serving(package):
     assert offenders == []
 
 
+def test_only_shm_arrays_creates_shared_memory():
+    """Raw segments come from one module, whose vectors close every
+    mapping and unlink once: a ``SharedMemory(...)`` elsewhere would
+    escape that lifecycle and the process pool's reload protocol."""
+    callers = {
+        path.relative_to(PACKAGE_ROOT).as_posix()
+        for path, tree in _parsed(PACKAGE_ROOT)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+        == "SharedMemory"
+    }
+    assert callers == {"core/shm_arrays.py"}
+
+
+def test_every_module_imports_without_numpy():
+    """A fresh interpreter with numpy blocked imports every module, so an
+    eager numpy import anywhere — direct or through another module —
+    fails here, not on a stdlib-only install."""
+    expected = sorted(
+        ".".join(("repro",) + path.relative_to(PACKAGE_ROOT).with_suffix("").parts)
+        .removesuffix(".__init__")
+        for path in PACKAGE_ROOT.rglob("*.py")
+        if path.name != "__main__.py"
+    )
+    probe = (
+        "import importlib, json, pkgutil, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import repro\n"
+        "imported, failed = ['repro'], []\n"
+        "for info in pkgutil.walk_packages(repro.__path__, 'repro.', failed.append):\n"
+        "    if info.name.endswith('.__main__'):\n"
+        "        continue\n"
+        "    try:\n"
+        "        importlib.import_module(info.name)\n"
+        "    except ImportError as exc:\n"
+        "        failed.append(f'{info.name}: {exc}')\n"
+        "    else:\n"
+        "        imported.append(info.name)\n"
+        "print(json.dumps([sorted(imported), failed]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_child_env()
+    )
+    assert result.returncode == 0, result.stderr
+    imported, failed = json.loads(result.stdout)
+    assert failed == []
+    assert imported == expected
+
+
 def test_importing_the_core_engine_leaves_serving_unloaded():
-    # The child must import the same ``repro`` this process did, whether
-    # it is installed or found through pytest's ``pythonpath`` setting.
-    path = [str(PACKAGE_ROOT.parent), os.environ.get("PYTHONPATH", "")]
     probe = (
         "import sys\n"
         "import repro.core.frozen\n"
@@ -71,7 +134,7 @@ def test_importing_the_core_engine_leaves_serving_unloaded():
         [sys.executable, "-c", probe],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        env=_child_env(),
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == ""

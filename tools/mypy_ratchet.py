@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Baseline-ratcheted mypy gate (the CI ``analysis`` job's second half).
+"""Baseline-ratcheted mypy gate (the CI ``typecheck`` job).
 
 Runs mypy with the repo's pyproject config and diffs the errors against
 the committed baseline (``tools/mypy_baseline.txt``):
