@@ -88,39 +88,56 @@ def test_only_shm_arrays_creates_shared_memory():
     assert callers == {"core/shm_arrays.py"}
 
 
-def test_every_module_imports_without_numpy():
-    """A fresh interpreter with numpy blocked imports every module, so an
-    eager numpy import anywhere — direct or through another module —
-    fails here, not on a stdlib-only install."""
-    expected = sorted(
-        ".".join(("repro",) + path.relative_to(PACKAGE_ROOT).with_suffix("").parts)
-        .removesuffix(".__init__")
-        for path in PACKAGE_ROOT.rglob("*.py")
-        if path.name != "__main__.py"
-    )
+#: Every module under ``repro`` but ``__main__`` scripts, read off the
+#: source tree so collecting the tests imports none of them.
+MODULES = sorted(
+    ".".join(("repro",) + path.relative_to(PACKAGE_ROOT).with_suffix("").parts)
+    .removesuffix(".__init__")
+    for path in PACKAGE_ROOT.rglob("*.py")
+    if path.name != "__main__.py"
+)
+
+
+@pytest.fixture(scope="module")
+def numpy_free_imports():
+    """One fresh interpreter with numpy blocked imports every module
+    ``pkgutil.walk_packages`` finds: module name -> ``""`` when it
+    imported, else the error."""
     probe = (
         "import importlib, json, pkgutil, sys\n"
         "sys.modules['numpy'] = None\n"
         "import repro\n"
-        "imported, failed = ['repro'], []\n"
-        "for info in pkgutil.walk_packages(repro.__path__, 'repro.', failed.append):\n"
+        "outcome = {'repro': ''}\n"
+        "def walk_failed(name):\n"
+        "    outcome[name] = 'the package failed to import during the walk'\n"
+        "for info in pkgutil.walk_packages(repro.__path__, 'repro.', walk_failed):\n"
         "    if info.name.endswith('.__main__'):\n"
         "        continue\n"
         "    try:\n"
         "        importlib.import_module(info.name)\n"
         "    except ImportError as exc:\n"
-        "        failed.append(f'{info.name}: {exc}')\n"
+        "        outcome[info.name] = f'{type(exc).__name__}: {exc}'\n"
         "    else:\n"
-        "        imported.append(info.name)\n"
-        "print(json.dumps([sorted(imported), failed]))\n"
+        "        outcome.setdefault(info.name, '')\n"
+        "print(json.dumps(outcome))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=_child_env()
     )
     assert result.returncode == 0, result.stderr
-    imported, failed = json.loads(result.stdout)
-    assert failed == []
-    assert imported == expected
+    return json.loads(result.stdout)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_module_imports_without_numpy(numpy_free_imports, module):
+    """An eager numpy import anywhere — direct or through another module
+    — fails the module that makes it here, not on a stdlib-only install."""
+    assert module in numpy_free_imports, "pkgutil.walk_packages did not reach it"
+    assert numpy_free_imports[module] == ""
+
+
+def test_the_walk_finds_only_modules_of_the_tree(numpy_free_imports):
+    assert sorted(numpy_free_imports) == MODULES
 
 
 def test_importing_the_core_engine_leaves_serving_unloaded():
