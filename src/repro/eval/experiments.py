@@ -4,7 +4,8 @@ One function per table/figure of the evaluation; each builds the relevant
 engines, runs the paper's workload shape, and returns an
 :class:`~repro.eval.reporting.ExperimentResult` whose rows mirror the
 figure's series.  The benchmark harness in ``benchmarks/`` drives these and
-persists the rendered tables; EXPERIMENTS.md records paper-vs-measured.
+writes the rendered tables to ``benchmarks/results/`` (not tracked): no
+committed file yet sets them beside the paper's figures.
 
 All functions take explicit size knobs so the default run finishes in
 minutes on the mini-scale datasets while ``REPRO_SCALE=paper`` reproduces

@@ -55,6 +55,7 @@ from typing import (
     Tuple,
 )
 
+from repro.core.association_directory import DirectoryError
 from repro.core.dispatch import (
     RoadOwner,
     UnknownDirectoryError,
@@ -236,18 +237,20 @@ class RoadServiceApp:
         except (
             UnsupportedQueryError,
             ObjectError,
+            DirectoryError,
             ValueError,
             MaintenanceError,
             NetworkError,
         ) as exc:
             # WireError is a ValueError; engine-side validation (bad
-            # radius, bad aggregate, negative offsets, a refused edge
-            # write) lands here.
+            # radius, bad aggregate, negative offsets, an unknown object
+            # id, an object on a missing edge or beyond its length, a
+            # refused edge write) lands here.
             return _json_reply(400, {"error": str(exc)})
         except KeyError as exc:
-            # Unknown object ids surface as KeyErrors from the
-            # maintenance path, unknown query nodes as UnknownNodeError
-            # from admission: the thing addressed does not exist.
+            # Unknown query nodes surface as UnknownNodeError (a
+            # KeyError) from admission: the thing addressed does not
+            # exist.
             return _json_reply(404, {"error": str(exc)})
         except ServiceError as exc:
             return _json_reply(503, {"error": str(exc)})

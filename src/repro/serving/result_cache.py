@@ -58,10 +58,11 @@ a difference needs one of
    examined Rnet is bypassed or descended, never both.
 
 An OD answer is a pure network product (the directory only routes its
-admission), so object churn skips OD entries.  The twin churn soak
-(``tests/property/test_result_cache_equivalence.py``) holds the rule to
-byte-identical answers, and ``tests/serving/test_result_cache.py`` pins
-one case per clause.
+admission), so object churn skips OD entries.  The byte-identity model
+(``tests/property/test_byte_identity_model.py``) holds the rule to
+byte-identical answers and every surviving entry to a fresh run's
+footprint, and ``tests/serving/test_result_cache.py`` pins one case per
+clause.
 
 Populates are guarded by per-scope generation counters: a miss executed
 against a pre-patch snapshot can only be *refused* (a lost populate),

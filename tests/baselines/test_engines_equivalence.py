@@ -1,6 +1,10 @@
 """All four engines must return identical answers (the paper's ground rule)."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import (
     DistanceIndexEngine,
@@ -11,7 +15,8 @@ from repro.baselines import (
 from repro.graph.generators import grid_network
 from repro.objects.placement import place_uniform
 from repro.queries.types import Predicate
-from tests.oracle import assert_same_result, brute_knn, brute_range
+from tests.conftest import random_connected_network
+from tests.oracle import assert_same_result, brute_knn, brute_range, random_objects
 
 
 @pytest.fixture(scope="module")
@@ -161,3 +166,57 @@ class TestAccounting:
             engine.execute(RangeQuery(0, 100.0))
             with pytest.raises(TypeError):
                 engine.execute(42)
+
+
+def euclidean_sound_network(rnd, num_nodes, extra_edges):
+    """Random connected network whose weights dominate Euclidean length."""
+    network = random_connected_network(rnd, num_nodes, extra_edges)
+    for u, v, _ in list(network.edges()):
+        network.update_edge(u, v, network.euclidean(u, v) + rnd.uniform(0.1, 3.0))
+    return network
+
+
+def _four_engines(network, objects):
+    return [
+        NetworkExpansionEngine(network.copy(), objects),
+        EuclideanEngine(network.copy(), objects),
+        DistanceIndexEngine(network.copy(), objects),
+        ROADEngine(network.copy(), objects, levels=2),
+    ]
+
+
+class TestRandomNetworks:
+    """The same agreement on random Euclidean-sound networks."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_four_engines_agree_on_knn(self, seed):
+        rnd = random.Random(seed)
+        network = euclidean_sound_network(
+            rnd, rnd.randint(12, 30), rnd.randint(0, 15)
+        )
+        objects = random_objects(
+            rnd, network, rnd.randint(1, 8), with_attrs=False
+        )
+        engines = _four_engines(network, objects)
+        for _ in range(3):
+            nq = rnd.randrange(network.num_nodes)
+            k = rnd.randint(1, 4)
+            expected = brute_knn(network, objects, nq, k)
+            for engine in engines:
+                assert_same_result(engine.knn(nq, k), expected)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 10_000), radius=st.floats(0.0, 30.0))
+    def test_four_engines_agree_on_range(self, seed, radius):
+        rnd = random.Random(seed)
+        network = euclidean_sound_network(
+            rnd, rnd.randint(12, 25), rnd.randint(0, 12)
+        )
+        objects = random_objects(
+            rnd, network, rnd.randint(1, 6), with_attrs=False
+        )
+        nq = rnd.randrange(network.num_nodes)
+        expected = brute_range(network, objects, nq, radius)
+        for engine in _four_engines(network, objects):
+            assert_same_result(engine.range(nq, radius), expected)

@@ -6,6 +6,7 @@ backend.
 """
 
 import dataclasses
+import random
 
 import pytest
 
@@ -26,6 +27,8 @@ from repro.queries.types import (
     RangeQuery,
 )
 from repro.queries.workload import mixed_workload
+from tests.conftest import random_connected_network
+from tests.oracle import random_objects
 
 
 @pytest.fixture
@@ -325,6 +328,31 @@ class TestFootprintRule:
             engine.route_knn([self.Q], 3, stats=stats)
             assert stats.nodes_popped == 2  # Q and M
             assert stats.visited_nodes == {self.Q, self.M, self.X, self.N}
+
+    def test_range_whole_stats_parity_on_the_largest_network(self):
+        """Whole SearchStats charged == frozen on every backend, over 240
+        range queries on a 60-node random network, and every examined
+        Rnet took the one side its abstract answer names."""
+        rnd = random.Random(15)
+        network = random_connected_network(rnd, 60, 30)
+        road = ROAD.build(network, levels=3, fanout=4)
+        directory = road.attach_objects(random_objects(rnd, network, 12))
+        snapshots = [road.freeze(backend=name) for name in installed_backends()]
+        for node in range(network.num_nodes):
+            for radius in (3.0, 7.0, 12.0, 20.0):
+                charged = SearchStats()
+                want = road.range(node, radius, stats=charged)
+                for frozen in snapshots:
+                    got = SearchStats()
+                    assert frozen.range(node, radius, stats=got) == want
+                    assert got == charged, (frozen.backend, node, radius)
+                assert charged.bypassed_rnets == {
+                    rnet_id
+                    for rnet_id in charged.visited_rnets
+                    if not directory.rnet_may_contain(rnet_id, ANY)
+                }
+        for frozen in snapshots:
+            frozen.close()
 
 
 def _brute_force_footprint(frozen, visited, heap):

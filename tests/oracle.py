@@ -6,6 +6,8 @@ compare against a fresh freeze instead; :func:`serving_snapshots` names
 the snapshots a service actually serves from, :func:`build_arm` builds a
 service on one of the :data:`ARMS` its batches can execute on, and
 :data:`QUERY_SAMPLES` holds one query per declared kind.
+:func:`random_objects` and :func:`build_multi_road` are the random
+scaffold the property suites build on.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ from typing import List, Sequence, Tuple
 
 import pytest
 
+from repro.core.framework import ROAD
 from repro.core.frozen_backends import shared_memory_available
 from repro.graph.network import RoadNetwork
 from repro.graph.shortest_path import dijkstra_distances
-from repro.objects.model import ObjectSet
+from repro.objects.model import ObjectSet, SpatialObject
 from repro.queries.types import (
     ANY,
     AggregateKNNQuery,
@@ -30,6 +33,7 @@ from repro.queries.types import (
     ServiceAreaQuery,
 )
 from repro.serving import RoadService, ServiceConfig
+from tests.conftest import random_connected_network
 
 #: One representative query per declared kind (predicate-bearing where
 #: the kind takes one), valid on any network holding nodes 0..63 whose
@@ -42,6 +46,37 @@ QUERY_SAMPLES = {
     ServiceAreaQuery: ServiceAreaQuery(0, (150.0, 400.0), Predicate.of(type="a")),
     RouteKNNQuery: RouteKNNQuery((0, 1, 9), 2, Predicate.of(type="b")),
 }
+
+
+#: The directories :func:`build_multi_road` attaches, the default first.
+DIRECTORIES = ("objects", "hotels", "fuel")
+
+
+def random_objects(rnd, network, count, with_attrs=True):
+    """``count`` objects on uniformly drawn edges at uniform offsets,
+    each typed ``"a"`` or ``"b"`` unless ``with_attrs`` is false."""
+    objects = ObjectSet()
+    edges = sorted((u, v) for u, v, _ in network.edges())
+    for object_id in range(count):
+        u, v = edges[rnd.randrange(len(edges))]
+        delta = rnd.uniform(0.0, network.edge_distance(u, v))
+        attrs = {"type": rnd.choice(["a", "b"])} if with_attrs else {}
+        objects.add(SpatialObject(object_id, (u, v), delta, attrs))
+    return objects
+
+
+def build_multi_road(rnd):
+    """A random network and a ROAD over it with every one of
+    :data:`DIRECTORIES` attached: ``(network, road, {name: directory})``."""
+    network = random_connected_network(
+        rnd, rnd.randint(15, 40), rnd.randint(2, 15)
+    )
+    road = ROAD.build(network, levels=rnd.randint(1, 3), fanout=4)
+    directories = {}
+    for name in DIRECTORIES:
+        objects = random_objects(rnd, network, rnd.randint(1, 6))
+        directories[name] = road.attach_objects(objects, name=name)
+    return network, road, directories
 
 
 def brute_object_distances(
@@ -203,11 +238,17 @@ ARMS = {
 }
 
 
-def build_arm(network, objects, arm, **overrides):
-    """A frozen-mode service on one execution arm of the lattice."""
+def build_arm(network, objects, arm, *, engine=None, **overrides):
+    """A frozen-mode service on one execution arm of the lattice.
+
+    ``overrides`` are :class:`ServiceConfig` fields; ``engine`` holds
+    keyword arguments for the ROAD engine (``providers``,
+    ``abstract_factory``, ``reduce_shortcuts``, ...).
+    """
     if arm == "process" and not shared_memory_available():
         pytest.skip("host has no POSIX shared memory (/dev/shm)")
     settings = {"mode": "frozen", "levels": 3, **ARMS[arm], **overrides}
     return RoadService.build(
-        network.copy(), objects, config=ServiceConfig(**settings)
+        network.copy(), objects, config=ServiceConfig(**settings),
+        **(engine or {}),
     )

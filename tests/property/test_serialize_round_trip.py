@@ -11,8 +11,8 @@ Two persistence layers, one contract:
   be canonical: saving from any backend, or re-saving from a loaded
   snapshot, produces the identical file.
 
-The probe is the same byte-identity contract the patch/equivalence
-suites enforce (results, tie order, SearchStats, predicate-filtered and
+The probe is the same byte-identity contract the byte-identity model
+enforces (results, tie order, SearchStats, predicate-filtered and
 aggregate queries), so a persistence bug cannot hide behind a weaker
 comparison.  Corrupted snapshots (flipped payload byte, truncation,
 foreign magic) must be rejected with :class:`SerializeError` before any
@@ -39,10 +39,7 @@ from repro.core.serialize import (
     save_snapshot,
 )
 from repro.eval.metrics import snapshot_divergences
-from tests.property.test_multi_directory_equivalence import (
-    DIRECTORIES,
-    _build_multi_road,
-)
+from tests.oracle import DIRECTORIES, build_multi_road
 
 
 @pytest.mark.parametrize("backend", installed_backends())
@@ -50,7 +47,7 @@ from tests.property.test_multi_directory_equivalence import (
 @given(seed=st.integers(0, 10_000))
 def test_round_trip_diverges_nowhere(backend, seed, tmp_path_factory):
     rnd = random.Random(seed)
-    _network, road, _directories = _build_multi_road(rnd)
+    _network, road, _directories = build_multi_road(rnd)
     path = tmp_path_factory.mktemp("idx") / f"round-{backend}-{seed}.roadidx"
 
     written = save_road(road, path)
@@ -86,7 +83,7 @@ def test_round_trip_diverges_nowhere(backend, seed, tmp_path_factory):
 @given(seed=st.integers(0, 10_000))
 def test_snapshot_round_trip_diverges_nowhere(backend, seed, tmp_path_factory):
     rnd = random.Random(seed)
-    _network, road, _directories = _build_multi_road(rnd)
+    _network, road, _directories = build_multi_road(rnd)
     path = tmp_path_factory.mktemp("snp") / f"snap-{backend}-{seed}.roadsnp"
 
     original = road.freeze(backend=backend)
@@ -147,7 +144,7 @@ def _with_meta(path, out, **extra):
 def test_snapshot_with_mask_budget_key_still_loads(tmp_path):
     """Files saved while the mask budget was a knob carry a
     ``mask_budget`` meta key; every load path still serves them."""
-    _network, road, _directories = _build_multi_road(random.Random(3))
+    _network, road, _directories = build_multi_road(random.Random(3))
     saved = tmp_path / "saved.roadsnp"
     original = road.freeze()
     save_snapshot(original, saved)
@@ -166,7 +163,7 @@ def test_snapshot_with_mask_budget_key_still_loads(tmp_path):
 def test_snapshot_without_od_arrays_is_refused(tmp_path, monkeypatch):
     """A file saved before the OD target arrays existed is refused by
     name on every load path, never with a bare ``KeyError``."""
-    _network, road, _directories = _build_multi_road(random.Random(5))
+    _network, road, _directories = build_multi_road(random.Random(5))
     export_parts = FrozenRoad.export_parts
 
     def without_od_arrays(self):
@@ -186,7 +183,7 @@ def test_snapshot_without_od_arrays_is_refused(tmp_path, monkeypatch):
 
 
 def test_snapshot_rejects_corruption(tmp_path):
-    _network, road, _directories = _build_multi_road(random.Random(7))
+    _network, road, _directories = build_multi_road(random.Random(7))
     path = tmp_path / "good.roadsnp"
     frozen = road.freeze()
     save_snapshot(frozen, path)

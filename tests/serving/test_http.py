@@ -327,6 +327,12 @@ class TestMaintenanceRoute:
              "edge": [0], "delta": 0.0}},
             {"op": "insert_object", "object": {"object_id": 1,
              "edge": [0, 1], "delta": 0.0, "attrs": {"type": 3}}},
+            # Refused by the Association Directory: no such edge, and an
+            # offset beyond the edge's length.
+            {"op": "insert_object", "object": {"object_id": 9,
+             "edge": [0, 0], "delta": 0.0}},
+            {"op": "insert_object", "object": {"object_id": 9,
+             "edge": [0, 1], "delta": 1e9}},
         ],
     )
     def test_bad_maintenance_is_400(self, setting, payload):

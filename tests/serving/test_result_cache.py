@@ -21,9 +21,9 @@ Four contract surfaces of :mod:`repro.serving.result_cache`:
   exactly the same entries after any interleaving of stores, evictions
   and invalidations.
 
-The churn-soak equivalence suite
-(``tests/property/test_result_cache_equivalence.py``) proves the cache
-never changes an answer; this file pins the mechanism.
+The byte-identity model (``tests/property/test_byte_identity_model.py``)
+holds the cache to never changing an answer; this file pins the
+mechanism.
 """
 
 import asyncio
