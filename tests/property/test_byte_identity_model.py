@@ -33,12 +33,21 @@ After every step:
 
 Each arm is its own test case with its own example budget: only the
 process arm patches a shared-memory snapshot its workers re-sync from.
+Those cases draw the shape at random, so one run's few examples reach
+only part of the lattice.  ``test_corner`` pins the shape instead: each
+arm runs every row of :data:`CORNERS` once per run, a covering set in
+which every ``levels`` x ``fanout`` cell and every value of every other
+axis meets that arm (the process arm runs half the rows, which still
+hold every value of every axis).  The corners take part of each arm's
+examples and the drawn cases keep the rest: inline 8 + 12, thread
+8 + 4, process 4 + 2.
 """
 
 import asyncio
 import random
 import unittest
 
+import pytest
 from hypothesis import event, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -47,6 +56,7 @@ from hypothesis.stateful import (
     invariant,
     precondition,
     rule,
+    run_state_machine_as_test,
 )
 
 from repro.core.framework import ROAD
@@ -434,15 +444,80 @@ class ProcessModel(ByteIdentityModel):
 
 TestInline = InlineModel.TestCase
 TestInline.settings = settings(
-    max_examples=20, stateful_step_count=8, deadline=None
+    max_examples=12, stateful_step_count=8, deadline=None
 )
 TestThread = ThreadModel.TestCase
 TestThread.settings = settings(
-    max_examples=10, stateful_step_count=8, deadline=None
+    max_examples=4, stateful_step_count=8, deadline=None
 )
 TestProcess = unittest.skipUnless(
     shared_memory_available(), "host has no POSIX shared memory (/dev/shm)"
 )(ProcessModel.TestCase)
 TestProcess.settings = settings(
-    max_examples=4, stateful_step_count=12, deadline=None
+    max_examples=2, stateful_step_count=12, deadline=None
 )
+
+
+#: ``(levels, fanout, reduce, counting, directories, cached)``: every
+#: ``levels`` x ``fanout`` cell once; any two of fanout, reduction,
+#: counting and the cache meet in all four value pairs; every directory
+#: count is served with the cache on and off.  Each half alone holds
+#: every ``levels``, both values of every binary axis and every
+#: directory count.
+CORNERS = (
+    (1, 4, True, True, 3, True),
+    (2, 4, False, True, 2, False),
+    (3, 2, False, True, 1, True),
+    (4, 4, False, False, 3, True),
+    (1, 2, False, False, 1, False),
+    (2, 2, True, False, 2, True),
+    (3, 4, True, False, 3, False),
+    (4, 2, True, True, 1, False),
+)
+
+#: The process arm runs the first half: with a worker spawned per
+#: example, an example costs it about four times what it costs the
+#: other arms.
+_ARM_CORNERS = {
+    "inline": CORNERS,
+    "thread": CORNERS,
+    "process": CORNERS[:4] if shared_memory_available() else (),
+}
+
+
+def _pinned(arm, shape):
+    """The model on ``arm`` with every axis but the seed fixed to ``shape``."""
+
+    class Pinned(ByteIdentityModel):
+        @initialize(seed=st.integers(0, 10_000))
+        def build(self, seed):
+            ByteIdentityModel.build(self, seed, *shape)
+
+    Pinned.arm = arm
+    return Pinned
+
+
+def _corner_id(shape):
+    levels, fanout, reduce, counting, directories, cached = shape
+    return "-".join([
+        f"L{levels}F{fanout}",
+        "reduced" if reduce else "full",
+        "counting" if counting else "exact",
+        f"dirs{directories}",
+        "cached" if cached else "uncached",
+    ])
+
+
+@pytest.mark.parametrize(
+    "arm, shape",
+    [
+        pytest.param(arm, shape, id=f"{arm}-{_corner_id(shape)}")
+        for arm, shapes in _ARM_CORNERS.items()
+        for shape in shapes
+    ],
+)
+def test_corner(arm, shape):
+    run_state_machine_as_test(
+        _pinned(arm, shape),
+        settings=settings(max_examples=1, stateful_step_count=8, deadline=None),
+    )

@@ -318,8 +318,17 @@ class TestMaintenanceRoute:
             {"op": "update_edge_distance", "u": 0, "v": 1,
              "distance": float("inf")},
             {"op": "add_edge", "u": 0, "v": 9, "distance": float("inf")},
+            {"op": "update_edge_distance", "u": True, "v": 1,
+             "distance": 1.0},  # a JSON boolean is not a node id
+            {"op": "insert_object", "object": 3},
+            {"op": "insert_object", "object": {"object_id": 9,
+             "edge": [0, 1], "delta": float("nan")}},
+            [{"op": "delete_object", "object_id": 0}],  # not an object
             # Typed refusals of the maintenance layer, not 500s.
             {"op": "update_edge_distance", "u": 0, "v": 1, "distance": -1.0},
+            {"op": "update_edge_distance", "u": 0, "v": 1, "distance": 0.0},
+            {"op": "add_edge", "u": 0, "v": 1, "distance": 1.0},  # exists
+            {"op": "add_edge", "u": 0, "v": 9, "distance": 0.0},
             {"op": "update_edge_distance", "u": 0, "v": 63, "distance": 1.0},
             {"op": "add_edge", "u": 0, "v": 0, "distance": 1.0},
             {"op": "remove_edge", "u": 0, "v": 63},
@@ -333,23 +342,46 @@ class TestMaintenanceRoute:
              "edge": [0, 0], "delta": 0.0}},
             {"op": "insert_object", "object": {"object_id": 9,
              "edge": [0, 1], "delta": 1e9}},
+            {"op": "insert_object", "object": {"object_id": 9,
+             "edge": [0, 1], "delta": -1.0}},
         ],
     )
     def test_bad_maintenance_is_400(self, setting, payload):
+        _assert_refused(*setting, payload)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            # An id the directory already holds.
+            lambda obj: {"op": "insert_object", "object": {
+                "object_id": obj.object_id, "edge": list(obj.edge),
+                "delta": 0.0}},
+            # The edge an object sits on.
+            lambda obj: {"op": "remove_edge",
+                         "u": obj.edge[0], "v": obj.edge[1]},
+        ],
+        ids=["duplicate_id", "occupied_edge"],
+    )
+    def test_write_against_the_present_objects_is_400(self, setting, make):
         service, app = setting
-        network = service.executor.network
-        edges = sorted(network.edges())
-        queries = [QUERY_SAMPLES[t] for t in QUERY_TYPES]
-        before = service.run_many(queries)
-        status, body = call(app, "POST", "/maintenance", payload)
-        assert status == 400
-        assert "error" in body
-        # A refusal changes nothing: not the network, not the snapshot
-        # that serves.
-        assert sorted(network.edges()) == edges
-        assert service.run_many(queries) == before
-        for replica in serving_snapshots(service):
-            assert replica.execute_many(queries) == before
+        objects = service.executor.road.directory("objects").objects
+        _assert_refused(service, app, make(objects.get(objects.ids()[0])))
+
+
+def _assert_refused(service, app, payload):
+    """``payload`` answers 400 and changes nothing: not the network,
+    not the snapshot that serves."""
+    network = service.executor.network
+    edges = sorted(network.edges())
+    queries = [QUERY_SAMPLES[t] for t in QUERY_TYPES]
+    before = service.run_many(queries)
+    status, body = call(app, "POST", "/maintenance", payload)
+    assert status == 400
+    assert "error" in body
+    assert sorted(network.edges()) == edges
+    assert service.run_many(queries) == before
+    for replica in serving_snapshots(service):
+        assert replica.execute_many(queries) == before
 
 
 class TestMetricsRoute:
