@@ -20,7 +20,11 @@ run with **zero pager traffic** and no per-pop object allocation:
 * each Rnet's object abstract is snapshotted (deep-copied) at freeze time;
   a query predicate is compiled once into a per-Rnet "may contain" bitmask
   and a per-object-slot match mask, both memoised per predicate and shared
-  across every query on this snapshot (the batch layer's predicate cache).
+  across every query on this snapshot (the batch layer's predicate cache);
+* what ChoosePath pushes at a node depends only on the node and that
+  bitmask, so it is computed once, on the node's first pop, and cached
+  as a tuple of (target, weight) pairs beside the mask — the sweep is a
+  plain Dijkstra over those tuples (see :meth:`FrozenRoad._sweep`).
 
 A serving node attaching several content providers compiles **all of
 them into one snapshot**: ``freeze(directories=["a", "b", ...])``
@@ -183,6 +187,43 @@ def _flatten_tree_entries(
     return entries, nexts
 
 
+#: A node's ChoosePath result: (target code, weight) in push order.
+_Pairs = Tuple[Tuple[int, float], ...]
+#: A border node's ChoosePath charges: (edges relaxed, shortcuts taken,
+#: Rnets bypassed, Rnets descended, examined Rnet slots).
+_Tally = Tuple[int, int, int, int, Tuple[int, ...]]
+
+
+class _PathTable:
+    """One compiled Rnet mask and the ChoosePath results it decides.
+
+    ChoosePath (Fig. 10) at a border node is a pure function of the node
+    and the mask, so its ``(target, weight)`` pairs and its charges are
+    kept here, filled on the node's first pop.  Non-border nodes do not
+    read the mask; their pairs live in the snapshot's shared table
+    instead.  A table lives in its mask-cache entry, so LRU eviction
+    frees it; an OD query builds a private one per call
+    (:meth:`FrozenRoad._target_goal`).
+    """
+
+    __slots__ = ("may", "pairs", "tallies")
+
+    def __init__(self, may: BoolMask) -> None:
+        self.may = may
+        self.pairs: Dict[int, _Pairs] = {}
+        self.tallies: Dict[int, _Tally] = {}
+
+    def reset(self, codes: Optional[Iterable[int]] = None) -> None:
+        """Forget the entries of ``codes`` (None: every entry)."""
+        if codes is None:
+            self.pairs.clear()
+            self.tallies.clear()
+            return
+        for code in codes:
+            self.pairs.pop(code, None)
+            self.tallies.pop(code, None)
+
+
 class _DirectoryState:
     """One compiled Association Directory inside a snapshot.
 
@@ -214,7 +255,7 @@ class _DirectoryState:
         self.obj_ref: List[SpatialObject] = []
         #: Deep-copied abstract per compiled Rnet slot (None = no objects).
         self.abstracts: List[Optional["ObjectAbstract"]] = []
-        self.rnet_masks: Dict[Predicate, BoolMask] = {}
+        self.rnet_masks: Dict[Predicate, _PathTable] = {}
         self.obj_masks: Dict[Predicate, bytearray] = {}
         #: Masks dropped by the per-directory LRU budget since compile.
         self.mask_evictions = 0
@@ -238,10 +279,11 @@ class FrozenRoad(QueryExecutor):
     MaintenanceReport.
 
     There is one object-search kernel, the generator :meth:`_sweep`: the
-    only pop loop over the CSR views, seeded with one node or many,
-    stopped by ``k``, ``radius`` or tie-draining, yielding ``(distance,
-    object_id)`` and flushing counters and footprint into ``SearchStats``
-    when it ends or is closed.  :meth:`knn`, :meth:`range`,
+    only pop loop, a Dijkstra over each node's cached ChoosePath pairs,
+    seeded with one node or many, stopped by ``k``, ``radius`` or
+    tie-draining, yielding ``(distance, object_id)`` and flushing
+    counters and footprint into ``SearchStats`` when it ends or is
+    closed.  :meth:`knn`, :meth:`range`,
     :meth:`service_area` and :meth:`route_knn` run it to its stop rule
     and shape the rows (sort, cut at k, bucket by break);
     :meth:`iter_nearest_objects` hands it out unbounded, and
@@ -455,6 +497,7 @@ class FrozenRoad(QueryExecutor):
         # buffers; the lists themselves for the list backend), built
         # lazily per snapshot and dropped before any patch.
         self._views: Optional[Tuple[Any, ...]] = None
+        self._drop_paths()
 
     # ------------------------------------------------------------------
     # Construction
@@ -571,6 +614,7 @@ class FrozenRoad(QueryExecutor):
         frozen._default_directory = default_directory
         frozen._views = None
         frozen._slot_rnets = None
+        frozen._drop_paths()
         return frozen
 
     def export_parts(self) -> Dict[str, Any]:
@@ -657,6 +701,7 @@ class FrozenRoad(QueryExecutor):
         for state in self._dirs.values():
             state.rnet_masks.clear()
             state.obj_masks.clear()
+        self._drop_paths()
         for arr in self._arrays().values():
             release = getattr(arr, "close", None)
             if release is not None:
@@ -672,9 +717,12 @@ class FrozenRoad(QueryExecutor):
         shared segments: after the primary patches (and possibly
         resizes) the shared arrays, cached memoryviews can be stale —
         the shm vectors re-derive their payload views lazily once the
-        stale caches are gone.
+        stale caches are gone.  The sync names no dirty node, so every
+        cached ChoosePath result goes too — including any a batch
+        filled from a torn read before the seqlock sent it to retry.
         """
         self._drop_views()
+        self._drop_paths()
 
     def sync_directories(
         self,
@@ -702,6 +750,7 @@ class FrozenRoad(QueryExecutor):
             state.rnet_masks.clear()
             state.obj_masks.clear()
         self._drop_views()
+        self._drop_paths()
 
     @property
     def backend(self) -> str:
@@ -774,6 +823,13 @@ class FrozenRoad(QueryExecutor):
                 road.directory(name)
         for patch in patches:
             self._write_tree_patch(patch)
+        # Only a rewritten node's ChoosePath can change: reset exactly
+        # those, in the shared table and in every mask's.
+        self._reset_paths(
+            self._index[node]
+            for node in {*report.dirty_nodes, *(report.edge or ())}
+            if node in self._index
+        )
         if report.edge is not None:
             # Objects hosted on the edge were rescaled by the framework —
             # in every attached directory; refresh their (object, δ)
@@ -1000,7 +1056,12 @@ class FrozenRoad(QueryExecutor):
     def _refresh_abstracts(
         self, road: "ROAD", rnet_ids: Iterable[int], state: _DirectoryState
     ) -> None:
-        """Re-snapshot one directory's ``rnet_ids`` abstracts + mask slots."""
+        """Re-snapshot one directory's ``rnet_ids`` abstracts + mask slots.
+
+        A mask whose bit flips turns ChoosePath the other way at every
+        border that consults the slot, so its table is reset; a mask
+        whose bits all hold keeps its table.
+        """
         assoc = road.directory(state.name)
         for rnet_id in sorted(rnet_ids):
             slot = self._rnet_index.get(rnet_id)
@@ -1009,10 +1070,11 @@ class FrozenRoad(QueryExecutor):
             abstract = assoc.peek_rnet_abstract(rnet_id)
             snapshot = copy.deepcopy(abstract) if abstract is not None else None
             state.abstracts[slot] = snapshot
-            for predicate, mask in state.rnet_masks.items():
-                mask[slot] = (
-                    snapshot is not None and snapshot.may_contain(predicate)
-                )
+            for predicate, table in state.rnet_masks.items():
+                bit = snapshot is not None and snapshot.may_contain(predicate)
+                if bool(table.may[slot]) != bit:
+                    table.may[slot] = bit
+                    table.reset()
 
     # ------------------------------------------------------------------
     # Cached view lifecycle
@@ -1031,14 +1093,31 @@ class FrozenRoad(QueryExecutor):
         for state in self._dirs.values():
             state.views = None
 
+    def _drop_paths(self) -> None:
+        """Forget every cached ChoosePath result, shared and per mask."""
+        self._paths: List[Optional[_Pairs]] = [None] * len(self.node_ids)
+        for state in self._dirs.values():
+            for table in state.rnet_masks.values():
+                table.reset()
+
+    def _reset_paths(self, codes: Iterable[int]) -> None:
+        """Forget the cached ChoosePath results of ``codes`` only."""
+        codes = list(codes)
+        paths = self._paths
+        for code in codes:
+            paths[code] = None
+        for state in self._dirs.values():
+            for table in state.rnet_masks.values():
+                table.reset(codes)
+
     def _array_views(self) -> Tuple[Any, ...]:
-        """The shared-array views the query loops index, built per snapshot.
+        """The shared-array views ChoosePath indexes, built per snapshot.
 
         List backend: the arrays themselves.  Shm: the vectors' payload
         memoryviews — constructing them once here keeps them out of the
-        per-query hot path.  Mmap: the stored casts, as they are.  Order matches the unpacking in
-        :meth:`_sweep`; the per-directory object views come from
-        :meth:`_object_views`.
+        per-query hot path.  Mmap: the stored casts, as they are.  Order
+        matches the unpacking in :meth:`_choose_path`; the per-directory
+        object views come from :meth:`_object_views`.
         """
         views = self._views
         if views is None:
@@ -1101,27 +1180,30 @@ class FrozenRoad(QueryExecutor):
     # ------------------------------------------------------------------
     def _rnet_mask(
         self, state: _DirectoryState, predicate: Predicate
-    ) -> BoolMask:
-        """Per-Rnet "may contain an object of interest" bitmask.
+    ) -> _PathTable:
+        """Per-Rnet "may contain an object of interest" bitmask + table.
 
-        List backend: a list of bools; shm/mmap: a process-local
-        bytearray — the sweep only needs truthy indexing, and the patch
-        paths only need item assignment, which both honour.  Cached per
-        (directory, predicate): two directories never share a mask,
-        however equal their predicates.  The hot loop indexes the cached
-        mask itself, so patch writes reach it.
+        The mask is, on the list backend, a list of bools; on shm/mmap a
+        process-local bytearray — ChoosePath only needs truthy indexing,
+        and the patch paths only need item assignment, which both
+        honour.  Cached per (directory, predicate): two directories
+        never share a mask, however equal their predicates.  The mask
+        rides in the :class:`_PathTable` of the ChoosePath results it
+        decides, so an evicted predicate frees both.
         """
-        mask = state.rnet_masks.get(predicate)
-        if mask is None:
-            mask = self._backend.bool_mask(
-                abstract is not None and abstract.may_contain(predicate)
-                for abstract in state.abstracts
+        table = state.rnet_masks.get(predicate)
+        if table is None:
+            table = _PathTable(
+                self._backend.bool_mask(
+                    abstract is not None and abstract.may_contain(predicate)
+                    for abstract in state.abstracts
+                )
             )
-            self._cache_put(state, state.rnet_masks, predicate, mask)
+            self._cache_put(state, state.rnet_masks, predicate, table)
         else:
             # LRU refresh: a re-seen predicate moves to the young end.
             state.rnet_masks[predicate] = state.rnet_masks.pop(predicate)
-        return mask
+        return table
 
     def _object_mask(
         self, state: _DirectoryState, predicate: Predicate
@@ -1403,7 +1485,10 @@ class FrozenRoad(QueryExecutor):
         ``directories`` breaks the footprint down per compiled directory
         (its object arrays, reference pointers and mask caches) — the
         remainder of ``total_bytes`` is the entry arrays every directory
-        shares.
+        shares.  The cached ChoosePath results (see :meth:`_sweep`) are
+        reported beside them, outside ``total_bytes``: the shared
+        non-border pairs as ``path_shared_*``, the border entries of
+        every mask's table as ``path_table_*`` (per directory too).
         """
         per_array = {
             name: self._backend.resident_bytes(arr)
@@ -1412,16 +1497,28 @@ class FrozenRoad(QueryExecutor):
         mask_bytes = 0
         mask_entries = 0
         mask_evictions = 0
+        path_entries = path_bytes = 0
         per_directory: Dict[str, Dict[str, int]] = {}
         for name, state in self._dirs.items():
             prefix = self._dir_prefix(name)
+            tables = state.rnet_masks.values()
             dir_mask_bytes = sum(
-                self._backend.resident_bytes(mask)
-                for mask in state.rnet_masks.values()
+                self._backend.resident_bytes(table.may) for table in tables
             ) + sum(sys.getsizeof(mask) for mask in state.obj_masks.values())
             mask_bytes += dir_mask_bytes
             mask_entries += len(state.rnet_masks) + len(state.obj_masks)
             mask_evictions += state.mask_evictions
+            dir_path_entries = sum(len(table.pairs) for table in tables)
+            dir_path_bytes = sum(
+                self._rows_bytes(table.pairs.values())
+                + sum(
+                    sys.getsizeof(tally) + sys.getsizeof(tally[4])
+                    for tally in table.tallies.values()
+                )
+                for table in tables
+            )
+            path_entries += dir_path_entries
+            path_bytes += dir_path_bytes
             per_directory[name] = {
                 "object_array_bytes": sum(
                     per_array[f"{prefix}{key}"]
@@ -1434,7 +1531,10 @@ class FrozenRoad(QueryExecutor):
                     len(state.rnet_masks) + len(state.obj_masks)
                 ),
                 "mask_evictions": state.mask_evictions,
+                "path_table_entries": dir_path_entries,
+                "path_table_bytes": dir_path_bytes,
             }
+        shared_rows = [row for row in self._paths if row is not None]
         stats: Dict[str, object] = {
             "backend": self.backend,
             "arrays": per_array,
@@ -1449,6 +1549,11 @@ class FrozenRoad(QueryExecutor):
             "mask_cache_entries": mask_entries,
             "mask_budget": MAX_CACHED_PREDICATES,
             "mask_evictions": mask_evictions,
+            "path_shared_entries": len(shared_rows),
+            "path_shared_bytes": sys.getsizeof(self._paths)
+            + self._rows_bytes(shared_rows),
+            "path_table_entries": path_entries,
+            "path_table_bytes": path_bytes,
             "directories": per_directory,
         }
         shm_segments: Dict[str, Dict[str, object]] = {}
@@ -1478,6 +1583,18 @@ class FrozenRoad(QueryExecutor):
             except OSError:
                 stats["snapshot_file_bytes"] = 0
         return stats
+
+    def _rows_bytes(self, rows: Iterable[Tuple[Any, ...]]) -> int:
+        """Resident-size estimate of cached rows of ChoosePath results.
+
+        Each row tuple, plus per item a ``(target, weight)`` pair — and,
+        off the list backend, the two boxes a pair read off a typed
+        buffer owns (list-backend pairs point at the arrays' own boxes).
+        """
+        pair = sys.getsizeof((0, 0.0))
+        if self._backend.name != "list":
+            pair += sys.getsizeof(1 << 20) + sys.getsizeof(0.0)
+        return sum(sys.getsizeof(row) + pair * len(row) for row in rows)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -1512,17 +1629,29 @@ class FrozenRoad(QueryExecutor):
         tied with the k-th are out too, so a consumer can cut the
         canonical (distance, id) prefix instead of a push-order one.
 
-        A ``goal`` from :meth:`_target_goal` swaps the directory's objects
-        and Rnet mask for an OD query's targets (yielded as their index).
+        The loop is a plain Dijkstra over cached adjacency.  A settled
+        node pushes its matching objects, then the ``(target, weight)``
+        pairs of its ChoosePath (Fig. 10) — the shortcuts of every Rnet
+        the mask bypasses and the edges of every leaf it descends into,
+        in the order the charged stack walk pushes them.  Those pairs
+        are a pure function of the node and the mask, so
+        :meth:`_choose_path` computes them on the node's first pop and
+        caches them: a non-border node's in the snapshot's shared table
+        (it reads no mask), a border node's in the mask's
+        :class:`_PathTable`.  A ``goal`` from :meth:`_target_goal` swaps
+        the directory's objects and table for an OD query's targets
+        (yielded as their index) and its private table.
 
-        Counters and footprint reach ``stats`` once, in the ``finally``:
-        on exhaustion, on a stop rule, or when the consumer closes the
-        generator early.  The footprint is **every node the sweep
-        pushed**: the settled nodes, the nodes still queued, and the
-        node (if it is one) whose pop tripped the bound.  A push to an
-        already-settled node is skipped here and kept as a stale
-        duplicate by the charged frontier; the rule is blind to that,
-        because a skipped target is in the settled set already.
+        Nothing is counted per relaxation.  A tracked sweep lists the
+        codes it settles, and the ``finally`` — on exhaustion, on a stop
+        rule, or when the consumer closes the generator early — sums
+        their cached charges into ``stats`` (:meth:`_flush_stats`).
+        The footprint is **every node the sweep pushed**: the settled
+        nodes, the nodes still queued, and the node (if it is one) whose
+        pop tripped the bound.  A push to an already-settled node is
+        skipped here and kept as a stale duplicate by the charged
+        frontier; the rule is blind to that, because a skipped target is
+        in the settled set already, and the charges still count it.
         """
         state = self._state(directory)
         # Heap items carry one signed code instead of a (kind, id) pair:
@@ -1536,34 +1665,23 @@ class FrozenRoad(QueryExecutor):
         ]
         seq = len(heap)
         if goal is None:
-            may = self._rnet_mask(state, predicate)
+            table = self._rnet_mask(state, predicate)
             omask = self._object_mask(state, predicate)
             obj_start, obj_id, obj_delta = self._object_views(state)
         else:
-            may, obj_start, obj_id, obj_delta = goal
+            table, obj_start, obj_id, obj_delta = goal
             omask = None
-        # Bind every array view to a local once per sweep: the loop below
-        # is the hot path, and attribute loads per pop would dominate it.
-        # The backend picks the view the loop indexes — the list itself
-        # for "list", a cached memoryview over the typed buffer for
-        # "shm" (cheaper per access than the vector).
+        # Bind everything the loop reads to a local once per sweep.
         pop = heapq.heappop
         push = heapq.heappush
-        (
-            entry_start, entry_rnet, entry_next,
-            sc_start, sc_target, sc_weight,
-            ed_start, ed_target, ed_weight,
-            local_start, local_target, local_weight,
-        ) = self._array_views()
+        shared = self._paths
+        border = table.pairs
+        choose_path = self._choose_path
 
         visited = bytearray(len(self.node_ids))
         seen_objects: Set[int] = set()
-        # scalar counters, flushed into SearchStats at the end:
-        # nodes/objects popped, edges relaxed, shortcuts taken,
-        # rnets bypassed/descended
-        c_np = c_op = c_er = c_st = c_rb = c_rd = 0
+        objects_popped = 0
         track = stats is not None
-        rnet_seen: Set[int] = set()
         settled: List[int] = []  # tracked sweeps only: codes in pop order
         try:
             while heap:
@@ -1580,9 +1698,9 @@ class FrozenRoad(QueryExecutor):
                     if oid in seen_objects:
                         continue
                     seen_objects.add(oid)
-                    c_op += 1
+                    objects_popped += 1
                     yield distance, oid
-                    if c_op == k:
+                    if objects_popped == k:
                         if not drain_ties:
                             break
                         radius = distance  # only the k-th's ties remain
@@ -1590,74 +1708,130 @@ class FrozenRoad(QueryExecutor):
                 if visited[code]:
                     continue
                 visited[code] = 1
-                c_np += 1
                 if track:
                     settled.append(code)
                 # SearchObject(AD, node): matching objects in stored order,
                 # as the charged `_collect_node_objects` does.
-                for j in range(obj_start[code], obj_start[code + 1]):
+                j = obj_start[code]
+                end = obj_start[code + 1]
+                while j < end:
                     oid = obj_id[j]
-                    if oid in seen_objects:
-                        continue
-                    if omask is None or omask[j]:
+                    if oid not in seen_objects and (omask is None or omask[j]):
                         push(heap, (distance + obj_delta[j], seq, ~oid))
                         seq += 1
-                # ChoosePath (Fig 10), flattened: preorder walk + subtree
-                # skip.
-                i = entry_start[code]
-                end = entry_start[code + 1]
-                if i == end:
-                    # Non-border node: one leaf of physical edges (Fig 6,
-                    # n_q).  A push to an already-settled node would only
-                    # be discarded on pop, so it is skipped (counters still
-                    # record the relaxation, keeping SearchStats identical
-                    # to the charged path; surviving entries keep their
-                    # relative seq order, so results are unchanged too).
-                    for j in range(local_start[code], local_start[code + 1]):
-                        c_er += 1
-                        target = local_target[j]
-                        if not visited[target]:
-                            push(heap, (distance + local_weight[j], seq, target))
-                            seq += 1
-                    continue
-                while i < end:
-                    if track:
-                        rnet_seen.add(entry_rnet[i])
-                    if may[entry_rnet[i]]:
-                        nxt = entry_next[i]
-                        if nxt == i + 1:
-                            # Finest Rnet with objects of interest: its edges.
-                            for j in range(ed_start[i], ed_start[i + 1]):
-                                c_er += 1
-                                target = ed_target[j]
-                                if not visited[target]:
-                                    push(
-                                        heap,
-                                        (distance + ed_weight[j], seq, target),
-                                    )
-                                    seq += 1
-                        else:
-                            c_rd += 1
-                        i += 1
-                    else:
-                        # Bypass: jump straight to the Rnet's other borders.
-                        c_rb += 1
-                        for j in range(sc_start[i], sc_start[i + 1]):
-                            c_st += 1
-                            target = sc_target[j]
-                            if not visited[target]:
-                                push(heap, (distance + sc_weight[j], seq, target))
-                                seq += 1
-                        i = entry_next[i]
+                    j += 1
+                pairs = shared[code]
+                if pairs is None:
+                    pairs = border.get(code)
+                    if pairs is None:
+                        pairs = choose_path(code, shared, table)
+                # A push to an already-settled node would only be
+                # discarded on pop, so it is skipped; surviving entries
+                # keep their relative seq order, so results are unchanged.
+                for target, weight in pairs:
+                    if not visited[target]:
+                        push(heap, (distance + weight, seq, target))
+                        seq += 1
         finally:
             if stats is not None:
-                stats.nodes_popped += c_np
-                stats.objects_popped += c_op
-                stats.edges_relaxed += c_er
-                stats.shortcuts_taken += c_st
-                stats.rnets_bypassed += c_rb
-                stats.rnets_descended += c_rd
-                self._flush_footprint(stats, settled, rnet_seen, may, heap)
+                self._flush_stats(
+                    stats, settled, objects_popped, shared, table, heap
+                )
+
+    def _choose_path(
+        self, code: int, shared: List[Optional[_Pairs]], table: _PathTable
+    ) -> _Pairs:
+        """ChoosePath (Fig. 10) at one node, cached; returns its pairs.
+
+        A non-border node has one leaf of physical edges (Fig. 6, n_q)
+        and reads no mask: its pairs go to ``shared``.  A border node
+        walks its flattened shortcut tree — preorder with a subtree-skip
+        pointer per entry — taking the shortcuts of every Rnet the mask
+        rules out (bypass) and the edges of every finest Rnet it lets
+        in; its pairs and charges go to ``table``.
+        """
+        (
+            entry_start, entry_rnet, entry_next,
+            sc_start, sc_target, sc_weight,
+            ed_start, ed_target, ed_weight,
+            local_start, local_target, local_weight,
+        ) = self._array_views()
+        i, end = entry_start[code], entry_start[code + 1]
+        if i == end:
+            a, b = local_start[code], local_start[code + 1]
+            pairs = shared[code] = tuple(
+                zip(local_target[a:b], local_weight[a:b])
+            )
+            return pairs
+        may = table.may
+        out: List[Tuple[int, float]] = []
+        examined: List[int] = []
+        relaxed = taken = bypassed = descended = 0
+        while i < end:
+            slot = entry_rnet[i]
+            examined.append(slot)
+            if may[slot]:
+                if entry_next[i] == i + 1:
+                    # Finest Rnet with objects of interest: its edges.
+                    a, b = ed_start[i], ed_start[i + 1]
+                    out.extend(zip(ed_target[a:b], ed_weight[a:b]))
+                    relaxed += b - a
+                else:
+                    descended += 1
+                i += 1
+            else:
+                # Bypass: jump straight to the Rnet's other borders.
+                a, b = sc_start[i], sc_start[i + 1]
+                out.extend(zip(sc_target[a:b], sc_weight[a:b]))
+                taken += b - a
+                bypassed += 1
+                i = entry_next[i]
+        pairs = table.pairs[code] = tuple(out)
+        table.tallies[code] = (
+            relaxed, taken, bypassed, descended, tuple(examined)
+        )
+        return pairs
+
+    def _flush_stats(
+        self,
+        stats: SearchStats,
+        settled: Sequence[int],
+        objects_popped: int,
+        shared: List[Optional[_Pairs]],
+        table: _PathTable,
+        heap: Sequence[Tuple[float, int, int]],
+    ) -> None:
+        """Charge one finished sweep to ``stats``: counters + footprint.
+
+        Each settled node costs what its ChoosePath costs the charged
+        engine: a non-border node relaxes each of its edges, a border
+        node charges its tally.  An entry reset since the node settled
+        (a patch under a suspended sweep) is recomputed, not guessed.
+        """
+        relaxed = taken = bypassed = descended = 0
+        examined: Set[int] = set()
+        tallies = table.tallies
+        for code in settled:
+            pairs = shared[code]
+            if pairs is not None:
+                relaxed += len(pairs)
+                continue
+            tally = tallies.get(code)
+            if tally is None:
+                pairs = self._choose_path(code, shared, table)
+                tally = tallies.get(code, (len(pairs), 0, 0, 0, ()))
+            relaxed += tally[0]
+            taken += tally[1]
+            bypassed += tally[2]
+            descended += tally[3]
+            examined.update(tally[4])
+        stats.nodes_popped += len(settled)
+        stats.objects_popped += objects_popped
+        stats.edges_relaxed += relaxed
+        stats.shortcuts_taken += taken
+        stats.rnets_bypassed += bypassed
+        stats.rnets_descended += descended
+        self._flush_footprint(stats, settled, examined, table.may, heap)
 
     def _collect(
         self,
@@ -1683,13 +1857,15 @@ class FrozenRoad(QueryExecutor):
             raise FrozenRoadError(f"node {node} not in frozen index") from None
 
     def _target_goal(self, codes: Sequence[int]) -> Tuple[Any, ...]:
-        """Distinct OD targets as one sweep's Rnet mask and object spans.
+        """Distinct OD targets as one query's path table and object spans.
 
         Target ``i`` (code ``codes[i]``) is object ``i`` on its node at
         offset 0, in a directory's object CSR layout.  The mask marks the
         compiled Rnets holding a target as an interior node (``home_slot``
         up the ``slot_parent`` chain) — the charged twin is
-        :class:`repro.core.search.TargetSet`.
+        :class:`repro.core.search.TargetSet`.  Its :class:`_PathTable`
+        holds only the border nodes the query's sweeps settle, and goes
+        with the query.
         """
         home_slot, slot_parent = self._home_slot, self._slot_parent
         may = bytearray(len(slot_parent))
@@ -1705,7 +1881,7 @@ class FrozenRoad(QueryExecutor):
             obj_start.extend([rank] * (codes[i] + 1 - len(obj_start)))
         tail = len(self.node_ids) + 1 - len(obj_start)
         obj_start.extend([len(codes)] * tail)
-        return may, obj_start, order, [0.0] * len(codes)
+        return _PathTable(may), obj_start, order, [0.0] * len(codes)
 
     def _rnet_ids_by_slot(self) -> Tuple[int, ...]:
         """Rnet ids in slot order: the inverse of ``_rnet_index``.

@@ -343,9 +343,13 @@ class RoadServiceApp:
                 _require_int(payload, "object_id"), **kwargs
             )
         if op == "update_object_attrs":
+            # An update replaces the attributes, so a missing 'attrs'
+            # would wipe them: required here, optional on an insert.
+            if payload.get("attrs") is None:
+                raise WireError("update_object_attrs needs field 'attrs'")
             return self.service.update_object_attrs(
                 _require_int(payload, "object_id"),
-                _decode_attrs(payload.get("attrs")),
+                _decode_attrs(payload["attrs"]),
                 **kwargs,
             )
         u = _require_int(payload, "u")

@@ -612,7 +612,8 @@ class ServiceMetrics:
         )
         registry.gauge(
             "road_mask_cache",
-            "Mask-cache occupancy/eviction state of the serving snapshot.",
+            "Mask-cache occupancy/eviction state of the serving snapshot, "
+            "and the ChoosePath results cached beside the masks.",
             self._mask_cache_gauge,
             label="field",
         )
@@ -715,6 +716,7 @@ class ServiceMetrics:
                     "object_array_bytes",
                     "object_ref_bytes",
                     "mask_cache_bytes",
+                    "path_table_bytes",
                 )
             )
         return out
@@ -730,6 +732,10 @@ class ServiceMetrics:
                 "mask_cache_entries",
                 "mask_budget",
                 "mask_evictions",
+                "path_shared_entries",
+                "path_shared_bytes",
+                "path_table_entries",
+                "path_table_bytes",
             )
         }
 

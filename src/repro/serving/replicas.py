@@ -60,7 +60,7 @@ def execute_batch(
     ``(answers, [(visited_nodes, visited_rnets, bypassed_rnets), ...])``
     — the per-query visit sets the result cache records as invalidation
     footprints, converted here (on the replica's thread or in its
-    process; the nodes to a sorted tuple) so the cache keeps these very
+    process; each set to a sorted tuple) so the cache keeps these very
     objects instead of copying them under its lock.
     """
     if not footprints:
@@ -75,8 +75,8 @@ def execute_batch(
         visited.append(
             (
                 node_footprint(stats.visited_nodes),
-                frozenset(stats.visited_rnets),
-                frozenset(stats.bypassed_rnets),
+                node_footprint(stats.visited_rnets),
+                node_footprint(stats.bypassed_rnets),
             )
         )
     return answers, visited

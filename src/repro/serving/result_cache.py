@@ -12,10 +12,9 @@ flush-everything:
 * Every entry records the **footprint** its answer was computed from,
   as :class:`~repro.core.search.SearchStats` reports it: every node the
   sweep pushed (settled, still queued, or popped beyond its bound)
-  united with the query's own nodes, kept as a sorted tuple, and the
-  Rnets it examined, split into those it bypassed and those it
-  descended, kept as frozensets — built once by the replica that
-  executed the miss.
+  united with the query's own nodes, and the Rnets it examined, split
+  into those it bypassed and those it descended — each a sorted tuple,
+  built once by the replica that executed the miss.
 * Every :class:`~repro.core.maintenance.MaintenanceReport` names the
   edge it concerns, the Rnets whose shortcuts it changed
   (``dirty_rnets``) and, for object churn, the one directory it touched
@@ -32,13 +31,15 @@ upkeep.  There is deliberately no node -> entries index: keeping one in
 step cost ~380 dict-of-set updates per populate (and as many again per
 eviction, under the lock) to save a scan that, at the default budget, is
 cheaper than the unlinking it triggered.  Measured on the full CA
-replica, 2,048 entries of the churn workload's pool (2-vCPU Xeon,
-CPython 3.11): passing over an entry costs 0.28 us (one ``isdisjoint``
-probe over at most a handful of Rnet ids, and a range test that ends
-most node probes before their binary search), so 0.57 ms for a report
-that evicts nothing; a populate costs 5 us per entry.  A sorted tuple
-holds a node footprint in a sixth of the memory of a frozenset.  Writes
-are about 1 in 100 operations; revisit if ``cache_budget`` grows 10x+.
+replica over 2,048 kNN / range footprints and ten real reweighs (2-vCPU
+Xeon, CPython 3.11.7): a report's scan takes 2.3–3.5 ms, 1–1.7 us per
+entry — a binary search per changed Rnet and per endpoint, most node
+probes ended by a range test.  With the Rnets held as frozensets it took
+1.5–2.1 ms on the same box, but sorted tuples hold the Rnets in a
+tenth of the memory: 24 examined Rnets take 271 B per entry against
+3,066 B, 5.6 MiB over 2,048 entries.  A populate costs 5 us per entry.
+Writes are about 1 in 100 operations; revisit if ``cache_budget``
+grows 10x+.
 
 The rule is exact: an entry survives only a write that cannot change its
 answer.  A sweep run after the write repeats the sweep run before it up
@@ -74,7 +75,6 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from collections import OrderedDict
-from operator import attrgetter
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.maintenance import MaintenanceReport
@@ -93,19 +93,18 @@ CacheKey = Tuple[str, str, tuple, tuple]
 #: ``(global generation, directory generation)`` captured at miss time.
 Generation = Tuple[int, int]
 
-#: One executed miss's ``(visited nodes, visited Rnets, bypassed Rnets)``:
-#: the nodes as a sorted tuple (see :func:`node_footprint`), the Rnets as
-#: frozensets.
-Footprint = Tuple[Tuple[int, ...], frozenset, frozenset]
+#: One executed miss's ``(visited nodes, visited Rnets, bypassed Rnets)``,
+#: each a sorted tuple without repeats (see :func:`node_footprint`).
+Footprint = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]
 
-#: The side of an entry's examined Rnets an object report can reach, by
+#: The sides of an entry's examined Rnets an object report can reach, by
 #: report kind: an insert can only turn an abstract's answer on (a
 #: bypass could become a descent), a delete only off, an attribute
 #: update either way.
 _OBJECT_SIDES = {
-    "insert_object": "bypassed",
-    "delete_object": "descended",
-    "update_object": "rnets",
+    "insert_object": ("bypassed",),
+    "delete_object": ("descended",),
+    "update_object": ("bypassed", "descended"),
 }
 
 #: Distinguishes "no cached entry" from a cached empty answer.
@@ -175,11 +174,12 @@ def query_nodes(query: object) -> Tuple[int, ...]:
 
 
 def node_footprint(nodes: Iterable[int]) -> Tuple[int, ...]:
-    """A node visit set as the cache keeps it: sorted, without repeats.
+    """A visit set as the cache keeps it: sorted, without repeats.
 
     The only question the cache asks of it is whether it holds one of a
-    report's two edge endpoints, which a binary search answers, and a
-    tuple costs a sixth of the memory of a frozenset of the same nodes.
+    report's few nodes or Rnets, which a binary search answers, and a
+    tuple costs a sixth of the memory of a frozenset of the same ids.
+    Nodes and Rnets are kept alike.
     """
     if not isinstance(nodes, (set, frozenset)):
         nodes = set(nodes)
@@ -187,9 +187,11 @@ def node_footprint(nodes: Iterable[int]) -> Tuple[int, ...]:
 
 
 def _holds_any(nodes: Tuple[int, ...], wanted: Iterable[int]) -> bool:
-    """Whether the sorted, non-empty tuple ``nodes`` holds a node of
-    ``wanted``.  The range test first: a sweep's node ids tend to span
-    a narrow band of the id space, so most probes end there."""
+    """Whether the sorted tuple ``nodes`` holds an id of ``wanted``.
+    The range test first: a sweep's node ids tend to span a narrow band
+    of the id space, so most probes end there."""
+    if not nodes:
+        return False
     low, high = nodes[0], nodes[-1]
     for node in wanted:
         if low <= node <= high and nodes[bisect_left(nodes, node)] == node:
@@ -200,28 +202,36 @@ def _holds_any(nodes: Tuple[int, ...], wanted: Iterable[int]) -> bool:
 class _Entry:
     """One cached answer plus the footprint that justifies evicting it.
 
-    ``rnets`` are the Rnets the sweep examined, split into the
-    ``bypassed`` ones and the ``descended`` rest.  An entry stored
-    without the split counts every examined Rnet on both sides.
+    The Rnets the sweep examined are kept split into the ``bypassed``
+    ones and the ``descended`` rest, each a sorted tuple.  An entry
+    stored without the split counts every examined Rnet on both sides
+    (one tuple, held twice).
     """
 
-    __slots__ = ("answer", "nodes", "rnets", "bypassed", "descended")
+    __slots__ = ("answer", "nodes", "bypassed", "descended")
 
     def __init__(
         self,
         answer: list,
         nodes: Tuple[int, ...],
-        rnets: frozenset,
-        bypassed: Optional[frozenset],
+        rnets: Tuple[int, ...],
+        bypassed: Optional[Tuple[int, ...]],
     ) -> None:
         self.answer = answer
         self.nodes = nodes
-        self.rnets = rnets
         if bypassed is None:
             self.bypassed = self.descended = rnets
         else:
             self.bypassed = bypassed
-            self.descended = rnets - bypassed
+            skipped = set(bypassed)
+            self.descended = tuple(r for r in rnets if r not in skipped)
+
+    @property
+    def rnets(self) -> Tuple[int, ...]:
+        """Every examined Rnet, sorted."""
+        if self.bypassed is self.descended:
+            return self.bypassed
+        return tuple(sorted(self.bypassed + self.descended))
 
 
 class ResultCache:
@@ -232,7 +242,8 @@ class ResultCache:
     maintenance.  Reads and populates are O(1) dictionary operations —
     an entry *is* its footprint, there is no index to maintain — and a
     maintenance report scans the entries of the directories it touches,
-    0.28 us per entry scanned (see the module docstring's cost model).
+    about 1 us per entry scanned (see the module docstring's cost
+    model).
     """
 
     def __init__(
@@ -336,10 +347,9 @@ class ResultCache:
 
         ``nodes`` / ``rnets`` / ``bypassed`` become the entry's
         footprint.  What :func:`~repro.serving.replicas.execute_batch`
-        hands over — the nodes as a :func:`node_footprint` tuple, the
-        Rnets as frozensets — is kept as it is; anything else is
-        converted here, so a tuple of nodes must already be sorted and
-        free of repeats.  Without
+        hands over — three :func:`node_footprint` tuples — is kept as it
+        is; anything else is converted here, so a tuple must already be
+        sorted and free of repeats.  Without
         ``bypassed`` every examined Rnet counts as both bypassed and
         descended, which evicts on a superset of the exact rule.  Refused
         when ``generation`` is stale (an invalidation landed while the
@@ -353,8 +363,10 @@ class ResultCache:
         entry = _Entry(
             answer,
             nodes if type(nodes) is tuple else node_footprint(nodes),
-            frozenset(rnets),
-            None if bypassed is None else frozenset(bypassed),
+            rnets if type(rnets) is tuple else node_footprint(rnets),
+            bypassed
+            if bypassed is None or type(bypassed) is tuple
+            else node_footprint(bypassed),
         )
         if not entry.nodes:
             return False
@@ -410,21 +422,21 @@ class ResultCache:
         the bypassed Rnets (shortcuts are read only there); for object
         churn, its ``mask_rnets`` against the side :data:`_OBJECT_SIDES`
         names.  An OD answer never reads the directory, so object churn
-        skips OD entries.  Each scanned entry costs one ``isdisjoint``
-        probe over the report's few Rnets and a binary search per
-        endpoint.  Structural reports invalidate the affected scope
+        skips OD entries.  Each scanned entry costs a binary search per
+        endpoint and per changed Rnet, each mostly ended early by a
+        range test.  Structural reports invalidate the affected scope
         wholesale: a shortcut-graph rebuild is not bounded by identity
         sets.  Returns the number of entries evicted; the populate
         generation advances regardless, so in-flight misses against the
         pre-patch snapshot are refused.
         """
-        side = _OBJECT_SIDES.get(report.kind)
-        if side is None:
-            reads, changed = attrgetter("bypassed"), report.dirty_rnets
+        sides = _OBJECT_SIDES.get(report.kind)
+        spared_kind = None if sides is None else ODMatrixQuery.__name__
+        if sides is None:
+            sides, changed = ("bypassed",), report.dirty_rnets
         else:
-            reads, changed = attrgetter(side), report.mask_rnets
+            changed = report.mask_rnets
         endpoints = report.dirty_nodes if report.edge is None else report.edge
-        spared_kind = None if side is None else ODMatrixQuery.__name__
         with self._lock:
             if report.directory is None:
                 self._gen_global += 1
@@ -444,7 +456,10 @@ class ResultCache:
                     for key, entry in scope.items()
                     if key[1] != spared_kind
                     and (
-                        not changed.isdisjoint(reads(entry))
+                        any(
+                            _holds_any(getattr(entry, side), changed)
+                            for side in sides
+                        )
                         or _holds_any(entry.nodes, endpoints)
                     )
                 ]

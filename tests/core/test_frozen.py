@@ -644,6 +644,104 @@ class TestApplyPatch:
         assert report.refreshed_tree_nodes == len(report.dirty_nodes)
 
 
+def _sweep_every_node(engine, predicate=ANY):
+    """Every node's kNN answer and whole SearchStats; warms the tables."""
+    rows = []
+    for node in sorted(engine.node_ids):
+        stats = SearchStats()
+        rows.append((engine.knn(node, 3, predicate, stats=stats), stats))
+    return rows
+
+
+class TestPathTables:
+    """The cached ChoosePath results follow every write that can change
+    them.  Each case warms the tables with a sweep from every node,
+    writes, then holds every node's answer and whole SearchStats to a
+    fresh freeze."""
+
+    #: No object of the `built` fixture has this type, so every Rnet's
+    #: bit starts clear and every border bypasses.
+    RARE = Predicate.of(type="z")
+
+    @staticmethod
+    def assert_fresh(frozen, road, predicate=ANY):
+        fresh = road.freeze(backend=frozen.backend)
+        assert _sweep_every_node(frozen, predicate) == _sweep_every_node(
+            fresh, predicate
+        )
+        fresh.close()
+
+    def test_a_reweigh_resets_the_rewritten_nodes_only(self, built, frozen):
+        net, _, road = built
+        _sweep_every_node(frozen)
+        u, v, d = next(iter(net.edges()))
+        cu = frozen._code(u)
+        assert frozen._paths[cu] is not None or any(
+            cu in table.pairs for table in frozen._state().rnet_masks.values()
+        )
+        report = road.update_edge_distance(u, v, d * 3.0)
+        assert frozen.apply(report) == "patched"
+        dirty = {frozen._code(n) for n in report.dirty_nodes | {u, v}}
+        assert all(frozen._paths[code] is None for code in dirty)
+        # Precise: the nodes the write did not rewrite keep their entries.
+        assert any(
+            frozen._paths[code] is not None
+            for code in range(frozen.num_nodes)
+            if code not in dirty
+        )
+        self.assert_fresh(frozen, road)
+
+    def test_an_insert_that_flips_a_leaf_bit(self, built, frozen):
+        net, _, road = built
+        _sweep_every_node(frozen, self.RARE)
+        table = frozen._state().rnet_masks[self.RARE]
+        assert table.pairs and not any(table.may)
+        u, v, d = sorted(net.edges())[len(list(net.edges())) // 2]
+        report = road.insert_object(
+            SpatialObject(
+                road.directory().objects.next_id(), (u, v), d / 2, {"type": "z"}
+            )
+        )
+        assert frozen.apply(report) == "patched"
+        leaf = road.hierarchy.leaf_of_edge(u, v).rnet_id
+        assert table.may[frozen._rnet_index[leaf]]
+        self.assert_fresh(frozen, road, self.RARE)
+
+    def test_a_delete_that_clears_it(self, built, frozen):
+        net, _, road = built
+        u, v, d = sorted(net.edges())[len(list(net.edges())) // 2]
+        new_id = road.directory().objects.next_id()
+        report = road.insert_object(
+            SpatialObject(new_id, (u, v), d / 2, {"type": "z"})
+        )
+        assert frozen.apply(report) == "patched"
+        _sweep_every_node(frozen, self.RARE)
+        table = frozen._state().rnet_masks[self.RARE]
+        assert table.pairs and any(table.may)
+        assert frozen.apply(road.delete_object(new_id)) == "patched"
+        assert not any(table.may)
+        self.assert_fresh(frozen, road, self.RARE)
+
+    @pytest.mark.skipif(
+        "shm" not in installed_backends(), reason="needs the shm backend"
+    )
+    def test_a_worker_after_an_arrays_sync(self, built):
+        """A process worker learns of a reweigh only by the ``"arrays"``
+        sync, which names no node: it must drop every cached entry."""
+        net, _, road = built
+        primary = road.freeze(backend="shm")
+        worker = FrozenRoad.from_manifest(primary.shm_manifest())
+        _sweep_every_node(worker)
+        u, v, d = next(iter(net.edges()))
+        assert primary.apply(road.update_edge_distance(u, v, d * 3.0)) == (
+            "patched"
+        )
+        worker.refresh_views()  # the worker's "arrays" sync
+        self.assert_fresh(worker, road)
+        worker.close()
+        primary.close()
+
+
 class TestBackends:
     def test_memory_stats_sanity(self, built, frozen):
         stats = frozen.memory_stats()
@@ -660,6 +758,24 @@ class TestBackends:
             assert stats["total_bytes"] > 2 * stats["payload_bytes"]
         else:
             assert stats["total_bytes"] < 2 * stats["payload_bytes"]
+
+    def test_path_tables_accounted(self, frozen):
+        stats = frozen.memory_stats()
+        assert stats["path_shared_entries"] == stats["path_table_entries"] == 0
+        swept = SearchStats()
+        frozen.range(0, 1e9, stats=swept)
+        stats = frozen.memory_stats()
+        # One entry per settled node: shared if it is not a border.
+        assert stats["path_shared_entries"] + stats["path_table_entries"] == (
+            swept.nodes_popped
+        )
+        assert stats["path_shared_bytes"] > 0 and stats["path_table_bytes"] > 0
+        per_directory = stats["directories"].values()
+        assert stats["path_table_bytes"] == sum(
+            d["path_table_bytes"] for d in per_directory
+        )
+        frozen.refresh_views()
+        assert frozen.memory_stats()["path_shared_entries"] == 0
 
     def test_mask_cache_accounted(self, frozen):
         before = frozen.memory_stats()["mask_cache_bytes"]

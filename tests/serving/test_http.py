@@ -359,13 +359,21 @@ class TestMaintenanceRoute:
             # The edge an object sits on.
             lambda obj: {"op": "remove_edge",
                          "u": obj.edge[0], "v": obj.edge[1]},
+            # An update replaces the attributes: without 'attrs' it
+            # would wipe them.
+            lambda obj: {"op": "update_object_attrs",
+                         "object_id": obj.object_id},
         ],
-        ids=["duplicate_id", "occupied_edge"],
+        ids=["duplicate_id", "occupied_edge", "update_without_attrs"],
     )
     def test_write_against_the_present_objects_is_400(self, setting, make):
         service, app = setting
         objects = service.executor.road.directory("objects").objects
-        _assert_refused(service, app, make(objects.get(objects.ids()[0])))
+        obj = objects.get(objects.ids()[0])
+        attrs = dict(obj.attrs)
+        assert attrs  # the fixture's objects carry a type
+        _assert_refused(service, app, make(obj))
+        assert objects.get(obj.object_id).attrs == attrs
 
 
 def _assert_refused(service, app, payload):
@@ -397,6 +405,9 @@ class TestMetricsRoute:
         assert 'road_http_requests_total{path="/query"}' in text
         assert 'road_http_responses_total{code="200"}' in text
         assert 'road_replica_pool{field="workers"} 2' in text
+        # The kernel's cached ChoosePath results show beside the masks.
+        for field in ("path_shared_bytes", "path_table_bytes"):
+            assert f'road_mask_cache{{field="{field}"}}' in text
         # And the same numbers surface through stats()["metrics"].
         snapshot = service.stats()["metrics"]
         assert snapshot["road_service_submitted_total"] >= 1

@@ -418,21 +418,21 @@ class TestBatchSplit:
 
 
 class TestFootprintOwnership:
-    def test_populate_keeps_the_executors_frozensets(self):
-        """The kernel's sets are converted once (``execute_batch``): the
-        nodes to a sorted tuple, the Rnets to frozensets; the cache
-        stores those very objects, no copy under its lock."""
+    def test_populate_keeps_the_executors_tuples(self):
+        """The kernel's sets are converted once (``execute_batch``), each
+        to a sorted tuple; the cache stores those very objects, no copy
+        under its lock, and keeps only the bypassed/descended split."""
         cache = ResultCache(budget=4)
         query = KNNQuery(3, 1)
         key = canonical_key(DIR, query)
-        nodes, rnets = node_footprint({5, 3, 4}), frozenset({10, 11})
-        bypassed = frozenset({10})
+        nodes, rnets = node_footprint({5, 3, 4}), node_footprint({11, 10})
+        bypassed = node_footprint({10})
         cache.populate(
             [(key, query, ["x"], (nodes, rnets, bypassed))], cache.generation(DIR)
         )
         entry = cache._entries[key]
-        assert entry.nodes is nodes and entry.rnets is rnets
-        assert entry.bypassed is bypassed and entry.descended == {11}
+        assert entry.nodes is nodes and entry.bypassed is bypassed
+        assert entry.descended == (11,) and entry.rnets == rnets
 
     def test_populate_widens_a_footprint_missing_the_origin(self):
         cache = ResultCache(budget=4)
@@ -599,7 +599,7 @@ def _reaches(report, key, entry):
         return False
     if not set(report.edge).isdisjoint(entry.nodes):
         return True
-    examined, bypassed = entry.rnets, entry.bypassed
+    examined, bypassed = set(entry.rnets), set(entry.bypassed)
     if report.kind == "edge_distance":
         return bool(report.dirty_rnets & bypassed)
     if report.kind == "insert_object":
