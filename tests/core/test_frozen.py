@@ -722,6 +722,21 @@ class TestPathTables:
         assert not any(table.may)
         self.assert_fresh(frozen, road, self.RARE)
 
+    def test_a_sweep_closed_after_a_reset_still_charges(self, built, frozen):
+        """Closing a tracked sweep after a patch reset a node it settled
+        recomputes that node's charges instead of failing."""
+        net, _, road = built
+        u, v, d = next(iter(net.edges()))
+        stats = SearchStats()
+        lazy = frozen.iter_nearest_objects(u, stats=stats)
+        next(lazy)
+        assert frozen.apply(road.update_edge_distance(u, v, d * 3.0)) == (
+            "patched"
+        )
+        lazy.close()
+        assert u in stats.visited_nodes
+        assert stats.nodes_popped and stats.edges_relaxed
+
     @pytest.mark.skipif(
         "shm" not in installed_backends(), reason="needs the shm backend"
     )
