@@ -353,6 +353,7 @@ class FrozenRoad(QueryExecutor):
         self._index: Dict[int, int] = {
             node: i for i, node in enumerate(self.node_ids)
         }
+        self._code_boxes = self._intern_codes()
         n = len(self.node_ids)
         # --- Rnet id space (slots shared by every directory) ---------------
         self._rnet_index: Dict[int, int] = {}
@@ -589,6 +590,7 @@ class FrozenRoad(QueryExecutor):
         frozen._source = None
         frozen.node_ids = list(node_ids)
         frozen._index = {node: i for i, node in enumerate(frozen.node_ids)}
+        frozen._code_boxes = frozen._intern_codes()
         frozen._rnet_index = {
             rnet_id: slot for slot, rnet_id in enumerate(rnet_slots)
         }
@@ -1110,6 +1112,23 @@ class FrozenRoad(QueryExecutor):
             for table in state.rnet_masks.values():
                 table.reset(codes)
 
+    def _intern_codes(self) -> Optional[List[int]]:
+        """One int object per node code, for the pairs ChoosePath caches.
+
+        Reading a typed buffer boxes a fresh int per element, so off the
+        list backend every cached pair would own its target's box; mapped
+        through this list, all pairs share one box per node.  Node ids
+        equal their codes on generated networks, and then ``node_ids``
+        is that list already.  ``None`` on the list backend, whose pairs
+        point at the arrays' own boxes.
+        """
+        if self._backend.name == "list":
+            return None
+        ids = self.node_ids
+        if all(node == code for code, node in enumerate(ids)):
+            return ids
+        return list(range(len(ids)))
+
     def _array_views(self) -> Tuple[Any, ...]:
         """The shared-array views ChoosePath indexes, built per snapshot.
 
@@ -1588,12 +1607,13 @@ class FrozenRoad(QueryExecutor):
         """Resident-size estimate of cached rows of ChoosePath results.
 
         Each row tuple, plus per item a ``(target, weight)`` pair — and,
-        off the list backend, the two boxes a pair read off a typed
-        buffer owns (list-backend pairs point at the arrays' own boxes).
+        off the list backend, the weight's box a pair read off a typed
+        buffer owns (targets share :meth:`_intern_codes`' boxes;
+        list-backend pairs point at the arrays' own boxes).
         """
         pair = sys.getsizeof((0, 0.0))
         if self._backend.name != "list":
-            pair += sys.getsizeof(1 << 20) + sys.getsizeof(0.0)
+            pair += sys.getsizeof(0.0)
         return sum(sys.getsizeof(row) + pair * len(row) for row in rows)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -1756,12 +1776,14 @@ class FrozenRoad(QueryExecutor):
             ed_start, ed_target, ed_weight,
             local_start, local_target, local_weight,
         ) = self._array_views()
+        boxes = self._code_boxes
         i, end = entry_start[code], entry_start[code + 1]
         if i == end:
             a, b = local_start[code], local_start[code + 1]
-            pairs = shared[code] = tuple(
-                zip(local_target[a:b], local_weight[a:b])
-            )
+            targets = local_target[a:b]
+            if boxes is not None:
+                targets = map(boxes.__getitem__, targets)
+            pairs = shared[code] = tuple(zip(targets, local_weight[a:b]))
             return pairs
         may = table.may
         out: List[Tuple[int, float]] = []
@@ -1774,7 +1796,10 @@ class FrozenRoad(QueryExecutor):
                 if entry_next[i] == i + 1:
                     # Finest Rnet with objects of interest: its edges.
                     a, b = ed_start[i], ed_start[i + 1]
-                    out.extend(zip(ed_target[a:b], ed_weight[a:b]))
+                    targets = ed_target[a:b]
+                    if boxes is not None:
+                        targets = map(boxes.__getitem__, targets)
+                    out.extend(zip(targets, ed_weight[a:b]))
                     relaxed += b - a
                 else:
                     descended += 1
@@ -1782,7 +1807,10 @@ class FrozenRoad(QueryExecutor):
             else:
                 # Bypass: jump straight to the Rnet's other borders.
                 a, b = sc_start[i], sc_start[i + 1]
-                out.extend(zip(sc_target[a:b], sc_weight[a:b]))
+                targets = sc_target[a:b]
+                if boxes is not None:
+                    targets = map(boxes.__getitem__, targets)
+                out.extend(zip(targets, sc_weight[a:b]))
                 taken += b - a
                 bypassed += 1
                 i = entry_next[i]

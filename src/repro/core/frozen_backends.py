@@ -26,9 +26,8 @@ byte-identical answers — the equivalence probes
 (:func:`repro.eval.metrics.snapshot_divergences`) hold across all of them
 — and the patchable ones support the incremental-freeze patch lifecycle:
 span rewrites are slice assignments (``arr[a:b] = values``), which lists
-and the shared-memory vectors both honour.  None of them needs numpy: the
-optional extra serves the generators, placement and workload sampling
-only (:mod:`repro._optional`).
+and the shared-memory vectors both honour.  None of them needs numpy;
+nothing in the package does.
 """
 
 from __future__ import annotations

@@ -15,10 +15,7 @@ the full-size setting.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    import numpy as np
+from typing import Dict, List, Optional, Sequence
 
 from repro.eval.config import (
     DEFAULT_K,
@@ -34,15 +31,10 @@ from repro.eval.datasets import dataset_levels, load_dataset
 from repro.eval.metrics import measure_query, run_workload, time_call
 from repro.eval.reporting import ExperimentResult
 from repro.eval.runner import ENGINE_ORDER, build_engine, build_engines, make_objects
+from repro.graph.generators import LegacyRandomState
 from repro.objects.model import SpatialObject
 from repro.queries.types import KNNQuery
 from repro.queries.workload import knn_workload, range_workload
-
-
-def _rng(seed: int) -> "np.random.RandomState":
-    from repro._optional import require_numpy
-
-    return require_numpy("the paper experiments").random.RandomState(seed)
 
 MB = 1024 * 1024
 
@@ -65,7 +57,7 @@ def fig11_illustration(
     dataset = load_dataset(network)
     objects = make_objects(dataset.network, num_objects, seed=seed)
     engines = build_engines(dataset, objects)
-    rng = _rng(seed)
+    rng = LegacyRandomState(seed)
     nodes = sorted(dataset.network.node_ids())
     query = KNNQuery(nodes[rng.randint(len(nodes))], k)
 
@@ -178,7 +170,7 @@ def fig15_object_update(
         objects = make_objects(dataset.network, num_objects, seed=seed)
         built = build_engines(dataset, objects, engines=engines)
         edges = sorted((u, v) for u, v, _ in dataset.network.edges())
-        rng = _rng(seed)
+        rng = LegacyRandomState(seed)
         for name in engines:
             engine = built[name]
             delete_times: List[float] = []
@@ -190,9 +182,7 @@ def fig15_object_update(
                 removed, elapsed = time_call(engine.delete_object, victim)
                 delete_times.append(elapsed)
                 u, v = edges[rng.randint(len(edges))]
-                delta = float(
-                    rng.uniform(0.0, dataset.network.edge_distance(u, v))
-                )
+                delta = rng.uniform(0.0, dataset.network.edge_distance(u, v))
                 replacement = SpatialObject(victim, (u, v), delta, dict(removed.attrs))
                 _, elapsed = time_call(engine.insert_object, replacement)
                 insert_times.append(elapsed)
@@ -232,7 +222,7 @@ def fig16_network_update(
         dataset = load_dataset(network)
         objects = make_objects(dataset.network, num_objects, seed=seed)
         built = build_engines(dataset, objects, engines=engines)
-        rng = _rng(seed)
+        rng = LegacyRandomState(seed)
         for name in engines:
             engine = built[name]
             edges = sorted((u, v) for u, v, _ in engine.network.edges())

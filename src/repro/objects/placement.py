@@ -10,21 +10,11 @@ for predicate-carrying LDSQs.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    import numpy as np
-
+from repro.graph.generators import LegacyRandomState
 from repro.graph.network import RoadNetwork
 from repro.objects.model import ObjectSet, SpatialObject
-
-
-def _rng(seed: int) -> "np.random.RandomState":
-    """Lazy numpy import: placement needs it, the rest of the package
-    (and numpy-free deployments of the core library) does not."""
-    from repro._optional import require_numpy
-
-    return require_numpy("object placement").random.RandomState(seed)
 
 
 def place_uniform(
@@ -40,7 +30,7 @@ def place_uniform(
     ``attr_choices`` maps attribute name to the values sampled uniformly
     (e.g. ``{"type": ["restaurant", "hotel", "fuel"]}``).
     """
-    rng = _rng(seed)
+    rng = LegacyRandomState(seed)
     edges = sorted((u, v) for u, v, _ in network.edges())
     if not edges:
         raise ValueError("network has no edges to place objects on")
@@ -48,7 +38,7 @@ def place_uniform(
     for object_id in range(count):
         u, v = edges[rng.randint(0, len(edges))]
         distance = network.edge_distance(u, v)
-        delta = float(rng.uniform(0.0, distance))
+        delta = rng.uniform(0.0, distance)
         attrs = _sample_attrs(rng, attr_choices)
         objects.add(SpatialObject(object_id, (u, v), delta, attrs))
     return objects
@@ -71,9 +61,9 @@ def place_clustered(
     """
     if clusters < 1:
         raise ValueError("need at least one cluster")
-    rng = _rng(seed)
+    rng = LegacyRandomState(seed)
     nodes = sorted(network.node_ids())
-    hubs = [nodes[i] for i in rng.choice(len(nodes), size=clusters, replace=False)]
+    hubs = [nodes[i] for i in rng.choice(len(nodes), clusters)]
     pools: List[List[Tuple[int, int]]] = []
     for hub in hubs:
         pool = _edges_within_hops(network, hub, spread)
@@ -83,7 +73,7 @@ def place_clustered(
         pool = pools[rng.randint(0, clusters)]
         u, v = pool[rng.randint(0, len(pool))]
         distance = network.edge_distance(u, v)
-        delta = float(rng.uniform(0.0, distance))
+        delta = rng.uniform(0.0, distance)
         attrs = _sample_attrs(rng, attr_choices)
         objects.add(SpatialObject(object_id, (u, v), delta, attrs))
     return objects
@@ -119,7 +109,7 @@ def _any_edge(network: RoadNetwork, node: int) -> Tuple[int, int]:
 
 
 def _sample_attrs(
-    rng: "np.random.RandomState",
+    rng: LegacyRandomState,
     attr_choices: Optional[Dict[str, Sequence[str]]],
 ) -> Dict[str, str]:
     if not attr_choices:

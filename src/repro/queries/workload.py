@@ -8,28 +8,18 @@ from a seed.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence
+from typing import List, Sequence
 
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    import numpy as np
-
+from repro.graph.generators import LegacyRandomState
 from repro.graph.network import RoadNetwork
 from repro.queries.types import ANY, KNNQuery, Predicate, RangeQuery
-
-
-def _rng(seed: int) -> "np.random.RandomState":
-    """Lazy numpy import: workload sampling needs it, query types and the
-    numpy-free deployments of the core library do not."""
-    from repro._optional import require_numpy
-
-    return require_numpy("workload sampling").random.RandomState(seed)
 
 
 def random_query_nodes(
     network: RoadNetwork, count: int, *, seed: int = 0
 ) -> List[int]:
     """Sample ``count`` query nodes uniformly (with replacement)."""
-    rng = _rng(seed)
+    rng = LegacyRandomState(seed)
     nodes = sorted(network.node_ids())
     return [nodes[i] for i in rng.randint(0, len(nodes), size=count)]
 
@@ -84,7 +74,7 @@ def mixed_workload(
     """
     if not predicates:
         raise ValueError("need at least one predicate")
-    rng = _rng(seed)
+    rng = LegacyRandomState(seed)
     nodes = random_query_nodes(network, count, seed=seed)
     queries: List[object] = []
     for i, node in enumerate(nodes):

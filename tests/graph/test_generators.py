@@ -32,49 +32,6 @@ class TestRoadNetwork:
             b.coords(n) for n in b.node_ids()
         ]
 
-    def test_delaunay_edges_match_the_loop(self):
-        """The vectorised triangulation pass equals the per-simplex loop."""
-        import numpy as np
-        from scipy.spatial import Delaunay
-
-        from repro.graph.generators import _delaunay_edges
-
-        points = np.random.RandomState(3).uniform(0.0, 1000.0, (500, 2))
-        pairs = set()
-        for simplex in Delaunay(points).simplices:
-            a, b, c = int(simplex[0]), int(simplex[1]), int(simplex[2])
-            for u, v in ((a, b), (b, c), (a, c)):
-                pairs.add((u, v) if u < v else (v, u))
-        want_edges = sorted(pairs)
-        want_lengths = [
-            float(np.hypot(*(points[u] - points[v]))) for u, v in want_edges
-        ]
-
-        edges, lengths = _delaunay_edges(points)
-        assert edges == want_edges
-        assert all(type(u) is int and type(v) is int for u, v in edges)
-        assert [x.hex() for x in lengths] == [x.hex() for x in want_lengths]
-
-    def test_delaunay_edge_codes_do_not_wrap(self, monkeypatch):
-        """47,000 points put ``u * n + v`` past 2**31 (32-bit codes wrap)."""
-        import numpy as np
-        import scipy.spatial
-
-        from repro.graph.generators import _delaunay_edges
-
-        class Triangulation:  # scipy hands back 32-bit vertex indices
-            def __init__(self, points):
-                self.simplices = np.array(
-                    [[46_999, 1, 46_998], [0, 46_999, 2]], dtype=np.int32
-                )
-
-        monkeypatch.setattr(scipy.spatial, "Delaunay", Triangulation)
-        edges, _ = _delaunay_edges(np.zeros((47_000, 2)))
-        assert edges == [
-            (0, 2), (0, 46_999), (1, 46_998), (1, 46_999), (2, 46_999),
-            (46_998, 46_999),
-        ]
-
     def test_different_seeds_differ(self):
         a = road_network(100, 1.1, seed=5)
         b = road_network(100, 1.1, seed=6)

@@ -3,11 +3,12 @@
 The serving tier sits on top of the library.  The dispatch protocol the
 engines implement lives in :mod:`repro.core.dispatch`, so no module of
 the library layers imports :mod:`repro.serving`, and importing the core
-engine never loads the serving tier.  Two more import-time contracts
-live here: every module imports without numpy (the extra feeds the
-generators only, through :mod:`repro._optional`), and only
+engine never loads the serving tier.  Three more contracts live here:
+every module imports with numpy and scipy blocked, a served network is
+generated, populated and served without either being loaded (the package
+is stdlib-only, its generators included), and only
 :mod:`repro.core.shm_arrays` creates a ``SharedMemory`` segment.  Stdlib
-only, so the no-numpy CI leg runs it.
+only.
 """
 
 import ast
@@ -100,12 +101,12 @@ MODULES = sorted(
 
 @pytest.fixture(scope="module")
 def numpy_free_imports():
-    """One fresh interpreter with numpy blocked imports every module
-    ``pkgutil.walk_packages`` finds: module name -> ``""`` when it
+    """One fresh interpreter with numpy and scipy blocked imports every
+    module ``pkgutil.walk_packages`` finds: module name -> ``""`` when it
     imported, else the error."""
     probe = (
         "import importlib, json, pkgutil, sys\n"
-        "sys.modules['numpy'] = None\n"
+        "sys.modules['numpy'] = sys.modules['scipy'] = None\n"
         "import repro\n"
         "outcome = {'repro': ''}\n"
         "def walk_failed(name):\n"
@@ -130,8 +131,9 @@ def numpy_free_imports():
 
 @pytest.mark.parametrize("module", MODULES)
 def test_every_module_imports_without_numpy(numpy_free_imports, module):
-    """An eager numpy import anywhere — direct or through another module
-    — fails the module that makes it here, not on a stdlib-only install."""
+    """An eager numpy or scipy import anywhere — direct or through another
+    module — fails the module that makes it here, not on a stdlib-only
+    install."""
     assert module in numpy_free_imports, "pkgutil.walk_packages did not reach it"
     assert numpy_free_imports[module] == ""
 
@@ -155,3 +157,30 @@ def test_importing_the_core_engine_leaves_serving_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == ""
+
+
+def test_a_served_mini_ca_loads_neither_numpy_nor_scipy():
+    """The path every benchmark server boots through: generate the mini
+    CA network, place objects on it, build and query a ``RoadService``."""
+    probe = (
+        "import sys\n"
+        "from repro.eval.datasets import load_dataset\n"
+        "from repro.objects.placement import place_uniform\n"
+        "from repro.queries.types import KNNQuery\n"
+        "from repro.serving import RoadService, ServiceConfig\n"
+        "network = load_dataset('CA').network\n"
+        "objects = place_uniform(network, 100, seed=1)\n"
+        "service = RoadService.build(\n"
+        "    network, objects, config=ServiceConfig(mode='frozen')\n"
+        ")\n"
+        "assert len(service.run(KNNQuery(0, 3))) == 3\n"
+        "service.close()\n"
+        "print(network.num_nodes, ','.join(sorted(\n"
+        "    m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')\n"
+        ")))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_child_env()
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["2100"]
