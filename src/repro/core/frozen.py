@@ -449,15 +449,17 @@ class FrozenRoad(QueryExecutor):
                 rnet_id = hierarchy.rnet(rnet_id).parent
             return -1
 
-        def interior(node: int, tree: ShortcutTree) -> Optional[int]:
+        def interior(idx: int, node: int, tree: ShortcutTree) -> Optional[int]:
             if tree.roots:
                 return hierarchy.rnet(tree.roots[0].rnet_id).parent
-            if tree.local_edges:
-                return hierarchy.leaf_of_edge(node, tree.local_edges[0][0]).rnet_id
+            if local_start[idx] < local_start[idx + 1]:  # its first edge
+                neighbour = self.node_ids[local_target[local_start[idx]]]
+                return hierarchy.leaf_of_edge(node, neighbour).rnet_id
             return None  # on no edge: only the root holds it
 
         self._home_slot = B.int_array(
-            slotted(interior(node, trees[node])) for node in self.node_ids
+            slotted(interior(idx, node, trees[node]))
+            for idx, node in enumerate(self.node_ids)
         )
         self._slot_parent = B.int_array(
             slotted(hierarchy.rnet(rnet_id).parent) for rnet_id in slot_rnets
@@ -1098,6 +1100,8 @@ class FrozenRoad(QueryExecutor):
     def _drop_paths(self) -> None:
         """Forget every cached ChoosePath result, shared and per mask."""
         self._paths: List[Optional[_Pairs]] = [None] * len(self.node_ids)
+        #: non-None entries of ``_paths``, kept so counting them is O(1)
+        self._shared_paths = 0
         for state in self._dirs.values():
             for table in state.rnet_masks.values():
                 table.reset()
@@ -1107,7 +1111,9 @@ class FrozenRoad(QueryExecutor):
         codes = list(codes)
         paths = self._paths
         for code in codes:
-            paths[code] = None
+            if paths[code] is not None:
+                paths[code] = None
+                self._shared_paths -= 1
         for state in self._dirs.values():
             for table in state.rnet_masks.values():
                 table.reset(codes)
@@ -1528,14 +1534,7 @@ class FrozenRoad(QueryExecutor):
             mask_entries += len(state.rnet_masks) + len(state.obj_masks)
             mask_evictions += state.mask_evictions
             dir_path_entries = sum(len(table.pairs) for table in tables)
-            dir_path_bytes = sum(
-                self._rows_bytes(table.pairs.values())
-                + sum(
-                    sys.getsizeof(tally) + sys.getsizeof(tally[4])
-                    for tally in table.tallies.values()
-                )
-                for table in tables
-            )
+            dir_path_bytes = sum(self._table_bytes(table) for table in tables)
             path_entries += dir_path_entries
             path_bytes += dir_path_bytes
             per_directory[name] = {
@@ -1553,7 +1552,6 @@ class FrozenRoad(QueryExecutor):
                 "path_table_entries": dir_path_entries,
                 "path_table_bytes": dir_path_bytes,
             }
-        shared_rows = [row for row in self._paths if row is not None]
         stats: Dict[str, object] = {
             "backend": self.backend,
             "arrays": per_array,
@@ -1568,9 +1566,8 @@ class FrozenRoad(QueryExecutor):
             "mask_cache_entries": mask_entries,
             "mask_budget": MAX_CACHED_PREDICATES,
             "mask_evictions": mask_evictions,
-            "path_shared_entries": len(shared_rows),
-            "path_shared_bytes": sys.getsizeof(self._paths)
-            + self._rows_bytes(shared_rows),
+            "path_shared_entries": self._shared_paths,
+            "path_shared_bytes": self._shared_paths_bytes(),
             "path_table_entries": path_entries,
             "path_table_bytes": path_bytes,
             "directories": per_directory,
@@ -1602,6 +1599,43 @@ class FrozenRoad(QueryExecutor):
             except OSError:
                 stats["snapshot_file_bytes"] = 0
         return stats
+
+    def path_stats(self, *, deep: bool = False) -> Dict[str, int]:
+        """The cached ChoosePath results under :meth:`memory_stats`' keys.
+
+        ``path_shared_entries`` / ``path_table_entries`` cost O(1) per
+        mask table, cheap enough to read after every batch (process
+        workers report them so); ``deep`` adds the ``*_bytes`` estimates,
+        which walk every cached row.
+        """
+        tables = [
+            table
+            for state in self._dirs.values()
+            for table in state.rnet_masks.values()
+        ]
+        stats = {
+            "path_shared_entries": self._shared_paths,
+            "path_table_entries": sum(len(table.pairs) for table in tables),
+        }
+        if deep:
+            stats["path_shared_bytes"] = self._shared_paths_bytes()
+            stats["path_table_bytes"] = sum(
+                self._table_bytes(table) for table in tables
+            )
+        return stats
+
+    def _shared_paths_bytes(self) -> int:
+        """Resident-size estimate of the shared (non-border) path table."""
+        return sys.getsizeof(self._paths) + self._rows_bytes(
+            row for row in self._paths if row is not None
+        )
+
+    def _table_bytes(self, table: _PathTable) -> int:
+        """Resident-size estimate of one mask's pairs and tallies."""
+        return self._rows_bytes(table.pairs.values()) + sum(
+            sys.getsizeof(tally) + sys.getsizeof(tally[4])
+            for tally in table.tallies.values()
+        )
 
     def _rows_bytes(self, rows: Iterable[Tuple[Any, ...]]) -> int:
         """Resident-size estimate of cached rows of ChoosePath results.
@@ -1784,6 +1818,8 @@ class FrozenRoad(QueryExecutor):
             if boxes is not None:
                 targets = map(boxes.__getitem__, targets)
             pairs = shared[code] = tuple(zip(targets, local_weight[a:b]))
+            if shared is self._paths:  # not a list dropped mid-sweep
+                self._shared_paths += 1
             return pairs
         may = table.may
         out: List[Tuple[int, float]] = []

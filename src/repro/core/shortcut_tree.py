@@ -4,7 +4,8 @@ Each Route Overlay entry carries a *shortcut tree* that organises, for one
 node, the Rnets it borders (top level down) with the node's shortcuts per
 Rnet, and — at the finest level — the node's physical edges.  A non-border
 node's tree "has only one leaf node containing edges to its neighbouring
-nodes".
+nodes" — that leaf is the node's adjacency in the network, so the tree
+refers to it instead of keeping a copy.
 
 The tree roots are the highest-level Rnets for which the node is a border
 node: the children of the deepest Rnet containing the node as an interior
@@ -15,7 +16,7 @@ sit immediately above their children, matching the N-ary layout of Fig 6.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from repro.graph.network import RoadNetwork
 from repro.core.rnet import Rnet, RnetHierarchy
@@ -23,7 +24,7 @@ from repro.core.shortcuts import Shortcut, ShortcutIndex
 from repro.storage.codecs import EDGE_RECORD_SIZE, INT_SIZE, shortcut_size
 
 
-@dataclass
+@dataclass(slots=True)
 class ShortcutTreeEntry:
     """One Rnet the node borders: its shortcuts and children (or edges)."""
 
@@ -49,18 +50,41 @@ class ShortcutTreeEntry:
         return size
 
 
-@dataclass
+#: The ``roots`` of every non-border node's tree.
+_NO_ROOTS: Tuple[ShortcutTreeEntry, ...] = ()
+
+
 class ShortcutTree:
     """A node's full shortcut tree.
 
-    ``roots`` is empty for non-border nodes, whose single leaf is
-    ``local_edges`` (the complete adjacency); border nodes get one root per
-    highest-level bordered Rnet and ``local_edges`` stays empty.
+    What is stored and what is derived:
+
+    * A border node's tree stores one root per highest-level bordered Rnet;
+      its physical edges sit in the finest entries, split by leaf Rnet.
+    * A non-border node's tree stores no edges: its single leaf *is* the
+      node's adjacency, so :attr:`local_edges` reads it off the network on
+      demand, and ``roots`` is one shared empty tuple.
+    * ``nbytes`` is the record's size when the tree was built (a leaf is
+      sized from :meth:`RoadNetwork.degree`).  The Route Overlay's page
+      accounting subtracts exactly what it added, even when maintenance
+      changed the node's degree before refreshing the tree.
     """
 
-    node_id: int
-    roots: List[ShortcutTreeEntry] = field(default_factory=list)
-    local_edges: List[Tuple[int, float]] = field(default_factory=list)
+    __slots__ = ("node_id", "roots", "nbytes", "_network")
+
+    def __init__(
+        self,
+        node_id: int,
+        network: RoadNetwork,
+        roots: Sequence[ShortcutTreeEntry] = _NO_ROOTS,
+    ) -> None:
+        self.node_id = node_id
+        self.roots = roots
+        self._network = network
+        if roots:
+            self.nbytes = INT_SIZE + sum(root.nbytes for root in roots)
+        else:
+            self.nbytes = INT_SIZE + network.degree(node_id) * EDGE_RECORD_SIZE
 
     @property
     def is_border(self) -> bool:
@@ -68,11 +92,11 @@ class ShortcutTree:
         return bool(self.roots)
 
     @property
-    def nbytes(self) -> int:
-        size = INT_SIZE + len(self.local_edges) * EDGE_RECORD_SIZE
-        for root in self.roots:
-            size += root.nbytes
-        return size
+    def local_edges(self) -> Tuple[Tuple[int, float], ...]:
+        """A non-border node's single leaf: its adjacency (empty if border)."""
+        if self.roots:
+            return ()
+        return tuple(self._network.neighbours(self.node_id))
 
     def all_edges(self) -> List[Tuple[int, float]]:
         """The node's complete adjacency, whichever shape the tree has."""
@@ -96,13 +120,13 @@ def build_shortcut_tree(
     """Construct the shortcut tree of one node from the current indexes."""
     roots = hierarchy.border_roots(node)
     if not roots:
-        return ShortcutTree(node, local_edges=list(network.neighbours(node)))
+        return ShortcutTree(node, network)
     held = hierarchy.containing_ids(node)
     entries = [
         _build_entry(hierarchy, shortcuts, rnet, node, held)
         for rnet in roots
     ]
-    return ShortcutTree(node, roots=entries)
+    return ShortcutTree(node, network, entries)
 
 
 def _build_entry(

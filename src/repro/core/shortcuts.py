@@ -34,7 +34,7 @@ from repro.core.rnet import Rnet, RnetHierarchy
 _REL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Shortcut:
     """A directed shortcut within one Rnet.
 

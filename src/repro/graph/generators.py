@@ -406,9 +406,32 @@ def _triangulate(xs: Sequence[float], ys: Sequence[float]) -> List[int]:
             al = a0 + (a + 1) % 3
             bl = b0 + (b + 2) % 3
             p0, pr, pl, p1 = triangles[ar], triangles[a], triangles[al], triangles[bl]
-            if _in_circle(
-                xs[p0], ys[p0], xs[pr], ys[pr], xs[pl], ys[pl], xs[p1], ys[p1]
-            ):
+            # _in_circle's floating-point filter, inlined (the hot path);
+            # an undecided determinant goes to _in_circle's exact sign.
+            px, py = xs[p1], ys[p1]
+            adx, ady = xs[p0] - px, ys[p0] - py
+            bdx, bdy = xs[pr] - px, ys[pr] - py
+            cdx, cdy = xs[pl] - px, ys[pl] - py
+            bc, cb = bdx * cdy, cdx * bdy
+            ca, ac = cdx * ady, adx * cdy
+            ab, ba = adx * bdy, bdx * ady
+            alift = adx * adx + ady * ady
+            blift = bdx * bdx + bdy * bdy
+            clift = cdx * cdx + cdy * cdy
+            det = alift * (bc - cb) + blift * (ca - ac) + clift * (ab - ba)
+            bound = _INCIRCLE_BOUND * (
+                (abs(bc) + abs(cb)) * alift
+                + (abs(ca) + abs(ac)) * blift
+                + (abs(ab) + abs(ba)) * clift
+            )
+            size = abs(det)
+            if size > bound and size > _UNDERFLOW:
+                inside = det < 0.0
+            else:
+                inside = _in_circle(
+                    xs[p0], ys[p0], xs[pr], ys[pr], xs[pl], ys[pl], px, py
+                )
+            if inside:
                 triangles[a] = p1
                 triangles[b] = p0
                 hbl = halfedges[bl]
@@ -521,9 +544,18 @@ def _triangulate(xs: Sequence[float], ys: Sequence[float]) -> List[int]:
                 break
         start = hull_prev[start]
         e = start
+        # The three hull walks inline _orient's floating-point filter (the
+        # hot path); an undecided sign goes to _orient's exact one.
         while True:
             q = hull_next[e]
-            if _orient(x, y, xs[e], ys[e], xs[q], ys[q]) < 0:
+            qx, qy = xs[q], ys[q]
+            left = (y - qy) * (xs[e] - qx)
+            right = (x - qx) * (ys[e] - qy)
+            det = left - right
+            size = abs(det)
+            if not (size > _ORIENT_BOUND * abs(left + right) and size > _UNDERFLOW):
+                det = _orient(x, y, xs[e], ys[e], qx, qy)
+            if det < 0:
                 break
             e = q
             if e == start:
@@ -541,7 +573,14 @@ def _triangulate(xs: Sequence[float], ys: Sequence[float]) -> List[int]:
         m = hull_next[e]
         while True:
             q = hull_next[m]
-            if not _orient(x, y, xs[m], ys[m], xs[q], ys[q]) < 0:
+            qx, qy = xs[q], ys[q]
+            left = (y - qy) * (xs[m] - qx)
+            right = (x - qx) * (ys[m] - qy)
+            det = left - right
+            size = abs(det)
+            if not (size > _ORIENT_BOUND * abs(left + right) and size > _UNDERFLOW):
+                det = _orient(x, y, xs[m], ys[m], qx, qy)
+            if not det < 0:
                 break
             t = add_triangle(m, i, q, hull_tri[i], -1, hull_tri[m])
             hull_tri[i] = legalize(t + 2)
@@ -550,7 +589,14 @@ def _triangulate(xs: Sequence[float], ys: Sequence[float]) -> List[int]:
         if e == start:
             while True:
                 q = hull_prev[e]
-                if not _orient(x, y, xs[q], ys[q], xs[e], ys[e]) < 0:
+                hx, hy = xs[e], ys[e]
+                left = (y - hy) * (xs[q] - hx)
+                right = (x - hx) * (ys[q] - hy)
+                det = left - right
+                size = abs(det)
+                if not (size > _ORIENT_BOUND * abs(left + right) and size > _UNDERFLOW):
+                    det = _orient(x, y, xs[q], ys[q], hx, hy)
+                if not det < 0:
                     break
                 t = add_triangle(q, i, e, -1, hull_tri[e], hull_tri[q])
                 legalize(t + 2)
@@ -662,34 +708,40 @@ def road_network(
     jitter = rng.uniform(-1e-4 * extent, 1e-4 * extent, size=2 * num_nodes)
     coords = [value + shift for value, shift in zip(coords, jitter)]
     xs, ys = coords[0::2], coords[1::2]
+    # Every temporary goes as soon as it is spent: the generation high-water
+    # mark is the serving process's memory floor.
+    del coords, jitter
 
     edges = delaunay_edges(xs, ys)
-    edge_lengths = [glibc_hypot(xs[u] - xs[v], ys[u] - ys[v]) for u, v in edges]
-    lengths = dict(zip(edges, edge_lengths))
+    lengths = [glibc_hypot(xs[u] - xs[v], ys[u] - ys[v]) for u, v in edges]
 
     # Spanning tree first (connectivity), then the shortest remaining
     # Delaunay edges until the target count is reached: short links dominate
-    # real road networks.
-    ordered = sorted(edges, key=lambda e: lengths[e])
+    # real road networks.  The sort is stable, so equal lengths keep the
+    # triangulation's edge order.
     uf = _UnionFind(num_nodes)
-    chosen: List[Tuple[int, int]] = []
-    rest: List[Tuple[int, int]] = []
-    for u, v in ordered:
+    chosen: List[Tuple[int, int, float]] = []
+    rest: List[int] = []
+    for i in sorted(range(len(edges)), key=lengths.__getitem__):
+        u, v = edges[i]
         if uf.union(u, v):
-            chosen.append((u, v))
+            chosen.append((u, v, lengths[i]))
         else:
-            rest.append((u, v))
+            rest.append(i)
     target_edges = int(round(edge_ratio * num_nodes))
     target_edges = max(target_edges, len(chosen))
     extra_needed = min(target_edges - len(chosen), len(rest))
-    chosen.extend(rest[:extra_needed])
+    chosen.extend((*edges[i], lengths[i]) for i in rest[:extra_needed])
+    del edges, lengths, rest, uf
 
     network = RoadNetwork(metric=metric)
     for node_id in range(num_nodes):
         network.add_node(node_id, xs[node_id], ys[node_id])
-    for u, v in chosen:
+    del xs, ys
+    for u, v, length in chosen:
         noise = 1.0 + rng.uniform(0.0, weight_noise)
-        network.add_edge(u, v, max(lengths[(u, v)] * noise, 1e-9))
+        network.add_edge(u, v, max(length * noise, 1e-9))
+    del chosen
     _repair_connectivity(network)
     # Real road datasets number intersections with strong spatial locality
     # (consecutive ids are near each other); reproduce that so id-keyed
@@ -698,7 +750,12 @@ def road_network(
 
 
 def _relabel_by_bfs(network: RoadNetwork) -> RoadNetwork:
-    """Renumber nodes in breadth-first order from a corner node."""
+    """Renumber nodes in breadth-first order from a corner node.
+
+    ``network`` is emptied on the way (see :meth:`RoadNetwork.drain_edges`):
+    the two adjacencies are never held in full at once.  The new network
+    gets its edges in the old one's :meth:`RoadNetwork.edges` order.
+    """
     from collections import deque
 
     start = min(
@@ -719,12 +776,14 @@ def _relabel_by_bfs(network: RoadNetwork) -> RoadNetwork:
         if node not in seen:
             seen.add(node)
             order.append(node)
+    del seen
     mapping = {old: new for new, old in enumerate(order)}
     relabelled = RoadNetwork(metric=network.metric)
     for old in order:
         x, y = network.coords(old)
         relabelled.add_node(mapping[old], x, y)
-    for u, v, distance in network.edges():
+    del order
+    for u, v, distance in network.drain_edges():
         relabelled.add_edge(mapping[u], mapping[v], distance)
     return relabelled
 

@@ -12,6 +12,7 @@ baseline; the ROAD framework itself never relies on them).
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
 EdgeKey = Tuple[int, int]
@@ -29,6 +30,23 @@ class NetworkError(Exception):
 class RoadNetwork:
     """Undirected weighted graph with coordinates.
 
+    Every edge and coordinate is stored once, in the smallest plain shape
+    that keeps the access order:
+
+    * ``_adj`` maps each node (in insertion order) to one flat list
+      ``[v0, d0, v1, d1, ...]``: neighbour ids on the even slots, edge
+      distances on the odd ones, in the order the edges were added — the
+      order a per-node dict kept.  An edge's distance float is one object
+      shared by both endpoints' lists.
+    * Coordinates of the dense ids ``0 .. n-1`` (every generator and the
+      Li-format files number nodes that way) sit in one ``array('d')`` as
+      ``x, y`` pairs; any other id keeps an ``(x, y)`` tuple in a small
+      dict.  A removed dense id leaves its slot for a later re-add.
+
+    Everything else — the ``(neighbour, distance)`` pairs of
+    :meth:`neighbours`, degrees, the ``(x, y)`` tuples of :meth:`coords` —
+    is derived on demand; no index structure keeps a copy of it.
+
     Parameters
     ----------
     metric:
@@ -40,8 +58,9 @@ class RoadNetwork:
 
     def __init__(self, metric: str = "distance") -> None:
         self.metric = metric
-        self._adj: Dict[int, Dict[int, float]] = {}
-        self._coords: Dict[int, Tuple[float, float]] = {}
+        self._adj: Dict[int, List] = {}
+        self._xy = array("d")  # x0, y0, x1, y1, ... of the dense ids
+        self._far_xy: Dict[int, Tuple[float, float]] = {}
         self._num_edges = 0
 
     # ------------------------------------------------------------------
@@ -51,8 +70,8 @@ class RoadNetwork:
         """Add an isolated node with coordinates (x, y)."""
         if node_id in self._adj:
             raise NetworkError(f"node {node_id} already exists")
-        self._adj[node_id] = {}
-        self._coords[node_id] = (float(x), float(y))
+        self._store_xy(node_id, float(x), float(y))
+        self._adj[node_id] = []
 
     def add_edge(self, u: int, v: int, distance: float) -> None:
         """Add undirected edge (u, v) with a positive distance."""
@@ -63,19 +82,26 @@ class RoadNetwork:
         if u not in self._adj or v not in self._adj:
             missing = u if u not in self._adj else v
             raise NetworkError(f"node {missing} does not exist")
-        if v in self._adj[u]:
+        if self._distance_slot(u, v) >= 0:
             raise NetworkError(f"edge ({u}, {v}) already exists")
-        self._adj[u][v] = float(distance)
-        self._adj[v][u] = float(distance)
+        distance = float(distance)
+        adj = self._adj[u]
+        adj.append(v)
+        adj.append(distance)
+        adj = self._adj[v]
+        adj.append(u)
+        adj.append(distance)
         self._num_edges += 1
 
     def remove_edge(self, u: int, v: int) -> float:
         """Delete edge (u, v); return its distance."""
-        try:
-            distance = self._adj[u].pop(v)
-            self._adj[v].pop(u)
-        except KeyError:
-            raise NetworkError(f"edge ({u}, {v}) does not exist") from None
+        i = self._distance_slot(u, v)
+        if i < 0:
+            raise NetworkError(f"edge ({u}, {v}) does not exist")
+        distance = self._adj[u][i]
+        del self._adj[u][i - 1 : i + 1]
+        j = self._distance_slot(v, u)
+        del self._adj[v][j - 1 : j + 1]
         self._num_edges -= 1
         return distance
 
@@ -83,21 +109,61 @@ class RoadNetwork:
         """Delete a node and all its incident edges."""
         if node_id not in self._adj:
             raise NetworkError(f"node {node_id} does not exist")
-        for neighbour in list(self._adj[node_id]):
+        for neighbour in self._adj[node_id][::2]:
             self.remove_edge(node_id, neighbour)
         del self._adj[node_id]
-        del self._coords[node_id]
+        self._far_xy.pop(node_id, None)
 
     def update_edge(self, u: int, v: int, distance: float) -> float:
         """Change the distance of edge (u, v); return the old distance."""
         if not 0 < distance < math.inf:  # NaN fails both comparisons
             raise NetworkError(f"edge ({u}, {v}) needs a positive finite distance")
-        if u not in self._adj or v not in self._adj[u]:
+        return self._set_distance(u, v, distance)
+
+    def _set_distance(self, u: int, v: int, distance: float) -> float:
+        """Overwrite edge (u, v)'s distance in place, unchecked; return the old.
+
+        The edge keeps its position in both endpoints' lists.
+        """
+        i = self._distance_slot(u, v)
+        if i < 0:
             raise NetworkError(f"edge ({u}, {v}) does not exist")
-        old = self._adj[u][v]
-        self._adj[u][v] = float(distance)
-        self._adj[v][u] = float(distance)
+        old = self._adj[u][i]
+        distance = float(distance)
+        self._adj[u][i] = distance
+        self._adj[v][self._distance_slot(v, u)] = distance
         return old
+
+    def _distance_slot(self, u: int, v: int) -> int:
+        """Index of edge (u, v)'s distance in ``u``'s list; -1 if absent.
+
+        Only the even (neighbour) slots are searched: a distance equal to
+        ``v`` never matches.
+        """
+        adj = self._adj.get(u)
+        if adj is not None:
+            try:
+                return 2 * adj[::2].index(v) + 1
+            except ValueError:
+                pass
+        return -1
+
+    def drain_edges(self) -> Iterator[Tuple[int, int, float]]:
+        """Yield every edge once, in :meth:`edges` order, emptying the network.
+
+        Each node (with its list) is dropped as soon as its edges are out,
+        so a caller copying the edges into another network never holds two
+        full adjacencies.  Read coordinates first: the network ends empty.
+        """
+        adjacency = self._adj
+        for u in list(adjacency):
+            slots = iter(adjacency.pop(u))
+            for v, distance in zip(slots, slots):
+                if u < v:
+                    self._num_edges -= 1
+                    yield u, v, distance
+        self._xy = array("d")
+        self._far_xy.clear()
 
     # ------------------------------------------------------------------
     # Inspection
@@ -118,7 +184,7 @@ class RoadNetwork:
 
     def has_edge(self, u: int, v: int) -> bool:
         """True if edge (u, v) exists."""
-        return u in self._adj and v in self._adj[u]
+        return self._distance_slot(u, v) >= 0
 
     def node_ids(self) -> Iterator[int]:
         """Iterate node ids in insertion order."""
@@ -127,44 +193,66 @@ class RoadNetwork:
     def neighbours(self, node_id: int) -> Iterator[Tuple[int, float]]:
         """Iterate (neighbour, distance) pairs of ``node_id``."""
         try:
-            adj = self._adj[node_id]
+            slots = iter(self._adj[node_id])
         except KeyError:
             raise NetworkError(f"node {node_id} does not exist") from None
-        return iter(adj.items())
+        return zip(slots, slots)
 
     def degree(self, node_id: int) -> int:
         """Number of incident edges."""
         try:
-            return len(self._adj[node_id])
+            return len(self._adj[node_id]) >> 1
         except KeyError:
             raise NetworkError(f"node {node_id} does not exist") from None
 
     def edge_distance(self, u: int, v: int) -> float:
         """Distance of edge (u, v)."""
-        try:
-            return self._adj[u][v]
-        except KeyError:
-            raise NetworkError(f"edge ({u}, {v}) does not exist") from None
+        i = self._distance_slot(u, v)
+        if i < 0:
+            raise NetworkError(f"edge ({u}, {v}) does not exist")
+        return self._adj[u][i]
 
     def edges(self) -> Iterator[Tuple[int, int, float]]:
         """Iterate undirected edges once each as (u, v, distance), u < v."""
         for u, adj in self._adj.items():
-            for v, distance in adj.items():
+            slots = iter(adj)
+            for v, distance in zip(slots, slots):
                 if u < v:
                     yield u, v, distance
 
     def coords(self, node_id: int) -> Tuple[float, float]:
         """Coordinates of ``node_id``."""
-        try:
-            return self._coords[node_id]
-        except KeyError:
-            raise NetworkError(f"node {node_id} does not exist") from None
+        if node_id not in self._adj:
+            raise NetworkError(f"node {node_id} does not exist")
+        xy = self._xy
+        if 0 <= node_id < len(xy) >> 1:
+            i = node_id + node_id
+            return xy[i], xy[i + 1]
+        return self._far_xy[node_id]
 
     def set_coords(self, node_id: int, x: float, y: float) -> None:
         """Move a node (layout only; edge distances are untouched)."""
-        if node_id not in self._coords:
+        if node_id not in self._adj:
             raise NetworkError(f"node {node_id} does not exist")
-        self._coords[node_id] = (float(x), float(y))
+        self._store_xy(node_id, float(x), float(y))
+
+    def _store_xy(self, node_id: int, x: float, y: float) -> None:
+        """Write a node's coordinates where :meth:`coords` reads them.
+
+        An id inside the dense range owns its slot (a removed id's slot is
+        reused); the next dense id extends the array unless it already
+        lives in the dict; any other id goes to the dict.
+        """
+        xy = self._xy
+        dense = len(xy) >> 1
+        if 0 <= node_id < dense:
+            xy[2 * node_id] = x
+            xy[2 * node_id + 1] = y
+        elif node_id == dense and node_id not in self._far_xy:
+            xy.append(x)
+            xy.append(y)
+        else:
+            self._far_xy[node_id] = (x, y)
 
     def euclidean(self, u: int, v: int) -> float:
         """Straight-line distance between two nodes' coordinates."""
@@ -178,7 +266,8 @@ class RoadNetwork:
     def copy(self) -> "RoadNetwork":
         """Deep copy (used by maintenance tests to diff before/after)."""
         dup = RoadNetwork(metric=self.metric)
-        for node_id, (x, y) in self._coords.items():
+        for node_id in self._adj:
+            x, y = self.coords(node_id)
             dup.add_node(node_id, x, y)
         for u, v, distance in self.edges():
             dup.add_edge(u, v, distance)
@@ -204,7 +293,7 @@ class RoadNetwork:
         stack = [start]
         while stack:
             node = stack.pop()
-            for neighbour in self._adj[node]:
+            for neighbour in self._adj[node][::2]:
                 if neighbour not in seen:
                     seen.add(neighbour)
                     stack.append(neighbour)
@@ -222,7 +311,7 @@ class RoadNetwork:
             seen.add(start)
             while stack:
                 node = stack.pop()
-                for neighbour in self._adj[node]:
+                for neighbour in self._adj[node][::2]:
                     if neighbour not in seen:
                         seen.add(neighbour)
                         comp.add(neighbour)
@@ -232,10 +321,11 @@ class RoadNetwork:
 
     def bounding_box(self) -> Tuple[float, float, float, float]:
         """(xmin, ymin, xmax, ymax) over node coordinates."""
-        if not self._coords:
+        if not self._adj:
             raise NetworkError("empty network has no bounding box")
-        xs = [c[0] for c in self._coords.values()]
-        ys = [c[1] for c in self._coords.values()]
+        points = [self.coords(node_id) for node_id in self._adj]
+        xs = [c[0] for c in points]
+        ys = [c[1] for c in points]
         return min(xs), min(ys), max(xs), max(ys)
 
     def total_edge_distance(self) -> float:

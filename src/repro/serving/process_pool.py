@@ -77,6 +77,16 @@ _READY_TIMEOUT_S = 60.0
 _STOP_TIMEOUT_S = 10.0
 
 
+#: What :meth:`ProcessReplicaPool.path_stats` sums: the worker snapshots'
+#: :meth:`FrozenRoad.path_stats` (deep) keys.
+PATH_STATS = (
+    "path_shared_entries",
+    "path_table_entries",
+    "path_shared_bytes",
+    "path_table_bytes",
+)
+
+
 class ProcessPoolError(RuntimeError):
     """A pool-level failure: dead worker, closed pool, bad snapshot."""
 
@@ -177,6 +187,12 @@ class ProcessReplicaPool:
             "retries": 0,        # worker batch retries (patch overlap)
             "worker_deaths": 0,  # workers lost to crash/kill
         }
+        #: Each worker's last-reported ChoosePath cache sizes, in
+        #: :data:`PATH_STATS` order: ``frozen`` never serves a batch in
+        #: this process, so only the workers know them.
+        self._worker_paths: List[Tuple[int, ...]] = [
+            (0,) * len(PATH_STATS) for _ in range(workers)
+        ]
         self._listener = threading.Thread(
             target=self._listen, name="road-shard-results", daemon=True
         )
@@ -255,6 +271,25 @@ class ProcessReplicaPool:
             summary["generation"] = generation
             summary["sync_seq"] = sync_seq
         return summary
+
+    def path_stats(self) -> Dict[str, int]:
+        """The live workers' cached ChoosePath results, summed.
+
+        Each worker reports :meth:`FrozenRoad.path_stats` with every batch
+        result: the entry counts as of that batch, the byte estimates as
+        of its last deep pass (one per :data:`_DEEP_PATH_STATS_EVERY`
+        batches).  A worker that has not run a batch counts zero.
+        """
+        with self._state_lock:
+            reports = [
+                paths
+                for index, paths in enumerate(self._worker_paths)
+                if index not in self._dead
+            ]
+        return {
+            key: sum(paths[i] for paths in reports)
+            for i, key in enumerate(PATH_STATS)
+        }
 
     # ------------------------------------------------------------------
     # Query path
@@ -486,21 +521,22 @@ class ProcessReplicaPool:
         """
         try:
             while conn.poll():
-                self._handle(conn.recv())
+                self._handle(conn.recv(), index)
         except (EOFError, OSError):
             return False
         return True
 
-    def _handle(self, item: Tuple[Any, ...]) -> None:
+    def _handle(self, item: Tuple[Any, ...], index: int) -> None:
         """Apply one worker message (ready handshake or batch result)."""
         if item[0] == "ready":
             self._ready[item[1]].set()
             return
-        _tag, ticket, ok, payload, retries = item
+        _tag, ticket, ok, payload, retries, paths = item
         with self._state_lock:
             future = self._futures.pop(ticket, None)
             self._owners.pop(ticket, None)
             self._counters["retries"] += retries
+            self._worker_paths[index] = paths
         if future is None:
             return
         if ok:
@@ -603,15 +639,33 @@ def _segment_names(manifest: Dict[str, Any]) -> FrozenSet[str]:
 # Worker process body
 # ---------------------------------------------------------------------------
 
+#: A worker recomputes its path-cache byte estimates (a walk over every
+#: cached row) once per this many batches; counts go with every batch.
+_DEEP_PATH_STATS_EVERY = 256
+
+
 class _WorkerState:
     """One worker's mutable serving state (snapshot + sync progress)."""
 
-    __slots__ = ("frozen", "applied_seq", "retries")
+    __slots__ = ("frozen", "applied_seq", "retries", "batches", "path_bytes")
 
     def __init__(self, frozen: FrozenRoad) -> None:
         self.frozen = frozen
         self.applied_seq = 0
         self.retries = 0
+        self.batches = 0
+        self.path_bytes = (0, 0)
+
+    def path_stats(self) -> Tuple[int, ...]:
+        """:meth:`FrozenRoad.path_stats` after one batch, in
+        :data:`PATH_STATS` order (a tuple keeps the result message small)."""
+        if self.batches % _DEEP_PATH_STATS_EVERY == 0:
+            stats = self.frozen.path_stats(deep=True)
+            self.path_bytes = (stats[PATH_STATS[2]], stats[PATH_STATS[3]])
+        else:
+            stats = self.frozen.path_stats()
+        self.batches += 1
+        return (stats[PATH_STATS[0]], stats[PATH_STATS[1]], *self.path_bytes)
 
 
 def _worker_main(
@@ -642,21 +696,14 @@ def _worker_main(
             _tag, ticket, queries, directory, footprints = item
             state.retries = 0
             try:
-                answers = _serve_batch(
+                ok, payload = True, _serve_batch(
                     state, ctrl, syncs, queries, directory, footprints
                 )
             except Exception as exc:  # noqa: BLE001 — fan the error out
-                results.send(
-                    (
-                        "done",
-                        ticket,
-                        False,
-                        (type(exc).__name__, str(exc)),
-                        state.retries,
-                    )
-                )
-            else:
-                results.send(("done", ticket, True, answers, state.retries))
+                ok, payload = False, (type(exc).__name__, str(exc))
+            results.send(
+                ("done", ticket, ok, payload, state.retries, state.path_stats())
+            )
     finally:
         state.frozen.close()
         ctrl.close()

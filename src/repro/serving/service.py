@@ -59,6 +59,7 @@ from typing import (
     Sequence,
     Tuple,
     Union,
+    cast,
 )
 
 from repro.baselines.road_adapter import ROADEngine
@@ -236,7 +237,14 @@ class RoadService:
             return {}
         # The primary's snapshot may be mid-batch on a pool thread.
         with self._executor_lock:
-            return snapshot.memory_stats()
+            stats = snapshot.memory_stats()
+        if isinstance(self._shards, ProcessReplicaPool):
+            # Process workers serve the batches on attachments of their
+            # own, each caching ChoosePath results the primary never sees:
+            # the gauges report every process's caches together.
+            for key, value in self._shards.path_stats().items():
+                stats[key] = cast(int, stats[key]) + value
+        return stats
 
     # ------------------------------------------------------------------
     # Sync path

@@ -157,8 +157,10 @@ class TestDegenerateEdges:
         """Regression: distance/old_distance must not divide by zero."""
         net = grid_network(4, 4, seed=1)
         u, v, _ = sorted(net.edges())[0]
-        # Degenerate zero-length segment, as a permissive loader may produce.
-        net._adj[u][v] = net._adj[v][u] = 0.0
+        # Degenerate zero-length segment, as a permissive loader may produce:
+        # written past update_edge's positive-distance check.
+        net._set_distance(u, v, 0.0)
+        assert net.edge_distance(u, v) == net.edge_distance(v, u) == 0.0
         road = ROAD.build(net, levels=2)
         directory = road.attach_objects(
             ObjectSet([SpatialObject(0, (u, v), 0.0)])

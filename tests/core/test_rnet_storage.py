@@ -145,6 +145,39 @@ class TestStorageShape:
         assert 0 <= bookkeeping <= 16 * len(rnets)
         assert 16 * len(rnets) < network.num_edges / 3
 
+    def test_shortcut_trees_store_edges_once(self):
+        """A non-border tree refers to the network's adjacency (Fig 6's
+        single leaf) instead of holding a copy; no tree object, entry or
+        shortcut carries a per-instance ``__dict__``."""
+        road = _pinned_road()
+        trees = dict(road.overlay.iter_trees())
+        assert trees
+        kinds = set()
+        for node, tree in trees.items():
+            kinds.add(tree.is_border)
+            assert not hasattr(tree, "__dict__")
+            if not tree.is_border:
+                assert tree.roots == ()
+                held = [
+                    getattr(tree, name)
+                    for name in type(tree).__slots__
+                    if isinstance(
+                        getattr(tree, name), (list, tuple, dict, set, frozenset)
+                    )
+                ]
+                assert held == [()]  # only the shared empty roots
+                assert list(tree.local_edges) == list(road.network.neighbours(node))
+            stack = list(tree.roots)
+            while stack:
+                entry = stack.pop()
+                assert not hasattr(entry, "__dict__")
+                for shortcut in entry.shortcuts:
+                    assert not hasattr(shortcut, "__dict__")
+                stack.extend(entry.children)
+        assert kinds == {True, False}
+        roots = {id(t.roots) for t in trees.values() if not t.is_border}
+        assert len(roots) == 1
+
 
 SNAPSHOT_FRESH = (
     "d69360dc896eda293bc2d7bda53aeb5096cbbcc43919b989d48a86fc3f8f6f3f"

@@ -221,3 +221,36 @@ class TestBulkExport:
         import pytest
         with pytest.raises(RouteOverlayError):
             overlay.stored_tree(10_000)
+
+
+class TestRecordAccounting:
+    def test_page_bytes_match_stored_trees_after_structural_changes(
+        self, medium_grid
+    ):
+        """A record keeps the size it was written with: maintenance changes
+        a node's degree *before* refreshing its tree, and the refresh must
+        subtract the old record's bytes, not the new adjacency's."""
+        from repro import ROAD
+        from repro.storage.codecs import INT_SIZE
+
+        road = ROAD.build(medium_grid, levels=2, fanout=4)
+        interior = [
+            n for n, t in road.overlay.iter_trees() if not t.is_border
+        ]
+        changed = 0
+        for node in interior:
+            for neighbour, _ in list(medium_grid.neighbours(node)):
+                if not road.overlay.stored_tree(neighbour).is_border:
+                    road.remove_edge(node, neighbour)
+                    changed += 1
+                    break
+            if changed == 6:
+                break
+        assert changed == 6
+        for page in road.pager.iter_pages(road.overlay.name):
+            block = page.payload
+            if block is None or block.overflow:
+                continue
+            assert block.nbytes == sum(
+                tree.nbytes + INT_SIZE for tree in block.trees.values()
+            )

@@ -31,7 +31,7 @@ class TestNonBorderTree:
         node = find_interior_node(hier)
         tree = build_shortcut_tree(net, hier, shortcuts, node)
         assert not tree.is_border
-        assert tree.roots == []
+        assert not tree.roots
         assert sorted(tree.local_edges) == sorted(net.neighbours(node))
 
     def test_all_edges_helper(self, setting):

@@ -5,8 +5,9 @@ Kept verbatim (bar the imports and the docstrings) as the differential oracle fo
 :mod:`repro.queries.workload`, whose stdlib replacements must produce the
 same networks, object sets and workloads bit for bit.  The stdlib helpers
 both formulations share (spanning-tree union-find, connectivity repair,
-BFS relabelling, hop neighbourhoods, attribute sampling) are imported
-from the library.  Not imported by the library; importing it needs numpy
+hop neighbourhoods, attribute sampling) are imported from the library;
+the BFS relabelling is kept here as the library had it before its
+version learnt to empty the source network while copying it.  Not imported by the library; importing it needs numpy
 and scipy.
 """
 
@@ -19,7 +20,6 @@ import numpy as np
 
 from repro.graph.generators import (
     GeneratorError,
-    _relabel_by_bfs,
     _repair_connectivity,
     _UnionFind,
 )
@@ -114,6 +114,38 @@ def road_network(
     # (consecutive ids are near each other); reproduce that so id-keyed
     # indexes (B+-trees) see the same access locality as on the real files.
     return _relabel_by_bfs(network)
+
+
+def _relabel_by_bfs(network: RoadNetwork) -> RoadNetwork:
+    """Renumber nodes in breadth-first order from a corner node."""
+    from collections import deque
+
+    start = min(
+        network.node_ids(),
+        key=lambda n: (network.coords(n)[0] + network.coords(n)[1], n),
+    )
+    order: List[int] = []
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        order.append(node)
+        for neighbour, _ in sorted(network.neighbours(node)):
+            if neighbour not in seen:
+                seen.add(neighbour)
+                queue.append(neighbour)
+    for node in network.node_ids():  # unreachable safety net
+        if node not in seen:
+            seen.add(node)
+            order.append(node)
+    mapping = {old: new for new, old in enumerate(order)}
+    relabelled = RoadNetwork(metric=network.metric)
+    for old in order:
+        x, y = network.coords(old)
+        relabelled.add_node(mapping[old], x, y)
+    for u, v, distance in network.edges():
+        relabelled.add_edge(mapping[u], mapping[v], distance)
+    return relabelled
 
 
 def ca_like(num_nodes: int = 2100, seed: int = 7) -> RoadNetwork:

@@ -375,3 +375,39 @@ def test_close_unblocks_workers_parked_in_an_open_patch_window(monkeypatch):
     time.sleep(0.3)
     pool.close()
     assert all(process.exitcode == 0 for process in pool._processes)
+
+
+def test_mask_cache_gauges_count_the_workers_path_tables():
+    """The primary's snapshot never runs a submitted batch, so the
+    ``road_mask_cache`` path gauges must come from the workers."""
+    network = grid_network(10, 10, seed=6)
+    objects = place_uniform(network, 12, seed=5)
+    service = RoadService.build(
+        network, objects,
+        config=ServiceConfig(
+            mode="frozen", levels=2, replicas=1, replica_mode="process",
+        ),
+    )
+    try:
+        queries = [KNNQuery(node=i, k=3) for i in range(100)]
+
+        async def ask():
+            return await asyncio.gather(*(service.submit(q) for q in queries))
+
+        assert asyncio.run(ask()) == service.run_many(queries)
+        # The primary's shm snapshot, which the gauges sample, serves none.
+        own = service._shards.frozen.path_stats()
+        assert own["path_shared_entries"] == own["path_table_entries"] == 0
+        workers = service._shards.path_stats()
+        assert workers["path_shared_entries"] > 0
+        assert workers["path_shared_bytes"] > 0
+        gauges = {}
+        for line in service.metrics.render().splitlines():
+            if line.startswith("road_mask_cache{"):
+                field, value = line.split('field="')[1].split('"} ')
+                gauges[field] = float(value)
+        for key in ("path_shared_entries", "path_table_entries"):
+            assert gauges[key] == workers[key]
+        assert gauges["path_shared_entries"] > 0
+    finally:
+        service.close()
