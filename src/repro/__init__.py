@@ -40,7 +40,7 @@ from repro.queries.types import (
     ResultEntry,
 )
 
-__version__ = "1.10.1"
+__version__ = "1.11.0"
 
 __all__ = [
     "ANY",

@@ -10,13 +10,14 @@ exists from construction on.
 
 As the :class:`~repro.core.dispatch.RoadOwner` a
 :class:`~repro.serving.RoadService` is built over, the engine is the
-only code holding the ROAD.  Each write updates its snapshot before it
-returns: a maintenance report is delta-applied (:meth:`FrozenRoad.apply`
-rewrites only the dirty CSR spans, recompiling on structural changes),
-and attaching or detaching a directory re-freezes at once, since the
-snapshot compiles **every** attached directory.  Snapshots for other
-readers come from :meth:`ROADEngine.freeze`.  ``stats()`` surfaces the
-last report plus cumulative counters (patches, fallbacks, freezes).
+only code holding the ROAD.  Each :meth:`ROADEngine.write` updates its
+snapshot before it returns: a maintenance report is delta-applied
+(:meth:`FrozenRoad.apply` rewrites only the dirty CSR spans,
+recompiling on structural changes), and attaching or detaching a
+directory re-freezes at once, since the snapshot compiles **every**
+attached directory.  Snapshots for other readers come from
+:meth:`ROADEngine.freeze`.  ``stats()`` surfaces the last report plus
+cumulative counters (patches, fallbacks, freezes).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from repro.graph.network import RoadNetwork
 from repro.objects.model import ObjectSet, SpatialObject
 from repro.partition.hierarchy import Bisector
 from repro.queries.types import ANY, Predicate, ResultEntry, ResultRow
+from repro.queries.writes import DeleteObject, InsertObject, UpdateEdgeDistance
 from repro.storage.pager import PageManager
 
 #: Valid serving modes for :class:`ROADEngine`.
@@ -124,20 +126,6 @@ class ROADEngine(SearchEngine, RoadOwner):
         directory, so it never lacks one the road serves."""
         self._frozen = self._serving = self.road.freeze()
         self._maintenance_counters["freezes"] += 1
-
-    def _maintain(self, report: MaintenanceReport) -> MaintenanceReport:
-        """Patch the snapshot with one update's report."""
-        self.last_report = report
-        self._maintenance_counters["updates"] += 1
-        if self._frozen is None:
-            return report
-        outcome = self._frozen.apply(report, self.road)
-        if outcome == "patched":
-            self._maintenance_counters["patches_applied"] += 1
-        else:
-            self._maintenance_counters["patch_fallbacks"] += 1
-            self._maintenance_counters["freezes"] += 1
-        return report
 
     @property
     def frozen(self) -> Optional[FrozenRoad]:
@@ -253,42 +241,35 @@ class ROADEngine(SearchEngine, RoadOwner):
     # ------------------------------------------------------------------
     # Maintenance (patched into any frozen snapshot)
     # ------------------------------------------------------------------
+    def write(self, w: object) -> MaintenanceReport:
+        """Apply one declared write to the road; patch the snapshot with
+        its report."""
+        report = self.last_report = self.road.write(w)
+        self._maintenance_counters["updates"] += 1
+        if self._frozen is None:
+            return report
+        outcome = self._frozen.apply(report, self.road)
+        if outcome == "patched":
+            self._maintenance_counters["patches_applied"] += 1
+        else:
+            self._maintenance_counters["patch_fallbacks"] += 1
+            self._maintenance_counters["freezes"] += 1
+        return report
+
     def insert_object(
         self, obj: SpatialObject, *, directory: str = DEFAULT_DIRECTORY
     ) -> None:
-        self._maintain(self.road.insert_object(obj, directory=directory))
+        self.write(InsertObject(obj, directory))
 
     def delete_object(
         self, object_id: int, *, directory: str = DEFAULT_DIRECTORY
     ) -> SpatialObject:
-        report = self._maintain(
-            self.road.delete_object(object_id, directory=directory)
-        )
-        return report.obj
+        return self.write(DeleteObject(object_id, directory)).obj
 
     def update_edge_distance(
         self, u: int, v: int, distance: float
     ) -> MaintenanceReport:
-        return self._maintain(self.road.update_edge_distance(u, v, distance))
-
-    def update_object_attrs(
-        self, object_id: int, attrs, *, directory: str = DEFAULT_DIRECTORY
-    ) -> MaintenanceReport:
-        return self._maintain(
-            self.road.update_object_attrs(object_id, attrs, directory=directory)
-        )
-
-    def add_edge(
-        self, u: int, v: int, distance: float, *, coords=None
-    ) -> MaintenanceReport:
-        """Open a road segment, reconciling any frozen snapshot."""
-        return self._maintain(
-            self.road.add_edge(u, v, distance, coords=coords)
-        )
-
-    def remove_edge(self, u: int, v: int) -> MaintenanceReport:
-        """Close a road segment, reconciling any frozen snapshot."""
-        return self._maintain(self.road.remove_edge(u, v))
+        return self.write(UpdateEdgeDistance(u, v, distance))
 
     # ------------------------------------------------------------------
     # Statistics

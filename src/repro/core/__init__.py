@@ -6,13 +6,7 @@ from repro.core.framework import ROAD, BuildReport, DEFAULT_DIRECTORY, RoutedRes
 from repro.core.frozen import FrozenRoad, FrozenRoadError
 from repro.core.paths import PathError, PathTracer, expand_shortcut, node_path, object_path
 from repro.core.serialize import SerializeError, load_road, save_road
-from repro.core.maintenance import (
-    MaintenanceError,
-    MaintenanceReport,
-    add_edge,
-    change_edge_distance,
-    remove_edge,
-)
+from repro.core.maintenance import MaintenanceError, MaintenanceReport
 from repro.core.object_abstract import (
     BloomAbstract,
     CountingAbstract,
@@ -78,12 +72,10 @@ __all__ = [
     "ShortcutTree",
     "ShortcutTreeEntry",
     "SignatureAbstract",
-    "add_edge",
     "aggregate_knn",
     "bloom_abstract",
     "build_shortcut_tree",
     "build_shortcuts",
-    "change_edge_distance",
     "choose_path",
     "compute_rnet_shortcuts",
     "counting_abstract",
@@ -96,6 +88,5 @@ __all__ = [
     "object_path",
     "range_search",
     "reduce_shortcuts",
-    "remove_edge",
     "save_road",
 ]

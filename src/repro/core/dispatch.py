@@ -23,7 +23,8 @@ Section-2 baselines) answers query objects the same way:
   keywords override :meth:`QueryExecutor._dispatch`;
 
 * :class:`RoadOwner`: the executors holding a live ROAD, where every
-  write lands;
+  write lands — one declared write
+  (:data:`~repro.queries.writes.WRITE_TYPES`) per :meth:`RoadOwner.write`;
 
 * typed errors: :class:`UnsupportedQueryError` (subclass of
   :class:`TypeError`, names the engine and the query type) and
@@ -63,14 +64,11 @@ from typing import (
 )
 
 from repro.queries.types import QUERY_TYPES, ResultRow
+from repro.queries.writes import DEFAULT_DIRECTORY as DEFAULT_DIRECTORY
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.core.frozen import FrozenRoad
     from repro.core.maintenance import MaintenanceReport
-
-#: The implicit directory name every engine serves (the charged path can
-#: attach more; see :meth:`repro.core.framework.ROAD.attach_objects`).
-DEFAULT_DIRECTORY = "objects"
 
 #: Declared query class -> ``(kind, args)``: the name of the executor
 #: method answering it, and a getter for its field values in declaration
@@ -289,7 +287,7 @@ class QueryExecutor(ABC):
 class RoadOwner(QueryExecutor):
     """An executor that holds a live ROAD: the one place writes land.
 
-    Each write runs on the ROAD, brings the owner's own snapshot
+    Each :meth:`write` runs on the ROAD, brings the owner's own snapshot
     (:attr:`frozen`) up to date before it returns and records its report
     in :attr:`last_report`.  Snapshots for other readers come from
     :meth:`freeze`; each patches itself from the reports, against the
@@ -299,15 +297,14 @@ class RoadOwner(QueryExecutor):
     #: The report of the most recent maintenance operation.
     last_report: Optional["MaintenanceReport"] = None
 
-    #: The write surface (signatures: :class:`~repro.core.framework.ROAD`).
-    insert_object: Callable[..., Any]
-    delete_object: Callable[..., Any]
-    update_object_attrs: Callable[..., Any]
-    update_edge_distance: Callable[..., Any]
-    add_edge: Callable[..., Any]
-    remove_edge: Callable[..., Any]
+    #: The directory surface (signatures: :class:`~repro.core.framework.ROAD`).
     attach_objects: Callable[..., Any]
     detach_objects: Callable[..., None]
+
+    @abstractmethod
+    def write(self, w: object) -> "MaintenanceReport":
+        """Apply one declared write (:data:`~repro.queries.writes.WRITE_TYPES`,
+        exact type) and return its report."""
 
     @abstractmethod
     def freeze(self, *, backend: Optional[str] = None) -> "FrozenRoad":

@@ -18,8 +18,9 @@ Typical use::
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.association_directory import AssociationDirectory
 from repro.core.dispatch import (
@@ -67,7 +68,13 @@ from repro.queries.types import (
     ServiceAreaEntry,
     sort_result,
 )
+from repro.queries.writes import WRITE_TYPES, DeleteObject, InsertObject, UpdateObjectAttrs
 from repro.storage.pager import PageManager
+
+#: Declared write class -> the ROAD method its ``kind`` names, and a
+#: getter for its fields in declaration order: that method's arguments
+#: (every write has two fields or more, so the getter returns a tuple).
+_WRITES = {t: (t.kind, attrgetter(*(f.name for f in fields(t)))) for t in WRITE_TYPES}
 
 
 @dataclass(frozen=True)
@@ -106,7 +113,9 @@ class ROAD(RoadOwner):
     :class:`~repro.core.dispatch.QueryExecutor` the facade shares
     ``execute`` / ``execute_many`` signatures with every other engine.
     As a :class:`~repro.core.dispatch.RoadOwner` it keeps no snapshot of
-    its own and records each maintenance report in :attr:`last_report`.
+    its own and records each maintenance report in :attr:`last_report`;
+    :meth:`write` applies a declared write through the method its
+    ``kind`` names.
     """
 
     def __init__(
@@ -226,8 +235,16 @@ class ROAD(RoadOwner):
     def has_node(self, node: int) -> bool:
         return self.network.has_node(node)
 
+    def write(self, w: object) -> MaintenanceReport:
+        """Apply one declared write through the method its ``kind`` names."""
+        if type(w) not in _WRITES:
+            raise TypeError(f"ROAD applies no write {type(w).__name__}")
+        kind, args_of = _WRITES[type(w)]
+        method: Callable[..., MaintenanceReport] = getattr(self, kind)
+        return method(*args_of(w))
+
     def insert_object(
-        self, obj: SpatialObject, *, directory: str = DEFAULT_DIRECTORY
+        self, obj: SpatialObject, directory: str = DEFAULT_DIRECTORY
     ) -> MaintenanceReport:
         """Insert an object (Section 5.1; Route Overlay untouched).
 
@@ -241,10 +258,10 @@ class ROAD(RoadOwner):
         target = self.directory(directory)
         before = target.pruning_keys(obj.edge)
         target.insert(obj)
-        return self._object_report("insert_object", obj, directory, before)
+        return self._object_report(InsertObject.kind, obj, directory, before)
 
     def delete_object(
-        self, object_id: int, *, directory: str = DEFAULT_DIRECTORY
+        self, object_id: int, directory: str = DEFAULT_DIRECTORY
     ) -> MaintenanceReport:
         """Delete an object (Section 5.1).
 
@@ -253,7 +270,7 @@ class ROAD(RoadOwner):
         target = self.directory(directory)
         before = target.pruning_keys(target.get_object(object_id).edge)
         removed = target.delete(object_id)
-        return self._object_report("delete_object", removed, directory, before)
+        return self._object_report(DeleteObject.kind, removed, directory, before)
 
     def _object_report(
         self,
@@ -283,19 +300,18 @@ class ROAD(RoadOwner):
         self,
         object_id: int,
         attrs: Dict[str, str],
-        *,
         directory: str = DEFAULT_DIRECTORY,
     ) -> MaintenanceReport:
         """Update an object's attributes (Section 5.1).
 
-        Returns a report (kind ``update_object``, ``obj`` = the updated
+        Returns a report (kind ``update_object_attrs``, ``obj`` = the updated
         object) so a patched snapshot can refresh the object's entries and
         the Rnet chain's abstracts/masks.
         """
         target = self.directory(directory)
         before = target.pruning_keys(target.get_object(object_id).edge)
         updated = target.update_attrs(object_id, attrs)
-        return self._object_report("update_object", updated, directory, before)
+        return self._object_report(UpdateObjectAttrs.kind, updated, directory, before)
 
     # ------------------------------------------------------------------
     # Queries (Section 4)

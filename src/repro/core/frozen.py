@@ -793,7 +793,7 @@ class FrozenRoad(QueryExecutor):
         batches.
         """
         self._require_patchable()
-        if report.kind in ("insert_object", "delete_object", "update_object"):
+        if report.object_churn:
             # Object deltas manage the source requirement and view caches
             # themselves: churn in a directory this snapshot never
             # compiled is a no-op that needs neither a live road nor a

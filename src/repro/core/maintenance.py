@@ -32,6 +32,14 @@ from repro.core.shortcuts import (
     _leaf_adjacency,
 )
 from repro.objects.model import SpatialObject
+from repro.queries.writes import (
+    AddEdge,
+    DeleteObject,
+    InsertObject,
+    RemoveEdge,
+    UpdateEdgeDistance,
+    UpdateObjectAttrs,
+)
 
 _REL_TOL = 1e-9
 
@@ -53,10 +61,9 @@ class MaintenanceReport:
     only the affected CSR spans instead of recompiling the whole network.
     """
 
-    #: What happened: ``edge_distance`` / ``add_edge`` / ``remove_edge``
-    #: for network maintenance, ``insert_object`` / ``delete_object`` /
-    #: ``update_object`` for directory maintenance (Section 5.1).
-    kind: str = "edge_distance"
+    #: What happened: the ``kind`` of the write
+    #: (:data:`~repro.queries.writes.WRITE_TYPES`) that produced it.
+    kind: str
     filtered_rnets: int = 0      # Rnets whose shortcuts were filter-checked
     refreshed_rnets: int = 0     # Rnets whose shortcut sets were recomputed
     changed_rnets: int = 0       # Rnets whose shortcut distances changed
@@ -93,10 +100,15 @@ class MaintenanceReport:
         spans, so a snapshot patcher must fall back to a full recompile.
         """
         return (
-            self.kind in ("add_edge", "remove_edge")
+            self.kind in (AddEdge.kind, RemoveEdge.kind)
             or bool(self.promoted_borders)
             or bool(self.demoted_borders)
         )
+
+    @property
+    def object_churn(self) -> bool:
+        """True for an object write's report (Section 5.1)."""
+        return self.kind in (InsertObject.kind, DeleteObject.kind, UpdateObjectAttrs.kind)
 
 
 def change_edge_distance(
@@ -111,7 +123,7 @@ def change_edge_distance(
     """Apply an edge-distance change with filtering-and-refreshing."""
     if not 0 < new_distance < math.inf:  # NaN fails both comparisons
         raise MaintenanceError("edge distance must stay positive and finite")
-    report = MaintenanceReport(kind="edge_distance", edge=edge_key(u, v))
+    report = MaintenanceReport(kind=UpdateEdgeDistance.kind, edge=edge_key(u, v))
     old_distance = network.update_edge(u, v, new_distance)
     leaf = hierarchy.leaf_of_edge(u, v)
     if math.isclose(old_distance, new_distance, rel_tol=_REL_TOL):
@@ -175,7 +187,7 @@ def add_edge(
     endpoint from a different Rnet is promoted to border node and receives
     fresh shortcuts.
     """
-    report = MaintenanceReport(kind="add_edge", edge=edge_key(u, v))
+    report = MaintenanceReport(kind=AddEdge.kind, edge=edge_key(u, v))
     for node in (u, v):
         if not network.has_node(node):
             if coords is None or node not in coords:
@@ -219,7 +231,7 @@ def remove_edge(
     Border nodes whose external edges disappear are demoted (Fig 12(b):
     ``n_g`` after deleting ``(n_f, n_g)``).
     """
-    report = MaintenanceReport(kind="remove_edge", edge=edge_key(u, v))
+    report = MaintenanceReport(kind=RemoveEdge.kind, edge=edge_key(u, v))
     border_before = _border_snapshot(hierarchy, {u, v})
     network.remove_edge(u, v)
     hierarchy.remove_edge(u, v)

@@ -18,13 +18,15 @@ executor method that answers it (``KNNQuery.kind == "knn"`` is answered
 by ``executor.knn``); its fields, in declaration order, are that
 method's positional arguments and its wire payload's keys.  The
 dispatch protocol (:mod:`repro.core.dispatch`) and the JSON codec
-(:mod:`repro.serving.wire`) read both from the dataclass itself.
+(:mod:`repro.serving.wire`) read both from the dataclass itself.  The
+maintenance writes are declared the same way, in
+:data:`repro.queries.writes.WRITE_TYPES`.
 
-Every query dataclass validates through one small set of shared helpers
-(`_require_node` and friends) so the rules are identical everywhere:
-node ids are ints with bools rejected (matching the wire codecs'
-bool-rejecting integer rule), counts are ints >= 1, and radii/breaks are
-finite non-negative numbers.
+Every query and write dataclass validates through one small set of
+shared helpers (`_require_node` and friends) so the rules are identical
+everywhere: node and object ids are ints with bools rejected (matching
+the wire codecs' bool-rejecting integer rule), counts are ints >= 1, and
+radii/breaks/edge distances are finite non-negative numbers.
 """
 
 from __future__ import annotations
@@ -55,13 +57,35 @@ def _require_nodes(
     return nodes  # type: ignore[return-value]
 
 
-def _require_count(value: object, *, field: str = "k") -> int:
-    """An integer count >= 1; bools are rejected."""
+def _require_int(value: object, *, field: str) -> int:
+    """An integer (an object id, ...); bools are rejected."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{field} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{field} must be >= 1, got {value}")
     return value
+
+
+def _require_count(value: object, *, field: str = "k") -> int:
+    """An integer count >= 1; bools are rejected."""
+    count = _require_int(value, field=field)
+    if count < 1:
+        raise ValueError(f"{field} must be >= 1, got {value}")
+    return count
+
+
+def _require_str(value: object, *, field: str) -> str:
+    """A string (a directory name, ...)."""
+    if not isinstance(value, str):
+        raise ValueError(f"{field} must be a string, got {value!r}")
+    return value
+
+
+def _require_attrs(value: object) -> Dict[str, str]:
+    """Object attributes: strings mapped to strings, as a fresh dict."""
+    if not isinstance(value, Mapping) or not all(
+        isinstance(x, str) for item in value.items() for x in item
+    ):
+        raise ValueError(f"attrs must map strings to strings, got {value!r}")
+    return dict(value)
 
 
 def _require_distance(value: object, *, field: str) -> float:

@@ -10,9 +10,14 @@ runs it on the built-in :func:`serve` loop) exposing four routes:
                            :mod:`repro.serving.wire` and awaited through
                            ``RoadService.submit`` — the admission path, so
                            coalescing and replica sharding work unchanged
-``/maintenance``   POST    edge/object churn (``{"op": "add_edge", ...}``)
-                           routed through the service's maintenance methods,
-                           hence its patch-broadcast to every replica shard
+``/maintenance``   POST    one write (``{"op": ..., "u": 3, "v": 4}``):
+                           ``op`` names a
+                           :data:`~repro.queries.writes.WRITE_TYPES` kind,
+                           the other keys are its fields, decoded by
+                           :mod:`repro.serving.wire` like a query (an
+                           unknown key is a 400) and applied by
+                           ``RoadService.write``, hence patched into every
+                           serving snapshot
 ``/metrics``       GET     the service's :class:`MetricsRegistry` in the
                            Prometheus text exposition format
 ``/healthz``       GET     liveness from ``replica_pool_stats()``: 200
@@ -21,7 +26,7 @@ runs it on the built-in :func:`serve` loop) exposing four routes:
 =================  ======  ====================================================
 
 Everything rides the *existing* service surface: queries enter the async
-admission buckets, maintenance flows through ``_maintained``'s broadcast,
+admission buckets, writes flow through ``RoadService.write``'s fan-out,
 and the metrics/health endpoints only read ``service.metrics`` /
 ``replica_pool_stats()``.  The app holds no state of its own beyond
 route handles, so one service may sit behind several app instances (or
@@ -32,8 +37,8 @@ Errors are typed, not leaked: malformed payloads
 arguments (a non-positive or non-finite distance, a self-loop, a missing
 edge) answer 400, unknown directories and node ids 404, unsupported
 queries 400,
-a closed/misconfigured service 503, an executor without maintenance
-methods 501.  Anything else is a 500 with the exception type named —
+a closed/misconfigured service 503, a write to an executor that holds
+no ROAD 501.  Anything else is a 500 with the exception type named —
 the edge answers, it does not crash.
 """
 
@@ -63,16 +68,14 @@ from repro.core.dispatch import (
 )
 from repro.core.maintenance import MaintenanceError
 from repro.graph.network import NetworkError
-from repro.objects.model import ObjectError, SpatialObject
+from repro.objects.model import ObjectError
 from repro.serving.config import MODES, REPLICA_MODES, ServiceConfig
 from repro.serving.service import RoadService, ServiceError
 from repro.serving.wire import (
     WireError,
-    _require_int,
     _require_mapping,
-    _require_number,
-    _require_str,
     decode_query,
+    decode_write,
     encode_result,
 )
 
@@ -90,17 +93,6 @@ _Handler = Callable[[bytes], Awaitable[_Reply]]
 #: Reject request bodies beyond this size (a query batch this large
 #: should be a bench harness talking to the service in process).
 MAX_BODY_BYTES = 8 * 1024 * 1024
-
-#: Maintenance operations ``POST /maintenance`` accepts — each is the
-#: eponymous ``RoadService`` method, so every one patch-broadcasts.
-MAINTENANCE_OPS = (
-    "insert_object",
-    "delete_object",
-    "update_object_attrs",
-    "add_edge",
-    "remove_edge",
-    "update_edge_distance",
-)
 
 _REASONS = {
     200: "OK",
@@ -298,12 +290,7 @@ class RoadServiceApp:
         )
 
     async def _maintenance(self, body: bytes) -> _Reply:
-        payload = _require_mapping(_parse_json(body), "request body")
-        op = _require_str(payload, "op")
-        if op not in MAINTENANCE_OPS:
-            raise WireError(
-                f"unknown op {op!r} (one of: {', '.join(MAINTENANCE_OPS)})"
-            )
+        write = decode_write(_parse_json(body))
         owner = self.service.executor
         if not isinstance(owner, RoadOwner):
             raise _HttpError(
@@ -311,55 +298,18 @@ class RoadServiceApp:
                 f"{type(owner).__name__} does not support maintenance "
                 f"(it holds no ROAD)",
             )
-        self._run_maintenance(op, payload)
-        report = owner.last_report
-        answer: Dict[str, Any] = {"op": op, "ok": True}
-        if report is not None:
-            answer["kind"] = report.kind
-            answer["structural"] = report.structural
-        return _json_reply(200, answer)
-
-    def _run_maintenance(self, op: str, payload: Mapping[str, Any]) -> Any:
-        """Decode one op's arguments and call the service method.
-
-        Runs on the loop thread: a patch is a few array writes plus the
-        broadcast, and serialising it against admission flushes is
-        exactly the consistency the sync maintenance API provides.
-        """
-        kwargs: Dict[str, Any] = {}
-        directory = payload.get("directory")
-        if directory is not None:
-            if not isinstance(directory, str):
-                raise WireError(
-                    f"field 'directory' must be a string, got {directory!r}"
-                )
-            kwargs["directory"] = directory
-        if op == "insert_object":
-            return self.service.insert_object(
-                _decode_object(payload.get("object")), **kwargs
-            )
-        if op == "delete_object":
-            return self.service.delete_object(
-                _require_int(payload, "object_id"), **kwargs
-            )
-        if op == "update_object_attrs":
-            # An update replaces the attributes, so a missing 'attrs'
-            # would wipe them: required here, optional on an insert.
-            if payload.get("attrs") is None:
-                raise WireError("update_object_attrs needs field 'attrs'")
-            return self.service.update_object_attrs(
-                _require_int(payload, "object_id"),
-                _decode_attrs(payload["attrs"]),
-                **kwargs,
-            )
-        u = _require_int(payload, "u")
-        v = _require_int(payload, "v")
-        if op == "add_edge":
-            return self.service.add_edge(u, v, _require_number(payload, "distance"))
-        if op == "remove_edge":
-            return self.service.remove_edge(u, v)
-        return self.service.update_edge_distance(
-            u, v, _require_number(payload, "distance")
+        # Runs on the loop thread: a patch is a few array writes plus the
+        # fan-out, and serialising it against admission flushes is
+        # exactly the consistency the sync write API provides.
+        report = self.service.write(write)
+        return _json_reply(
+            200,
+            {
+                "op": report.kind,
+                "ok": True,
+                "kind": report.kind,
+                "structural": report.structural,
+            },
         )
 
     async def _metrics(self, body: bytes) -> _Reply:
@@ -394,38 +344,6 @@ class RoadServiceApp:
 
 def _as_float(value: object) -> float:
     return float(value) if isinstance(value, (int, float)) else 0.0
-
-
-def _decode_object(raw: object) -> SpatialObject:
-    body = _require_mapping(raw, "field 'object'")
-    edge = body.get("edge")
-    if (
-        not isinstance(edge, Sequence)
-        or isinstance(edge, (str, bytes))
-        or len(edge) != 2
-    ):
-        raise WireError(f"field 'edge' must be a [u, v] pair, got {edge!r}")
-    endpoints = _require_mapping({"u": edge[0], "v": edge[1]}, "edge")
-    return SpatialObject(
-        object_id=_require_int(body, "object_id"),
-        edge=(_require_int(endpoints, "u"), _require_int(endpoints, "v")),
-        delta=_require_number(body, "delta"),
-        attrs=_decode_attrs(body.get("attrs")),
-    )
-
-
-def _decode_attrs(raw: object) -> Dict[str, str]:
-    if raw is None:
-        return {}
-    body = _require_mapping(raw, "field 'attrs'")
-    out: Dict[str, str] = {}
-    for key, value in body.items():
-        if not isinstance(key, str) or not isinstance(value, str):
-            raise WireError(
-                f"attrs must map strings to strings, got {key!r}: {value!r}"
-            )
-        out[key] = value
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -64,9 +64,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 
     from repro.core.maintenance import MaintenanceReport
 
-#: Maintenance kinds whose sync payload must carry fresh directory state.
-OBJECT_KINDS = ("insert_object", "delete_object", "update_object")
-
 #: Seconds a worker sleeps while the primary holds the patch window.
 _PATCH_WAIT_S = 0.0002
 
@@ -443,7 +440,7 @@ class ProcessReplicaPool:
             payload = ("reload", self._seq, manifest)
             with self._state_lock:
                 self._counters["reloads"] += 1
-        elif report is not None and report.kind in OBJECT_KINDS:
+        elif report is not None and report.object_churn:
             payload = ("objects", self._seq, manifest["directories"])
         else:
             payload = ("arrays", self._seq)

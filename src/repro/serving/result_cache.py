@@ -86,6 +86,7 @@ from repro.queries.types import (
     RouteKNNQuery,
     ServiceAreaQuery,
 )
+from repro.queries.writes import DeleteObject, InsertObject, UpdateObjectAttrs
 
 #: ``(directory, query kind, canonicalized fields, canonical predicate)``.
 CacheKey = Tuple[str, str, tuple, tuple]
@@ -102,9 +103,9 @@ Footprint = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]
 #: bypass could become a descent), a delete only off, an attribute
 #: update either way.
 _OBJECT_SIDES = {
-    "insert_object": ("bypassed",),
-    "delete_object": ("descended",),
-    "update_object": ("bypassed", "descended"),
+    InsertObject.kind: ("bypassed",),
+    DeleteObject.kind: ("descended",),
+    UpdateObjectAttrs.kind: ("bypassed", "descended"),
 }
 
 #: Distinguishes "no cached entry" from a cached empty answer.

@@ -23,10 +23,11 @@ configuration:
    visit-set footprints, unless a patch landed mid-flight;
 5. **deliver** — every caller's future completes with its own copy.
 
-Writes go through the service under the one executor lock, but the
-service never touches a ROAD: the executor (a
-:class:`~repro.core.dispatch.RoadOwner`) applies each write and updates
-its own snapshot, and the service fans the write's
+Writes go through :meth:`RoadService.write` under the one executor
+lock, but the service never touches a ROAD: the executor (a
+:class:`~repro.core.dispatch.RoadOwner`) applies each declared write
+(:data:`~repro.queries.writes.WRITE_TYPES`) and updates its own
+snapshot, and the service fans the write's
 :class:`~repro.core.maintenance.MaintenanceReport` out to the result
 cache and to the process pool's snapshot, which the owner froze for it.
 
@@ -71,6 +72,14 @@ from repro.core.dispatch import (
 )
 from repro.core.maintenance import MaintenanceReport
 from repro.queries.types import ResultRow
+from repro.queries.writes import (
+    AddEdge,
+    DeleteObject,
+    InsertObject,
+    RemoveEdge,
+    UpdateEdgeDistance,
+    UpdateObjectAttrs,
+)
 from repro.serving.config import ServiceConfig
 from repro.serving.metrics import FLUSH_REASONS, MetricsRegistry, ServiceMetrics
 from repro.serving.process_pool import ProcessReplicaPool
@@ -601,54 +610,39 @@ class RoadService:
             )
         self._shards.apply(report)
 
-    def _maintained(self, owner: RoadOwner, result: Any) -> Any:
-        """Fan the owner's report of the write just run out; pass the
-        write's result through."""
-        report = owner.last_report
-        assert report is not None, "a write records its report"
-        self._meters.count_patch(report.kind)
-        self.apply_report(report)
-        return result
-
-    def insert_object(self, obj: Any, **kwargs: Any) -> Any:
-        """Insert an object through the owner; reconcile the replicas."""
-        owner = self._owner("insert_object")
+    def write(self, w: object) -> MaintenanceReport:
+        """Apply one declared write through the owner, then fan its
+        report out to the result cache and the replica set; returns the
+        report."""
+        owner = self._owner("write")
         with self._executor_lock:
-            return self._maintained(owner, owner.insert_object(obj, **kwargs))
+            report = owner.write(w)
+            self._meters.count_patch(report.kind)
+            self.apply_report(report)
+        return report
 
-    def delete_object(self, object_id: int, **kwargs: Any) -> Any:
-        """Delete an object through the owner; reconcile the replicas."""
-        owner = self._owner("delete_object")
-        with self._executor_lock:
-            return self._maintained(owner, owner.delete_object(object_id, **kwargs))
+    # One constructor each over :meth:`write`, in the owner's spelling.
+    def insert_object(self, obj: Any, **kwargs: Any) -> MaintenanceReport:
+        return self.write(InsertObject(obj, **kwargs))
+
+    def delete_object(self, object_id: int, **kwargs: Any) -> MaintenanceReport:
+        return self.write(DeleteObject(object_id, **kwargs))
 
     def update_object_attrs(
         self, object_id: int, attrs: Dict[str, Any], **kwargs: Any
-    ) -> Any:
-        """Update object attributes; reconcile the replicas."""
-        owner = self._owner("update_object_attrs")
-        with self._executor_lock:
-            return self._maintained(
-                owner, owner.update_object_attrs(object_id, attrs, **kwargs)
-            )
+    ) -> MaintenanceReport:
+        return self.write(UpdateObjectAttrs(object_id, attrs, **kwargs))
 
-    def update_edge_distance(self, u: int, v: int, distance: float) -> Any:
-        """Change an edge distance; reconcile the replicas."""
-        owner = self._owner("update_edge_distance")
-        with self._executor_lock:
-            return self._maintained(owner, owner.update_edge_distance(u, v, distance))
+    def update_edge_distance(
+        self, u: int, v: int, distance: float
+    ) -> MaintenanceReport:
+        return self.write(UpdateEdgeDistance(u, v, distance))
 
-    def add_edge(self, u: int, v: int, distance: float, **kwargs: Any) -> Any:
-        """Open a road segment; reconcile the replicas."""
-        owner = self._owner("add_edge")
-        with self._executor_lock:
-            return self._maintained(owner, owner.add_edge(u, v, distance, **kwargs))
+    def add_edge(self, u: int, v: int, distance: float) -> MaintenanceReport:
+        return self.write(AddEdge(u, v, distance))
 
-    def remove_edge(self, u: int, v: int) -> Any:
-        """Close a road segment; reconcile the replicas."""
-        owner = self._owner("remove_edge")
-        with self._executor_lock:
-            return self._maintained(owner, owner.remove_edge(u, v))
+    def remove_edge(self, u: int, v: int) -> MaintenanceReport:
+        return self.write(RemoveEdge(u, v))
 
     # ------------------------------------------------------------------
     # Lifecycle

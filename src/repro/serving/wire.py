@@ -1,12 +1,12 @@
-"""The JSON wire codec for every declared query class (and results).
+"""The JSON wire codec for every declared query and write class (and results).
 
 The HTTP tier (:mod:`repro.serving.http`) needs a serialization story
-that keeps pace with the query kinds: every class in
-:data:`~repro.queries.types.QUERY_TYPES` must round-trip through JSON,
+that keeps pace with the query and write kinds: every class in
+:data:`~repro.queries.types.QUERY_TYPES` and
+:data:`~repro.queries.writes.WRITE_TYPES` must round-trip through JSON,
 or the network edge silently serves a subset of the API.  This module
-is the one mapping between wire payloads and the dataclasses in
-:mod:`repro.queries.types`, and it is read off those dataclasses rather
-than written per kind:
+is the one mapping between wire payloads and those dataclasses, and it
+is read off the dataclasses rather than written per kind:
 
 * ``encode_query`` / ``decode_query`` — ``{"type": "knn", "node": 3,
   "k": 5, "predicate": {"type": "seafood"}}`` <-> :class:`KNNQuery`.
@@ -15,6 +15,13 @@ than written per kind:
   field name.  An absent field takes the dataclass default if it has
   one; any other absent field, and any key that is not a field of the
   kind, is refused;
+* ``encode_write`` / ``decode_write`` — the same rules with the tag
+  ``op``: ``DeleteObject(7, "hotels")`` crosses as ``{"object_id": 7,
+  "directory": "hotels", "op": DeleteObject.kind}``.  An insert's
+  ``object`` is itself read off
+  :class:`~repro.objects.model.SpatialObject`'s fields (``object_id``,
+  ``edge``, ``delta`` and the optional ``attrs``), an unknown key
+  refused there too;
 * ``encode_result`` / ``decode_result`` — result lists as
   ``[{"object_id": ..., "distance": ...}, ...]``, exact float
   round-trip (JSON carries the ``repr`` of IEEE doubles); rows carry
@@ -30,8 +37,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, fields
-from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Sequence, Tuple, Type
 
+from repro.objects.model import ObjectError, SpatialObject
 from repro.queries.types import (
     QUERY_TYPES,
     ODMatrixEntry,
@@ -40,13 +48,16 @@ from repro.queries.types import (
     ResultRow,
     ServiceAreaEntry,
 )
+from repro.queries.writes import WRITE_TYPES
 
 __all__ = [
     "WireError",
     "decode_query",
     "decode_result",
+    "decode_write",
     "encode_query",
     "encode_result",
+    "encode_write",
 ]
 
 
@@ -60,56 +71,26 @@ def encode_query(query: object) -> Dict[str, Any]:
     Fields in declaration order, tuples as lists, an unconstrained
     predicate omitted, then the ``type`` tag.
     """
-    entry = _BY_TYPE.get(type(query))
-    if entry is None:
-        raise WireError(
-            f"no wire form for query type {type(query).__name__} "
-            f"(declared: {_KINDS})"
-        )
-    kind, declared = entry
-    payload: Dict[str, Any] = {}
-    for name, _check, _default in declared:
-        value = getattr(query, name)
-        if isinstance(value, tuple):
-            value = list(value)
-        elif isinstance(value, Predicate):
-            if value.is_unconstrained:
-                continue
-            value = value.as_dict()
-        payload[name] = value
-    payload["type"] = kind
-    return payload
+    return _encode_tagged(query, "type", "query", _QUERY_KINDS)
 
 
 def decode_query(payload: object) -> object:
     """One wire payload back into its query object."""
     body = _require_mapping(payload, "query")
-    kind = body.get("type")
-    if not isinstance(kind, str):
-        raise WireError("query payload needs a string 'type' tag")
-    entry = _BY_KIND.get(kind)
-    if entry is None:
-        raise WireError(f"unknown query type {kind!r} (declared: {_KINDS})")
-    query_type, declared, keys = entry
-    unknown = body.keys() - keys
-    if unknown:
-        raise WireError(
-            f"{kind} query has no field {', '.join(sorted(map(repr, unknown)))}"
-        )
-    values: List[Any] = []
-    for name, check, default in declared:
-        if name in body:
-            values.append(check(body, name))
-        elif default is not MISSING:
-            values.append(default)
-        else:
-            raise WireError(f"{kind} query needs field {name!r}")
-    try:
-        return query_type(*values)
-    except (TypeError, ValueError) as exc:
-        # Dataclass validation (k < 1, bad aggregate name, ...) speaks
-        # ValueError; on the wire every rejection is one typed error.
-        raise WireError(f"invalid {kind} query: {exc}") from exc
+    return _decode_tagged(body, "type", "query", _QUERY_KINDS)
+
+
+def encode_write(write: object) -> Dict[str, Any]:
+    """One write object as its JSON-safe wire payload: fields in
+    declaration order (an insert's object as a nested payload), then
+    the ``op`` tag."""
+    return _encode_tagged(write, "op", "write", _WRITE_KINDS)
+
+
+def decode_write(payload: object) -> object:
+    """One ``POST /maintenance`` payload back into its write object."""
+    body = _require_mapping(payload, "request body")
+    return _decode_tagged(body, "op", "write", _WRITE_KINDS)
 
 
 def _encode_row(entry: ResultRow) -> Dict[str, Any]:
@@ -230,24 +211,39 @@ def _require_number_list(body: Mapping[str, Any], field: str) -> Tuple[float, ..
     return tuple(values)
 
 
-def _require_predicate(body: Mapping[str, Any], field: str) -> Predicate:
-    raw = body[field]
-    if raw is None:
-        return Predicate()
-    mapping = _require_mapping(raw, field)
+def _require_string_map(body: Mapping[str, Any], field: str) -> Dict[str, str]:
+    mapping = _require_mapping(body[field], field)
     for key, value in mapping.items():
         if not isinstance(key, str) or not isinstance(value, str):
             raise WireError(
-                f"predicate entries must map strings to strings, got "
+                f"{field} entries must map strings to strings, got "
                 f"{key!r}: {value!r}"
             )
-    return Predicate.from_mapping(mapping)
+    return dict(mapping)
+
+
+def _require_predicate(body: Mapping[str, Any], field: str) -> Predicate:
+    if body[field] is None:
+        return Predicate()
+    return Predicate.from_mapping(_require_string_map(body, field))
+
+
+def _require_edge(body: Mapping[str, Any], field: str) -> Tuple[int, ...]:
+    edge = _require_node_list(body, field)
+    if len(edge) != 2:
+        raise WireError(f"field {field!r} must be a [u, v] pair, got {body[field]!r}")
+    return edge
+
+
+def _require_object(body: Mapping[str, Any], field: str) -> object:
+    raw = _require_mapping(body[field], f"field {field!r}")
+    return _decode_fields(field, SpatialObject, raw)
 
 
 # ---------------------------------------------------------------------------
-# The codec tables, read off the declared query classes
+# The codec tables, read off the declared classes
 # ---------------------------------------------------------------------------
-#: Query field name -> the check its wire value must pass (whichever kind
+#: Field name -> the check its wire value must pass (whichever class
 #: declares the field).
 _FIELD_CHECKS: Dict[str, Callable[[Mapping[str, Any], str], Any]] = {
     "node": _require_int,
@@ -260,33 +256,114 @@ _FIELD_CHECKS: Dict[str, Callable[[Mapping[str, Any], str], Any]] = {
     "breaks": _require_number_list,
     "agg": _require_str,
     "predicate": _require_predicate,
+    "object": _require_object,
+    "object_id": _require_int,
+    "edge": _require_edge,
+    "delta": _require_number,
+    "attrs": _require_string_map,
+    "u": _require_int,
+    "v": _require_int,
+    "distance": _require_number,
+    "directory": _require_str,
 }
 
-#: One field's wire form: its name, its check, and its dataclass default
-#: (``MISSING`` when the field has none and the payload must carry it).
-_WireField = Tuple[str, Callable[[Mapping[str, Any], str], Any], Any]
+#: One field's wire form: its name, its check, and whether the payload
+#: must carry it (the dataclass has no default for it).
+_WireField = Tuple[str, Callable[[Mapping[str, Any], str], Any], bool]
 
-#: Declared query class -> (wire tag, its fields in declaration order).
-_BY_TYPE: Dict[type, Tuple[str, Tuple[_WireField, ...]]] = {
-    query_type: (
-        query_type.kind,
-        tuple(
-            (field.name, _FIELD_CHECKS[field.name], field.default)
-            for field in fields(query_type)
-        ),
+
+def _declare(cls: Type[Any]) -> Tuple[Tuple[_WireField, ...], FrozenSet[str]]:
+    declared = tuple(
+        (
+            field.name,
+            _FIELD_CHECKS[field.name],
+            field.default is MISSING and field.default_factory is MISSING,
+        )
+        for field in fields(cls)
     )
-    for query_type in QUERY_TYPES
+    return declared, frozenset(name for name, _check, _required in declared)
+
+
+#: Declared class -> (its fields in declaration order, the payload keys
+#: they make, the tag aside).  An insert's object is declared too.
+_DECLARED: Dict[type, Tuple[Tuple[_WireField, ...], FrozenSet[str]]] = {
+    cls: _declare(cls) for cls in (*QUERY_TYPES, *WRITE_TYPES, SpatialObject)
 }
 
-#: Wire tag -> (query class, its fields, the payload keys it accepts).
-_BY_KIND: Dict[str, Tuple[type, Tuple[_WireField, ...], FrozenSet[str]]] = {
-    kind: (
-        query_type,
-        declared,
-        frozenset(name for name, _check, _default in declared) | {"type"},
-    )
-    for query_type, (kind, declared) in _BY_TYPE.items()
-}
+#: Wire tag -> declared class, per family.
+_QUERY_KINDS: Dict[str, type] = {cls.kind: cls for cls in QUERY_TYPES}
+_WRITE_KINDS: Dict[str, type] = {cls.kind: cls for cls in WRITE_TYPES}
 
-#: Every wire tag, sorted (for error messages).
-_KINDS = ", ".join(sorted(_BY_KIND))
+
+def _encode_fields(item: object) -> Dict[str, Any]:
+    """A declared dataclass's fields as JSON-safe values, in order."""
+    payload: Dict[str, Any] = {}
+    for name, _check, _required in _DECLARED[type(item)][0]:
+        value = getattr(item, name)
+        if isinstance(value, tuple):
+            value = list(value)
+        elif isinstance(value, Predicate):
+            if value.is_unconstrained:
+                continue
+            value = value.as_dict()
+        elif isinstance(value, SpatialObject):
+            value = _encode_fields(value)
+        elif isinstance(value, dict):
+            value = dict(value)
+        payload[name] = value
+    return payload
+
+
+def _encode_tagged(
+    item: object, tag: str, what: str, by_kind: Mapping[str, type]
+) -> Dict[str, Any]:
+    """``item``'s fields, then ``tag`` naming its kind in ``by_kind``."""
+    kind = getattr(type(item), "kind", None)
+    if by_kind.get(kind) is not type(item):
+        raise WireError(
+            f"no wire form for {what} type {type(item).__name__} "
+            f"(declared: {', '.join(sorted(by_kind))})"
+        )
+    payload = _encode_fields(item)
+    payload[tag] = kind
+    return payload
+
+
+def _decode_tagged(
+    body: Mapping[str, Any], tag: str, what: str, by_kind: Mapping[str, type]
+) -> object:
+    """The class ``body[tag]`` names in ``by_kind``, decoded from ``body``."""
+    kind = body.get(tag)
+    if not isinstance(kind, str):
+        raise WireError(f"{what} payload needs a string {tag!r} tag")
+    cls = by_kind.get(kind)
+    if cls is None:
+        raise WireError(
+            f"unknown {what} {tag} {kind!r} (declared: {', '.join(sorted(by_kind))})"
+        )
+    return _decode_fields(f"{kind} {what}", cls, body, tag)
+
+
+def _decode_fields(
+    what: str, cls: type, body: Mapping[str, Any], tag: str = ""
+) -> object:
+    """``cls`` from ``body``: each key checked, an absent optional field
+    left to its default; a missing required field or a key that is
+    neither a field nor ``tag`` is refused."""
+    declared, keys = _DECLARED[cls]
+    unknown = body.keys() - keys
+    unknown.discard(tag)
+    if unknown:
+        raise WireError(f"{what} has no field {', '.join(sorted(map(repr, unknown)))}")
+    values: Dict[str, Any] = {}
+    for name, check, required in declared:
+        if name in body:
+            values[name] = check(body, name)
+        elif required:
+            raise WireError(f"{what} needs field {name!r}")
+    try:
+        return cls(**values)
+    except (TypeError, ValueError, ObjectError) as exc:
+        # Dataclass validation (k < 1, a negative offset, ...) speaks
+        # ValueError; on the wire every rejection is one typed error.
+        raise WireError(f"invalid {what}: {exc}") from exc

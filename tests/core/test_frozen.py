@@ -27,6 +27,7 @@ from repro.queries.types import (
     RangeQuery,
 )
 from repro.queries.workload import mixed_workload
+from repro.queries.writes import AddEdge, RemoveEdge
 from tests.conftest import random_connected_network
 from tests.oracle import random_objects
 
@@ -558,7 +559,7 @@ class TestApplyPatch:
         net, _, road = built
         target = road.directory().objects.ids()[0]
         report = road.update_object_attrs(target, {"type": "fuel"})
-        assert report.kind == "update_object"
+        assert report.kind == "update_object_attrs"
         assert frozen.apply(report) == "patched"
         pred = Predicate.of(type="fuel")
         fresh = road.freeze()
@@ -570,11 +571,11 @@ class TestApplyPatch:
         objects = place_uniform(medium_grid, 12, seed=4)
         engine = ROADEngine(medium_grid.copy(), objects, levels=2, mode="frozen")
         a, b = 0, engine.network.num_nodes - 1
-        report = engine.add_edge(a, b, 2.0)
+        report = engine.write(AddEdge(a, b, 2.0))
         assert report.structural
         assert engine.knn(a, 3) == engine.road.knn(a, 3)
         if not engine.objects.on_edge(a, b):
-            engine.remove_edge(a, b)
+            engine.write(RemoveEdge(a, b))
             assert engine.knn(a, 3) == engine.road.knn(a, 3)
         counters = engine.stats()["maintenance"]
         assert counters["updates"] >= 1
@@ -638,7 +639,7 @@ class TestApplyPatch:
         net, _, road = built
         u, v, d = next(iter(net.edges()))
         report = road.update_edge_distance(u, v, d * 4.0)
-        assert report.kind == "edge_distance"
+        assert report.kind == "update_edge_distance"
         assert {u, v} <= report.dirty_nodes
         assert report.edge == (min(u, v), max(u, v))
         assert report.refreshed_tree_nodes == len(report.dirty_nodes)

@@ -4,8 +4,9 @@ Every engine (ROAD and the baselines) must agree with plain Dijkstra from
 the query node — the paper's correctness ground truth.  Snapshot probes
 compare against a fresh freeze instead; :func:`serving_snapshots` names
 the snapshots a service actually serves from, :func:`build_arm` builds a
-service on one of the :data:`ARMS` its batches can execute on, and
-:data:`QUERY_SAMPLES` holds one query per declared kind.
+service on one of the :data:`ARMS` its batches can execute on,
+:data:`QUERY_SAMPLES` holds one query per declared kind and
+:data:`WRITE_SAMPLES` one write per declared kind.
 :func:`random_objects` and :func:`build_multi_road` are the random
 scaffold the property suites build on.
 """
@@ -32,6 +33,14 @@ from repro.queries.types import (
     RouteKNNQuery,
     ServiceAreaQuery,
 )
+from repro.queries.writes import (
+    AddEdge,
+    DeleteObject,
+    InsertObject,
+    RemoveEdge,
+    UpdateEdgeDistance,
+    UpdateObjectAttrs,
+)
 from repro.serving import RoadService, ServiceConfig
 from tests.conftest import random_connected_network
 
@@ -45,6 +54,18 @@ QUERY_SAMPLES = {
     ODMatrixQuery: ODMatrixQuery((0, 9), (20, 63)),
     ServiceAreaQuery: ServiceAreaQuery(0, (150.0, 400.0), Predicate.of(type="a")),
     RouteKNNQuery: RouteKNNQuery((0, 1, 9), 2, Predicate.of(type="b")),
+}
+
+#: One write per declared kind, in an order where each one's
+#: precondition holds on a network holding edge (0, 1) but not edge
+#: (0, 27) whose default directory holds no object 10_000.
+WRITE_SAMPLES = {
+    InsertObject: InsertObject(SpatialObject(10_000, (0, 1), 0.0, {"type": "a"})),
+    UpdateObjectAttrs: UpdateObjectAttrs(10_000, {"type": "b"}),
+    DeleteObject: DeleteObject(10_000),
+    UpdateEdgeDistance: UpdateEdgeDistance(0, 1, 25.0),
+    AddEdge: AddEdge(0, 27, 40.0),
+    RemoveEdge: RemoveEdge(0, 27),
 }
 
 

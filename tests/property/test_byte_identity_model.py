@@ -31,6 +31,14 @@ After every step:
 * both ROADs' ``hierarchy.validate()`` holds, and each write's report
   on the served side equals the oracle's.
 
+On the inline arm the service is reached over the wire, in process:
+each write is ``encode_write`` -> ``POST /maintenance`` (a payload may
+leave out the optional ``directory`` and an insert's empty ``attrs``)
+and each batch is ``encode_query`` -> ``POST /query`` ->
+``decode_result``, so the JSON form of every write and query kind is
+inside the contract too.  The thread and process arms call the service
+directly.
+
 Each arm is its own test case with its own example budget: only the
 process arm patches a shared-memory snapshot its workers re-sync from.
 Those cases draw the shape at random, so one run's few examples reach
@@ -44,6 +52,7 @@ examples and the drawn cases keep the rest: inline 8 + 12, thread
 """
 
 import asyncio
+import json
 import random
 import unittest
 
@@ -75,8 +84,19 @@ from repro.queries.types import (
     RouteKNNQuery,
     ServiceAreaQuery,
 )
+from repro.queries.writes import (
+    DEFAULT_DIRECTORY,
+    AddEdge,
+    DeleteObject,
+    InsertObject,
+    RemoveEdge,
+    UpdateEdgeDistance,
+    UpdateObjectAttrs,
+)
+from repro.serving.http import RoadServiceApp
 from repro.serving.replicas import execute_batch
 from repro.serving.result_cache import canonical_key, node_footprint, query_nodes
+from repro.serving.wire import decode_result, encode_query, encode_write
 from tests.conftest import random_connected_network
 from tests.oracle import (
     DIRECTORIES,
@@ -128,6 +148,24 @@ def _random_query(rnd, n, kind):
     return _MAKERS[kind](rnd, n, {} if predicate is None else {"predicate": predicate})
 
 
+async def _post(app, path, payload):
+    """One in-process ASGI ``POST``: (status, decoded JSON body)."""
+    messages = [{"type": "http.request", "body": json.dumps(payload).encode()}]
+    out = {}
+
+    async def receive():
+        return messages.pop() if messages else {"type": "http.disconnect"}
+
+    async def send(message):
+        if message["type"] == "http.response.start":
+            out["status"] = message["status"]
+        else:
+            out["body"] = json.loads(message["body"])
+
+    await app({"type": "http", "method": "POST", "path": path}, receive, send)
+    return out["status"], out["body"]
+
+
 class ByteIdentityModel(RuleBasedStateMachine):
     """Oracle ROAD and served twin under one interleaving of writes."""
 
@@ -167,6 +205,8 @@ class ByteIdentityModel(RuleBasedStateMachine):
         #: ``None`` with the cache off.  The budget outlasts one batch on
         #: every directory, so a re-asked batch is answered from it.
         self.cache = self.service._result_cache
+        #: The inline arm's wire edge; ``None`` on the other arms.
+        self.app = RoadServiceApp(self.service) if self.arm == "inline" else None
         self.road = ROAD.build(
             self.network, levels=levels, fanout=fanout, reduce_shortcuts=reduce
         )
@@ -190,9 +230,19 @@ class ByteIdentityModel(RuleBasedStateMachine):
     # ------------------------------------------------------------------
     # Writes: the oracle first, then the service, reports compared
     # ------------------------------------------------------------------
-    def _write(self, op, *args, **kwargs):
-        report = getattr(self.road, op)(*args, **kwargs)
-        getattr(self.service, op)(*args, **kwargs)
+    def _write(self, write):
+        report = self.road.write(write)
+        if self.app is None:
+            self.service.write(write)
+        else:
+            payload = encode_write(write)
+            if payload.get("directory") == DEFAULT_DIRECTORY and self.rnd.random() < 0.5:
+                del payload["directory"]
+            if payload.get("object", {}).get("attrs") == {}:
+                del payload["object"]["attrs"]
+            status, body = asyncio.run(_post(self.app, "/maintenance", payload))
+            assert status == 200, body
+            assert body["kind"] == write.kind
         assert self.service.executor.last_report == report
         event(f"write: {report.kind}")
         return report
@@ -247,24 +297,26 @@ class ByteIdentityModel(RuleBasedStateMachine):
         ]
 
     def _insert(self, name, edge, fraction, kind):
+        """Insert typed ``kind``, or untyped when ``kind`` is None."""
         u, v = edge
         obj = SpatialObject(
             self._objects(name).next_id(), (u, v),
-            fraction * self.network.edge_distance(u, v), {"type": kind},
+            fraction * self.network.edge_distance(u, v),
+            {} if kind is None else {"type": kind},
         )
-        return self._write("insert_object", obj, directory=name)
+        return self._write(InsertObject(obj, name))
 
     @rule(data=st.data(), factor=st.sampled_from([0.2, 0.5, 1.8, 3.0]))
     def reweigh(self, data, factor):
         u, v = data.draw(st.sampled_from(self._edges()))
         self._write(
-            "update_edge_distance", u, v, self.network.edge_distance(u, v) * factor
+            UpdateEdgeDistance(u, v, self.network.edge_distance(u, v) * factor)
         )
 
     @rule(
         data=st.data(),
         fraction=st.floats(0.0, 1.0),
-        kind=st.sampled_from(["a", "b"]),
+        kind=st.sampled_from(["a", "b", None]),
     )
     def insert(self, data, fraction, kind):
         name = data.draw(st.sampled_from(self.names))
@@ -275,13 +327,13 @@ class ByteIdentityModel(RuleBasedStateMachine):
     def delete(self, data):
         name = data.draw(st.sampled_from(self._deletable()))
         object_id = data.draw(st.sampled_from(self._objects(name).ids()))
-        self._write("delete_object", object_id, directory=name)
+        self._write(DeleteObject(object_id, name))
 
     @rule(data=st.data(), kind=st.sampled_from(["a", "b", "c"]))
     def retag(self, data, kind):
         name = data.draw(st.sampled_from(self.names))
         object_id = data.draw(st.sampled_from(self._objects(name).ids()))
-        self._write("update_object_attrs", object_id, {"type": kind}, directory=name)
+        self._write(UpdateObjectAttrs(object_id, {"type": kind}, name))
 
     @rule(data=st.data(), distance=st.floats(0.5, 8.0))
     def add_edge(self, data, distance):
@@ -296,14 +348,14 @@ class ByteIdentityModel(RuleBasedStateMachine):
                 ]
             )
         )
-        assert self._write("add_edge", a, b, distance).structural
+        assert self._write(AddEdge(a, b, distance)).structural
         self.added.append((a, b))
 
     @precondition(lambda self: self._removable())
     @rule(data=st.data())
     def remove_edge(self, data):
         edge = data.draw(st.sampled_from(self._removable()))
-        assert self._write("remove_edge", *edge).structural
+        assert self._write(RemoveEdge(*edge)).structural
         self.added.remove(edge)
 
     @precondition(lambda self: self._free_leaf_edges())
@@ -325,7 +377,7 @@ class ByteIdentityModel(RuleBasedStateMachine):
         """Deleting a leaf's last object turns its abstract off."""
         name, object_id = data.draw(st.sampled_from(self._lone_objects()))
         edge = self._objects(name).get(object_id).edge
-        report = self._write("delete_object", object_id, directory=name)
+        report = self._write(DeleteObject(object_id, name))
         assert self._leaf(*edge) in report.mask_rnets
         event("flip: delete a leaf's last object")
 
@@ -369,15 +421,30 @@ class ByteIdentityModel(RuleBasedStateMachine):
 
     def _served(self, batch):
         """The service's answers to ``batch`` on every directory, as one
-        admission wave."""
+        admission wave (on the inline arm, one ``POST /query`` per
+        directory)."""
         asked = [(name, query) for name in self.names for query in batch]
         for name, query in asked:
             self.asked.setdefault(canonical_key(name, query), query)
 
         async def wave():
-            return await asyncio.gather(
-                *(self.service.submit(q, directory=name) for name, q in asked)
+            if self.app is None:
+                return await asyncio.gather(
+                    *(self.service.submit(q, directory=name) for name, q in asked)
+                )
+            wire = [encode_query(query) for query in batch]
+            replies = await asyncio.gather(
+                *(
+                    _post(self.app, "/query", {"queries": wire, "directory": name})
+                    for name in self.names
+                )
             )
+            assert [status for status, _ in replies] == [200] * len(self.names)
+            return [
+                decode_result(result)
+                for _, body in replies
+                for result in body["results"]
+            ]
 
         return asyncio.run(wave())
 

@@ -23,10 +23,12 @@ import json
 
 import pytest
 
+from repro.core.framework import ROAD
 from repro.core.frozen_backends import shared_memory_available
 from repro.graph.generators import grid_network
 from repro.objects.placement import place_uniform
 from repro.queries.types import QUERY_TYPES, KNNQuery, RangeQuery
+from repro.queries.writes import WRITE_TYPES
 from repro.serving import RoadService, ServiceConfig
 from repro.serving.http import (
     RoadServiceApp,
@@ -38,9 +40,11 @@ from repro.serving.wire import (
     WireError,
     decode_query,
     decode_result,
+    decode_write,
     encode_query,
+    encode_write,
 )
-from tests.oracle import QUERY_SAMPLES, serving_snapshots
+from tests.oracle import QUERY_SAMPLES, WRITE_SAMPLES, serving_snapshots
 
 #: Queries whose keys are not all fields of their kind: a misspelt
 #: predicate, and a predicate on the predicate-free OD matrix.  Each was
@@ -102,6 +106,8 @@ class TestWireCodecs:
     def test_every_registered_type_has_a_sample(self):
         assert set(QUERY_SAMPLES) == set(QUERY_TYPES)
         assert len({t.kind for t in QUERY_TYPES}) == len(QUERY_TYPES)
+        assert set(WRITE_SAMPLES) == set(WRITE_TYPES)
+        assert len({t.kind for t in WRITE_TYPES}) == len(WRITE_TYPES)
 
     @pytest.mark.parametrize(
         "query_type", QUERY_TYPES, ids=lambda t: t.__name__
@@ -110,6 +116,15 @@ class TestWireCodecs:
         query = QUERY_SAMPLES[query_type]
         payload = json.loads(json.dumps(encode_query(query)))
         assert decode_query(payload) == query
+
+    @pytest.mark.parametrize(
+        "write_type", WRITE_TYPES, ids=lambda t: t.__name__
+    )
+    def test_write_json_round_trip(self, write_type):
+        write = WRITE_SAMPLES[write_type]
+        payload = json.loads(json.dumps(encode_write(write)))
+        assert payload["op"] == write_type.kind
+        assert decode_write(payload) == write
 
     def test_unconstrained_predicate_is_omitted(self):
         assert "predicate" not in encode_query(RangeQuery(0, 10.0))
@@ -154,6 +169,29 @@ class TestWireCodecs:
         ))
         with pytest.raises(WireError, match="must hold finite numbers"):
             decode_query(payload)
+
+
+class TestDeclaredWrites:
+    """Each declared write runs through the ROAD method its ``kind``
+    names and reports under that kind; the wire refuses any other op."""
+
+    def test_each_write_runs_the_method_its_kind_names(self):
+        network = grid_network(8, 8, seed=13)
+        road = ROAD.build(network, levels=2, fanout=4)
+        road.attach_objects(place_uniform(network, 8, seed=5))
+        for write_type, write in WRITE_SAMPLES.items():
+            assert callable(getattr(ROAD, write_type.kind, None)), write_type
+            report = road.write(write)
+            assert report.kind == write_type.kind
+            assert road.last_report is report
+        with pytest.raises(TypeError, match="applies no write"):
+            road.write(KNNQuery(0, 1))
+
+    def test_unknown_op_lists_the_declared_kinds(self):
+        with pytest.raises(WireError, match="unknown write op 'reticulate'") as info:
+            decode_write({"op": "reticulate"})
+        for write_type in WRITE_TYPES:
+            assert write_type.kind in str(info.value)
 
 
 class TestQueryRoute:
@@ -266,7 +304,7 @@ class TestMaintenanceRoute:
         assert status == 200
         assert body == {
             "op": "update_edge_distance", "ok": True,
-            "kind": "edge_distance", "structural": False,
+            "kind": "update_edge_distance", "structural": False,
         }
         # The patch reached the shards: async answers == maintained primary.
         queries = [QUERY_SAMPLES[t] for t in QUERY_TYPES]
@@ -344,6 +382,17 @@ class TestMaintenanceRoute:
              "edge": [0, 1], "delta": 1e9}},
             {"op": "insert_object", "object": {"object_id": 9,
              "edge": [0, 1], "delta": -1.0}},
+            # Keys no write declares: each was once dropped, so the
+            # write ran on the default directory or without attributes.
+            {"op": "update_edge_distance", "u": 0, "v": 1,
+             "distance": 50.0, "distanse": 1.0},
+            {"op": "insert_object", "object": {"object_id": 9_001,
+             "edge": [0, 1], "delta": 0.0, "attr": {"type": "a"}}},
+            {"op": "update_edge_distance", "u": 0, "v": 1,
+             "distance": 50.0, "directory": "objects"},
+            {"op": "add_edge", "u": 0, "v": 9, "distance": 1.0,
+             "directory": "objects"},
+            {"op": "remove_edge", "u": 62, "v": 63, "directory": "objects"},
         ],
     )
     def test_bad_maintenance_is_400(self, setting, payload):
@@ -363,8 +412,12 @@ class TestMaintenanceRoute:
             # would wipe them.
             lambda obj: {"op": "update_object_attrs",
                          "object_id": obj.object_id},
+            # A misspelt directory must not fall through to the default.
+            lambda obj: {"op": "delete_object", "object_id": obj.object_id,
+                         "directry": "poi"},
         ],
-        ids=["duplicate_id", "occupied_edge", "update_without_attrs"],
+        ids=["duplicate_id", "occupied_edge", "update_without_attrs",
+             "misspelt_directory"],
     )
     def test_write_against_the_present_objects_is_400(self, setting, make):
         service, app = setting
@@ -373,6 +426,7 @@ class TestMaintenanceRoute:
         attrs = dict(obj.attrs)
         assert attrs  # the fixture's objects carry a type
         _assert_refused(service, app, make(obj))
+        assert obj.object_id in objects
         assert objects.get(obj.object_id).attrs == attrs
 
 

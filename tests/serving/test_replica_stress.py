@@ -95,12 +95,7 @@ class Recorder:
                 self.batches.append((wave, start, time.perf_counter()))
 
         executor.execute_many = execute_many
-        for name in (
-            "update_edge_distance",
-            "insert_object",
-            "attach_objects",
-            "detach_objects",
-        ):
+        for name in ("write", "attach_objects", "detach_objects"):
 
             def write(*args, _write=getattr(executor, name), **kwargs):
                 self.writes.append((self.wave, time.perf_counter()))

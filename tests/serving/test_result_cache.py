@@ -177,7 +177,7 @@ class TestLRUBudget:
         # The replaced entry's old footprint is gone with it: dirtying
         # the node only the *old* footprint touched evicts nothing.
         assert cache.invalidate_report(
-            MaintenanceReport(kind="edge_distance", dirty_nodes={1})
+            MaintenanceReport(kind="update_edge_distance", dirty_nodes={1})
         ) == 0
         assert cache.lookup(key) == ["new"]
 
@@ -189,7 +189,7 @@ class TestLRUBudget:
         assert _store(cache, b, ["b"], {1}, {11})  # evicts a
         # Dirtying a's footprint must not count a phantom invalidation.
         assert cache.invalidate_report(
-            MaintenanceReport(kind="edge_distance", dirty_nodes={0},
+            MaintenanceReport(kind="update_edge_distance", dirty_nodes={0},
                               dirty_rnets={10})
         ) == 0
         assert cache.lookup(b) == ["b"]
@@ -216,7 +216,7 @@ class TestPopulateGuards:
         cache = ResultCache(budget=4)
         generation = cache.generation("hotels")
         cache.invalidate_report(
-            MaintenanceReport(kind="edge_distance", dirty_nodes={99})
+            MaintenanceReport(kind="update_edge_distance", dirty_nodes={99})
         )
         key = canonical_key("hotels", KNNQuery(0, 1))
         assert not cache.store(key, ["stale"], {0}, (), generation)
@@ -244,7 +244,7 @@ class TestInvalidationPrecision:
         assert _store(cache, across, ["across"], {9}, {4}, bypassed={4})
         evicted = cache.invalidate_report(
             MaintenanceReport(
-                kind="edge_distance",
+                kind="update_edge_distance",
                 edge=(2, 3),
                 dirty_nodes={2, 3, 6},
                 dirty_rnets={4},
@@ -279,7 +279,7 @@ class TestInvalidationPrecision:
         assert cache.lookup(descending) == ["y"]  # an insert only turns on
         assert _store(cache, bypassing, ["x"], {0}, {3}, bypassed={3})
         reweigh = MaintenanceReport(
-            kind="edge_distance", edge=(10, 11), dirty_rnets={3}
+            kind="update_edge_distance", edge=(10, 11), dirty_rnets={3}
         )
         assert cache.invalidate_report(reweigh) == 1
         assert cache.lookup(bypassing) is MISS
@@ -307,12 +307,12 @@ class TestInvalidationPrecision:
 
         assert survivors("insert_object") == {descending, elsewhere}
         assert survivors("delete_object") == {bypassing, elsewhere}
-        assert survivors("update_object") == {elsewhere}
+        assert survivors("update_object_attrs") == {elsewhere}
 
     def test_a_store_without_the_split_counts_both_sides(self):
         cache = ResultCache(budget=8)
         key = canonical_key(DIR, KNNQuery(0, 1))
-        for kind in ("insert_object", "delete_object", "edge_distance"):
+        for kind in ("insert_object", "delete_object", "update_edge_distance"):
             assert _store(cache, key, ["x"], {0}, {3})
             report = MaintenanceReport(
                 kind=kind, edge=(8, 9), dirty_rnets={3}, mask_rnets={3}
@@ -340,7 +340,7 @@ class TestInvalidationPrecision:
         assert _store(cache, objects_key, ["o"], {5})
         assert _store(cache, hotels_key, ["h"], {5})
         evicted = cache.invalidate_report(
-            MaintenanceReport(kind="edge_distance", dirty_nodes={5})
+            MaintenanceReport(kind="update_edge_distance", dirty_nodes={5})
         )
         assert evicted == 2
         assert cache.lookup(objects_key) is MISS
@@ -444,7 +444,7 @@ class TestFootprintOwnership:
         )
         assert cache._entries[key].nodes == (3, 4, 9)
         assert cache.invalidate_report(
-            MaintenanceReport(kind="edge_distance", dirty_nodes={9})
+            MaintenanceReport(kind="update_edge_distance", dirty_nodes={9})
         ) == 1
 
     def test_populate_skips_an_executor_without_footprints(self):
@@ -500,7 +500,7 @@ class TestNoLeak:
             elif draw < 0.90:  # network or object report, sometimes structural
                 cache.invalidate_report(
                     MaintenanceReport(
-                        kind=rng.choice(("edge_distance", "add_edge", "insert_object")),
+                        kind=rng.choice(("update_edge_distance", "add_edge", "insert_object")),
                         directory=rng.choice((None, directory)),
                         dirty_nodes=set(rng.sample(range(40), rng.randrange(0, 4))),
                         dirty_rnets=set(rng.sample(range(8), rng.randrange(0, 2))),
@@ -538,7 +538,7 @@ class TestNoLeak:
         cache, keys = self._two_directories()
         generations = {name: cache.generation(name) for name in keys}
         evicted = cache.invalidate_report(
-            MaintenanceReport(kind="edge_distance", dirty_nodes={2}, dirty_rnets={9})
+            MaintenanceReport(kind="update_edge_distance", dirty_nodes={2}, dirty_rnets={9})
         )
         assert evicted == 2
         assert set(cache._entries) == {keys["objects"][1], keys["hotels"][1]}
@@ -600,7 +600,7 @@ def _reaches(report, key, entry):
     if not set(report.edge).isdisjoint(entry.nodes):
         return True
     examined, bypassed = set(entry.rnets), set(entry.bypassed)
-    if report.kind == "edge_distance":
+    if report.kind == "update_edge_distance":
         return bool(report.dirty_rnets & bypassed)
     if report.kind == "insert_object":
         return bool(report.mask_rnets & bypassed)

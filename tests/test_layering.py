@@ -1,6 +1,7 @@
 """The import layering: ``queries`` ← ``core`` ← ``baselines`` ← ``serving``.
 
-The serving tier sits on top of the library.  The dispatch protocol the
+The query and write declarations in :mod:`repro.queries` sit below the
+engines.  The serving tier sits on top of the library.  The dispatch protocol the
 engines implement lives in :mod:`repro.core.dispatch`, so no module of
 the library layers imports :mod:`repro.serving`, and importing the core
 engine never loads the serving tier.  Three more contracts live here:
@@ -70,6 +71,20 @@ def test_library_layers_never_import_serving(package):
             f"{path.relative_to(PACKAGE_ROOT)}: {name}"
             for name in _imported_modules(tree)
             if name == "repro.serving" or name.startswith("repro.serving.")
+        )
+    assert offenders == []
+
+
+def test_queries_import_no_engine_or_serving_layer():
+    """``repro.queries`` declares the query and write kinds that every
+    layer above it reads, so it imports none of them."""
+    above = {"repro.core", "repro.baselines", "repro.serving"}
+    offenders = []
+    for path, tree in _parsed(PACKAGE_ROOT / "queries"):
+        offenders.extend(
+            f"{path.relative_to(PACKAGE_ROOT)}: {name}"
+            for name in _imported_modules(tree)
+            if ".".join(name.split(".")[:2]) in above
         )
     assert offenders == []
 
