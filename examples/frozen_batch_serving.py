@@ -28,9 +28,9 @@ def main() -> None:
         attr_choices={"type": ["cafe", "pharmacy", "fuel"]},
     )
 
-    # 2. One config instead of REPRO_* env sprawl: frozen serving mode,
+    # 2. One config instead of REPRO_* env sprawl: snapshot serving,
     #    patch maintenance, two replica threads for the worker pool.
-    config = ServiceConfig(mode="frozen", levels=3, replicas=2, max_batch=256)
+    config = ServiceConfig(levels=3, replicas=2, max_batch=256)
     start = time.perf_counter()
     service = RoadService.build(network, objects, config=config)
     build_ms = (time.perf_counter() - start) * 1000.0

@@ -50,7 +50,7 @@ def main() -> None:
     service = RoadService.build(
         minutes,
         pois,
-        config=ServiceConfig(mode="frozen", levels=3, replicas=2),
+        config=ServiceConfig(levels=3, replicas=2),
     )
     nodes = sorted(minutes.node_ids())
     depots = tuple(nodes[:: len(nodes) // 4][:4])

@@ -4,10 +4,7 @@ from repro.baselines.distance_index import DistanceIndexEngine
 from repro.baselines.engine import EngineError, SearchEngine
 from repro.baselines.euclidean import EuclideanEngine
 from repro.baselines.network_expansion import NetworkExpansionEngine
-from repro.baselines.road_adapter import (
-    ROAD_MODES,
-    ROADEngine,
-)
+from repro.baselines.road_adapter import ROADEngine
 
 #: Build order used across the evaluation figures.
 ALL_ENGINES = (
@@ -19,7 +16,6 @@ ALL_ENGINES = (
 
 __all__ = [
     "ALL_ENGINES",
-    "ROAD_MODES",
     "DistanceIndexEngine",
     "EngineError",
     "EuclideanEngine",

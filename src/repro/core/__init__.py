@@ -7,6 +7,7 @@ from repro.core.frozen import FrozenRoad, FrozenRoadError
 from repro.core.paths import PathError, PathTracer, expand_shortcut, node_path, object_path
 from repro.core.serialize import SerializeError, load_road, save_road
 from repro.core.maintenance import MaintenanceError, MaintenanceReport
+from repro.core.owner import SnapshotOwner
 from repro.core.object_abstract import (
     BloomAbstract,
     CountingAbstract,
@@ -72,6 +73,7 @@ __all__ = [
     "ShortcutTree",
     "ShortcutTreeEntry",
     "SignatureAbstract",
+    "SnapshotOwner",
     "aggregate_knn",
     "bloom_abstract",
     "build_shortcut_tree",

@@ -3,7 +3,8 @@
 The paper pitches ROAD as a *search-engine framework* — one index, many
 query kinds ("search by sweeping over Rnets", Fig. 1).  Every engine
 here (charged :class:`~repro.core.framework.ROAD`, compiled
-:class:`~repro.core.frozen.FrozenRoad`, the
+:class:`~repro.core.frozen.FrozenRoad`, the served ROAD's
+:class:`~repro.core.owner.SnapshotOwner`, the figure harness's
 :class:`~repro.baselines.road_adapter.ROADEngine` adapter, and the
 Section-2 baselines) answers query objects the same way:
 
@@ -24,7 +25,10 @@ Section-2 baselines) answers query objects the same way:
 
 * :class:`RoadOwner`: the executors holding a live ROAD, where every
   write lands — one declared write
-  (:data:`~repro.queries.writes.WRITE_TYPES`) per :meth:`RoadOwner.write`;
+  (:data:`~repro.queries.writes.WRITE_TYPES`) per :meth:`RoadOwner.write`.
+  Two implement it: the charged ``ROAD`` itself and
+  :class:`~repro.core.owner.SnapshotOwner`, which serves from a
+  snapshot it patches per write;
 
 * typed errors: :class:`UnsupportedQueryError` (subclass of
   :class:`TypeError`, names the engine and the query type) and
@@ -177,8 +181,8 @@ class QueryExecutor(ABC):
     front-end coalesces into; the default implementation already shares
     one :class:`BatchContext` (per-predicate caches) across the batch,
     so engines only override it to redirect batches wholesale (e.g.
-    :class:`~repro.baselines.road_adapter.ROADEngine` forwarding to its
-    frozen snapshot).
+    :class:`~repro.core.owner.SnapshotOwner` forwarding to its
+    snapshot).
     """
 
     # -- directory surface ---------------------------------------------

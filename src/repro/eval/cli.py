@@ -3,14 +3,13 @@
 Regenerate any of the paper's tables/figures without pytest::
 
     python -m repro.eval fig17a
-    python -m repro.eval fig17a --engine frozen
     python -m repro.eval fig19 --queries 10
     python -m repro.eval all --out results/
     python -m repro.eval list
 
-The ROAD switch (``--engine``) sets the ``REPRO_ENGINE`` environment
-override, which :func:`repro.eval.runner.build_engine` reads — the
-environment is the CLI's channel into the experiment functions.
+``--queries`` and ``--scale`` set the ``REPRO_QUERIES`` / ``REPRO_SCALE``
+environment overrides — the environment is the CLI's channel into the
+experiment functions.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import os
 import sys
 from typing import Callable, Dict
 
-from repro.baselines.road_adapter import MODE_ENV, ROAD_MODES
 from repro.eval import ablations, experiments
 from repro.eval.reporting import ExperimentResult
 
@@ -72,12 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("mini", "paper"),
         help="dataset scale (sets REPRO_SCALE)",
     )
-    parser.add_argument(
-        "--engine",
-        choices=ROAD_MODES,
-        help="ROAD serving mode: charged disk path (paper I/O model) or "
-        "frozen in-memory fast path (sets REPRO_ENGINE)",
-    )
     return parser
 
 
@@ -87,8 +79,6 @@ def main(argv=None) -> int:
         os.environ["REPRO_QUERIES"] = str(args.queries)
     if args.scale is not None:
         os.environ["REPRO_SCALE"] = args.scale
-    if args.engine is not None:
-        os.environ[MODE_ENV] = args.engine
 
     if args.experiment == "list":
         for name in REGISTRY:

@@ -1,17 +1,16 @@
 """Engine construction helpers for the evaluation.
 
 ``build_engine`` constructs the paper's four approaches directly, each
-over a private network copy and its own pager; the ``REPRO_ENGINE``
-override (the CLI's ``--engine``) picks the ROAD serving mode.
+over a private network copy and its own pager.  ROAD runs charged, on
+the simulated disk stack the figures count pages on; the compiled
+snapshot is the serving tier's (:class:`repro.core.owner.SnapshotOwner`).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Optional, Sequence
 
 from repro.baselines import ALL_ENGINES, SearchEngine
-from repro.baselines.road_adapter import MODE_ENV
 from repro.eval.datasets import Dataset, dataset_levels
 from repro.graph.network import RoadNetwork
 from repro.objects.model import ObjectSet
@@ -54,8 +53,7 @@ def build_engine(
     """One bare engine over a private copy of the network (no cross-talk).
 
     The figure harness drives engines directly (cold-cache I/O
-    accounting).  ROAD's serving mode is ``REPRO_ENGINE``; a frozen
-    ROAD serves a ``list`` snapshot.
+    accounting).
     """
     if name not in _ENGINES:
         raise KeyError(f"unknown engine {name!r}")
@@ -64,10 +62,7 @@ def build_engine(
     )
     road_knobs: Dict[str, object] = {}
     if name == "ROAD":
-        road_knobs = {
-            "levels": road_levels if road_levels is not None else 4,
-            "mode": os.environ.get(MODE_ENV, "charged").lower(),
-        }
+        road_knobs = {"levels": road_levels if road_levels is not None else 4}
     return _ENGINES[name](network.copy(), objects, pager, **road_knobs)
 
 

@@ -100,11 +100,6 @@ def dijkstra_distances(
     return dist
 
 
-def network_adjacency(network: RoadNetwork) -> Adjacency:
-    """Adjacency function over an in-memory network."""
-    return network.neighbours
-
-
 def shortest_path(
     network: RoadNetwork, source: int, target: int
 ) -> Tuple[float, List[int]]:

@@ -42,11 +42,6 @@ def cut_nodes(parts: Sequence[Set[EdgeKey]]) -> Set[int]:
     return cut
 
 
-def edge_weights_uniform(edges: Iterable[EdgeKey]) -> Dict[EdgeKey, float]:
-    """Unit weight per edge — the paper's object-independent balancing."""
-    return {edge: 1.0 for edge in edges}
-
-
 def validate_partition(
     parent_edges: Set[EdgeKey], parts: Sequence[Set[EdgeKey]]
 ) -> None:

@@ -1,13 +1,14 @@
 """repro.serving — the unified serving API, on top of the library.
 
-The layers import downwards only: ``queries`` ← ``core`` ← ``baselines``
-← ``serving``.  The dispatch protocol every engine implements lives in
+The layers import downwards only: ``queries`` ← ``core`` ← {``baselines``,
+``serving``}; this package never imports the paper's comparison
+engines.  The dispatch protocol every engine implements lives in
 :mod:`repro.core.dispatch` and is re-exported here.  The executor
-:meth:`RoadService.build` creates (a
-:class:`~repro.core.dispatch.RoadOwner`) is the only code holding the
-ROAD: it applies every write and keeps its own snapshot current, while
-this package admits queries, caches answers and fans each write's report
-out.
+:meth:`RoadService.build` creates, a
+:class:`~repro.core.owner.SnapshotOwner`, is the only code holding the
+ROAD: it serves every query from its compiled snapshot, applies every
+write and keeps that snapshot current, while this package admits
+queries, caches answers and fans each write's report out.
 
 * :mod:`~repro.serving.config` — the typed :class:`ServiceConfig`.
 * :mod:`~repro.serving.service` — the :class:`RoadService` admission

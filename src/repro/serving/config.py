@@ -8,21 +8,9 @@ import os
 from dataclasses import dataclass
 from typing import Any, Dict
 
-from repro.baselines.road_adapter import MODE_ENV, ROAD_MODES
-
-#: ROAD serving modes — the one source of truth lives on the engine.
-MODES = ROAD_MODES
-
 #: Where replica batches execute: pool threads on the primary's own
 #: snapshot, or worker processes over one shared-memory snapshot.
 REPLICA_MODES = ("thread", "process")
-
-#: Environment overrides honoured by :meth:`ServiceConfig.from_env`
-#: (beside ``MODE_ENV``).
-REPLICAS_ENV = "REPRO_REPLICAS"
-REPLICA_MODE_ENV = "REPRO_REPLICA_MODE"
-RESULT_CACHE_ENV = "REPRO_RESULT_CACHE"
-CACHE_BUDGET_ENV = "REPRO_CACHE_BUDGET"
 
 
 def _parse_bool(name: str, raw: str) -> bool:
@@ -43,13 +31,31 @@ def _parse_int(name: str, raw: str) -> int:
         raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
+def _parse_name(name: str, raw: str) -> str:
+    """A choice override, case-folded (the field validates the value)."""
+    return raw.lower()
+
+
+#: The environment overrides :meth:`ServiceConfig.from_env` honours:
+#: variable -> (the field it sets, its parser).
+_ENV_FIELDS = {
+    "REPRO_REPLICAS": ("replicas", _parse_int),
+    "REPRO_REPLICA_MODE": ("replica_mode", _parse_name),
+    "REPRO_RESULT_CACHE": ("result_cache", _parse_bool),
+    "REPRO_CACHE_BUDGET": ("cache_budget", _parse_int),
+}
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """Typed serving configuration: what was previously ``REPRO_*`` sprawl.
 
-    ``mode``, ``levels`` and ``fanout`` configure the ROAD serving path
-    exactly like the eponymous
-    :class:`~repro.baselines.road_adapter.ROADEngine` knobs.
+    ``levels`` and ``fanout`` are the built ROAD's Table-1 knobs; its
+    owner (:class:`~repro.core.owner.SnapshotOwner`) serves every query
+    from a compiled snapshot.  ``mode`` accepts only ``"frozen"``, the
+    one served path; it stays only because the benchmark fixture still
+    passes it, and the benchmark PR (ROADMAP item 1) deletes it.
+
     The remaining fields drive the async front-end: ``max_batch`` caps
     how many queries one admission flush may hold, ``max_delay_ms`` is
     the upper bound on how long an under-full bucket is held while
@@ -65,7 +71,7 @@ class ServiceConfig:
     CPU parallelism at one snapshot's memory cost.
     """
 
-    mode: str = "charged"
+    mode: str = "frozen"
     levels: int = 4
     fanout: int = 4
     max_batch: int = 64
@@ -82,8 +88,10 @@ class ServiceConfig:
     cache_budget: int = 2048
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.mode != "frozen":
+            raise ValueError(
+                f"mode must be 'frozen' (the only served path), got {self.mode!r}"
+            )
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.max_delay_ms < 0:
@@ -110,20 +118,10 @@ class ServiceConfig:
         (``max_delay_ms``, keyword only, bounds a hold while every
         replica is busy).
         """
-        env: Dict[str, Any] = {}
-        if MODE_ENV in os.environ:
-            env["mode"] = os.environ[MODE_ENV].lower()
-        if REPLICAS_ENV in os.environ:
-            env["replicas"] = _parse_int(REPLICAS_ENV, os.environ[REPLICAS_ENV])
-        if REPLICA_MODE_ENV in os.environ:
-            env["replica_mode"] = os.environ[REPLICA_MODE_ENV].lower()
-        if RESULT_CACHE_ENV in os.environ:
-            env["result_cache"] = _parse_bool(
-                RESULT_CACHE_ENV, os.environ[RESULT_CACHE_ENV]
-            )
-        if CACHE_BUDGET_ENV in os.environ:
-            env["cache_budget"] = _parse_int(
-                CACHE_BUDGET_ENV, os.environ[CACHE_BUDGET_ENV]
-            )
+        env: Dict[str, Any] = {
+            field: parse(name, os.environ[name])
+            for name, (field, parse) in _ENV_FIELDS.items()
+            if name in os.environ
+        }
         env.update(overrides)
         return cls(**env)

@@ -69,7 +69,7 @@ from repro.core.dispatch import (
 from repro.core.maintenance import MaintenanceError
 from repro.graph.network import NetworkError
 from repro.objects.model import ObjectError
-from repro.serving.config import MODES, REPLICA_MODES, ServiceConfig
+from repro.serving.config import REPLICA_MODES, ServiceConfig
 from repro.serving.service import RoadService, ServiceError
 from repro.serving.wire import (
     WireError,
@@ -542,7 +542,6 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--replicas", type=int, default=None)
     parser.add_argument("--replica-mode", choices=REPLICA_MODES, default=None)
-    parser.add_argument("--engine-mode", dest="mode", choices=MODES, default=None)
     return parser
 
 
@@ -558,7 +557,7 @@ def _build_service(args: argparse.Namespace) -> RoadService:
         attr_choices={"type": ["restaurant", "hotel", "fuel"]},
     )
     overrides: Dict[str, Any] = {}
-    for field in ("replicas", "replica_mode", "mode"):
+    for field in ("replicas", "replica_mode"):
         value = getattr(args, field)
         if value is not None:
             overrides[field] = value
@@ -571,8 +570,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     service = _build_service(args)
     app = RoadServiceApp(service)
     print(
-        f"road-serving: ROAD engine ({service.config.mode}), "
-        f"{service.config.replicas} {service.config.replica_mode} replicas "
+        f"road-serving: {service.config.replicas} "
+        f"{service.config.replica_mode} replicas "
         f"on http://{args.host}:{args.port} (Ctrl-C stops)"
     )
     try:

@@ -25,7 +25,9 @@ configuration:
 
 Writes go through :meth:`RoadService.write` under the one executor
 lock, but the service never touches a ROAD: the executor (a
-:class:`~repro.core.dispatch.RoadOwner`) applies each declared write
+:class:`~repro.core.dispatch.RoadOwner`; :meth:`RoadService.build`
+makes a :class:`~repro.core.owner.SnapshotOwner`, which serves every
+query from its compiled snapshot) applies each declared write
 (:data:`~repro.queries.writes.WRITE_TYPES`) and updates its own
 snapshot, and the service fans the write's
 :class:`~repro.core.maintenance.MaintenanceReport` out to the result
@@ -33,7 +35,7 @@ cache and to the process pool's snapshot, which the owner froze for it.
 
 Typical use::
 
-    config = ServiceConfig(mode="frozen", replicas=2)
+    config = ServiceConfig(replicas=2)
     service = RoadService.build(network, objects, config=config)
     nearest = service.run(KNNQuery(node, k=5))          # sync
     answers = await asyncio.gather(                     # async, batched
@@ -63,7 +65,6 @@ from typing import (
     cast,
 )
 
-from repro.baselines.road_adapter import ROADEngine
 from repro.core.dispatch import (
     QueryExecutor,
     RoadOwner,
@@ -71,15 +72,9 @@ from repro.core.dispatch import (
     UnsupportedQueryError,
 )
 from repro.core.maintenance import MaintenanceReport
+from repro.core.owner import SnapshotOwner
 from repro.queries.types import ResultRow
-from repro.queries.writes import (
-    AddEdge,
-    DeleteObject,
-    InsertObject,
-    RemoveEdge,
-    UpdateEdgeDistance,
-    UpdateObjectAttrs,
-)
+from repro.queries.writes import DeleteObject, InsertObject, UpdateEdgeDistance
 from repro.serving.config import ServiceConfig
 from repro.serving.metrics import FLUSH_REASONS, MetricsRegistry, ServiceMetrics
 from repro.serving.process_pool import ProcessReplicaPool
@@ -114,12 +109,12 @@ class ServiceError(RuntimeError):
 class RoadService:
     """The serving facade over one :class:`~repro.core.dispatch.QueryExecutor`.
 
-    Construct over an existing executor (a built
+    Construct over an existing executor (a
+    :class:`~repro.core.owner.SnapshotOwner`, a charged
     :class:`~repro.core.framework.ROAD`, a
-    :class:`~repro.core.frozen.FrozenRoad`, a
-    :class:`~repro.baselines.road_adapter.ROADEngine` or any baseline),
-    or let :meth:`build` construct the ROAD engine the config describes.
-    Replicas and writes need an executor that owns a ROAD.
+    :class:`~repro.core.frozen.FrozenRoad` or any baseline), or let
+    :meth:`build` construct the ROAD and its snapshot owner the config
+    describes.  Replicas and writes need an executor that owns a ROAD.
 
     The async front-end is single-loop: call :meth:`submit` from one
     running event loop (the flush machinery uses that loop's clock and
@@ -177,25 +172,25 @@ class RoadService:
         pager: Optional["PageManager"] = None,
         **engine_kwargs: Any,
     ) -> "RoadService":
-        """Build the :class:`ROADEngine` the config describes and wrap it.
+        """Build the ROAD the config describes, its
+        :class:`~repro.core.owner.SnapshotOwner`, and wrap that.
 
         ``config=None`` reads the environment overrides
         (:meth:`ServiceConfig.from_env`).  Extra keyword arguments are
-        forwarded to the engine constructor (``providers``,
+        forwarded to :meth:`SnapshotOwner.build` (``providers``,
         ``bisector``, ``abstract_factory``, ...).
         """
         if config is None:
             config = ServiceConfig.from_env()
-        executor = ROADEngine(
+        owner = SnapshotOwner.build(
             network,
             objects,
             pager,
             levels=config.levels,
             fanout=config.fanout,
-            mode=config.mode,
             **engine_kwargs,
         )
-        return cls(executor, config=config)
+        return cls(owner, config=config)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -621,28 +616,19 @@ class RoadService:
             self.apply_report(report)
         return report
 
-    # One constructor each over :meth:`write`, in the owner's spelling.
+    # The three writes ``road_bench``'s ``workloads.apply_maintenance``
+    # calls by name, one constructor each over :meth:`write`; they go
+    # once the benchmark moves to ``write`` (ROADMAP item 1).
     def insert_object(self, obj: Any, **kwargs: Any) -> MaintenanceReport:
         return self.write(InsertObject(obj, **kwargs))
 
     def delete_object(self, object_id: int, **kwargs: Any) -> MaintenanceReport:
         return self.write(DeleteObject(object_id, **kwargs))
 
-    def update_object_attrs(
-        self, object_id: int, attrs: Dict[str, Any], **kwargs: Any
-    ) -> MaintenanceReport:
-        return self.write(UpdateObjectAttrs(object_id, attrs, **kwargs))
-
     def update_edge_distance(
         self, u: int, v: int, distance: float
     ) -> MaintenanceReport:
         return self.write(UpdateEdgeDistance(u, v, distance))
-
-    def add_edge(self, u: int, v: int, distance: float) -> MaintenanceReport:
-        return self.write(AddEdge(u, v, distance))
-
-    def remove_edge(self, u: int, v: int) -> MaintenanceReport:
-        return self.write(RemoveEdge(u, v))
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -10,11 +10,11 @@ import random
 
 import pytest
 
-from repro.baselines.engine import EngineError
 from repro.baselines.road_adapter import ROADEngine
 from repro.core.framework import ROAD
 from repro.core.frozen import FrozenRoad, FrozenRoadError
 from repro.core.frozen_backends import installed_backends
+from repro.core.owner import SnapshotOwner
 from repro.core.search import SearchStats, iter_nearest_objects
 from repro.graph.network import RoadNetwork
 from repro.objects.model import ObjectSet, SpatialObject
@@ -27,7 +27,13 @@ from repro.queries.types import (
     RangeQuery,
 )
 from repro.queries.workload import mixed_workload
-from repro.queries.writes import AddEdge, RemoveEdge
+from repro.queries.writes import (
+    AddEdge,
+    DeleteObject,
+    InsertObject,
+    RemoveEdge,
+    UpdateEdgeDistance,
+)
 from tests.conftest import random_connected_network
 from tests.oracle import random_objects
 
@@ -176,28 +182,31 @@ class TestSnapshotSemantics:
 
 
 class TestFrozenEngineMode:
+    """The served owner (:class:`SnapshotOwner`): its snapshot answers
+    like the charged adapter and stays current across writes."""
+
     def test_frozen_mode_matches_charged(self, medium_grid):
         objects = place_uniform(medium_grid, 12, seed=4)
         charged = ROADEngine(medium_grid.copy(), objects, levels=2)
-        frozen = ROADEngine(medium_grid.copy(), objects, levels=2, mode="frozen")
+        owner = SnapshotOwner.build(medium_grid.copy(), objects, levels=2)
         for node in (0, 17, 54):
-            assert frozen.knn(node, 3) == charged.knn(node, 3)
-            assert frozen.range(node, 5.0) == charged.range(node, 5.0)
+            assert owner.execute(KNNQuery(node, 3)) == charged.knn(node, 3)
+            assert owner.execute(RangeQuery(node, 5.0)) == charged.range(node, 5.0)
 
     def test_refreeze_mode_invalidates_snapshot(self, medium_grid):
         """Attach and detach re-freeze at once: the stale snapshot is
         replaced inside the call, over the updated network, and the
-        snapshot is never None in frozen mode."""
+        snapshot is never None."""
         objects = place_uniform(medium_grid, 12, seed=4)
-        engine = ROADEngine(medium_grid.copy(), objects, levels=2, mode="frozen")
+        engine = SnapshotOwner.build(medium_grid.copy(), objects, levels=2)
         stale = engine.frozen
         assert stale is not None
         u, v, d = next(iter(engine.network.edges()))
-        engine.update_edge_distance(u, v, d * 3)
+        engine.write(UpdateEdgeDistance(u, v, d * 3))
         engine.attach_objects(place_uniform(medium_grid, 5, seed=9), name="hotels")
         assert engine.frozen is not None and engine.frozen is not stale
         assert engine.frozen.directory_names == ["objects", "hotels"]
-        assert engine.knn(0, 2) == engine.road.knn(0, 2)
+        assert engine.execute(KNNQuery(0, 2)) == engine.road.knn(0, 2)
         counters = engine.stats()["maintenance"]
         assert "invalidations" not in counters
         assert counters["freezes"] == 2  # construction + the attach
@@ -207,41 +216,32 @@ class TestFrozenEngineMode:
 
     def test_patch_mode_keeps_snapshot_current(self, medium_grid):
         objects = place_uniform(medium_grid, 12, seed=4)
-        engine = ROADEngine(medium_grid.copy(), objects, levels=2, mode="frozen")
+        engine = SnapshotOwner.build(medium_grid.copy(), objects, levels=2)
         snapshot = engine.frozen
         assert snapshot is not None
         u, v, d = next(iter(engine.network.edges()))
-        engine.update_edge_distance(u, v, d * 3)
+        engine.write(UpdateEdgeDistance(u, v, d * 3))
         assert engine.frozen is snapshot  # patched in place, never dropped
-        assert engine.knn(0, 3) == engine.road.knn(0, 3)
+        assert engine.execute(KNNQuery(0, 3)) == engine.road.knn(0, 3)
         counters = engine.stats()["maintenance"]
         assert counters["updates"] == 1
         assert counters["patches_applied"] + counters["patch_fallbacks"] == 1
 
     def test_stats_surface_last_report(self, medium_grid):
         objects = place_uniform(medium_grid, 12, seed=4)
-        engine = ROADEngine(medium_grid.copy(), objects, levels=2, mode="frozen")
+        engine = SnapshotOwner.build(medium_grid.copy(), objects, levels=2)
         assert engine.stats()["last_report"] is None
-        new_id = engine.objects.next_id()
+        new_id = objects.next_id()
         u, v, _ = next(iter(engine.network.edges()))
-        engine.insert_object(SpatialObject(new_id, (u, v), 0.0))
+        engine.write(InsertObject(SpatialObject(new_id, (u, v), 0.0)))
         report = engine.stats()["last_report"]
         assert report is not None and report.kind == "insert_object"
         assert report.obj.object_id == new_id
         assert engine.last_report is report
-        removed = engine.delete_object(new_id)
+        removed = engine.write(DeleteObject(new_id)).obj
         assert removed.object_id == new_id
         assert engine.stats()["last_report"].kind == "delete_object"
         assert engine.stats()["maintenance"]["updates"] == 2
-
-    def test_invalid_mode_rejected(self, medium_grid):
-        with pytest.raises(EngineError):
-            ROADEngine(
-                medium_grid.copy(),
-                place_uniform(medium_grid, 3, seed=1),
-                levels=2,
-                mode="warp",
-            )
 
 
 class TestIncrementalStats:
@@ -569,14 +569,14 @@ class TestApplyPatch:
 
     def test_engine_structural_updates_reconcile_snapshot(self, medium_grid):
         objects = place_uniform(medium_grid, 12, seed=4)
-        engine = ROADEngine(medium_grid.copy(), objects, levels=2, mode="frozen")
+        engine = SnapshotOwner.build(medium_grid.copy(), objects, levels=2)
         a, b = 0, engine.network.num_nodes - 1
         report = engine.write(AddEdge(a, b, 2.0))
         assert report.structural
-        assert engine.knn(a, 3) == engine.road.knn(a, 3)
-        if not engine.objects.on_edge(a, b):
+        assert engine.execute(KNNQuery(a, 3)) == engine.road.knn(a, 3)
+        if not engine.road.directory().objects.on_edge(a, b):
             engine.write(RemoveEdge(a, b))
-            assert engine.knn(a, 3) == engine.road.knn(a, 3)
+            assert engine.execute(KNNQuery(a, 3)) == engine.road.knn(a, 3)
         counters = engine.stats()["maintenance"]
         assert counters["updates"] >= 1
 
@@ -804,9 +804,9 @@ class TestBackends:
         _, _, road = built
         with pytest.raises(ValueError):
             road.freeze(backend="arrow")
-        # the engine takes no layout at all: its snapshot is a list one
+        # the owner takes no layout at all: its snapshot is a list one
         with pytest.raises(TypeError):
-            ROADEngine(
+            SnapshotOwner.build(
                 road.network.copy(),
                 place_uniform(road.network, 3, seed=1),
                 levels=2,
@@ -823,16 +823,14 @@ class TestBackends:
 
     def test_engine_backend_plumbing(self, medium_grid):
         objects = place_uniform(medium_grid, 12, seed=4)
-        engine = ROADEngine(
-            medium_grid.copy(), objects, levels=2, mode="frozen"
-        )
+        engine = SnapshotOwner.build(medium_grid.copy(), objects, levels=2)
         assert engine.frozen.backend == "list"
         stats = engine.stats()
         assert stats["frozen_backend"] == "list"
         assert stats["frozen_memory"]["backend"] == "list"
         # the patch lifecycle keeps the snapshot on the same backend
         u, v, d = next(iter(engine.network.edges()))
-        engine.update_edge_distance(u, v, d * 2)
+        engine.write(UpdateEdgeDistance(u, v, d * 2))
         assert engine.frozen.backend == "list"
 
     def test_backend_survives_recompile(self, built, frozen):
@@ -1047,8 +1045,11 @@ class TestFrozenAggregate:
 
     def test_aggregate_through_engine_modes(self, medium_grid):
         objects = place_uniform(medium_grid, 12, seed=4)
-        charged = ROADEngine(medium_grid.copy(), objects, levels=2)
-        frozen = ROADEngine(medium_grid.copy(), objects, levels=2, mode="frozen")
+        charged = ROAD.build(medium_grid.copy(), levels=2)
+        charged.attach_objects(objects)
+        owner = SnapshotOwner.build(medium_grid.copy(), objects, levels=2)
         query = AggregateKNNQuery((0, 42, 99), 3, "sum")
-        assert charged.execute(query) == frozen.execute(query)
-        assert charged.aggregate_knn([0, 9], 2) == frozen.aggregate_knn([0, 9], 2)
+        assert charged.execute(query) == owner.execute(query)
+        assert charged.aggregate_knn([0, 9], 2) == owner.frozen.aggregate_knn(
+            [0, 9], 2
+        )

@@ -260,15 +260,15 @@ ARMS = {
 
 
 def build_arm(network, objects, arm, *, engine=None, **overrides):
-    """A frozen-mode service on one execution arm of the lattice.
+    """A built service on one execution arm of the lattice.
 
     ``overrides`` are :class:`ServiceConfig` fields; ``engine`` holds
-    keyword arguments for the ROAD engine (``providers``,
+    keyword arguments for :meth:`SnapshotOwner.build` (``providers``,
     ``abstract_factory``, ``reduce_shortcuts``, ...).
     """
     if arm == "process" and not shared_memory_available():
         pytest.skip("host has no POSIX shared memory (/dev/shm)")
-    settings = {"mode": "frozen", "levels": 3, **ARMS[arm], **overrides}
+    settings = {"levels": 3, **ARMS[arm], **overrides}
     return RoadService.build(
         network.copy(), objects, config=ServiceConfig(**settings),
         **(engine or {}),

@@ -2,7 +2,7 @@
 
 A charged :class:`~repro.core.framework.ROAD` — the oracle, itself held
 to the brute-force Dijkstra of :mod:`tests.oracle` — takes every write.
-A frozen-mode :class:`~repro.serving.RoadService` on one execution arm of
+A built :class:`~repro.serving.RoadService` on one execution arm of
 :data:`tests.oracle.ARMS` serves the same network and objects and takes
 the same writes.  ``@initialize`` draws the shape of both: ``levels``
 1-4, ``fanout`` 2 or 4, Lemma-4 shortcut reduction on or off, exact or
@@ -49,6 +49,10 @@ axis meets that arm (the process arm runs half the rows, which still
 hold every value of every axis).  The corners take part of each arm's
 examples and the drawn cases keep the rest: inline 8 + 12, thread
 8 + 4, process 4 + 2.
+
+No case shrinks a failing example (:data:`NO_SHRINK`): the model's
+steps are costly, and shrinking one failure took minutes where finding
+it took a second.  A failure reports the example as found.
 """
 
 import asyncio
@@ -57,7 +61,7 @@ import random
 import unittest
 
 import pytest
-from hypothesis import event, settings
+from hypothesis import Phase, event, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -509,19 +513,22 @@ class ProcessModel(ByteIdentityModel):
     arm = "process"
 
 
+#: Every Hypothesis phase but ``shrink``.
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
+
 TestInline = InlineModel.TestCase
 TestInline.settings = settings(
-    max_examples=12, stateful_step_count=8, deadline=None
+    max_examples=12, stateful_step_count=8, deadline=None, phases=NO_SHRINK
 )
 TestThread = ThreadModel.TestCase
 TestThread.settings = settings(
-    max_examples=4, stateful_step_count=8, deadline=None
+    max_examples=4, stateful_step_count=8, deadline=None, phases=NO_SHRINK
 )
 TestProcess = unittest.skipUnless(
     shared_memory_available(), "host has no POSIX shared memory (/dev/shm)"
 )(ProcessModel.TestCase)
 TestProcess.settings = settings(
-    max_examples=2, stateful_step_count=12, deadline=None
+    max_examples=2, stateful_step_count=12, deadline=None, phases=NO_SHRINK
 )
 
 
@@ -586,5 +593,7 @@ def _corner_id(shape):
 def test_corner(arm, shape):
     run_state_machine_as_test(
         _pinned(arm, shape),
-        settings=settings(max_examples=1, stateful_step_count=8, deadline=None),
+        settings=settings(
+            max_examples=1, stateful_step_count=8, deadline=None, phases=NO_SHRINK
+        ),
     )

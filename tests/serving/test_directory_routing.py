@@ -5,7 +5,7 @@ The edge cases the multi-directory refactor must pin down:
 * ``directory=None`` on a multi-directory snapshot resolves to the
   *configured* default — never simply the first directory compiled;
 * a detached directory raises :class:`UnknownDirectoryError` through
-  every serving surface (charged ROAD, refrozen engine, service);
+  every serving surface (charged ROAD, refrozen owner, service);
 * admission coalescing keys stay per-(directory, predicate), so two
   directories' identical queries never share one result list;
 * ``FrozenRoad.directory_names`` / ``default_directory`` are
@@ -21,9 +21,10 @@ import asyncio
 
 import pytest
 
-from repro.baselines.road_adapter import ROADEngine
+from repro.core.association_directory import DirectoryError
 from repro.core.framework import ROAD
 from repro.core.frozen_backends import shared_memory_available
+from repro.core.owner import SnapshotOwner
 from repro.graph.generators import grid_network
 from repro.objects.placement import place_uniform
 from repro.queries.types import KNNQuery
@@ -154,11 +155,10 @@ class TestDetachedDirectory:
         assert excinfo.value.directory == "fuel"
 
     def test_engine_refreeze_drops_detached_directory(self, network, providers):
-        engine = ROADEngine(
+        engine = SnapshotOwner.build(
             network.copy(),
             providers["objects"],
             levels=2,
-            mode="frozen",
             providers={"hotels": providers["hotels"]},
         )
         assert engine.execute(KNNQuery(0, 1), directory="hotels")
@@ -188,11 +188,10 @@ class TestDetachedDirectory:
             assert snapshot.knn(0, 4, directory=name) == want
 
     def test_submit_rejects_detached_directory(self, network, providers):
-        engine = ROADEngine(
+        engine = SnapshotOwner.build(
             network.copy(),
             providers["objects"],
             levels=2,
-            mode="frozen",
             providers={"hotels": providers["hotels"]},
         )
         service = RoadService(engine)
@@ -215,15 +214,14 @@ class TestCoalescingKeys:
         """The admission key is (directory, predicate): the same query
         submitted to two directories must execute per directory and hand
         back different answers — never one shared result list."""
-        engine = ROADEngine(
+        engine = SnapshotOwner.build(
             network.copy(),
             providers["objects"],
             levels=2,
-            mode="frozen",
             providers={"hotels": providers["hotels"]},
         )
         service = RoadService(
-            engine, config=ServiceConfig(mode="frozen", max_batch=512)
+            engine, config=ServiceConfig(max_batch=512)
         )
         try:
             query = KNNQuery(4, 3)
@@ -260,11 +258,10 @@ class TestAuthoritativeDirectorySurface:
             snapshot.check_directory("parking")
 
     def test_engine_surfaces_snapshot_directories(self, network, providers):
-        engine = ROADEngine(
+        engine = SnapshotOwner.build(
             network.copy(),
             providers["objects"],
             levels=2,
-            mode="frozen",
             providers={"hotels": providers["hotels"]},
         )
         assert engine.directory_names == ["objects", "hotels"]
@@ -278,14 +275,13 @@ class TestAuthoritativeDirectorySurface:
         default directory — queries naming another provider then 404'd
         once the snapshot had been replaced (here by attaching a third
         provider)."""
-        engine = ROADEngine(
+        engine = SnapshotOwner.build(
             network.copy(),
             providers["objects"],
             levels=2,
-            mode="frozen",
             providers={"hotels": providers["hotels"]},
         )
-        service = RoadService(engine, config=ServiceConfig(mode="frozen"))
+        service = RoadService(engine, config=ServiceConfig())
         try:
             before = service.run(KNNQuery(0, 2), directory="hotels")
             assert _ids(before) <= set(providers["hotels"].ids())
@@ -304,7 +300,7 @@ class TestAuthoritativeDirectorySurface:
     ):
         from repro.core.object_abstract import counting_abstract
 
-        engine = ROADEngine(
+        engine = SnapshotOwner.build(
             network.copy(),
             providers["objects"],
             levels=2,
@@ -317,16 +313,13 @@ class TestAuthoritativeDirectorySurface:
         )
 
     def test_default_directory_cannot_be_detached(self, network, providers):
-        from repro.baselines.engine import EngineError
-
-        engine = ROADEngine(
+        engine = SnapshotOwner.build(
             network.copy(),
             providers["objects"],
             levels=2,
-            mode="frozen",
             providers={"hotels": providers["hotels"]},
         )
-        with pytest.raises(EngineError, match="cannot be detached"):
+        with pytest.raises(DirectoryError, match="cannot be detached"):
             engine.detach_objects("objects")
         assert engine.execute(KNNQuery(0, 1))  # still serving
 
@@ -340,7 +333,7 @@ class TestAuthoritativeDirectorySurface:
         service = RoadService.build(
             network.copy(),
             providers["objects"],
-            config=ServiceConfig(mode="frozen", levels=2, replicas=2),
+            config=ServiceConfig(levels=2, replicas=2),
         )
         query = KNNQuery(0, 2)
         try:
@@ -380,7 +373,7 @@ class TestAuthoritativeDirectorySurface:
         service = RoadService.build(
             network.copy(),
             providers["objects"],
-            config=ServiceConfig(mode="frozen", levels=2, replicas=1),
+            config=ServiceConfig(levels=2, replicas=1),
             providers={"hotels": providers["hotels"]},
         )
         road = service.executor.road
@@ -455,14 +448,13 @@ class TestAuthoritativeDirectorySurface:
         """Regression: a service-level detach must not look names up
         through the serving snapshot — each membership change freezes
         exactly once, inside the engine's own attach or detach."""
-        engine = ROADEngine(
+        engine = SnapshotOwner.build(
             network.copy(),
             providers["objects"],
             levels=2,
-            mode="frozen",
             providers={"hotels": providers["hotels"]},
         )
-        service = RoadService(engine, config=ServiceConfig(mode="frozen"))
+        service = RoadService(engine, config=ServiceConfig())
         try:
             freezes = engine.stats()["maintenance"]["freezes"]
             service.attach_objects(providers["fuel"], name="fuel")

@@ -20,6 +20,7 @@ from repro.baselines import (
     ROADEngine,
 )
 from repro.core.framework import ROAD
+from repro.core.owner import SnapshotOwner
 from repro.graph.generators import grid_network
 from repro.objects.placement import place_uniform
 from repro.queries.types import (
@@ -45,12 +46,8 @@ def setting():
     executors = {
         "ROAD": road,
         "FrozenRoad": road.freeze(),
-        "ROADEngine-charged": ROADEngine(
-            network.copy(), objects, levels=3, mode="charged"
-        ),
-        "ROADEngine-frozen": ROADEngine(
-            network.copy(), objects, levels=3, mode="frozen"
-        ),
+        "ROADEngine": ROADEngine(network.copy(), objects, levels=3),
+        "SnapshotOwner": SnapshotOwner.build(network.copy(), objects, levels=3),
         "NetExp": NetworkExpansionEngine(network.copy(), objects),
         "Euclidean": EuclideanEngine(network.copy(), objects),
         "DistIdx": DistanceIndexEngine(network.copy(), objects),
@@ -61,17 +58,18 @@ def setting():
 ALL = [
     "ROAD",
     "FrozenRoad",
-    "ROADEngine-charged",
-    "ROADEngine-frozen",
+    "ROADEngine",
+    "SnapshotOwner",
     "NetExp",
     "Euclidean",
     "DistIdx",
 ]
 #: Executors with a multi-source expansion (aggregate kNN support).
-AGGREGATE_CAPABLE = ["ROAD", "FrozenRoad", "ROADEngine-charged", "ROADEngine-frozen"]
+AGGREGATE_CAPABLE = ["ROAD", "FrozenRoad", "SnapshotOwner"]
 
 #: The query kinds each executor serves: the ROAD family every declared
-#: kind, the Section-2 baselines kNN and range only.
+#: kind, the paper's four compared engines (the figures' ``ROADEngine``
+#: and the Section-2 baselines) kNN and range only.
 SUPPORTED_QUERIES = {
     name: set(QUERY_TYPES) if name in AGGREGATE_CAPABLE else {KNNQuery, RangeQuery}
     for name in ALL
@@ -80,9 +78,9 @@ SUPPORTED_QUERIES = {
 
 def answering(executor):
     """The object whose methods answer ``executor``'s queries: a
-    ``ROADEngine`` forwards to its snapshot or its charged road."""
-    if isinstance(executor, ROADEngine):
-        return executor.frozen if executor.mode == "frozen" else executor.road
+    ``SnapshotOwner`` forwards to its snapshot."""
+    if isinstance(executor, SnapshotOwner):
+        return executor.frozen
     return executor
 
 
@@ -99,21 +97,25 @@ class TestRegistryRoundTrip:
         _, _, executors = setting
         executor = executors[name]
         got = executor.execute(KNNQuery(0, 3))
-        assert got == executor.knn(0, 3)
+        assert got == answering(executor).knn(0, 3)
         assert len(got) == 3
 
     @pytest.mark.parametrize("name", ALL)
     def test_range_round_trip(self, setting, name):
         _, _, executors = setting
         executor = executors[name]
-        assert executor.execute(RangeQuery(0, 250.0)) == executor.range(0, 250.0)
+        assert executor.execute(RangeQuery(0, 250.0)) == answering(executor).range(
+            0, 250.0
+        )
 
     @pytest.mark.parametrize("name", AGGREGATE_CAPABLE)
     def test_aggregate_round_trip(self, setting, name):
         _, _, executors = setting
         executor = executors[name]
         query = AggregateKNNQuery((0, 20), 2)
-        assert executor.execute(query) == executor.aggregate_knn((0, 20), 2)
+        assert executor.execute(query) == answering(executor).aggregate_knn(
+            (0, 20), 2
+        )
 
     @pytest.mark.parametrize("name", ALL)
     def test_execute_many_matches_execute(self, setting, name):

@@ -94,7 +94,7 @@ def setting():
     service = RoadService.build(
         network.copy(), objects,
         config=ServiceConfig(
-            mode="frozen", levels=3, replicas=2,
+            levels=3, replicas=2,
             max_batch=8, max_delay_ms=0.5,
         ),
     )
@@ -229,13 +229,18 @@ class TestQueryRoute:
         assert status == 404
         assert "nope" in body["error"]
 
-    @pytest.mark.parametrize("mode", ["charged", "frozen"])
-    def test_unknown_node_is_404(self, mode):
+    @pytest.mark.parametrize("executor", ["charged", "frozen"])
+    def test_unknown_node_is_404(self, executor):
         network = grid_network(8, 8, seed=13)
-        service = RoadService.build(
-            network, place_uniform(network, 16, seed=5),
-            config=ServiceConfig(mode=mode, levels=3),
-        )
+        objects = place_uniform(network, 16, seed=5)
+        if executor == "charged":
+            road = ROAD.build(network, levels=3)
+            road.attach_objects(objects)
+            service = RoadService(road)
+        else:
+            service = RoadService.build(
+                network, objects, config=ServiceConfig(levels=3)
+            )
         try:
             status, body = call(
                 RoadServiceApp(service), "POST", "/query",
@@ -505,7 +510,7 @@ class TestHealthz:
         network = grid_network(4, 4, seed=1)
         objects = place_uniform(network, 4, seed=2)
         service = RoadService.build(
-            network, objects, config=ServiceConfig(mode="frozen", levels=2)
+            network, objects, config=ServiceConfig(levels=2)
         )
         try:
             status, body = call(
@@ -558,7 +563,7 @@ class TestHealthz:
         objects = place_uniform(network, 4, seed=2)
         service = RoadService.build(
             network, objects,
-            config=ServiceConfig(mode="frozen", levels=2, **shards),
+            config=ServiceConfig(levels=2, **shards),
         )
         app = RoadServiceApp(service)
         assert call(app, "GET", "/healthz")[0] == 200
@@ -581,7 +586,7 @@ class TestHealthz:
         service = RoadService.build(
             network, objects,
             config=ServiceConfig(
-                mode="frozen", levels=2, replicas=2, replica_mode="process"
+                levels=2, replicas=2, replica_mode="process"
             ),
         )
         app = RoadServiceApp(service)
@@ -622,7 +627,7 @@ class TestCachedServiceLeg:
         service = RoadService.build(
             network.copy(), objects,
             config=ServiceConfig(
-                mode="frozen", levels=2, max_batch=8, max_delay_ms=0.5,
+                levels=2, max_batch=8, max_delay_ms=0.5,
                 result_cache=True, cache_budget=32,
             ),
         )
@@ -799,15 +804,15 @@ class TestHttp11Parser:
 
 
 class TestCommandLine:
-    def test_bad_engine_mode_is_a_usage_error(self, capsys):
+    def test_bad_replica_mode_is_a_usage_error(self, capsys):
         """A typo'd mode stops argparse with exit 2 and a usage line,
         not a ``ServiceConfig`` traceback after the demo network built."""
         with pytest.raises(SystemExit) as exit_info:
-            main(["--engine-mode", "warp"])
+            main(["--replica-mode", "warp"])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: python -m repro.serving.http")
-        assert "argument --engine-mode: invalid choice: 'warp'" in err
+        assert "argument --replica-mode: invalid choice: 'warp'" in err
 
     def test_no_backend_flag(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

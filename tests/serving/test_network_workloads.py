@@ -5,8 +5,8 @@ Three layers of guarantees, matching the serving stack:
 * **Oracle** — every workload agrees with brute-force Dijkstra ground
   truth (min-over-seeds for the multi-source sweeps);
 * **Identity** — charged ROAD, FrozenRoad on every installed backend, a
-  saved/mmap-loaded snapshot, and both ROADEngine modes return the same
-  bytes for the same query;
+  saved/mmap-loaded snapshot and the served ``SnapshotOwner`` return the
+  same bytes for the same query;
 * **Serving** — the async admission path (thread and process shards)
   answers exactly like the sync primary, and every degenerate shape
   (empty targets, unreachable cells, duplicate path nodes, unsorted
@@ -21,9 +21,9 @@ import random
 
 import pytest
 
-from repro.baselines.road_adapter import ROADEngine
 from repro.core.framework import ROAD
 from repro.core.frozen_backends import installed_backends, shared_memory_available
+from repro.core.owner import SnapshotOwner
 from repro.core.search import SearchStats
 from repro.core.serialize import load_snapshot, save_snapshot
 from repro.eval.metrics import snapshot_divergences
@@ -149,9 +149,8 @@ class TestCrossEngineIdentity:
         finally:
             loaded.close()
 
-    @pytest.mark.parametrize("mode", ["charged", "frozen"])
-    def test_road_engine_modes_match(self, road, mode):
-        engine = ROADEngine(NETWORK.copy(), OBJECTS, levels=3, mode=mode)
+    def test_snapshot_owner_matches_charged(self, road):
+        engine = SnapshotOwner.build(NETWORK.copy(), OBJECTS, levels=3)
         assert engine.execute_many(QUERIES) == road.execute_many(QUERIES)
 
     def test_stats_are_identical_across_engines(self, road, frozen):
@@ -188,7 +187,6 @@ class TestServingPaths:
             NETWORK.copy(),
             OBJECTS,
             config=ServiceConfig(
-                mode="frozen",
                 levels=3,
                 replicas=2,
                 replica_mode=replica_mode,

@@ -1,7 +1,8 @@
 """One owner for the served ROAD: every write reaches each snapshot once.
 
-The executor :meth:`RoadService.build` creates is the only code holding
-the ROAD.  A write through the service lands on it, the owner patches
+The executor :meth:`RoadService.build` creates, a
+:class:`~repro.core.owner.SnapshotOwner`, is the only code holding the
+ROAD.  A write through the service lands on it, the owner patches
 (or, for a directory-membership change, re-freezes) its own ``list``
 snapshot inside the call, and the service fans the owner's report out
 to the process pool, whose ``shm`` snapshot the owner froze and which
@@ -21,6 +22,7 @@ from repro.eval.metrics import snapshot_divergences
 from repro.graph.generators import grid_network
 from repro.objects.model import SpatialObject
 from repro.objects.placement import place_uniform
+from repro.queries.writes import AddEdge, RemoveEdge, UpdateObjectAttrs
 from tests.oracle import ARMS, build_arm
 
 
@@ -55,12 +57,12 @@ def _writes(network):
     return [
         ("insert_object", lambda s: s.insert_object(fresh)),
         ("update_object_attrs",
-         lambda s: s.update_object_attrs(fresh.object_id, {"type": "fuel"})),
+         lambda s: s.write(UpdateObjectAttrs(fresh.object_id, {"type": "fuel"}))),
         ("delete_object", lambda s: s.delete_object(fresh.object_id)),
         ("update_edge_distance",
          lambda s: s.update_edge_distance(u, v, distance * 1.5)),
-        ("add_edge", lambda s: s.add_edge(a, b, 1.0)),
-        ("remove_edge", lambda s: s.remove_edge(a, b)),
+        ("add_edge", lambda s: s.write(AddEdge(a, b, 1.0))),
+        ("remove_edge", lambda s: s.write(RemoveEdge(a, b))),
         ("attach_objects", lambda s: s.attach_objects(hotels, name="hotels")),
         ("detach_objects", lambda s: s.detach_objects("hotels")),
     ]

@@ -62,7 +62,7 @@ def service(service_parts):
     service = RoadService.build(
         network.copy(), objects,
         config=ServiceConfig(
-            mode="frozen", levels=3, replicas=2, replica_mode="process",
+            levels=3, replicas=2, replica_mode="process",
             max_batch=4, max_delay_ms=0.5,
         ),
     )
@@ -163,7 +163,7 @@ def test_back_to_back_swaps_skip_the_superseded_reload(service_parts):
     service = RoadService.build(
         network.copy(), objects,
         config=ServiceConfig(
-            mode="frozen", levels=3, replicas=1, replica_mode="process",
+            levels=3, replicas=1, replica_mode="process",
         ),
     )
     try:
@@ -212,7 +212,7 @@ def _pool_parts():
         network, 16, seed=4, attr_choices={"type": ["cafe", "fuel"]}
     )
     road = RoadService.build(
-        network, objects, config=ServiceConfig(mode="frozen", levels=3)
+        network, objects, config=ServiceConfig(levels=3)
     ).executor.road
     workload = mixed_workload(network, 12, k=3, radius=250.0, seed=9)
     return road, workload
@@ -385,7 +385,7 @@ def test_mask_cache_gauges_count_the_workers_path_tables():
     service = RoadService.build(
         network, objects,
         config=ServiceConfig(
-            mode="frozen", levels=2, replicas=1, replica_mode="process",
+            levels=2, replicas=1, replica_mode="process",
         ),
     )
     try:

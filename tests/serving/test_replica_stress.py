@@ -183,7 +183,7 @@ def test_broadcast_under_concurrent_batches(network, workload):
     pool threads are reading."""
     service = RoadService.build(
         network.copy(), make_objects(network),
-        config=ServiceConfig(mode="frozen", levels=LEVELS, **STRESS),
+        config=ServiceConfig(levels=LEVELS, **STRESS),
     )
     try:
         stress(service, make_twin(network), workload)
@@ -227,7 +227,7 @@ def test_thread_replicas_freeze_only_the_primary(network, monkeypatch):
     monkeypatch.setattr(ROAD, "freeze", counting)
     service = RoadService.build(
         network.copy(), make_objects(network),
-        config=ServiceConfig(mode="frozen", levels=LEVELS, replicas=2),
+        config=ServiceConfig(levels=LEVELS, replicas=2),
     )
     service.close()
     assert len(freezes) == 1

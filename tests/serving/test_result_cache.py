@@ -48,6 +48,7 @@ from repro.queries.types import (
     RouteKNNQuery,
     ServiceAreaQuery,
 )
+from repro.queries.writes import AddEdge
 from repro.serving import RoadService, ServiceConfig
 from repro.serving.result_cache import (
     MISS,
@@ -641,7 +642,7 @@ def cached_service(network, objects):
     service = RoadService.build(
         network.copy(), objects,
         config=ServiceConfig(
-            mode="frozen", levels=3, max_batch=64,
+            levels=3, max_batch=64,
             result_cache=True, cache_budget=64,
         ),
     )
@@ -805,7 +806,7 @@ class TestCachedService:
             node = pred[node]
         distance = cached_service.executor.network.edge_distance(a, node) / 10
         uncached = RoadService.build(
-            network.copy(), objects, config=ServiceConfig(mode="frozen", levels=3)
+            network.copy(), objects, config=ServiceConfig(levels=3)
         )
         try:
             report = cached_service.update_edge_distance(a, node, distance)
@@ -823,7 +824,7 @@ class TestCachedService:
         network = cached_service.executor.network
         a, b = 0, 27
         assert not network.has_edge(a, b)
-        report = cached_service.add_edge(a, b, 1.0)
+        report = cached_service.write(AddEdge(a, b, 1.0))
         assert report.structural
         assert len(cached_service._result_cache) == 0
         (post,) = submit_all(cached_service, QUERIES)
@@ -882,7 +883,7 @@ class TestCachedService:
         weights = [1.0 / (rank + 1) ** 1.1 for rank in range(len(pool))]
         waves = [rnd.choices(pool, weights=weights, k=8) for _ in range(30)]
         uncached = RoadService(
-            cached_service.executor, config=ServiceConfig(mode="frozen")
+            cached_service.executor, config=ServiceConfig()
         )
         try:
             for wave in waves:
@@ -934,12 +935,12 @@ class TestExactInvalidation:
         cached = RoadService.build(
             network.copy(), objects,
             config=ServiceConfig(
-                mode="frozen", levels=3, max_batch=256,
+                levels=3, max_batch=256,
                 result_cache=True, cache_budget=256,
             ),
         )
         uncached = RoadService.build(
-            network.copy(), objects, config=ServiceConfig(mode="frozen", levels=3)
+            network.copy(), objects, config=ServiceConfig(levels=3)
         )
         queries = [KNNQuery(node, 2) for node in range(network.num_nodes)]
         submit_all(cached, queries)
@@ -1097,7 +1098,7 @@ class TestExactInvalidation:
         )
         assert key in cached_service._result_cache._entries
         uncached = RoadService(
-            cached_service.executor, config=ServiceConfig(mode="frozen")
+            cached_service.executor, config=ServiceConfig()
         )
         try:
             assert submit_all(cached_service, [query]) == submit_all(
@@ -1125,7 +1126,7 @@ class TestCachedReplicaModes:
         service = RoadService.build(
             network.copy(), objects,
             config=ServiceConfig(
-                mode="frozen", levels=3, replicas=2,
+                levels=3, replicas=2,
                 replica_mode=replica_mode, max_batch=64,
                 result_cache=True, cache_budget=64,
             ),

@@ -19,6 +19,7 @@ import pytest
 from repro.baselines import NetworkExpansionEngine
 from repro.core.framework import ROAD
 from repro.core.frozen_backends import shared_memory_available
+from repro.core.owner import SnapshotOwner
 from repro.eval.metrics import snapshot_divergences
 from repro.graph.generators import grid_network
 from repro.objects.model import SpatialObject
@@ -145,8 +146,14 @@ async def settle():
 class TestServiceConfig:
     def test_defaults(self):
         config = ServiceConfig()
-        assert config.mode == "charged"
+        assert config.mode == "frozen"
         assert config.replicas == 0
+
+    def test_charged_mode_refused(self):
+        """The snapshot is the one served path: a charged ROAD serves
+        only when passed as the executor itself."""
+        with pytest.raises(ValueError, match="mode must be 'frozen'"):
+            ServiceConfig(mode="charged")
 
     @pytest.mark.parametrize(
         "field,value",
@@ -175,10 +182,10 @@ class TestServiceConfig:
         assert not hasattr(config, "backend")
 
     def test_from_env_reads_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "frozen")
+        monkeypatch.setenv("REPRO_REPLICA_MODE", "Process")
         monkeypatch.setenv("REPRO_REPLICAS", "3")
         config = ServiceConfig.from_env()
-        assert config.mode == "frozen"
+        assert config.replica_mode == "process"
         assert config.replicas == 3
 
     def test_sharded_build_never_compiles_a_primary_snapshot(
@@ -189,12 +196,12 @@ class TestServiceConfig:
         membership change re-freezes it exactly once, inside the attach."""
         service = RoadService.build(
             network.copy(), objects,
-            config=ServiceConfig(mode="frozen", levels=3, replicas=2),
+            config=ServiceConfig(levels=3, replicas=2),
         )
         try:
             engine = service.executor
-            # mode="frozen" freezes the primary once at engine build; the
-            # replica setup must not add lazy freezes on top.
+            # The owner freezes the primary once at build; the replica
+            # setup must not add lazy freezes on top.
             assert engine.stats()["maintenance"]["freezes"] == 1
             hotels = place_uniform(network, 6, seed=41)
             service.attach_objects(hotels, name="hotels")
@@ -205,8 +212,9 @@ class TestServiceConfig:
             service.close()
 
     def test_explicit_kwargs_beat_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "frozen")
-        assert ServiceConfig.from_env(mode="charged").mode == "charged"
+        monkeypatch.setenv("REPRO_REPLICA_MODE", "process")
+        config = ServiceConfig.from_env(replica_mode="thread")
+        assert config.replica_mode == "thread"
 
     @pytest.mark.parametrize("name", ["REPRO_REPLICAS", "REPRO_CACHE_BUDGET"])
     def test_from_env_integer_typo_names_its_variable(self, monkeypatch, name):
@@ -215,31 +223,30 @@ class TestServiceConfig:
             ServiceConfig.from_env()
 
     def test_env_validation_still_applies(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "lukewarm")
+        monkeypatch.setenv("REPRO_REPLICA_MODE", "lukewarm")
         with pytest.raises(ValueError):
             ServiceConfig.from_env()
 
 
 class TestBuild:
     def test_build_selects_engine_family(self, network, objects):
-        """``build`` constructs the ROAD engine; any other family is
-        built by its caller and wrapped."""
+        """``build`` constructs the ROAD and its snapshot owner; any
+        other family is built by its caller and wrapped."""
         service = RoadService.build(
             network.copy(), objects, config=ServiceConfig(levels=3)
         )
-        assert type(service.executor).__name__ == "ROADEngine"
+        assert isinstance(service.executor, SnapshotOwner)
         engine = NetworkExpansionEngine(network.copy(), objects)
         service = RoadService(engine)
         assert service.executor is engine
         assert gather_submits(service, [KNNQuery(0, 2)]) == [engine.knn(0, 2)]
 
-    def test_build_road_frozen(self, network, objects):
+    def test_default_config_serves_a_list_snapshot(self, network, objects):
         service = RoadService.build(
-            network.copy(), objects,
-            config=ServiceConfig(mode="frozen", levels=3),
+            network.copy(), objects, config=ServiceConfig(levels=3)
         )
-        assert service.executor.mode == "frozen"
-        assert service.executor.frozen is not None
+        assert service.executor.frozen.backend == "list"
+        assert service.run(KNNQuery(0, 2)) == service.executor.frozen.knn(0, 2)
 
     def test_wrap_existing_road(self, network, objects):
         road = ROAD.build(network.copy(), levels=3)
@@ -265,7 +272,7 @@ class TestByteIdentity:
     def test_async_matches_sync(self, network, objects, workload):
         service = RoadService.build(
             network.copy(), objects,
-            config=ServiceConfig(mode="frozen", levels=3, max_batch=256),
+            config=ServiceConfig(levels=3, max_batch=256),
         )
         assert gather_submits(service, workload) == service.run_many(workload)
         service.close()
@@ -277,7 +284,7 @@ class TestByteIdentity:
         service = RoadService.build(
             network.copy(), objects,
             config=ServiceConfig(
-                mode="frozen", levels=3, replicas=2, max_batch=8
+                levels=3, replicas=2, max_batch=8
             ),
         )
         try:
@@ -295,7 +302,7 @@ class TestByteIdentity:
     def test_coalescing_preserves_answers(self, network, objects):
         service = RoadService.build(
             network.copy(), objects,
-            config=ServiceConfig(mode="frozen", levels=3, max_batch=512),
+            config=ServiceConfig(levels=3, max_batch=512),
         )
         query = KNNQuery(4, 3)
         answers = gather_submits(service, [query] * 12)
@@ -312,7 +319,7 @@ class TestByteIdentity:
         lists, so aliasing would break sync/async parity)."""
         service = RoadService.build(
             network.copy(), objects,
-            config=ServiceConfig(mode="frozen", levels=3, max_batch=512),
+            config=ServiceConfig(levels=3, max_batch=512),
         )
         query = KNNQuery(4, 3)
         first, second = gather_submits(service, [query] * 2)
@@ -324,10 +331,9 @@ class TestByteIdentity:
         service.close()
 
     def test_charged_async_matches_sync(self, network, objects, workload):
-        service = RoadService.build(
-            network.copy(), objects,
-            config=ServiceConfig(mode="charged", levels=3, max_batch=256),
-        )
+        road = ROAD.build(network.copy(), levels=3)
+        road.attach_objects(objects)
+        service = RoadService(road, config=ServiceConfig(max_batch=256))
         assert gather_submits(service, workload) == service.run_many(workload)
         service.close()
 
@@ -403,7 +409,7 @@ class TestShardedMaintenance:
     ):
         service = RoadService.build(
             network.copy(), objects,
-            config=ServiceConfig(mode="frozen", levels=3, replicas=2),
+            config=ServiceConfig(levels=3, replicas=2),
         )
         try:
             engine = service.executor
@@ -432,7 +438,7 @@ class TestShardedMaintenance:
         )
         service = RoadService.build(
             network.copy(), objects,
-            config=ServiceConfig(mode="frozen", levels=3, replicas=2),
+            config=ServiceConfig(levels=3, replicas=2),
             providers={"hotels": hotels},
         )
         try:
@@ -535,7 +541,7 @@ class TestAdmissionControl:
         neighbours that would have shared its batch get their answers."""
         service = RoadService.build(
             network.copy(), objects,
-            config=ServiceConfig(mode="frozen", levels=3, **settings),
+            config=ServiceConfig(levels=3, **settings),
         )
         queries = [KNNQuery(3, 1), KNNQuery(999, 1), KNNQuery(5, 1)]
 
@@ -558,7 +564,7 @@ class TestAdmissionControl:
         service = RoadService.build(
             network.copy(), objects,
             config=ServiceConfig(
-                mode="frozen", levels=3, max_batch=64, max_delay_ms=50.0
+                levels=3, max_batch=64, max_delay_ms=50.0
             ),
         )
         query = KNNQuery(0, 2)
@@ -600,7 +606,7 @@ class TestAdmissionControl:
         service = RoadService.build(
             network.copy(), objects,
             config=ServiceConfig(
-                mode="frozen", levels=3, max_batch=4,
+                levels=3, max_batch=4,
                 max_delay_ms=10_000.0,  # only the occupancy flush can fire
             ),
         )
@@ -618,7 +624,7 @@ class TestAdmissionControl:
     def test_per_predicate_buckets(self, network, objects):
         service = RoadService.build(
             network.copy(), objects,
-            config=ServiceConfig(mode="frozen", levels=3, max_batch=64),
+            config=ServiceConfig(levels=3, max_batch=64),
         )
         queries = [
             KNNQuery(0, 2, Predicate.of(type="cafe")),
@@ -927,8 +933,9 @@ class TestEvalHarnessIsolation:
             "NetExp", network, objects, buffer_pages=8
         )
         assert engine.knn(0, 1)
-        monkeypatch.setenv("REPRO_ENGINE", "frozen")
+        monkeypatch.setenv("REPRO_REPLICA_MODE", "process")
         road = build_engine(
             "ROAD", network, objects, road_levels=3, buffer_pages=8
         )
-        assert road.stats()["maintenance"]["freezes"] == 1  # its own, once
+        assert road.frozen is None  # charged: the figures count its pages
+        assert road.knn(0, 1)

@@ -1,10 +1,12 @@
-"""The import layering: ``queries`` ← ``core`` ← ``baselines`` ← ``serving``.
+"""The import layering: ``queries`` ← ``core`` ← {``baselines``, ``serving``}.
 
 The query and write declarations in :mod:`repro.queries` sit below the
 engines.  The serving tier sits on top of the library.  The dispatch protocol the
 engines implement lives in :mod:`repro.core.dispatch`, so no module of
 the library layers imports :mod:`repro.serving`, and importing the core
-engine never loads the serving tier.  Three more contracts live here:
+engine never loads the serving tier.  The served ROAD's owner lives in
+:mod:`repro.core.owner`, so the serving tier never imports the paper's
+comparison engines in :mod:`repro.baselines` either.  Three more contracts live here:
 every module imports with numpy and scipy blocked, a served network is
 generated, populated and served without either being loaded (the package
 is stdlib-only, its generators included), and only
@@ -73,6 +75,29 @@ def test_library_layers_never_import_serving(package):
             if name == "repro.serving" or name.startswith("repro.serving.")
         )
     assert offenders == []
+
+
+def test_serving_never_imports_the_comparison_engines():
+    offenders = []
+    for path, tree in _parsed(PACKAGE_ROOT / "serving"):
+        offenders.extend(
+            f"{path.relative_to(PACKAGE_ROOT)}: {name}"
+            for name in _imported_modules(tree)
+            if name == "repro.baselines" or name.startswith("repro.baselines.")
+        )
+    assert offenders == []
+    # Nor through another module: the HTTP edge boots without them.
+    probe = (
+        "import sys\n"
+        "import repro.serving.http\n"
+        "print(','.join(sorted(m for m in sys.modules\n"
+        "    if m.startswith('repro.baselines'))))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_child_env()
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == ""
 
 
 def test_queries_import_no_engine_or_serving_layer():
@@ -186,7 +211,7 @@ def test_a_served_mini_ca_loads_neither_numpy_nor_scipy():
         "network = load_dataset('CA').network\n"
         "objects = place_uniform(network, 100, seed=1)\n"
         "service = RoadService.build(\n"
-        "    network, objects, config=ServiceConfig(mode='frozen')\n"
+        "    network, objects, config=ServiceConfig()\n"
         ")\n"
         "assert len(service.run(KNNQuery(0, 3))) == 3\n"
         "service.close()\n"
