@@ -40,7 +40,7 @@ from repro.queries.types import (
     ResultEntry,
 )
 
-__version__ = "1.12.0"
+__version__ = "1.13.0"
 
 __all__ = [
     "ANY",

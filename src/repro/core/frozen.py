@@ -56,8 +56,8 @@ that scales with the perturbation in the common case.
 How the compiled arrays are stored follows from who reads the snapshot
 (see :mod:`repro.core.frozen_backends`): a heap snapshot keeps pre-boxed
 Python lists (``"list"``, the fastest pure-Python queries), the process
-pool's snapshot puts typed buffers in shared-memory segments (``"shm"``),
-and a snapshot file loads as a read-only mmap view.  All of them serve
+pool's snapshot puts typed buffers in anonymous shared-memory segments
+(``"shm"``), and a snapshot file loads as a read-only mmap view.  All of them serve
 byte-identical answers; the first two support the patch lifecycle.
 """
 
@@ -577,7 +577,7 @@ class FrozenRoad(QueryExecutor):
 
         The constructor behind both cold-start paths: a snapshot file
         loaded by :func:`repro.core.serialize.load_snapshot` and a worker
-        process attaching a primary's shared-memory segments
+        process attaching a primary's shared-memory segments by descriptor
         (:meth:`from_manifest`).  ``arrays`` is keyed exactly like
         :meth:`_arrays` (directory-prefixed object arrays); ``rnet_slots``
         lists Rnet ids in compiled slot order; each directory contributes
@@ -645,17 +645,18 @@ class FrozenRoad(QueryExecutor):
         }
 
     def shm_manifest(self) -> Dict[str, Any]:
-        """A picklable handle another process turns into this snapshot.
+        """What another process needs to attach this snapshot zero-copy.
 
-        Only meaningful for ``backend="shm"`` snapshots: the manifest
-        carries each compiled array's segment name + typecode (attached
-        zero-copy on the other side) plus the Python-side state the
-        segments cannot carry — node/Rnet id spaces, object references
-        and abstract snapshots per directory.  Feed to
-        :meth:`from_manifest` in the worker.
+        Only meaningful for ``backend="shm"`` snapshots: ``segments`` maps
+        each compiled array to ``(descriptor, typecode)`` — this
+        process's descriptor of the array's segment, which the process
+        pool passes to a worker over a Unix socket — beside the
+        Python-side state the segments cannot carry: node/Rnet id spaces,
+        object references and abstract snapshots per directory.  Feed to
+        :meth:`from_manifest` wherever those descriptors are valid.
         """
         parts = self.export_parts()
-        segments: Dict[str, Tuple[str, str]] = {}
+        segments: Dict[str, Tuple[int, str]] = {}
         for key, arr in parts.pop("arrays").items():
             if not isinstance(arr, ShmVector):
                 raise FrozenRoadError(
@@ -663,7 +664,7 @@ class FrozenRoad(QueryExecutor):
                     f"array {key!r} of this {self.backend!r} snapshot is "
                     "not shared"
                 )
-            segments[key] = (arr.segment_name, arr.typecode)
+            segments[key] = (arr.descriptor, arr.typecode)
         parts["segments"] = segments
         return parts
 
@@ -671,18 +672,19 @@ class FrozenRoad(QueryExecutor):
     def from_manifest(cls, manifest: Dict[str, Any]) -> "FrozenRoad":
         """Attach a primary's shared snapshot in this process (zero-copy).
 
-        The inverse of :meth:`shm_manifest`: every compiled array is an
-        attach to the primary's named segment — the primary's patch
-        writes are visible here immediately — while object references and
+        The inverse of :meth:`shm_manifest`: every compiled array maps
+        the segment behind its descriptor — the primary's patch writes
+        are visible here immediately — while object references and
         abstracts are this process's own copies (the process pool's sync
         protocol refreshes them on object churn).  The attachment is
         read-only in practice: resizing splices are refused off-owner,
-        and the pool never routes ``apply`` to workers.  Call
-        :meth:`close` to drop the attachments; the primary alone unlinks.
+        and the pool never routes ``apply`` to workers.  Each array keeps
+        a duplicate of its descriptor; the caller still owns the ones in
+        ``manifest``.  Call :meth:`close` to drop the attachments.
         """
         arrays: Dict[str, Any] = {
-            key: ShmVector.attach(segment, typecode)
-            for key, (segment, typecode) in manifest["segments"].items()
+            key: ShmVector.attach(fd, typecode)
+            for key, (fd, typecode) in manifest["segments"].items()
         }
         return cls.from_parts(
             backend="shm",
@@ -696,10 +698,11 @@ class FrozenRoad(QueryExecutor):
     def close(self) -> None:
         """Release backend resources this snapshot holds; idempotent.
 
-        Shared-memory snapshots drop their segment mappings (the owning
-        primary also unlinks them — workers merely detach); mmap-loaded
-        snapshots close the mapped file.  Heap backends have nothing to
-        release.  The snapshot must not serve queries afterwards.
+        Shared-memory snapshots drop their segment mappings and
+        descriptors (the kernel frees a segment once every process
+        holding it has let go); mmap-loaded snapshots close the mapped
+        file.  Heap backends have nothing to release.  The snapshot must
+        not serve queries afterwards.
         """
         self._drop_views()
         for state in self._dirs.values():
@@ -719,13 +722,17 @@ class FrozenRoad(QueryExecutor):
 
         The process-pool sync hook for workers attached to a primary's
         shared segments: after the primary patches (and possibly
-        resizes) the shared arrays, cached memoryviews can be stale —
-        the shm vectors re-derive their payload views lazily once the
-        stale caches are gone.  The sync names no dirty node, so every
-        cached ChoosePath result goes too — including any a batch
-        filled from a torn read before the seqlock sent it to retry.
+        resizes or grows) the shared arrays, cached memoryviews can be
+        stale — a grown segment is re-mapped here, and the shm vectors
+        re-derive their payload views lazily once the stale caches are
+        gone.  The sync names no dirty node, so every cached ChoosePath
+        result goes too — including any a batch filled from a torn read
+        before the seqlock sent it to retry.
         """
         self._drop_views()
+        for arr in self._arrays().values():
+            if isinstance(arr, ShmVector):
+                arr.remap()
         self._drop_paths()
 
     def sync_directories(
@@ -741,9 +748,10 @@ class FrozenRoad(QueryExecutor):
         object references queries return and the abstract snapshots that
         drive Rnet pruning.  Replaces both per directory, invalidates
         the compiled predicate masks (they summarise the old abstracts),
-        and drops cached array views so the next query re-reads the
-        (possibly resized) shared arrays.  Directories this snapshot
-        never compiled are ignored, mirroring :meth:`apply_object_delta`.
+        and drops cached array views (re-mapping grown segments) so the
+        next query re-reads the possibly resized shared arrays.
+        Directories this snapshot never compiled are ignored, mirroring
+        :meth:`apply_object_delta`.
         """
         for name, (obj_ref, abstracts) in directories.items():
             state = self._dirs.get(name)
@@ -753,8 +761,7 @@ class FrozenRoad(QueryExecutor):
             state.abstracts = list(abstracts)
             state.rnet_masks.clear()
             state.obj_masks.clear()
-        self._drop_views()
-        self._drop_paths()
+        self.refresh_views()
 
     @property
     def backend(self) -> str:
@@ -1572,24 +1579,15 @@ class FrozenRoad(QueryExecutor):
             "path_table_bytes": path_bytes,
             "directories": per_directory,
         }
-        shm_segments: Dict[str, Dict[str, object]] = {}
-        shm_bytes = 0
         # Mask caches never appear here: they are process-local bytearrays
         # on every backend, shm included (see ShmBackend's docstring).
-        shared: List[Tuple[str, Any]] = [
-            (name, arr)
-            for name, arr in self._arrays().items()
+        shared = [
+            arr.segment_bytes
+            for arr in self._arrays().values()
             if isinstance(arr, ShmVector)
         ]
-        for name, vector in shared:
-            shm_segments[name] = {
-                "segment": vector.segment_name,
-                "bytes": vector.segment_bytes,
-            }
-            shm_bytes += vector.segment_bytes
-        if shm_segments:
-            stats["shm_segments"] = shm_segments
-            stats["shm_bytes"] = shm_bytes
+        if shared:
+            stats["shm_bytes"] = sum(shared)
         if self._snapshot_path is not None:
             stats["snapshot_path"] = self._snapshot_path
             try:

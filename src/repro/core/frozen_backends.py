@@ -9,12 +9,12 @@ them follows from who reads it; no user-set option chooses:
   ints/floats: hot-loop indexing returns existing objects without boxing
   a fresh int/float per access, the fastest pure-Python query path.
 * ``"shm"`` — the snapshot process workers attach.  Stdlib typed buffers
-  in named ``multiprocessing.shared_memory`` segments
+  in anonymous ``os.memfd_create`` segments
   (:class:`repro.core.shm_arrays.ShmVector`), so worker *processes*
-  attach the same snapshot zero-copy and the primary's ``apply()`` patch
-  writes land in every attached process at once.  The service freezes
-  it for its process pool itself.  Requires a host with POSIX shared
-  memory (``/dev/shm``); see ``installed_backends``.
+  attach the same snapshot zero-copy by descriptor and the primary's
+  ``apply()`` patch writes land in every attached process at once.  The
+  service freezes it for its process pool itself.  Requires a host with
+  ``memfd_create`` (Linux); see ``installed_backends``.
 * ``"mmap"`` — a snapshot file loaded by
   :func:`repro.core.serialize.load_snapshot`: read-only memoryview casts
   into the mapped file.  Not a ``freeze`` choice, so not in
@@ -134,22 +134,19 @@ class TypedBufferBackend(ListBackend):
 
 
 class ShmBackend(TypedBufferBackend):
-    """Typed buffers in named shared-memory segments.
+    """Typed buffers in anonymous shared-memory segments.
 
     8 B/slot CSR arrays, each a :class:`~repro.core.shm_arrays.ShmVector`
-    whose bytes live in a ``multiprocessing.shared_memory`` segment.  One
-    process — the primary — owns the segments and applies patches; any
-    number of worker processes attach the same segments by name
+    whose bytes live in an ``os.memfd_create`` segment.  One process —
+    the primary — owns the segments and applies patches; any number of
+    worker processes attach the same segments by descriptor
     (:meth:`repro.core.frozen.FrozenRoad.shm_manifest` +
-    :meth:`~repro.core.frozen.FrozenRoad.from_parts`) and serve queries
-    zero-copy while the primary's slice writes land in place.
+    :meth:`~repro.core.frozen.FrozenRoad.from_manifest`) and serve
+    queries zero-copy while the primary's slice writes land in place.
 
     Predicate mask caches deliberately stay process-local bytearrays:
     masks are never in the manifest — each attacher recompiles its own
-    lazily — so a named segment per cached predicate would buy no
-    sharing while leaking a ``/dev/shm`` entry whenever a worker dies
-    without running its ``close()`` (e.g. SIGKILL), until the resource
-    tracker reaps it at interpreter exit.
+    lazily — so a segment per cached predicate would buy no sharing.
 
     Query loops read through the vectors' cached payload memoryviews.
     Snapshots built on this backend should be released deterministically
@@ -182,7 +179,7 @@ def get_backend(name: str) -> ListBackend:
 
     Case-insensitive.  Raises ``ValueError`` for names outside
     :data:`BACKENDS` and ``OSError`` when ``"shm"`` is requested on a
-    host without POSIX shared memory.
+    host without anonymous shared memory.
     """
     name = name.lower()
     if name not in BACKENDS:
@@ -191,8 +188,8 @@ def get_backend(name: str) -> ListBackend:
         return ListBackend()
     if not shared_memory_available():
         raise OSError(
-            "FrozenRoad backend 'shm' requires POSIX shared memory "
-            "(/dev/shm), which this host does not provide; process "
+            "FrozenRoad backend 'shm' requires anonymous shared memory "
+            "(os.memfd_create), which this host does not provide; process "
             "replicas cannot run here"
         )
     return ShmBackend()
@@ -219,7 +216,7 @@ def installed_backends() -> Tuple[str, ...]:
     """The backends constructible in this environment, in BACKENDS order.
 
     ``"list"`` is stdlib-only and always present; ``"shm"`` appears when
-    the host provides POSIX shared memory (``/dev/shm``).
+    the host provides anonymous shared memory (``memfd_create``).
     """
     return tuple(
         name

@@ -1,9 +1,9 @@
 """Shared-memory typed vectors: the storage layer of the ``"shm"`` backend.
 
-A :class:`ShmVector` is one compiled CSR array whose bytes live in a
-named ``multiprocessing.shared_memory`` segment, so any number of worker
-*processes* can attach the same snapshot zero-copy while the primary
-keeps patching it in place.  The layout per segment::
+A :class:`ShmVector` is one compiled CSR array whose bytes live in an
+anonymous memory file (``os.memfd_create``), so any number of worker
+*processes* map the same snapshot zero-copy while the primary keeps
+patching it in place.  The layout per segment::
 
     [ length : int64 ][ capacity : int64 ][ payload : capacity * itemsize ]
 
@@ -12,10 +12,18 @@ keeps patching it in place.  The layout per segment::
   ``len()`` re-reads the header), with no side-channel required for the
   common resize case.
 * ``capacity`` leaves slack beyond ``length`` so object-churn splices
-  usually move bytes within the segment instead of reallocating.  When a
-  splice outgrows the slack the vector transparently re-homes into a
-  larger segment (owner only) — the segment *name* changes, which the
-  process pool detects and answers with a worker reload.
+  usually move bytes within the segment.  When a splice outgrows the
+  slack the owner grows the segment in place (``ftruncate`` plus a
+  re-map): the file stays the same, so an attached process only
+  re-maps it (:meth:`ShmVector.remap`), which the process pool does when
+  the sync payload after the patch reaches the worker.
+
+A segment has no name.  Processes share it by **descriptor**: a worker
+inherits the descriptor or receives it over a Unix socket
+(``socket.send_fds``) and maps it with :meth:`ShmVector.attach`.  The
+kernel frees the memory when its last descriptor and mapping close, so
+a crash — even a SIGKILL of the whole process group — leaves nothing
+behind, and no resource tracker has to clean up after one.
 
 The vector speaks the same protocol the other
 :mod:`repro.core.frozen_backends` arrays do: ``len``/indexing,
@@ -23,22 +31,18 @@ slice-assignment writes (including resizing splices, byte-moved with a
 single tail copy), and a cached :meth:`view` memoryview for the query hot
 loops.
 
-Lifecycle: this module is the only one that creates a ``SharedMemory``
-segment.  Every segment is ``close()``-d by each attached process and
-``unlink()``-ed exactly once, by the owner, from :meth:`ShmVector.close`.
-A ``weakref.finalize`` backstop covers vectors dropped without an
-explicit close (tests, a snapshot garbage-collected unclosed) so
-abandoned segments do not outlive the process.
-CPython < 3.13 registers *attached* segments with the resource tracker as
-if they were owned — see :func:`attach_segment` for why that is benign in
-the one-tracker-per-process-tree world the serving pool runs in.
+Lifecycle: every vector, owner or attacher, holds its own descriptor and
+mapping and releases both in :meth:`ShmVector.close`.  A
+``weakref.finalize`` backstop does the same for vectors dropped without
+an explicit close (tests, a snapshot garbage-collected unclosed).
 """
 
 from __future__ import annotations
 
+import mmap
+import os
 import weakref
 from array import array
-from multiprocessing.shared_memory import SharedMemory
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Union
 
 #: Bytes before the payload: two little-endian int64s (length, capacity).
@@ -49,7 +53,7 @@ HEADER_BYTES = 16
 ITEMSIZES = {"q": 8, "d": 8, "b": 1}
 
 #: Minimum capacity slack (elements) left beyond the initial length, so
-#: small vectors survive a few object insertions without re-homing.
+#: small vectors survive a few object insertions without growing.
 MIN_SLACK = 8
 
 #: What slice assignment accepts as a replacement-values source.
@@ -60,62 +64,40 @@ class ShmSegmentError(Exception):
     """Raised on shm-vector misuse (bad typecode, non-owner resize)."""
 
 
-def attach_segment(name: str) -> SharedMemory:
-    """Attach an existing segment by name, without adopting its lifetime.
+def _unmap(held: List[Any]) -> None:
+    """Release a vector's ``[head, live, buf]`` views, then its mapping."""
+    for view in held[:-1]:
+        view.release()
+    held[-1].close()
 
-    CPython 3.13 grew ``track=False`` so an attachment is not registered
-    with the resource tracker (attachers must never trigger its cleanup).
-    Older interpreters register every attach exactly as a *create* — but
-    the tracker a ``multiprocessing`` child inherits is the parent's, and
-    its name cache is a set, so the duplicate registration dedups into
-    the owner's own entry and the owner's eventual ``unlink()``
-    unregisters it exactly once.  (Deliberately no ``unregister`` call
-    here: with a shared tracker it would cancel the *owner's*
-    registration, dropping crash-leak protection for a live segment.)
+
+def _release(fd: int, held: List[Any]) -> None:
+    """Unmap and close the descriptor (``close()`` and the finalizer).
+
+    ``held`` is the vector's ``[head, live, buf, mapping]``, updated in
+    place on every re-map so this finalizer always sees the current one.
     """
-    try:
-        return SharedMemory(name=name, track=False)  # type: ignore[call-arg]
-    except TypeError:  # Python < 3.13: no track= parameter
-        return SharedMemory(name=name)
-
-
-def _release_segment(
-    shm: SharedMemory, exports: List[memoryview], owner: bool
-) -> None:
-    """Finalizer backstop: drop views, close, unlink if owned.
-
-    Runs when a vector is garbage-collected without an explicit
-    :meth:`ShmVector.close` (test teardown, evicted cache entries).
-    Best-effort: a still-exported view (a reader mid-query) leaves the
-    segment to the OS-level cleanup rather than crashing the finalizer.
-    """
-    try:
-        for view in exports:
-            view.release()
-        shm.close()
-        if owner:
-            shm.unlink()
-    except (BufferError, FileNotFoundError, OSError):  # pragma: no cover
-        pass
+    _unmap(held)
+    os.close(fd)
 
 
 class ShmVector(Sequence[Any]):
-    """One typed array in a named shared-memory segment.
+    """One typed array in an anonymous shared-memory segment.
 
     Construct as an owner (``ShmVector("q", values)``) or attach to an
-    owner's segment from another process (``ShmVector.attach(name, "q")``).
-    Owners allocate, resize and — exactly once, in :meth:`close` — unlink
-    the segment; attachers map it read-mostly and only ever ``close()``.
+    owner's segment by descriptor (``ShmVector.attach(fd, "q")``).
+    Owners allocate, resize and grow the segment; attachers map it
+    read-mostly.  Each only ever releases its own descriptor and mapping.
     """
 
-    _shm: SharedMemory
+    _fd: int
     _typecode: str
     _itemsize: int
     _owner: bool
-    _closed: bool
+    _buf: memoryview
     _head: memoryview
     _live: memoryview
-    _exports: List[memoryview]
+    _held: List[Any]
     _finalizer: "weakref.finalize[Any, Any]"
 
     def __init__(
@@ -130,22 +112,31 @@ class ShmVector(Sequence[Any]):
         floor = length + max(length // 4, MIN_SLACK)
         cap = max(floor, capacity if capacity is not None else 0)
         itemsize = self._checked_itemsize(typecode)
-        shm = SharedMemory(create=True, size=HEADER_BYTES + cap * itemsize)
-        self._adopt(shm, typecode, owner=True)
+        fd = os.memfd_create(f"repro-{typecode}")
+        try:
+            os.ftruncate(fd, HEADER_BYTES + cap * itemsize)
+        except BaseException:
+            os.close(fd)
+            raise
+        self._adopt(fd, typecode, owner=True)
         self._head[0] = length
         self._head[1] = cap
         if length:
-            self._shm.buf[
+            self._buf[
                 HEADER_BYTES : HEADER_BYTES + length * itemsize
             ] = staged.tobytes()
         self._refresh_live()
 
     @classmethod
-    def attach(cls, name: str, typecode: str) -> "ShmVector":
-        """Map another process's segment; the caller never resizes it."""
+    def attach(cls, fd: int, typecode: str) -> "ShmVector":
+        """Map the segment behind ``fd``; the caller never resizes it.
+
+        The vector keeps a duplicate of ``fd``: the caller still owns
+        (and closes) the descriptor it passed.
+        """
         cls._checked_itemsize(typecode)
         vector = cls.__new__(cls)
-        vector._adopt(attach_segment(name), typecode, owner=False)
+        vector._adopt(os.dup(fd), typecode, owner=False)
         vector._refresh_live()
         return vector
 
@@ -159,26 +150,45 @@ class ShmVector(Sequence[Any]):
             )
         return itemsize
 
-    def _adopt(self, shm: SharedMemory, typecode: str, *, owner: bool) -> None:
-        """Bind this vector to ``shm`` (fresh construction or re-home)."""
-        self._shm = shm
+    def _adopt(self, fd: int, typecode: str, *, owner: bool) -> None:
+        """Bind this vector to the descriptor ``fd``, which it now owns."""
+        self._fd = fd
         self._typecode = typecode
         self._itemsize = ITEMSIZES[typecode]
         self._owner = owner
-        self._closed = False
-        self._head = shm.buf[:HEADER_BYTES].cast("q")
-        self._live = shm.buf[HEADER_BYTES:HEADER_BYTES].cast(typecode)
-        self._exports = [self._head, self._live]
-        self._finalizer = weakref.finalize(
-            self, _release_segment, shm, self._exports, owner
-        )
+        self._held = []
+        try:
+            self._map()
+        except BaseException:
+            os.close(fd)
+            raise
+        self._finalizer = weakref.finalize(self, _release, fd, self._held)
+
+    def _map(self) -> None:
+        """Map the whole segment; rebuild the header and payload views."""
+        mapping = mmap.mmap(self._fd, os.fstat(self._fd).st_size)
+        self._buf = memoryview(mapping)
+        self._head = self._buf[:HEADER_BYTES].cast("q")
+        self._live = self._buf[HEADER_BYTES:HEADER_BYTES].cast(self._typecode)
+        self._held[:] = [self._head, self._live, self._buf, mapping]
 
     def _refresh_live(self) -> None:
         """Rebuild the payload view to match the header's current length."""
         self._live.release()
         stop = HEADER_BYTES + int(self._head[0]) * self._itemsize
-        self._live = self._shm.buf[HEADER_BYTES:stop].cast(self._typecode)
-        self._exports[1] = self._live
+        self._live = self._buf[HEADER_BYTES:stop].cast(self._typecode)
+        self._held[1] = self._live
+
+    def remap(self) -> None:
+        """Re-map the segment if its owner has grown it since; else no-op.
+
+        Releases every view this vector handed out, so call it only
+        between queries (the process pool's sync step does).
+        """
+        if os.fstat(self._fd).st_size != len(self._buf):
+            _unmap(self._held)
+            self._map()
+            self._refresh_live()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -189,18 +199,18 @@ class ShmVector(Sequence[Any]):
         return self._typecode
 
     @property
-    def segment_name(self) -> str:
-        """The shm segment's attachable name (changes if the owner grows)."""
-        return self._shm.name
+    def descriptor(self) -> int:
+        """This process's descriptor of the segment (fixed for life)."""
+        return self._fd
 
     @property
     def segment_bytes(self) -> int:
         """Mapped size of the backing segment (header + capacity slack)."""
-        return self._shm.size
+        return len(self._buf)
 
     @property
     def capacity(self) -> int:
-        """Elements the segment can hold before the owner must re-home."""
+        """Elements the segment can hold before the owner must grow it."""
         return int(self._head[1])
 
     def __len__(self) -> int:
@@ -209,7 +219,7 @@ class ShmVector(Sequence[Any]):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ShmVector({self._typecode!r}, len={len(self)}, "
-            f"cap={self.capacity}, segment={self.segment_name!r})"
+            f"cap={self.capacity}, fd={self._fd})"
         )
 
     # ------------------------------------------------------------------
@@ -270,8 +280,7 @@ class ShmVector(Sequence[Any]):
         weight updates).  Resizes copy the tail once as bytes, shift it,
         and update the shared header — O(moved bytes), no reallocation
         while the new length fits the capacity slack; beyond that the
-        owner re-homes into a larger segment (the name changes, which the
-        serving pool turns into a worker reload).
+        owner grows the segment in place first.
         """
         staged = self._coerce(values)
         fresh = len(staged)
@@ -283,14 +292,14 @@ class ShmVector(Sequence[Any]):
         if not self._owner:
             raise ShmSegmentError(
                 "only the owning process may resize a shm vector "
-                f"(segment {self.segment_name!r})"
+                f"(descriptor {self._fd})"
             )
         length = len(self)
         new_length = length - old + fresh
         if new_length > self.capacity:
             self._grow(new_length)
         itemsize = self._itemsize
-        buf = self._shm.buf
+        buf = self._buf
         if stop < length:
             tail = bytes(
                 buf[
@@ -306,65 +315,42 @@ class ShmVector(Sequence[Any]):
             self._live[start : start + fresh] = staged
 
     def _grow(self, needed: int) -> None:
-        """Re-home into a larger segment (owner only); the name changes."""
+        """Grow the segment in place (owner only): same file, larger map."""
         cap = self.capacity
         new_cap = max(needed, cap + max(cap // 2, MIN_SLACK))
-        length = len(self)
-        payload = bytes(
-            self._shm.buf[
-                HEADER_BYTES : HEADER_BYTES + length * self._itemsize
-            ]
-        )
-        typecode = self._typecode
-        fresh = SharedMemory(
-            create=True, size=HEADER_BYTES + new_cap * self._itemsize
-        )
-        # Retire the old segment through the single close/unlink path,
-        # then rebind to the fresh one.
-        self.close()
-        self._adopt(fresh, typecode, owner=True)
-        self._head[0] = length
+        os.ftruncate(self._fd, HEADER_BYTES + new_cap * self._itemsize)
+        self.remap()
         self._head[1] = new_cap
-        if payload:
-            self._shm.buf[HEADER_BYTES : HEADER_BYTES + len(payload)] = payload
-        self._refresh_live()
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release this process's mapping; the owner also unlinks.
+        """Release this process's views, mapping and descriptor.
 
-        Idempotent.  Each attached process must call this; the segment
-        itself is destroyed exactly once, by the owner.
+        Idempotent.  The kernel frees the segment once every process
+        holding it has closed (or exited).
         """
-        if self._closed:
-            return
-        self._closed = True
-        self._finalizer.detach()
-        for view in self._exports:
-            view.release()
-        self._shm.close()
-        if self._owner:
-            self._shm.unlink()
+        self._finalizer()
 
 
 _AVAILABLE: Optional[bool] = None
 
 
 def shared_memory_available() -> bool:
-    """Whether this host can create POSIX shared-memory segments.
+    """Whether this host can create anonymous shared-memory segments.
 
-    Probed once per process by round-tripping a tiny segment; sandboxes
-    without ``/dev/shm`` make the ``"shm"`` backend (and the process
-    replica pool) unavailable rather than crashing mid-freeze.
+    Probed once per process by round-tripping a tiny segment; platforms
+    without ``os.memfd_create`` (anything but Linux) make the ``"shm"``
+    backend (and the process replica pool) unavailable rather than
+    crashing mid-freeze.
     """
     global _AVAILABLE
     if _AVAILABLE is None:
         try:
             probe = ShmVector("q", (0,))
             probe.close()
-        except (OSError, ValueError, ImportError):
+        except (OSError, AttributeError):
             _AVAILABLE = False
         else:
             _AVAILABLE = True

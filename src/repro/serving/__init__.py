@@ -23,7 +23,16 @@ queries, caches answers and fans each write's report out.
   and the stdlib-only ASGI app.  ``python -m repro.serving.http`` runs
   that module, so the package does not import it: import
   ``RoadServiceApp`` / ``serve`` from it directly.
+
+The names of :mod:`~repro.serving.service` (asyncio) and
+:mod:`~repro.serving.process_pool` (``multiprocessing.connection``)
+resolve on first use: a process worker imports the pool module alone and
+never loads the asyncio front-end, and a service without process
+replicas never loads the pool.
 """
+
+from importlib import import_module
+from typing import TYPE_CHECKING, Any, List
 
 from repro.core.dispatch import (
     DEFAULT_DIRECTORY,
@@ -35,14 +44,25 @@ from repro.core.dispatch import (
 )
 from repro.serving.config import ServiceConfig
 from repro.serving.metrics import MetricError, MetricsRegistry
-from repro.serving.process_pool import (
-    ProcessPoolError,
-    ProcessReplicaPool,
-    WorkerError,
-)
 from repro.serving.result_cache import ResultCache
-from repro.serving.service import RoadService, ServiceError
 from repro.serving.wire import WireError
+
+if TYPE_CHECKING:  # pragma: no cover - the lazy names, for type checkers
+    from repro.serving.process_pool import (
+        ProcessPoolError,
+        ProcessReplicaPool,
+        WorkerError,
+    )
+    from repro.serving.service import RoadService, ServiceError
+
+#: Lazily resolved public name -> the module that defines it.
+_LAZY = {
+    "ProcessPoolError": "repro.serving.process_pool",
+    "ProcessReplicaPool": "repro.serving.process_pool",
+    "RoadService": "repro.serving.service",
+    "ServiceError": "repro.serving.service",
+    "WorkerError": "repro.serving.process_pool",
+}
 
 __all__ = [
     "DEFAULT_DIRECTORY",
@@ -62,3 +82,16 @@ __all__ = [
     "WireError",
     "WorkerError",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted({*globals(), *_LAZY})

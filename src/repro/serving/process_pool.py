@@ -5,21 +5,33 @@ Thread replicas (:class:`~repro.serving.RoadService` with
 loop is pure Python, so N threads never buy N cores.  This module runs
 the shards as **worker processes** instead, without N copies of the
 compiled arrays: the primary freezes one ``backend="shm"`` snapshot
-(every CSR array a named ``multiprocessing.shared_memory`` segment),
-each worker attaches the same segments zero-copy
-(:meth:`~repro.core.frozen.FrozenRoad.from_manifest`) and serves query
-batches from its own interpreter — real CPU parallelism, one snapshot's
-worth of memory.
+(every CSR array an anonymous ``memfd`` segment), each worker maps the
+same segments zero-copy (:meth:`~repro.core.frozen.FrozenRoad.from_manifest`)
+and serves query batches from its own interpreter — real CPU
+parallelism, one snapshot's worth of memory.
+
+Transport: a worker is a plain ``subprocess.Popen`` child, in the
+primary's process group and started with the primary's interpreter
+flags.  It inherits two descriptors: the seqlock's control segment and
+its end of a Unix socketpair — the one channel, wrapped in
+``multiprocessing.connection.Connection``, that carries tasks and sync
+payloads in and results out.  Snapshot segments travel over that
+channel as descriptors (``socket.send_fds``), at boot and whenever the
+snapshot is replaced.  Nothing here starts a ``multiprocessing``
+process, queue or semaphore, so no resource tracker runs, and the
+worker's entry point (:func:`_worker_main`) imports neither asyncio nor
+the serving front-end.
 
 Consistency is a seqlock over a tiny shared control vector
-``[generation, sync_seq, stopping]``:
+``[generation, sync_seq]``:
 
 * The primary publishes every maintenance patch inside a generation
   window — generation goes odd, the patch lands as in-place slice
   writes on the shared arrays, a sync payload (what the segments cannot
-  carry: view invalidation, object references/abstracts, or a full
-  re-attach manifest when patching re-homed a segment) is enqueued to
-  every worker, ``sync_seq`` is bumped, generation goes even.
+  carry: view invalidation and the re-map of a grown segment, object
+  references/abstracts, or a whole snapshot with its descriptors after a
+  recompile or a swap) is sent to every worker, ``sync_seq`` is bumped,
+  generation goes even.
 * A worker serves a batch only on an even generation **after** applying
   every published sync payload, and re-checks the generation afterwards
   — a batch that overlapped a patch window is retried, so readers never
@@ -30,48 +42,55 @@ the service's asyncio front-end awaits process batches exactly like
 thread batches (``asyncio.wrap_future``).
 
 Lifecycle: the pool owns the primary snapshot and the control segment;
-``close()`` stops the workers (each detaches its attachments), then
-closes both — the single owner unlinks every segment exactly once.
+``close()`` stops the workers, then closes both.  No segment has a name:
+the kernel frees each once its last descriptor and mapping are gone, so
+a worker — or the whole process group — killed outright leaks nothing.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.connection
+import os
+import signal
+import socket
+import subprocess
+import sys
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future
+from multiprocessing.connection import Connection, wait
 from typing import (
     TYPE_CHECKING,
     Any,
+    Deque,
     Dict,
-    FrozenSet,
     List,
     Optional,
     Sequence,
     Set,
     Tuple,
+    cast,
 )
 
+import repro
 from repro.core.frozen import FrozenRoad
 from repro.core.shm_arrays import ShmVector
 from repro.serving.replicas import execute_batch
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from multiprocessing.connection import Connection
-    from multiprocessing.context import SpawnContext
-    from multiprocessing.queues import SimpleQueue
-
     from repro.core.maintenance import MaintenanceReport
 
-#: Seconds a worker sleeps while the primary holds the patch window.
+#: Seconds a worker waits on its channel per look at an open patch window.
 _PATCH_WAIT_S = 0.0002
 
 #: Seconds the pool waits for each worker's ready handshake.
 _READY_TIMEOUT_S = 60.0
 
-#: Seconds ``close()`` grants a worker before escalating to terminate.
+#: Seconds ``close()`` grants a worker before killing it.
 _STOP_TIMEOUT_S = 10.0
+
+#: Descriptors per ``sendmsg`` (the kernel's SCM_MAX_FD is 253).
+_FDS_PER_SEND = 250
 
 
 #: What :meth:`ProcessReplicaPool.path_stats` sums: the worker snapshots'
@@ -104,11 +123,10 @@ class WorkerError(RuntimeError):
 class ProcessReplicaPool:
     """N worker processes serving one shared ``backend="shm"`` snapshot.
 
-    Construct over the primary's shm snapshot; the pool spawns the
-    workers (``spawn`` context — no forked locks or event loops), hands
-    each the attach manifest, and confirms every worker's ready
-    handshake before returning.  :meth:`submit` round-robins query
-    batches to the workers and returns a
+    Construct over the primary's shm snapshot; the pool starts the
+    workers, sends each the snapshot's descriptors, and confirms every
+    worker's ready handshake before returning.  :meth:`submit`
+    round-robins query batches to the workers and returns a
     :class:`concurrent.futures.Future`; :meth:`apply` publishes one
     maintenance report to the shared arrays under the seqlock;
     :meth:`replace_snapshot` swaps in a freshly frozen snapshot (the
@@ -129,37 +147,16 @@ class ProcessReplicaPool:
                 f"arrays live in shared segments, got {frozen.backend!r}"
             )
         self._frozen = frozen
-        #: [generation, sync_seq, stopping] — the seqlock workers read,
-        #: plus a stop flag so close() can abort workers parked inside a
-        #: patch window that will never close (degraded pool).
-        self._ctrl = ShmVector("q", [0, 0, 0])
-        manifest = frozen.shm_manifest()
-        self._segments = _segment_names(manifest)
-        context: "SpawnContext" = multiprocessing.get_context("spawn")
-        self._tasks: List["SimpleQueue[Any]"] = [
-            context.SimpleQueue() for _ in range(workers)
-        ]
-        self._syncs: List["SimpleQueue[Any]"] = [
-            context.SimpleQueue() for _ in range(workers)
-        ]
-        # One result pipe PER WORKER, not one shared queue: a shared
-        # SimpleQueue serialises writers through one cross-process lock,
-        # and a worker killed inside put() (SIGKILL lands between the
-        # pipe write and the lock release — an easily-hit window, since
-        # the listener completes the future the moment the bytes arrive)
-        # would leave that lock held forever, wedging every survivor's
-        # next result.  With a single writer per pipe there is no shared
-        # lock to poison.
-        result_ends = [context.Pipe(duplex=False) for _ in range(workers)]
-        self._result_readers: List["Connection"] = [
-            reader for reader, _writer in result_ends
-        ]
-        self._result_writers: List["Connection"] = [
-            writer for _reader, writer in result_ends
-        ]
-        wake_r, wake_w = context.Pipe(duplex=False)
-        self._wake_r: "Connection" = wake_r
-        self._wake_w: "Connection" = wake_w
+        #: [generation, sync_seq] — the seqlock workers read.
+        self._ctrl = ShmVector("q", [0, 0])
+        self._workers = workers
+        #: One channel per worker: a single writer per direction, so a
+        #: worker killed mid-send cannot wedge anyone else's results.
+        self._channels: List[Connection] = []
+        self._processes: List["subprocess.Popen[bytes]"] = []
+        #: Tasks, syncs and the stop message reach one worker from several
+        #: threads; each message (and the descriptors after it) goes whole.
+        self._send_locks = [threading.Lock() for _ in range(workers)]
         self._ready = [threading.Event() for _ in range(workers)]
         self._futures: Dict[int, "Future[Any]"] = {}
         #: ticket -> worker index, so a worker death can fail exactly the
@@ -180,7 +177,7 @@ class ProcessReplicaPool:
             "batches": 0,        # batches dispatched to workers
             "queries": 0,        # queries inside those batches
             "syncs": 0,          # seqlock publications broadcast
-            "reloads": 0,        # syncs that re-attached segments
+            "reloads": 0,        # syncs that re-sent a whole snapshot
             "retries": 0,        # worker batch retries (patch overlap)
             "worker_deaths": 0,  # workers lost to crash/kill
         }
@@ -193,36 +190,30 @@ class ProcessReplicaPool:
         self._listener = threading.Thread(
             target=self._listen, name="road-shard-results", daemon=True
         )
-        self._processes = [
-            context.Process(
-                target=_worker_main,
-                args=(
-                    index,
-                    manifest,
-                    self._ctrl.segment_name,
-                    self._tasks[index],
-                    self._syncs[index],
-                    result_ends[index][1],
-                ),
-                name=f"road-shard-{index}",
-                daemon=True,
-            )
-            for index in range(workers)
-        ]
         try:
-            for process in self._processes:
-                process.start()
-            # start() has pickled the args (the spawn resource sharer
-            # holds fd duplicates for the children), so the primary can
-            # drop its copies of the write ends — a worker's exit then
-            # EOFs its pipe instead of leaving it half-open.
-            for writer in self._result_writers:
-                writer.close()
+            for _ in range(workers):
+                self._spawn()
+            # Every worker is importing by now; each takes its snapshot
+            # as soon as it is ready to read.
+            self._post_all(("reload", 0, frozen.shm_manifest()))
             self._listener.start()
             self._await_ready()
         except BaseException:
             self.close()
             raise
+
+    def _spawn(self) -> None:
+        """Start one worker on a fresh socketpair."""
+        ours, theirs = socket.socketpair()
+        with ours, theirs:
+            inherited = (theirs.fileno(), self._ctrl.descriptor)
+            process = subprocess.Popen(
+                _worker_command(*inherited),
+                stdin=subprocess.DEVNULL,
+                pass_fds=inherited,
+            )
+            self._processes.append(process)
+            self._channels.append(Connection(ours.detach()))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -239,7 +230,7 @@ class ProcessReplicaPool:
 
     @property
     def workers(self) -> int:
-        return len(self._processes)
+        return self._workers
 
     @property
     def closed(self) -> bool:
@@ -260,7 +251,7 @@ class ProcessReplicaPool:
         summary: Dict[str, object] = {
             **counters,
             "workers": self.workers,
-            "alive": sum(1 for p in self._processes if p.is_alive()),
+            "alive": sum(1 for p in self._processes if p.poll() is None),
             "closed": closed,
             "degraded": degraded,
         }
@@ -318,9 +309,7 @@ class ProcessReplicaPool:
                     "failed mid-apply); replace_snapshot() with a fresh "
                     "freeze to resume serving"
                 )
-            alive = [
-                i for i in range(len(self._processes)) if i not in self._dead
-            ]
+            alive = [i for i in range(self._workers) if i not in self._dead]
             if not alive:
                 raise ProcessPoolError("every worker process has died")
             ticket = self._ticket
@@ -331,10 +320,29 @@ class ProcessReplicaPool:
             self._owners[ticket] = index
             self._counters["batches"] += 1
             self._counters["queries"] += len(queries)
-        self._tasks[index].put(
-            ("batch", ticket, list(queries), directory, footprints)
-        )
+        # A worker that died before reading this fails the future through
+        # the listener, which sees its channel close.
+        self._post(index, ("batch", ticket, list(queries), directory, footprints))
         return future
+
+    def _post(self, index: int, message: Tuple[Any, ...]) -> None:
+        """Send one message to a worker; a gone worker's is dropped.
+
+        A ``"reload"`` message is followed on the same channel, under the
+        same lock, by the descriptors its manifest names.
+        """
+        channel = self._channels[index]
+        try:
+            with self._send_locks[index]:
+                channel.send(message)
+                if message[0] == "reload":
+                    _send_fds(channel, _descriptors(message[2]))
+        except OSError:
+            pass
+
+    def _post_all(self, message: Tuple[Any, ...]) -> None:
+        for index in range(len(self._channels)):
+            self._post(index, message)
 
     # ------------------------------------------------------------------
     # Maintenance publication (the seqlock writer side)
@@ -375,7 +383,8 @@ class ProcessReplicaPool:
                 with self._state_lock:
                     self._degraded = True
                 raise
-            self._broadcast(report)
+            # A recompile rebuilds every array in fresh segments.
+            self._broadcast(report, reload=outcome == "recompiled")
         return outcome
 
     def replace_snapshot(self, frozen: FrozenRoad) -> None:
@@ -383,16 +392,15 @@ class ProcessReplicaPool:
 
         Patching keeps shard contents current but cannot add or remove
         a compiled directory; the ROAD's owner re-freezes and the pool
-        publishes the new manifest — workers re-attach between batches.
-        The old snapshot closes (and unlinks its segments) immediately;
-        POSIX keeps the memory alive for workers still mapping it until
-        their re-attach lands.
+        sends the new snapshot's descriptors — workers re-attach between
+        batches.  The old snapshot closes immediately; its memory lives
+        on in the workers still mapping it until their re-attach lands.
 
         This is also the recovery path out of a degraded pool (a patch
         that failed mid-apply): the still-open patch window stays open
         across the swap, so workers only resume — and only validate
-        batches — after the reload payload pointing at the fresh
-        snapshot is published.
+        batches — after the reload payload carrying the fresh snapshot
+        is published.
         """
         if frozen.backend != "shm":
             raise ProcessPoolError(
@@ -405,7 +413,7 @@ class ProcessReplicaPool:
                 self._ctrl[0] = generation + 1
             old, self._frozen = self._frozen, frozen
             try:
-                self._broadcast(None, force_reload=True)
+                self._broadcast(None, reload=True)
             except BaseException:
                 # Workers may hold a mix of old and new attachments;
                 # keep the window open and the pool degraded rather
@@ -419,33 +427,31 @@ class ProcessReplicaPool:
             old.close()
 
     def _broadcast(
-        self,
-        report: Optional["MaintenanceReport"],
-        *,
-        force_reload: bool = False,
+        self, report: Optional["MaintenanceReport"], *, reload: bool
     ) -> None:
-        """Enqueue one sync payload everywhere; close the patch window.
+        """Send one sync payload everywhere; close the patch window.
 
-        Payload selection: a changed segment set (a splice re-homed an
-        array, or the snapshot recompiled/was replaced) forces a full
-        re-attach manifest; object churn ships the refreshed directory
-        state; a pure weight patch only invalidates worker view caches.
+        Payload selection: fresh segments (a recompile or a swapped
+        snapshot) send the whole snapshot; object churn ships the
+        refreshed directory state; anything else — a weight patch, or a
+        splice that grew a segment in place — only has workers drop
+        their views and re-map what grew.
         """
         self._seq += 1
-        manifest = self._frozen.shm_manifest()
-        segments = _segment_names(manifest)
         payload: Tuple[Any, ...]
-        if force_reload or segments != self._segments:
-            self._segments = segments
-            payload = ("reload", self._seq, manifest)
+        if reload:
+            payload = ("reload", self._seq, self._frozen.shm_manifest())
             with self._state_lock:
                 self._counters["reloads"] += 1
         elif report is not None and report.object_churn:
-            payload = ("objects", self._seq, manifest["directories"])
+            payload = (
+                "objects",
+                self._seq,
+                self._frozen.export_parts()["directories"],
+            )
         else:
             payload = ("arrays", self._seq)
-        for queue in self._syncs:
-            queue.put(payload)
+        self._post_all(payload)
         with self._state_lock:
             self._counters["syncs"] += 1
         self._ctrl[1] = self._seq
@@ -458,67 +464,45 @@ class ProcessReplicaPool:
     def _await_ready(self) -> None:
         deadline = time.monotonic() + _READY_TIMEOUT_S
         for index, event in enumerate(self._ready):
-            if event.wait(max(0.0, deadline - time.monotonic())):
+            event.wait(max(0.0, deadline - time.monotonic()))
+            if event.is_set() and index not in self._dead:
                 continue
-            process = self._processes[index]
             raise ProcessPoolError(
                 f"worker {index} failed to attach the shared snapshot "
-                f"(alive={process.is_alive()}, "
-                f"exitcode={process.exitcode})"
+                f"(exitcode={self._processes[index].poll()})"
             )
 
     def _listen(self) -> None:
-        """Listener-thread body: results, liveness, and shutdown in one.
+        """Listener-thread body: results and liveness in one.
 
-        Waits on every worker's result pipe *and* its process sentinel
-        (plus the pool's private wake pipe, which ``close()`` pokes).
-        A readable pipe completes futures; a fired sentinel is a worker
-        death — ``WorkerError`` only covers exceptions raised inside a
-        live worker, so without the sentinels a segfault/OOM-kill would
-        leave the victim's in-flight future pending forever and keep the
-        round-robin routing batches at a corpse.
+        A worker's channel is readable when results arrive and when the
+        worker is gone: its end closes with it, however it died, so
+        end-of-file is the death notice — ``WorkerError`` only covers
+        exceptions raised inside a live worker, and without it a
+        segfault/OOM-kill would leave the victim's in-flight future
+        pending forever and keep the round-robin routing batches at a
+        corpse.  Results always precede the end-of-file, so a worker
+        that answered and then exited completes its future.  The thread
+        ends once every channel has closed (``close()`` stops every
+        worker).
         """
-        readers = {
-            reader: index
-            for index, reader in enumerate(self._result_readers)
-        }
-        sentinels = {
-            process.sentinel: index
-            for index, process in enumerate(self._processes)
-        }
-        while True:
-            ready = multiprocessing.connection.wait(
-                [self._wake_r, *readers, *sentinels]
-            )
-            with self._state_lock:
-                if self._closed:
-                    return
-            # Results before sentinels: a worker that answered and then
-            # exited must complete its future, not fail it.
-            for conn in list(readers):
-                if conn not in ready:
-                    continue
-                if not self._drain(conn, readers[conn]):
-                    del readers[conn]
-            for sentinel in list(sentinels):
-                if sentinel not in ready:
-                    continue
-                index = sentinels.pop(sentinel)
-                reader = self._result_readers[index]
-                if reader in readers and not self._drain(reader, index):
-                    del readers[reader]
-                self._on_worker_death(index)
+        live = {channel: index for index, channel in enumerate(self._channels)}
+        while live:
+            for ready in wait(list(live)):
+                channel = cast(Connection, ready)
+                if not self._drain(channel, live[channel]):
+                    self._on_worker_death(live.pop(channel))
 
-    def _drain(self, conn: "Connection", index: int) -> bool:
-        """Consume every complete message on one result pipe.
+    def _drain(self, channel: Connection, index: int) -> bool:
+        """Consume every complete message on one channel.
 
-        Returns False once the pipe is dead (worker exited or was killed
-        mid-send) — a truncated trailing message is simply dropped; the
-        sentinel path fails the future it belonged to.
+        Returns False once the channel is dead (worker exited or was
+        killed mid-send) — a truncated trailing message is simply
+        dropped; the death path fails the future it belonged to.
         """
         try:
-            while conn.poll():
-                self._handle(conn.recv(), index)
+            while channel.poll():
+                self._handle(channel.recv(), index)
         except (EOFError, OSError):
             return False
         return True
@@ -526,7 +510,7 @@ class ProcessReplicaPool:
     def _handle(self, item: Tuple[Any, ...], index: int) -> None:
         """Apply one worker message (ready handshake or batch result)."""
         if item[0] == "ready":
-            self._ready[item[1]].set()
+            self._ready[index].set()
             return
         _tag, ticket, ok, payload, retries, paths = item
         with self._state_lock:
@@ -544,6 +528,10 @@ class ProcessReplicaPool:
     def _on_worker_death(self, index: int) -> None:
         """Fail the dead worker's in-flight futures; stop routing to it."""
         process = self._processes[index]
+        try:
+            exitcode = process.wait(timeout=_STOP_TIMEOUT_S)
+        except subprocess.TimeoutExpired:  # pragma: no cover - defensive
+            exitcode = None
         with self._state_lock:
             if self._closed or index in self._dead:
                 return
@@ -561,8 +549,9 @@ class ProcessReplicaPool:
             ]
             for ticket in doomed:
                 self._owners.pop(ticket, None)
+        self._ready[index].set()  # a worker that died booting fails _await_ready
         error = ProcessPoolError(
-            f"worker {index} died (exitcode={process.exitcode}) with the "
+            f"worker {index} died (exitcode={exitcode}) with the "
             "batch in flight"
         )
         for future in futures:
@@ -572,29 +561,22 @@ class ProcessReplicaPool:
     def close(self) -> None:
         """Stop workers, fail pending futures, release every segment.
 
-        Idempotent.  Workers detach their segment attachments on the
-        way out; the pool (sole owner) then unlinks the snapshot's
-        segments and the control vector — exactly once.
+        Idempotent.  A worker exits on the stop message even when it is
+        parked inside a patch window that will never close (degraded
+        pool); one that does not within the timeout is killed.
         """
         with self._state_lock:
             if self._closed:
                 return
             self._closed = True
-        # The stop word unblocks workers spinning inside a patch window
-        # that will never close (degraded pool) so they can reach the
-        # "stop" task instead of waiting out the terminate timeout.
-        self._ctrl[2] = 1
-        for queue in self._tasks:
-            queue.put(("stop",))
+        self._post_all(("stop",))
         for process in self._processes:
-            if process.pid is None:
-                continue
-            process.join(timeout=_STOP_TIMEOUT_S)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=_STOP_TIMEOUT_S)
+            try:
+                process.wait(timeout=_STOP_TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                process.kill()
+                process.wait()
         if self._listener.is_alive():
-            self._wake_w.send(("stop",))  # unblock the connection wait
             self._listener.join(timeout=_STOP_TIMEOUT_S)
         with self._state_lock:
             pending, self._futures = self._futures, {}
@@ -605,16 +587,8 @@ class ProcessReplicaPool:
                     ProcessPoolError("process pool closed with the batch "
                                      "in flight")
                 )
-        # A closed pool stays referenced (it still answers stats()), and
-        # a queue's locks are named semaphores that persist until the
-        # queue is collected: drop the queues with the workers.
-        self._tasks, self._syncs = [], []
-        for reader in self._result_readers:
-            reader.close()
-        for writer in self._result_writers:
-            writer.close()  # no-op normally; real on failed-start paths
-        self._wake_r.close()
-        self._wake_w.close()
+        for channel in self._channels:
+            channel.close()
         self._ctrl.close()
         self._frozen.close()
 
@@ -625,11 +599,63 @@ class ProcessReplicaPool:
         )
 
 
-def _segment_names(manifest: Dict[str, Any]) -> FrozenSet[str]:
-    """The shared-segment name set a manifest references."""
-    return frozenset(
-        segment for segment, _typecode in manifest["segments"].values()
+def _worker_command(channel: int, ctrl: int) -> List[str]:
+    """This interpreter, its flags and this package, running the worker."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    entry = (
+        f"import sys; sys.path.insert(0, {root!r}); "
+        "from repro.serving.process_pool import _worker_main; "
+        f"_worker_main({channel}, {ctrl})"
     )
+    flags = subprocess._args_from_interpreter_flags()  # type: ignore[attr-defined, unused-ignore]
+    return [sys.executable, *flags, "-c", entry]
+
+
+# ---------------------------------------------------------------------------
+# The snapshot on the wire: a manifest, then its descriptors
+# ---------------------------------------------------------------------------
+
+
+def _descriptors(manifest: Dict[str, Any]) -> List[int]:
+    """The descriptors a manifest names, in its ``segments`` order."""
+    return [fd for fd, _typecode in manifest["segments"].values()]
+
+
+def _send_fds(channel: Connection, fds: Sequence[int]) -> None:
+    """Pass descriptors over a channel (after the message naming them)."""
+    sock = socket.socket(fileno=channel.fileno())
+    try:
+        for start in range(0, len(fds), _FDS_PER_SEND):
+            socket.send_fds(sock, [b"F"], fds[start : start + _FDS_PER_SEND])
+    finally:
+        sock.detach()
+
+
+def _receive_fds(channel: Connection, manifest: Dict[str, Any]) -> None:
+    """Replace the sender's descriptors in ``manifest`` with this
+    process's copies, read off the channel right after the manifest."""
+    segments = manifest["segments"]
+    fds: List[int] = []
+    sock = socket.socket(fileno=channel.fileno())
+    try:
+        while len(fds) < len(segments):
+            data, received, _flags, _address = socket.recv_fds(
+                sock, 1, _FDS_PER_SEND
+            )
+            if not data:
+                raise EOFError("channel closed inside a snapshot transfer")
+            fds.extend(received)
+    finally:
+        sock.detach()
+    manifest["segments"] = {
+        key: (fd, typecode)
+        for (key, (_theirs, typecode)), fd in zip(segments.items(), fds)
+    }
+
+
+def _close_fds(manifest: Dict[str, Any]) -> None:
+    for fd in _descriptors(manifest):
+        os.close(fd)
 
 
 # ---------------------------------------------------------------------------
@@ -641,21 +667,49 @@ def _segment_names(manifest: Dict[str, Any]) -> FrozenSet[str]:
 _DEEP_PATH_STATS_EVERY = 256
 
 
-class _WorkerState:
-    """One worker's mutable serving state (snapshot + sync progress)."""
+class _Stop(Exception):
+    """The primary sent ``"stop"`` or closed the channel: exit now."""
 
-    __slots__ = ("frozen", "applied_seq", "retries", "batches", "path_bytes")
 
-    def __init__(self, frozen: FrozenRoad) -> None:
-        self.frozen = frozen
-        self.applied_seq = 0
+class _Worker:
+    """One worker's serving state: its channel, snapshot, and inbox."""
+
+    __slots__ = (
+        "channel", "frozen", "applied_seq", "tasks", "syncs",
+        "retries", "batches", "path_bytes",
+    )
+
+    def __init__(self, channel: Connection) -> None:
+        self.channel = channel
+        self.frozen: Optional[FrozenRoad] = None
+        self.applied_seq = -1
+        #: Batches and sync payloads read off the channel, in order, not
+        #: yet served / applied.
+        self.tasks: Deque[Tuple[Any, ...]] = deque()
+        self.syncs: List[Tuple[Any, ...]] = []
         self.retries = 0
         self.batches = 0
         self.path_bytes = (0, 0)
 
+    def receive(self) -> None:
+        """Read one message off the channel into the task or sync inbox."""
+        try:
+            message = self.channel.recv()
+        except EOFError:
+            raise _Stop from None
+        if message[0] == "stop":
+            raise _Stop
+        if message[0] == "batch":
+            self.tasks.append(message)
+            return
+        if message[0] == "reload":
+            _receive_fds(self.channel, message[2])
+        self.syncs.append(message)
+
     def path_stats(self) -> Tuple[int, ...]:
         """:meth:`FrozenRoad.path_stats` after one batch, in
         :data:`PATH_STATS` order (a tuple keeps the result message small)."""
+        assert self.frozen is not None
         if self.batches % _DEEP_PATH_STATS_EVERY == 0:
             stats = self.frozen.path_stats(deep=True)
             self.path_bytes = (stats[PATH_STATS[2]], stats[PATH_STATS[3]])
@@ -664,53 +718,57 @@ class _WorkerState:
         self.batches += 1
         return (stats[PATH_STATS[0]], stats[PATH_STATS[1]], *self.path_bytes)
 
+    def close(self) -> None:
+        """Release the snapshot and the channel (the process is exiting:
+        descriptors of an unapplied reload go with it)."""
+        if self.frozen is not None:
+            self.frozen.close()
+        self.channel.close()
 
-def _worker_main(
-    worker_id: int,
-    manifest: Dict[str, Any],
-    ctrl_segment: str,
-    tasks: "SimpleQueue[Any]",
-    syncs: "SimpleQueue[Any]",
-    results: "Connection",
-) -> None:
+
+def _worker_main(channel_fd: int, ctrl_fd: int) -> None:
     """Worker-process entry point: attach, handshake, serve batches.
 
-    Spawn-friendly (module-level, picklable arguments only).  The
-    worker owns no shared segment — its snapshot and control vector are
-    attachments, detached on exit; the primary alone unlinks.  Results
-    go over this worker's private pipe — no lock shared with the other
-    workers, so this worker dying mid-send cannot wedge anyone else.
+    Runs in a fresh interpreter holding two inherited descriptors: its
+    channel to the primary and the control segment.  The first message
+    is the snapshot (sequence 0).  The worker owns no segment — its
+    mappings and descriptors are its own, released on exit.  It ignores
+    SIGINT: a terminal's Ctrl-C reaches the whole process group, and the
+    primary decides when its workers stop.
     """
-    frozen = FrozenRoad.from_manifest(manifest)
-    ctrl = ShmVector.attach(ctrl_segment, "q")
-    state = _WorkerState(frozen)
-    results.send(("ready", worker_id))
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    ctrl = ShmVector.attach(ctrl_fd, "q")
+    os.close(ctrl_fd)
+    worker = _Worker(Connection(channel_fd))
     try:
+        _catch_up(worker, ctrl)  # the snapshot, published as sequence 0
+        worker.channel.send(("ready",))
         while True:
-            item = tasks.get()
-            if item[0] == "stop":
-                return
-            _tag, ticket, queries, directory, footprints = item
-            state.retries = 0
+            while not worker.tasks:
+                worker.receive()
+            _tag, ticket, queries, directory, footprints = worker.tasks.popleft()
+            worker.retries = 0
             try:
                 ok, payload = True, _serve_batch(
-                    state, ctrl, syncs, queries, directory, footprints
+                    worker, ctrl, queries, directory, footprints
                 )
+            except _Stop:
+                raise
             except Exception as exc:  # noqa: BLE001 — fan the error out
                 ok, payload = False, (type(exc).__name__, str(exc))
-            results.send(
-                ("done", ticket, ok, payload, state.retries, state.path_stats())
+            worker.channel.send(
+                ("done", ticket, ok, payload, worker.retries, worker.path_stats())
             )
+    except (_Stop, ConnectionError):
+        pass  # stopped, or the primary is gone
     finally:
-        state.frozen.close()
+        worker.close()
         ctrl.close()
-        results.close()
 
 
 def _serve_batch(
-    state: _WorkerState,
+    worker: _Worker,
     ctrl: ShmVector,
-    syncs: "SimpleQueue[Any]",
     queries: List[object],
     directory: str,
     footprints: bool,
@@ -726,17 +784,18 @@ def _serve_batch(
     visit sets.
     """
     while True:
-        _catch_up(state, ctrl, syncs)
+        _catch_up(worker, ctrl)
+        assert worker.frozen is not None  # booted: the snapshot is sync 0
         generation = int(ctrl[0])
         try:
-            answers = execute_batch(state.frozen, queries, directory, footprints)
+            answers = execute_batch(worker.frozen, queries, directory, footprints)
         except Exception:
             # A patch window overlapping the read can surface as an
             # exception (offsets mid-splice); only a quiescent failure
             # is a real error.
             if int(ctrl[0]) == generation and generation % 2 == 0:
                 raise
-            state.retries += 1
+            worker.retries += 1
             continue
         # The even check matters even though _catch_up only returns on
         # even generations: the primary can open a patch window between
@@ -746,59 +805,64 @@ def _serve_batch(
         if (
             generation % 2 == 0
             and int(ctrl[0]) == generation
-            and state.applied_seq >= int(ctrl[1])
+            and worker.applied_seq >= int(ctrl[1])
         ):
             return answers
-        state.retries += 1
+        worker.retries += 1
 
 
-def _catch_up(
-    state: _WorkerState, ctrl: ShmVector, syncs: "SimpleQueue[Any]"
-) -> None:
+def _catch_up(worker: _Worker, ctrl: ShmVector) -> None:
     """Wait out any patch window and apply every published sync payload.
 
-    The primary enqueues the payload *before* bumping ``sync_seq``, so
-    whenever ``applied_seq`` trails the published sequence the payload
-    is already in (or on its way into) this worker's sync queue — the
-    blocking ``get`` cannot starve.
+    While a window is open the worker keeps reading its channel, so a
+    large payload the primary is sending never stalls against a full
+    socket buffer, and a ``"stop"`` — all a degraded pool's window that
+    never closes can end with — reaches it.  The primary sends the
+    payload *before* bumping ``sync_seq``, so whenever ``applied_seq``
+    trails the published sequence the payload is already on its way
+    down the channel — the blocking read cannot starve.
 
-    A degraded pool leaves the patch window open indefinitely; the stop
-    word (``ctrl[2]``, set by the primary's ``close()``) aborts the wait
-    so the worker can drain its task queue and exit.
-
-    A ``"reload"`` re-attaches the whole snapshot, so every payload
-    queued before it is skipped — an earlier reload's segments may
-    already be unlinked by the later swap.
+    A ``"reload"`` replaces the whole snapshot, so every payload before
+    it is skipped (a skipped reload's descriptors are closed unused).
     """
     while True:
-        if int(ctrl[2]):
-            raise ProcessPoolError("process pool is stopping")
         if int(ctrl[0]) % 2:
-            time.sleep(_PATCH_WAIT_S)
+            if worker.channel.poll(_PATCH_WAIT_S):
+                worker.receive()
             continue
         published = int(ctrl[1])
-        if state.applied_seq >= published:
+        if worker.applied_seq >= published:
             return
-        pending = [syncs.get()]
-        while pending[-1][1] < published:
-            pending.append(syncs.get())
+        while not worker.syncs or worker.syncs[-1][1] < published:
+            worker.receive()
+        count = sum(1 for payload in worker.syncs if payload[1] <= published)
+        pending, worker.syncs = worker.syncs[:count], worker.syncs[count:]
         start = max(
             (i for i, payload in enumerate(pending) if payload[0] == "reload"),
             default=0,
         )
+        for payload in pending[:start]:
+            if payload[0] == "reload":
+                _close_fds(payload[2])
         for payload in pending[start:]:
-            _apply_sync(state, payload)
+            _apply_sync(worker, payload)
 
 
-def _apply_sync(state: _WorkerState, payload: Tuple[Any, ...]) -> None:
+def _apply_sync(worker: _Worker, payload: Tuple[Any, ...]) -> None:
     """Apply one published sync payload to this worker's snapshot."""
     kind, seq = payload[0], payload[1]
     if kind == "reload":
-        replacement = FrozenRoad.from_manifest(payload[2])
-        state.frozen.close()
-        state.frozen = replacement
+        try:
+            replacement = FrozenRoad.from_manifest(payload[2])
+        finally:
+            _close_fds(payload[2])
+        if worker.frozen is not None:
+            worker.frozen.close()
+        worker.frozen = replacement
     elif kind == "objects":
-        state.frozen.sync_directories(payload[2])
+        assert worker.frozen is not None
+        worker.frozen.sync_directories(payload[2])
     else:  # "arrays"
-        state.frozen.refresh_views()
-    state.applied_seq = seq
+        assert worker.frozen is not None
+        worker.frozen.refresh_views()
+    worker.applied_seq = seq

@@ -19,6 +19,9 @@ had:
     Swap in a freshly frozen snapshot.
 ``stats()``
     Pool counters and liveness under mode-independent key names.
+``path_stats()``
+    ChoosePath cache sizes held outside the primary's snapshot (what
+    process workers cached; nothing for local replicas).
 ``replicas`` / ``frozen`` / ``workers`` / ``closed``
     The snapshot held (``()`` when batches run on the primary), the one
     submits are validated against (``None``: the primary), the worker
@@ -154,6 +157,10 @@ class LocalReplicas:
             # A failed patch raises straight to the maintenance caller.
             "degraded": False,
         }
+
+    def path_stats(self) -> Dict[str, int]:
+        """Nothing beyond the primary's snapshot: batches run on it."""
+        return {}
 
     def close(self) -> None:
         """Let in-flight batches finish, then stop the pool threads."""

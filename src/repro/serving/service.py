@@ -77,7 +77,6 @@ from repro.queries.types import ResultRow
 from repro.queries.writes import DeleteObject, InsertObject, UpdateEdgeDistance
 from repro.serving.config import ServiceConfig
 from repro.serving.metrics import FLUSH_REASONS, MetricsRegistry, ServiceMetrics
-from repro.serving.process_pool import ProcessReplicaPool
 from repro.serving.replicas import LocalReplicas
 from repro.serving.result_cache import ResultCache, query_nodes
 
@@ -85,6 +84,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.core.search import SearchStats
     from repro.graph.network import RoadNetwork
     from repro.objects.model import ObjectSet
+    from repro.serving.process_pool import ProcessReplicaPool
     from repro.storage.pager import PageManager
 
 __all__ = ["FLUSH_REASONS", "RoadService", "ServiceError"]
@@ -99,7 +99,7 @@ _Buckets = Dict[Tuple[str, object], Tuple[float, List[_Entry]]]
 
 #: What the execute stage hands batches to (:mod:`repro.serving.replicas`
 #: documents the shared surface).
-ReplicaSet = Union[LocalReplicas, ProcessReplicaPool]
+ReplicaSet = Union[LocalReplicas, "ProcessReplicaPool"]
 
 
 class ServiceError(RuntimeError):
@@ -242,12 +242,11 @@ class RoadService:
         # The primary's snapshot may be mid-batch on a pool thread.
         with self._executor_lock:
             stats = snapshot.memory_stats()
-        if isinstance(self._shards, ProcessReplicaPool):
-            # Process workers serve the batches on attachments of their
-            # own, each caching ChoosePath results the primary never sees:
-            # the gauges report every process's caches together.
-            for key, value in self._shards.path_stats().items():
-                stats[key] = cast(int, stats[key]) + value
+        # Process workers serve the batches on attachments of their own,
+        # each caching ChoosePath results the primary never sees: the
+        # gauges report every process's caches together.
+        for key, value in self._shards.path_stats().items():
+            stats[key] = cast(int, stats[key]) + value
         return stats
 
     # ------------------------------------------------------------------
@@ -535,6 +534,9 @@ class RoadService:
                 # One shared-memory snapshot, N attached worker processes:
                 # the workers are real CPUs, not interpreter time slices,
                 # and the arrays exist once whatever the worker count.
+                # Imported here: only a process-mode service loads it.
+                from repro.serving.process_pool import ProcessReplicaPool
+
                 return ProcessReplicaPool(
                     owner.freeze(backend="shm"), workers=self.config.replicas
                 )

@@ -7,17 +7,24 @@ the seqlock generation counter (odd = patch in flight, workers retry
 instead of serving torn reads).  The suite hammers both sides at once
 through the full RoadService front-end, then checks the pool's own
 contract surface directly (worker errors, snapshot replacement,
-lifecycle).
+lifecycle), and finally a whole server process from outside: its
+process census, and what a SIGKILL of its process group leaves behind.
 """
 
 import asyncio
-import glob
+import json
 import os
 import random
+import select
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.core.frozen_backends import shared_memory_available
 from repro.eval.metrics import snapshot_divergences
@@ -37,7 +44,7 @@ from repro.serving import (
 
 pytestmark = pytest.mark.skipif(
     not shared_memory_available(),
-    reason="host has no POSIX shared memory (/dev/shm)",
+    reason="host has no anonymous shared memory (memfd_create)",
 )
 
 ROUNDS = 4
@@ -141,25 +148,38 @@ def test_attach_objects_replaces_the_shared_snapshot(service_parts, service):
     assert service.stats()["replica_pool"]["reloads"] >= 1
 
 
-def _shm_entries():
-    """Shared-memory segment names (the queues' sem.mp-* excluded)."""
-    return {
-        os.path.basename(path)
-        for pattern in ("/dev/shm/psm_*", "/dev/shm/repro_*")
-        for path in glob.glob(pattern)
-    }
+def _memfd_inodes(pid):
+    """Inodes of the memfd segments process ``pid`` holds open or mapped."""
+    held = set()
+    fds = Path(f"/proc/{pid}/fd")
+    for fd in fds.iterdir():
+        try:
+            if os.readlink(fd).startswith("/memfd:"):
+                held.add(fd.stat().st_ino)
+        except OSError:  # closed since the listing
+            continue
+    for line in Path(f"/proc/{pid}/maps").read_text().splitlines():
+        fields = line.split()
+        if len(fields) >= 6 and fields[5].startswith("/memfd:"):
+            held.add(int(fields[4]))
+    return held
+
+
+def _pool_inodes(pool):
+    """Inodes of the pool's live snapshot segments and control vector."""
+    fds = [fd for fd, _typecode in pool.frozen.shm_manifest()["segments"].values()]
+    return {os.fstat(fd).st_ino for fd in (*fds, pool._ctrl.descriptor)}
 
 
 def test_back_to_back_swaps_skip_the_superseded_reload(service_parts):
     """Two snapshot swaps with no batch between them (attach, attach).
 
-    The first swap's reload payload names segments the second swap has
-    already unlinked; a worker catching up must skip it for the later
-    reload instead of attaching it (``FileNotFoundError`` in the worker,
-    ``WorkerError`` in the parent).
+    The first swap's reload payload carries segments the second swap has
+    already closed on the primary; a worker catching up must skip it for
+    the later reload (closing its descriptors unused) instead of
+    attaching a superseded snapshot.
     """
     network, objects, workload = service_parts
-    before = _shm_entries()
     service = RoadService.build(
         network.copy(), objects,
         config=ServiceConfig(
@@ -182,18 +202,16 @@ def test_back_to_back_swaps_skip_the_superseded_reload(service_parts):
             workload, directory="fuel"
         )
         fresh.close()
-        # Only the live snapshot's segments and the control vector are
-        # left: both superseded snapshots were unlinked.
-        (snapshot,) = service.replicas
-        live = {
-            segment
-            for segment, _typecode in snapshot.shm_manifest()["segments"].values()
-        }
-        live.add(service._shards._ctrl.segment_name)
-        assert _shm_entries() - before == live
+        # The worker holds the live snapshot's segments and the control
+        # vector, and nothing of either superseded snapshot.
+        pool = service._shards
+        live = _pool_inodes(pool)
+        (worker,) = pool._processes
+        assert _memfd_inodes(worker.pid) == live
     finally:
         service.close()
-    assert _shm_entries() - before == set()
+    # Closing the service released every segment in this process too.
+    assert _memfd_inodes(os.getpid()) & live == set()
 
 
 def test_worker_errors_surface_with_type_and_message(service):
@@ -251,6 +269,37 @@ def test_pool_serves_raises_and_closes():
         pool.submit(workload, None)
 
 
+def test_a_splice_outgrowing_its_slack_grows_in_place_without_a_reload():
+    """Object churn past an array's capacity slack grows that segment in
+    place: the workers re-map it on the sync payload, keep serving the
+    same snapshot (no reload) and answer like a fresh freeze."""
+    road, workload = _pool_parts()
+    pool = ProcessReplicaPool(road.freeze(backend="shm"), workers=1)
+    try:
+        sizes = {k: a.segment_bytes for k, a in pool.frozen._arrays().items()}
+        u, v, d = next(iter(road.network.edges()))
+        for step in range(12):
+            obj = SpatialObject(
+                road.directory().objects.next_id(), (u, v), d * step / 12
+            )
+            assert pool.apply(road.insert_object(obj)) == "patched"
+        grown = {
+            k for k, a in pool.frozen._arrays().items()
+            if a.segment_bytes > sizes[k]
+        }
+        assert grown
+        reference = road.freeze()
+        assert pool.submit(workload, None).result(timeout=60) == (
+            reference.execute_many(workload)
+        )
+        reference.close()
+        stats = pool.stats()
+        assert stats["syncs"] == 12
+        assert stats["reloads"] == 0
+    finally:
+        pool.close()
+
+
 def _await(predicate, timeout=15.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -268,17 +317,13 @@ def test_worker_death_fails_futures_and_reroutes():
     error, drops the worker from the round-robin, and the survivor keeps
     serving.  Only when every worker is gone does submit() refuse.
 
-    Killed workers must also not leak /dev/shm entries: mask caches are
-    process-local bytearrays even on the shm backend precisely so a
-    worker that dies without running close() owns no named segments.
+    Killed workers leak nothing: a segment has no name, so the kernel
+    frees it with its last holder; once the pool closes, this process
+    holds none of its segments either.
     """
-    # Segments only: the queue semaphores (sem.mp-*) rightly live as long
-    # as the pool object itself and are not a leak.
-    shm_before = set(glob.glob("/dev/shm/psm_*")) | set(
-        glob.glob("/dev/shm/repro_*")
-    )
     road, workload = _pool_parts()
     pool = ProcessReplicaPool(road.freeze(backend="shm"), workers=2)
+    segments = _pool_inodes(pool)
     try:
         reference = road.freeze()
         expected = reference.execute_many(workload)
@@ -307,10 +352,7 @@ def test_worker_death_fails_futures_and_reroutes():
             pool.submit(workload, None)
     finally:
         pool.close()
-    leaked = (
-        set(glob.glob("/dev/shm/psm_*")) | set(glob.glob("/dev/shm/repro_*"))
-    ) - shm_before
-    assert not leaked, f"worker deaths leaked shm entries: {sorted(leaked)}"
+    assert _memfd_inodes(os.getpid()) & segments == set()
 
 
 def test_failed_patch_degrades_pool_until_snapshot_replaced(monkeypatch):
@@ -357,8 +399,8 @@ def test_close_unblocks_workers_parked_in_an_open_patch_window(monkeypatch):
     """close() on a degraded pool stops workers without terminate().
 
     A worker spinning in the seqlock catch-up (the patch window never
-    closes after a failed apply) honours the control vector's stop word,
-    aborts the batch, and exits cleanly on the stop task.
+    closes after a failed apply) keeps reading its channel, so the stop
+    message reaches it: it aborts the batch and exits cleanly.
     """
     road, workload = _pool_parts()
     pool = ProcessReplicaPool(road.freeze(backend="shm"), workers=2)
@@ -371,10 +413,10 @@ def test_close_unblocks_workers_parked_in_an_open_patch_window(monkeypatch):
         pool.apply(object())
     # Hand a worker a batch directly (submit() refuses while degraded):
     # it parks in the catch-up loop because the window never closes.
-    pool._tasks[0].put(("batch", 10_000, list(workload), None, False))
+    pool._post(0, ("batch", 10_000, list(workload), None, False))
     time.sleep(0.3)
     pool.close()
-    assert all(process.exitcode == 0 for process in pool._processes)
+    assert all(process.returncode == 0 for process in pool._processes)
 
 
 def test_mask_cache_gauges_count_the_workers_path_tables():
@@ -411,3 +453,100 @@ def test_mask_cache_gauges_count_the_workers_path_tables():
         assert gauges["path_shared_entries"] > 0
     finally:
         service.close()
+
+
+#: A process-mode server on the 2,100-node CA replica, run in its own
+#: session: it prints its child processes and the pool's worker pids,
+#: then serves until its stdin closes.
+_SERVER = """
+import json, os, sys
+from pathlib import Path
+from repro.eval.datasets import load_dataset
+from repro.objects.placement import place_uniform
+from repro.serving import RoadService, ServiceConfig
+network = load_dataset("CA").network
+service = RoadService.build(
+    network, place_uniform(network, 100, seed=1),
+    config=ServiceConfig(replicas=2, replica_mode="process"),
+)
+def parent(pid):
+    stat = Path(f"/proc/{pid}/stat").read_text()
+    return int(stat[stat.rindex(")") + 2 :].split()[1])
+children = []
+for entry in os.listdir("/proc"):
+    try:
+        if entry.isdigit() and parent(entry) == os.getpid():
+            children.append(int(entry))
+    except OSError:
+        pass
+workers = [process.pid for process in service._shards._processes]
+print(json.dumps([sorted(children), sorted(workers)]), flush=True)
+sys.stdin.read()
+service.close()
+"""
+
+
+def _start_server():
+    root = str(Path(repro.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    server = subprocess.Popen(
+        [sys.executable, "-c", _SERVER],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+        start_new_session=True,
+    )
+    ready, _, _ = select.select([server.stdout], [], [], 120.0)
+    if not ready:
+        os.killpg(server.pid, signal.SIGKILL)
+        server.wait()
+        raise AssertionError("the server did not boot within 120 s")
+    children, workers = json.loads(server.stdout.readline())
+    return server, children, workers
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process (a zombie counts as gone)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat[stat.rindex(")") + 2] != "Z"
+
+
+def test_a_process_server_runs_exactly_its_workers():
+    """No resource tracker and no helper process: the server's children
+    are the pool's workers, one per replica, and a closed service leaves
+    none running."""
+    server, children, workers = _start_server()
+    try:
+        assert children == workers
+        assert len(workers) == 2
+        server.stdin.close()
+        assert server.wait(timeout=60) == 0
+        assert not any(_running(pid) for pid in workers)
+    finally:
+        if server.poll() is None:
+            os.killpg(server.pid, signal.SIGKILL)
+            server.wait()
+        server.stdout.close()
+
+
+def test_a_killed_server_leaves_nothing_behind():
+    """SIGKILL the whole process group of a serving process-mode server:
+    no ``/dev/shm`` entry appears and no worker outlives it."""
+    shm = Path("/dev/shm")
+    before = set(shm.iterdir()) if shm.is_dir() else set()
+    server, _children, workers = _start_server()
+    try:
+        os.killpg(server.pid, signal.SIGKILL)
+        server.wait(timeout=60)
+        deadline = time.monotonic() + 15.0
+        while any(_running(pid) for pid in workers):
+            assert time.monotonic() < deadline, "a worker outlived the kill"
+            time.sleep(0.05)
+    finally:
+        server.stdin.close()
+        server.stdout.close()
+    after = set(shm.iterdir()) if shm.is_dir() else set()
+    assert after - before == set()

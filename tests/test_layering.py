@@ -9,9 +9,10 @@ engine never loads the serving tier.  The served ROAD's owner lives in
 comparison engines in :mod:`repro.baselines` either.  Three more contracts live here:
 every module imports with numpy and scipy blocked, a served network is
 generated, populated and served without either being loaded (the package
-is stdlib-only, its generators included), and only
-:mod:`repro.core.shm_arrays` creates a ``SharedMemory`` segment.  Stdlib
-only.
+is stdlib-only, its generators included), only
+:mod:`repro.core.shm_arrays` creates a shared-memory segment, and a
+process worker's entry module loads neither asyncio nor the serving
+front-end.  Stdlib only.
 """
 
 import ast
@@ -114,19 +115,49 @@ def test_queries_import_no_engine_or_serving_layer():
     assert offenders == []
 
 
-def test_only_shm_arrays_creates_shared_memory():
-    """Raw segments come from one module, whose vectors close every
-    mapping and unlink once: a ``SharedMemory(...)`` elsewhere would
-    escape that lifecycle and the process pool's reload protocol."""
-    callers = {
+def _callers(*names):
+    """Modules (relative paths) that call a function by one of ``names``."""
+    return {
         path.relative_to(PACKAGE_ROOT).as_posix()
         for path, tree in _parsed(PACKAGE_ROOT)
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
         and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
-        == "SharedMemory"
+        in names
     }
-    assert callers == {"core/shm_arrays.py"}
+
+
+def test_only_shm_arrays_creates_shared_memory():
+    """Raw segments come from one module, whose vectors close every
+    descriptor and mapping they hold: a ``memfd_create`` elsewhere would
+    escape that lifecycle and the process pool's sync protocol.  Nothing
+    builds a named segment or a ``multiprocessing`` queue or context,
+    each of which starts a resource tracker process."""
+    assert _callers("memfd_create") == {"core/shm_arrays.py"}
+    assert _callers("SharedMemory", "SimpleQueue", "get_context") == set()
+
+
+def test_the_process_worker_loads_no_asyncio_front_end():
+    """A process worker imports :mod:`repro.serving.process_pool` alone;
+    the package resolves the service's names lazily, so neither asyncio
+    nor the admission pipeline in :mod:`repro.serving.service` comes
+    with it."""
+    probe = (
+        "import sys\n"
+        "import repro.serving.process_pool\n"
+        "print(','.join(sorted(m for m in ('asyncio', 'repro.serving.service')\n"
+        "    if m in sys.modules)))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_child_env()
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == ""
+    # Every public name still resolves from the package.
+    import repro.serving
+
+    for name in repro.serving.__all__:
+        getattr(repro.serving, name)
 
 
 #: Every module under ``repro`` but ``__main__`` scripts, read off the
